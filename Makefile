@@ -34,18 +34,26 @@ check: build
 	$(GO) test -race -run 'TestChaosShard|TestSharded|TestKillRestartShard' -count=2 ./internal/server ./internal/dist
 	$(GO) test -race -run 'TestShardCommitDeterminismGolden|TestSealRaceShardBounce' -count=2 ./internal/server
 	$(GO) test -race -run 'TestReplica|TestLeader|TestChaosReplica|TestChaosLeader' -count=2 ./internal/server ./internal/dist
-	$(GO) test -race -run 'TestSwarm|TestFlatClusterConfig' -count=2 ./internal/swarm ./internal/dist
+	$(GO) test -race -run 'TestSwarm' -count=2 ./internal/swarm ./internal/dist
 	$(GO) test -race -run 'TestEpoch|TestStale|TestCloseDuringCommit' -count=2 ./internal/server ./internal/swarm ./internal/dist
 	$(GO) test -race -run 'TestGoldenScenarioReplay' -count=2 .
 	$(GO) test -race -run 'TestSwarmDynamics|TestEngineReplayDeterministic|TestClusterReplayDeterministic' -count=2 ./internal/dist ./internal/scenario
 	$(GO) test -race -run 'TestScenario' ./cmd/experiments
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/server > /dev/null
 
-# Short fuzz passes over the byte-level decoders (wire frames, journal).
+# Short passes over every fuzz harness: the byte-level decoders (client and
+# replica wire frames, the journal) and the billboard state machine. Each
+# -fuzz pattern is anchored: go test fuzzes one target per run, and a bare
+# FuzzDecodeRep would also match FuzzDecodeRepAck.
 fuzz:
-	$(GO) test ./internal/wire -run xxx -fuzz FuzzDecodeRequest -fuzztime 30s
-	$(GO) test ./internal/wire -run xxx -fuzz FuzzDecodeResponse -fuzztime 30s
-	$(GO) test ./internal/journal -run xxx -fuzz FuzzReplay -fuzztime 30s
+	$(GO) test ./internal/wire -run xxx -fuzz '^FuzzDecodeRequest$$' -fuzztime 30s
+	$(GO) test ./internal/wire -run xxx -fuzz '^FuzzDecodeResponse$$' -fuzztime 30s
+	$(GO) test ./internal/wire -run xxx -fuzz '^FuzzDecodeRep$$' -fuzztime 30s
+	$(GO) test ./internal/wire -run xxx -fuzz '^FuzzDecodeRepAck$$' -fuzztime 30s
+	$(GO) test ./internal/journal -run xxx -fuzz '^FuzzReplay$$' -fuzztime 30s
+	$(GO) test ./internal/journal -run xxx -fuzz '^FuzzWriteReplayRoundTrip$$' -fuzztime 30s
+	$(GO) test ./internal/billboard -run xxx -fuzz '^FuzzBoardInvariants$$' -fuzztime 30s
+	$(GO) test ./internal/billboard -run xxx -fuzz '^FuzzWindowCounts$$' -fuzztime 30s
 
 # Regenerate the recorded benchmark baseline (BENCH_PR2.json). Two passes:
 # a 1-iteration sweep over every benchmark (the experiment benches run a full
@@ -67,11 +75,11 @@ bench:
 # dominated by map allocation, which drifts well past 5% run to run on the
 # same commit. Alongside the gate, the sharded service benchmarks are
 # re-timed and recorded as BENCH_PR7.json (1/4/16-shard post-round and
-# scatter-gather window-query points; BENCH_PR5.json stays committed as the
-# pre-parallel-commit record), and the replicated coordinator's post-round
-# commit latency is recorded as BENCH_PR6.json: the replicas-1 point is the
-# repLog bookkeeping with a quorum of self, the replicas-3 point adds one
-# follower's durable ack per round — the replication tax, priced, not gated.
+# scatter-gather window-query points), and the replicated coordinator's
+# post-round commit latency is recorded as BENCH_PR6.json: the replicas-1
+# point is the repLog bookkeeping with a quorum of self, the replicas-3 point
+# adds one follower's durable ack per round — the replication tax, priced,
+# not gated.
 #
 # The sharded recording doubles as a scaling gate on a multi-core box:
 # shards-16 must finish a post round in fewer ns/op than shards-1, i.e. the

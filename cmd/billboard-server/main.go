@@ -7,7 +7,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -49,8 +48,7 @@ func run(args []string, out io.Writer) error {
 		good        = fs.Int("good", 1, "number of good objects")
 		alpha       = fs.Float64("alpha", 0.75, "advertised assumed honest fraction")
 		seed        = fs.Uint64("seed", 1, "universe/token seed")
-		journalPath = fs.String("journal", "", "append the billboard journal to this file (and recover from it if it exists)")
-		persistDir  = fs.String("persist-dir", "", "run durably from this directory: full service state (board, round, probe ledger, sessions) is journaled and recovered on restart; supersedes -journal")
+		persistDir  = fs.String("persist-dir", "", "run durably from this directory: full service state (board, round, probe ledger, sessions) is journaled and recovered on restart")
 		snapEvery   = fs.Int("snapshot-every", 64, "with -persist-dir: rotate the journal behind a full snapshot every k committed rounds (0: never)")
 		fsync       = fs.String("fsync", "commit", "with -persist-dir: journal fsync policy — commit (at round boundaries), none, or always")
 		grace       = fs.Duration("session-grace", 0, "how long a disconnected player's session stays resumable (0: a disconnect deregisters the player immediately)")
@@ -92,9 +90,6 @@ func run(args []string, out io.Writer) error {
 		Shards: *shards,
 		Logf:   logf,
 	}
-	if *shards > 1 && *journalPath != "" {
-		return fmt.Errorf("-shards requires -persist-dir for durability; -journal only covers a single board")
-	}
 	var reg *obs.Registry
 	if *metricsAddr != "" {
 		reg = obs.NewRegistry()
@@ -107,12 +102,7 @@ func run(args []string, out io.Writer) error {
 		}
 	} else {
 		// Replicated coordinator: the node owns persistence (one journal set
-		// per member under -persist-dir), so the single-server persistence
-		// flags must not double up.
-		if *journalPath != "" {
-			return server.NewReplicaConfigError("persist-conflict",
-				"-replicas journals per member under -persist-dir; drop -journal")
-		}
+		// per member under -persist-dir).
 		if *persistDir == "" {
 			return server.NewReplicaConfigError("missing-dir",
 				"-replicas requires -persist-dir (each member journals its replicated state there)")
@@ -137,11 +127,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return runReplicaNode(rc, cfg, reg, *metricsAddr, tokens, out, *once)
 	}
-	switch {
-	case *persistDir != "":
-		if *journalPath != "" {
-			return fmt.Errorf("-persist-dir supersedes -journal; pass one or the other")
-		}
+	if *persistDir != "" {
 		policy, err := journal.ParseSyncPolicy(*fsync)
 		if err != nil {
 			return err
@@ -155,17 +141,6 @@ func run(args []string, out io.Writer) error {
 		cfg.SnapshotEvery = *snapEvery
 		fmt.Fprintf(out, "durable mode: persist dir %s, snapshot every %d round(s), fsync %s\n",
 			*persistDir, *snapEvery, policy)
-	case *journalPath != "":
-		if prior, err := os.ReadFile(*journalPath); err == nil && len(prior) > 0 {
-			cfg.Recover = bytes.NewReader(prior)
-			fmt.Fprintf(out, "recovering billboard from %s (%d bytes)\n", *journalPath, len(prior))
-		}
-		f, err := os.OpenFile(*journalPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		cfg.Journal = journal.NewWriter(f)
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

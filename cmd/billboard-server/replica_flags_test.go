@@ -44,11 +44,6 @@ func TestReplicaFlagValidation(t *testing.T) {
 			"-n", "2", "-m", "16", "-print-and-exit",
 			"-replicas", "3", "-replica-peers", "a,b,c", "-replica-client-addrs", "x,y,z",
 		}, "missing-dir"},
-		{"replicas with -journal", []string{
-			"-n", "2", "-m", "16", "-print-and-exit",
-			"-persist-dir", filepath.Join(dir, "pj"), "-journal", filepath.Join(dir, "j.log"),
-			"-replicas", "3", "-replica-peers", "a,b,c", "-replica-client-addrs", "x,y,z",
-		}, "persist-conflict"},
 		{"empty peer list", base("-replicas", "3"), "empty-group"},
 		{"peer count mismatch", base("-replicas", "3", "-replica-peers", "a,b"), "group-size-mismatch"},
 		{"even group size", base("-replicas", "2", "-replica-peers", "a,b",

@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"io"
-
 	"repro/internal/async"
 	"repro/internal/client"
 	"repro/internal/dist"
@@ -13,7 +11,7 @@ import (
 )
 
 // This file re-exports the substrate systems — the asynchronous model of
-// [1], the networked billboard service, the durable journal, and the
+// [1], the networked billboard service, the durable persist store, and the
 // EigenTrust-style trust computation — so that downstream users of the
 // module can reach them through the supported public API. It is organized
 // in sections:
@@ -21,7 +19,7 @@ import (
 //   - Asynchronous model: the prior-work model the paper argues against.
 //   - Networked billboard service: server, client, distributed runs.
 //   - Fault injection: deterministic transport chaos for tests.
-//   - Durability: the append-only billboard journal.
+//   - Durability: the persist store behind a restartable billboard service.
 //   - Trust: the EigenTrust-style reputation comparison (X5).
 //
 // The preferred client entry point is Dial (dial.go) with functional
@@ -123,13 +121,6 @@ type (
 	// ClusterDrive selects the honest-fleet driver: per-player goroutines
 	// (zero value) or the swarm scheduler (Swarm: true).
 	ClusterDrive = dist.Drive
-	// FlatClusterConfig is the historical flat flag-bag shape; its Cluster
-	// method folds it into the structured ClusterConfig.
-	//
-	// Deprecated: build ClusterConfig directly with its Topology, Chaos,
-	// and Drive sub-structs — the flat shape cannot express the newer
-	// knobs (Mode, EpochTick, Drive.*) and will not grow new fields.
-	FlatClusterConfig = dist.FlatClusterConfig
 	// ClusterResult aggregates a distributed run.
 	ClusterResult = dist.ClusterResult
 )
@@ -163,15 +154,22 @@ func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Durable journal for the append-only billboard.
+// Durability: the billboard service's persist store.
 
-type (
-	// JournalWriter appends billboard events to a stream.
-	JournalWriter = journal.Writer
-)
+// JournalStore is a persistence directory holding one full-service
+// snapshot plus the write-ahead journal written after it. Set it as
+// BillboardServerConfig.Persist: the server recovers the board, round,
+// membership, probe ledger, and session dedup windows from it, then
+// journals every state change into it, so a probe is billed exactly once
+// across restarts. Close it after the server.
+type JournalStore = journal.Store
 
-// NewJournalWriter wraps w as a billboard journal sink.
-func NewJournalWriter(w io.Writer) *JournalWriter { return journal.NewWriter(w) }
+// OpenJournalStore opens (creating if needed) a persist store in dir. The
+// journal fsyncs at every round commit: a machine crash loses at most the
+// uncommitted round, which the synchrony contract discards anyway.
+func OpenJournalStore(dir string) (*JournalStore, error) {
+	return journal.OpenStore(dir, journal.SyncCommit)
+}
 
 // ---------------------------------------------------------------------------
 // EigenTrust-style reputation (the §1.3 critique, experiment X5).

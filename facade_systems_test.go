@@ -1,8 +1,9 @@
 package repro_test
 
 import (
-	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -43,10 +44,14 @@ func TestFacadeBillboardService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var log bytes.Buffer
+	store, err := repro.OpenJournalStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	srv, err := repro.NewBillboardServer(repro.BillboardServerConfig{
 		Universe: u, Tokens: []string{"a", "b"}, Alpha: 1, Beta: u.Beta(),
-		Journal: repro.NewJournalWriter(&log),
+		Persist: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +87,9 @@ func TestFacadeBillboardService(t *testing.T) {
 	if cached.VoteCount(3) != 1 {
 		t.Fatal("cached read through facade failed")
 	}
-	if log.Len() == 0 {
-		t.Fatal("journal through facade recorded nothing")
+	wal, err := os.ReadFile(filepath.Join(store.Dir(), "wal-00000000.log"))
+	if err != nil || len(wal) == 0 {
+		t.Fatalf("journal through facade recorded nothing (%d bytes, %v)", len(wal), err)
 	}
 }
 

@@ -116,13 +116,14 @@ func runHonestPlayer(addr string, player int, token string, params core.Params, 
 }
 
 // RunByzantineSpam connects as a dishonest player that probes one bad
-// object, lies that it is good, and then idles through barriers until stop
-// closes (or the server hangs up).
-func RunByzantineSpam(addr string, player int, token string, stop <-chan struct{}) error {
-	return runByzantineSpam(addr, player, token, stop, client.Options{})
+// object, lies that it is good, and sends Done once the round holding the
+// lie has committed. Its footprint is that one round whatever the timing,
+// so a run's round count is paced by the honest players alone.
+func RunByzantineSpam(addr string, player int, token string) error {
+	return runByzantineSpam(addr, player, token, client.Options{})
 }
 
-func runByzantineSpam(addr string, player int, token string, stop <-chan struct{}, opt client.Options) error {
+func runByzantineSpam(addr string, player int, token string, opt client.Options) error {
 	c, err := client.DialOptions(addr, player, token, opt)
 	if err != nil {
 		return err
@@ -150,17 +151,11 @@ func runByzantineSpam(addr string, player int, token string, stop <-chan struct{
 			return err
 		}
 	}
-	for {
-		select {
-		case <-stop:
-			return c.Done()
-		default:
-		}
-		if _, err := c.Barrier(); err != nil {
-			// Server closed or we were kicked: either way we are finished.
-			return nil
-		}
+	if _, err := c.Barrier(); err != nil {
+		// Server closed or we were kicked: either way we are finished.
+		return nil
 	}
+	return c.Done()
 }
 
 // Topology shapes the billboard service the players run against: the
@@ -240,8 +235,7 @@ type Drive struct {
 
 // ClusterConfig describes a full distributed run on localhost: the world
 // and fleet sizes flat, the service shape under Topology, the fault
-// machinery under Chaos, and the fleet driver under Drive. Callers holding
-// the historical flat shape can convert through FlatClusterConfig.
+// machinery under Chaos, and the fleet driver under Drive.
 type ClusterConfig struct {
 	// Universe is the ground truth (required, local testing).
 	Universe *object.Universe
@@ -289,73 +283,11 @@ type ClusterConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// FlatClusterConfig is the historical flat shape of ClusterConfig, kept as
-// a compatibility constructor: Cluster folds the flat flags into the
-// Topology/Chaos/Drive sub-structs.
-//
-// Deprecated: build ClusterConfig directly with its Topology, Chaos, and
-// Drive sub-structs. The flat shape predates those groupings, cannot
-// express the newer knobs (Mode, EpochTick, Drive.*), and will not grow
-// new fields.
-type FlatClusterConfig struct {
-	Universe          *object.Universe
-	Honest            int
-	Byzantine         int
-	Params            core.Params
-	Seed              uint64
-	MaxRounds         int
-	Fault             *faultnet.Config
-	SessionGrace      time.Duration
-	BarrierDeadline   time.Duration
-	PersistDir        string
-	SnapshotEvery     int
-	KillAtRound       int
-	Shards            int
-	KillShardAtRound  int
-	Replicas          int
-	ReplicaQuorum     int
-	KillLeaderAtRound int
-	Client            client.Options
-	Logf              func(format string, args ...any)
-}
-
-// Cluster converts the flat shape into the structured ClusterConfig.
-//
-// Deprecated: migration shim for FlatClusterConfig holders; build
-// ClusterConfig directly.
-func (f FlatClusterConfig) Cluster() ClusterConfig {
-	return ClusterConfig{
-		Universe:        f.Universe,
-		Honest:          f.Honest,
-		Byzantine:       f.Byzantine,
-		Params:          f.Params,
-		Seed:            f.Seed,
-		MaxRounds:       f.MaxRounds,
-		SessionGrace:    f.SessionGrace,
-		BarrierDeadline: f.BarrierDeadline,
-		PersistDir:      f.PersistDir,
-		SnapshotEvery:   f.SnapshotEvery,
-		Topology: Topology{
-			Shards:        f.Shards,
-			Replicas:      f.Replicas,
-			ReplicaQuorum: f.ReplicaQuorum,
-		},
-		Chaos: Chaos{
-			Fault:             f.Fault,
-			KillAtRound:       f.KillAtRound,
-			KillShardAtRound:  f.KillShardAtRound,
-			KillLeaderAtRound: f.KillLeaderAtRound,
-		},
-		Client: f.Client,
-		Logf:   f.Logf,
-	}
-}
-
 // ClusterResult aggregates a distributed run.
 type ClusterResult struct {
-	Honest     []*HonestResult
-	Rounds     int // server round count at teardown
-	AllFound   bool
+	Honest   []*HonestResult
+	Rounds   int // server round count at teardown
+	AllFound bool
 	// Departed counts honest players that left via Drive.Dynamics without
 	// finding an object (they also clear AllFound).
 	Departed   int
@@ -401,12 +333,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		cfg.MaxRounds = 4096
 	}
 	n := cfg.Honest + cfg.Byzantine
-	tokens := make([]string, n)
-	tokenRng := rng.NewPartition(cfg.Seed).Stream(rng.StreamTokens)
-	for i := range tokens {
-		tokens[i] = fmt.Sprintf("tok-%d-%016x", i, tokenRng.Uint64())
-	}
-	swarmToken := fmt.Sprintf("swarm-%016x", tokenRng.Uint64())
+	tokens, swarmToken := mintTokens(cfg.Seed, n)
 	if cfg.Chaos.KillAtRound > 0 && cfg.PersistDir == "" {
 		return nil, fmt.Errorf("dist: KillAtRound requires PersistDir")
 	}
@@ -593,7 +520,6 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	// on a mutex but still be deterministic per label; per-player injectors
 	// make the independence explicit.
 
-	stop := make(chan struct{})
 	var byzWG sync.WaitGroup
 	for b := 0; b < cfg.Byzantine; b++ {
 		player := cfg.Honest + b
@@ -604,12 +530,11 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		byzWG.Add(1)
 		go func(player int, opt client.Options) {
 			defer byzWG.Done()
-			_ = runByzantineSpam(addr, player, tokens[player], stop, opt)
+			_ = runByzantineSpam(addr, player, tokens[player], opt)
 		}(player, opt)
 	}
 
 	results, honestErr := runHonestFleet(&cfg, addr, tokens, swarmToken, playerOptions)
-	close(stop)
 	byzWG.Wait()
 	close(watcherStop)
 	<-watcherDone
@@ -627,9 +552,28 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	srvMu.Lock()
 	final := srv
 	srvMu.Unlock()
-	out := &ClusterResult{Honest: results, AllFound: true, Restarts: restarts, ShardRestarts: shardRestarts}
-	sProbes, _, _, _ := final.Stats()
-	out.ServerProbes = sProbes
+	out := summarize(results, final)
+	out.Restarts, out.ShardRestarts = restarts, shardRestarts
+	return out, nil
+}
+
+// mintTokens derives every player's bearer token and the swarm credential
+// from the run seed. Both coordinator topologies mint through it, so a seed
+// issues the same credentials whether one server or a replica group serves.
+func mintTokens(seed uint64, n int) (tokens []string, swarmToken string) {
+	tokenRng := rng.NewPartition(seed).Stream(rng.StreamTokens)
+	tokens = make([]string, n)
+	for i := range tokens {
+		tokens[i] = fmt.Sprintf("tok-%d-%016x", i, tokenRng.Uint64())
+	}
+	return tokens, fmt.Sprintf("swarm-%016x", tokenRng.Uint64())
+}
+
+// summarize aggregates the honest fleet's results with the final
+// coordinator's probe ledger and board digest.
+func summarize(results []*HonestResult, final *server.Server) *ClusterResult {
+	out := &ClusterResult{Honest: results, AllFound: true}
+	out.ServerProbes, _, _, _ = final.Stats()
 	out.BoardDigest = final.Digest()
 	total := 0
 	for _, r := range results {
@@ -645,7 +589,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		}
 	}
 	out.MeanProbes = float64(total) / float64(len(results))
-	return out, nil
+	return out
 }
 
 // runHonestFleet drives every honest player to completion and returns their

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/faultnet"
-	"repro/internal/rng"
 	"repro/internal/server"
 )
 
@@ -176,13 +175,7 @@ func runReplicated(cfg ClusterConfig) (*ClusterResult, error) {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 4096
 	}
-	n := cfg.Honest + cfg.Byzantine
-	tokens := make([]string, n)
-	tokenRng := rng.New(cfg.Seed).Split(9999)
-	for i := range tokens {
-		tokens[i] = fmt.Sprintf("tok-%d-%016x", i, tokenRng.Uint64())
-	}
-	swarmToken := fmt.Sprintf("swarm-%016x", tokenRng.Uint64())
+	tokens, swarmToken := mintTokens(cfg.Seed, cfg.Honest+cfg.Byzantine)
 	rc, err := startReplicaCluster(cfg, tokens, swarmToken)
 	if err != nil {
 		return nil, err
@@ -281,7 +274,6 @@ func runReplicated(cfg ClusterConfig) (*ClusterResult, error) {
 		return opt, nil
 	}
 
-	stop := make(chan struct{})
 	var byzWG sync.WaitGroup
 	for b := 0; b < cfg.Byzantine; b++ {
 		player := cfg.Honest + b
@@ -292,11 +284,10 @@ func runReplicated(cfg ClusterConfig) (*ClusterResult, error) {
 		byzWG.Add(1)
 		go func(player int, opt client.Options) {
 			defer byzWG.Done()
-			_ = runByzantineSpam(rc.clientAddrs[0], player, tokens[player], stop, opt)
+			_ = runByzantineSpam(rc.clientAddrs[0], player, tokens[player], opt)
 		}(player, opt)
 	}
 	results, honestErr := runHonestFleet(&cfg, rc.clientAddrs[0], tokens, swarmToken, playerOptions)
-	close(stop)
 	byzWG.Wait()
 	close(killerStop)
 	<-killerDone
@@ -321,25 +312,7 @@ func runReplicated(cfg ClusterConfig) (*ClusterResult, error) {
 	if final == nil {
 		return nil, fmt.Errorf("dist: no leader at teardown")
 	}
-	out := &ClusterResult{
-		Honest:        results,
-		AllFound:      true,
-		Failovers:     rc.kills,
-		ShardRestarts: shardRestarts,
-	}
-	sProbes, _, _, _ := final.Stats()
-	out.ServerProbes = sProbes
-	out.BoardDigest = final.Digest()
-	total := 0
-	for _, r := range results {
-		if !r.Found {
-			out.AllFound = false
-		}
-		total += r.Probes
-		if r.Rounds > out.Rounds {
-			out.Rounds = r.Rounds
-		}
-	}
-	out.MeanProbes = float64(total) / float64(len(results))
+	out := summarize(results, final)
+	out.Failovers, out.ShardRestarts = rc.kills, shardRestarts
 	return out, nil
 }

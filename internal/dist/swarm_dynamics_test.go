@@ -9,7 +9,9 @@ package dist
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 )
@@ -60,38 +62,51 @@ func TestSwarmDynamicsDeterministicDigest(t *testing.T) {
 	}
 }
 
+// TestSwarmDynamicsDepartedPlayersStopProbing runs the same departure
+// schedule against a single coordinator and a 3-replica group: departed
+// players stop probing, and ClusterResult counts them on either topology.
 func TestSwarmDynamicsDepartedPlayersStopProbing(t *testing.T) {
-	cfg := chaosBase(t)
-	cfg.MaxRounds = 6
-	cfg.Drive.Swarm = true
-	cfg.Drive.SwarmGroups = 2
-	// Players 0 and 1 (arrivals at rounds 0 and 1) depart after one round
-	// of play each; the rest ride to found/timeout.
-	cfg.Drive.Dynamics = &rampDynamics{n: 8, departs: map[int]int{0: 1, 1: 2}}
-	res, err := RunCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Departed != 2 {
-		t.Fatalf("Departed = %d, want 2", res.Departed)
-	}
-	for p, wantRound := range map[int]int{0: 1, 1: 2} {
-		hr := res.Honest[p]
-		if !hr.Departed {
-			t.Fatalf("player %d not marked departed: %+v", p, hr)
-		}
-		if hr.Found || hr.TimedOut {
-			t.Fatalf("departed player %d also found/timed out: %+v", p, hr)
-		}
-		if hr.Rounds != wantRound {
-			t.Fatalf("departed player %d played to round %d, want %d", p, hr.Rounds, wantRound)
-		}
-		if hr.Probes > 1 {
-			t.Fatalf("departed player %d made %d probes in one round of play", p, hr.Probes)
-		}
-	}
-	if res.AllFound {
-		t.Fatal("AllFound despite departures")
+	for _, replicas := range []int{0, 3} {
+		t.Run(fmt.Sprintf("replicas-%d", replicas), func(t *testing.T) {
+			cfg := chaosBase(t)
+			cfg.MaxRounds = 6
+			cfg.Drive.Swarm = true
+			cfg.Drive.SwarmGroups = 2
+			// Players 0 and 1 (arrivals at rounds 0 and 1) depart after one
+			// round of play each; the rest ride to found/timeout.
+			cfg.Drive.Dynamics = &rampDynamics{n: 8, departs: map[int]int{0: 1, 1: 2}}
+			if replicas > 1 {
+				cfg.Topology.Replicas = replicas
+				cfg.PersistDir = t.TempDir()
+				cfg.SessionGrace = 10 * time.Second
+				cfg.Client = replicaClientOpts()
+			}
+			res, err := RunCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Departed != 2 {
+				t.Fatalf("Departed = %d, want 2", res.Departed)
+			}
+			for p, wantRound := range map[int]int{0: 1, 1: 2} {
+				hr := res.Honest[p]
+				if !hr.Departed {
+					t.Fatalf("player %d not marked departed: %+v", p, hr)
+				}
+				if hr.Found || hr.TimedOut {
+					t.Fatalf("departed player %d also found/timed out: %+v", p, hr)
+				}
+				if hr.Rounds != wantRound {
+					t.Fatalf("departed player %d played to round %d, want %d", p, hr.Rounds, wantRound)
+				}
+				if hr.Probes > 1 {
+					t.Fatalf("departed player %d made %d probes in one round of play", p, hr.Probes)
+				}
+			}
+			if res.AllFound {
+				t.Fatal("AllFound despite departures")
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ package dist
 // byte-identical final billboard digest.
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
@@ -97,39 +96,4 @@ func TestSwarmReplicatedMatchesSingleCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMatchesClean(t, clean, got, "swarm replicated")
-}
-
-// TestFlatClusterConfigCompat pins the compatibility constructor: a run
-// configured through the historical flat shape is byte-identical to one
-// configured through the structured sub-structs.
-func TestFlatClusterConfigCompat(t *testing.T) {
-	base := chaosBase(t)
-	structured := base
-	structured.Topology.Shards = 4
-	a, err := RunCluster(structured)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	flat := FlatClusterConfig{
-		Universe:  base.Universe,
-		Honest:    base.Honest,
-		Params:    base.Params,
-		Seed:      base.Seed,
-		MaxRounds: base.MaxRounds,
-		Shards:    4,
-	}
-	b, err := RunCluster(flat.Cluster())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.BoardDigest, b.BoardDigest) {
-		t.Fatal("FlatClusterConfig run diverged from structured ClusterConfig run")
-	}
-	for i := range a.Honest {
-		if a.Honest[i].Probes != b.Honest[i].Probes {
-			t.Fatalf("player %d: %d vs %d probes across config shapes",
-				i, a.Honest[i].Probes, b.Honest[i].Probes)
-		}
-	}
 }

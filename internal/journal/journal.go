@@ -1,9 +1,10 @@
 // Package journal persists a billboard as an append-only log — the
 // durability counterpart of the model's "append only" guarantee (§2.1: no
 // message is ever erased). A Writer streams committed posts and round
-// markers to any io.Writer; Replay reconstructs the exact board state, so a
-// billboard server can recover from a crash without losing a single
-// identity-tagged, timestamped report.
+// markers to any io.Writer; ReplayRecords decodes them back, record by
+// record, and a Store keeps the snapshot + journal tail pair that a
+// durable billboard server (server.Config.Persist) recovers from without
+// losing a single identity-tagged, timestamped report.
 //
 // Format: length-prefixed frames (uvarint length + gob-encoded entry),
 // each frame self-contained. Self-contained frames make journals safely
@@ -11,7 +12,7 @@
 // type dictionary cannot be re-sent), and a torn tail loses at most the
 // final partial frame. Posts are grouped into rounds by marker frames; a
 // round without its marker was never visible to players (the synchrony
-// contract) and is discarded on rebuild.
+// contract) and is discarded by recovery.
 //
 // Write-ahead records (durable restart). Beyond posts and round markers,
 // the journal carries the operational records a server needs to restart
@@ -161,7 +162,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // Writer appends billboard events to an underlying stream. Not safe for
 // concurrent use; callers serialize (the billboard server holds its lock
-// across Append/EndRound).
+// across AppendFrom/EndRound).
 type Writer struct {
 	w      io.Writer
 	buf    bytes.Buffer
@@ -212,12 +213,6 @@ func (w *Writer) write(e entry) error {
 		}
 	}
 	return nil
-}
-
-// Append records one committed post with no session attribution (legacy
-// callers); see AppendFrom for the write-ahead form.
-func (w *Writer) Append(post billboard.Post) error {
-	return w.write(entry{Kind: kindPost, Post: post})
 }
 
 // AppendFrom records one accepted post under the session and sequence
@@ -390,23 +385,15 @@ type Record struct {
 	Round int
 }
 
-// Event is an operational decision recorded in the journal alongside posts
-// (today: a barrier-deadline force-done). Round is the round the decision
-// committed with.
-type Event struct {
-	Player int
-	Round  int
-}
-
 // ErrTruncated marks a journal whose tail could not be decoded. State
 // rebuilt before the truncation point is still valid.
 var ErrTruncated = errors.New("journal: truncated or corrupt tail")
 
 // ReplayRecords reads a journal and invokes fn for every record, stopping
 // cleanly at EOF. A torn or corrupt tail is reported as ErrTruncated after
-// every complete preceding frame has been delivered. This is the low-level
-// replay; Rebuild/Apply add the round-buffering semantics a billboard
-// needs.
+// every complete preceding frame has been delivered. Records are delivered
+// raw: the round buffering that discards an uncommitted tail is the
+// recovering server's job.
 func ReplayRecords(r io.Reader, fn func(Record) error) error {
 	br := bufio.NewReader(r)
 	round := 0
@@ -454,114 +441,4 @@ func ReplayRecords(r io.Reader, fn func(Record) error) error {
 			round++
 		}
 	}
-}
-
-// Replay reads a journal and invokes apply for each post and endRound at
-// each round boundary, stopping cleanly at EOF. A torn or corrupt tail is
-// reported as ErrTruncated after every complete preceding frame has been
-// applied. Operational events (force-done records) are skipped; use
-// ReplayEvents to observe them.
-func Replay(r io.Reader, apply func(billboard.Post) error, endRound func() error) error {
-	return ReplayEvents(r, apply, endRound, nil)
-}
-
-// ReplayEvents is Replay with an additional callback for operational
-// events. Event.Round is the number of round markers read before the
-// event — the round the decision was taken in. A nil event callback
-// ignores events. Write-ahead records (probes, barriers, dones, rollbacks)
-// are board-neutral and skipped here; use ReplayRecords to observe them.
-func ReplayEvents(r io.Reader, apply func(billboard.Post) error, endRound func() error, event func(Event) error) error {
-	return ReplayRecords(r, func(rec Record) error {
-		switch rec.Kind {
-		case RecordPost:
-			return apply(rec.Post)
-		case RecordEndRound:
-			return endRound()
-		case RecordForceDone:
-			if event != nil {
-				return event(Event{Player: rec.Player, Round: rec.Round})
-			}
-		}
-		return nil
-	})
-}
-
-// replayOnto buffers each round's posts and events and applies them only
-// once the round marker arrives, so a truncated final round — and any
-// force-done decision taken in it — is discarded rather than leaking into
-// the recovered board, matching the synchrony contract (an uncommitted
-// round was never visible). A rollback record drops the pending buffers
-// the same way a truncation would.
-func replayOnto(r io.Reader, board *billboard.Board) ([]Event, error) {
-	var pending []billboard.Post
-	var pendingEv, events []Event
-	err := ReplayRecords(r, func(rec Record) error {
-		switch rec.Kind {
-		case RecordPost:
-			pending = append(pending, rec.Post)
-		case RecordForceDone:
-			pendingEv = append(pendingEv, Event{Player: rec.Player, Round: rec.Round})
-		case RecordRollback:
-			pending = pending[:0]
-			pendingEv = pendingEv[:0]
-		case RecordEndRound:
-			for _, p := range pending {
-				if err := board.Post(billboard.Post{
-					Player:   p.Player,
-					Object:   p.Object,
-					Value:    p.Value,
-					Positive: p.Positive,
-				}); err != nil {
-					return err
-				}
-			}
-			pending = pending[:0]
-			events = append(events, pendingEv...)
-			pendingEv = pendingEv[:0]
-			board.EndRound()
-		}
-		return nil
-	})
-	return events, err
-}
-
-// Apply replays a journal onto an existing board (e.g. one restored from a
-// billboard snapshot — the compaction story: snapshot + journal tail =
-// exact state). Posts of an unclosed final round are discarded, as in
-// Rebuild; ErrTruncated reports a torn tail with all complete entries
-// applied.
-func Apply(r io.Reader, board *billboard.Board) error {
-	_, err := replayOnto(r, board)
-	return err
-}
-
-// ApplyEvents is Apply plus the committed operational events, in commit
-// order. On ErrTruncated the returned events cover every committed round
-// before the corruption.
-func ApplyEvents(r io.Reader, board *billboard.Board) ([]Event, error) {
-	return replayOnto(r, board)
-}
-
-// Rebuild replays a journal into a fresh board built from cfg. Posts whose
-// rounds were never closed by a round marker are discarded, matching the
-// synchrony contract (they were never visible). On ErrTruncated the board
-// reflects every complete entry before the corruption and the error is
-// returned alongside it so callers can decide whether to proceed.
-func Rebuild(r io.Reader, cfg billboard.Config) (*billboard.Board, error) {
-	board, _, err := RebuildEvents(r, cfg)
-	return board, err
-}
-
-// RebuildEvents is Rebuild plus the committed operational events (the
-// force-done decisions), in commit order.
-func RebuildEvents(r io.Reader, cfg billboard.Config) (*billboard.Board, []Event, error) {
-	board, err := billboard.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	events, replayErr := replayOnto(r, board)
-	if replayErr != nil && !errors.Is(replayErr, ErrTruncated) {
-		return nil, nil, replayErr
-	}
-	return board, events, replayErr
 }

@@ -13,102 +13,82 @@ func post(player, obj int, positive bool) billboard.Post {
 	return billboard.Post{Player: player, Object: obj, Value: 1, Positive: positive}
 }
 
-func TestRoundTripRebuild(t *testing.T) {
-	cfg := billboard.Config{Players: 4, Objects: 8}
-	original, err := billboard.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-
-	apply := func(p billboard.Post) {
-		if err := original.Post(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	endRound := func() {
-		original.EndRound()
-		if err := w.EndRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	apply(post(0, 3, true))
-	apply(post(1, 3, true))
-	endRound()
-	apply(post(2, 5, true))
-	apply(post(3, 1, false)) // negative report
-	endRound()
-
-	rebuilt, err := Rebuild(&buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Round() != original.Round() {
-		t.Fatalf("round %d != %d", rebuilt.Round(), original.Round())
-	}
-	for p := 0; p < 4; p++ {
-		if !reflect.DeepEqual(rebuilt.Votes(p), original.Votes(p)) {
-			t.Fatalf("player %d votes differ: %+v vs %+v",
-				p, rebuilt.Votes(p), original.Votes(p))
-		}
-	}
-	if rebuilt.NegativeCount(1) != 1 {
-		t.Fatalf("negative count lost: %d", rebuilt.NegativeCount(1))
-	}
-	if !reflect.DeepEqual(rebuilt.VotedObjects(), original.VotedObjects()) {
-		t.Fatal("voted objects differ")
-	}
-	if !reflect.DeepEqual(rebuilt.CountVotesInWindow(0, 2), original.CountVotesInWindow(0, 2)) {
-		t.Fatal("window counts differ")
-	}
+// replayAll decodes every record of a journal, returning the records and
+// the replay error.
+func replayAll(data []byte) ([]Record, error) {
+	var recs []Record
+	err := ReplayRecords(bytes.NewReader(data), func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, err
 }
 
-func TestUncommittedTailDiscarded(t *testing.T) {
-	cfg := billboard.Config{Players: 2, Objects: 4}
+// TestRoundTripRebuild: every post written with AppendFrom comes back from
+// ReplayRecords unchanged, attributed to its session and sequence number
+// and tagged with the round its marker closed.
+func TestRoundTripRebuild(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.Append(post(0, 1, true)); err != nil {
-		t.Fatal(err)
+	type attributed struct {
+		session, seq uint64
+		post         billboard.Post
+		round        int
+	}
+	want := []attributed{
+		{1, 1, post(0, 3, true), 0},
+		{2, 1, post(1, 3, true), 0},
+		{3, 4, post(2, 5, true), 1},
+		{4, 2, post(3, 1, false), 1}, // negative report
+	}
+	round := 0
+	for _, a := range want {
+		if a.round != round {
+			if err := w.EndRound(); err != nil {
+				t.Fatal(err)
+			}
+			round++
+		}
+		if err := w.AppendFrom(a.session, a.seq, a.post); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.EndRound(); err != nil {
 		t.Fatal(err)
 	}
-	// A post whose round never closed (crash before the marker).
-	if err := w.Append(post(1, 2, true)); err != nil {
-		t.Fatal(err)
-	}
 
-	rebuilt, err := Rebuild(&buf, cfg)
+	recs, err := replayAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.Round() != 1 {
-		t.Fatalf("round = %d, want 1", rebuilt.Round())
+	var got []attributed
+	markers := 0
+	for _, r := range recs {
+		switch r.Kind {
+		case RecordPost:
+			got = append(got, attributed{r.Session, r.Seq, r.Post, r.Round})
+		case RecordEndRound:
+			markers++
+		}
 	}
-	if rebuilt.HasVote(1) {
-		t.Fatal("uncommitted post leaked into the rebuilt board")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed posts = %+v, want %+v", got, want)
 	}
-	if !rebuilt.HasVote(0) {
-		t.Fatal("committed post lost")
+	if markers != 2 {
+		t.Fatalf("replayed %d round markers, want 2", markers)
 	}
 }
 
 func TestTruncatedStreamReportsButKeepsPrefix(t *testing.T) {
-	cfg := billboard.Config{Players: 2, Objects: 4}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.Append(post(0, 1, true)); err != nil {
+	if err := w.AppendFrom(1, 1, post(0, 1, true)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.EndRound(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(post(1, 2, true)); err != nil {
+	if err := w.AppendFrom(2, 1, post(1, 2, true)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.EndRound(); err != nil {
@@ -117,26 +97,28 @@ func TestTruncatedStreamReportsButKeepsPrefix(t *testing.T) {
 	// Tear the tail mid-entry.
 	torn := buf.Bytes()[:buf.Len()-3]
 
-	rebuilt, err := Rebuild(bytes.NewReader(torn), cfg)
+	recs, err := replayAll(torn)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
-	if rebuilt == nil {
-		t.Fatal("prefix state lost")
-	}
-	if !rebuilt.HasVote(0) {
-		t.Fatal("first committed round lost")
+	// The first round and the second post survive; the torn marker does not.
+	if len(recs) != 3 || recs[0].Post != post(0, 1, true) ||
+		recs[1].Kind != RecordEndRound || recs[2].Post != post(1, 2, true) {
+		t.Fatalf("complete prefix = %+v", recs)
 	}
 }
 
 func TestWriterFailsFast(t *testing.T) {
 	w := NewWriter(failWriter{})
-	if err := w.Append(post(0, 0, true)); err == nil {
+	if err := w.AppendFrom(1, 1, post(0, 0, true)); err == nil {
 		t.Fatal("write error swallowed")
 	}
 	// Subsequent calls return the sticky error without panicking.
 	if err := w.EndRound(); err == nil {
 		t.Fatal("sticky error not returned")
+	}
+	if w.Err() == nil {
+		t.Fatal("Err() lost the sticky error")
 	}
 }
 
@@ -147,59 +129,62 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 func TestReplayCallbackErrorsPropagate(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.Append(post(0, 1, true)); err != nil {
+	if err := w.AppendFrom(1, 1, post(0, 1, true)); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	err := Replay(&buf, func(billboard.Post) error { return boom }, func() error { return nil })
+	err := ReplayRecords(&buf, func(Record) error { return boom })
 	if !errors.Is(err, boom) {
-		t.Fatalf("apply error lost: %v", err)
+		t.Fatalf("callback error lost: %v", err)
 	}
 }
 
 func TestAppendAcrossWriters(t *testing.T) {
 	// Two separate Writers appending to the same buffer model a process
-	// restart; one Replay must read both segments (this is why frames are
+	// restart; one replay must read both segments (this is why frames are
 	// self-contained rather than one gob stream).
-	cfg := billboard.Config{Players: 2, Objects: 4}
 	var buf bytes.Buffer
 	w1 := NewWriter(&buf)
-	if err := w1.Append(post(0, 1, true)); err != nil {
+	if err := w1.AppendFrom(1, 1, post(0, 1, true)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w1.EndRound(); err != nil {
 		t.Fatal(err)
 	}
 	w2 := NewWriter(&buf) // "restart"
-	if err := w2.Append(post(1, 2, true)); err != nil {
+	if err := w2.AppendFrom(2, 1, post(1, 2, true)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.EndRound(); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := Rebuild(&buf, cfg)
+	recs, err := replayAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.Round() != 2 || !rebuilt.HasVote(0) || !rebuilt.HasVote(1) {
-		t.Fatalf("append-across-restart lost state: round=%d", rebuilt.Round())
+	if len(recs) != 4 || recs[2].Post != post(1, 2, true) || recs[2].Round != 1 {
+		t.Fatalf("append-across-restart lost state: %+v", recs)
 	}
 }
 
 func TestEmptyJournal(t *testing.T) {
-	rebuilt, err := Rebuild(bytes.NewReader(nil), billboard.Config{Players: 1, Objects: 1})
+	recs, err := replayAll(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.Round() != 0 || rebuilt.TotalVotes() != 0 {
-		t.Fatal("empty journal should rebuild an empty board")
+	if len(recs) != 0 {
+		t.Fatalf("empty journal replayed %d records", len(recs))
 	}
 }
 
+// TestForceDoneEventsReplay: force-done decisions come back in order, each
+// tagged with the round it was taken in — including one in a round whose
+// marker never landed, which recovery must discard (the server-level
+// counterpart is TestForceDoneSurvivesRecovery).
 func TestForceDoneEventsReplay(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.Append(post(0, 1, true)); err != nil {
+	if err := w.AppendFrom(1, 1, post(0, 1, true)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.ForceDone(2); err != nil {
@@ -214,37 +199,23 @@ func TestForceDoneEventsReplay(t *testing.T) {
 	if err := w.EndRound(); err != nil {
 		t.Fatal(err)
 	}
-	// A force-done in a round that never committed must be discarded along
-	// with the round — the decision was never visible.
 	if err := w.ForceDone(1); err != nil {
 		t.Fatal(err)
 	}
 
-	board, events, err := RebuildEvents(bytes.NewReader(buf.Bytes()), billboard.Config{Players: 4, Objects: 8})
+	recs, err := replayAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if board.Round() != 2 {
-		t.Fatalf("round = %d, want 2", board.Round())
+	type event struct{ player, round int }
+	var got []event
+	for _, r := range recs {
+		if r.Kind == RecordForceDone {
+			got = append(got, event{r.Player, r.Round})
+		}
 	}
-	want := []Event{{Player: 2, Round: 0}, {Player: 3, Round: 1}}
-	if !reflect.DeepEqual(events, want) {
-		t.Fatalf("events = %v, want %v", events, want)
-	}
-
-	// Plain Replay skips events; ReplayEvents surfaces them in order.
-	var seen []Event
-	err = ReplayEvents(bytes.NewReader(buf.Bytes()),
-		func(billboard.Post) error { return nil },
-		func() error { return nil },
-		func(e Event) error { seen = append(seen, e); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ReplayEvents is raw (no round buffering): it reports the trailing
-	// uncommitted event too, tagged with the round it happened in.
-	wantRaw := append(want, Event{Player: 1, Round: 2})
-	if !reflect.DeepEqual(seen, wantRaw) {
-		t.Fatalf("raw events = %v, want %v", seen, wantRaw)
+	want := []event{{2, 0}, {3, 1}, {1, 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("force-done records = %v, want %v", got, want)
 	}
 }

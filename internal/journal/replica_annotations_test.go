@@ -15,14 +15,14 @@ import (
 func TestEndRoundQuorumAnnotation(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.Append(billboard.Post{Player: 1, Object: 2, Value: 0.5}); err != nil {
+	if err := w.AppendFrom(1, 1, billboard.Post{Player: 1, Object: 2, Value: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	admits := []Admit{{Player: 1, Object: 2}}
 	if err := w.EndRoundQuorum(admits, 7, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(billboard.Post{Player: 0, Object: 3, Value: 1}); err != nil {
+	if err := w.AppendFrom(2, 1, billboard.Post{Player: 0, Object: 3, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.EndRound(); err != nil {

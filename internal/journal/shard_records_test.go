@@ -50,7 +50,7 @@ func TestEndRoundAdmitsReplay(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	admits := []Admit{{Player: 0, Object: 3}, {Player: 2, Object: 5}}
-	if err := w.Append(post(0, 3, true)); err != nil {
+	if err := w.AppendFrom(1, 1, post(0, 3, true)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.EndRoundAdmits(admits); err != nil {

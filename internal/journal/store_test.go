@@ -198,63 +198,6 @@ func TestStoreClosed(t *testing.T) {
 	}
 }
 
-// TestRollbackFencesUncommittedTail pins the double-recovery contract: a
-// recovering server discards an uncommitted tail and appends a rollback
-// marker; a second replay of the same file must treat the orphaned records
-// as discarded too, not re-apply them alongside their re-executed retries.
-func TestRollbackFencesUncommittedTail(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenStore(dir, SyncCommit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := s.Writer()
-	post := billboard.Post{Player: 0, Object: 2, Value: 1, Positive: true}
-	if err := w.AppendFrom(5, 1, post); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EndRound(); err != nil {
-		t.Fatal(err)
-	}
-	// Uncommitted tail: a post with no round marker (crash before commit).
-	if err := w.AppendFrom(5, 2, billboard.Post{Player: 0, Object: 9, Value: 1, Positive: false}); err != nil {
-		t.Fatal(err)
-	}
-	// First recovery discards it and fences with a rollback, then the retry
-	// re-executes the post and the round commits.
-	if err := w.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendFrom(5, 2, billboard.Post{Player: 1, Object: 9, Value: 1, Positive: false}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EndRound(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s2, err := OpenStore(dir, SyncCommit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	board, err := Rebuild(s2.Tail(), billboard.Config{Players: 2, Objects: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if board.Round() != 2 {
-		t.Fatalf("rebuilt round = %d, want 2", board.Round())
-	}
-	// Exactly one report on object 9 — the retried one — and none from the
-	// rolled-back orphan (player 0 must still be free to vote elsewhere).
-	if got := board.NegativeCount(9); got != 1 {
-		t.Fatalf("object 9 has %d negative reports, want 1 (orphan re-applied?)", got)
-	}
-	if got := len(board.Votes(0)); got != 1 {
-		t.Fatalf("player 0 has %d votes, want 1", got)
-	}
-}
-
 func TestParseSyncPolicy(t *testing.T) {
 	for _, p := range []SyncPolicy{SyncCommit, SyncNone, SyncAlways} {
 		got, err := ParseSyncPolicy(p.String())

@@ -1,8 +1,8 @@
 package server_test
 
 // Unit tests for the durable-restart path (Config.Persist): exact state
-// recovery across a kill, discard-and-fence of uncommitted rounds, config
-// exclusivity, and the lease-timer lifecycle around Close.
+// recovery across a kill, discard-and-fence of uncommitted rounds, and the
+// lease-timer lifecycle around Close.
 
 import (
 	"bytes"
@@ -230,34 +230,6 @@ func TestPersistUncommittedRoundDiscarded(t *testing.T) {
 	empty.EndRound()
 	if !bytes.Equal(srv3.Digest(), empty.Digest()) {
 		t.Fatalf("orphaned post on object %d resurfaced:\n%s", bad, srv3.Digest())
-	}
-}
-
-// TestPersistExclusiveWithLegacyRecovery: Persist supersedes the
-// billboard-only durability knobs; combining them is a config error.
-func TestPersistExclusiveWithLegacyRecovery(t *testing.T) {
-	u := plantedUniverse(t)
-	st, err := journal.OpenStore(t.TempDir(), journal.SyncCommit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var buf bytes.Buffer
-	_, err = server.New(server.Config{
-		Universe: u, Tokens: []string{"t"},
-		Persist: st,
-		Journal: journal.NewWriter(&buf),
-	})
-	if err == nil || !strings.Contains(err.Error(), "Persist supersedes") {
-		t.Fatalf("Persist+Journal accepted: %v", err)
-	}
-	_, err = server.New(server.Config{
-		Universe: u, Tokens: []string{"t"},
-		Persist: st,
-		Recover: bytes.NewReader(nil),
-	})
-	if err == nil {
-		t.Fatal("Persist+Recover accepted")
 	}
 }
 

@@ -1,7 +1,14 @@
 package server_test
 
+// Crash-recovery tests on the durable path (Config.Persist): a server killed
+// between or inside rounds and rebuilt from its store's snapshot + journal
+// tail must reproduce the committed board, the round counter, the probe
+// ledger, and every binding decision (force-done expulsions) exactly.
+
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,29 +21,61 @@ import (
 	"repro/internal/server"
 )
 
-// TestCrashRecovery journals a few rounds, "crashes" the server, and brings
-// up a replacement from the journal: the billboard state and round counter
-// must survive.
-func TestCrashRecovery(t *testing.T) {
-	u, err := object.NewPlanted(object.Planted{M: 16, Good: 1}, rng.New(5))
+// openDurable opens (or reopens) the persist store in dir and builds a
+// server over it; cfg supplies everything but Persist.
+func openDurable(t *testing.T, dir string, cfg server.Config) (*server.Server, *journal.Store) {
+	t.Helper()
+	st, err := journal.OpenStore(dir, journal.SyncCommit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tokens := []string{"tok", "tok"}
-	var log bytes.Buffer
+	cfg.Persist = st
+	srv, err := server.New(cfg)
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	return srv, st
+}
 
-	srv1, err := server.New(server.Config{
-		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		Journal: journal.NewWriter(&log),
-	})
-	if err != nil {
+// barrierAll runs every client's round barrier concurrently (the barrier
+// waits for all registered players, so sequential calls would deadlock).
+func barrierAll(cs ...*client.Client) {
+	var wg sync.WaitGroup
+	wg.Add(len(cs))
+	for _, c := range cs {
+		go func(c *client.Client) { defer wg.Done(); _, _ = c.Barrier() }(c)
+	}
+	wg.Wait()
+}
+
+// tailKinds replays a store's journal tail and returns its record kinds.
+func tailKinds(t *testing.T, st *journal.Store) []journal.RecordKind {
+	t.Helper()
+	var kinds []journal.RecordKind
+	if err := journal.ReplayRecords(st.Tail(), func(r journal.Record) error {
+		kinds = append(kinds, r.Kind)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	return kinds
+}
+
+// TestCrashRecovery journals a few rounds, "crashes" the server, and brings
+// up a replacement from the store's journal alone (no snapshot): the
+// billboard, the round counter, and the probe ledger must survive.
+func TestCrashRecovery(t *testing.T) {
+	u := plantedUniverse(t)
+	bad := firstBad(u)
+	dir := t.TempDir()
+	cfg := server.Config{Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta()}
+
+	srv1, st1 := openDurable(t, dir, cfg)
 	addr1, err := srv1.Start("")
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	c0, err := client.Dial(addr1, 0, "tok")
 	if err != nil {
 		t.Fatal(err)
@@ -45,126 +84,96 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := -1
-	for i := 0; i < u.M(); i++ {
-		if !u.IsGood(i) {
-			bad = i
-			break
-		}
+	if _, err := c0.Probe(bad); err != nil {
+		t.Fatal(err)
 	}
 	if err := c0.Post(bad, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	barrierBoth := func(a, b *client.Client) {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		for _, c := range []*client.Client{a, b} {
-			go func(c *client.Client) { defer wg.Done(); _, _ = c.Barrier() }(c)
-		}
-		wg.Wait()
-	}
-	barrierBoth(c0, c1) // round 0 commits (journaled)
+	barrierAll(c0, c1) // round 0 commits (journaled)
 	if err := c1.Post(bad, 0.5, false); err != nil {
 		t.Fatal(err)
 	}
-	barrierBoth(c0, c1) // round 1 commits
+	barrierAll(c0, c1) // round 1 commits
+	live := srv1.Digest()
+	liveProbes, _, _, _ := srv1.Stats()
 	c0.Close()
 	c1.Close()
-	if err := srv1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	srv1.Close()
+	st1.Close()
 
-	// "Crash" happened; bring up a replacement from the journal.
-	srv2, err := server.New(server.Config{
-		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		Recover: bytes.NewReader(log.Bytes()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr2, err := srv2.Start("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// "Crash" happened; bring up a replacement from the store.
+	srv2, st2 := openDurable(t, dir, cfg)
+	defer st2.Close()
 	defer srv2.Close()
-
 	if srv2.Round() != 2 {
 		t.Fatalf("recovered round = %d, want 2", srv2.Round())
 	}
-	c, err := client.Dial(addr2, 0, "tok")
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(srv2.Digest(), live) {
+		t.Fatalf("recovered board diverged:\nlive:\n%s\nrecovered:\n%s", live, srv2.Digest())
 	}
-	defer c.Close()
-	if got := c.VoteCount(bad); got != 1 {
-		t.Fatalf("recovered vote count = %d, want 1", got)
-	}
-	votes := c.Votes(0)
-	if len(votes) != 1 || votes[0].Object != bad || votes[0].Round != 0 {
-		t.Fatalf("recovered votes = %+v", votes)
-	}
-	if got := c.NegativeCount(bad); got != 1 {
-		t.Fatalf("recovered negative count = %d, want 1", got)
-	}
-	// The one-vote rule still binds across the crash: player 0 cannot vote
-	// again on the recovered board.
-	if err := c.Post(bad+1, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := client.Dial(addr2, 1, "tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	barrierBoth(c, c2)
-	if got := len(c.Votes(0)); got != 1 {
-		t.Fatalf("vote cap forgotten after recovery: %d votes", got)
+	probes, _, _, _ := srv2.Stats()
+	if probes[0] != liveProbes[0] || probes[1] != liveProbes[1] {
+		t.Fatalf("recovered probe ledger = %v, want %v", probes, liveProbes)
 	}
 }
 
+// TestRecoverFromGarbageRejected: a wal that fails on its very first frame
+// is a torn tail with an empty prefix — tolerated, the server comes up
+// fresh — while an undecodable snapshot is corruption the server refuses
+// to start from.
 func TestRecoverFromGarbageRejected(t *testing.T) {
 	u, err := object.NewPlanted(object.Planted{M: 8, Good: 1}, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Garbage that fails on the very first gob frame is ErrTruncated-
-	// tolerated (empty prefix); the server comes up with a fresh board.
-	srv, err := server.New(server.Config{
-		Universe: u, Tokens: []string{"t"},
-		Recover: bytes.NewReader([]byte("not a journal")),
-	})
-	if err != nil {
+	cfg := server.Config{Universe: u, Tokens: []string{"t"}}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000000.log"), []byte("not a journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	srv, st := openDurable(t, dir, cfg)
 	if srv.Round() != 0 {
 		t.Fatalf("round = %d", srv.Round())
 	}
+	srv.Close()
+	st.Close()
+
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snap-00000001.bin"), []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err = journal.OpenStore(dir, journal.SyncCommit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg.Persist = st
+	if _, err := server.New(cfg); err == nil || !strings.Contains(err.Error(), "recover snapshot") {
+		t.Fatalf("garbage snapshot accepted: %v", err)
+	}
 }
 
-// TestCompactionCycle exercises the full compaction story: run rounds with
-// a journal, Compact, truncate the journal, run more rounds into a new
-// journal, crash, and recover from snapshot + tail.
+// TestCompactionCycle exercises the compaction story on SnapshotEvery
+// rotation: rounds run, the store rotates behind a full snapshot (the
+// journal so far is truncated), more rounds land in the fresh wal, the
+// server crashes, and snapshot + tail recover the exact state.
 func TestCompactionCycle(t *testing.T) {
 	u, err := object.NewPlanted(object.Planted{M: 16, Good: 1}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := -1
-	for i := 0; i < u.M(); i++ {
-		if !u.IsGood(i) {
-			bad = i
-			break
-		}
+	bad := firstBad(u)
+	dir := t.TempDir()
+	cfg := server.Config{
+		Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta(),
+		SnapshotEvery: 2,
 	}
-	tokens := []string{"tok", "tok"}
-	var log1 bytes.Buffer
-	srv1, err := server.New(server.Config{
-		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		Journal: journal.NewWriter(&log1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv1, st1 := openDurable(t, dir, cfg)
 	addr, err := srv1.Start("")
 	if err != nil {
 		t.Fatal(err)
@@ -177,153 +186,81 @@ func TestCompactionCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	both := func() {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		for _, c := range []*client.Client{c0, c1} {
-			go func(c *client.Client) { defer wg.Done(); _, _ = c.Barrier() }(c)
-		}
-		wg.Wait()
-	}
 	if err := c0.Post(bad, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	both() // round 0 committed
-
-	// Compact: snapshot the state, "truncate" by starting a fresh journal.
-	snapshot, err := srv1.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pre-compaction journal is no longer needed; simulate truncation by
-	// dropping log1 and switching... (the server keeps writing to log1 in
-	// this simple test; the tail we replay is everything AFTER the
-	// snapshot, which we approximate by a second server run below).
-	c0.Close()
-	c1.Close()
-	srv1.Close()
-
-	// Second life: recover from snapshot only, run one more round with a
-	// fresh journal.
-	var log2 bytes.Buffer
-	srv2, err := server.New(server.Config{
-		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		RecoverSnapshot: snapshot,
-		Journal:         journal.NewWriter(&log2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr2, err := srv2.Start("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0, err = client.Dial(addr2, 0, "tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err = client.Dial(addr2, 1, "tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv2.Round() != 1 {
-		t.Fatalf("post-snapshot round = %d, want 1", srv2.Round())
-	}
+	barrierAll(c0, c1) // round 0 committed
+	barrierAll(c0, c1) // round 1 committed: the store rotates behind a snapshot
 	if err := c1.Post(bad, 0.4, false); err != nil {
 		t.Fatal(err)
 	}
-	both() // round 1 committed into log2
+	barrierAll(c0, c1) // round 2 committed into the fresh wal
+	live := srv1.Digest()
 	c0.Close()
 	c1.Close()
-	srv2.Close()
+	srv1.Close()
+	st1.Close()
 
-	// Third life: snapshot + journal tail = exact state.
-	srv3, err := server.New(server.Config{
-		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		RecoverSnapshot: snapshot,
-		Recover:         bytes.NewReader(log2.Bytes()),
-	})
-	if err != nil {
-		t.Fatal(err)
+	srv2, st2 := openDurable(t, dir, cfg)
+	defer st2.Close()
+	defer srv2.Close()
+	if st2.Snapshot() == nil {
+		t.Fatal("no snapshot after SnapshotEvery rotation")
 	}
-	addr3, err := srv3.Start("")
-	if err != nil {
-		t.Fatal(err)
+	// The rotation truncated the journal: the tail holds round 2 only — the
+	// negative report, not round 0's vote.
+	posts, markers := 0, 0
+	for _, k := range tailKinds(t, st2) {
+		switch k {
+		case journal.RecordPost:
+			posts++
+		case journal.RecordEndRound:
+			markers++
+		}
 	}
-	defer srv3.Close()
-	if srv3.Round() != 2 {
-		t.Fatalf("recovered round = %d, want 2", srv3.Round())
+	if posts != 1 || markers != 1 {
+		t.Fatalf("journal tail holds %d posts over %d rounds, want 1 over 1", posts, markers)
 	}
-	c, err := client.Dial(addr3, 0, "tok")
-	if err != nil {
-		t.Fatal(err)
+	if srv2.Round() != 3 {
+		t.Fatalf("recovered round = %d, want 3", srv2.Round())
 	}
-	defer c.Close()
-	if c.VoteCount(bad) != 1 {
-		t.Fatal("vote lost across compaction")
-	}
-	if c.NegativeCount(bad) != 1 {
-		t.Fatal("negative report from the journal tail lost")
+	if !bytes.Equal(srv2.Digest(), live) {
+		t.Fatalf("snapshot + tail diverged from the live board:\nlive:\n%s\nrecovered:\n%s", live, srv2.Digest())
 	}
 }
 
 // TestMidRoundDisconnectResumeMatchesReplay drops a player mid-round (within
 // its session grace), lets it resume and finish the round, and checks that
 // the board the resumed player observes is exactly the board a crash
-// recovery would rebuild from the journal.
+// recovery rebuilds from the store.
 func TestMidRoundDisconnectResumeMatchesReplay(t *testing.T) {
-	u, err := object.NewPlanted(object.Planted{M: 16, Good: 1}, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := -1
-	for i := 0; i < u.M(); i++ {
-		if !u.IsGood(i) {
-			bad = i
-			break
-		}
-	}
-	tokens := []string{"tok", "tok"}
-	var log bytes.Buffer
-	srv, err := server.New(server.Config{
-		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		Journal:      journal.NewWriter(&log),
+	u := plantedUniverse(t)
+	bad := firstBad(u)
+	dir := t.TempDir()
+	cfg := server.Config{
+		Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta(),
 		SessionGrace: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	srv, st := openDurable(t, dir, cfg)
 	addr, err := srv.Start("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 
 	opts := client.Options{Retries: 6, BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond}
 	c0, err := client.DialOptions(addr, 0, "tok", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c0.Close()
 	c1, err := client.DialOptions(addr, 1, "tok", opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer c1.Close()
-
-	barrierBoth := func() {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		for _, c := range []*client.Client{c0, c1} {
-			go func(c *client.Client) { defer wg.Done(); _, _ = c.Barrier() }(c)
-		}
-		wg.Wait()
 	}
 
 	if err := c0.Post(bad, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	barrierBoth() // round 0 commits
+	barrierAll(c0, c1) // round 0 commits
 
 	// Round 1: player 1 posts, then its connection dies mid-round. The
 	// session grace keeps it registered; its next call resumes.
@@ -331,7 +268,7 @@ func TestMidRoundDisconnectResumeMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.Abort()
-	barrierBoth() // player 1's barrier reconnects and resumes transparently
+	barrierAll(c0, c1) // player 1's barrier reconnects and resumes transparently
 	if err := c1.Err(); err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -343,22 +280,23 @@ func TestMidRoundDisconnectResumeMatchesReplay(t *testing.T) {
 	if got := c1.NegativeCount(bad); got != 1 {
 		t.Fatalf("resumed player sees negative count %d, want 1", got)
 	}
+	live := srv.Digest()
+	c0.Close()
+	c1.Close()
+	srv.Close()
+	st.Close()
 
-	// …and the journal replays to the very same board: the disconnect and
+	// …and the store replays to the very same board: the disconnect and
 	// resume left no trace in durable state.
-	recovered, err := server.New(server.Config{
-		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		Recover: bytes.NewReader(log.Bytes()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered, st2 := openDurable(t, dir, cfg)
+	defer st2.Close()
+	defer recovered.Close()
 	if recovered.Round() != 2 {
 		t.Fatalf("replayed round = %d, want 2", recovered.Round())
 	}
-	if !bytes.Equal(recovered.Digest(), srv.Digest()) {
+	if !bytes.Equal(recovered.Digest(), live) {
 		t.Fatalf("journal replay diverged from live board:\nlive:\n%s\nreplayed:\n%s",
-			srv.Digest(), recovered.Digest())
+			live, recovered.Digest())
 	}
 }
 
@@ -366,21 +304,14 @@ func TestMidRoundDisconnectResumeMatchesReplay(t *testing.T) {
 // durable: after a crash, the recovered server still refuses the expelled
 // player.
 func TestForceDoneSurvivesRecovery(t *testing.T) {
-	u, err := object.NewPlanted(object.Planted{M: 16, Good: 1}, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tokens := []string{"tok", "tok"}
-	var log bytes.Buffer
-	srv, err := server.New(server.Config{
-		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		Journal:         journal.NewWriter(&log),
+	u := plantedUniverse(t)
+	dir := t.TempDir()
+	cfg := server.Config{
+		Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta(),
 		SessionGrace:    time.Minute,
 		BarrierDeadline: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	srv, st := openDurable(t, dir, cfg)
 	addr, err := srv.Start("")
 	if err != nil {
 		t.Fatal(err)
@@ -404,19 +335,15 @@ func TestForceDoneSurvivesRecovery(t *testing.T) {
 	c0.Close()
 	c1.Close()
 	srv.Close()
+	st.Close()
 
-	recovered, err := server.New(server.Config{
-		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		Recover: bytes.NewReader(log.Bytes()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered, st2 := openDurable(t, dir, cfg)
+	defer st2.Close()
 	if recovered.Round() != 2 {
 		t.Fatalf("recovered round = %d, want 2", recovered.Round())
 	}
 	fd := recovered.ForceDone()
-	if r, ok := fd[1]; !ok || r != 0 {
+	if r, ok := fd[1]; !ok || r != 0 || len(fd) != 1 {
 		t.Fatalf("recovered force-done map = %v, want player 1 in round 0", fd)
 	}
 	addr2, err := recovered.Start("")
@@ -429,5 +356,88 @@ func TestForceDoneSurvivesRecovery(t *testing.T) {
 		t.Fatal("force-done player rejoined after recovery")
 	} else if !strings.Contains(err.Error(), "force-done") {
 		t.Fatalf("unexpected rejection: %v", err)
+	}
+}
+
+// TestRollbackFencesUncommittedTail pins the double-recovery contract: a
+// recovering server discards an uncommitted tail and appends a rollback
+// marker; when the crashed round's post is re-executed and the round
+// commits, a second recovery of the same store must treat the orphaned
+// record as discarded too, not re-apply it alongside its re-execution.
+func TestRollbackFencesUncommittedTail(t *testing.T) {
+	u := plantedUniverse(t)
+	bad := firstBad(u)
+	dir := t.TempDir()
+	cfg := server.Config{
+		Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta(),
+		SessionGrace: 10 * time.Second,
+	}
+	srv1, st1 := openDurable(t, dir, cfg)
+	addr, err := srv1.Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := client.Options{Retries: 24, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond}
+	c0, err := client.DialOptions(addr, 0, "tok", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
+	c1, err := client.DialOptions(addr, 1, "tok", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	if err := c0.Post(bad, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	barrierAll(c0, c1) // round 0 commits
+	// Round 1's report reaches the journal, then the server dies before the
+	// round commits.
+	if err := c0.Post(bad, 0.5, false); err != nil {
+		t.Fatal(err)
+	}
+	srv1.Close()
+	st1.Close()
+
+	// First recovery: the orphaned report is discarded and fenced; the
+	// player re-executes it on the restarted server and the round commits.
+	srv2, st2 := openDurable(t, dir, cfg)
+	if srv2.Round() != 1 {
+		t.Fatalf("first recovery round = %d, want 1", srv2.Round())
+	}
+	if _, err := srv2.Start(addr); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	if err := c0.Post(bad, 0.5, false); err != nil {
+		t.Fatal(err)
+	}
+	barrierAll(c0, c1) // round 1 commits on the recovered server
+	if got := c1.NegativeCount(bad); got != 1 {
+		t.Fatalf("live negative count = %d, want 1", got)
+	}
+	live := srv2.Digest()
+	srv2.Close()
+	st2.Close()
+
+	// Second recovery of the same store: the rollback marker keeps the
+	// orphan out, so the re-executed report counts once.
+	srv3, st3 := openDurable(t, dir, cfg)
+	defer st3.Close()
+	defer srv3.Close()
+	rollbacks := 0
+	for _, k := range tailKinds(t, st3) {
+		if k == journal.RecordRollback {
+			rollbacks++
+		}
+	}
+	if rollbacks != 1 {
+		t.Fatalf("journal holds %d rollback markers, want 1", rollbacks)
+	}
+	if srv3.Round() != 2 {
+		t.Fatalf("second recovery round = %d, want 2", srv3.Round())
+	}
+	if !bytes.Equal(srv3.Digest(), live) {
+		t.Fatalf("second recovery diverged (orphan re-applied?):\nlive:\n%s\nrecovered:\n%s", live, srv3.Digest())
 	}
 }

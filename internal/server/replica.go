@@ -172,7 +172,7 @@ type repLog struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	streams []repStream
-	acked   map[int][]int64      // peer → per-stream durably acked position
+	acked   map[int][]int64       // peer → per-stream durably acked position
 	kicks   map[int]chan struct{} // peer → sender wakeup
 	aborted bool
 	ackHist *obs.Histogram
@@ -403,9 +403,9 @@ func StartReplica(rc ReplicaConfig, scfg Config) (*ReplicaNode, error) {
 	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
-	if scfg.Persist != nil || scfg.Journal != nil || scfg.Recover != nil || scfg.RecoverSnapshot != nil {
+	if scfg.Persist != nil {
 		return nil, &ReplicaConfigError{Code: "persist-conflict",
-			msg: "the replica node owns persistence; leave Config.Persist/Journal/Recover unset"}
+			msg: "the replica node owns persistence; leave Config.Persist unset"}
 	}
 	n := &ReplicaNode{
 		cfg:      rc,

@@ -44,9 +44,7 @@ package server
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -106,22 +104,6 @@ type Config struct {
 	// Expected is the number of players that must register before round 0
 	// can complete; 0 means all N.
 	Expected int
-	// Journal, when non-nil, receives every accepted post, a marker per
-	// committed round, and every force-done decision, so the billboard can
-	// be rebuilt after a crash (see internal/journal). Accounting stats
-	// (probes, costs) are observability only and are not journaled.
-	Journal *journal.Writer
-	// Recover, when non-nil, replays a journal to restore the billboard
-	// (and round counter) before serving. A truncated tail is tolerated:
-	// the uncommitted final round is discarded per the synchrony contract.
-	// Journaled force-done decisions are honored: those players may not
-	// rejoin the recovered run.
-	Recover io.Reader
-	// RecoverSnapshot, when non-nil, restores the billboard from a Compact
-	// snapshot first; Recover (if also set) then replays the journal tail
-	// written after that snapshot. Snapshot + tail = exact state, which is
-	// how a long-running service truncates its journal.
-	RecoverSnapshot []byte
 	// Persist, when non-nil, makes the server durable: it recovers the full
 	// service state (billboard, round, membership, the charged-probe
 	// ledger, per-session dedup windows) from the store's snapshot + journal
@@ -129,9 +111,8 @@ type Config struct {
 	// A server killed mid-run and reconstructed from the same store is
 	// indistinguishable from one that suffered a long network outage:
 	// clients resume their sessions and retried requests dedup exactly
-	// once. Mutually exclusive with Journal/Recover/RecoverSnapshot (the
-	// billboard-only durability knobs it supersedes). Pair it with a
-	// SessionGrace so mid-restart clients stay resumable.
+	// once. Pair it with a SessionGrace so mid-restart clients stay
+	// resumable. Nil runs the service in memory only.
 	Persist *journal.Store
 	// Shards, when greater than 1, partitions the billboard by object id
 	// across that many independent shard lanes (protocol v4): each lane has
@@ -140,10 +121,9 @@ type Config struct {
 	// count at Hello and pipeline per-shard post batches over dedicated lane
 	// connections; rounds commit through a per-round shard barrier (see
 	// shard.go). Requires a LocalTesting universe (FirstPositive voting; the
-	// BestValue mode's single movable vote is inherently global) and is
-	// mutually exclusive with the legacy Journal/Recover/RecoverSnapshot
-	// knobs. Zero or 1 keeps the classic single-lane server, byte-identical
-	// to previous versions at fixed seeds.
+	// BestValue mode's single movable vote is inherently global). Zero or 1
+	// keeps the classic single-lane server, byte-identical to previous
+	// versions at fixed seeds.
 	Shards int
 	// SwarmToken, when non-empty, lets a swarm driver open swarm sessions
 	// (wire protocol v7): one Hello with Swarm set registers a contiguous
@@ -257,6 +237,9 @@ func (sess *session) memberRange() (int, int) {
 type Server struct {
 	cfg Config
 	ln  net.Listener
+	// jw is the coordinator's journal writer: Persist.Writer() on a durable
+	// server, nil in memory.
+	jw *journal.Writer
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -375,19 +358,11 @@ func New(cfg Config) (*Server, error) {
 		Mode:           mode,
 		VotesPerPlayer: cfg.VotesPerPlayer,
 	}
-	if cfg.Persist != nil && (cfg.Journal != nil || cfg.Recover != nil || cfg.RecoverSnapshot != nil) {
-		return nil, fmt.Errorf("server: Persist supersedes Journal/Recover/RecoverSnapshot; set one or the other")
-	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("server: Shards %d must be non-negative", cfg.Shards)
 	}
-	if cfg.Shards > 1 {
-		if mode != billboard.FirstPositive {
-			return nil, fmt.Errorf("server: Shards > 1 requires a LocalTesting universe (BestValue's single movable vote is global)")
-		}
-		if cfg.Journal != nil || cfg.Recover != nil || cfg.RecoverSnapshot != nil {
-			return nil, fmt.Errorf("server: Shards > 1 is incompatible with the legacy Journal/Recover/RecoverSnapshot knobs; use Persist")
-		}
+	if cfg.Shards > 1 && mode != billboard.FirstPositive {
+		return nil, fmt.Errorf("server: Shards > 1 requires a LocalTesting universe (BestValue's single movable vote is global)")
 	}
 	s := &Server{
 		cfg:        cfg,
@@ -406,69 +381,31 @@ func New(cfg Config) (*Server, error) {
 		m:          newServerMetrics(cfg.Metrics), // before recovery: replay is recorded
 	}
 	s.cond = sync.NewCond(&s.mu)
+	if cfg.Persist != nil {
+		if cfg.Shards > 1 {
+			s.recoveredAdmits = make(map[int][]journal.Admit)
+		}
+		if err := s.recoverFromStore(boardCfg); err != nil {
+			return nil, err
+		}
+		s.jw = cfg.Persist.Writer()
+	} else if cfg.Shards <= 1 {
+		board, err := billboard.New(boardCfg)
+		if err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
+		s.board = board
+	}
 	if cfg.Shards > 1 {
 		// The coordinator keeps no board of its own: posts live in the shard
 		// lanes. Its store (when durable) carries probes, barriers, dones,
 		// and the round markers whose admitted vote pairs anchor lane replay.
-		if cfg.Persist != nil {
-			s.recoveredAdmits = make(map[int][]journal.Admit)
-			if err := s.recoverFromStore(boardCfg); err != nil {
-				return nil, err
-			}
-			s.cfg.Journal = cfg.Persist.Writer()
-		}
 		if err := s.setupShards(boardCfg, s.recoveredAdmits); err != nil {
 			return nil, err
 		}
 		s.recoveredAdmits = nil
-		s.roundA.Store(int64(s.round))
-		return s, nil
-	}
-	if cfg.Persist != nil {
-		if err := s.recoverFromStore(boardCfg); err != nil {
-			return nil, err
-		}
-		s.cfg.Journal = cfg.Persist.Writer()
+	} else {
 		s.board.SetMetrics(cfg.Metrics)
-		s.roundA.Store(int64(s.round))
-		return s, nil
-	}
-	// Legacy (billboard-only) recovery: rebuild the board and the journaled
-	// force-done decisions; membership, accounting, and sessions start
-	// fresh, as before the persist store existed.
-	var board *billboard.Board
-	var events []journal.Event
-	var err error
-	switch {
-	case cfg.RecoverSnapshot != nil:
-		board, err = billboard.Restore(cfg.RecoverSnapshot, nil)
-		if err != nil {
-			return nil, fmt.Errorf("server: recover snapshot: %w", err)
-		}
-		if cfg.Recover != nil {
-			events, err = journal.ApplyEvents(cfg.Recover, board)
-			if err != nil && !errors.Is(err, journal.ErrTruncated) {
-				return nil, fmt.Errorf("server: recover tail: %w", err)
-			}
-		}
-	case cfg.Recover != nil:
-		board, events, err = journal.RebuildEvents(cfg.Recover, boardCfg)
-		if err != nil && !errors.Is(err, journal.ErrTruncated) {
-			return nil, fmt.Errorf("server: recover: %w", err)
-		}
-	default:
-		board, err = billboard.New(boardCfg)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-	}
-	s.board = board
-	s.round = board.Round() // continues from a recovered journal
-	board.SetMetrics(cfg.Metrics)
-	for _, e := range events {
-		// A journaled force-done stays binding after a crash: the round
-		// committed without this player, so it cannot rejoin the run.
-		s.forceDone[e.Player] = e.Round
 	}
 	s.roundA.Store(int64(s.round))
 	return s, nil
@@ -587,19 +524,6 @@ func (s *Server) Round() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.round
-}
-
-// Compact serializes the billboard's committed state. The caller may then
-// truncate the journal and start a new one: RecoverSnapshot + the new
-// journal reproduce the exact state. It fails if a round is in flight
-// (uncommitted posts); retry after the next barrier.
-func (s *Server) Compact() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sharded() {
-		return nil, fmt.Errorf("server: Compact is single-board; a sharded server snapshots per lane via SnapshotEvery rotation")
-	}
-	return s.board.Snapshot()
 }
 
 // Digest returns the canonical digest of the committed billboard state
@@ -751,10 +675,10 @@ func (s *Server) handle(conn net.Conn) {
 				break
 			}
 			var ns *session
-			resp, ns = s.hello(req)
+			var ng int
+			resp, ns, ng = s.hello(req)
 			if resp.Err == "" {
-				sess = ns
-				gen = ns.gen
+				sess, gen = ns, ng
 			}
 		case laneSess != nil:
 			resp = s.laneDispatch(laneOf, laneSess, req)
@@ -951,8 +875,8 @@ func (s *Server) executeLocked(sess *session, req *wire.Request) wire.Response {
 		if sess.swarm {
 			return wire.Response{Err: "use swarm-done on a swarm session"}
 		}
-		if s.cfg.Journal != nil {
-			if err := s.cfg.Journal.Done(sess.id, req.Seq, sess.player); err != nil {
+		if s.jw != nil {
+			if err := s.jw.Done(sess.id, req.Seq, sess.player); err != nil {
 				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 			}
 		}
@@ -965,10 +889,20 @@ func (s *Server) executeLocked(sess *session, req *wire.Request) wire.Response {
 
 // hello authenticates a connection. An unknown session id registers the
 // player afresh; a known one resumes it (which also makes a retried Hello
-// idempotent when the first response was lost in transit).
-func (s *Server) hello(req *wire.Request) (wire.Response, *session) {
+// idempotent when the first response was lost in transit). It also returns
+// the session's connection generation, read under the lock: a concurrent
+// takeover by another connection bumps it.
+func (s *Server) hello(req *wire.Request) (wire.Response, *session, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	resp, sess := s.helloLocked(req)
+	if sess == nil {
+		return resp, nil, 0
+	}
+	return resp, sess, sess.gen
+}
+
+func (s *Server) helloLocked(req *wire.Request) (wire.Response, *session) {
 	if req.Version != wire.Version {
 		return wire.Response{Err: fmt.Sprintf("protocol version %d, server speaks %d",
 			req.Version, wire.Version)}, nil
@@ -1101,8 +1035,8 @@ func (s *Server) swarmHelloLocked(req *wire.Request) (wire.Response, *session) {
 			}, nil
 		}
 	}
-	if s.cfg.Journal != nil {
-		if err := s.cfg.Journal.SwarmOpen(req.Session, from, to); err != nil {
+	if s.jw != nil {
+		if err := s.jw.SwarmOpen(req.Session, from, to); err != nil {
 			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}, nil
 		}
 	}
@@ -1180,11 +1114,11 @@ func (s *Server) probeBatchLocked(sess *session, req *wire.Request, charge bool)
 				i+1, len(req.Probes), pr.Object)}
 		}
 	}
-	if charge && s.cfg.Journal != nil {
+	if charge && s.jw != nil {
 		// Write-ahead, like the single-probe path: a probe is charged iff
 		// its record reached the journal.
 		for _, pr := range req.Probes {
-			if err := s.cfg.Journal.Probe(sess.id, req.Seq, pr.Player, pr.Object); err != nil {
+			if err := s.jw.Probe(sess.id, req.Seq, pr.Player, pr.Object); err != nil {
 				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 			}
 		}
@@ -1217,9 +1151,9 @@ func (s *Server) swarmDoneLocked(sess *session, req *wire.Request) wire.Response
 				i+1, len(req.Players), p, sess.player, sess.playerTo)}
 		}
 	}
-	if s.cfg.Journal != nil {
+	if s.jw != nil {
 		for _, p := range req.Players {
-			if err := s.cfg.Journal.Done(sess.id, req.Seq, p); err != nil {
+			if err := s.jw.Done(sess.id, req.Seq, p); err != nil {
 				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 			}
 		}
@@ -1240,8 +1174,8 @@ func (s *Server) probeLocked(sess *session, seq uint64, obj int) wire.Response {
 	// Journal first — if the record cannot be written, nothing is charged
 	// and the client may retry; never charge a probe a recovery would
 	// forget.
-	if s.cfg.Journal != nil {
-		if err := s.cfg.Journal.Probe(sess.id, seq, player, obj); err != nil {
+	if s.jw != nil {
+		if err := s.jw.Probe(sess.id, seq, player, obj); err != nil {
 			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 		}
 	}
@@ -1273,8 +1207,8 @@ func (s *Server) appendPostLocked(sess *session, seq uint64, player, object int,
 	if err := s.board.Post(post); err != nil {
 		return err
 	}
-	if s.cfg.Journal != nil {
-		if err := s.cfg.Journal.AppendFrom(sess.id, seq, post); err != nil {
+	if s.jw != nil {
+		if err := s.jw.AppendFrom(sess.id, seq, post); err != nil {
 			return fmt.Errorf("journal: %v", err)
 		}
 	}
@@ -1548,8 +1482,8 @@ func (s *Server) barrierLocked(sess *session, seq uint64) wire.Response {
 	// Journaled (round-buffered, like the posts): a committed round's
 	// arrivals bind the session's dedup window across a restart; an
 	// uncommitted round's are rolled back and re-arrive on retry.
-	if s.cfg.Journal != nil {
-		if err := s.cfg.Journal.Barrier(sess.id, seq, player); err != nil {
+	if s.jw != nil {
+		if err := s.jw.Barrier(sess.id, seq, player); err != nil {
 			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 		}
 	}
@@ -1577,8 +1511,8 @@ func (s *Server) swarmBarrierLocked(sess *session, seq uint64) wire.Response {
 	if n == 0 {
 		return wire.Response{Err: "player is done; no barrier"}
 	}
-	if s.cfg.Journal != nil {
-		if err := s.cfg.Journal.Barrier(sess.id, seq, -1); err != nil {
+	if s.jw != nil {
+		if err := s.jw.Barrier(sess.id, seq, -1); err != nil {
 			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 		}
 	}
@@ -1636,8 +1570,8 @@ func (s *Server) barrierExpire(round int) {
 		s.m.forceDone.Inc()
 		s.logf("round %d barrier deadline (%v) expired: force-done straggler player %d",
 			round, s.cfg.BarrierDeadline, p)
-		if s.cfg.Journal != nil {
-			_ = s.cfg.Journal.ForceDone(p)
+		if s.jw != nil {
+			_ = s.jw.ForceDone(p)
 		}
 		if sess := s.byPlayer[p]; sess != nil {
 			delete(s.sessions, sess.id)
@@ -1706,20 +1640,20 @@ func (s *Server) advanceOnceLocked() {
 		s.roundA.Store(int64(s.round))
 		s.m.rounds.Inc()
 		s.invalidateReadCacheLocked()
-		if s.cfg.Journal != nil {
+		if s.jw != nil {
 			// A marker failure is logged into the error path on the next post;
 			// the in-memory board stays authoritative for this process.
 			if s.cfg.Mode == ModeEpoch {
 				// The epoch marker precedes the round marker so SyncCommit's
 				// round-marker fsync makes both durable together; replay is
 				// board-neutral on it (the round markers alone rebuild state).
-				_ = s.cfg.Journal.EpochMark(sealed)
+				_ = s.jw.EpochMark(sealed)
 				s.m.epochSeals.Inc()
 			}
 			if s.replLog != nil {
-				_ = s.cfg.Journal.EndRoundQuorum(nil, s.replTerm, s.replQuorum)
+				_ = s.jw.EndRoundQuorum(nil, s.replTerm, s.replQuorum)
 			} else {
-				_ = s.cfg.Journal.EndRound()
+				_ = s.jw.EndRound()
 			}
 		} else if s.cfg.Mode == ModeEpoch {
 			s.m.epochSeals.Inc()

@@ -491,7 +491,7 @@ func (s *Server) commitShardedLocked() bool {
 	// the bytes, and so does the coordinator's commit point when it carries
 	// no replication annotation.
 	var frame []byte
-	if s.cfg.Journal != nil || s.lanes[0].jw != nil {
+	if s.jw != nil || s.lanes[0].jw != nil {
 		if b, err := journal.AppendEndRoundFrame(s.markerFrame[:0], admits, 0, 0); err == nil {
 			s.markerFrame, frame = b, b
 		}
@@ -501,16 +501,16 @@ func (s *Server) commitShardedLocked() bool {
 	if s.cfg.Mode == ModeEpoch {
 		// The epoch marker precedes the round marker so the round-marker
 		// fsync covers both; replay is board-neutral on it.
-		if s.cfg.Journal != nil {
-			_ = s.cfg.Journal.EpochMark(s.round)
+		if s.jw != nil {
+			_ = s.jw.EpochMark(s.round)
 		}
 		s.m.epochSeals.Inc()
 	}
-	if s.cfg.Journal != nil {
+	if s.jw != nil {
 		if s.replLog != nil {
-			_ = s.cfg.Journal.EndRoundQuorum(admits, s.replTerm, s.replQuorum)
+			_ = s.jw.EndRoundQuorum(admits, s.replTerm, s.replQuorum)
 		} else if frame != nil {
-			_ = s.cfg.Journal.WriteEndRoundFrame(frame)
+			_ = s.jw.WriteEndRoundFrame(frame)
 		}
 	}
 	tp = s.m.phaseTick(phaseJournal, tp)
