@@ -159,7 +159,9 @@ func TestAlphaGuessSolvesUnknownAlpha(t *testing.T) {
 func TestAlphaGuessOverheadBounded(t *testing.T) {
 	// Knowing α exactly vs guessing it: guessing should cost at most a
 	// small multiple (the §5.1 claim is "at most twice the last phase").
-	run := func(proto sim.Protocol, assumed float64) float64 {
+	// proto builds a fresh protocol per replication: protocols are
+	// stateful, and the replications run in parallel.
+	run := func(proto func() sim.Protocol, assumed float64) float64 {
 		results, err := sim.Replicator{
 			Reps:     10,
 			BaseSeed: 43,
@@ -169,7 +171,7 @@ func TestAlphaGuessOverheadBounded(t *testing.T) {
 					return nil, err
 				}
 				return sim.NewEngine(sim.Config{
-					Universe: u, Protocol: proto, N: 256, Alpha: 0.5,
+					Universe: u, Protocol: proto(), N: 256, Alpha: 0.5,
 					AssumedAlpha: assumed, Seed: seed, MaxRounds: 50000,
 				})
 			},
@@ -179,8 +181,8 @@ func TestAlphaGuessOverheadBounded(t *testing.T) {
 		}
 		return sim.AggregateResults(results).MeanRounds
 	}
-	known := run(NewDistillHP(Params{}), 0.5)
-	guessed := run(NewAlphaGuess(Params{}, 0), 1)
+	known := run(func() sim.Protocol { return NewDistillHP(Params{}) }, 0.5)
+	guessed := run(func() sim.Protocol { return NewAlphaGuess(Params{}, 0) }, 1)
 	t.Logf("known-α %.1f rounds, guessed-α %.1f rounds", known, guessed)
 	if guessed > 20*known+50 {
 		t.Fatalf("alpha guessing overhead too large: %.1f vs %.1f", guessed, known)

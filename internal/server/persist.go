@@ -79,11 +79,15 @@ func (s *Server) snapshotLocked() ([]byte, error) {
 		Cost:      append([]float64(nil), s.cost...),
 		Satisfied: append([]bool(nil), s.satisfied...),
 	}
-	for p := range s.registered {
-		sn.Registered = append(sn.Registered, p)
+	for p, ok := range s.registered {
+		if ok {
+			sn.Registered = append(sn.Registered, p)
+		}
 	}
-	for p := range s.active {
-		sn.Active = append(sn.Active, p)
+	for p, ok := range s.active {
+		if ok {
+			sn.Active = append(sn.Active, p)
+		}
 	}
 	for p, r := range s.forceDone {
 		sn.ForceDone[p] = r
@@ -161,9 +165,34 @@ func (s *Server) restoreSnapshot(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sn); err != nil {
 		return err
 	}
-	if len(sn.Probes) != len(s.cfg.Tokens) {
+	n := len(s.cfg.Tokens)
+	if len(sn.Probes) != n {
 		return fmt.Errorf("snapshot describes %d players, server configured for %d",
-			len(sn.Probes), len(s.cfg.Tokens))
+			len(sn.Probes), n)
+	}
+	for _, p := range sn.Registered {
+		if err := checkPlayer("snapshot registered", p, n); err != nil {
+			return err
+		}
+	}
+	for _, p := range sn.Active {
+		if err := checkPlayer("snapshot active", p, n); err != nil {
+			return err
+		}
+	}
+	for p := range sn.ForceDone {
+		if err := checkPlayer("snapshot force-done", p, n); err != nil {
+			return err
+		}
+	}
+	for _, ss := range sn.Sessions {
+		to := ss.Player + 1
+		if ss.Swarm {
+			to = ss.PlayerTo
+		}
+		if err := checkRange("snapshot session", ss.Player, to, n); err != nil {
+			return err
+		}
 	}
 	if sn.Board != nil {
 		board, err := billboard.Restore(sn.Board, nil)
@@ -177,10 +206,10 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		s.round = sn.Round
 	}
 	for _, p := range sn.Registered {
-		s.registered[p] = true
+		s.registerLocked(p)
 	}
 	for _, p := range sn.Active {
-		s.active[p] = true
+		s.joinLocked(p)
 	}
 	for p, r := range sn.ForceDone {
 		s.forceDone[p] = r
@@ -229,30 +258,35 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 	}
 
 	u := s.cfg.Universe
+	n := len(s.cfg.Tokens)
 	// touch re-derives registration: any journaled activity proves the
 	// player completed a Hello (expelled players stay expelled).
 	touch := func(player int) {
-		if !s.registered[player] {
-			s.registered[player] = true
-			if _, expelled := s.forceDone[player]; !expelled {
-				s.active[player] = true
-			}
+		if s.registered[player] {
+			return
+		}
+		if _, expelled := s.forceDone[player]; expelled {
+			s.registerLocked(player)
+		} else {
+			s.joinLocked(player)
 		}
 	}
-	sessOf := func(rec journal.Record) *session {
+	// sessOf finds or rebuilds the session a record is attributed to;
+	// player is the identity the record acts for.
+	sessOf := func(rec journal.Record, player int) *session {
 		if rec.Session == 0 {
 			return nil // legacy record with no session attribution
 		}
 		sess := s.sessions[rec.Session]
 		if sess == nil {
-			if rec.Player < 0 {
+			if player < 0 {
 				// A swarm barrier sentinel whose session is unknown (its
 				// open record should always precede it); nothing to rebuild.
 				return nil
 			}
-			sess = &session{id: rec.Session, player: rec.Player, loose: true}
+			sess = &session{id: rec.Session, player: player, loose: true}
 			s.sessions[rec.Session] = sess
-			s.byPlayer[rec.Player] = sess
+			s.byPlayer[player] = sess
 		}
 		return sess
 	}
@@ -261,6 +295,9 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 	var pending []journal.Record
 	err := journal.ReplayRecords(st.Tail(), func(rec journal.Record) error {
 		replayed++
+		if err := checkRecord(rec, n); err != nil {
+			return err
+		}
 		switch rec.Kind {
 		case journal.RecordPost, journal.RecordBarrier, journal.RecordForceDone:
 			pending = append(pending, rec)
@@ -279,7 +316,7 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 			if good {
 				s.satisfied[rec.Player] = true
 			}
-			if sess := sessOf(rec); sess != nil {
+			if sess := sessOf(rec, rec.Player); sess != nil {
 				sess.lastSeq = rec.Seq
 				sess.lastResp = wire.Response{
 					Value: u.Value(rec.Object), Good: good, Cost: u.Cost(rec.Object), Round: s.round,
@@ -287,8 +324,8 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 			}
 		case journal.RecordDone:
 			touch(rec.Player)
-			delete(s.active, rec.Player)
-			if sess := sessOf(rec); sess != nil {
+			s.deactivateLocked(rec.Player)
+			if sess := sessOf(rec, rec.Player); sess != nil {
 				if rec.Seq > sess.lastSeq {
 					sess.lastSeq = rec.Seq
 				}
@@ -320,7 +357,7 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 					if err := s.board.Post(p.Post); err != nil {
 						return fmt.Errorf("replay post: %v", err)
 					}
-					if sess := sessOf(p); sess != nil {
+					if sess := sessOf(p, p.Post.Player); sess != nil {
 						sess.lastSeq = p.Seq
 					}
 				case journal.RecordBarrier:
@@ -330,18 +367,18 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 					// Player -1: a swarm barrier — all active members of the
 					// session arrived at once; membership needs no touch (the
 					// swarm-open record already registered the block).
-					if sess := sessOf(p); sess != nil {
+					if sess := sessOf(p, p.Player); sess != nil {
 						sess.lastSeq = p.Seq
 						arrivals = append(arrivals, sess)
 					}
 				case journal.RecordForceDone:
 					// Decision taken in the round this marker commits.
-					s.registered[p.Player] = true
+					s.registerLocked(p.Player)
 					s.forceDone[p.Player] = s.round
-					delete(s.active, p.Player)
+					s.deactivateLocked(p.Player)
 					if sess := s.byPlayer[p.Player]; sess != nil {
 						delete(s.sessions, sess.id)
-						delete(s.byPlayer, p.Player)
+						s.byPlayer[p.Player] = nil
 					}
 				}
 			}
@@ -376,6 +413,47 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 	if hadSnapshot || replayed > 0 {
 		s.logf("recovered round %d from %s: snapshot=%v, %d journal records replayed, %d uncommitted discarded",
 			s.round, st.Dir(), hadSnapshot, replayed, len(pending))
+	}
+	return nil
+}
+
+// checkRecord validates the player indices a journal record carries against
+// the configured player count n before replay uses them: a corrupt or
+// foreign journal is a recovery error, never an index panic.
+func checkRecord(rec journal.Record, n int) error {
+	switch rec.Kind {
+	case journal.RecordProbe:
+		return checkPlayer("probe record", rec.Player, n)
+	case journal.RecordDone:
+		return checkPlayer("done record", rec.Player, n)
+	case journal.RecordForceDone:
+		return checkPlayer("force-done record", rec.Player, n)
+	case journal.RecordPost:
+		return checkPlayer("post record", rec.Post.Player, n)
+	case journal.RecordBarrier:
+		if rec.Player == -1 {
+			return nil // swarm barrier: all active members of the session
+		}
+		return checkPlayer("barrier record", rec.Player, n)
+	case journal.RecordSwarmOpen:
+		return checkRange("swarm-open record", rec.Player, rec.PlayerTo, n)
+	}
+	return nil
+}
+
+// checkPlayer reports a player index outside [0, n).
+func checkPlayer(what string, p, n int) error {
+	if p < 0 || p >= n {
+		return fmt.Errorf("%s: player %d out of range [0, %d)", what, p, n)
+	}
+	return nil
+}
+
+// checkRange reports a player range [from, to) that is empty or leaves
+// [0, n).
+func checkRange(what string, from, to, n int) error {
+	if from < 0 || to > n || from >= to {
+		return fmt.Errorf("%s: player range [%d, %d) invalid for %d players", what, from, to, n)
 	}
 	return nil
 }

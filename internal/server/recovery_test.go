@@ -7,6 +7,8 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,11 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/billboard"
 	"repro/internal/client"
 	"repro/internal/journal"
 	"repro/internal/object"
 	"repro/internal/rng"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // openDurable opens (or reopens) the persist store in dir and builds a
@@ -439,5 +443,142 @@ func TestRollbackFencesUncommittedTail(t *testing.T) {
 	}
 	if !bytes.Equal(srv3.Digest(), live) {
 		t.Fatalf("second recovery diverged (orphan re-applied?):\nlive:\n%s\nrecovered:\n%s", live, srv3.Digest())
+	}
+}
+
+// TestPersistRejectsOutOfRangePlayers feeds recovery a store that names a
+// player the server was not configured with — one row per journal record
+// kind that carries a player index, plus a snapshot row — and requires a
+// recovery error, never an index panic.
+func TestPersistRejectsOutOfRangePlayers(t *testing.T) {
+	u := plantedUniverse(t)
+	cfg := server.Config{Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta()}
+	const bad = 99
+	// snapshotShape mirrors the server snapshot's gob fields by name.
+	type snapshotShape struct {
+		Board      []byte
+		Registered []int
+		Active     []int
+		Probes     []int
+		Cost       []float64
+		Satisfied  []bool
+	}
+	snapshot := func() []byte {
+		board, err := billboard.New(billboard.Config{Players: 2, Objects: u.M()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		boardBytes, err := board.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snapshotShape{
+			Board: boardBytes, Registered: []int{0, bad}, Active: []int{0},
+			Probes: make([]int, 2), Cost: make([]float64, 2), Satisfied: make([]bool, 2),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	post := billboard.Post{Player: bad, Object: 0, Value: 1, Positive: true}
+	cases := []struct {
+		name  string
+		write func(st *journal.Store) error
+	}{
+		{"probe", func(st *journal.Store) error { return st.Writer().Probe(1, 1, bad, 0) }},
+		{"done", func(st *journal.Store) error { return st.Writer().Done(1, 1, bad) }},
+		{"swarm-open", func(st *journal.Store) error { return st.Writer().SwarmOpen(1, 0, bad) }},
+		{"post", func(st *journal.Store) error {
+			if err := st.Writer().AppendFrom(1, 1, post); err != nil {
+				return err
+			}
+			return st.Writer().EndRound()
+		}},
+		{"barrier", func(st *journal.Store) error {
+			if err := st.Writer().Barrier(1, 1, bad); err != nil {
+				return err
+			}
+			return st.Writer().EndRound()
+		}},
+		{"force-done", func(st *journal.Store) error {
+			if err := st.Writer().ForceDone(bad); err != nil {
+				return err
+			}
+			return st.Writer().EndRound()
+		}},
+		{"snapshot", func(st *journal.Store) error { return st.Rotate(snapshot()) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := journal.OpenStore(dir, journal.SyncCommit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.write(st); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			srv, err := func() (srv *server.Server, err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+					}
+				}()
+				st, err := journal.OpenStore(dir, journal.SyncCommit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { st.Close() })
+				c := cfg
+				c.Persist = st
+				return server.New(c)
+			}()
+			if err == nil {
+				srv.Close()
+				t.Fatalf("recovery accepted player %d on a %d-player server", bad, len(cfg.Tokens))
+			}
+			if strings.HasPrefix(err.Error(), "panic") || !strings.Contains(err.Error(), fmt.Sprint(bad)) {
+				t.Fatalf("want a range error naming player %d, got: %v", bad, err)
+			}
+		})
+	}
+}
+
+// TestPersistResumesSessionRebuiltFromPost: recovery rebuilds a session
+// whose only journaled records are posts under the posting player, so the
+// client resumes it after the restart instead of being told the session
+// belongs to another player.
+func TestPersistResumesSessionRebuiltFromPost(t *testing.T) {
+	u := plantedUniverse(t)
+	dir := t.TempDir()
+	st, err := journal.OpenStore(dir, journal.SyncCommit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const session = 7
+	if err := st.Writer().AppendFrom(session, 1, billboard.Post{Player: 1, Object: firstBad(u), Value: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Writer().EndRound(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	srv, st2 := openDurable(t, dir, server.Config{
+		Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta(),
+		SessionGrace: 10 * time.Second,
+	})
+	defer st2.Close()
+	defer srv.Close()
+	addr, err := srv.Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := rawDial(t, addr).roundTrip(wire.Request{
+		Type: wire.ReqHello, Player: 1, Token: "tok", Version: wire.Version, Session: session,
+	})
+	if resp.Err != "" {
+		t.Fatalf("resume of a session rebuilt from its post: %s", resp.Err)
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -241,20 +240,24 @@ type Server struct {
 	// server, nil in memory.
 	jw *journal.Writer
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	board      *billboard.Board
-	round      int
-	registered map[int]bool
-	active     map[int]bool
-	arrived    map[int]bool
-	forceDone  map[int]int // player → round of the force-done decision
-	sessions   map[uint64]*session
-	byPlayer   map[int]*session
-	probes     []int
-	cost       []float64
-	satisfied  []bool
-	closed     bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	board *billboard.Board
+	round int
+	// Dense per-player membership, sized len(Config.Tokens) in New, with
+	// O(1) counts: registered is permanent, active ends at Done, lease
+	// expiry, or force-done, and byPlayer holds each player's session.
+	registered  []bool
+	active      []bool
+	byPlayer    []*session
+	nRegistered int
+	nActive     int
+	forceDone   map[int]int // player → round of the force-done decision
+	sessions    map[uint64]*session
+	probes      []int
+	cost        []float64
+	satisfied   []bool
+	closed      bool
 
 	// Sharding state (Config.Shards > 1; see shard.go). lanes is immutable
 	// after New. The admission maps implement the global vote budget across
@@ -286,14 +289,19 @@ type Server struct {
 	barrierTimer *time.Timer
 	armedRound   int // round the barrier timer is armed for; -1 when idle
 
-	// Epoch mode (Config.Mode == ModeEpoch). lastStamp holds each player's
-	// lamport epoch stamp: the player has finished submitting every epoch
-	// below it. An epoch (== the round counter) seals when every active
-	// player's stamp has passed it; with EpochTick the self-re-arming
-	// epochTimer additionally seals on a tick once any player has moved
-	// on. The timer is stopped at Close and its callback checks s.closed,
-	// so no seal can race the teardown.
-	lastStamp  map[int]int
+	// Round closure. Arrival is a stamp in both modes: lastStamp[p] says
+	// player p has finished submitting every round below it. A sync
+	// barrier stamps round+1; an epoch frame stamps its target. nClosed
+	// counts the active players whose stamp is past the open round, so the
+	// round is closed when nClosed == nActive. tickForced marks the open
+	// round as force-sealed by an epoch tick; it holds while a down lane
+	// blocks the commit and is cleared at the seal. With EpochTick the
+	// self-re-arming epochTimer seals on a tick once any player has moved
+	// on; it is stopped at Close and its callback checks s.closed, so no
+	// seal can race the teardown.
+	lastStamp  []int
+	nClosed    int
+	tickForced bool
 	epochTimer *time.Timer
 
 	// Committed-round read cache, invalidated at every EndRound. Cached
@@ -364,19 +372,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards > 1 && mode != billboard.FirstPositive {
 		return nil, fmt.Errorf("server: Shards > 1 requires a LocalTesting universe (BestValue's single movable vote is global)")
 	}
+	n := len(cfg.Tokens)
 	s := &Server{
 		cfg:        cfg,
-		registered: make(map[int]bool),
-		active:     make(map[int]bool),
-		arrived:    make(map[int]bool),
+		registered: make([]bool, n),
+		active:     make([]bool, n),
+		byPlayer:   make([]*session, n),
+		lastStamp:  make([]int, n),
 		forceDone:  make(map[int]int),
 		sessions:   make(map[uint64]*session),
-		byPlayer:   make(map[int]*session),
 		conns:      make(map[net.Conn]struct{}),
-		probes:     make([]int, len(cfg.Tokens)),
-		cost:       make([]float64, len(cfg.Tokens)),
-		satisfied:  make([]bool, len(cfg.Tokens)),
-		lastStamp:  make(map[int]int),
+		probes:     make([]int, n),
+		cost:       make([]float64, n),
+		satisfied:  make([]bool, n),
 		armedRound: -1,
 		m:          newServerMetrics(cfg.Metrics), // before recovery: replay is recorded
 	}
@@ -757,7 +765,7 @@ func (s *Server) expireLocked(sess *session) {
 	from, to := sess.memberRange()
 	for p := from; p < to; p++ {
 		if s.byPlayer[p] == sess {
-			delete(s.byPlayer, p)
+			s.byPlayer[p] = nil
 		}
 		s.leaveLocked(p)
 	}
@@ -957,8 +965,7 @@ func (s *Server) helloLocked(req *wire.Request) (wire.Response, *session) {
 			Code: wire.CodeSessionExpired,
 		}, nil
 	}
-	s.registered[p] = true
-	s.active[p] = true
+	s.joinLocked(p)
 	s.m.sessionsOpened.Inc()
 	sess := &session{id: req.Session, player: p, gen: 1, connected: true}
 	s.sessions[req.Session] = sess
@@ -1043,8 +1050,7 @@ func (s *Server) swarmHelloLocked(req *wire.Request) (wire.Response, *session) {
 	sess := &session{id: req.Session, player: from, playerTo: to, swarm: true, gen: 1, connected: true}
 	s.sessions[req.Session] = sess
 	for p := from; p < to; p++ {
-		s.registered[p] = true
-		s.active[p] = true
+		s.joinLocked(p)
 		s.byPlayer[p] = sess
 	}
 	s.m.sessionsOpened.Inc()
@@ -1286,15 +1292,52 @@ func (s *Server) epochLocked(sess *session, req *wire.Request) wire.Response {
 	return wire.Response{Round: s.round}
 }
 
-// stampLocked advances the lamport epoch stamp of every active member the
-// session speaks for (the whole block, for a swarm session). Stamps are
-// monotone: a stale or replayed frame can never move one backwards.
+// stampLocked advances the stamp of every active member the session speaks
+// for (the whole block, for a swarm session) to epoch, counting a member
+// closed when its stamp first passes the open round. Stamps are monotone:
+// a stale or replayed frame can never move one backwards.
 func (s *Server) stampLocked(sess *session, epoch int) {
 	from, to := sess.memberRange()
 	for p := from; p < to; p++ {
-		if s.active[p] && epoch > s.lastStamp[p] {
-			s.lastStamp[p] = epoch
+		if !s.active[p] || epoch <= s.lastStamp[p] {
+			continue
 		}
+		if s.lastStamp[p] <= s.round && epoch > s.round {
+			s.nClosed++
+		}
+		s.lastStamp[p] = epoch
+	}
+}
+
+// registerLocked marks player p registered for good. Idempotent.
+func (s *Server) registerLocked(p int) {
+	if !s.registered[p] {
+		s.registered[p] = true
+		s.nRegistered++
+	}
+}
+
+// joinLocked registers player p and makes it active. Stamps only move
+// while a player is active and a player joins once, so it joins open.
+// Idempotent.
+func (s *Server) joinLocked(p int) {
+	s.registerLocked(p)
+	if !s.active[p] {
+		s.active[p] = true
+		s.nActive++
+	}
+}
+
+// deactivateLocked removes p from the active set, dropping it from the
+// closed count if its stamp had passed the open round. Idempotent.
+func (s *Server) deactivateLocked(p int) {
+	if !s.active[p] {
+		return
+	}
+	s.active[p] = false
+	s.nActive--
+	if s.lastStamp[p] > s.round {
+		s.nClosed--
 	}
 }
 
@@ -1320,22 +1363,9 @@ func (s *Server) epochExpire() {
 	if s.closed {
 		return
 	}
-	moved := false
-	for p := range s.active {
-		if s.lastStamp[p] > s.round {
-			moved = true
-			break
-		}
-	}
-	if moved && len(s.registered) >= s.cfg.Expected {
-		forced := false
-		for p := range s.active {
-			if !s.arrived[p] && s.lastStamp[p] <= s.round {
-				forced = true
-			}
-			s.arrived[p] = true
-		}
-		if forced {
+	if s.nClosed > 0 && s.nRegistered >= s.cfg.Expected {
+		if s.nClosed < s.nActive && !s.tickForced {
+			s.tickForced = true
 			s.m.epochTickSeals.Inc()
 		}
 		s.advanceLocked()
@@ -1464,46 +1494,18 @@ func (s *Server) negCountLocked(obj int) wire.Response {
 	return wire.Response{Count: s.board.NegativeCount(obj), Round: s.round}
 }
 
-// barrierLocked marks the player — every still-active member, for a swarm
-// session — as arrived and blocks until the round advances (or the server
-// closes). The first arrival of a round arms the barrier deadline, if one
-// is configured.
+// barrierLocked arrives the player — every still-active member, for a
+// swarm session — by stamping round+1, and blocks until the round advances
+// (or the server closes). The first arrival of a round arms the barrier
+// deadline, if one is configured.
 func (s *Server) barrierLocked(sess *session, seq uint64) wire.Response {
-	if sess.swarm {
-		return s.swarmBarrierLocked(sess, seq)
-	}
-	player := sess.player
-	if !s.active[player] {
-		return wire.Response{Err: "player is done; no barrier"}
-	}
-	if s.arrived[player] {
-		return wire.Response{Err: "double barrier in one round"}
-	}
-	// Journaled (round-buffered, like the posts): a committed round's
-	// arrivals bind the session's dedup window across a restart; an
-	// uncommitted round's are rolled back and re-arrive on retry.
-	if s.jw != nil {
-		if err := s.jw.Barrier(sess.id, seq, player); err != nil {
-			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-		}
-	}
-	s.arrived[player] = true
-	target := s.round + 1
-	s.advanceLocked()
-	return s.awaitRoundLocked(target)
-}
-
-// swarmBarrierLocked arrives every still-active member of a swarm session
-// at the round barrier atomically — one journal record (Player -1, meaning
-// "all active members of Session") and one blocking wait stand in for the
-// whole block's arrivals.
-func (s *Server) swarmBarrierLocked(sess *session, seq uint64) wire.Response {
+	from, to := sess.memberRange()
 	n := 0
-	for p := sess.player; p < sess.playerTo; p++ {
+	for p := from; p < to; p++ {
 		if !s.active[p] {
 			continue
 		}
-		if s.arrived[p] {
+		if s.lastStamp[p] > s.round {
 			return wire.Response{Err: "double barrier in one round"}
 		}
 		n++
@@ -1511,17 +1513,22 @@ func (s *Server) swarmBarrierLocked(sess *session, seq uint64) wire.Response {
 	if n == 0 {
 		return wire.Response{Err: "player is done; no barrier"}
 	}
+	// Journaled (round-buffered, like the posts): a committed round's
+	// arrivals bind the session's dedup window across a restart; an
+	// uncommitted round's are rolled back and re-arrive on retry. A swarm
+	// session's arrival is one record, Player -1, meaning "all active
+	// members of Session".
 	if s.jw != nil {
-		if err := s.jw.Barrier(sess.id, seq, -1); err != nil {
+		player := sess.player
+		if sess.swarm {
+			player = -1
+		}
+		if err := s.jw.Barrier(sess.id, seq, player); err != nil {
 			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 		}
 	}
-	for p := sess.player; p < sess.playerTo; p++ {
-		if s.active[p] {
-			s.arrived[p] = true
-		}
-	}
 	target := s.round + 1
+	s.stampLocked(sess, target)
 	s.advanceLocked()
 	return s.awaitRoundLocked(target)
 }
@@ -1558,14 +1565,10 @@ func (s *Server) barrierExpire(round int) {
 	if s.closed || s.round != round {
 		return
 	}
-	var stragglers []int
-	for p := range s.active {
-		if !s.arrived[p] {
-			stragglers = append(stragglers, p)
+	for p, active := range s.active {
+		if !active || s.lastStamp[p] > round {
+			continue
 		}
-	}
-	sort.Ints(stragglers)
-	for _, p := range stragglers {
 		s.forceDone[p] = round
 		s.m.forceDone.Inc()
 		s.logf("round %d barrier deadline (%v) expired: force-done straggler player %d",
@@ -1575,63 +1578,51 @@ func (s *Server) barrierExpire(round int) {
 		}
 		if sess := s.byPlayer[p]; sess != nil {
 			delete(s.sessions, sess.id)
-			delete(s.byPlayer, p)
+			s.byPlayer[p] = nil
 		}
-		delete(s.active, p)
-		delete(s.arrived, p)
+		s.deactivateLocked(p)
 	}
 	s.advanceLocked()
 }
 
 // leaveLocked deregisters a player from future barriers and re-checks the
-// advance condition (its arrival is no longer required).
+// advance condition (its arrival is no longer required). O(1) unless the
+// departure closes the round.
 func (s *Server) leaveLocked(player int) {
 	if !s.active[player] {
 		return
 	}
-	delete(s.active, player)
-	delete(s.arrived, player)
+	s.deactivateLocked(player)
 	s.advanceLocked()
 }
 
-// advanceLocked commits the round when everyone expected has registered and
-// every active player has arrived. In epoch mode "arrived" is synthesized
-// from the lamport stamps — a player whose stamp has passed the open epoch
-// has finished submitting it — which makes the epoch seal condition
-// isomorphic to the sync barrier and the committed per-epoch post sets (and
-// hence the board digests) identical by construction under pure lamport
-// closure. The check loops because a commit opens the next epoch, which the
-// standing stamps may in principle already close.
+// advanceLocked commits rounds while the open one is closed: everyone
+// expected has registered and every active player's stamp has passed it
+// (or an epoch tick forced it). The rule is the same in both modes, which
+// makes pure lamport pacing isomorphic to the sync barrier: same commit
+// points, same per-round post sets, byte-identical digests. It loops
+// because a seal opens the next round, which epoch stamps several rounds
+// ahead may already close; after a sync seal every stamp equals the new
+// round, so it runs once. A down lane leaves the round open.
 func (s *Server) advanceLocked() {
-	for {
-		r := s.round
-		if s.cfg.Mode == ModeEpoch {
-			for p := range s.active {
-				if s.lastStamp[p] > r {
-					s.arrived[p] = true
-				}
-			}
-		}
-		s.advanceOnceLocked()
-		if s.cfg.Mode != ModeEpoch || s.round == r {
+	for s.nRegistered >= s.cfg.Expected && s.nActive > 0 &&
+		(s.nClosed == s.nActive || s.tickForced) {
+		if !s.sealLocked() {
 			return
 		}
 	}
 }
 
-func (s *Server) advanceOnceLocked() {
-	if len(s.registered) < s.cfg.Expected {
-		return
-	}
-	if len(s.active) == 0 || len(s.arrived) < len(s.active) {
-		return
-	}
+// sealLocked commits the open round and reopens closure for the next one.
+// It reports false when a down lane blocked the commit (the round stays
+// open; RestartShard re-runs the advance).
+func (s *Server) sealLocked() bool {
 	if s.sharded() {
 		// The per-round shard barrier: every lane must seal before the round
 		// is observable. A down lane leaves the round open (waiters stay
 		// blocked); RestartShard re-runs this advance.
 		if !s.commitShardedLocked() {
-			return
+			return false
 		}
 	} else {
 		sealed := s.round
@@ -1659,9 +1650,7 @@ func (s *Server) advanceOnceLocked() {
 			s.m.epochSeals.Inc()
 		}
 	}
-	for p := range s.arrived {
-		delete(s.arrived, p)
-	}
+	s.reopenLocked()
 	if s.barrierTimer != nil && s.armedRound >= 0 {
 		s.barrierTimer.Stop()
 		s.armedRound = -1
@@ -1676,4 +1665,19 @@ func (s *Server) advanceOnceLocked() {
 		s.rotateLocked()
 	}
 	s.cond.Broadcast()
+	return true
+}
+
+// reopenLocked re-derives closure for a freshly opened round and clears
+// any tick force. Only epoch stamps several rounds ahead stay past the new
+// round (a sync stamp equals it). One scan per seal, O(players).
+func (s *Server) reopenLocked() {
+	n := 0
+	for p, active := range s.active {
+		if active && s.lastStamp[p] > s.round {
+			n++
+		}
+	}
+	s.nClosed = n
+	s.tickForced = false
 }
