@@ -1,24 +1,24 @@
 # Developer entry points. `make check` is the gate for hot-path and
-# networking changes: vet, the race detector over the concurrent packages
-# (server, client, dist — including the chaos, kill/restart recovery, and
-# lease-timer lifecycle tests), the durability layer (journal store,
-# snapshot rotation, recovery's rejection of out-of-range players), the
-# packages the perf pass touched (billboard, wire), the DISTILL variants
-# (core, whose tests run replications in parallel), the metrics registry
-# and its scrape-under-load tests (obs, server metrics), the shard chaos +
-# scatter-gather suite (sharded digests, single-shard kill/restart, lane
-# data plane) doubled under -race, the parallel-commit suite (the
-# serial-vs-parallel determinism golden and the seal-race shard-bounce
-# stress) doubled under -race, the replicated-coordinator election +
-# failover suite (quorum commit, leader kill, isolation step-down, failover
-# chaos digests) doubled under -race, the epoch-mode suite (stamp closure,
-# tick seals, sync-vs-epoch digest convergence under chaos,
-# close-during-commit seal audit, stale-replay dedupe, the closure-counter
-# edges in both modes) doubled under -race, the scenario-replay golden
-# (same file + seed → byte-identical digest) doubled under -race plus the
-# open-world swarm dynamics suite and a `cmd/experiments -scenario` smoke
-# test, and a 1-iteration bench smoke so a broken benchmark cannot land
-# silently.
+# networking changes: gofmt (no file may need reformatting), vet, the race
+# detector over the concurrent packages (server, client, dist — including
+# the chaos, kill/restart recovery, and lease-timer lifecycle tests), the
+# durability layer (journal store, snapshot rotation, recovery's rejection
+# of out-of-range players), the packages the perf pass touched (billboard,
+# wire), the DISTILL variants (core, whose tests run replications in
+# parallel), the metrics registry and its scrape-under-load tests (obs,
+# server metrics), the shard chaos + scatter-gather suite (sharded digests,
+# single-shard kill/restart, lane data plane) doubled under -race, the
+# parallel-commit suite (the serial-vs-parallel determinism golden and the
+# seal-race shard-bounce stress) doubled under -race, the
+# replicated-coordinator election + failover suite (quorum commit, leader
+# kill, isolation step-down, failover chaos digests) doubled under -race,
+# the pacing suite (stamp closure, the round deadline's policy in each
+# mode, sync-vs-epoch digest convergence under chaos, close-during-commit
+# seal audit, the stale-arrival re-stamp, the closure-counter edges in both
+# modes) doubled under -race, the scenario-replay golden (same file + seed
+# → byte-identical digest) doubled under -race plus the open-world swarm
+# dynamics suite and a `cmd/experiments -scenario` smoke test, and a
+# 1-iteration bench smoke so a broken benchmark cannot land silently.
 
 GO ?= go
 
@@ -31,6 +31,7 @@ test:
 	$(GO) test ./...
 
 check: build
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/billboard/... ./internal/wire/... ./internal/journal/... ./internal/server/... ./internal/client/... ./internal/dist/... ./internal/core/...
 	$(GO) test -race -run 'TestChaosServerKillRestart|TestPersist|TestCloseStopsLeaseTimers|TestResumeStopsLeaseTimer' -count=2 ./internal/server ./internal/dist
@@ -38,7 +39,7 @@ check: build
 	$(GO) test -race -run 'TestShardCommitDeterminismGolden|TestSealRaceShardBounce' -count=2 ./internal/server
 	$(GO) test -race -run 'TestReplica|TestLeader|TestChaosReplica|TestChaosLeader' -count=2 ./internal/server ./internal/dist
 	$(GO) test -race -run 'TestSwarm' -count=2 ./internal/swarm ./internal/dist
-	$(GO) test -race -run 'TestEpoch|TestStale|TestCloseDuringCommit|TestClosure' -count=2 ./internal/server ./internal/swarm ./internal/dist
+	$(GO) test -race -run 'TestEpoch|TestStale|TestCloseDuringCommit|TestClosure|TestBarrierDeadline' -count=2 ./internal/server ./internal/swarm ./internal/dist
 	$(GO) test -race -run 'TestGoldenScenarioReplay' -count=2 .
 	$(GO) test -race -run 'TestSwarmDynamics|TestEngineReplayDeterministic|TestClusterReplayDeterministic' -count=2 ./internal/dist ./internal/scenario
 	$(GO) test -race -run 'TestScenario' ./cmd/experiments

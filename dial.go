@@ -18,8 +18,8 @@ import (
 
 // DialOption and its constructors live in options.go with the rest of the
 // unified option layer: the transport knobs (WithRetries, WithBackoff,
-// WithCallTimeout, WithBarrierTimeout, WithEpochPoll, WithDialer,
-// WithClientSeed) plus the shared WithMetrics and WithClientOptions.
+// WithCallTimeout, WithBarrierTimeout, WithDialer, WithClientSeed) plus the
+// shared WithMetrics and WithClientOptions.
 
 // Dial connects and authenticates to a billboard server as the given
 // player. With no options it uses sane fault-tolerance defaults and no

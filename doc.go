@@ -59,8 +59,9 @@
 // or unreachable — the dial or a reconnect exhausted its retries without
 // completing a handshake), [ErrSessionExpired] (the server no longer holds
 // the client's session; its votes and dedup window are gone), and
-// [ErrBarrierDeadline] (the server's barrier deadline expelled the player
-// as a straggler). Everything short of these — dropped connections, torn
+// [ErrBarrierDeadline] (a sync-mode server's round deadline expelled the
+// player as a straggler; an epoch-mode server seals past stragglers
+// instead and never expels). Everything short of these — dropped connections, torn
 // frames, lost responses, server restarts, shard-lane restarts — is
 // absorbed by the client's reconnect/resume/dedup machinery and never
 // surfaces to callers.

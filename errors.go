@@ -28,9 +28,10 @@ var (
 	// living server is indistinguishable from a closed one.
 	ErrServerClosed = wire.ErrServerClosed
 
-	// ErrBarrierDeadline reports that the server's barrier deadline expelled
+	// ErrBarrierDeadline reports that the server's round deadline expelled
 	// the player (force-done): it stalled a round past BarrierDeadline while
-	// every other active player had finished. The session is terminated;
-	// later calls under it fail.
+	// every other active player had finished. Only the sync-mode policy
+	// expels; an epoch-mode server seals past stragglers and keeps them.
+	// The session is terminated; later calls under it fail.
 	ErrBarrierDeadline = wire.ErrBarrierDeadline
 )

@@ -72,7 +72,7 @@ type (
 	// BillboardClient is one player's authenticated connection.
 	BillboardClient = client.Client
 	// BatchPost is one entry of BillboardClient.PostBatch — a whole round's
-	// posts plus the barrier in a single protocol-v3 frame.
+	// posts plus the player's arrival in a single protocol-v3 frame.
 	BatchPost = client.BatchPost
 	// CachedReader is a per-round read cache over a BillboardClient.
 	CachedReader = client.Cached
@@ -83,19 +83,20 @@ func NewBillboardServer(cfg BillboardServerConfig) (*BillboardServer, error) {
 	return server.New(cfg)
 }
 
-// ServerMode selects how the billboard service paces rounds
-// (BillboardServerConfig.Mode / ClusterConfig.Mode).
+// ServerMode selects what a round's deadline does to players that have not
+// arrived (BillboardServerConfig.Mode / ClusterConfig.Mode). Pacing is the
+// same in both modes: a round commits once every active player has
+// arrived past it.
 type ServerMode = server.Mode
 
 const (
-	// ModeSync is the classic synchronous operation: every round closes
-	// through the global barrier, which waits for all registered players.
+	// ModeSync is the classic synchronous operation: an expired deadline
+	// force-Dones the stragglers.
 	ModeSync ServerMode = server.ModeSync
-	// ModeEpoch runs without the global round barrier: posts bind to
-	// timestamped epochs that seal on lamport closure (every active player
-	// has stamped past them) or, with an EpochTick armed, on a wall clock
-	// that never waits for stragglers. Under quiescence an epoch run
-	// converges to the sync run's billboard byte for byte.
+	// ModeEpoch runs timestamped epochs: an expired deadline seals the
+	// round without the stragglers, whose late posts bind to the next one.
+	// While no deadline fires, an epoch run commits the sync run's
+	// billboard byte for byte.
 	ModeEpoch ServerMode = server.ModeEpoch
 )
 
@@ -127,8 +128,8 @@ type (
 
 // RunDistributedCluster starts a billboard server and runs every player as
 // a concurrent TCP client. ClusterOption and its constructors (WithMode,
-// WithEpochTick, WithMetrics, WithLogf, WithClientOptions) live in
-// options.go with the rest of the unified option layer.
+// WithMetrics, WithLogf, WithClientOptions) live in options.go with the
+// rest of the unified option layer.
 func RunDistributedCluster(cfg ClusterConfig, opts ...ClusterOption) (*ClusterResult, error) {
 	for _, opt := range opts {
 		opt.applyCluster(&cfg)

@@ -1,10 +1,12 @@
 package client
 
-// Backoff must be total: DialOptions normalizes its knobs, but a Client
-// built around a zero or hand-rolled Options (tests, embedding) reaches
-// backoff() with whatever the caller left there. Degenerate configs —
-// zero, negative, or overflow-inducing values — must yield a sane wait
-// (zero for "no backoff configured"), never a panic in Uint64n(0).
+// Backoff must be total: WithDefaults normalizes the knobs, but a zero or
+// hand-rolled Options (tests, embedding) reaches Backoff with whatever the
+// caller left there. Degenerate configs — zero, negative, or
+// overflow-inducing values — must yield a sane wait (zero for "no backoff
+// configured"), never a panic in Uint64n(0). Both drivers draw their retry
+// waits from Backoff: the client and its shard lanes, and the swarm
+// transport.
 
 import (
 	"math"
@@ -46,14 +48,12 @@ func TestBackoffDegenerateConfigs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &Client{
-				opt:    Options{BackoffBase: tc.base, BackoffMax: tc.max},
-				jitter: rng.New(1).Split(0),
-			}
+			opt := Options{BackoffBase: tc.base, BackoffMax: tc.max}
+			src := rng.New(1).Split(0)
 			// Several draws: the jitter must stay in range for every sample,
 			// and no draw may panic.
 			for i := 0; i < 32; i++ {
-				d := c.backoff(tc.attempt)
+				d := Backoff(opt, src, tc.attempt)
 				if tc.wantZero {
 					if d != 0 {
 						t.Fatalf("backoff(%d) = %v, want 0", tc.attempt, d)
@@ -72,12 +72,10 @@ func TestBackoffDegenerateConfigs(t *testing.T) {
 // with an uncapped base must return promptly (the doubling loop exits on
 // overflow instead of spinning on a step stuck at zero or negative).
 func TestBackoffOverflowTerminates(t *testing.T) {
-	c := &Client{
-		opt:    Options{BackoffBase: time.Nanosecond, BackoffMax: math.MaxInt64},
-		jitter: rng.New(2).Split(0),
-	}
+	opt := Options{BackoffBase: time.Nanosecond, BackoffMax: math.MaxInt64}
+	src := rng.New(2).Split(0)
 	done := make(chan time.Duration, 1)
-	go func() { done <- c.backoff(1 << 30) }()
+	go func() { done <- Backoff(opt, src, 1<<30) }()
 	select {
 	case d := <-done:
 		if d <= 0 {

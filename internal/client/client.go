@@ -48,20 +48,15 @@ type Options struct {
 	// retries; actual waits are fully jittered — uniform in (0, step].
 	// Defaults 5ms and 500ms.
 	BackoffBase, BackoffMax time.Duration
-	// CallTimeout bounds one attempt of a non-barrier call (connect,
+	// CallTimeout bounds one attempt of every call but an arrival (connect,
 	// probe, post, reads). Default 30s; negative disables the deadline.
 	CallTimeout time.Duration
-	// BarrierTimeout bounds one attempt of a Barrier call. Barriers block
-	// legitimately while other players finish their rounds, so the default
-	// is 0 (no deadline); set it when fault injection can swallow a
-	// barrier request (the retry resumes the session and re-arrives
-	// idempotently).
+	// BarrierTimeout bounds one attempt of every arrival: Barrier, and
+	// PostBatch with endRound. An arrival blocks legitimately while other
+	// players finish their rounds, so the default is 0 (no deadline); set
+	// it when fault injection can swallow an arrival (the retry resumes the
+	// session and re-arrives idempotently).
 	BarrierTimeout time.Duration
-	// EpochPoll is the sleep between epoch pacing polls against an
-	// epoch-mode server (wire protocol v8): epoch frames never block, so
-	// the client re-asks at this cadence until the epoch it is waiting on
-	// seals. Default 2ms; negative disables the sleep (busy poll).
-	EpochPoll time.Duration
 	// Seed drives the backoff jitter (default: derived from the player id).
 	Seed uint64
 	// Fallbacks lists additional server addresses (the other members of a
@@ -77,7 +72,10 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o Options) withDefaults(player int) Options {
+// WithDefaults returns o with every unset knob filled with its default.
+// label seeds the default backoff jitter: the player id for a client, the
+// first player of the block for a swarm.
+func WithDefaults(o Options, label int) Options {
 	if o.Dialer == nil {
 		o.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
@@ -99,32 +97,45 @@ func (o Options) withDefaults(player int) Options {
 	if o.CallTimeout < 0 {
 		o.CallTimeout = 0
 	}
-	if o.EpochPoll == 0 {
-		o.EpochPoll = 2 * time.Millisecond
-	}
-	if o.EpochPoll < 0 {
-		o.EpochPoll = 0
-	}
 	if o.Seed == 0 {
-		o.Seed = 0x9e3779b97f4a7c15 ^ uint64(player)
+		o.Seed = 0x9e3779b97f4a7c15 ^ uint64(label)
 	}
 	return o
+}
+
+// Backoff returns o's fully-jittered exponential backoff for an attempt
+// (1-based), drawing jitter from src: uniform in (0, min(base·2^(attempt-1),
+// max)], or zero for degenerate knobs. WithDefaults normalizes non-positive
+// knobs, but a zero-valued Options reaching this directly (or a doubling
+// overflow) must yield an immediate retry, not a panic in Uint64n(0).
+func Backoff(o Options, src *rng.Source, attempt int) time.Duration {
+	step := o.BackoffBase
+	for i := 1; i < attempt && step > 0 && step < o.BackoffMax; i++ {
+		step *= 2 // overflow drives step non-positive and exits the loop
+	}
+	if step > o.BackoffMax || step < 0 {
+		step = o.BackoffMax
+	}
+	if step <= 0 {
+		return 0
+	}
+	return time.Duration(1 + src.Uint64n(uint64(step)))
 }
 
 // sessionCounter backs session-id generation when crypto/rand fails.
 var sessionCounter atomic.Uint64
 
-// newSessionID picks the client-chosen session id: unique is all that
-// matters (it names the session for resume; it carries no randomness the
-// simulation depends on).
-func newSessionID(player int) uint64 {
+// NewSessionID picks a client-chosen session id: unique is all that matters
+// (it names the session for resume; it carries no randomness the simulation
+// depends on). label breaks ties in the fallback when crypto/rand fails.
+func NewSessionID(label int) uint64 {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err == nil {
 		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
 			return id
 		}
 	}
-	return sessionCounter.Add(1)<<16 | uint64(player&0xffff) | 1
+	return sessionCounter.Add(1)<<16 | uint64(label&0xffff) | 1
 }
 
 // Client is one player's authenticated connection to a billboard server.
@@ -158,7 +169,6 @@ type Client struct {
 	shards  int           // server-advertised shard count (from Hello)
 	lanes   []*clientLane // one per shard when shards > 1
 	postSeq int           // running index stamped on every sharded post
-	epoch   bool          // server runs in epoch mode (from Hello)
 
 	n, m         int
 	localTesting bool
@@ -199,7 +209,7 @@ func DialContext(ctx context.Context, addr string, player int, token string, opt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.withDefaults(player)
+	opt = WithDefaults(opt, player)
 	c := &Client{
 		addr:    addr,
 		addrs:   []string{addr},
@@ -207,7 +217,7 @@ func DialContext(ctx context.Context, addr string, player int, token string, opt
 		player:  player,
 		opt:     opt,
 		ctx:     ctx,
-		session: newSessionID(player),
+		session: NewSessionID(player),
 		jitter:  rng.New(opt.Seed).Split(uint64(player)),
 		met:     newClientMetrics(opt.Metrics),
 	}
@@ -333,7 +343,6 @@ func (c *Client) connect() error {
 	if resp.Round > c.round {
 		c.round = resp.Round
 	}
-	c.epoch = resp.Mode == wire.ModeEpoch
 	sh := resp.Shards
 	if sh < 1 {
 		sh = 1
@@ -349,31 +358,6 @@ func (c *Client) drop() {
 		c.conn, c.w, c.br = nil, nil, nil
 		c.enc, c.dec = nil, nil
 	}
-}
-
-// backoff returns the fully-jittered exponential backoff for an attempt
-// (1-based): uniform in (0, min(base·2^(attempt-1), max)], or zero for
-// degenerate configs. DialOptions normalizes non-positive knobs, but a
-// zero-valued Options reaching this path directly (or a doubling overflow)
-// must yield an immediate retry, not a panic in Uint64n(0).
-func (c *Client) backoff(attempt int) time.Duration {
-	return c.backoffWith(c.jitter, attempt)
-}
-
-// backoffWith is backoff drawing jitter from an explicit source — shard
-// lanes each carry their own so concurrent retries never share RNG state.
-func (c *Client) backoffWith(src *rng.Source, attempt int) time.Duration {
-	step := c.opt.BackoffBase
-	for i := 1; i < attempt && step > 0 && step < c.opt.BackoffMax; i++ {
-		step *= 2 // overflow drives step non-positive and exits the loop
-	}
-	if step > c.opt.BackoffMax || step < 0 {
-		step = c.opt.BackoffMax
-	}
-	if step <= 0 {
-		return 0
-	}
-	return time.Duration(1 + src.Uint64n(uint64(step)))
 }
 
 // pause sleeps for d, attributing the wait to client_backoff_seconds_total,
@@ -400,13 +384,13 @@ func (c *Client) pause(d time.Duration) error {
 // sleepBackoff sleeps the jittered backoff for an attempt; a non-nil error
 // means the client's context was canceled mid-wait.
 func (c *Client) sleepBackoff(attempt int) error {
-	return c.pause(c.backoff(attempt))
+	return c.pause(Backoff(c.opt, c.jitter, attempt))
 }
 
 // Close tears down the connection without Done. With a session grace
 // window the server keeps the session resumable until the lease expires;
 // with no grace (the default server config) it treats the drop as Done, so
-// closing mid-round cannot wedge the barrier.
+// closing mid-round cannot wedge the round.
 func (c *Client) Close() error {
 	c.closed = true
 	c.closeLanes()
@@ -461,10 +445,9 @@ func (c *Client) call(req wire.Request) (*wire.Response, error) {
 	req.Session = c.session
 	req.Seq = c.seq
 	timeout := c.opt.CallTimeout
-	if !c.epoch && (req.Type == wire.ReqBarrier || (req.Type == wire.ReqPostBatch && req.EndRound)) {
-		// Both block legitimately while other players finish their rounds.
-		// In epoch mode neither blocks server-side, so the ordinary call
-		// deadline applies.
+	if req.Type == wire.ReqEpoch || (req.Type == wire.ReqPostBatch && req.EndRound) {
+		// An arrival blocks legitimately while other players finish their
+		// rounds.
 		timeout = c.opt.BarrierTimeout
 	}
 	var last error
@@ -595,17 +578,17 @@ type BatchPost struct {
 }
 
 // PostBatch appends a whole round's reports in one frame (protocol v3) and,
-// when endRound is true, also ends the caller's round in the same frame —
-// collapsing O(posts) round-trips plus a barrier into a single request. The
-// batch runs under one sequence number, so a retry after a lost response
-// replays the recorded outcome and never re-applies any post. It returns
-// the round number after the call (the new round when endRound is set).
-// An empty batch with endRound is exactly a Barrier.
+// when endRound is true, makes the same frame the caller's arrival —
+// collapsing O(posts) round-trips plus the arrival into a single request.
+// The batch runs under one sequence number, so a retry after a lost
+// response replays the recorded outcome and never re-applies any post. It
+// returns the round number after the call (the new round when endRound is
+// set). An empty batch with endRound is exactly a Barrier.
 //
 // Against a sharded server the batch is split by the shard map and the
 // per-shard sub-batches are pipelined concurrently over the lane
-// connections; the end-of-round then travels as a plain Barrier on the
-// primary connection once every sub-batch is acknowledged.
+// connections; the arrival then travels as a plain Barrier on the primary
+// connection once every sub-batch is acknowledged.
 func (c *Client) PostBatch(posts []BatchPost, endRound bool) (int, error) {
 	msgs := make([]wire.PostMsg, len(posts))
 	for i, p := range posts {
@@ -631,16 +614,8 @@ func (c *Client) PostBatch(posts []BatchPost, endRound bool) (int, error) {
 		return c.Barrier()
 	}
 	req := wire.Request{Type: wire.ReqPostBatch, Posts: msgs, EndRound: endRound}
-	if c.epoch && endRound {
-		// Epoch-stamped post batch (protocol v8): the posts and the lamport
-		// stamp releasing their epoch travel in one non-blocking frame; the
-		// seal is then observed by polling, never by blocking the server.
-		target := c.round + 1
-		req.Epoch = target
-		if _, err := c.call(req); err != nil {
-			return 0, err
-		}
-		return c.awaitEpoch(target)
+	if endRound {
+		return c.arrive(req)
 	}
 	resp, err := c.call(req)
 	if err != nil {
@@ -650,39 +625,29 @@ func (c *Client) PostBatch(posts []BatchPost, endRound bool) (int, error) {
 }
 
 // Barrier ends the caller's round and blocks until the server commits it.
-// It returns the new round number. Against an epoch-mode server the round
-// barrier does not exist; the call becomes the equivalent epoch pacing
-// loop — stamp the next epoch as finished, then poll until it seals — so
-// callers keep per-round pacing without any server-side blocking.
+// It returns the new round number.
 func (c *Client) Barrier() (int, error) {
-	if c.epoch {
-		return c.awaitEpoch(c.round + 1)
-	}
-	resp, err := c.call(wire.Request{Type: wire.ReqBarrier})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Round, nil
+	return c.arrive(wire.Request{Type: wire.ReqEpoch})
 }
 
-// awaitEpoch paces the caller up to target in epoch mode: each iteration
-// sends one non-blocking epoch frame carrying the caller's lamport stamp
-// ("finished submitting every epoch below target") and reads back the
-// currently open epoch, sleeping Options.EpochPoll between asks until the
-// server has sealed everything below target. Stamps are monotone
-// server-side, so retried or reordered polls are harmless.
-func (c *Client) awaitEpoch(target int) (int, error) {
+// arrive sends req as the caller's arrival, stamped round+1 ("finished every
+// round below it"), and returns the round the server answers once that
+// round has committed. The server answers a live arrival only then, so an
+// answer below the stamp is a dedup replay recorded before the seal (after
+// a crash recovery, say); the bare stamp is then re-sent under a fresh
+// sequence number. It waits server-side, so nothing spins.
+func (c *Client) arrive(req wire.Request) (int, error) {
+	target := c.round + 1
+	req.Epoch = target
 	for {
-		resp, err := c.call(wire.Request{Type: wire.ReqEpoch, Epoch: target})
+		resp, err := c.call(req)
 		if err != nil {
 			return 0, err
 		}
 		if resp.Round >= target {
 			return resp.Round, nil
 		}
-		if err := c.pause(c.opt.EpochPoll); err != nil {
-			return 0, err
-		}
+		req = wire.Request{Type: wire.ReqEpoch, Epoch: target}
 	}
 }
 

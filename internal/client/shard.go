@@ -48,7 +48,7 @@ func (c *Client) setupLanes(shards int) {
 	for k := range c.lanes {
 		c.lanes[k] = &clientLane{
 			shard:   k,
-			session: newSessionID(c.player),
+			session: NewSessionID(c.player),
 			jitter:  rng.New(c.opt.Seed).Split(uint64(c.player)).Split(0x10000 + uint64(k)),
 		}
 	}
@@ -126,7 +126,7 @@ func (c *Client) laneCall(l *clientLane, req wire.Request) (*wire.Response, erro
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		if attempt > 0 {
 			c.met.retries.Inc()
-			if err := c.pause(c.backoffWith(l.jitter, attempt)); err != nil {
+			if err := c.pause(Backoff(c.opt, l.jitter, attempt)); err != nil {
 				return nil, err // context canceled mid-backoff
 			}
 		}

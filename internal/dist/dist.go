@@ -253,13 +253,10 @@ type ClusterConfig struct {
 	// tolerance (see server.Config).
 	SessionGrace    time.Duration
 	BarrierDeadline time.Duration
-	// Mode selects the server's operation mode: server.ModeSync runs the
-	// classic round barrier, server.ModeEpoch replaces it with lamport-paced
-	// epochs (see server.Config.Mode). Incompatible with BarrierDeadline.
+	// Mode selects what an expired BarrierDeadline does to stragglers:
+	// server.ModeSync force-Dones them, server.ModeEpoch seals the round
+	// without them (see server.Config.Mode).
 	Mode server.Mode
-	// EpochTick, in epoch mode, seals epochs on a wall clock so stragglers
-	// cannot stall the cluster (see server.Config.EpochTick).
-	EpochTick time.Duration
 	// PersistDir, when non-empty, runs the server durably: a journal.Store
 	// in that directory records every state change, and a restart recovers
 	// from it (see server.Config.Persist). Required for Chaos.KillAtRound.
@@ -360,7 +357,6 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 			SessionGrace:    cfg.SessionGrace,
 			BarrierDeadline: cfg.BarrierDeadline,
 			Mode:            cfg.Mode,
-			EpochTick:       cfg.EpochTick,
 			Shards:          cfg.Topology.Shards,
 			SwarmToken:      swarmToken,
 			Logf:            cfg.Logf,

@@ -25,8 +25,7 @@ func epochChaosClient() client.Options {
 }
 
 // epochChaosFault is the standard 11%-per-I/O injection mix; the Delay
-// component doubles as the straggler source (a delayed player is exactly a
-// straggler the epoch clock must not wait on forever).
+// component doubles as the straggler source.
 func epochChaosFault() *faultnet.Config {
 	return &faultnet.Config{
 		Seed:     7,
@@ -65,8 +64,8 @@ func assertRunsConverge(t *testing.T, clean, faulty *ClusterResult) {
 
 // TestEpochChaosConvergesToSyncDigest is the tentpole convergence bar: the
 // same cluster, once synchronous and fault-free, once in epoch mode through
-// 11% fault injection with no barrier anywhere — at quiescence the async
-// run's committed billboard is byte-identical to the sync run's.
+// 11% fault injection — at quiescence the epoch run's committed billboard
+// is byte-identical to the sync run's.
 func TestEpochChaosConvergesToSyncDigest(t *testing.T) {
 	clean, err := RunCluster(chaosBase(t))
 	if err != nil {
@@ -122,9 +121,8 @@ func TestEpochChaosShardedConvergesToSyncDigest(t *testing.T) {
 }
 
 // TestEpochSwarmMatchesSyncDigest drives the swarm scheduler against an
-// epoch-mode server: the per-group stamp-then-poll pacing must land the
-// same committed billboard as the sync-mode goroutine fleet on the same
-// seed.
+// epoch-mode server: one arrival per group per round must land the same
+// committed billboard as the sync-mode goroutine fleet on the same seed.
 func TestEpochSwarmMatchesSyncDigest(t *testing.T) {
 	clean, err := RunCluster(chaosBase(t))
 	if err != nil {
@@ -144,16 +142,15 @@ func TestEpochSwarmMatchesSyncDigest(t *testing.T) {
 	assertRunsConverge(t, clean, swarmed)
 }
 
-// TestEpochTickClusterCompletes smoke-tests the wall-clock epoch clock at
-// cluster scale: with a tick armed the run keeps its liveness guarantee (a
-// search that finishes) even though a firing tick may seal an epoch before
+// TestEpochTickClusterCompletes smoke-tests the epoch-mode round deadline at
+// cluster scale: with a deadline armed the run keeps its liveness guarantee
+// (a search that finishes) even though an expiry may seal an epoch before
 // every straggler arrives, so only completion — not digest parity — is
-// asserted here. (Digest-exact tick-past-straggler behavior is pinned at
-// the server level.)
+// asserted here. (Sealing past a straggler is pinned at the server level.)
 func TestEpochTickClusterCompletes(t *testing.T) {
 	cfg := chaosBase(t)
 	cfg.Mode = server.ModeEpoch
-	cfg.EpochTick = 200 * time.Millisecond
+	cfg.BarrierDeadline = 200 * time.Millisecond
 	res, err := RunCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,6 @@ func startReplicaCluster(cfg ClusterConfig, tokens []string, swarmToken string) 
 		SessionGrace:    cfg.SessionGrace,
 		BarrierDeadline: cfg.BarrierDeadline,
 		Mode:            cfg.Mode,
-		EpochTick:       cfg.EpochTick,
 		Shards:          cfg.Topology.Shards,
 		SwarmToken:      swarmToken,
 		SnapshotEvery:   cfg.SnapshotEvery,

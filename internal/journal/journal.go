@@ -94,11 +94,11 @@ type entry struct {
 	Term   uint64
 	Quorum int
 
-	// Epoch is the sealed epoch number of an epoch marker (kindEpoch),
-	// written by an epoch-mode server adjacent to the round marker that
-	// commits the same posts. Board-neutral on replay: the round markers
-	// alone reconstruct the board, so replication and crash recovery work
-	// unchanged whether the run was paced by barriers or by epochs.
+	// Epoch is the sealed epoch number of an epoch marker (kindEpoch).
+	// Earlier epoch-mode servers wrote one next to each round marker; none
+	// is written any more, and nothing reads it. The kind stays decodable
+	// so such a journal still replays: the round markers alone rebuild the
+	// board.
 	Epoch int
 }
 
@@ -334,15 +334,6 @@ func (w *Writer) SwarmOpen(session uint64, from, to int) error {
 	return w.write(entry{Kind: kindSwarmOpen, Session: session, Player: from, PlayerTo: to})
 }
 
-// EpochMark records the sealing of one timestamped epoch (epoch-mode
-// servers). It is written adjacent to the round marker committing the same
-// posts and is board-neutral on replay — sync-mode journals never contain
-// it, and recovery of an epoch-mode journal rebuilds the board from the
-// round markers exactly as before.
-func (w *Writer) EpochMark(epoch int) error {
-	return w.write(entry{Kind: kindEpoch, Epoch: epoch})
-}
-
 // Err returns the Writer's first write error (nil while healthy).
 func (w *Writer) Err() error { return w.err }
 
@@ -380,7 +371,8 @@ type Record struct {
 	// (EndRoundQuorum); zero on single-coordinator journals.
 	Term   uint64
 	Quorum int
-	// Epoch surfaces an epoch marker's sealed epoch number (RecordEpoch).
+	// Epoch surfaces an epoch marker's sealed epoch number (RecordEpoch,
+	// found only in journals of earlier epoch-mode servers).
 	Epoch int
 	Round int
 }

@@ -28,8 +28,8 @@ const (
 	BackendEngine  = "engine"  // in-process sim.Engine (default)
 	BackendCluster = "cluster" // loopback server + swarm event-loop driver
 
-	ModeSync  = "sync"  // global round barrier (default)
-	ModeEpoch = "epoch" // lamport-paced epochs, no global barrier
+	ModeSync  = "sync"  // server.ModeSync: a round deadline expels stragglers (default)
+	ModeEpoch = "epoch" // server.ModeEpoch: a round deadline seals past them
 )
 
 // Spec is a declarative scenario. The zero value of every optional field

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/server"
 )
 
 // TestPostBatchCommitsAtRoundEnd pins the protocol-v3 semantics: a PostBatch
@@ -56,41 +57,47 @@ func TestPostBatchCommitsAtRoundEnd(t *testing.T) {
 
 // TestPostBatchIsOneFramePerRound asserts the headline v3 property: a player
 // posting k objects in a round costs O(1) client→server frames — one
-// PostBatch frame carrying both the posts and the barrier — independent of k.
+// PostBatch frame carrying both the posts and the player's arrival —
+// independent of k, in both modes.
 func TestPostBatchIsOneFramePerRound(t *testing.T) {
-	addr, _, srv := startServer(t, 2, 1)
-	c0, err := client.Dial(addr, 0, "tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	c1, err := client.Dial(addr, 1, "tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
+	for _, mode := range []server.Mode{server.ModeSync, server.ModeEpoch} {
+		t.Run(mode.String(), func(t *testing.T) {
+			addr, _, srv := startServerMode(t, mode, 2, 1, 0, 0)
+			c0, err := client.Dial(addr, 0, "tok")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c0.Close()
+			c1, err := client.Dial(addr, 1, "tok")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c1.Close()
 
-	for _, k := range []int{1, 4, 16} {
-		batch := make([]client.BatchPost, k)
-		for i := range batch {
-			batch[i] = client.BatchPost{Object: i % 8, Value: float64(i)}
-		}
-		before := srv.RequestsServed()
-		done := make(chan error, 1)
-		go func() {
-			_, err := c0.PostBatch(batch, true)
-			done <- err
-		}()
-		if _, err := c1.Barrier(); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		// Exactly one frame per player for the whole round, regardless of k.
-		if got := srv.RequestsServed() - before; got != 2 {
-			t.Fatalf("k=%d: round cost %d frames, want 2 (one per player)", k, got)
-		}
+			for _, k := range []int{1, 4, 16} {
+				batch := make([]client.BatchPost, k)
+				for i := range batch {
+					batch[i] = client.BatchPost{Object: i % 8, Value: float64(i)}
+				}
+				before := srv.RequestsServed()
+				done := make(chan error, 1)
+				go func() {
+					_, err := c0.PostBatch(batch, true)
+					done <- err
+				}()
+				if _, err := c1.Barrier(); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+				// Exactly one frame per player for the whole round, regardless
+				// of k.
+				if got := srv.RequestsServed() - before; got != 2 {
+					t.Fatalf("k=%d: round cost %d frames, want 2 (one per player)", k, got)
+				}
+			}
+		})
 	}
 }
 

@@ -67,8 +67,9 @@ func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 		}
 	}()
 
-	// The reader: player 1 stamps one far-future epoch (so it never holds
-	// rounds open) and then issues atomic scatter-gather window reads.
+	// The reader: player 1 registers and departs with Done (so it never
+	// holds rounds open — an arrival would wait for its round, blocking the
+	// reads behind it), then issues atomic scatter-gather window reads.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +96,8 @@ func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 	}
 	seq := uint64(0)
 	seq++
-	if resp, ok := send(wire.Request{Type: wire.ReqEpoch, Epoch: 1 << 30, Session: 99, Seq: seq}); !ok || resp.Err != "" {
-		t.Fatalf("reader stamp: %+v", resp)
+	if resp, ok := send(wire.Request{Type: wire.ReqDone, Session: 99, Seq: seq}); !ok || resp.Err != "" {
+		t.Fatalf("reader done: %+v", resp)
 	}
 
 	reads := 0

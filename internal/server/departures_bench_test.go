@@ -9,8 +9,8 @@ import (
 
 // BenchmarkSwarmDepartures prices the pacing bookkeeping of a swarm's
 // departures: each iteration registers one swarm session of 4k or 32k
-// players, closes round 0 (a swarm barrier in sync mode, an epoch stamp in
-// epoch mode), and departs every player in 8 swarm-done batches. A
+// players, closes round 0 with one arrival, and departs every player in 8
+// swarm-done batches. A
 // departure must cost O(1), so ns/player stays flat from 4k to 32k in both
 // modes. Server construction is outside the timer.
 func BenchmarkSwarmDepartures(b *testing.B) {
@@ -24,10 +24,7 @@ func BenchmarkSwarmDepartures(b *testing.B) {
 					k := p * batches / players
 					done[k] = append(done[k], p)
 				}
-				closeRound := wire.Request{Type: wire.ReqBarrier}
-				if mode == ModeEpoch {
-					closeRound = wire.Request{Type: wire.ReqEpoch, Epoch: 1}
-				}
+				closeRound := wire.Request{Type: wire.ReqEpoch, Epoch: 1}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

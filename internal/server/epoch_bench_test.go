@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/object"
@@ -13,9 +12,7 @@ import (
 )
 
 // benchModeCluster mirrors benchShardCluster for the operation-mode pair:
-// same universe, same fleet, only the pacing machinery differs. The epoch
-// clients poll on a tight schedule so the recorded point prices the epoch
-// frames, not the default poll sleep.
+// same universe, same fleet, only the server's mode differs.
 func benchModeCluster(b *testing.B, mode server.Mode, players int) []*client.Client {
 	b.Helper()
 	u, err := object.NewPlanted(object.Planted{M: 1024, Good: 1}, rng.New(1))
@@ -40,9 +37,7 @@ func benchModeCluster(b *testing.B, mode server.Mode, players int) []*client.Cli
 	b.Cleanup(func() { srv.Close() })
 	clients := make([]*client.Client, players)
 	for p := range clients {
-		c, err := client.DialOptions(addr, p, tokens[p], client.Options{
-			EpochPoll: 50 * time.Microsecond,
-		})
+		c, err := client.Dial(addr, p, tokens[p])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,10 +49,10 @@ func benchModeCluster(b *testing.B, mode server.Mode, players int) []*client.Cli
 
 // BenchmarkEpochPostRound prices one full posting round per iteration in
 // both operation modes: eight players concurrently post a 128-report batch
-// and close the round — through the global barrier in sync mode, through
-// lamport stamps plus epoch polls in epoch mode. The pair is the cost of
-// running without the barrier on the same workload; make bench-diff records
-// it as BENCH_PR9.json.
+// and close the round with one fused arrival each. Both modes run the same
+// arrival path — the mode only picks a deadline policy, and no deadline is
+// set here — so the pair guards that the two stay at parity; make
+// bench-diff records it as BENCH_PR9.json.
 func BenchmarkEpochPostRound(b *testing.B) {
 	const players, perPlayer = 8, 128
 	for _, mc := range []struct {

@@ -1,10 +1,7 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
-	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +11,10 @@ import (
 	"repro/internal/object"
 	"repro/internal/rng"
 	"repro/internal/server"
-	"repro/internal/wire"
 )
 
 // startEpochServer mirrors startServer but runs the server in epoch mode.
-func startEpochServer(t *testing.T, players, good int, tick time.Duration) (addr string, srv *server.Server) {
+func startEpochServer(t *testing.T, players, good int) (addr string, srv *server.Server) {
 	t.Helper()
 	u, err := object.NewPlanted(object.Planted{M: 32, Good: good}, rng.New(7))
 	if err != nil {
@@ -30,7 +26,7 @@ func startEpochServer(t *testing.T, players, good int, tick time.Duration) (addr
 	}
 	srv, err = server.New(server.Config{
 		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		Mode: server.ModeEpoch, EpochTick: tick,
+		Mode: server.ModeEpoch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +39,9 @@ func startEpochServer(t *testing.T, players, good int, tick time.Duration) (addr
 	return addr, srv
 }
 
+// TestEpochConfigValidation pins which mode configurations construct: both
+// modes do, with or without a round deadline (the deadline is the one
+// liveness lever in either mode); an unknown mode does not.
 func TestEpochConfigValidation(t *testing.T) {
 	u, err := object.NewPlanted(object.Planted{M: 8, Good: 1}, rng.New(1))
 	if err != nil {
@@ -50,142 +49,41 @@ func TestEpochConfigValidation(t *testing.T) {
 	}
 	tok := []string{"a"}
 	cases := []struct {
-		name string
-		cfg  server.Config
+		name  string
+		cfg   server.Config
+		valid bool
 	}{
-		{"unknown mode", server.Config{Universe: u, Tokens: tok, Mode: server.Mode(9)}},
-		{"negative mode", server.Config{Universe: u, Tokens: tok, Mode: server.Mode(-1)}},
+		{"unknown mode", server.Config{Universe: u, Tokens: tok, Mode: server.Mode(9)}, false},
+		{"negative mode", server.Config{Universe: u, Tokens: tok, Mode: server.Mode(-1)}, false},
+		{"sync mode", server.Config{Universe: u, Tokens: tok, Mode: server.ModeSync}, true},
+		{"epoch mode", server.Config{Universe: u, Tokens: tok, Mode: server.ModeEpoch}, true},
+		{"barrier deadline in sync mode", server.Config{
+			Universe: u, Tokens: tok, Mode: server.ModeSync, BarrierDeadline: time.Second}, true},
 		{"barrier deadline in epoch mode", server.Config{
-			Universe: u, Tokens: tok, Mode: server.ModeEpoch, BarrierDeadline: time.Second}},
-		{"negative tick", server.Config{
-			Universe: u, Tokens: tok, Mode: server.ModeEpoch, EpochTick: -time.Second}},
-		{"tick without epoch mode", server.Config{
-			Universe: u, Tokens: tok, EpochTick: time.Second}},
+			Universe: u, Tokens: tok, Mode: server.ModeEpoch, BarrierDeadline: time.Second}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := server.New(tc.cfg); err == nil {
+			srv, err := server.New(tc.cfg)
+			if tc.valid {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				srv.Close()
+				return
+			}
+			if err == nil {
 				t.Fatal("expected error")
 			}
 		})
 	}
-	// Both valid modes construct.
-	for _, m := range []server.Mode{server.ModeSync, server.ModeEpoch} {
-		srv, err := server.New(server.Config{Universe: u, Tokens: tok, Mode: m})
-		if err != nil {
-			t.Fatalf("mode %v rejected: %v", m, err)
-		}
-		srv.Close()
-	}
 }
 
-// TestEpochHelloAdvertisesMode pins the v8 Hello payload: clients learn the
-// operation mode from the handshake, nowhere else.
-func TestEpochHelloAdvertisesMode(t *testing.T) {
-	addr, _ := startEpochServer(t, 1, 1, 0)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.EncodeRequest(conn, &wire.Request{
-		Type: wire.ReqHello, Player: 0, Token: "tok", Version: wire.Version,
-		Session: 1, Seq: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := wire.DecodeResponse(bufio.NewReader(conn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	if resp.Mode != wire.ModeEpoch {
-		t.Fatalf("hello Mode = %d, want ModeEpoch", resp.Mode)
-	}
-}
-
-// TestEpochBarrierFrameRejected pins the no-blocking invariant: an
-// epoch-mode server serves no barrier waits at all.
-func TestEpochBarrierFrameRejected(t *testing.T) {
-	addr, _ := startEpochServer(t, 1, 1, 0)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// The server speaks connection-scoped stream codecs (protocol v6), so a
-	// multi-frame raw exchange must too.
-	enc := wire.NewStreamEncoder(conn)
-	dec := wire.NewStreamDecoder(bufio.NewReader(conn))
-	if err := enc.EncodeRequest(&wire.Request{
-		Type: wire.ReqHello, Player: 0, Token: "tok", Version: wire.Version,
-		Session: 1, Seq: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := dec.DecodeResponse(&resp); err != nil || resp.Err != "" {
-		t.Fatalf("hello: %v %q", err, resp.Err)
-	}
-	if err := enc.EncodeRequest(&wire.Request{
-		Type: wire.ReqBarrier, Session: 1, Seq: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp = wire.Response{}
-	if err := dec.DecodeResponse(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" || !strings.Contains(resp.Err, "epoch mode") {
-		t.Fatalf("barrier served in epoch mode: %+v", resp)
-	}
-}
-
-// TestEpochRejectedOnSyncServer is the converse: epoch pacing frames are a
-// v8 epoch-mode construct and a synchronous server refuses them.
-func TestEpochRejectedOnSyncServer(t *testing.T) {
-	addr, _, _ := startServer(t, 1, 1)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := wire.NewStreamEncoder(conn)
-	dec := wire.NewStreamDecoder(bufio.NewReader(conn))
-	if err := enc.EncodeRequest(&wire.Request{
-		Type: wire.ReqHello, Player: 0, Token: "tok", Version: wire.Version,
-		Session: 1, Seq: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := dec.DecodeResponse(&resp); err != nil || resp.Err != "" {
-		t.Fatalf("hello: %v %q", err, resp.Err)
-	}
-	if resp.Mode != wire.ModeSync {
-		t.Fatalf("sync hello Mode = %d", resp.Mode)
-	}
-	if err := enc.EncodeRequest(&wire.Request{
-		Type: wire.ReqEpoch, Epoch: 1, Session: 1, Seq: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp = wire.Response{}
-	if err := dec.DecodeResponse(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" || !strings.Contains(resp.Err, "epoch") {
-		t.Fatalf("epoch frame served by a sync server: %+v", resp)
-	}
-}
-
-// TestEpochStampClosure pins the pure-lamport seal rule (EpochTick zero): an
-// epoch stays open until every active player has stamped past it, then
-// closes without any blocked request.
+// TestEpochStampClosure pins the stamp seal rule with no deadline: an epoch
+// stays open until every active player has stamped past it, and an arrival
+// waits server-side until then.
 func TestEpochStampClosure(t *testing.T) {
-	addr, srv := startEpochServer(t, 2, 1, 0)
+	addr, srv := startEpochServer(t, 2, 1)
 	c0, err := client.Dial(addr, 0, "tok")
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +98,8 @@ func TestEpochStampClosure(t *testing.T) {
 	if err := c0.Post(5, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	// c0 ends its epoch; the epoch must stay open (c1 has not stamped), and
-	// c0's pacing loop must spin rather than block server-side.
+	// c0 ends its epoch; the epoch must stay open (c1 has not stamped), so
+	// c0's arrival must wait.
 	done := make(chan int, 1)
 	go func() {
 		round, err := c0.Barrier()
@@ -233,9 +131,9 @@ func TestEpochStampClosure(t *testing.T) {
 
 // TestEpochPostBatchBindsAndSeals drives several epochs through the batched
 // client path on a single-player universe: each PostBatch(endRound) carries
-// the posts and the lamport stamp in one frame and the epoch self-seals.
+// the posts and the stamp in one frame and the epoch self-seals.
 func TestEpochPostBatchBindsAndSeals(t *testing.T) {
-	addr, srv := startEpochServer(t, 1, 1, 0)
+	addr, srv := startEpochServer(t, 1, 1)
 	c, err := client.Dial(addr, 0, "tok")
 	if err != nil {
 		t.Fatal(err)
@@ -272,42 +170,11 @@ func TestEpochPostBatchBindsAndSeals(t *testing.T) {
 	}
 }
 
-// TestEpochTickSealsPastStraggler pins tick mode's liveness escape hatch: a
-// registered player that never stamps cannot stall the epoch clock.
-func TestEpochTickSealsPastStraggler(t *testing.T) {
-	addr, srv := startEpochServer(t, 2, 1, 2*time.Millisecond)
-	c0, err := client.Dial(addr, 0, "tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	// The straggler registers (the run is complete) and then goes silent.
-	c1, err := client.Dial(addr, 1, "tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-
-	if err := c0.Post(3, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	round, err := c0.Barrier()
-	if err != nil {
-		t.Fatalf("tick never sealed past the straggler: %v", err)
-	}
-	if round < 1 || srv.Round() < 1 {
-		t.Fatalf("round %d after tick seal", round)
-	}
-	if c0.VoteCount(3) != 1 {
-		t.Fatal("sealed epoch's post not visible")
-	}
-}
-
 // TestEpochSlidingWindow pins the protocol v8 Last query: the most recent
 // Last closed epochs, anchored at the answering round.
 func TestEpochSlidingWindow(t *testing.T) {
 	const players = 4
-	addr, _ := startEpochServer(t, players, 1, 0)
+	addr, _ := startEpochServer(t, players, 1)
 	var clients [players]*client.Client
 	for p := range clients {
 		c, err := client.Dial(addr, p, "tok")
@@ -353,9 +220,9 @@ func TestEpochSlidingWindow(t *testing.T) {
 	}
 }
 
-// TestEpochJournalMarkersAndRecovery pins the journal interleaving: epoch
-// seals write an epoch marker adjacent to the round marker, replay ignores
-// it (board-neutral), and crash recovery reproduces the exact state.
+// TestEpochJournalMarkersAndRecovery pins that an epoch-mode journal
+// recovers like a sync one: its round markers alone rebuild the exact
+// committed state after a crash.
 func TestEpochJournalMarkersAndRecovery(t *testing.T) {
 	u, err := object.NewPlanted(object.Planted{M: 32, Good: 1}, rng.New(7))
 	if err != nil {
@@ -392,23 +259,10 @@ func TestEpochJournalMarkersAndRecovery(t *testing.T) {
 	srv.Close()
 	st.Close()
 
-	// Crash-recover from the same store; its tail carries one epoch marker
-	// per sealed epoch, in order.
+	// Crash-recover from the same store.
 	st2, err := journal.OpenStore(dir, journal.SyncCommit)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var epochs []int
-	if err := journal.ReplayRecords(st2.Tail(), func(rec journal.Record) error {
-		if rec.Kind == journal.RecordEpoch {
-			epochs = append(epochs, rec.Epoch)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) != 3 || epochs[0] != 0 || epochs[1] != 1 || epochs[2] != 2 {
-		t.Fatalf("epoch markers = %v, want [0 1 2]", epochs)
 	}
 	cfg.Persist = st2
 	srv2, err := server.New(cfg)
@@ -494,7 +348,7 @@ func TestEpochDigestMatchesSync(t *testing.T) {
 }
 
 // TestEpochDigestMatchesSyncSharded extends digest parity to the sharded
-// commit pipeline (epoch markers ride the coordinator commit point).
+// commit pipeline.
 func TestEpochDigestMatchesSyncSharded(t *testing.T) {
 	sync4 := epochWorkload(t, server.ModeSync, 4)
 	epoch4 := epochWorkload(t, server.ModeEpoch, 4)

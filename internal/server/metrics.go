@@ -34,8 +34,8 @@ type serverMetrics struct {
 	rounds      *obs.Counter
 	forceDone   *obs.Counter
 
-	epochSeals     *obs.Counter
-	epochTickSeals *obs.Counter
+	epochSeals    *obs.Counter
+	deadlineSeals *obs.Counter
 
 	snapshots       *obs.Counter
 	journalReplayed *obs.Counter
@@ -82,7 +82,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		enabled:     true,
 		connections: reg.Counter("server_connections_total", "client connections accepted"),
 		requestsBad: reg.Counter(`server_requests_total{type="unknown"}`, "decoded client frames by request type"),
-		rpcSeconds:  reg.Histogram("server_request_seconds", "request handling latency (includes barrier blocking)", nil),
+		rpcSeconds:  reg.Histogram("server_request_seconds", "request handling latency (includes arrival waits)", nil),
 		bytesIn:     reg.Counter("server_read_bytes_total", "bytes read from clients"),
 		bytesOut:    reg.Counter("server_written_bytes_total", "bytes written to clients"),
 
@@ -94,12 +94,12 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		cacheHits:   reg.Counter("server_read_cache_hits_total", "committed-round reads served from cache"),
 		cacheMisses: reg.Counter("server_read_cache_misses_total", "committed-round reads that built a cache entry"),
 
-		barrierWait: reg.Histogram("server_barrier_wait_seconds", "time a player blocked at the round barrier", nil),
+		barrierWait: reg.Histogram("server_barrier_wait_seconds", "time an arrival waited for its round to commit", nil),
 		rounds:      reg.Counter("server_rounds_total", "rounds committed"),
-		forceDone:   reg.Counter("server_force_done_total", "players expelled by a barrier deadline"),
+		forceDone:   reg.Counter("server_force_done_total", "players expelled by a sync-mode round deadline"),
 
-		epochSeals:     reg.Counter("server_epoch_seals_total", "epochs sealed (epoch mode)"),
-		epochTickSeals: reg.Counter("server_epoch_tick_seals_total", "epochs sealed by the tick clock without all stamps (epoch mode)"),
+		epochSeals:    reg.Counter("server_epoch_seals_total", "epochs sealed (epoch mode)"),
+		deadlineSeals: reg.Counter("server_epoch_tick_seals_total", "epochs sealed by the round deadline without all stamps (epoch mode)"),
 
 		snapshots:       reg.Counter("server_snapshots_total", "service snapshots taken at journal rotation"),
 		journalReplayed: reg.Counter("server_journal_replayed_total", "journal records replayed at recovery"),

@@ -96,9 +96,10 @@ func (s *Server) snapshotLocked() ([]byte, error) {
 		resp := sess.lastResp
 		if sess.executing {
 			// The only requests that can be mid-execution at a round commit
-			// are the ones this commit answers (blocked barriers, the
-			// committing Done): their response is the new round. lastResp
-			// still holds the previous request's reply, so substitute.
+			// are arrivals and the committing Done: their response is the new
+			// round. lastResp still holds the previous request's reply, so
+			// substitute. (An arrival stamped further ahead is still waiting;
+			// a client handed this replay re-stamps.)
 			resp = wire.Response{Round: s.round}
 		}
 		sn.Sessions = append(sn.Sessions, sessionSnap{
@@ -236,7 +237,7 @@ func (s *Server) restoreSnapshot(data []byte) error {
 // recoverFromStore rebuilds the service from Config.Persist: snapshot
 // first, then the write-ahead tail. Replay mirrors live execution record
 // by record — probes and dones apply immediately (they were charged /
-// binding the moment they were journaled), posts, barriers, and force-done
+// binding the moment they were journaled), posts, arrivals, and force-done
 // decisions bind only with their round marker. A non-empty uncommitted
 // tail is discarded and fenced with a rollback marker so the retries that
 // re-execute it are not double-applied by a second recovery.
@@ -392,8 +393,9 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 				// a lane that missed this round's seal from exactly this set.
 				s.recoveredAdmits[s.round] = rec.Admits
 			}
-			// A committed barrier answers with the round it opened — the
-			// response a live server had recorded for those sessions.
+			// A committed arrival answers with the round this marker opened —
+			// the response a live server had recorded for those sessions (one
+			// stamped further ahead re-stamps on retry).
 			for _, sess := range arrivals {
 				sess.lastResp = wire.Response{Round: s.round}
 			}

@@ -2,8 +2,10 @@
 // system component the paper assumes ("the system maintains a shared
 // billboard", §1). Players connect over TCP, authenticate with a bearer
 // token bound to their player id (the §2.1 reliable identity tagging),
-// probe objects, post reports, read votes, and synchronize rounds through a
-// barrier — the timestamp-based simulation of synchrony that §1.2 sketches.
+// probe objects, post reports, read votes, and synchronize rounds through
+// arrivals — the timestamp-based simulation of synchrony that §1.2 sketches:
+// a player's arrival stamps the rounds it has finished and is answered once
+// every active player has stamped past them and those rounds committed.
 //
 // The server owns the ground truth (the object universe): a probe request
 // reveals an object's value only to the prober and charges its cost, so
@@ -25,17 +27,18 @@
 //     sequence number; the server records the last executed sequence and
 //     its response, so a client retrying after a lost response gets the
 //     recorded response replayed — a retried Probe is never charged twice.
-//   - barrier deadline: Config.BarrierDeadline bounds how long a round
-//     waits for stragglers once the first player has arrived; on expiry the
-//     stragglers are force-Done'd (journaled, so crash recovery refuses to
-//     resurrect them) and the round commits instead of wedging.
+//   - round deadline: Config.BarrierDeadline bounds how long a round waits
+//     for stragglers once the first player has arrived; on expiry the round
+//     commits instead of wedging. The Mode picks what happens to the
+//     stragglers: sync mode force-Dones them (journaled, so crash recovery
+//     refuses to resurrect them), epoch mode seals without them.
 //
 // Performance (wire protocol v3). Two hot-path optimizations keep per-round
 // traffic and CPU constant:
 //
 //   - batched posts: ReqPostBatch carries a whole round's posts (and
-//     optionally the round barrier) in one frame, so a player's round costs
-//     O(1) frames instead of O(posts);
+//     optionally the player's arrival) in one frame, so a player's round
+//     costs O(1) frames instead of O(posts);
 //   - read caching: committed-round reads (votes, voted objects, window
 //     counts) are memoized until the next EndRound — the billboard cannot
 //     change mid-round, so N players asking for the same round's state cost
@@ -57,22 +60,24 @@ import (
 	"repro/internal/wire"
 )
 
-// Mode selects how the service paces commits (wire protocol v8).
+// Mode selects what a round's deadline (Config.BarrierDeadline) does to the
+// players that have not arrived. Pacing is the same in both modes: an
+// arrival stamps the rounds its player has finished and is answered once
+// the open round reaches the stamp, and a round commits once every active
+// player has stamped past it. With no deadline firing, the two modes commit
+// byte-identical boards.
 type Mode int
 
 const (
-	// ModeSync is the classic synchronous service: a global round barrier
-	// blocks every player until all active players arrive (the timestamp
-	// simulation of synchrony, §1.2). The zero value, so existing
-	// configurations are unchanged.
+	// ModeSync is the classic synchronous service (the timestamp simulation
+	// of synchrony, §1.2): an expired deadline force-Dones the stragglers,
+	// which may not rejoin. The zero value, so existing configurations are
+	// unchanged.
 	ModeSync Mode = iota
-	// ModeEpoch replaces the blocking barrier with timestamped epochs:
-	// posts bind to the currently open epoch, clients advance a lamport
-	// stamp ("finished submitting every epoch below e") in non-blocking
-	// frames, and the server seals an epoch once every active player's
-	// stamp has passed it — or, with EpochTick set, on a clock tick once
-	// any player has moved on, so a silent straggler can never stall the
-	// swarm. No handler ever blocks on another player's progress.
+	// ModeEpoch runs timestamped epochs: an expired deadline seals the round
+	// without its stragglers, which stay registered; their late posts bind
+	// to the next open round. A silent straggler slows the run to one round
+	// per deadline but never stalls it.
 	ModeEpoch
 )
 
@@ -127,7 +132,7 @@ type Config struct {
 	// SwarmToken, when non-empty, lets a swarm driver open swarm sessions
 	// (wire protocol v7): one Hello with Swarm set registers a contiguous
 	// block of players [Player, PlayerTo) under this shared credential, and
-	// the connection may then pipeline probe-batch, post-batch, barrier, and
+	// the connection may then pipeline probe-batch, post-batch, arrival, and
 	// swarm-done frames on behalf of any member. Swarm requests are
 	// idempotent or reconstructible, so a resumed swarm session replays by
 	// recomputation rather than from a recorded response window. Empty
@@ -143,27 +148,22 @@ type Config struct {
 	// Zero keeps the legacy behavior: a dropped connection deregisters the
 	// player immediately (a crashed player cannot wedge a round).
 	SessionGrace time.Duration
-	// BarrierDeadline bounds how long a round barrier waits for stragglers
-	// once the first player of the round has arrived. On expiry every
-	// active player that has not arrived is force-Done'd — the decision is
-	// journaled — and the round commits. Zero waits forever. (It cannot
-	// unwedge round 0 while fewer than Expected players have registered:
-	// unregistered players are not yet part of the run.) Synchronous-mode
-	// only: epoch mode never blocks a handler, so it has nothing to
-	// deadline — use EpochTick for liveness instead.
+	// BarrierDeadline is the round deadline: how long a round waits for
+	// stragglers once its first arrival is waiting on it. On expiry the
+	// round commits without them, and Mode decides their fate: sync mode
+	// force-Dones every active player that has not arrived (the decision is
+	// journaled), epoch mode leaves them registered. An epoch expiry that
+	// finds no stamp past the round has nothing to seal; the round's next
+	// arrival re-arms the timer. Zero waits forever. (It cannot unwedge
+	// round 0 while fewer than Expected players have registered:
+	// unregistered players are not yet part of the run.) A deadline that
+	// fires trades the byte-exact sync/epoch digest equivalence for
+	// liveness past silent stragglers.
 	BarrierDeadline time.Duration
-	// Mode selects synchronous rounds (ModeSync, the default) or
-	// timestamped epochs (ModeEpoch); see the Mode constants. Advertised
-	// to clients at Hello.
+	// Mode selects the deadline's policy: synchronous rounds (ModeSync, the
+	// default) or timestamped epochs (ModeEpoch); see the Mode constants.
+	// Clients never see it: the wire protocol is the same in both modes.
 	Mode Mode
-	// EpochTick, with ModeEpoch, is the epoch clock's tick: every tick the
-	// server seals the open epoch if at least one active player's stamp
-	// has passed it, without waiting for stragglers — their late posts
-	// rebind forward to the next open epoch. This trades the byte-exact
-	// sync/epoch digest equivalence of pure lamport closure (tick zero,
-	// where an epoch seals only once every active player has stamped past
-	// it) for liveness past silent stragglers. Zero with ModeSync.
-	EpochTick time.Duration
 	// Logf, when non-nil, receives operational events (session resume,
 	// lease expiry, force-done) — e.g. log.Printf. Must be safe for
 	// concurrent use.
@@ -194,7 +194,7 @@ type session struct {
 	connected bool
 	// lastSeq/lastResp implement response dedup: a request repeating
 	// lastSeq replays lastResp. executing marks lastSeq as still running
-	// (e.g. a barrier blocked on behalf of a now-dead connection); a
+	// (e.g. an arrival blocked on behalf of a now-dead connection); a
 	// retransmission waits for it rather than re-executing.
 	lastSeq   uint64
 	lastResp  wire.Response
@@ -286,23 +286,21 @@ type Server struct {
 	admitsScratch [2][]journal.Admit
 	markerFrame   []byte
 
+	// The round deadline (Config.BarrierDeadline): one timer, armed for
+	// the open round by the first arrival that waits on it, stopped at the
+	// seal and at Close.
 	barrierTimer *time.Timer
-	armedRound   int // round the barrier timer is armed for; -1 when idle
+	armedRound   int // round the deadline timer is armed for; -1 when idle
 
-	// Round closure. Arrival is a stamp in both modes: lastStamp[p] says
-	// player p has finished submitting every round below it. A sync
-	// barrier stamps round+1; an epoch frame stamps its target. nClosed
-	// counts the active players whose stamp is past the open round, so the
-	// round is closed when nClosed == nActive. tickForced marks the open
-	// round as force-sealed by an epoch tick; it holds while a down lane
-	// blocks the commit and is cleared at the seal. With EpochTick the
-	// self-re-arming epochTimer seals on a tick once any player has moved
-	// on; it is stopped at Close and its callback checks s.closed, so no
-	// seal can race the teardown.
-	lastStamp  []int
-	nClosed    int
-	tickForced bool
-	epochTimer *time.Timer
+	// Round closure. Every arrival is a stamp: lastStamp[p] says player p
+	// has finished submitting every round below it. nClosed counts the
+	// active players whose stamp is past the open round, so the round is
+	// closed when nClosed == nActive. forced marks the open round as
+	// force-sealed by an epoch-mode deadline; it holds while a down lane
+	// blocks the commit and is cleared at the seal.
+	lastStamp []int
+	nClosed   int
+	forced    bool
 
 	// Committed-round read cache, invalidated at every EndRound. Cached
 	// values are immutable once built (never mutated, only dropped), so
@@ -346,15 +344,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Mode < ModeSync || cfg.Mode > ModeEpoch {
 		return nil, fmt.Errorf("server: unknown Mode %d", int(cfg.Mode))
-	}
-	if cfg.Mode == ModeEpoch && cfg.BarrierDeadline > 0 {
-		return nil, fmt.Errorf("server: BarrierDeadline is a synchronous-mode knob; epoch mode paces with EpochTick")
-	}
-	if cfg.EpochTick < 0 {
-		return nil, fmt.Errorf("server: EpochTick must be non-negative")
-	}
-	if cfg.EpochTick > 0 && cfg.Mode != ModeEpoch {
-		return nil, fmt.Errorf("server: EpochTick requires Mode == ModeEpoch")
 	}
 	mode := billboard.FirstPositive
 	if !cfg.Universe.LocalTesting() {
@@ -478,20 +467,17 @@ func (s *Server) ServeConn(conn net.Conn) {
 	go s.handle(conn)
 }
 
-// Close stops the listener, wakes blocked barrier waiters, and waits for
+// Close stops the listener, wakes blocked arrivals, and waits for
 // connection handlers to drain.
 func (s *Server) Close() error {
 	s.closedA.Store(true)
 	s.mu.Lock()
 	s.closed = true
 	if s.barrierTimer != nil {
+		// An expiry already past Stop re-checks s.closed under the lock
+		// before touching any seal state, so it never commits into a
+		// closing server.
 		s.barrierTimer.Stop()
-	}
-	if s.epochTimer != nil {
-		// An expire callback already past Stop re-checks s.closed under the
-		// lock before touching any seal state, so a tick can never commit
-		// into a closing server.
-		s.epochTimer.Stop()
 	}
 	// Stop pending lease timers: an expiry callback firing after Close
 	// would race the teardown (and log into a closed harness).
@@ -571,8 +557,9 @@ func (s *Server) Stats() (probes []int, cost []float64, satisfied []bool, round 
 // pin the O(1)-frames-per-player-per-round contract of protocol v3.
 func (s *Server) RequestsServed() int64 { return s.requests.Load() }
 
-// ForceDone reports the players expelled by barrier deadlines (including
-// decisions recovered from the journal), keyed by the round of expulsion.
+// ForceDone reports the players expelled by sync-mode round deadlines
+// (including decisions recovered from the journal), keyed by the round of
+// expulsion.
 func (s *Server) ForceDone() map[int]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -753,7 +740,7 @@ func (s *Server) expireSession(id uint64, gen int) {
 }
 
 // expireLocked removes a session and deregisters its player — every member,
-// for a swarm session — from future barriers (a no-op for players that
+// for a swarm session — from future rounds (a no-op for players that
 // already sent Done).
 func (s *Server) expireLocked(sess *session) {
 	s.m.sessionsExpired.Inc()
@@ -833,8 +820,8 @@ func (s *Server) dispatch(sess *session, req *wire.Request) wire.Response {
 	return resp
 }
 
-// executeLocked performs one authenticated request (s.mu held; barrier may
-// temporarily release it via cond.Wait).
+// executeLocked performs one authenticated request (s.mu held; an arrival
+// may temporarily release it via cond.Wait).
 func (s *Server) executeLocked(sess *session, req *wire.Request) wire.Response {
 	switch req.Type {
 	case wire.ReqProbe:
@@ -873,12 +860,7 @@ func (s *Server) executeLocked(sess *session, req *wire.Request) wire.Response {
 		}
 		return wire.Response{Counts: s.windowLocked(from, to), Round: s.round}
 	case wire.ReqEpoch:
-		return s.epochLocked(sess, req)
-	case wire.ReqBarrier:
-		if s.cfg.Mode == ModeEpoch {
-			return wire.Response{Err: "barrier requests are not served in epoch mode; pace with epoch frames"}
-		}
-		return s.barrierLocked(sess, req.Seq)
+		return s.arriveLocked(sess, req.Seq, req.Epoch, true)
 	case wire.ReqDone:
 		if sess.swarm {
 			return wire.Response{Err: "use swarm-done on a swarm session"}
@@ -970,7 +952,7 @@ func (s *Server) helloLocked(req *wire.Request) (wire.Response, *session) {
 	sess := &session{id: req.Session, player: p, gen: 1, connected: true}
 	s.sessions[req.Session] = sess
 	s.byPlayer[p] = sess
-	s.advanceLocked() // registration may complete a waiting barrier
+	s.advanceLocked() // registration may close a round arrivals wait on
 	return s.helloPayloadLocked(), sess
 }
 
@@ -989,7 +971,6 @@ func (s *Server) helloPayloadLocked() wire.Response {
 		Costs:        costs,
 		Round:        s.round,
 		Shards:       s.ShardCount(),
-		Mode:         uint8(s.cfg.Mode),
 	}
 }
 
@@ -1054,7 +1035,7 @@ func (s *Server) swarmHelloLocked(req *wire.Request) (wire.Response, *session) {
 		s.byPlayer[p] = sess
 	}
 	s.m.sessionsOpened.Inc()
-	s.advanceLocked() // registration may complete a waiting barrier
+	s.advanceLocked() // registration may close a round arrivals wait on
 	return s.helloPayloadLocked(), sess
 }
 
@@ -1063,33 +1044,18 @@ func (s *Server) swarmHelloLocked(req *wire.Request) (wire.Response, *session) {
 // reconstructible, which is what replaces the per-request response window:
 // probe batches recompute their results from the universe without charging
 // again, post batches and dones are already buffered/applied and answer the
-// current round, a barrier waits out any execution still in flight and
-// answers the round it committed, and reads simply re-execute. Caller holds
-// s.mu.
+// current round, an arrival re-executes (its stamp is already in place, so
+// it only waits for its target round) without a second journal record, and
+// reads simply re-execute. Caller holds s.mu.
 func (s *Server) swarmReplayLocked(sess *session, req *wire.Request) wire.Response {
 	switch req.Type {
 	case wire.ReqProbeBatch:
 		return s.probeBatchLocked(sess, req, false)
+	case wire.ReqEpoch:
+		return s.arriveLocked(sess, req.Seq, req.Epoch, false)
 	case wire.ReqPostBatch:
 		if req.EndRound {
-			for sess.executing && !s.closed {
-				s.cond.Wait()
-			}
-			if s.closed {
-				return wire.Response{Err: errServerClosed}
-			}
-		}
-		return wire.Response{Round: s.round}
-	case wire.ReqBarrier:
-		// The original may still be blocked on the round (on behalf of a
-		// dead predecessor connection); the round it waits for cannot
-		// advance twice without this session re-arriving, so the current
-		// round after the wait is the round the barrier committed.
-		for sess.executing && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			return wire.Response{Err: errServerClosed}
+			return s.arriveLocked(sess, req.Seq, req.Epoch, false)
 		}
 		return wire.Response{Round: s.round}
 	case wire.ReqSwarmDone:
@@ -1229,7 +1195,7 @@ func (s *Server) postLocked(sess *session, req *wire.Request) wire.Response {
 }
 
 // postBatchLocked applies a whole round's posts from one frame, in order,
-// then (when requested) runs the round barrier — the protocol-v3 fast path.
+// then (when requested) arrives — the protocol-v3 fast path.
 // The batch is not transactional: an invalid post aborts the remainder with
 // an error, leaving earlier posts buffered; since the whole batch executed
 // under one sequence number, a retry replays the recorded response and
@@ -1243,6 +1209,9 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 		// flow through the lane data plane, where cross-player commit order
 		// is well defined; the primary path's per-session index stamp is not.
 		return wire.Response{Err: "swarm posts on a sharded server go to shard lanes"}
+	}
+	if req.EndRound && req.Epoch < 1 {
+		return badStamp(req.Epoch)
 	}
 	for i, p := range req.Posts {
 		player := sess.player
@@ -1258,38 +1227,55 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 		}
 	}
 	if req.EndRound {
-		if s.cfg.Mode == ModeEpoch {
-			// Epoch-stamped post batch: the posts above bound to the open
-			// epoch, and the same frame advances the sender's lamport stamp —
-			// the posts are already applied under this lock, so the epoch the
-			// stamp releases necessarily contains them. Non-blocking: the
-			// caller polls epoch frames to observe the seal.
-			target := req.Epoch
-			if target == 0 {
-				target = s.round + 1
-			}
-			s.stampLocked(sess, target)
-			s.advanceLocked()
-			s.armEpochTickLocked()
-			return wire.Response{Round: s.round}
-		}
-		return s.barrierLocked(sess, req.Seq)
+		// The posts above are already applied under this lock, so the round
+		// the stamp releases necessarily contains them.
+		return s.arriveLocked(sess, req.Seq, req.Epoch, true)
 	}
 	return wire.Response{Round: s.round}
 }
 
-// epochLocked serves one epoch pacing frame (protocol v8, epoch mode): it
-// advances the session's lamport stamp, re-checks the seal condition, and
-// answers the currently open epoch without ever blocking — the non-blocking
-// analogue of barrier arrival.
-func (s *Server) epochLocked(sess *session, req *wire.Request) wire.Response {
-	if s.cfg.Mode != ModeEpoch {
-		return wire.Response{Err: "epoch requests require an epoch-mode server"}
+// arriveLocked takes every arrival — bare (ReqEpoch), fused onto a post
+// batch, or a swarm client's resend. It stamps target for every active
+// player the session speaks for, commits the rounds that closes, and waits
+// until the open round reaches target (or the server closes). Stamps are
+// monotone, so a repeated or stale arrival changes nothing and is answered
+// once its round has committed — at once, if it already has. record is
+// false only for a swarm resend, whose original wrote the journal record.
+func (s *Server) arriveLocked(sess *session, seq uint64, target int, record bool) wire.Response {
+	if target < 1 {
+		return badStamp(target)
 	}
-	s.stampLocked(sess, req.Epoch)
+	from, to := sess.memberRange()
+	live := false
+	for p := from; p < to && !live; p++ {
+		live = s.active[p]
+	}
+	if !live {
+		return wire.Response{Err: "player is done; no arrival"}
+	}
+	// Journaled (round-buffered, like the posts): a committed round's
+	// arrivals bind the session's dedup window across a restart; an
+	// uncommitted round's are rolled back and re-arrive on retry. A swarm
+	// session's arrival is one record, Player -1, meaning "all active
+	// members of Session".
+	if record && s.jw != nil {
+		player := sess.player
+		if sess.swarm {
+			player = -1
+		}
+		if err := s.jw.Barrier(sess.id, seq, player); err != nil {
+			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
+		}
+	}
+	s.stampLocked(sess, target)
 	s.advanceLocked()
-	s.armEpochTickLocked()
-	return wire.Response{Round: s.round}
+	return s.awaitRoundLocked(target)
+}
+
+// badStamp rejects an arrival whose target stamp is below 1: every arrival
+// finishes at least round 0.
+func badStamp(target int) wire.Response {
+	return wire.Response{Err: fmt.Sprintf("arrival stamp %d: an arrival targets round 1 or later", target)}
 }
 
 // stampLocked advances the stamp of every active member the session speaks
@@ -1339,38 +1325,6 @@ func (s *Server) deactivateLocked(p int) {
 	if s.lastStamp[p] > s.round {
 		s.nClosed--
 	}
-}
-
-// armEpochTickLocked starts the epoch clock on first epoch activity (epoch
-// mode with EpochTick set). The timer re-arms itself from its own callback,
-// so one arm keeps the clock running for the server's life; Close stops it
-// and the callback's closed-check makes a racing tick a no-op.
-func (s *Server) armEpochTickLocked() {
-	if s.cfg.Mode != ModeEpoch || s.cfg.EpochTick <= 0 || s.closed || s.epochTimer != nil {
-		return
-	}
-	s.epochTimer = time.AfterFunc(s.cfg.EpochTick, s.epochExpire)
-}
-
-// epochExpire fires on each epoch clock tick: if at least one active player
-// has stamped past the open epoch, the epoch seals without waiting for the
-// stragglers — whose late posts then bind to the next open epoch. This is
-// the liveness escape hatch of tick mode; pure lamport closure (tick zero)
-// never force-seals and keeps byte-exact digest parity with sync mode.
-func (s *Server) epochExpire() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	if s.nClosed > 0 && s.nRegistered >= s.cfg.Expected {
-		if s.nClosed < s.nActive && !s.tickForced {
-			s.tickForced = true
-			s.m.epochTickSeals.Inc()
-		}
-		s.advanceLocked()
-	}
-	s.epochTimer.Reset(s.cfg.EpochTick)
 }
 
 func (s *Server) votesLocked(ofPlayer int) wire.Response {
@@ -1494,59 +1448,19 @@ func (s *Server) negCountLocked(obj int) wire.Response {
 	return wire.Response{Count: s.board.NegativeCount(obj), Round: s.round}
 }
 
-// barrierLocked arrives the player — every still-active member, for a
-// swarm session — by stamping round+1, and blocks until the round advances
-// (or the server closes). The first arrival of a round arms the barrier
-// deadline, if one is configured.
-func (s *Server) barrierLocked(sess *session, seq uint64) wire.Response {
-	from, to := sess.memberRange()
-	n := 0
-	for p := from; p < to; p++ {
-		if !s.active[p] {
-			continue
-		}
-		if s.lastStamp[p] > s.round {
-			return wire.Response{Err: "double barrier in one round"}
-		}
-		n++
-	}
-	if n == 0 {
-		return wire.Response{Err: "player is done; no barrier"}
-	}
-	// Journaled (round-buffered, like the posts): a committed round's
-	// arrivals bind the session's dedup window across a restart; an
-	// uncommitted round's are rolled back and re-arrive on retry. A swarm
-	// session's arrival is one record, Player -1, meaning "all active
-	// members of Session".
-	if s.jw != nil {
-		player := sess.player
-		if sess.swarm {
-			player = -1
-		}
-		if err := s.jw.Barrier(sess.id, seq, player); err != nil {
-			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-		}
-	}
-	target := s.round + 1
-	s.stampLocked(sess, target)
-	s.advanceLocked()
-	return s.awaitRoundLocked(target)
-}
-
-// awaitRoundLocked arms the barrier deadline (when the round did not commit
-// immediately) and blocks until the round reaches target or the server
-// closes. Caller holds s.mu.
+// awaitRoundLocked blocks until the open round reaches target or the server
+// closes, arming the deadline of every round it waits on. Caller holds s.mu.
 func (s *Server) awaitRoundLocked(target int) wire.Response {
-	if s.round < target && s.cfg.BarrierDeadline > 0 && s.armedRound != s.round {
-		s.armedRound = s.round
-		round := s.round
-		s.barrierTimer = time.AfterFunc(s.cfg.BarrierDeadline, func() { s.barrierExpire(round) })
-	}
 	var waitStart time.Time
 	if s.m.enabled {
 		waitStart = time.Now()
 	}
 	for s.round < target && !s.closed {
+		if s.cfg.BarrierDeadline > 0 && s.armedRound != s.round {
+			s.armedRound = s.round
+			round := s.round
+			s.barrierTimer = time.AfterFunc(s.cfg.BarrierDeadline, func() { s.deadlineExpire(round) })
+		}
 		s.cond.Wait()
 	}
 	s.m.barrierWait.ObserveSince(waitStart)
@@ -1556,13 +1470,28 @@ func (s *Server) awaitRoundLocked(target int) wire.Response {
 	return wire.Response{Round: s.round}
 }
 
-// barrierExpire fires when a round barrier outlived its deadline: every
-// active player that has not arrived is force-Done'd — journaled, logged —
-// and the round commits.
-func (s *Server) barrierExpire(round int) {
+// deadlineExpire fires when round outlived its deadline, and commits it
+// without the players that have not arrived. In sync mode each of them is
+// force-Done'd — journaled, logged. In epoch mode they stay registered and
+// the round is force-sealed, provided some player has stamped past it;
+// otherwise there is nothing to seal and the round's next arrival re-arms
+// the timer.
+func (s *Server) deadlineExpire(round int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.round != round {
+		return
+	}
+	if s.cfg.Mode == ModeEpoch {
+		if s.nClosed == 0 || s.nRegistered < s.cfg.Expected {
+			s.armedRound = -1
+			return
+		}
+		if s.nClosed < s.nActive && !s.forced {
+			s.forced = true
+			s.m.deadlineSeals.Inc()
+		}
+		s.advanceLocked()
 		return
 	}
 	for p, active := range s.active {
@@ -1585,7 +1514,7 @@ func (s *Server) barrierExpire(round int) {
 	s.advanceLocked()
 }
 
-// leaveLocked deregisters a player from future barriers and re-checks the
+// leaveLocked deregisters a player from future rounds and re-checks the
 // advance condition (its arrival is no longer required). O(1) unless the
 // departure closes the round.
 func (s *Server) leaveLocked(player int) {
@@ -1598,15 +1527,14 @@ func (s *Server) leaveLocked(player int) {
 
 // advanceLocked commits rounds while the open one is closed: everyone
 // expected has registered and every active player's stamp has passed it
-// (or an epoch tick forced it). The rule is the same in both modes, which
-// makes pure lamport pacing isomorphic to the sync barrier: same commit
-// points, same per-round post sets, byte-identical digests. It loops
-// because a seal opens the next round, which epoch stamps several rounds
-// ahead may already close; after a sync seal every stamp equals the new
-// round, so it runs once. A down lane leaves the round open.
+// (or an epoch-mode deadline forced it). The rule is the same in both
+// modes, which is why they commit the same posts into the same rounds
+// until a deadline fires. It loops because a seal opens the next round,
+// which stamps several rounds ahead may already close. A down lane leaves
+// the round open.
 func (s *Server) advanceLocked() {
 	for s.nRegistered >= s.cfg.Expected && s.nActive > 0 &&
-		(s.nClosed == s.nActive || s.tickForced) {
+		(s.nClosed == s.nActive || s.forced) {
 		if !s.sealLocked() {
 			return
 		}
@@ -1625,7 +1553,6 @@ func (s *Server) sealLocked() bool {
 			return false
 		}
 	} else {
-		sealed := s.round
 		s.board.EndRound()
 		s.round++
 		s.roundA.Store(int64(s.round))
@@ -1634,19 +1561,13 @@ func (s *Server) sealLocked() bool {
 		if s.jw != nil {
 			// A marker failure is logged into the error path on the next post;
 			// the in-memory board stays authoritative for this process.
-			if s.cfg.Mode == ModeEpoch {
-				// The epoch marker precedes the round marker so SyncCommit's
-				// round-marker fsync makes both durable together; replay is
-				// board-neutral on it (the round markers alone rebuild state).
-				_ = s.jw.EpochMark(sealed)
-				s.m.epochSeals.Inc()
-			}
 			if s.replLog != nil {
 				_ = s.jw.EndRoundQuorum(nil, s.replTerm, s.replQuorum)
 			} else {
 				_ = s.jw.EndRound()
 			}
-		} else if s.cfg.Mode == ModeEpoch {
+		}
+		if s.cfg.Mode == ModeEpoch {
 			s.m.epochSeals.Inc()
 		}
 	}
@@ -1655,8 +1576,8 @@ func (s *Server) sealLocked() bool {
 		s.barrierTimer.Stop()
 		s.armedRound = -1
 	}
-	// Never rotate once shutdown has begun: Close's broadcast makes barrier
-	// waiters record the errServerClosed sentinel in their dedup windows, and
+	// Never rotate once shutdown has begun: Close's broadcast makes waiting
+	// arrivals record the errServerClosed sentinel in their dedup windows, and
 	// a snapshot taken after that would persist those sentinels — a recovered
 	// server would then replay "server closed" to every retry, forever. The
 	// EndRound marker above already made this commit durable in the journal.
@@ -1669,8 +1590,8 @@ func (s *Server) sealLocked() bool {
 }
 
 // reopenLocked re-derives closure for a freshly opened round and clears
-// any tick force. Only epoch stamps several rounds ahead stay past the new
-// round (a sync stamp equals it). One scan per seal, O(players).
+// any deadline force. Only stamps several rounds ahead stay past the new
+// round. One scan per seal, O(players).
 func (s *Server) reopenLocked() {
 	n := 0
 	for p, active := range s.active {
@@ -1679,5 +1600,5 @@ func (s *Server) reopenLocked() {
 		}
 	}
 	s.nClosed = n
-	s.tickForced = false
+	s.forced = false
 }

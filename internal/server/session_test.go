@@ -1,6 +1,6 @@
 package server_test
 
-// Session-lease, dedup, and barrier-deadline behavior (wire protocol v2).
+// Session-lease, dedup, and round-deadline behavior (wire protocol v2).
 
 import (
 	"bufio"
@@ -19,6 +19,12 @@ import (
 // startServerCfg is startServer with fault-tolerance knobs.
 func startServerCfg(t *testing.T, players, good int, grace, deadline time.Duration) (addr string, tokens []string, srv *server.Server) {
 	t.Helper()
+	return startServerMode(t, server.ModeSync, players, good, grace, deadline)
+}
+
+// startServerMode is startServerCfg in the given mode.
+func startServerMode(t *testing.T, mode server.Mode, players, good int, grace, deadline time.Duration) (addr string, tokens []string, srv *server.Server) {
+	t.Helper()
 	u, err := object.NewPlanted(object.Planted{M: 32, Good: good}, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +35,7 @@ func startServerCfg(t *testing.T, players, good int, grace, deadline time.Durati
 	}
 	srv, err = server.New(server.Config{
 		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		SessionGrace: grace, BarrierDeadline: deadline,
+		SessionGrace: grace, BarrierDeadline: deadline, Mode: mode,
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -234,58 +240,81 @@ func TestSessionHijackRejected(t *testing.T) {
 	}
 }
 
+// TestBarrierDeadlineForceDonesStragglers pins the round deadline's policy
+// in each mode. Either way a round whose straggler never arrives commits
+// once the deadline expires, with the straggler's buffered post. Sync mode
+// force-Dones the straggler: it may neither arrive nor re-register. Epoch
+// mode seals past it: nobody is force-Done'd, and the straggler stays
+// registered.
 func TestBarrierDeadlineForceDonesStragglers(t *testing.T) {
-	addr, _, srv := startServerCfg(t, 2, 4, time.Minute, 80*time.Millisecond)
-	c0, err := client.DialOptions(addr, 0, "tok", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	c1, err := client.DialOptions(addr, 1, "tok", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
+	for _, mode := range []server.Mode{server.ModeSync, server.ModeEpoch} {
+		t.Run(mode.String(), func(t *testing.T) {
+			addr, _, srv := startServerMode(t, mode, 2, 4, time.Minute, 80*time.Millisecond)
+			c0, err := client.DialOptions(addr, 0, "tok", fastOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c0.Close()
+			c1, err := client.DialOptions(addr, 1, "tok", fastOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c1.Close()
 
-	// Player 1 posts but never barriers. Without the deadline player 0
-	// would hang forever (player 1's long session grace keeps it active).
-	if err := c1.Post(2, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	round, err := c0.Barrier()
-	if err != nil {
-		t.Fatalf("barrier: %v", err)
-	}
-	if round != 1 {
-		t.Fatalf("round = %d, want 1", round)
-	}
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond || elapsed > 5*time.Second {
-		t.Fatalf("barrier returned after %v; want ~80ms deadline", elapsed)
-	}
-	fd := srv.ForceDone()
-	if r, ok := fd[1]; !ok || r != 0 {
-		t.Fatalf("force-done map = %v, want player 1 in round 0", fd)
-	}
+			// Player 1 posts but never arrives. Without the deadline player 0
+			// would hang forever (player 1's long session grace keeps it
+			// active).
+			if err := c1.Post(2, 1, false); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			round, err := c0.Barrier()
+			if err != nil {
+				t.Fatalf("barrier: %v", err)
+			}
+			if round != 1 {
+				t.Fatalf("round = %d, want 1", round)
+			}
+			if elapsed := time.Since(start); elapsed < 60*time.Millisecond || elapsed > 5*time.Second {
+				t.Fatalf("barrier returned after %v; want ~80ms deadline", elapsed)
+			}
+			// The straggler's round-0 (negative) post still committed with
+			// the round.
+			if got := c0.NegativeCount(2); got == 0 {
+				t.Fatal("straggler's committed post lost")
+			}
 
-	// The straggler's round-0 (negative) post still committed with the round.
-	if got := c0.NegativeCount(2); got == 0 {
-		t.Fatal("straggler's committed post lost")
-	}
-
-	// The expelled player is out: barrier is an application error (not a
-	// transport failure, so the client surfaces it immediately)…
-	if _, err := c1.Barrier(); err == nil {
-		t.Fatal("barrier from force-done player succeeded")
-	}
-	// …and a fresh registration attempt is refused.
-	c2, err := client.DialOptions(addr, 1, "tok", fastOpts())
-	if err == nil {
-		c2.Close()
-		t.Fatal("force-done player re-registered")
-	}
-	if !strings.Contains(err.Error(), "force-done") {
-		t.Fatalf("unexpected rejection: %v", err)
+			fd := srv.ForceDone()
+			if mode == server.ModeEpoch {
+				if len(fd) != 0 {
+					t.Fatalf("epoch deadline force-done %v", fd)
+				}
+				// Still registered: its late arrival finds its round sealed
+				// and is answered at once.
+				if r, err := c1.Barrier(); err != nil || r != 1 {
+					t.Fatalf("straggler's late arrival: round %d, err %v", r, err)
+				}
+				return
+			}
+			if r, ok := fd[1]; !ok || r != 0 {
+				t.Fatalf("force-done map = %v, want player 1 in round 0", fd)
+			}
+			// The expelled player is out: barrier is an application error
+			// (not a transport failure, so the client surfaces it
+			// immediately)…
+			if _, err := c1.Barrier(); err == nil {
+				t.Fatal("barrier from force-done player succeeded")
+			}
+			// …and a fresh registration attempt is refused.
+			c2, err := client.DialOptions(addr, 1, "tok", fastOpts())
+			if err == nil {
+				c2.Close()
+				t.Fatal("force-done player re-registered")
+			}
+			if !strings.Contains(err.Error(), "force-done") {
+				t.Fatalf("unexpected rejection: %v", err)
+			}
+		})
 	}
 }
 

@@ -499,11 +499,6 @@ func (s *Server) commitShardedLocked() bool {
 	// Durable commit point: the coordinator's marker carries the admitted
 	// pairs, so recovery can top up a lane that misses its seal below.
 	if s.cfg.Mode == ModeEpoch {
-		// The epoch marker precedes the round marker so the round-marker
-		// fsync covers both; replay is board-neutral on it.
-		if s.jw != nil {
-			_ = s.jw.EpochMark(s.round)
-		}
 		s.m.epochSeals.Inc()
 	}
 	if s.jw != nil {

@@ -7,41 +7,23 @@ package swarm
 // numbers are assigned once per frame; after a reconnect the unacked tail
 // is resent under the same numbers, and the server replays already-executed
 // frames idempotently (probe batches recompute without charging, posts and
-// dones acknowledge, barriers answer the round they committed). That is
-// what lets the driver pipeline safely: a lost response never turns into a
-// double-applied side effect.
+// dones acknowledge, an arrival re-executes its stamp, which is already in
+// place). That is what lets the driver pipeline safely: a lost response
+// never turns into a double-applied side effect.
 
 import (
 	"bufio"
 	"context"
-	crand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
-
-// sessionCounter backs session-id generation when crypto/rand fails.
-var sessionCounter atomic.Uint64
-
-// newSessionID picks a client-chosen session id; unique is all that
-// matters (it names the session for resume across reconnects).
-func newSessionID(label int) uint64 {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err == nil {
-		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
-			return id
-		}
-	}
-	return sessionCounter.Add(1)<<16 | uint64(label&0xffff) | 1
-}
 
 // permanentError marks an application-level rejection during connect —
 // retrying the same credentials cannot succeed.
@@ -118,47 +100,14 @@ func (t *transport) pause(d time.Duration) error {
 	}
 }
 
-// idle sleeps for d without charging the backoff counter (epoch pacing
-// waits are expected quiescence, not failures), returning early if the
-// context is canceled.
-func (t *transport) idle(d time.Duration) error {
-	if d <= 0 {
-		return t.ctx.Err()
-	}
-	tm := time.NewTimer(d)
-	defer tm.Stop()
-	select {
-	case <-tm.C:
-		return nil
-	case <-t.ctx.Done():
-		return t.ctx.Err()
-	}
-}
-
-// backoffWith returns the fully-jittered exponential backoff for an attempt
-// (1-based): uniform in (0, min(base·2^(attempt-1), max)].
-func (t *transport) backoffWith(src *rng.Source, attempt int) time.Duration {
-	step := t.opt.BackoffBase
-	for i := 1; i < attempt && step > 0 && step < t.opt.BackoffMax; i++ {
-		step *= 2 // overflow drives step non-positive and exits the loop
-	}
-	if step > t.opt.BackoffMax || step < 0 {
-		step = t.opt.BackoffMax
-	}
-	if step <= 0 {
-		return 0
-	}
-	return time.Duration(1 + src.Uint64n(uint64(step)))
-}
-
 // conn is one pipelined swarm connection: its own session, sequence
 // counter, transport state, and backoff jitter. Not safe for concurrent
 // use; each conn is owned by one goroutine at a time.
 type conn struct {
-	t       *transport
-	label   string // for error messages: "group 2", "group 2 lane 1"
-	lane    bool
-	shard   int
+	t        *transport
+	label    string // for error messages: "group 2", "group 2 lane 1"
+	lane     bool
+	shard    int
 	from, to int // the swarm member range this session registers
 
 	session uint64
@@ -237,7 +186,7 @@ func (c *conn) ensure() (*wire.Response, error) {
 			if c.t.met.enabled {
 				c.t.met.retries.Inc()
 			}
-			if err := c.t.pause(c.t.backoffWith(c.jitter, attempt)); err != nil {
+			if err := c.t.pause(client.Backoff(c.t.opt, c.jitter, attempt)); err != nil {
 				return nil, err
 			}
 		}
@@ -276,7 +225,7 @@ func (c *conn) deadline(d time.Duration) {
 // reconnects (resuming the session) and resends the unacked tail under the
 // same numbers, so the server's in-order replay semantics make the whole
 // batch exactly-once. blocking marks frames that may legitimately stall on
-// other players (barriers): they run under Options.BarrierTimeout instead
+// other players (arrivals): they run under Options.BarrierTimeout instead
 // of CallTimeout. Progress resets the retry budget — only consecutive
 // failures without a single ack count against Options.Retries.
 func (c *conn) exchange(reqs []wire.Request, resps []wire.Response, blocking bool) error {
@@ -311,7 +260,7 @@ func (c *conn) exchange(reqs []wire.Request, resps []wire.Response, blocking boo
 				if c.t.met.enabled {
 					c.t.met.retries.Inc()
 				}
-				if err := c.t.pause(c.t.backoffWith(c.jitter, attempt-1)); err != nil {
+				if err := c.t.pause(client.Backoff(c.t.opt, c.jitter, attempt-1)); err != nil {
 					return err
 				}
 			}

@@ -36,11 +36,11 @@ type boardReader struct {
 	round int
 	err   error
 
-	votes   map[int][]billboard.Vote
-	counts  map[int]int
-	negs    map[int]int
-	windows map[[2]int]map[int]int
-	objects []int
+	votes    map[int][]billboard.Vote
+	counts   map[int]int
+	negs     map[int]int
+	windows  map[[2]int]map[int]int
+	objects  []int
 	haveObjs bool
 }
 

@@ -1,13 +1,11 @@
 package swarm
 
-// Regression test for the reconnect double-delivery of a committed-round
-// notification. The transport resends the unacked frame tail after a
-// reconnect under the same sequence numbers, and the server replays
-// already-executed barriers with the round they originally committed. That
-// replayed notification is a second delivery of a round the group may have
-// already seen — runRound must dedupe on the group's last-seen round instead
-// of adopting the stale value and re-driving rounds the server has long
-// sealed.
+// Regression test for the reconnect double-delivery of an arrival's answer.
+// The transport resends the unacked frame tail after a reconnect under the
+// same sequence numbers, and the server answers an already-executed arrival
+// again. An answer below the arrival's stamp is a replay recorded before the
+// seal, not the seal itself: runRound must re-stamp instead of adopting the
+// stale round and re-driving rounds the server has long sealed.
 
 import (
 	"bufio"
@@ -95,9 +93,9 @@ func startScriptedServer(t *testing.T, handle func(int, *wire.Request) (wire.Res
 }
 
 // newTestGroup wires a single-member group to addr with fast retry knobs —
-// the minimum state runRound's barrier tail touches.
+// the minimum state runRound's arrival tail touches.
 func newTestGroup(addr string) *group {
-	opt := normalizeOptions(client.Options{
+	opt := client.WithDefaults(client.Options{
 		Retries: 8, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
 		CallTimeout: 5 * time.Second, BarrierTimeout: 5 * time.Second,
 	}, 0)
@@ -114,76 +112,21 @@ func newTestGroup(addr string) *group {
 	return g
 }
 
-// TestStaleBarrierReplayDoesNotRegressRound scripts the double-delivery:
-// barrier 1 commits round 2 (the server ran ahead of this group), barrier 2
-// is executed server-side but the connection tears before the response
-// lands, and the resumed session replays the notification with the round
-// the frame originally committed — stale relative to what the group has
-// already seen. The group must treat the replay as a duplicate and keep its
-// round monotone; regressing it would re-drive rounds the server sealed
-// long ago.
-func TestStaleBarrierReplayDoesNotRegressRound(t *testing.T) {
+// TestStaleArrivalReplayRestamps scripts the double-delivery. Arrival 1
+// answers round 2 (the server ran ahead of this group). Arrival 2, stamped
+// 3, is executed server-side but the connection tears before the answer
+// lands; the resumed session replays it with a round below the stamp. The
+// group must resend the bare stamp under a fresh sequence number, and its
+// round must never regress: every arrival of the second round carries
+// stamp 3.
+func TestStaleArrivalReplayRestamps(t *testing.T) {
+	type frame struct {
+		seq   uint64
+		epoch int
+	}
 	var (
-		mu        sync.Mutex
-		barriers  int
-		tornSeq   uint64
-		replayed  bool
-		replaySeq uint64
-	)
-	srv := startScriptedServer(t, func(connNum int, req *wire.Request) (wire.Response, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if req.Type != wire.ReqBarrier {
-			return wire.Response{}, false
-		}
-		barriers++
-		switch {
-		case barriers == 1:
-			return wire.Response{Round: 2}, false
-		case barriers == 2:
-			// Executed server-side, response lost: tear without answering.
-			tornSeq = req.Seq
-			return wire.Response{}, true
-		default:
-			// The resumed session's replay: answer with the round the torn
-			// frame originally committed — stale, the group saw 2 already.
-			replayed = true
-			replaySeq = req.Seq
-			return wire.Response{Round: 1}, false
-		}
-	})
-
-	g := newTestGroup(srv.ln.Addr().String())
-	if err := g.runRound(); err != nil {
-		t.Fatal(err)
-	}
-	if g.round != 2 {
-		t.Fatalf("after barrier 1: group round = %d, want 2", g.round)
-	}
-	if err := g.runRound(); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if !replayed {
-		t.Fatal("connection tear did not trigger a resend of the unacked barrier")
-	}
-	if replaySeq != tornSeq {
-		t.Fatalf("replayed barrier resent as seq %d, torn frame was seq %d — not the unacked tail", replaySeq, tornSeq)
-	}
-	if g.round != 2 {
-		t.Errorf("stale replayed barrier moved group round to %d, want it deduped at 2", g.round)
-	}
-}
-
-// TestStaleEpochReplayRepolls pins the epoch-mode analogue: a stale round in
-// an epoch-poll response is not a seal notification for the target epoch, so
-// the group keeps polling instead of adopting it.
-func TestStaleEpochReplayRepolls(t *testing.T) {
-	var (
-		mu    sync.Mutex
-		polls int
+		mu     sync.Mutex
+		frames []frame
 	)
 	srv := startScriptedServer(t, func(connNum int, req *wire.Request) (wire.Response, bool) {
 		mu.Lock()
@@ -191,25 +134,54 @@ func TestStaleEpochReplayRepolls(t *testing.T) {
 		if req.Type != wire.ReqEpoch {
 			return wire.Response{}, false
 		}
-		polls++
-		if polls < 3 {
-			// Stale deliveries below the target epoch: keep polling.
-			return wire.Response{Round: 0}, false
+		frames = append(frames, frame{req.Seq, req.Epoch})
+		switch len(frames) {
+		case 1:
+			return wire.Response{Round: 2}, false
+		case 2:
+			// Executed server-side, response lost: tear without answering.
+			return wire.Response{}, true
+		case 3:
+			// The resumed session's replay, recorded before the seal: below
+			// the stamp, and below the round the group has already seen.
+			return wire.Response{Round: 1}, false
+		default:
+			return wire.Response{Round: 3}, false
 		}
-		return wire.Response{Round: 1}, false
 	})
 
 	g := newTestGroup(srv.ln.Addr().String())
-	g.d.epoch = true
 	if err := g.runRound(); err != nil {
 		t.Fatal(err)
 	}
+	if g.round != 2 {
+		t.Fatalf("after arrival 1: group round = %d, want 2", g.round)
+	}
+	if err := g.runRound(); err != nil {
+		t.Fatal(err)
+	}
+
 	mu.Lock()
 	defer mu.Unlock()
-	if polls != 3 {
-		t.Errorf("epoch barrier took %d polls, want 3 (stale rounds must re-poll)", polls)
+	if len(frames) != 4 {
+		t.Fatalf("arrival frames = %+v, want stamp, torn stamp, its resend, one re-stamp", frames)
 	}
-	if g.round != 1 {
-		t.Errorf("group round = %d after epoch seal, want 1", g.round)
+	if frames[0].epoch != 1 {
+		t.Errorf("first arrival stamped %d, want 1", frames[0].epoch)
+	}
+	torn, resent, restamp := frames[1], frames[2], frames[3]
+	if resent.seq != torn.seq {
+		t.Errorf("torn arrival resent as seq %d, was seq %d — not the unacked tail", resent.seq, torn.seq)
+	}
+	if restamp.seq <= resent.seq {
+		t.Errorf("re-stamp reused seq %d; a fresh arrival needs a fresh sequence number", restamp.seq)
+	}
+	for _, f := range frames[1:] {
+		if f.epoch != 3 {
+			t.Errorf("second-round arrival stamped %d, want 3: the stale answer moved the group's round", f.epoch)
+		}
+	}
+	if g.round != 3 {
+		t.Errorf("group round = %d after the seal, want 3", g.round)
 	}
 }

@@ -9,7 +9,7 @@
 // random stream, probe count, and post index. A round is a fixed frame
 // pattern per connection group: bulk board reads, chunked probe batches,
 // chunked post batches (scattered to shard lanes with client-stamped
-// per-player indices when the server is sharded), one barrier, then batched
+// per-player indices when the server is sharded), one arrival, then batched
 // deregistration of the players that found their object. Every phase
 // pipelines up to Config.Window frames per connection, and the transport
 // resumes sessions and resends the unacked frame tail across reconnects,
@@ -17,7 +17,7 @@
 //
 // The driver is bit-compatible with the goroutine-per-player path in
 // internal/dist: same per-player randomness (rng.New(Seed).Split(player)),
-// same probe/post/barrier ordering per round, same halt rule — so a
+// same probe/post/arrival ordering per round, same halt rule — so a
 // swarm-backed cluster run commits a byte-identical board digest.
 package swarm
 
@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -108,12 +107,12 @@ type PlayerResult struct {
 
 // Result is a completed swarm run.
 type Result struct {
-	From, To int
-	Players  []PlayerResult // one per player, in player order
-	Rounds   int            // max rounds any player ran
-	Found    int
-	TimedOut int
-	Departed int
+	From, To   int
+	Players    []PlayerResult // one per player, in player order
+	Rounds     int            // max rounds any player ran
+	Found      int
+	TimedOut   int
+	Departed   int
 	MeanProbes float64
 }
 
@@ -148,14 +147,14 @@ func (cfg *Config) applyDefaults() error {
 // playerState is one player's entire footprint in the driver: no goroutine,
 // no connection, no timer — just data the event loop sweeps.
 type playerState struct {
-	src      rng.Source // private stream, rng.New(Seed).Split(player)
-	probes   int32
-	nextIdx  int32 // next sharded post index (client-stamped commit order)
-	rounds   int32
-	active   bool // currently searching (mirrors group membership)
-	found    bool
-	timedOut bool
-	departed bool // left via Dynamics
+	src          rng.Source // private stream, rng.New(Seed).Split(player)
+	probes       int32
+	nextIdx      int32 // next sharded post index (client-stamped commit order)
+	rounds       int32
+	active       bool // currently searching (mirrors group membership)
+	found        bool
+	timedOut     bool
+	departed     bool // left via Dynamics
 	deregistered bool // ReqSwarmDone sent for this player
 }
 
@@ -172,8 +171,8 @@ type group struct {
 	// registered counts the players of this block still registered with the
 	// server (not yet deregistered via ReqSwarmDone). Under Dynamics a group
 	// can hold zero active members while not-yet-arrived players remain
-	// registered; its barrier must still run then, or every other group's
-	// barrier waits forever on this block's silent spectators.
+	// registered; its arrival must still run then, or every other group's
+	// arrival waits forever on this block's silent spectators.
 	registered int
 
 	// Per-round scratch, reused across rounds.
@@ -184,7 +183,7 @@ type group struct {
 	departs []int
 	reqs    []wire.Request
 	resps   []wire.Response
-	round   int // round reported by this group's barrier
+	round   int // round the server last answered this group's arrival with
 }
 
 type driver struct {
@@ -195,9 +194,8 @@ type driver struct {
 	board *boardReader
 	proto *core.Distill
 
-	n       int  // total players served (server-advertised)
+	n       int // total players served (server-advertised)
 	shards  int
-	epoch   bool // server advertised epoch mode in Hello
 	players []playerState // indexed by player-cfg.From
 	groups  []*group
 
@@ -215,7 +213,7 @@ func (d *driver) state(player int) *playerState { return &d.players[player-d.cfg
 
 // Run drives the configured player block to completion: every player either
 // finds a good object or times out at MaxRounds. The context cancels the
-// run (including mid-backoff and mid-barrier).
+// run (including mid-backoff and mid-arrival).
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -223,7 +221,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	opt := normalizeOptions(cfg.Client, cfg.From)
+	opt := client.WithDefaults(cfg.Client, cfg.From)
 	met := newMetrics(cfg.Metrics)
 	d := &driver{cfg: cfg, met: met}
 	d.t = &transport{
@@ -246,7 +244,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		g.prim = &conn{
 			t: d.t, label: fmt.Sprintf("group %d", gi),
 			from: gFrom, to: gTo,
-			session: newSessionID(gFrom),
+			session: client.NewSessionID(gFrom),
 			jitter:  rng.New(opt.Seed).Split(0x5731 + uint64(gi)),
 		}
 		g.registered = gTo - gFrom
@@ -268,19 +266,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}()
 
 	// Eager handshakes: group 0 first (its Hello payload carries the
-	// universe), then the rest.
+	// universe), then the rest. Each group paces from its Hello's round.
 	hello, err := d.groups[0].prim.ensure()
 	if err != nil {
 		return nil, err
 	}
+	d.groups[0].round = hello.Round
 	d.n = hello.N
 	d.shards = max(hello.Shards, 1)
-	d.epoch = hello.Mode == wire.ModeEpoch
 	d.uni = &universe{m: hello.M, costs: hello.Costs, localTesting: hello.LocalTesting}
 	for _, g := range d.groups[1:] {
-		if _, err := g.prim.ensure(); err != nil {
+		resp, err := g.prim.ensure()
+		if err != nil {
 			return nil, err
 		}
+		g.round = resp.Round
 	}
 	if d.shards > 1 {
 		for _, g := range d.groups {
@@ -290,7 +290,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					t: d.t, label: fmt.Sprintf("group %d lane %d", g.idx, k),
 					lane: true, shard: k,
 					from: g.from, to: g.to,
-					session: newSessionID(g.from),
+					session: client.NewSessionID(g.from),
 					jitter:  rng.New(opt.Seed).Split(0x173e + uint64(g.idx)<<16 + uint64(k)),
 				}
 			}
@@ -379,7 +379,7 @@ func (d *driver) run() error {
 			return fmt.Errorf("swarm: board read: %w", d.board.err)
 		}
 
-		// Fan out: each group runs probes → posts → barrier on its own
+		// Fan out: each group runs probes → posts → arrival on its own
 		// connections; player state blocks are disjoint, so this is
 		// race-free by construction.
 		if err := d.eachGroup(func(g *group) error { return g.runRound() }); err != nil {
@@ -613,13 +613,13 @@ func (d *driver) eachGroup(fn func(g *group) error) error {
 
 // runRound executes one group's share of a round: chunked pipelined probe
 // batches, the resulting posts (scattered to shard lanes when sharded),
-// and the round barrier.
+// and the group's arrival.
 func (g *group) runRound() error {
 	if len(g.members) == 0 && g.registered == 0 {
-		// A fully deregistered group adds nothing; its barrier would only
+		// A fully deregistered group adds nothing; its arrival would only
 		// wait on everyone else. A group with no ACTIVE members but
 		// registered spectators (open-world Dynamics) must still fall
-		// through to the barrier — the server waits on its whole block.
+		// through to the arrival — the server waits on its whole block.
 		return nil
 	}
 	d := g.d
@@ -706,44 +706,26 @@ func (g *group) runRound() error {
 		}
 	}
 
-	// Barrier: every post of this group is acknowledged (journaled and
-	// buffered server-side), so arriving the whole block is safe. In epoch
-	// mode the barrier frame is replaced by a lamport stamp covering the
-	// block plus a non-blocking poll until the target epoch seals.
+	// Arrival: every post of this group is acknowledged (journaled and
+	// buffered server-side), so arriving the whole block is safe. One frame
+	// stamps the block past the group's round, and the server answers once
+	// that round has committed. An answer below the stamp can only be a
+	// replay recorded before the seal, so the bare stamp is re-sent; the
+	// group's round only ever moves forward.
 	start := time.Now()
-	if d.epoch {
-		target := g.round + 1
-		for {
-			resp, err := g.prim.one(wire.Request{Type: wire.ReqEpoch, Epoch: target}, false)
-			if err != nil {
-				return err
-			}
-			if resp.Round >= target {
-				if d.met.enabled {
-					d.met.barrierSeconds.ObserveSince(start)
-				}
-				if resp.Round > g.round {
-					g.round = resp.Round
-				}
-				return nil
-			}
-			if err := d.t.idle(d.t.opt.EpochPoll); err != nil {
-				return err
-			}
+	target := g.round + 1
+	for {
+		resp, err := g.prim.one(wire.Request{Type: wire.ReqEpoch, Epoch: target}, true)
+		if err != nil {
+			return err
 		}
-	}
-	resp, err := g.prim.one(wire.Request{Type: wire.ReqBarrier}, true)
-	if err != nil {
-		return err
+		if resp.Round >= target {
+			g.round = resp.Round
+			break
+		}
 	}
 	if d.met.enabled {
 		d.met.barrierSeconds.ObserveSince(start)
-	}
-	// Monotone: a reconnect can replay the unacked tail, and a replayed
-	// barrier answers the round it originally committed — never let that
-	// stale delivery move the group's round backwards.
-	if resp.Round > g.round {
-		g.round = resp.Round
 	}
 	return nil
 }
@@ -780,10 +762,10 @@ func (d *driver) collect() *Result {
 	for i := range d.players {
 		st := &d.players[i]
 		pr := PlayerResult{
-			Player: d.cfg.From + i,
-			Probes: int(st.probes),
-			Rounds: int(st.rounds),
-			Found:  st.found,
+			Player:   d.cfg.From + i,
+			Probes:   int(st.probes),
+			Rounds:   int(st.rounds),
+			Found:    st.found,
 			TimedOut: st.timedOut,
 			Departed: st.departed,
 		}
@@ -812,40 +794,4 @@ func resize(s []wire.Response, n int) []wire.Response {
 		return make([]wire.Response, n)
 	}
 	return s[:n]
-}
-
-// normalizeOptions applies the client package's option defaults (the swarm
-// shares the knob set, including the faultnet dialer hook).
-func normalizeOptions(o client.Options, label int) client.Options {
-	if o.Dialer == nil {
-		o.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	if o.Retries == 0 {
-		o.Retries = 8
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 5 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 500 * time.Millisecond
-	}
-	if o.CallTimeout == 0 {
-		o.CallTimeout = 30 * time.Second
-	}
-	if o.CallTimeout < 0 {
-		o.CallTimeout = 0
-	}
-	if o.EpochPoll == 0 {
-		o.EpochPoll = 2 * time.Millisecond
-	}
-	if o.EpochPoll < 0 {
-		o.EpochPoll = 0
-	}
-	if o.Seed == 0 {
-		o.Seed = 0x9e3779b97f4a7c15 ^ uint64(label)
-	}
-	return o
 }

@@ -17,7 +17,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Type: ReqHello, Player: 0, Token: "tok", Version: Version, Session: 1},
 		{Type: ReqProbe, Object: 5, Session: 1, Seq: 1},
 		{Type: ReqPost, Object: 5, Value: -1.5, Positive: true, Session: 1, Seq: 2},
-		{Type: ReqBarrier, Session: 1, Seq: 3},
+		{Type: ReqEpoch, Epoch: 1, Session: 1, Seq: 3},
 		// Protocol v4: lane hello and shard-routed indexed batch.
 		{Type: ReqHello, Player: 1, Token: "tok", Version: Version, Session: 2, Lane: true, Shard: 3},
 		{Type: ReqPostBatch, Session: 2, Seq: 4, Shard: 3,

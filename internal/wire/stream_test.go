@@ -20,7 +20,7 @@ func TestStreamRoundTrip(t *testing.T) {
 			{Object: 5, Value: 0.5, Positive: true, Index: 0},
 			{Object: 9, Value: 0.25, Index: 1},
 		}, EndRound: true},
-		{Type: ReqBarrier, Session: 7, Seq: 2},
+		{Type: ReqEpoch, Epoch: 1, Session: 7, Seq: 2},
 		{}, // all-zero frame: nothing from the batch frame may survive
 	}
 	for i := range reqs {
@@ -133,7 +133,7 @@ func TestStreamDecoderRejectsGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewStreamEncoder(&buf)
 	for i := 0; i < 2; i++ {
-		if err := enc.EncodeRequest(&Request{Type: ReqBarrier, Seq: uint64(i + 1)}); err != nil {
+		if err := enc.EncodeRequest(&Request{Type: ReqEpoch, Epoch: i + 1, Seq: uint64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

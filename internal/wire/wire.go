@@ -11,9 +11,10 @@
 //   - timestamps: the server stamps posts with its round counter;
 //   - append-only: there is no delete or amend request;
 //
-// and the synchrony §1.2 says timestamps can simulate: a Barrier request
-// ends the caller's round and blocks until every active player has done the
-// same, at which point the server commits the round's posts.
+// and the synchrony §1.2 says timestamps can simulate: an arrival (ReqEpoch,
+// or a ReqPostBatch that ends the round) stamps "I have finished every round
+// below Epoch" and is answered once the server has committed those rounds —
+// which happens when every active player has arrived past them.
 //
 // Version 2 adds fault tolerance to the transport:
 //
@@ -62,13 +63,12 @@ const (
 	ReqNegCount
 	// ReqWindow counts vote events per object in a round window.
 	ReqWindow
-	// ReqBarrier ends the caller's round and blocks until it advances.
-	ReqBarrier
 	// ReqDone deregisters the caller (it halted).
 	ReqDone
 	// ReqPostBatch (protocol v3) appends a whole round's posts in one
-	// frame and, when Request.EndRound is set, also ends the caller's
-	// round — collapsing O(posts) round-trips plus a barrier into one.
+	// frame and, when Request.EndRound is set, is also the caller's arrival
+	// at Request.Epoch — collapsing O(posts) round-trips plus the arrival
+	// into one.
 	ReqPostBatch
 	// ReqProbeBatch (protocol v7) probes on behalf of many players of a
 	// swarm session in one frame: Request.Probes lists (player, object)
@@ -83,12 +83,12 @@ const (
 	// its player. The swarm driver prefetches a whole advice round's vote
 	// lookups this way instead of one ReqVotes round-trip per player.
 	ReqVoteBatch
-	// ReqEpoch (protocol v8) is the non-blocking epoch-mode pacing frame:
-	// Request.Epoch carries the caller's lamport stamp ("I have finished
-	// submitting every epoch below this"), the response's Round reports the
-	// server's currently open epoch, and the call returns immediately —
-	// never waiting on other players. Rejected by servers running in
-	// synchronous mode.
+	// ReqEpoch is the arrival frame: Request.Epoch carries the caller's
+	// stamp ("I have finished every round below this", at least 1), and
+	// the server answers once its open round has reached the stamp. The
+	// response's Round is that round. Stamps are monotone, so a resent or
+	// stale arrival is harmless: if its round already committed it is
+	// answered at once.
 	ReqEpoch
 )
 
@@ -111,8 +111,6 @@ func (t ReqType) String() string {
 		return "neg-count"
 	case ReqWindow:
 		return "window"
-	case ReqBarrier:
-		return "barrier"
 	case ReqDone:
 		return "done"
 	case ReqPostBatch:
@@ -161,15 +159,20 @@ func (t ReqType) String() string {
 // pipeline many frames per connection and resend the unacknowledged tail
 // after a reconnect without a server-side response window.
 //
-// Version 8 adds asynchronous epoch mode: the Hello reply advertises the
-// server's operation mode (Response.Mode — 0 synchronous rounds, 1
-// timestamped epochs), post batches and pacing frames carry a lamport
-// epoch stamp (Request.Epoch), the non-blocking ReqEpoch frame replaces
-// the blocking barrier as the epoch-mode pacing primitive, and window
-// queries may ask for a sliding window relative to the current round
-// (Request.Last) instead of absolute bounds. Synchronous-mode streams are
-// wire-identical to v7 apart from the version number.
-const Version = 8
+// Version 8 added epoch mode: arrivals carry a lamport stamp
+// (Request.Epoch) on the ReqEpoch frame, and window queries may ask for a
+// sliding window relative to the current round (Request.Last) instead of
+// absolute bounds.
+//
+// Version 9 has one arrival frame for both operation modes. The blocking
+// barrier request and the Hello reply's mode field are gone, and the
+// request kinds after ReqWindow moved down by one. An arrival is a ReqEpoch, or a ReqPostBatch
+// with EndRound set, carrying an explicit target stamp (Epoch >= 1); the
+// server answers it once the open round has reached the target, in either
+// mode. The mode is server policy only: it decides what a round's deadline
+// does to players that have not arrived. A client therefore never learns
+// or branches on it.
+const Version = 9
 
 // Shard maps an object id onto one of shards lanes. It is the single
 // shard-map definition shared by client and server: deterministic, seedless,
@@ -229,10 +232,10 @@ type Request struct {
 	Last     int
 
 	// PostBatch payload (protocol v3): the round's posts, applied in
-	// order. EndRound, when true, additionally ends the caller's round in
-	// the same frame (the response is then the barrier response). The
-	// whole batch executes under one sequence number, so the v2 dedup
-	// gives it the same exactly-once retry semantics as a single request.
+	// order. EndRound, when true, makes the same frame the caller's
+	// arrival at Epoch (the response is then the arrival's). The whole
+	// batch executes under one sequence number, so the v2 dedup gives it
+	// the same exactly-once retry semantics as a single request.
 	Posts    []PostMsg
 	EndRound bool
 
@@ -261,11 +264,11 @@ type Request struct {
 	// SwarmDone payload (protocol v7): the players that halted.
 	Players []int
 
-	// Epoch (protocol v8) is the caller's lamport epoch stamp, meaningful
-	// on ReqEpoch and epoch-mode ReqPostBatch frames: the player asserts it
-	// has finished submitting every epoch below Epoch. The server seals an
-	// epoch once every active player's stamp has passed it — the
-	// non-blocking analogue of barrier arrival. Zero means "no stamp".
+	// Epoch (protocol v8) is the arrival's target stamp, meaningful on
+	// ReqEpoch and on a ReqPostBatch with EndRound set: the player asserts
+	// it has finished every round below Epoch. The server commits a round
+	// once every active player's stamp has passed it. An arrival must
+	// carry Epoch >= 1.
 	Epoch int
 }
 
@@ -390,7 +393,9 @@ type Response struct {
 	Count   int
 	Counts  map[int]int
 
-	// Barrier / round info (also set on Hello: the current round).
+	// Round is the server's open round when it answered: on an arrival,
+	// the round its target released; on Hello and every other request, the
+	// current round.
 	Round int
 
 	// Shards (protocol v4) is the server's lane count, advertised on the
@@ -406,21 +411,7 @@ type Response struct {
 	// ProbeResults (protocol v7) answers a ReqProbeBatch, one entry per
 	// Request.Probes element, in order.
 	ProbeResults []ProbeRes
-
-	// Mode (protocol v8) is the server's operation mode, advertised on the
-	// Hello reply: ModeSync (ReqBarrier paces) or ModeEpoch (ReqEpoch
-	// paces; ReqBarrier is rejected).
-	Mode uint8
 }
-
-// Operation modes carried in Response.Mode (protocol v8).
-const (
-	// ModeSync: synchronous rounds behind a global blocking barrier.
-	ModeSync uint8 = 0
-	// ModeEpoch: timestamped epochs advanced by lamport stamps; pacing is
-	// non-blocking polling via ReqEpoch.
-	ModeEpoch uint8 = 1
-)
 
 // Error materializes the response error, if any. Responses tagged with a
 // v4 code wrap the matching sentinel, so errors.Is(err, ErrSessionExpired)

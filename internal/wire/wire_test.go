@@ -17,9 +17,12 @@ func TestReqTypeStrings(t *testing.T) {
 		ReqVoteCount:    "vote-count",
 		ReqNegCount:     "neg-count",
 		ReqWindow:       "window",
-		ReqBarrier:      "barrier",
 		ReqDone:         "done",
 		ReqPostBatch:    "post-batch",
+		ReqProbeBatch:   "probe-batch",
+		ReqSwarmDone:    "swarm-done",
+		ReqVoteBatch:    "vote-batch",
+		ReqEpoch:        "epoch",
 	}
 	for typ, want := range named {
 		if got := typ.String(); got != want {

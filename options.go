@@ -162,20 +162,12 @@ func WithContext(ctx context.Context) RunOption {
 // ---------------------------------------------------------------------------
 // Cluster-only options.
 
-// WithMode selects the cluster's operation mode: ModeSync (the default)
-// closes rounds through the global barrier, ModeEpoch replaces it with
-// lamport-paced epochs — gossip-style operation that never blocks a frame
-// on other players.
+// WithMode selects the cluster's operation mode, which decides what an
+// expired round deadline (ClusterConfig.BarrierDeadline) does to the
+// players that have not arrived: ModeSync (the default) force-Dones them,
+// ModeEpoch seals the round without them.
 func WithMode(m ServerMode) ClusterOption {
 	return clusterOptionFunc(func(c *ClusterConfig) { c.Mode = m })
-}
-
-// WithEpochTick arms the wall-clock epoch clock for a ModeEpoch cluster:
-// epochs also seal every d even when stragglers have not stamped past them
-// (trading the byte-exact sync equivalence of pure lamport pacing for
-// bounded epoch latency).
-func WithEpochTick(d time.Duration) ClusterOption {
-	return clusterOptionFunc(func(c *ClusterConfig) { c.EpochTick = d })
 }
 
 // ---------------------------------------------------------------------------
@@ -221,23 +213,17 @@ func WithBackoff(base, max time.Duration) DialOption {
 	return dialOptionFunc(func(o *ClientOptions) { o.BackoffBase, o.BackoffMax = base, max })
 }
 
-// WithCallTimeout bounds one attempt of a non-barrier call. Negative
+// WithCallTimeout bounds one attempt of every call but an arrival. Negative
 // disables the deadline.
 func WithCallTimeout(d time.Duration) DialOption {
 	return dialOptionFunc(func(o *ClientOptions) { o.CallTimeout = d })
 }
 
-// WithBarrierTimeout bounds one attempt of a Barrier call (default: no
-// deadline — barriers block legitimately while other players finish).
+// WithBarrierTimeout bounds one attempt of every arrival — Barrier, and
+// PostBatch ending the round (default: no deadline — an arrival blocks
+// legitimately while other players finish).
 func WithBarrierTimeout(d time.Duration) DialOption {
 	return dialOptionFunc(func(o *ClientOptions) { o.BarrierTimeout = d })
-}
-
-// WithEpochPoll sets the sleep between epoch pacing polls against a
-// ModeEpoch server (default 2ms; negative polls without sleeping). Sync
-// servers ignore it — the client learns the mode from the handshake.
-func WithEpochPoll(d time.Duration) DialOption {
-	return dialOptionFunc(func(o *ClientOptions) { o.EpochPoll = d })
 }
 
 // WithDialer overrides the transport dial — the hook fault injection
