@@ -112,14 +112,14 @@ func newTestGroup(addr string) *group {
 	return g
 }
 
-// TestStaleArrivalReplayRestamps scripts the double-delivery. Arrival 1
-// answers round 2 (the server ran ahead of this group). Arrival 2, stamped
-// 3, is executed server-side but the connection tears before the answer
-// lands; the resumed session replays it with a round below the stamp. The
-// group must resend the bare stamp under a fresh sequence number, and its
-// round must never regress: every arrival of the second round carries
+// TestStaleBarrierReplayDoesNotRegressRound scripts the double-delivery.
+// Arrival 1 answers round 2 (the server ran ahead of this group). Arrival 2,
+// stamped 3, is executed server-side but the connection tears before the
+// answer lands; the resumed session replays it with a round below the stamp.
+// The group must resend the bare stamp under a fresh sequence number, and
+// its round must never regress: every arrival of the second round carries
 // stamp 3.
-func TestStaleArrivalReplayRestamps(t *testing.T) {
+func TestStaleBarrierReplayDoesNotRegressRound(t *testing.T) {
 	type frame struct {
 		seq   uint64
 		epoch int
@@ -183,5 +183,54 @@ func TestStaleArrivalReplayRestamps(t *testing.T) {
 	}
 	if g.round != 3 {
 		t.Errorf("group round = %d after the seal, want 3", g.round)
+	}
+}
+
+// TestStaleEpochReplayRepolls pins the same rule on a healthy connection:
+// an answer below the stamp is not the seal of the stamped round, so the
+// group re-sends the bare stamp, each time under a fresh sequence number,
+// until the answer reaches it.
+func TestStaleEpochReplayRepolls(t *testing.T) {
+	type frame struct {
+		seq   uint64
+		epoch int
+	}
+	var (
+		mu     sync.Mutex
+		frames []frame
+	)
+	srv := startScriptedServer(t, func(connNum int, req *wire.Request) (wire.Response, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if req.Type != wire.ReqEpoch {
+			return wire.Response{}, false
+		}
+		frames = append(frames, frame{req.Seq, req.Epoch})
+		if len(frames) < 3 {
+			// Stale answers below the stamp: re-stamp.
+			return wire.Response{Round: 0}, false
+		}
+		return wire.Response{Round: 1}, false
+	})
+
+	g := newTestGroup(srv.ln.Addr().String())
+	if err := g.runRound(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(frames) != 3 {
+		t.Fatalf("arrival took %d frames, want 3 (stale answers must re-stamp)", len(frames))
+	}
+	for i, f := range frames {
+		if f.epoch != 1 {
+			t.Errorf("arrival %d stamped %d, want 1", i, f.epoch)
+		}
+		if i > 0 && f.seq <= frames[i-1].seq {
+			t.Errorf("re-stamp %d reused seq %d; a fresh arrival needs a fresh sequence number", i, f.seq)
+		}
+	}
+	if g.round != 1 {
+		t.Errorf("group round = %d after the seal, want 1", g.round)
 	}
 }
