@@ -17,8 +17,12 @@
 # seal audit, the stale-arrival re-stamp, the closure-counter edges in both
 # modes) doubled under -race, the scenario-replay golden (same file + seed
 # → byte-identical digest) doubled under -race plus the open-world swarm
-# dynamics suite and a `cmd/experiments -scenario` smoke test, and a
-# 1-iteration bench smoke so a broken benchmark cannot land silently.
+# dynamics suite and a `cmd/experiments -scenario` smoke test, a
+# 1-iteration bench smoke so a broken benchmark cannot land silently, and a
+# vet + unit-test pass over perfbench (the repo's benchmark harness, a module
+# of its own that imports internal/server, internal/swarm and
+# internal/client), so a change to those packages cannot break the
+# benchmark's build unnoticed.
 
 GO ?= go
 
@@ -44,6 +48,7 @@ check: build
 	$(GO) test -race -run 'TestSwarmDynamics|TestEngineReplayDeterministic|TestClusterReplayDeterministic' -count=2 ./internal/dist ./internal/scenario
 	$(GO) test -race -run 'TestScenario' ./cmd/experiments
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/server > /dev/null
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short passes over every fuzz harness: the byte-level decoders (client and
 # replica wire frames, the journal) and the billboard state machine. Each

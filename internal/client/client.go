@@ -11,6 +11,10 @@
 // Options.Retries and per-call deadlines. The server deduplicates on the
 // sequence number, so a retry never re-executes a request whose response
 // was lost — in particular, a retried Probe is never charged twice.
+//
+// The client's session is a player range of one (wire protocol v10): it
+// speaks the same batch frames as the swarm driver, each entry naming the
+// client's own player.
 package client
 
 import (
@@ -537,36 +541,27 @@ type ProbeResult struct {
 }
 
 // Probe pays object obj's cost and reveals its value (plus goodness under
-// local testing). Retried probes are deduplicated server-side: the cost is
-// charged at most once per call.
+// local testing): a probe batch of one. Retried probes are deduplicated
+// server-side: the cost is charged at most once per call. The cost reported
+// is the object's public cost from the Hello payload.
 func (c *Client) Probe(obj int) (ProbeResult, error) {
-	resp, err := c.call(wire.Request{Type: wire.ReqProbe, Object: obj})
+	resp, err := c.call(wire.Request{
+		Type: wire.ReqProbeBatch, Probes: []wire.ProbeMsg{{Player: c.player, Object: obj}},
+	})
 	if err != nil {
 		return ProbeResult{}, err
 	}
-	return ProbeResult{Value: resp.Value, Good: resp.Good, Cost: resp.Cost}, nil
+	if len(resp.ProbeResults) != 1 || obj < 0 || obj >= len(c.costs) {
+		return ProbeResult{}, fmt.Errorf("client: malformed answer to a probe of object %d", obj)
+	}
+	r := resp.ProbeResults[0]
+	return ProbeResult{Value: r.Value, Good: r.Good, Cost: c.costs[obj]}, nil
 }
 
-// Post appends a report under the client's authenticated identity. Against
-// a sharded server the post travels on the owning shard's lane, stamped
-// with the client's running index so commit order follows posting order.
+// Post appends a report under the client's authenticated identity: a
+// PostBatch of one that does not end the round.
 func (c *Client) Post(obj int, value float64, positive bool) error {
-	if c.shards > 1 {
-		if c.closed {
-			return ErrClosed
-		}
-		if c.lastErr != nil {
-			return c.lastErr
-		}
-		msgs := []wire.PostMsg{{Object: obj, Value: value, Positive: positive}}
-		c.stampIndices(msgs)
-		if err := c.scatterPosts(msgs); err != nil {
-			return err
-		}
-		c.commitIndices(msgs)
-		return nil
-	}
-	_, err := c.call(wire.Request{Type: wire.ReqPost, Object: obj, Value: value, Positive: positive})
+	_, err := c.PostBatch([]BatchPost{{Object: obj, Value: value, Positive: positive}}, false)
 	return err
 }
 
@@ -592,7 +587,7 @@ type BatchPost struct {
 func (c *Client) PostBatch(posts []BatchPost, endRound bool) (int, error) {
 	msgs := make([]wire.PostMsg, len(posts))
 	for i, p := range posts {
-		msgs[i] = wire.PostMsg{Object: p.Object, Value: p.Value, Positive: p.Positive}
+		msgs[i] = wire.PostMsg{Player: c.player, Object: p.Object, Value: p.Value, Positive: p.Positive}
 	}
 	if c.shards > 1 {
 		if c.closed {
@@ -653,7 +648,7 @@ func (c *Client) arrive(req wire.Request) (int, error) {
 
 // Done deregisters the player from future rounds.
 func (c *Client) Done() error {
-	_, err := c.call(wire.Request{Type: wire.ReqDone})
+	_, err := c.call(wire.Request{Type: wire.ReqDone, Players: []int{c.player}})
 	return err
 }
 
@@ -678,7 +673,7 @@ func (c *Client) Round() int { return c.round }
 
 // Votes returns player p's committed votes.
 func (c *Client) Votes(player int) []billboard.Vote {
-	resp, err := c.call(wire.Request{Type: wire.ReqVotes, OfPlayer: player})
+	resp, err := c.call(wire.Request{Type: wire.ReqVoteBatch, Players: []int{player}})
 	if err != nil {
 		c.noteReadErr(err)
 		return nil

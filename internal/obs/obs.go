@@ -16,7 +16,7 @@
 //
 // Metric names follow Prometheus conventions (snake_case, unit-suffixed,
 // `_total` for counters). A name may carry a literal label set, e.g.
-// `server_requests_total{type="probe"}`; the registry treats the full
+// `server_requests_total{type="probe-batch"}`; the registry treats the full
 // string as the metric identity and the exposition writer groups HELP/TYPE
 // lines by the family name before the brace.
 package obs

@@ -96,7 +96,7 @@ func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 	}
 	seq := uint64(0)
 	seq++
-	if resp, ok := send(wire.Request{Type: wire.ReqDone, Session: 99, Seq: seq}); !ok || resp.Err != "" {
+	if resp, ok := send(wire.Request{Type: wire.ReqDone, Players: []int{1}, Session: 99, Seq: seq}); !ok || resp.Err != "" {
 		t.Fatalf("reader done: %+v", resp)
 	}
 

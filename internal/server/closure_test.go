@@ -282,7 +282,7 @@ func TestClosureCounter(t *testing.T) {
 				sw := r.joinSwarm(2, 4)
 				wa, ws := r.arrive(a), r.arrive(sw)
 				r.expect(closureState{round: 0, registered: 4, active: 4, closed: 3})
-				if resp := r.send(b, wire.Request{Type: wire.ReqDone}); resp.Round != 1 {
+				if resp := r.send(b, wire.Request{Type: wire.ReqDone, Players: []int{1}}); resp.Round != 1 {
 					r.tb.Fatalf("done answered round %d, want 1", resp.Round)
 				}
 				r.answered(wa, 1)
@@ -291,10 +291,10 @@ func TestClosureCounter(t *testing.T) {
 				// A done batch departs one member at a time: the round seals
 				// when its last unclosed member leaves.
 				wa = r.arrive(a)
-				r.send(sw, wire.Request{Type: wire.ReqSwarmDone, Players: []int{2}})
+				r.send(sw, wire.Request{Type: wire.ReqDone, Players: []int{2}})
 				r.expect(closureState{round: 1, registered: 4, active: 2, closed: 1})
-				if resp := r.send(sw, wire.Request{Type: wire.ReqSwarmDone, Players: []int{3}}); resp.Round != 2 {
-					r.tb.Fatalf("swarm-done answered round %d, want 2", resp.Round)
+				if resp := r.send(sw, wire.Request{Type: wire.ReqDone, Players: []int{3}}); resp.Round != 2 {
+					r.tb.Fatalf("done answered round %d, want 2", resp.Round)
 				}
 				r.answered(wa, 2)
 				r.expect(closureState{round: 2, registered: 4, active: 1, closed: 0})
@@ -416,7 +416,7 @@ func TestClosureCounter(t *testing.T) {
 
 // TestClosureSwarmLeaseExpiry pins that a swarm session's lease expiry in
 // epoch mode departs its members one at a time through the same closure
-// path as a swarm-done frame: the same commit point, counters and board.
+// path as a done frame: the same commit point, counters and board.
 func TestClosureSwarmLeaseExpiry(t *testing.T) {
 	run := func(expire bool) (closureState, []byte) {
 		cfg := rigConfig(t, ModeEpoch, 3)
@@ -436,7 +436,7 @@ func TestClosureSwarmLeaseExpiry(t *testing.T) {
 			r.s.disconnect(sw, r.gens[sw])
 			r.waitFor("lease expiry", func() bool { return r.s.round == 1 })
 		} else {
-			r.send(sw, wire.Request{Type: wire.ReqSwarmDone, Players: []int{1, 2}})
+			r.send(sw, wire.Request{Type: wire.ReqDone, Players: []int{1, 2}})
 		}
 		r.answered(wa, 1)
 		return r.state(), r.s.Digest()

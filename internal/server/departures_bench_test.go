@@ -10,9 +10,8 @@ import (
 // BenchmarkSwarmDepartures prices the pacing bookkeeping of a swarm's
 // departures: each iteration registers one swarm session of 4k or 32k
 // players, closes round 0 with one arrival, and departs every player in 8
-// swarm-done batches. A
-// departure must cost O(1), so ns/player stays flat from 4k to 32k in both
-// modes. Server construction is outside the timer.
+// done batches. A departure must cost O(1), so ns/player stays flat from 4k
+// to 32k in both modes. Server construction is outside the timer.
 func BenchmarkSwarmDepartures(b *testing.B) {
 	for _, mode := range []Mode{ModeSync, ModeEpoch} {
 		for _, players := range []int{4 << 10, 32 << 10} {
@@ -36,7 +35,7 @@ func BenchmarkSwarmDepartures(b *testing.B) {
 						b.Fatalf("round 0 did not close: %+v", resp)
 					}
 					for _, batch := range done {
-						r.send(sess, wire.Request{Type: wire.ReqSwarmDone, Players: batch})
+						r.send(sess, wire.Request{Type: wire.ReqDone, Players: batch})
 					}
 					b.StopTimer()
 					r.s.Close()

@@ -113,11 +113,11 @@ func TestMetricsEndpointGolden(t *testing.T) {
 		`server_dedup_replays_total 0`,
 		`server_force_done_total 0`,
 		`server_requests_total{type="hello"} 2`,
-		`server_requests_total{type="probe"} 2`,
+		`server_requests_total{type="probe-batch"} 2`,
 		`server_requests_total{type="post-batch"} 2`,
 		`server_requests_total{type="window"} 2`,
 		`server_requests_total{type="done"} 2`,
-		`server_requests_total{type="post"} 0`,
+		`server_requests_total{type="vote-batch"} 0`,
 		`server_read_cache_hits_total 1`,
 		`server_read_cache_misses_total 1`,
 		`server_barrier_wait_seconds_count 2`,
@@ -265,11 +265,11 @@ func TestMetricsConcurrentClients(t *testing.T) {
 		t.Errorf("request counters sum to %v, server decoded %v frames", requestTotal, got)
 	}
 	for name, want := range map[string]float64{
-		"server_rounds_total":                              rounds,
-		"server_sessions_opened_total":                     players,
-		"billboard_posts_total":                            players * rounds,
-		"client_dials_total":                               players,
-		fmt.Sprintf(`server_requests_total{type="probe"}`): players * rounds,
+		"server_rounds_total":                       rounds,
+		"server_sessions_opened_total":              players,
+		"billboard_posts_total":                     players * rounds,
+		"client_dials_total":                        players,
+		`server_requests_total{type="probe-batch"}`: players * rounds,
 	} {
 		if snap[name] != want {
 			t.Errorf("%s = %v, want %v", name, snap[name], want)

@@ -29,9 +29,10 @@ import (
 )
 
 // sessionSnap is one session's dedup window inside a server snapshot.
-// Swarm/PlayerTo mark a swarm session's member range [Player, PlayerTo);
-// both are zero for ordinary sessions (and absent in snapshots taken
-// before the swarm extension — gob tolerates either direction).
+// Swarm marks a session the swarm credential opened, for the range
+// [Player, PlayerTo); a player's own session is [Player, Player+1), whatever
+// PlayerTo says (snapshots taken before every session was a range leave it
+// zero).
 type sessionSnap struct {
 	ID       uint64
 	Player   int
@@ -39,6 +40,31 @@ type sessionSnap struct {
 	LastResp wire.Response
 	Swarm    bool
 	PlayerTo int
+}
+
+// snapOf records sess in a snapshot, answering its last sequence with resp.
+func snapOf(sess *session, resp wire.Response) sessionSnap {
+	return sessionSnap{
+		ID: sess.id, Player: sess.player, LastSeq: sess.lastSeq, LastResp: resp,
+		Swarm: sess.swarm, PlayerTo: sess.playerTo,
+	}
+}
+
+// playerTo returns the end of the snapshotted session's range.
+func (ss sessionSnap) playerTo() int {
+	if ss.Swarm {
+		return ss.PlayerTo
+	}
+	return ss.Player + 1
+}
+
+// session rebuilds the snapshotted session, disconnected and with a loose
+// sequence check: the client's counter also advanced over unjournaled reads.
+func (ss sessionSnap) session() *session {
+	return &session{
+		id: ss.ID, player: ss.Player, playerTo: ss.playerTo(),
+		lastSeq: ss.LastSeq, lastResp: ss.LastResp, loose: true, swarm: ss.Swarm,
+	}
 }
 
 // serverSnap is the serialized form of the whole service state at a round
@@ -102,10 +128,7 @@ func (s *Server) snapshotLocked() ([]byte, error) {
 			// a client handed this replay re-stamps.)
 			resp = wire.Response{Round: s.round}
 		}
-		sn.Sessions = append(sn.Sessions, sessionSnap{
-			ID: sess.id, Player: sess.player, LastSeq: sess.lastSeq, LastResp: resp,
-			Swarm: sess.swarm, PlayerTo: sess.playerTo,
-		})
+		sn.Sessions = append(sn.Sessions, snapOf(sess, resp))
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&sn); err != nil {
@@ -187,11 +210,7 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		}
 	}
 	for _, ss := range sn.Sessions {
-		to := ss.Player + 1
-		if ss.Swarm {
-			to = ss.PlayerTo
-		}
-		if err := checkRange("snapshot session", ss.Player, to, n); err != nil {
+		if err := checkRange("snapshot session", ss.Player, ss.playerTo(), n); err != nil {
 			return err
 		}
 	}
@@ -219,15 +238,9 @@ func (s *Server) restoreSnapshot(data []byte) error {
 	copy(s.cost, sn.Cost)
 	copy(s.satisfied, sn.Satisfied)
 	for _, ss := range sn.Sessions {
-		sess := &session{
-			id: ss.ID, player: ss.Player,
-			lastSeq: ss.LastSeq, lastResp: ss.LastResp,
-			loose: true, // client seq counters also advanced over unjournaled reads
-			swarm: ss.Swarm, playerTo: ss.PlayerTo,
-		}
+		sess := ss.session()
 		s.sessions[ss.ID] = sess
-		from, to := sess.memberRange()
-		for p := from; p < to; p++ {
+		for p := sess.player; p < sess.playerTo; p++ {
 			s.byPlayer[p] = sess
 		}
 	}
@@ -285,7 +298,7 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 				// open record should always precede it); nothing to rebuild.
 				return nil
 			}
-			sess = &session{id: rec.Session, player: player, loose: true}
+			sess = &session{id: rec.Session, player: player, playerTo: player + 1, loose: true}
 			s.sessions[rec.Session] = sess
 			s.byPlayer[player] = sess
 		}
@@ -318,10 +331,14 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 				s.satisfied[rec.Player] = true
 			}
 			if sess := sessOf(rec, rec.Player); sess != nil {
-				sess.lastSeq = rec.Seq
-				sess.lastResp = wire.Response{
-					Value: u.Value(rec.Object), Good: good, Cost: u.Cost(rec.Object), Round: s.round,
+				// The recorded response of a probe batch: one result per
+				// probe record under its sequence number, in order.
+				if rec.Seq != sess.lastSeq {
+					sess.lastSeq = rec.Seq
+					sess.lastResp = wire.Response{Round: s.round}
 				}
+				sess.lastResp.ProbeResults = append(sess.lastResp.ProbeResults,
+					wire.ProbeRes{Value: u.Value(rec.Object), Good: good})
 			}
 		case journal.RecordDone:
 			touch(rec.Player)

@@ -37,6 +37,15 @@ func firstBad(u *object.Universe) int {
 	return -1
 }
 
+func firstGood(u *object.Universe) int {
+	for i := 0; i < u.M(); i++ {
+		if u.IsGood(i) {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestPersistRestartExactState kills a persist-backed server between rounds
 // and restarts it from the store on the same address: the round counter,
 // board, probe ledger, membership rules, and live client sessions must all

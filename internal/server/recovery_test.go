@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -580,5 +581,70 @@ func TestPersistResumesSessionRebuiltFromPost(t *testing.T) {
 	})
 	if resp.Err != "" {
 		t.Fatalf("resume of a session rebuilt from its post: %s", resp.Err)
+	}
+}
+
+// TestPersistReplaysRecordedProbeBatch pins the journal-rebuilt response of
+// a player's own session: a two-probe frame is journaled, the server is
+// killed and recovered from its store, and the frame resent under the same
+// sequence number gets the same results in the same order, with the two
+// probes charged once.
+func TestPersistReplaysRecordedProbeBatch(t *testing.T) {
+	u := plantedUniverse(t)
+	bad, good := firstBad(u), firstGood(u)
+	dir := t.TempDir()
+	cfg := server.Config{
+		Universe: u, Tokens: []string{"tok"}, Alpha: 1, Beta: u.Beta(),
+		SessionGrace: 10 * time.Second,
+	}
+	const session = 0xfeed
+	hello := wire.Request{Type: wire.ReqHello, Player: 0, Token: "tok", Version: wire.Version, Session: session}
+	probes := wire.Request{
+		Type: wire.ReqProbeBatch, Session: session, Seq: 1,
+		Probes: []wire.ProbeMsg{{Player: 0, Object: good}, {Player: 0, Object: bad}},
+	}
+
+	srv1, st1 := openDurable(t, dir, cfg)
+	addr, err := srv1.Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1 := rawDial(t, addr)
+	if resp := c1.roundTrip(hello); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	first := c1.roundTrip(probes)
+	if first.Err != "" {
+		t.Fatal(first.Err)
+	}
+	if len(first.ProbeResults) != 2 || !first.ProbeResults[0].Good || first.ProbeResults[1].Good {
+		t.Fatalf("probes of objects %d (good) and %d (bad) answered %+v", good, bad, first.ProbeResults)
+	}
+	// Kill: the response is lost with the server.
+	srv1.Close()
+	st1.Close()
+
+	srv2, st2 := openDurable(t, dir, cfg)
+	defer st2.Close()
+	defer srv2.Close()
+	addr2, err := srv2.Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := rawDial(t, addr2)
+	if resp := c2.roundTrip(hello); resp.Err != "" {
+		t.Fatalf("resume after recovery: %s", resp.Err)
+	}
+	replay := c2.roundTrip(probes)
+	if replay.Err != "" {
+		t.Fatal(replay.Err)
+	}
+	if !reflect.DeepEqual(replay.ProbeResults, first.ProbeResults) {
+		t.Fatalf("resend after recovery answered %+v, want the recorded %+v",
+			replay.ProbeResults, first.ProbeResults)
+	}
+	charged, _, satisfied, _ := srv2.Stats()
+	if charged[0] != 2 || !satisfied[0] {
+		t.Fatalf("recovered ledger: %d probes charged (satisfied %v), want 2 (true)", charged[0], satisfied[0])
 	}
 }

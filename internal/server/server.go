@@ -7,6 +7,15 @@
 // a player's arrival stamps the rounds it has finished and is answered once
 // every active player has stamped past them and those rounds committed.
 //
+// One session kind (wire protocol v10). Every session speaks for a player
+// range: a player's own token opens [p, p+1), and the swarm token
+// (Config.SwarmToken) opens any block [from, to). Every probe, post and done
+// entry names its player, and the server rejects one outside the session's
+// range, on the primary connection and on the shard lanes alike; no path
+// substitutes the session's identity for the player a frame names. The
+// credential still decides one thing, how a resent request is answered (see
+// session.swarm).
+//
 // The server owns the ground truth (the object universe): a probe request
 // reveals an object's value only to the prober and charges its cost, so
 // honest clients remain value-blind exactly as in the in-process engine.
@@ -24,9 +33,11 @@
 //     lease expiry or an explicit Done deregisters it. (Grace zero keeps
 //     the legacy disconnect-is-Done behavior.)
 //   - request dedup: every post-Hello request carries a per-session
-//     sequence number; the server records the last executed sequence and
-//     its response, so a client retrying after a lost response gets the
-//     recorded response replayed — a retried Probe is never charged twice.
+//     sequence number. A player's own session records the last executed
+//     sequence and its response, so a client retrying after a lost response
+//     gets the recorded response replayed; a swarm session's resend is
+//     answered by recomputation. Either way a retried probe is never
+//     charged twice.
 //   - round deadline: Config.BarrierDeadline bounds how long a round waits
 //     for stragglers once the first player has arrived; on expiry the round
 //     commits instead of wedging. The Mode picks what happens to the
@@ -47,6 +58,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -133,10 +145,9 @@ type Config struct {
 	// (wire protocol v7): one Hello with Swarm set registers a contiguous
 	// block of players [Player, PlayerTo) under this shared credential, and
 	// the connection may then pipeline probe-batch, post-batch, arrival, and
-	// swarm-done frames on behalf of any member. Swarm requests are
-	// idempotent or reconstructible, so a resumed swarm session replays by
-	// recomputation rather than from a recorded response window. Empty
-	// disables swarm sessions.
+	// done frames on behalf of any member. Swarm requests are idempotent or
+	// reconstructible, so a resumed swarm session replays by recomputation
+	// rather than from a recorded response. Empty disables swarm sessions.
 	SwarmToken string
 	// SnapshotEvery, with Persist, rotates the store every k committed
 	// rounds: a full server snapshot replaces the journal so far, bounding
@@ -182,12 +193,15 @@ type Config struct {
 	laneStore func(k int, st *journal.Store)
 }
 
-// session is the server half of one client session: the dedup state that
-// makes retried requests idempotent and the lease bookkeeping that lets a
-// disconnected player resume.
+// session is the server half of one client session. Every session speaks
+// for a player range [player, playerTo): a player's own token opens
+// [p, p+1), the swarm token any block. It holds the dedup state that makes
+// retried requests idempotent and the lease bookkeeping that lets a
+// disconnected session resume.
 type session struct {
-	id     uint64
-	player int
+	id       uint64
+	player   int
+	playerTo int
 	// gen counts connection takeovers; a stale connection's disconnect (or
 	// lease timer) is ignored when gen has moved on.
 	gen       int
@@ -209,27 +223,32 @@ type session struct {
 	// (which are never journaled) — so the first post-restart request may
 	// legitimately jump forward.
 	loose bool
-	// nextIdx stamps primary-connection posts with a running order index on
-	// a sharded server, preserving the player's arrival order across lanes
-	// (lane batches carry client-assigned indices instead).
-	nextIdx int
-	// swarm marks a session opened with Hello.Swarm: it speaks for every
-	// player in [player, playerTo) at once (player holds the range start).
-	// Swarm sessions never replay lastResp — resent frames are answered by
+	// swarm marks a session opened with the swarm credential. It may
+	// pipeline, so it never replays lastResp: resent frames are answered by
 	// recomputation (swarmReplayLocked), which is what lets a swarm client
-	// pipeline many frames per connection and resend the unacknowledged
-	// tail after a reconnect.
-	swarm    bool
-	playerTo int
+	// resend its unacknowledged tail after a reconnect. A player's own
+	// session replays lastResp instead: recomputation would answer a resend
+	// of a charged probe with the values of whatever objects the resend
+	// names, without charging for them.
+	swarm bool
 }
 
-// memberRange returns the half-open player range a session speaks for:
-// the swarm block, or the single player.
-func (sess *session) memberRange() (int, int) {
-	if sess.swarm {
-		return sess.player, sess.playerTo
+// has reports whether player p lies in the session's range.
+func (sess *session) has(p int) bool { return p >= sess.player && p < sess.playerTo }
+
+// String names the session's range for the operational log.
+func (sess *session) String() string {
+	if sess.playerTo == sess.player+1 {
+		return fmt.Sprintf("player %d", sess.player)
 	}
-	return sess.player, sess.player + 1
+	return fmt.Sprintf("players [%d, %d)", sess.player, sess.playerTo)
+}
+
+// outsideRange rejects entry i of an n-entry frame that names player p
+// outside the session's range.
+func outsideRange(what string, i, n, p int, sess *session) wire.Response {
+	return wire.Response{Err: fmt.Sprintf("%s %d/%d: player %d outside session range [%d, %d)",
+		what, i+1, n, p, sess.player, sess.playerTo)}
 }
 
 // Server is a running billboard service. Construct with New, then Start.
@@ -739,9 +758,8 @@ func (s *Server) expireSession(id uint64, gen int) {
 	s.expireLocked(sess)
 }
 
-// expireLocked removes a session and deregisters its player — every member,
-// for a swarm session — from future rounds (a no-op for players that
-// already sent Done).
+// expireLocked removes a session and deregisters every player of its range
+// from future rounds (a no-op for players that already sent Done).
 func (s *Server) expireLocked(sess *session) {
 	s.m.sessionsExpired.Inc()
 	if sess.timer != nil {
@@ -749,8 +767,7 @@ func (s *Server) expireLocked(sess *session) {
 		sess.timer = nil
 	}
 	delete(s.sessions, sess.id)
-	from, to := sess.memberRange()
-	for p := from; p < to; p++ {
+	for p := sess.player; p < sess.playerTo; p++ {
 		if s.byPlayer[p] == sess {
 			s.byPlayer[p] = nil
 		}
@@ -759,10 +776,10 @@ func (s *Server) expireLocked(sess *session) {
 }
 
 // dispatch runs one sequenced request with retransmission dedup: a repeat
-// of the last sequence replays the recorded response (waiting out an
-// execution still in flight on behalf of a dead predecessor connection),
-// so a retried request — in particular a retried Probe — never executes
-// twice.
+// of the last sequence is answered without executing again (waiting out an
+// execution still in flight on behalf of a dead predecessor connection) —
+// from the recorded response on a player's own session, by recomputation on
+// a swarm session — so a retried probe is never charged twice.
 func (s *Server) dispatch(sess *session, req *wire.Request) wire.Response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -788,8 +805,8 @@ func (s *Server) dispatch(sess *session, req *wire.Request) wire.Response {
 		}
 		sess.loose = false
 		if sess.swarm {
-			// Never lastResp: after a crash recovery the recorded response may
-			// have the wrong shape for a probe batch; recomputation is exact.
+			// Never lastResp: a swarm session answers every resend, the last
+			// one included, by recomputation (see session.swarm).
 			return s.swarmReplayLocked(sess, req)
 		}
 		return sess.lastResp
@@ -824,21 +841,12 @@ func (s *Server) dispatch(sess *session, req *wire.Request) wire.Response {
 // may temporarily release it via cond.Wait).
 func (s *Server) executeLocked(sess *session, req *wire.Request) wire.Response {
 	switch req.Type {
-	case wire.ReqProbe:
-		if sess.swarm {
-			return wire.Response{Err: "use probe-batch on a swarm session"}
-		}
-		return s.probeLocked(sess, req.Seq, req.Object)
 	case wire.ReqProbeBatch:
 		return s.probeBatchLocked(sess, req, true)
-	case wire.ReqSwarmDone:
-		return s.swarmDoneLocked(sess, req)
-	case wire.ReqPost:
-		return s.postLocked(sess, req)
 	case wire.ReqPostBatch:
 		return s.postBatchLocked(sess, req)
-	case wire.ReqVotes:
-		return s.votesLocked(req.OfPlayer)
+	case wire.ReqDone:
+		return s.doneLocked(sess, req)
 	case wire.ReqVoteBatch:
 		return s.voteBatchLocked(req)
 	case wire.ReqVotedObjects:
@@ -861,17 +869,6 @@ func (s *Server) executeLocked(sess *session, req *wire.Request) wire.Response {
 		return wire.Response{Counts: s.windowLocked(from, to), Round: s.round}
 	case wire.ReqEpoch:
 		return s.arriveLocked(sess, req.Seq, req.Epoch, true)
-	case wire.ReqDone:
-		if sess.swarm {
-			return wire.Response{Err: "use swarm-done on a swarm session"}
-		}
-		if s.jw != nil {
-			if err := s.jw.Done(sess.id, req.Seq, sess.player); err != nil {
-				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-			}
-		}
-		s.leaveLocked(sess.player)
-		return wire.Response{Round: s.round}
 	default:
 		return wire.Response{Err: fmt.Sprintf("unknown request type %v", req.Type)}
 	}
@@ -892,29 +889,17 @@ func (s *Server) hello(req *wire.Request) (wire.Response, *session, int) {
 	return resp, sess, sess.gen
 }
 
+// helloLocked opens the range the Hello's credential grants, or resumes the
+// session it names. A swarm session's opening is journaled (SwarmOpen); a
+// player's own registration is re-derived at recovery from its first
+// journaled action. Caller holds s.mu.
 func (s *Server) helloLocked(req *wire.Request) (wire.Response, *session) {
-	if req.Version != wire.Version {
-		return wire.Response{Err: fmt.Sprintf("protocol version %d, server speaks %d",
-			req.Version, wire.Version)}, nil
-	}
-	if req.Swarm {
-		return s.swarmHelloLocked(req)
-	}
-	p := req.Player
-	if p < 0 || p >= len(s.cfg.Tokens) {
-		return wire.Response{Err: fmt.Sprintf("player %d out of range", p)}, nil
-	}
-	if s.cfg.Tokens[p] != req.Token {
-		return wire.Response{Err: "bad token"}, nil
-	}
-	if req.Session == 0 {
-		return wire.Response{Err: "missing session id"}, nil
+	from, to, err := s.auth(req)
+	if err != nil {
+		return wire.Response{Err: err.Error()}, nil
 	}
 	if sess := s.sessions[req.Session]; sess != nil {
-		if sess.swarm {
-			return wire.Response{Err: "session belongs to a swarm"}, nil
-		}
-		if sess.player != p {
+		if sess.swarm != req.Swarm || sess.player != from || sess.playerTo != to {
 			return wire.Response{Err: "session belongs to another player"}, nil
 		}
 		sess.gen++
@@ -928,32 +913,72 @@ func (s *Server) helloLocked(req *wire.Request) (wire.Response, *session) {
 		if !sess.connected {
 			sess.connected = true
 			s.m.sessionsResumed.Inc()
-			s.logf("player %d resumed session %016x in round %d", p, sess.id, s.round)
+			s.logf("%v resumed session %016x in round %d", sess, sess.id, s.round)
 		}
 		return s.helloPayloadLocked(), sess
 	}
-	if r, ok := s.forceDone[p]; ok {
-		return wire.Response{
-			Err:  fmt.Sprintf("player %d was force-done in round %d", p, r),
-			Code: wire.CodeBarrierDeadline,
-		}, nil
+	for p := from; p < to; p++ {
+		if r, ok := s.forceDone[p]; ok {
+			return wire.Response{
+				Err:  fmt.Sprintf("player %d was force-done in round %d", p, r),
+				Code: wire.CodeBarrierDeadline,
+			}, nil
+		}
+		if s.registered[p] {
+			// The player exists but the presented session does not: its lease
+			// expired (or the server restarted without it). Terminal for the
+			// old client — its votes and dedup window are gone.
+			return wire.Response{
+				Err:  fmt.Sprintf("player %d already registered", p),
+				Code: wire.CodeSessionExpired,
+			}, nil
+		}
 	}
-	if s.registered[p] {
-		// The player exists but the presented session does not: its lease
-		// expired (or the server restarted without it). Terminal for the
-		// old client — its votes and dedup window are gone.
-		return wire.Response{
-			Err:  fmt.Sprintf("player %d already registered", p),
-			Code: wire.CodeSessionExpired,
-		}, nil
+	if req.Swarm && s.jw != nil {
+		if err := s.jw.SwarmOpen(req.Session, from, to); err != nil {
+			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}, nil
+		}
 	}
-	s.joinLocked(p)
-	s.m.sessionsOpened.Inc()
-	sess := &session{id: req.Session, player: p, gen: 1, connected: true}
+	sess := &session{id: req.Session, player: from, playerTo: to, swarm: req.Swarm, gen: 1, connected: true}
 	s.sessions[req.Session] = sess
-	s.byPlayer[p] = sess
+	for p := from; p < to; p++ {
+		s.joinLocked(p)
+		s.byPlayer[p] = sess
+	}
+	s.m.sessionsOpened.Inc()
 	s.advanceLocked() // registration may close a round arrivals wait on
 	return s.helloPayloadLocked(), sess
+}
+
+// auth checks a Hello's protocol version, credential and session id, and
+// returns the player range the credential opens: a player's own token opens
+// [Player, Player+1), the swarm token any [Player, PlayerTo). It reads only
+// the immutable configuration, so lane Hellos call it without s.mu.
+func (s *Server) auth(req *wire.Request) (from, to int, err error) {
+	if req.Version != wire.Version {
+		return 0, 0, fmt.Errorf("protocol version %d, server speaks %d", req.Version, wire.Version)
+	}
+	n := len(s.cfg.Tokens)
+	from, to = req.Player, req.Player+1
+	switch {
+	case req.Swarm && s.cfg.SwarmToken == "":
+		return 0, 0, errors.New("server does not accept swarm sessions")
+	case req.Swarm && req.Token != s.cfg.SwarmToken:
+		return 0, 0, errors.New("bad swarm token")
+	case req.Swarm:
+		to = req.PlayerTo
+		if from < 0 || to > n || from >= to {
+			return 0, 0, fmt.Errorf("swarm range [%d, %d) invalid for %d players", from, to, n)
+		}
+	case from < 0 || from >= n:
+		return 0, 0, fmt.Errorf("player %d out of range", from)
+	case s.cfg.Tokens[from] != req.Token:
+		return 0, 0, errors.New("bad token")
+	}
+	if req.Session == 0 {
+		return 0, 0, errors.New("missing session id")
+	}
+	return from, to, nil
 }
 
 func (s *Server) helloPayloadLocked() wire.Response {
@@ -972,71 +997,6 @@ func (s *Server) helloPayloadLocked() wire.Response {
 		Round:        s.round,
 		Shards:       s.ShardCount(),
 	}
-}
-
-// swarmHelloLocked authenticates a swarm Hello (protocol v7): one session
-// registering the whole player block [Player, PlayerTo) under the shared
-// swarm credential, or resuming an existing swarm session after a
-// reconnect. Caller holds s.mu.
-func (s *Server) swarmHelloLocked(req *wire.Request) (wire.Response, *session) {
-	if s.cfg.SwarmToken == "" {
-		return wire.Response{Err: "server does not accept swarm sessions"}, nil
-	}
-	if req.Token != s.cfg.SwarmToken {
-		return wire.Response{Err: "bad swarm token"}, nil
-	}
-	from, to := req.Player, req.PlayerTo
-	if from < 0 || to > len(s.cfg.Tokens) || from >= to {
-		return wire.Response{Err: fmt.Sprintf("swarm range [%d, %d) invalid for %d players",
-			from, to, len(s.cfg.Tokens))}, nil
-	}
-	if req.Session == 0 {
-		return wire.Response{Err: "missing session id"}, nil
-	}
-	if sess := s.sessions[req.Session]; sess != nil {
-		if !sess.swarm || sess.player != from || sess.playerTo != to {
-			return wire.Response{Err: "session belongs to another player"}, nil
-		}
-		sess.gen++
-		if sess.timer != nil {
-			sess.timer.Stop()
-			sess.timer = nil
-		}
-		if !sess.connected {
-			sess.connected = true
-			s.m.sessionsResumed.Inc()
-			s.logf("swarm [%d, %d) resumed session %016x in round %d", from, to, sess.id, s.round)
-		}
-		return s.helloPayloadLocked(), sess
-	}
-	for p := from; p < to; p++ {
-		if r, ok := s.forceDone[p]; ok {
-			return wire.Response{
-				Err:  fmt.Sprintf("player %d was force-done in round %d", p, r),
-				Code: wire.CodeBarrierDeadline,
-			}, nil
-		}
-		if s.registered[p] {
-			return wire.Response{
-				Err:  fmt.Sprintf("player %d already registered", p),
-				Code: wire.CodeSessionExpired,
-			}, nil
-		}
-	}
-	if s.jw != nil {
-		if err := s.jw.SwarmOpen(req.Session, from, to); err != nil {
-			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}, nil
-		}
-	}
-	sess := &session{id: req.Session, player: from, playerTo: to, swarm: true, gen: 1, connected: true}
-	s.sessions[req.Session] = sess
-	for p := from; p < to; p++ {
-		s.joinLocked(p)
-		s.byPlayer[p] = sess
-	}
-	s.m.sessionsOpened.Inc()
-	s.advanceLocked() // registration may close a round arrivals wait on
-	return s.helloPayloadLocked(), sess
 }
 
 // swarmReplayLocked answers a resent swarm frame (req.Seq <= sess.lastSeq)
@@ -1058,7 +1018,7 @@ func (s *Server) swarmReplayLocked(sess *session, req *wire.Request) wire.Respon
 			return s.arriveLocked(sess, req.Seq, req.Epoch, false)
 		}
 		return wire.Response{Round: s.round}
-	case wire.ReqSwarmDone:
+	case wire.ReqDone:
 		return wire.Response{Round: s.round}
 	default:
 		// Reads are side-effect free; re-execute for a fresh answer.
@@ -1066,20 +1026,17 @@ func (s *Server) swarmReplayLocked(sess *session, req *wire.Request) wire.Respon
 	}
 }
 
-// probeBatchLocked serves one swarm probe batch: members' probes validated,
-// journaled, and charged in frame order, answered positionally. With charge
-// false (replay of a resent frame) the results are recomputed from the
-// universe — a pure function of (object, universe) — and nothing is billed,
-// preserving the exactly-once probe-accounting contract across reconnects.
+// probeBatchLocked serves one probe batch: its probes validated against the
+// session's range and the universe, journaled, and charged in frame order,
+// answered positionally. With charge false (replay of a resent swarm frame)
+// the results are recomputed from the universe — a pure function of
+// (object, universe) — and nothing is billed, preserving the exactly-once
+// probe-accounting contract across reconnects.
 func (s *Server) probeBatchLocked(sess *session, req *wire.Request, charge bool) wire.Response {
-	if !sess.swarm {
-		return wire.Response{Err: "probe-batch requires a swarm session"}
-	}
 	u := s.cfg.Universe
 	for i, pr := range req.Probes {
-		if pr.Player < sess.player || pr.Player >= sess.playerTo {
-			return wire.Response{Err: fmt.Sprintf("probe %d/%d: player %d outside swarm range [%d, %d)",
-				i+1, len(req.Probes), pr.Player, sess.player, sess.playerTo)}
+		if !sess.has(pr.Player) {
+			return outsideRange("probe", i, len(req.Probes), pr.Player, sess)
 		}
 		if pr.Object < 0 || pr.Object >= u.M() {
 			return wire.Response{Err: fmt.Sprintf("probe %d/%d: object %d out of range",
@@ -1087,8 +1044,9 @@ func (s *Server) probeBatchLocked(sess *session, req *wire.Request, charge bool)
 		}
 	}
 	if charge && s.jw != nil {
-		// Write-ahead, like the single-probe path: a probe is charged iff
-		// its record reached the journal.
+		// Write-ahead: a probe is charged iff its record reached the
+		// journal. If a record cannot be written, nothing is charged and the
+		// client may retry; never charge a probe a recovery would forget.
 		for _, pr := range req.Probes {
 			if err := s.jw.Probe(sess.id, req.Seq, pr.Player, pr.Object); err != nil {
 				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
@@ -1110,17 +1068,13 @@ func (s *Server) probeBatchLocked(sess *session, req *wire.Request, charge bool)
 	return wire.Response{ProbeResults: results, Round: s.round}
 }
 
-// swarmDoneLocked deregisters a batch of swarm members (players that found
-// a good object, or timed out). Journaled per player, like Done;
-// deregistration is idempotent, so a replay is harmless.
-func (s *Server) swarmDoneLocked(sess *session, req *wire.Request) wire.Response {
-	if !sess.swarm {
-		return wire.Response{Err: "swarm-done requires a swarm session"}
-	}
+// doneLocked deregisters the listed players (they found a good object, or
+// timed out), each of which must lie in the session's range. Journaled per
+// player; deregistration is idempotent, so a replay is harmless.
+func (s *Server) doneLocked(sess *session, req *wire.Request) wire.Response {
 	for i, p := range req.Players {
-		if p < sess.player || p >= sess.playerTo {
-			return wire.Response{Err: fmt.Sprintf("done %d/%d: player %d outside swarm range [%d, %d)",
-				i+1, len(req.Players), p, sess.player, sess.playerTo)}
+		if !sess.has(p) {
+			return outsideRange("done", i, len(req.Players), p, sess)
 		}
 	}
 	if s.jw != nil {
@@ -1136,94 +1090,39 @@ func (s *Server) swarmDoneLocked(sess *session, req *wire.Request) wire.Response
 	return wire.Response{Round: s.round}
 }
 
-func (s *Server) probeLocked(sess *session, seq uint64, obj int) wire.Response {
-	u := s.cfg.Universe
-	player := sess.player
-	if obj < 0 || obj >= u.M() {
-		return wire.Response{Err: fmt.Sprintf("object %d out of range", obj)}
-	}
-	// Write-ahead: a probe is charged iff its record reached the journal.
-	// Journal first — if the record cannot be written, nothing is charged
-	// and the client may retry; never charge a probe a recovery would
-	// forget.
-	if s.jw != nil {
-		if err := s.jw.Probe(sess.id, seq, player, obj); err != nil {
-			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-		}
-	}
-	s.probes[player]++
-	s.cost[player] += u.Cost(obj)
-	good := u.LocalTesting() && u.IsGood(obj)
-	if good {
-		s.satisfied[player] = true
-	}
-	return wire.Response{Value: u.Value(obj), Good: good, Cost: u.Cost(obj), Round: s.round}
-}
-
-// appendPostLocked validates and buffers one post under the given player
-// identity (the authenticated session player, or a validated swarm member),
-// journaling it on acceptance. The journal record carries the session and
-// sequence number so recovery can rebuild the dedup window.
-func (s *Server) appendPostLocked(sess *session, seq uint64, player, object int, value float64, positive bool) error {
-	if s.sharded() {
-		// Route to the owning lane, stamped with the session's running
-		// index so commit order preserves this player's arrival order.
-		return s.shardAppendLocked(sess, seq, object, value, positive)
-	}
-	post := billboard.Post{
-		Player:   player,
-		Object:   object,
-		Value:    value,
-		Positive: positive,
-	}
-	if err := s.board.Post(post); err != nil {
-		return err
-	}
-	if s.jw != nil {
-		if err := s.jw.AppendFrom(sess.id, seq, post); err != nil {
-			return fmt.Errorf("journal: %v", err)
-		}
-	}
-	return nil
-}
-
-func (s *Server) postLocked(sess *session, req *wire.Request) wire.Response {
-	if err := s.appendPostLocked(sess, req.Seq, sess.player, req.Object, req.Value, req.Positive); err != nil {
-		return wire.Response{Err: err.Error()}
-	}
-	return wire.Response{Round: s.round}
-}
-
-// postBatchLocked applies a whole round's posts from one frame, in order,
-// then (when requested) arrives — the protocol-v3 fast path.
-// The batch is not transactional: an invalid post aborts the remainder with
-// an error, leaving earlier posts buffered; since the whole batch executed
-// under one sequence number, a retry replays the recorded response and
-// never re-applies any of them. On a swarm session each post carries its
-// member's identity (validated against the session's range); on an ordinary
-// session the authenticated identity is stamped, never the client-claimed
-// one.
+// postBatchLocked applies a batch's posts, in order, then (when requested)
+// arrives — the protocol-v3 fast path. Every post names its player, which
+// must lie in the session's range; the whole batch is checked before any
+// post is buffered. Past that check the batch is not transactional: an
+// invalid post aborts the remainder with an error, leaving earlier posts
+// buffered and journaled under the batch's sequence number, whose resend is
+// answered without re-applying any of them.
 func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response {
-	if sess.swarm && s.sharded() {
-		// Swarm posts on a sharded server carry client-assigned indices and
-		// flow through the lane data plane, where cross-player commit order
-		// is well defined; the primary path's per-session index stamp is not.
-		return wire.Response{Err: "swarm posts on a sharded server go to shard lanes"}
+	if s.sharded() {
+		// Posts on a sharded server carry client-assigned indices and flow
+		// through the lane data plane, where cross-player commit order is
+		// well defined.
+		return wire.Response{Err: "posts on a sharded server go to shard lanes"}
 	}
 	if req.EndRound && req.Epoch < 1 {
 		return badStamp(req.Epoch)
 	}
 	for i, p := range req.Posts {
-		player := sess.player
-		if sess.swarm {
-			if p.Player < sess.player || p.Player >= sess.playerTo {
-				return wire.Response{Err: fmt.Sprintf("batch post %d/%d: player %d outside swarm range [%d, %d)",
-					i+1, len(req.Posts), p.Player, sess.player, sess.playerTo)}
-			}
-			player = p.Player
+		if !sess.has(p.Player) {
+			return outsideRange("batch post", i, len(req.Posts), p.Player, sess)
 		}
-		if err := s.appendPostLocked(sess, req.Seq, player, p.Object, p.Value, p.Positive); err != nil {
+	}
+	for i, p := range req.Posts {
+		post := billboard.Post{Player: p.Player, Object: p.Object, Value: p.Value, Positive: p.Positive}
+		if err := s.board.Post(post); err != nil {
 			return wire.Response{Err: fmt.Sprintf("batch post %d/%d: %v", i+1, len(req.Posts), err)}
+		}
+		// The record carries the session and sequence number so recovery
+		// can rebuild the dedup window.
+		if s.jw != nil {
+			if err := s.jw.AppendFrom(sess.id, req.Seq, post); err != nil {
+				return wire.Response{Err: fmt.Sprintf("batch post %d/%d: journal: %v", i+1, len(req.Posts), err)}
+			}
 		}
 	}
 	if req.EndRound {
@@ -1236,7 +1135,7 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 
 // arriveLocked takes every arrival — bare (ReqEpoch), fused onto a post
 // batch, or a swarm client's resend. It stamps target for every active
-// player the session speaks for, commits the rounds that closes, and waits
+// player of the session's range, commits the rounds that closes, and waits
 // until the open round reaches target (or the server closes). Stamps are
 // monotone, so a repeated or stale arrival changes nothing and is answered
 // once its round has committed — at once, if it already has. record is
@@ -1245,9 +1144,8 @@ func (s *Server) arriveLocked(sess *session, seq uint64, target int, record bool
 	if target < 1 {
 		return badStamp(target)
 	}
-	from, to := sess.memberRange()
 	live := false
-	for p := from; p < to && !live; p++ {
+	for p := sess.player; p < sess.playerTo && !live; p++ {
 		live = s.active[p]
 	}
 	if !live {
@@ -1278,13 +1176,12 @@ func badStamp(target int) wire.Response {
 	return wire.Response{Err: fmt.Sprintf("arrival stamp %d: an arrival targets round 1 or later", target)}
 }
 
-// stampLocked advances the stamp of every active member the session speaks
-// for (the whole block, for a swarm session) to epoch, counting a member
-// closed when its stamp first passes the open round. Stamps are monotone:
-// a stale or replayed frame can never move one backwards.
+// stampLocked advances the stamp of every active player of the session's
+// range to epoch, counting a player closed when its stamp first passes the
+// open round. Stamps are monotone: a stale or replayed frame can never move
+// one backwards.
 func (s *Server) stampLocked(sess *session, epoch int) {
-	from, to := sess.memberRange()
-	for p := from; p < to; p++ {
+	for p := sess.player; p < sess.playerTo; p++ {
 		if !s.active[p] || epoch <= s.lastStamp[p] {
 			continue
 		}
@@ -1358,8 +1255,8 @@ func (s *Server) votesLocked(ofPlayer int) wire.Response {
 // player, so the caller regroups them. Players without votes contribute
 // nothing. Serving one frame instead of len(Players) round-trips is what
 // keeps a million-player swarm's advice rounds latency-bound on frames,
-// not on per-player reads; the per-player results land in the same
-// committed-round cache ReqVotes uses.
+// not on per-player reads; the per-player results land in the
+// committed-round cache.
 func (s *Server) voteBatchLocked(req *wire.Request) wire.Response {
 	var out []wire.VoteMsg
 	for _, p := range req.Players {

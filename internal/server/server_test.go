@@ -331,7 +331,7 @@ func TestUnauthenticatedNonHelloRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	if err := wire.EncodeRequest(conn, &wire.Request{
-		Type: wire.ReqProbe, Object: 0, Session: 1, Seq: 1,
+		Type: wire.ReqProbeBatch, Probes: []wire.ProbeMsg{{Object: 0}}, Session: 1, Seq: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package server_test
 import (
 	"bufio"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -173,9 +174,25 @@ func (r *rawSession) roundTrip(req wire.Request) *wire.Response {
 	return resp
 }
 
+// TestRetransmittedProbeChargedOnce pins the player credential's recorded
+// replay: a resent sequence number gets the recorded response and is never
+// charged again — also when the resend names a different object, which a
+// recomputed answer would reveal without charging for it.
 func TestRetransmittedProbeChargedOnce(t *testing.T) {
 	addr, _, srv := startServerCfg(t, 1, 4, 5*time.Second, 0)
+	// The universe startServerCfg plants, to name one bad and one good object.
+	u, err := object.NewPlanted(object.Planted{M: 32, Good: 4}, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, good := firstBad(u), firstGood(u)
 	const session = 0xdecaf
+	probe := func(obj int, seq uint64) wire.Request {
+		return wire.Request{
+			Type: wire.ReqProbeBatch, Probes: []wire.ProbeMsg{{Player: 0, Object: obj}},
+			Session: session, Seq: seq,
+		}
+	}
 
 	hello := wire.Request{
 		Type: wire.ReqHello, Player: 0, Token: "tok",
@@ -185,9 +202,12 @@ func TestRetransmittedProbeChargedOnce(t *testing.T) {
 	if resp := c1.roundTrip(hello); resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	first := c1.roundTrip(wire.Request{Type: wire.ReqProbe, Object: 3, Session: session, Seq: 1})
+	first := c1.roundTrip(probe(bad, 1))
 	if first.Err != "" {
 		t.Fatal(first.Err)
+	}
+	if len(first.ProbeResults) != 1 || first.ProbeResults[0].Good {
+		t.Fatalf("probe of bad object %d answered %+v", bad, first.ProbeResults)
 	}
 
 	// Simulate a lost response: a second connection resumes the session and
@@ -197,23 +217,27 @@ func TestRetransmittedProbeChargedOnce(t *testing.T) {
 	if resp := c2.roundTrip(hello); resp.Err != "" {
 		t.Fatalf("resume: %v", resp.Err)
 	}
-	replay := c2.roundTrip(wire.Request{Type: wire.ReqProbe, Object: 3, Session: session, Seq: 1})
-	if replay.Err != "" {
-		t.Fatal(replay.Err)
+	for _, obj := range []int{bad, good} {
+		replay := c2.roundTrip(probe(obj, 1))
+		if replay.Err != "" {
+			t.Fatal(replay.Err)
+		}
+		if !reflect.DeepEqual(replay.ProbeResults, first.ProbeResults) {
+			t.Fatalf("resend naming object %d answered %+v, want the recorded %+v",
+				obj, replay.ProbeResults, first.ProbeResults)
+		}
 	}
-	if replay.Value != first.Value || replay.Good != first.Good || replay.Cost != first.Cost {
-		t.Fatalf("replayed response %+v differs from original %+v", replay, first)
-	}
-	probes, _, _, _ := srv.Stats()
-	if probes[0] != 1 {
-		t.Fatalf("server charged %d probes, want 1 (dedup failed)", probes[0])
+	probes, cost, satisfied, _ := srv.Stats()
+	if probes[0] != 1 || cost[0] != u.Cost(bad) || satisfied[0] {
+		t.Fatalf("server charged %d probes costing %v (satisfied %v), want the one probe of object %d",
+			probes[0], cost[0], satisfied[0], bad)
 	}
 
 	// Stale and gapped sequence numbers are rejected outright.
-	if resp := c2.roundTrip(wire.Request{Type: wire.ReqProbe, Object: 3, Session: session, Seq: 0}); resp.Err == "" {
+	if resp := c2.roundTrip(probe(bad, 0)); resp.Err == "" {
 		t.Fatal("seq 0 accepted")
 	}
-	if resp := c2.roundTrip(wire.Request{Type: wire.ReqProbe, Object: 3, Session: session, Seq: 5}); !strings.Contains(resp.Err, "gap") {
+	if resp := c2.roundTrip(probe(bad, 5)); !strings.Contains(resp.Err, "gap") {
 		t.Fatalf("sequence gap accepted: %+v", resp)
 	}
 }

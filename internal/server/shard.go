@@ -280,11 +280,7 @@ func (s *Server) recoverLane(ln *lane, boardCfg billboard.Config, admitHist map[
 			return fmt.Errorf("lane snapshot: %w", err)
 		}
 		for _, ss := range lsn.Sessions {
-			ln.sessions[ss.ID] = &session{
-				id: ss.ID, player: ss.Player,
-				lastSeq: ss.LastSeq, lastResp: ss.LastResp, loose: true,
-				swarm: ss.Swarm, playerTo: ss.PlayerTo,
-			}
+			ln.sessions[ss.ID] = ss.session()
 		}
 	} else {
 		board, err = billboard.New(boardCfg)
@@ -300,7 +296,8 @@ func (s *Server) recoverLane(ln *lane, boardCfg billboard.Config, admitHist map[
 		}
 		sess := ln.sessions[rec.Session]
 		if sess == nil {
-			sess = &session{id: rec.Session, player: rec.Post.Player, loose: true}
+			p := rec.Post.Player
+			sess = &session{id: rec.Session, player: p, playerTo: p + 1, loose: true}
 			ln.sessions[rec.Session] = sess
 		}
 		return sess
@@ -575,10 +572,7 @@ func (s *Server) rotateShardedLocked() {
 		}
 		lsn := laneSnap{Board: boardBytes}
 		for _, sess := range ln.sessions {
-			lsn.Sessions = append(lsn.Sessions, sessionSnap{
-				ID: sess.id, Player: sess.player, LastSeq: sess.lastSeq, LastResp: sess.lastResp,
-				Swarm: sess.swarm, PlayerTo: sess.playerTo,
-			})
+			lsn.Sessions = append(lsn.Sessions, snapOf(sess, sess.lastResp))
 		}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&lsn); err != nil {
@@ -596,40 +590,19 @@ func (s *Server) rotateShardedLocked() {
 	s.rotateLocked() // coordinator snapshot (board-less) + rotation
 }
 
-// laneHello authenticates a data-plane lane connection: same player
-// credentials as the primary, plus the shard it binds to. Lane sessions
-// carry only dedup state — no membership, no leases. A swarm lane session
-// (Hello with Swarm and a member range) posts on behalf of any member; the
-// swarm Hello is authoritative for the range, since a lane recovered from
-// its journal knows sessions only by an arbitrary member's post records.
+// laneHello authenticates a data-plane lane connection: the same credential
+// check as the primary's Hello, plus the shard it binds to. Lane sessions
+// carry only dedup state — no membership, no leases — and accept posts for
+// the range the credential opens. A swarm Hello is authoritative for its
+// range, since a lane recovered from its journal knows sessions only by an
+// arbitrary member's post records.
 func (s *Server) laneHello(req *wire.Request) (wire.Response, *session, *lane) {
-	if req.Version != wire.Version {
-		return wire.Response{Err: fmt.Sprintf("protocol version %d, server speaks %d",
-			req.Version, wire.Version)}, nil, nil
+	from, to, err := s.auth(req)
+	if err != nil {
+		return wire.Response{Err: err.Error()}, nil, nil
 	}
 	if !s.sharded() {
 		return wire.Response{Err: "server is not sharded; no lane connections"}, nil, nil
-	}
-	from, to := req.Player, req.Player+1
-	if req.Swarm {
-		if s.cfg.SwarmToken == "" || req.Token != s.cfg.SwarmToken {
-			return wire.Response{Err: "bad swarm token"}, nil, nil
-		}
-		from, to = req.Player, req.PlayerTo
-		if from < 0 || to > len(s.cfg.Tokens) || from >= to {
-			return wire.Response{Err: fmt.Sprintf("swarm range [%d, %d) invalid for %d players",
-				from, to, len(s.cfg.Tokens))}, nil, nil
-		}
-	} else {
-		if req.Player < 0 || req.Player >= len(s.cfg.Tokens) {
-			return wire.Response{Err: fmt.Sprintf("player %d out of range", req.Player)}, nil, nil
-		}
-		if s.cfg.Tokens[req.Player] != req.Token {
-			return wire.Response{Err: "bad token"}, nil, nil
-		}
-	}
-	if req.Session == 0 {
-		return wire.Response{Err: "missing session id"}, nil, nil
 	}
 	if req.Shard < 0 || req.Shard >= len(s.lanes) {
 		return wire.Response{Err: fmt.Sprintf("shard %d out of range [0, %d)", req.Shard, len(s.lanes))}, nil, nil
@@ -645,19 +618,13 @@ func (s *Server) laneHello(req *wire.Request) (wire.Response, *session, *lane) {
 	sess := ln.sessions[req.Session]
 	switch {
 	case sess == nil:
-		sess = &session{id: req.Session, player: req.Player, swarm: req.Swarm, playerTo: req.PlayerTo}
+		sess = &session{id: req.Session, player: from, playerTo: to, swarm: req.Swarm}
 		ln.sessions[req.Session] = sess
-	case req.Swarm:
-		if sess.swarm && (sess.player != from || sess.playerTo != to) {
-			return wire.Response{Err: "session belongs to another player"}, nil, nil
-		}
-		if !sess.swarm && (sess.player < from || sess.player >= to) {
-			// Recovered from the journal under a member's identity; the
-			// authenticated range must cover it.
-			return wire.Response{Err: "session belongs to another player"}, nil, nil
-		}
+	case req.Swarm && !sess.swarm && sess.player >= from && sess.player < to:
+		// Recovered from the journal under a member's identity; the
+		// authenticated range covers it.
 		sess.swarm, sess.player, sess.playerTo = true, from, to
-	case sess.swarm || sess.player != req.Player:
+	case sess.swarm != req.Swarm || sess.player != from || sess.playerTo != to:
 		return wire.Response{Err: "session belongs to another player"}, nil, nil
 	}
 	return wire.Response{
@@ -731,18 +698,13 @@ func (s *Server) lanePostBatch(ln *lane, sess *session, req *wire.Request) wire.
 			return wire.Response{Err: fmt.Sprintf("batch post %d/%d: object %d belongs to shard %d, not %d",
 				i+1, len(req.Posts), p.Object, wire.Shard(p.Object, len(s.lanes)), ln.k)}
 		}
-		if sess.swarm && (p.Player < sess.player || p.Player >= sess.playerTo) {
-			return wire.Response{Err: fmt.Sprintf("batch post %d/%d: player %d outside swarm range [%d, %d)",
-				i+1, len(req.Posts), p.Player, sess.player, sess.playerTo)}
+		if !sess.has(p.Player) {
+			return outsideRange("batch post", i, len(req.Posts), p.Player, sess)
 		}
 	}
 	for _, p := range req.Posts {
-		player := sess.player // authenticated identity, not client-claimed
-		if sess.swarm {
-			player = p.Player // validated member of the authenticated range
-		}
 		post := billboard.Post{
-			Player:   player,
+			Player:   p.Player,
 			Object:   p.Object,
 			Value:    p.Value,
 			Positive: p.Positive,
@@ -769,33 +731,6 @@ func (s *Server) waitLaneUpLocked(ln *lane) bool {
 		s.cond.Wait()
 	}
 	return !ln.down
-}
-
-// shardAppendLocked routes a primary-connection post (single or v3-style
-// batch entry) to its owning lane, stamping the session's running post
-// index so the commit order preserves the player's arrival order. Caller
-// holds s.mu.
-func (s *Server) shardAppendLocked(sess *session, seq uint64, object int, value float64, positive bool) error {
-	if object < 0 || object >= s.cfg.Universe.M() {
-		return fmt.Errorf("object %d out of range", object)
-	}
-	ln := s.laneFor(object)
-	if !s.waitLaneUpLocked(ln) {
-		return errors.New(errServerClosed)
-	}
-	ln.lock()
-	defer ln.unlock()
-	post := billboard.Post{Player: sess.player, Object: object, Value: value, Positive: positive}
-	idx := sess.nextIdx
-	sess.nextIdx++
-	if ln.jw != nil {
-		if err := ln.jw.AppendAt(sess.id, seq, idx, post); err != nil {
-			return fmt.Errorf("journal: %v", err)
-		}
-	}
-	ln.addPending(stampedPost{post: post, index: idx})
-	ln.mPosts.Inc()
-	return nil
 }
 
 // Scatter-gather reads (s.mu held). Lane boards mutate only under s.mu plus

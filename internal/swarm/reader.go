@@ -128,7 +128,7 @@ func (r *boardReader) Votes(player int) []billboard.Vote {
 		return v
 	}
 	var votes []billboard.Vote
-	if resp := r.call(wire.Request{Type: wire.ReqVotes, OfPlayer: player}); resp != nil {
+	if resp := r.call(wire.Request{Type: wire.ReqVoteBatch, Players: []int{player}}); resp != nil {
 		votes = make([]billboard.Vote, len(resp.Votes))
 		for i, v := range resp.Votes {
 			votes[i] = billboard.Vote{Player: v.Player, Object: v.Object, Round: v.Round, Value: v.Value}

@@ -149,13 +149,13 @@ func (cfg *Config) applyDefaults() error {
 type playerState struct {
 	src          rng.Source // private stream, rng.New(Seed).Split(player)
 	probes       int32
-	nextIdx      int32 // next sharded post index (client-stamped commit order)
+	postIndex    int32 // next sharded post index (client-stamped commit order)
 	rounds       int32
 	active       bool // currently searching (mirrors group membership)
 	found        bool
 	timedOut     bool
 	departed     bool // left via Dynamics
-	deregistered bool // ReqSwarmDone sent for this player
+	deregistered bool // ReqDone sent for this player
 }
 
 // group is one connection group: a contiguous sub-block of players, the
@@ -169,7 +169,7 @@ type group struct {
 	lanes    []*conn
 	members  []int // active players, ascending
 	// registered counts the players of this block still registered with the
-	// server (not yet deregistered via ReqSwarmDone). Under Dynamics a group
+	// server (not yet deregistered via ReqDone). Under Dynamics a group
 	// can hold zero active members while not-yet-arrived players remain
 	// registered; its arrival must still run then, or every other group's
 	// arrival waits forever on this block's silent spectators.
@@ -666,8 +666,8 @@ func (g *group) runRound() error {
 		if d.shards > 1 {
 			for i := range g.posts {
 				st := d.state(g.posts[i].Player)
-				g.posts[i].Index = int(st.nextIdx)
-				st.nextIdx++
+				g.posts[i].Index = int(st.postIndex)
+				st.postIndex++
 			}
 			if g.parts == nil {
 				g.parts = make([][]wire.PostMsg, d.shards)
@@ -739,7 +739,7 @@ func (g *group) sendDones(players []int) error {
 	g.reqs = g.reqs[:0]
 	for lo := 0; lo < len(players); lo += chunk {
 		hi := min(lo+chunk, len(players))
-		g.reqs = append(g.reqs, wire.Request{Type: wire.ReqSwarmDone, Players: players[lo:hi]})
+		g.reqs = append(g.reqs, wire.Request{Type: wire.ReqDone, Players: players[lo:hi]})
 	}
 	g.resps = resize(g.resps, len(g.reqs))
 	if err := g.prim.exchange(g.reqs, g.resps, false); err != nil {

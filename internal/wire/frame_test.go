@@ -12,11 +12,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	reqs := []Request{
 		{Type: ReqHello, Player: 3, Token: "secret", Version: Version, Session: 0xabc},
-		{Type: ReqProbe, Object: 7, Session: 0xabc, Seq: 1},
-		{Type: ReqPost, Object: 7, Value: 0.25, Positive: true, Session: 0xabc, Seq: 2},
+		{Type: ReqProbeBatch, Probes: []ProbeMsg{{Player: 3, Object: 7}}, Session: 0xabc, Seq: 1},
+		{Type: ReqPostBatch, Posts: []PostMsg{{Player: 3, Object: 7, Value: 0.25, Positive: true}},
+			Session: 0xabc, Seq: 2},
 		{Type: ReqWindow, From: 1, To: 9, Session: 0xabc, Seq: 3},
-		{Type: ReqPostBatch, Session: 0xabc, Seq: 4, EndRound: true,
-			Posts: []PostMsg{{Object: 2, Value: 0.5, Positive: true}, {Object: 3}}},
+		{Type: ReqPostBatch, Session: 0xabc, Seq: 4, EndRound: true, Epoch: 1,
+			Posts: []PostMsg{{Player: 3, Object: 2, Value: 0.5, Positive: true}, {Player: 3, Object: 3}}},
+		{Type: ReqDone, Players: []int{3}, Session: 0xabc, Seq: 5},
 	}
 	for i := range reqs {
 		if err := EncodeRequest(&buf, &reqs[i]); err != nil {
@@ -39,10 +41,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// reqEqual compares requests field by field (the Posts slice keeps Request
+// reqEqual compares requests field by field (the batch slices keep Request
 // from being comparable with ==).
 func reqEqual(a, b *Request) bool {
-	if len(a.Posts) != len(b.Posts) {
+	if len(a.Posts) != len(b.Posts) || len(a.Probes) != len(b.Probes) || len(a.Players) != len(b.Players) {
 		return false
 	}
 	for i := range a.Posts {
@@ -50,11 +52,20 @@ func reqEqual(a, b *Request) bool {
 			return false
 		}
 	}
+	for i := range a.Probes {
+		if a.Probes[i] != b.Probes[i] {
+			return false
+		}
+	}
+	for i := range a.Players {
+		if a.Players[i] != b.Players[i] {
+			return false
+		}
+	}
 	return a.Type == b.Type && a.Player == b.Player && a.Token == b.Token &&
 		a.Version == b.Version && a.Session == b.Session && a.Seq == b.Seq &&
-		a.Object == b.Object && a.Value == b.Value && a.Positive == b.Positive &&
-		a.OfPlayer == b.OfPlayer && a.From == b.From && a.To == b.To &&
-		a.EndRound == b.EndRound
+		a.Object == b.Object && a.From == b.From && a.To == b.To &&
+		a.EndRound == b.EndRound && a.Epoch == b.Epoch
 }
 
 func TestResponseFrameRoundTrip(t *testing.T) {
@@ -80,7 +91,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 
 func TestTornFrameIsError(t *testing.T) {
 	var buf bytes.Buffer
-	req := Request{Type: ReqProbe, Object: 1, Session: 9, Seq: 1}
+	req := Request{Type: ReqProbeBatch, Probes: []ProbeMsg{{Object: 1}}, Session: 9, Seq: 1}
 	if err := EncodeRequest(&buf, &req); err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,11 @@ func FuzzDecodeRequest(f *testing.F) {
 	// Valid frames.
 	for _, req := range []Request{
 		{Type: ReqHello, Player: 0, Token: "tok", Version: Version, Session: 1},
-		{Type: ReqProbe, Object: 5, Session: 1, Seq: 1},
-		{Type: ReqPost, Object: 5, Value: -1.5, Positive: true, Session: 1, Seq: 2},
+		{Type: ReqProbeBatch, Probes: []ProbeMsg{{Player: 0, Object: 5}}, Session: 1, Seq: 1},
+		{Type: ReqPostBatch, Posts: []PostMsg{{Player: 0, Object: 5, Value: -1.5, Positive: true}},
+			Session: 1, Seq: 2},
 		{Type: ReqEpoch, Epoch: 1, Session: 1, Seq: 3},
+		{Type: ReqDone, Players: []int{0}, Session: 1, Seq: 4},
 		// Protocol v4: lane hello and shard-routed indexed batch.
 		{Type: ReqHello, Player: 1, Token: "tok", Version: Version, Session: 2, Lane: true, Shard: 3},
 		{Type: ReqPostBatch, Session: 2, Seq: 4, Shard: 3,

@@ -1,13 +1,15 @@
 // Package wire defines the client/server protocol of the networked
 // billboard service (internal/server, internal/client): length-prefixed,
-// gob-encoded request/response frames over a TCP stream, one in flight per
-// connection.
+// gob-encoded request/response frames over a TCP stream.
 //
 // The protocol realizes the billboard guarantees of §2.1 —
 //
-//   - identity tagging: a connection authenticates once (Hello with a
-//     player id and token); every post is stamped server-side with that
-//     identity, so players cannot spoof each other;
+//   - identity tagging: a connection authenticates once (Hello), and the
+//     credential it presents opens a player range: a player's own token
+//     opens [Player, Player+1), the server's swarm token any block
+//     [Player, PlayerTo). Every probe, post and done names its player, and
+//     the server rejects one outside the session's range, so players cannot
+//     spoof each other;
 //   - timestamps: the server stamps posts with its round counter;
 //   - append-only: there is no delete or amend request;
 //
@@ -25,10 +27,9 @@
 //     on every request; a reconnecting client re-Hellos with the same id to
 //     resume its registration within the server's grace window;
 //   - sequence numbers: every post-Hello request carries a per-session
-//     sequence number; the server remembers the last executed sequence and
-//     its response, so a retried request (response lost in transit) replays
-//     the recorded response instead of executing twice — a retried Probe
-//     never pays twice.
+//     sequence number, so a retried request (response lost in transit)
+//     never executes twice — a retried probe never pays twice. How a resend
+//     is answered depends on the credential (see Request.Seq).
 package wire
 
 import (
@@ -45,16 +46,9 @@ type ReqType uint8
 
 // Request kinds.
 const (
-	// ReqHello authenticates the connection as a player (or resumes the
-	// session named by Request.Session after a disconnect).
+	// ReqHello authenticates the connection for a player range (or resumes
+	// the session named by Request.Session after a disconnect).
 	ReqHello ReqType = iota + 1
-	// ReqProbe probes an object: the server reveals its value (and, with
-	// local testing, its goodness) and charges the cost.
-	ReqProbe
-	// ReqPost appends a report to the billboard (committed at round end).
-	ReqPost
-	// ReqVotes reads a player's current committed votes.
-	ReqVotes
 	// ReqVotedObjects reads the distinct objects holding votes.
 	ReqVotedObjects
 	// ReqVoteCount reads an object's current vote count.
@@ -63,25 +57,22 @@ const (
 	ReqNegCount
 	// ReqWindow counts vote events per object in a round window.
 	ReqWindow
-	// ReqDone deregisters the caller (it halted).
+	// ReqDone deregisters the players listed in Request.Players (they
+	// halted); each must lie in the session's range. The range's remaining
+	// players keep the session alive.
 	ReqDone
-	// ReqPostBatch (protocol v3) appends a whole round's posts in one
-	// frame and, when Request.EndRound is set, is also the caller's arrival
-	// at Request.Epoch — collapsing O(posts) round-trips plus the arrival
-	// into one.
+	// ReqPostBatch (protocol v3) appends posts in one frame, each naming
+	// its player in PostMsg.Player, and, when Request.EndRound is set, is
+	// also the caller's arrival at Request.Epoch — collapsing a round's
+	// posts plus the arrival into one frame.
 	ReqPostBatch
-	// ReqProbeBatch (protocol v7) probes on behalf of many players of a
-	// swarm session in one frame: Request.Probes lists (player, object)
-	// pairs, the response's ProbeResults answers them in order, and each
-	// probe is charged to its own player exactly once.
+	// ReqProbeBatch (protocol v7) probes in one frame: Request.Probes lists
+	// (player, object) pairs, the response's ProbeResults answers them in
+	// order, and each probe is charged to its own player exactly once.
 	ReqProbeBatch
-	// ReqSwarmDone (protocol v7) deregisters the listed players of a swarm
-	// session (they halted); the remaining players keep the session alive.
-	ReqSwarmDone
 	// ReqVoteBatch (protocol v7) reads the committed votes of every player
 	// listed in Request.Players in one frame; each returned VoteMsg names
-	// its player. The swarm driver prefetches a whole advice round's vote
-	// lookups this way instead of one ReqVotes round-trip per player.
+	// its player. Any player's votes may be read.
 	ReqVoteBatch
 	// ReqEpoch is the arrival frame: Request.Epoch carries the caller's
 	// stamp ("I have finished every round below this", at least 1), and
@@ -97,12 +88,6 @@ func (t ReqType) String() string {
 	switch t {
 	case ReqHello:
 		return "hello"
-	case ReqProbe:
-		return "probe"
-	case ReqPost:
-		return "post"
-	case ReqVotes:
-		return "votes"
 	case ReqVotedObjects:
 		return "voted-objects"
 	case ReqVoteCount:
@@ -117,8 +102,6 @@ func (t ReqType) String() string {
 		return "post-batch"
 	case ReqProbeBatch:
 		return "probe-batch"
-	case ReqSwarmDone:
-		return "swarm-done"
 	case ReqVoteBatch:
 		return "vote-batch"
 	case ReqEpoch:
@@ -152,12 +135,12 @@ func (t ReqType) String() string {
 // player range [Player, PlayerTo) under a server-configured swarm token
 // (Hello with Swarm set), batched probes charged per player
 // (ReqProbeBatch), posts carrying an explicit PostMsg.Player (honored only
-// on swarm sessions — ordinary sessions keep server-stamped identity),
-// atomic range barriers (a swarm Barrier arrives for every still-active
-// player of the range), and batched deregistration (ReqSwarmDone). Swarm
-// requests are idempotent-or-reconstructible, so a swarm client may
-// pipeline many frames per connection and resend the unacknowledged tail
-// after a reconnect without a server-side response window.
+// on swarm sessions until version 10), atomic range arrivals (a swarm
+// session's arrival stamps every still-active player of the range), batched
+// deregistration, and batched vote reads (ReqVoteBatch). Swarm requests are
+// idempotent-or-reconstructible, so a swarm client may pipeline many frames
+// per connection and resend the unacknowledged tail after a reconnect
+// without a server-side response window.
 //
 // Version 8 added epoch mode: arrivals carry a lamport stamp
 // (Request.Epoch) on the ReqEpoch frame, and window queries may ask for a
@@ -166,13 +149,21 @@ func (t ReqType) String() string {
 //
 // Version 9 has one arrival frame for both operation modes. The blocking
 // barrier request and the Hello reply's mode field are gone, and the
-// request kinds after ReqWindow moved down by one. An arrival is a ReqEpoch, or a ReqPostBatch
-// with EndRound set, carrying an explicit target stamp (Epoch >= 1); the
-// server answers it once the open round has reached the target, in either
-// mode. The mode is server policy only: it decides what a round's deadline
-// does to players that have not arrived. A client therefore never learns
-// or branches on it.
-const Version = 9
+// request kinds after ReqWindow moved down by one. An arrival is a
+// ReqEpoch, or a ReqPostBatch with EndRound set, carrying an explicit
+// target stamp (Epoch >= 1); the server answers it once the open round has
+// reached the target, in either mode. The mode is server policy only: it
+// decides what a round's deadline does to players that have not arrived. A
+// client therefore never learns or branches on it.
+//
+// Version 10 has one session kind. Every session speaks for a player range:
+// a player's own token opens [Player, Player+1), the swarm token any
+// [Player, PlayerTo). Every session uses the batch frames, whose entries
+// name their player, and the server checks each named player against the
+// range. The single-player probe, post and vote-read frames are gone,
+// ReqDone takes the list of departing players, and the request kinds
+// number ten.
+const Version = 10
 
 // Shard maps an object id onto one of shards lanes. It is the single
 // shard-map definition shared by client and server: deterministic, seedless,
@@ -206,23 +197,22 @@ type Request struct {
 	Session uint64
 	// Seq is the per-session request sequence number (1, 2, ...) of every
 	// post-Hello request; Hello itself is unsequenced (Seq 0). The server
-	// deduplicates on it: a repeat of the last sequence replays the
-	// recorded response instead of executing again.
+	// deduplicates on it, and how it answers a resent sequence number
+	// depends on the credential that opened the session. A player's own
+	// session keeps one request in flight and records its last response: a
+	// repeat of the last sequence replays that response, whatever the resend
+	// names. A swarm session may pipeline, and the server answers a resend
+	// by recomputation without executing it again.
 	Seq uint64
 
-	// Hello fields.
+	// Hello fields: Player is the first player of the range the session
+	// opens, Token the credential presented for it.
 	Player  int
 	Token   string
 	Version int
 
-	// Probe / Post / VoteCount / NegCount target.
+	// VoteCount / NegCount target.
 	Object int
-	// Post payload.
-	Value    float64
-	Positive bool
-
-	// Votes target.
-	OfPlayer int
 
 	// Window bounds [From, To). Last (protocol v8), when positive, asks
 	// for the sliding window of the most recent Last closed rounds instead:
@@ -231,29 +221,28 @@ type Request struct {
 	From, To int
 	Last     int
 
-	// PostBatch payload (protocol v3): the round's posts, applied in
-	// order. EndRound, when true, makes the same frame the caller's
-	// arrival at Epoch (the response is then the arrival's). The whole
-	// batch executes under one sequence number, so the v2 dedup gives it
-	// the same exactly-once retry semantics as a single request.
+	// PostBatch payload (protocol v3): the posts, applied in order.
+	// EndRound, when true, makes the same frame the caller's arrival at
+	// Epoch (the response is then the arrival's). The whole batch executes
+	// under one sequence number, so a retry never re-applies any post.
 	Posts    []PostMsg
 	EndRound bool
 
 	// Shard routing (protocol v4). A lane Hello (Lane true) authenticates
 	// the connection as a data-plane lane onto shard Shard: it shares the
-	// primary session's player identity but registers no membership, and
-	// accepts only shard-local post batches. On a lane ReqPostBatch, Shard
-	// names the lane the batch targets; the server rejects posts whose
-	// objects the shard map assigns elsewhere.
+	// primary session's credential and range but registers no membership,
+	// and accepts only shard-local post batches. On a lane ReqPostBatch,
+	// Shard names the lane the batch targets; the server rejects posts
+	// whose objects the shard map assigns elsewhere.
 	Shard int
 	Lane  bool
 
-	// Swarm sessions (protocol v7). A swarm Hello (Swarm true) registers
-	// the contiguous player range [Player, PlayerTo) under one session,
+	// Swarm sessions (protocol v7). A swarm Hello (Swarm true) opens the
+	// contiguous player range [Player, PlayerTo) under one session,
 	// authenticated by the server-configured swarm token in Token instead
-	// of per-player tokens. A lane Hello may also carry Swarm + the range,
-	// making it a swarm lane that accepts posts for any player of the
-	// range. PlayerTo is meaningful only with Swarm set.
+	// of a player's own token. A lane Hello may also carry Swarm + the
+	// range. PlayerTo is meaningful only with Swarm set: without it the
+	// range is the single player [Player, Player+1).
 	Swarm    bool
 	PlayerTo int
 
@@ -261,7 +250,8 @@ type Request struct {
 	// order by Response.ProbeResults.
 	Probes []ProbeMsg
 
-	// SwarmDone payload (protocol v7): the players that halted.
+	// Done and VoteBatch payload: the players that halted, or whose votes
+	// are read.
 	Players []int
 
 	// Epoch (protocol v8) is the arrival's target stamp, meaningful on
@@ -273,7 +263,7 @@ type Request struct {
 }
 
 // ProbeMsg is one probe inside a ReqProbeBatch frame: player probes object.
-// The player must belong to the swarm session's range.
+// The player must belong to the session's range.
 type ProbeMsg struct {
 	Player int
 	Object int
@@ -287,8 +277,7 @@ type ProbeRes struct {
 	Good  bool
 }
 
-// PostMsg is one post inside a ReqPostBatch frame. The player identity is
-// the session's authenticated player, never client-claimed.
+// PostMsg is one post inside a ReqPostBatch frame.
 type PostMsg struct {
 	Object   int
 	Value    float64
@@ -298,15 +287,12 @@ type PostMsg struct {
 	// round batch, assigned by the client before the batch is split across
 	// shard lanes. The server commits a round's posts in (player, index)
 	// order, so the global vote budget is consumed in the order the player
-	// issued the posts regardless of which lanes carried them. Single-post
-	// and v3-style requests leave it zero; the server then stamps arrival
-	// order.
+	// issued the posts regardless of which lanes carried them. Posts to an
+	// unsharded server leave it zero: they are applied in arrival order.
 	Index int
 
-	// Player (protocol v7) names the posting player on swarm sessions,
-	// which carry many players' posts in one batch. It must lie in the
-	// session's range; on ordinary sessions it is ignored and the
-	// authenticated identity is stamped instead, so players still cannot
+	// Player (protocol v7) names the posting player. It must lie in the
+	// session's range (since v10 on every session), so players cannot
 	// spoof each other.
 	Player int
 }
@@ -374,18 +360,14 @@ type Response struct {
 	// Code (protocol v4) classifies Err for errors.Is; see sentinelFor.
 	Code uint8
 
-	// Hello reply: run configuration.
+	// Hello reply: run configuration. Costs are the objects' public probe
+	// costs; a probe's charge is its object's entry here.
 	N            int
 	M            int
 	LocalTesting bool
 	Alpha        float64 // the assumed α the protocol should use
 	Beta         float64 // the assumed β the protocol should use
 	Costs        []float64
-
-	// Probe reply.
-	Value float64
-	Good  bool
-	Cost  float64
 
 	// Reads.
 	Votes   []VoteMsg

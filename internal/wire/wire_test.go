@@ -10,9 +10,6 @@ import (
 func TestReqTypeStrings(t *testing.T) {
 	named := map[ReqType]string{
 		ReqHello:        "hello",
-		ReqProbe:        "probe",
-		ReqPost:         "post",
-		ReqVotes:        "votes",
 		ReqVotedObjects: "voted-objects",
 		ReqVoteCount:    "vote-count",
 		ReqNegCount:     "neg-count",
@@ -20,7 +17,6 @@ func TestReqTypeStrings(t *testing.T) {
 		ReqDone:         "done",
 		ReqPostBatch:    "post-batch",
 		ReqProbeBatch:   "probe-batch",
-		ReqSwarmDone:    "swarm-done",
 		ReqVoteBatch:    "vote-batch",
 		ReqEpoch:        "epoch",
 	}
@@ -50,10 +46,11 @@ func TestGobRoundTrip(t *testing.T) {
 	dec := gob.NewDecoder(&buf)
 
 	req := Request{
-		Type: ReqWindow, Player: 3, Token: "t", Object: 7,
-		Value: 0.5, Positive: true, OfPlayer: 2, From: 10, To: 20,
-		Posts:    []PostMsg{{Object: 1, Value: 2, Positive: true}},
+		Type: ReqWindow, Player: 3, Token: "t", Object: 7, From: 10, To: 20,
+		Posts:    []PostMsg{{Player: 3, Object: 1, Value: 2, Positive: true}},
 		EndRound: true,
+		Probes:   []ProbeMsg{{Player: 3, Object: 4}},
+		Players:  []int{3, 5},
 	}
 	if err := enc.Encode(&req); err != nil {
 		t.Fatal(err)
@@ -63,18 +60,20 @@ func TestGobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gotReq.Type != req.Type || gotReq.Player != req.Player || gotReq.Token != req.Token ||
-		gotReq.Object != req.Object || gotReq.Value != req.Value || gotReq.Positive != req.Positive ||
-		gotReq.OfPlayer != req.OfPlayer || gotReq.From != req.From || gotReq.To != req.To ||
-		!gotReq.EndRound || len(gotReq.Posts) != 1 || gotReq.Posts[0] != req.Posts[0] {
+		gotReq.Object != req.Object || gotReq.From != req.From || gotReq.To != req.To ||
+		!gotReq.EndRound || len(gotReq.Posts) != 1 || gotReq.Posts[0] != req.Posts[0] ||
+		len(gotReq.Probes) != 1 || gotReq.Probes[0] != req.Probes[0] ||
+		len(gotReq.Players) != 2 || gotReq.Players[1] != 5 {
 		t.Fatalf("request round-trip: %+v != %+v", gotReq, req)
 	}
 
 	resp := Response{
 		N: 4, M: 8, LocalTesting: true, Alpha: 0.5, Beta: 0.25,
-		Costs:  []float64{1, 2},
-		Votes:  []VoteMsg{{Player: 1, Object: 2, Round: 3, Value: 4}},
-		Counts: map[int]int{5: 6},
-		Round:  9,
+		Costs:        []float64{1, 2},
+		Votes:        []VoteMsg{{Player: 1, Object: 2, Round: 3, Value: 4}},
+		Counts:       map[int]int{5: 6},
+		Round:        9,
+		ProbeResults: []ProbeRes{{Value: 0.5, Good: true}},
 	}
 	if err := enc.Encode(&resp); err != nil {
 		t.Fatal(err)
@@ -85,7 +84,8 @@ func TestGobRoundTrip(t *testing.T) {
 	}
 	if gotResp.N != 4 || gotResp.M != 8 || !gotResp.LocalTesting ||
 		len(gotResp.Costs) != 2 || len(gotResp.Votes) != 1 ||
-		gotResp.Counts[5] != 6 || gotResp.Round != 9 {
+		gotResp.Counts[5] != 6 || gotResp.Round != 9 ||
+		len(gotResp.ProbeResults) != 1 || gotResp.ProbeResults[0] != resp.ProbeResults[0] {
 		t.Fatalf("response round-trip mangled: %+v", gotResp)
 	}
 }
