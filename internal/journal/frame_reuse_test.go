@@ -2,7 +2,14 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/billboard"
 )
 
 // TestAppendEndRoundFrameByteIdentical pins the encode-once contract of the
@@ -72,6 +79,208 @@ func TestWriteEndRoundFrameSyncPolicy(t *testing.T) {
 		}
 		if synced != tc.want {
 			t.Fatalf("policy %v: synced %d times, want %d", tc.policy, synced, tc.want)
+		}
+	}
+}
+
+// freshFrame is the reference encoding of one record: the frame a fresh
+// gob encoder writes for e, which is how every journal frame was once
+// built.
+func freshFrame(t testing.TB, e entry) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
+		t.Fatal(err)
+	}
+	return append(binary.AppendUvarint(nil, uint64(buf.Len())), buf.Bytes()...)
+}
+
+// recordCase is one record written through the Writer API, paired with the
+// entry its frame must encode.
+type recordCase struct {
+	name  string
+	write func(w *Writer) error
+	want  entry
+}
+
+// everyRecordKind covers every record a Writer can write.
+func everyRecordKind() []recordCase {
+	p := billboard.Post{Player: 3, Object: 41, Value: 0.75, Positive: true}
+	admits := []Admit{{Player: 1, Object: 9}, {Player: 3, Object: 2}}
+	return []recordCase{
+		{"post", func(w *Writer) error { return w.AppendFrom(7, 2, p) },
+			entry{Kind: kindPost, Post: p, Session: 7, Seq: 2}},
+		{"post-index", func(w *Writer) error { return w.AppendAt(7, 3, 5, p) },
+			entry{Kind: kindPost, Post: p, Session: 7, Seq: 3, Index: 5}},
+		{"probe", func(w *Writer) error { return w.Probe(7, 4, 3, 12) },
+			entry{Kind: kindProbe, Session: 7, Seq: 4, Player: 3, Object: 12}},
+		{"done", func(w *Writer) error { return w.Done(7, 5, 3) },
+			entry{Kind: kindDone, Session: 7, Seq: 5, Player: 3}},
+		{"barrier-swarm", func(w *Writer) error { return w.Barrier(9, 6, -1) },
+			entry{Kind: kindBarrier, Session: 9, Seq: 6, Player: -1}},
+		{"swarm-open", func(w *Writer) error { return w.SwarmOpen(9, 16, 4096) },
+			entry{Kind: kindSwarmOpen, Session: 9, Player: 16, PlayerTo: 4096}},
+		{"force-done", func(w *Writer) error { return w.ForceDone(4) },
+			entry{Kind: kindForceDone, Player: 4}},
+		{"rollback", func(w *Writer) error { return w.Rollback() },
+			entry{Kind: kindRollback}},
+		{"end-round", func(w *Writer) error { return w.EndRound() },
+			entry{Kind: kindEndRound}},
+		{"end-round-admits", func(w *Writer) error { return w.EndRoundAdmits(admits) },
+			entry{Kind: kindEndRound, Admits: admits}},
+		{"end-round-quorum", func(w *Writer) error { return w.EndRoundQuorum(admits, 4, 2) },
+			entry{Kind: kindEndRound, Admits: admits, Term: 4, Quorum: 2}},
+	}
+}
+
+// TestWriterFramesMatchFreshEncoder pins the encode-once Writer to the
+// journal format: every record kind, written through one Writer, through
+// two Writers on one stream (a restart), as one batch, and through a store
+// across a rotation, must come out byte for byte as the concatenation of
+// fresh-encoder frames. Frames therefore stay self-contained, and a
+// journal written before the change replays like one written after it.
+func TestWriterFramesMatchFreshEncoder(t *testing.T) {
+	cases := everyRecordKind()
+	want := func(cs []recordCase) []byte {
+		var out []byte
+		for _, c := range cs {
+			out = append(out, freshFrame(t, c.want)...)
+		}
+		return out
+	}
+	writeAll := func(w *Writer, cs []recordCase) {
+		t.Helper()
+		for _, c := range cs {
+			if err := c.write(w); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+	}
+	half := len(cases) / 2
+
+	t.Run("one-writer", func(t *testing.T) {
+		var buf bytes.Buffer
+		writeAll(NewWriter(&buf), cases)
+		if !bytes.Equal(buf.Bytes(), want(cases)) {
+			t.Fatalf("frames diverge from fresh-encoder frames:\ngot:  %x\nwant: %x", buf.Bytes(), want(cases))
+		}
+	})
+	t.Run("two-writers", func(t *testing.T) {
+		var buf bytes.Buffer
+		writeAll(NewWriter(&buf), cases[:half])
+		writeAll(NewWriter(&buf), cases[half:])
+		if !bytes.Equal(buf.Bytes(), want(cases)) {
+			t.Fatal("a second writer on the same stream diverges from fresh-encoder frames")
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		cw := &countingWriter{}
+		w := NewWriter(cw)
+		w.Begin()
+		writeAll(w, cases)
+		if cw.writes != 0 {
+			t.Fatalf("%d writes before Flush", cw.writes)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if cw.writes != 1 {
+			t.Fatalf("batch of %d records took %d writes, want 1", len(cases), cw.writes)
+		}
+		if !bytes.Equal(cw.buf.Bytes(), want(cases)) {
+			t.Fatal("batched frames diverge from fresh-encoder frames")
+		}
+	})
+	t.Run("store-rotate", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := OpenStore(dir, SyncCommit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var mirrored []byte
+		st.SetMirror(func(p []byte) { mirrored = append(mirrored, p...) })
+		writeAll(st.Writer(), cases[:half])
+		wal0, err := os.ReadFile(filepath.Join(dir, "wal-00000000.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wal0, want(cases[:half])) {
+			t.Fatal("segment 0 diverges from fresh-encoder frames")
+		}
+		if err := st.Rotate([]byte("snapshot")); err != nil {
+			t.Fatal(err)
+		}
+		writeAll(st.Writer(), cases[half:])
+		wal1, err := os.ReadFile(filepath.Join(dir, "wal-00000001.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wal1, want(cases[half:])) {
+			t.Fatal("segment 1 diverges from fresh-encoder frames")
+		}
+		if !bytes.Equal(mirrored, want(cases)) {
+			t.Fatal("mirrored bytes diverge from fresh-encoder frames")
+		}
+	})
+}
+
+// countingWriter records what reaches it and in how many Writes.
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.buf.Write(p)
+}
+
+// TestWriterBatchSyncsOnce: a batch is one write, so SyncAlways flushes the
+// disk once for it, and SyncCommit only when it holds a round marker.
+func TestWriterBatchSyncsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		policy SyncPolicy
+		marker bool
+		want   int
+	}{
+		{SyncAlways, false, 1},
+		{SyncCommit, false, 0},
+		{SyncCommit, true, 1},
+		{SyncNone, true, 0},
+	} {
+		synced := 0
+		w := NewWriter(io.Discard)
+		w.SetSync(func() error { synced++; return nil }, tc.policy)
+		w.Begin()
+		for i := 0; i < 4; i++ {
+			if err := w.Probe(1, 1, i, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.marker {
+			if err := w.EndRound(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if synced != tc.want {
+			t.Fatalf("policy %v, marker %v: synced %d times, want %d", tc.policy, tc.marker, synced, tc.want)
+		}
+	}
+}
+
+// BenchmarkWriterAppend prices one journaled post: encode its frame and
+// write it (to io.Discard, so the figure is codec work, not I/O).
+func BenchmarkWriterAppend(b *testing.B) {
+	w := NewWriter(io.Discard)
+	p := billboard.Post{Player: 3, Object: 41, Value: 0.75, Positive: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := w.AppendFrom(7, uint64(i), p); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

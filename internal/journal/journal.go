@@ -14,6 +14,14 @@
 // round without its marker was never visible to players (the synchrony
 // contract) and is discarded by recovery.
 //
+// Encoding cost. A frame is exactly what a fresh gob encoder writes for
+// its entry: the entry type's descriptors, then the value. The descriptors
+// are the same for every entry, so they are encoded once per process (the
+// type prefix) and every Writer keeps one primed encoder that emits the
+// value alone; a frame is the prefix plus that value, byte for byte what a
+// fresh encoder would write, and just as self-contained. A Writer batch
+// (Begin … Flush) gathers a request's records into one underlying Write.
+//
 // Write-ahead records (durable restart). Beyond posts and round markers,
 // the journal carries the operational records a server needs to restart
 // mid-run with no observable effect on honest players:
@@ -44,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/billboard"
 )
@@ -127,8 +136,9 @@ const (
 	// crashes (kill -9) still lose nothing — written bytes survive the
 	// process — but a machine crash can lose committed rounds.
 	SyncNone
-	// SyncAlways fsyncs after every record: full durability, one disk
-	// flush per probe/post on the hot path.
+	// SyncAlways fsyncs after every write: full durability, one disk
+	// flush per journaled request (a batch's records share one write, so
+	// they share its flush) and per round marker.
 	SyncAlways
 )
 
@@ -160,14 +170,95 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
+// typePrefix holds the type-descriptor messages a fresh gob encoder writes
+// ahead of its first entry — the same bytes for every entry, computed once
+// per process. Computing it lazily keeps gob's process-wide type ids
+// assigned at the first record, where a fresh encoder assigned them.
+var typePrefix struct {
+	once sync.Once
+	b    []byte
+	err  error
+}
+
+func entryPrefix() ([]byte, error) {
+	typePrefix.once.Do(func() {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		if err := enc.Encode(&entry{}); err != nil {
+			typePrefix.err = fmt.Errorf("journal: %w", err)
+			return
+		}
+		first := buf.Len()
+		if err := enc.Encode(&entry{}); err != nil {
+			typePrefix.err = fmt.Errorf("journal: %w", err)
+			return
+		}
+		// The second Encode wrote the value message alone; the first wrote
+		// the descriptors ahead of the same message.
+		out := buf.Bytes()
+		value := out[first:]
+		if !bytes.HasSuffix(out[:first], value) {
+			typePrefix.err = errors.New("journal: gob type prefix did not split")
+			return
+		}
+		typePrefix.b = bytes.Clone(out[:first-len(value)])
+	})
+	return typePrefix.b, typePrefix.err
+}
+
+// frameEncoder appends entries as journal frames. Its gob encoder is primed
+// (it has sent entry's descriptors), so each Encode emits only the value
+// message, which the frame puts behind the shared type prefix.
+type frameEncoder struct {
+	prefix []byte
+	enc    *gob.Encoder
+	value  bytes.Buffer
+}
+
+func newFrameEncoder() (*frameEncoder, error) {
+	prefix, err := entryPrefix()
+	if err != nil {
+		return nil, err
+	}
+	fe := &frameEncoder{prefix: prefix}
+	fe.enc = gob.NewEncoder(&fe.value)
+	if err := fe.enc.Encode(&entry{}); err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	return fe, nil
+}
+
+// appendFrame appends e's frame — uvarint length, type prefix, value — to
+// dst and returns the extended slice.
+func (fe *frameEncoder) appendFrame(dst []byte, e *entry) ([]byte, error) {
+	fe.value.Reset()
+	if err := fe.enc.Encode(e); err != nil {
+		return dst, fmt.Errorf("journal: %w", err)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(fe.prefix)+fe.value.Len()))
+	dst = append(dst, fe.prefix...)
+	return append(dst, fe.value.Bytes()...), nil
+}
+
+// maxRetainedFrames bounds the frame buffer a Writer keeps between writes;
+// a larger batch's buffer is dropped once written.
+const maxRetainedFrames = 1 << 20
+
 // Writer appends billboard events to an underlying stream. Not safe for
 // concurrent use; callers serialize (the billboard server holds its lock
 // across AppendFrom/EndRound).
+//
+// Each record is one Write of its frame, unless a batch is open: between
+// Begin and Flush, records are encoded into the Writer's buffer and Flush
+// writes them all in one Write, applying the sync policy once.
 type Writer struct {
 	w      io.Writer
-	buf    bytes.Buffer
-	lenb   [binary.MaxVarintLen64]byte
-	err    error // first write error; subsequent calls fail fast
+	fe     *frameEncoder // primed at the first record
+	e      entry         // the record being encoded (by pointer: no boxing)
+	frames []byte        // encoded frames awaiting the underlying Write
+	marker bool          // frames hold a round marker or rollback
+	batch  bool          // between Begin and Flush
+	err    error         // first write error; subsequent calls fail fast
 	sync   func() error
 	policy SyncPolicy
 }
@@ -178,35 +269,64 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // SetSync installs a sync hook (typically os.File.Sync) invoked per the
-// policy: after every frame (SyncAlways) or after round markers and
-// rollbacks only (SyncCommit). SyncNone never invokes it.
+// policy: after every write (SyncAlways) or after writes holding a round
+// marker or rollback (SyncCommit). SyncNone never invokes it.
 func (w *Writer) SetSync(sync func() error, policy SyncPolicy) {
 	w.sync, w.policy = sync, policy
+}
+
+// Begin opens a batch: the records appended until Flush reach the
+// underlying stream together, in one Write. The caller must Flush before
+// anything else can write through this Writer.
+func (w *Writer) Begin() { w.batch = true }
+
+// Flush closes a batch, writing its records in one Write (none when the
+// batch is empty) and syncing once per the policy. Records encoded before a
+// failure are discarded with the batch; the error is sticky.
+func (w *Writer) Flush() error {
+	w.batch = false
+	return w.flush()
 }
 
 func (w *Writer) write(e entry) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf.Reset()
-	// A fresh encoder per frame keeps every frame self-contained, which is
-	// what makes append-after-recovery safe.
-	if err := gob.NewEncoder(&w.buf).Encode(e); err != nil {
+	if w.fe == nil {
+		if w.fe, w.err = newFrameEncoder(); w.err != nil {
+			return w.err
+		}
+	}
+	w.e = e
+	w.frames, w.err = w.fe.appendFrame(w.frames, &w.e)
+	w.e = entry{} // keep no reference to the caller's admits
+	if w.err != nil {
+		return w.err
+	}
+	w.marker = w.marker || e.Kind == kindEndRound || e.Kind == kindRollback
+	if w.batch {
+		return nil
+	}
+	return w.flush()
+}
+
+func (w *Writer) flush() error {
+	frames, marker := w.frames, w.marker
+	w.frames, w.marker = w.frames[:0], false
+	if cap(w.frames) > maxRetainedFrames {
+		w.frames = nil
+	}
+	if w.err != nil {
+		return w.err
+	}
+	if len(frames) == 0 {
+		return nil
+	}
+	if _, err := w.w.Write(frames); err != nil {
 		w.err = fmt.Errorf("journal: %w", err)
 		return w.err
 	}
-	n := binary.PutUvarint(w.lenb[:], uint64(w.buf.Len()))
-	if _, err := w.w.Write(w.lenb[:n]); err != nil {
-		w.err = fmt.Errorf("journal: %w", err)
-		return w.err
-	}
-	if _, err := w.w.Write(w.buf.Bytes()); err != nil {
-		w.err = fmt.Errorf("journal: %w", err)
-		return w.err
-	}
-	if w.sync != nil &&
-		(w.policy == SyncAlways ||
-			(w.policy == SyncCommit && (e.Kind == kindEndRound || e.Kind == kindRollback))) {
+	if w.sync != nil && (w.policy == SyncAlways || (w.policy == SyncCommit && marker)) {
 		if err := w.sync(); err != nil {
 			w.err = fmt.Errorf("journal: sync: %w", err)
 			return w.err
@@ -254,21 +374,15 @@ func (w *Writer) EndRoundQuorum(admits []Admit, term uint64, quorum int) error {
 // AppendEndRoundFrame appends one complete round-marker frame — uvarint
 // length prefix plus gob payload, byte-identical to what EndRoundAdmits
 // (term and quorum zero) or EndRoundQuorum would write — to dst and returns
-// the extended slice. Frames are self-contained (fresh encoder per frame),
-// so a sharded commit encodes its admits marker once and hands the same
-// bytes to every lane's WriteEndRoundFrame instead of re-encoding per lane.
+// the extended slice. Frames are self-contained, so a sharded commit
+// encodes its admits marker once and hands the same bytes to every lane's
+// WriteEndRoundFrame instead of re-encoding per lane.
 func AppendEndRoundFrame(dst []byte, admits []Admit, term uint64, quorum int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entry{
-		Kind: kindEndRound, Admits: admits, Term: term, Quorum: quorum,
-	}); err != nil {
-		return dst, fmt.Errorf("journal: %w", err)
+	fe, err := newFrameEncoder()
+	if err != nil {
+		return dst, err
 	}
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(buf.Len()))
-	dst = append(dst, lenb[:n]...)
-	dst = append(dst, buf.Bytes()...)
-	return dst, nil
+	return fe.appendFrame(dst, &entry{Kind: kindEndRound, Admits: admits, Term: term, Quorum: quorum})
 }
 
 // WriteEndRoundFrame appends a pre-encoded round-marker frame (from
@@ -279,17 +393,12 @@ func (w *Writer) WriteEndRoundFrame(frame []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	if _, err := w.w.Write(frame); err != nil {
-		w.err = fmt.Errorf("journal: %w", err)
-		return w.err
+	w.frames = append(w.frames, frame...)
+	w.marker = true
+	if w.batch {
+		return nil
 	}
-	if w.sync != nil && w.policy != SyncNone {
-		if err := w.sync(); err != nil {
-			w.err = fmt.Errorf("journal: sync: %w", err)
-			return w.err
-		}
-	}
-	return nil
+	return w.flush()
 }
 
 // ForceDone records a barrier-deadline decision: the server deregistered

@@ -136,7 +136,7 @@ func (n *ReplicaNode) requestVote(peer int, term uint64, offsets []int64) *wire.
 		return nil
 	}
 	defer conn.Close()
-	ack, err := n.roundTrip(conn, &wire.RepMsg{
+	ack, err := newRepLink(conn).roundTrip(&wire.RepMsg{
 		Type: wire.RepVoteReq, Term: term, From: n.cfg.ID, Offsets: offsets,
 	})
 	if err != nil {
@@ -178,10 +178,11 @@ func (n *ReplicaNode) catchUp(denials []voteResult) {
 		return
 	}
 	defer conn.Close()
+	link := newRepLink(conn)
 	for _, stream := range wanted {
 		for {
 			v := n.log.view(stream)
-			ack, err := n.roundTrip(conn, &wire.RepMsg{
+			ack, err := link.roundTrip(&wire.RepMsg{
 				Type: wire.RepFetch, Term: n.Term(), From: n.cfg.ID,
 				Stream: stream, Offset: v.pos,
 			})

@@ -40,6 +40,7 @@ package server
 // bytes are, by the vote rule, a prefix of the new leader's streams.
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -154,15 +155,46 @@ func (rc *ReplicaConfig) Validate() error {
 	return nil
 }
 
+// repSendChunk is the size of one retained chunk of a replicated stream,
+// and so bounds one RepAppend payload: large tails ship as several frames,
+// so a slow link never pins one oversized write.
+const repSendChunk = 256 << 10
+
+// repChunk is one fixed-size block of retained stream bytes. A chunk never
+// moves once allocated; appends fill the last one in place.
+type repChunk = [repSendChunk]byte
+
 // repStream is one replicated byte stream's retained state: the bytes
 // appended since the segment base (earlier bytes live only in the base
-// snapshot) plus the epoch that fences resets.
+// snapshot) plus the epoch that fences resets. The bytes [base, pos) are
+// kept in chunks: chunk j holds [base+j·C, base+(j+1)·C) for C =
+// repSendChunk, so a long tail grows by one chunk at a time instead of
+// re-copying itself.
 type repStream struct {
-	base  int64  // stream offset where buf starts (segment base)
-	pos   int64  // base + len(buf)
-	epoch int    // bumped on every rotate/reset
-	snap  []byte // snapshot standing in for bytes [0, base)
-	buf   []byte // bytes appended since base
+	base   int64       // stream offset where chunks start (segment base)
+	pos    int64       // end of the retained bytes
+	epoch  int         // bumped on every rotate/reset
+	snap   []byte      // snapshot standing in for bytes [0, base)
+	chunks []*repChunk // retained bytes [base, pos)
+}
+
+// append retains p at the end of the stream.
+func (st *repStream) append(p []byte) {
+	for len(p) > 0 {
+		used := st.pos - st.base
+		if used == int64(len(st.chunks))*repSendChunk {
+			st.chunks = append(st.chunks, new(repChunk))
+		}
+		n := copy(st.chunks[len(st.chunks)-1][used%repSendChunk:], p)
+		st.pos += int64(n)
+		p = p[n:]
+	}
+}
+
+// reset drops every retained byte and starts a new segment at base.
+func (st *repStream) reset(base int64, snap []byte) {
+	st.base, st.pos, st.chunks, st.snap = base, base, nil, snap
+	st.epoch++
 }
 
 // repLog is the node's replicated-log bookkeeping: per-stream retained
@@ -189,24 +221,25 @@ func newRepLog(streams int, hist *obs.Histogram) *repLog {
 // callers reuse their buffers.
 func (l *repLog) appendLocal(stream int, p []byte) {
 	l.mu.Lock()
-	st := &l.streams[stream]
-	st.buf = append(st.buf, p...)
-	st.pos += int64(len(p))
+	l.streams[stream].append(p)
+	l.kickLocked()
+	l.mu.Unlock()
+}
+
+// kickLocked wakes every sender. Caller holds l.mu.
+func (l *repLog) kickLocked() {
 	for _, ch := range l.kicks {
 		select {
 		case ch <- struct{}{}:
 		default:
 		}
 	}
-	l.mu.Unlock()
 }
 
 // extend records bytes a follower applied from its leader.
 func (l *repLog) extend(stream int, p []byte) {
 	l.mu.Lock()
-	st := &l.streams[stream]
-	st.buf = append(st.buf, p...)
-	st.pos += int64(len(p))
+	l.streams[stream].append(p)
 	l.mu.Unlock()
 }
 
@@ -216,23 +249,15 @@ func (l *repLog) extend(stream int, p []byte) {
 func (l *repLog) noteRotate(stream int, snap []byte) {
 	l.mu.Lock()
 	st := &l.streams[stream]
-	st.base, st.buf, st.snap = st.pos, nil, snap
-	st.epoch++
-	for _, ch := range l.kicks {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
+	st.reset(st.pos, snap)
+	l.kickLocked()
 	l.mu.Unlock()
 }
 
 // resetStream adopts a leader-dictated segment (follower side of RepRotate).
 func (l *repLog) resetStream(stream int, base int64, snap []byte) {
 	l.mu.Lock()
-	st := &l.streams[stream]
-	st.base, st.pos, st.buf, st.snap = base, base, nil, snap
-	st.epoch++
+	l.streams[stream].reset(base, snap)
 	l.mu.Unlock()
 }
 
@@ -248,20 +273,35 @@ func (l *repLog) positions() []int64 {
 	return out
 }
 
-// streamView is a consistent snapshot of one stream's retained state. buf
-// subslices stay valid after the lock is dropped: the buffer is append-only
-// within an epoch, and every reset replaces it instead of truncating.
+// streamView is a consistent snapshot of one stream's retained state. Its
+// bytes stay valid after the lock is dropped: chunks never move, appends
+// only write past pos, and every reset replaces the chunk list instead of
+// reusing it.
 type streamView struct {
 	base, pos int64
 	epoch     int
-	snap, buf []byte
+	snap      []byte
+	chunks    []*repChunk
 }
 
 func (l *repLog) view(stream int) streamView {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := &l.streams[stream]
-	return streamView{base: st.base, pos: st.pos, epoch: st.epoch, snap: st.snap, buf: st.buf}
+	return streamView{base: st.base, pos: st.pos, epoch: st.epoch, snap: st.snap, chunks: st.chunks}
+}
+
+// from returns the retained bytes from stream offset off to the end of its
+// chunk (at most repSendChunk bytes, nil at pos), without copying. off must
+// lie in [base, pos].
+func (v streamView) from(off int64) []byte {
+	if off >= v.pos {
+		return nil
+	}
+	rel := off - v.base
+	j := rel / repSendChunk
+	end := min(v.pos-v.base-j*repSendChunk, repSendChunk)
+	return v.chunks[j][rel%repSendChunk : end]
 }
 
 // beginLeadership resets the ack table for a fresh leadership: every peer
@@ -478,7 +518,7 @@ func (n *ReplicaNode) openFollowerStoresLocked() error {
 			return err
 		}
 		v := n.log.view(i)
-		if tail, _ := io.ReadAll(st.Tail()); v.pos == v.base && v.buf == nil &&
+		if tail, _ := io.ReadAll(st.Tail()); v.pos == v.base &&
 			(st.Snapshot() != nil || len(tail) > 0) && v.snap == nil {
 			if err := st.Rotate(nil); err != nil {
 				st.Close()
@@ -739,6 +779,9 @@ func (n *ReplicaNode) handleRep(conn net.Conn) {
 		return
 	}
 	defer n.untrack(conn)
+	dec := wire.NewRepStreamDecoder(bufio.NewReader(conn))
+	enc := wire.NewStreamEncoder(conn)
+	var msg wire.RepMsg
 	for {
 		select {
 		case <-n.stop:
@@ -746,13 +789,14 @@ func (n *ReplicaNode) handleRep(conn net.Conn) {
 		default:
 		}
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		msg, err := wire.DecodeRep(conn)
-		if err != nil {
+		// msg.Data's buffer is reused: applyRep copies an append's payload
+		// into the store and the repLog, and keeps none of it.
+		if err := dec.DecodeRep(&msg); err != nil {
 			return
 		}
-		ack := n.applyRep(msg)
+		ack := n.applyRep(&msg)
 		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		if err := wire.EncodeRepAck(conn, &ack); err != nil {
+		if err := enc.EncodeRepAck(&ack); err != nil {
 			return
 		}
 	}
@@ -854,24 +898,21 @@ func (n *ReplicaNode) voteLocked(msg *wire.RepMsg) wire.RepAck {
 
 // serveFetchLocked answers a catch-up fetch from our retained stream state:
 // bytes from the requested offset, or — when the offset predates our
-// segment base — the whole segment (snapshot + buffer) as a reset.
+// segment base — the segment's snapshot and first bytes as a reset. A reply
+// carries at most one chunk; the fetcher asks again from where it ends.
 func (n *ReplicaNode) serveFetchLocked(msg *wire.RepMsg) wire.RepAck {
 	if msg.Stream < 0 || msg.Stream >= len(n.log.streams) {
 		return wire.RepAck{OK: false, Term: n.term, Err: fmt.Sprintf("no stream %d", msg.Stream)}
 	}
 	v := n.log.view(msg.Stream)
 	if msg.Offset < v.base {
-		return wire.RepAck{OK: true, Term: n.term, Reset: true, Offset: v.base, Snapshot: v.snap, Data: v.buf}
+		return wire.RepAck{OK: true, Term: n.term, Reset: true, Offset: v.base, Snapshot: v.snap, Data: v.from(v.base)}
 	}
 	if msg.Offset > v.pos {
 		return wire.RepAck{OK: false, Term: n.term, Offset: v.pos, Err: "offset beyond stream"}
 	}
-	return wire.RepAck{OK: true, Term: n.term, Offset: msg.Offset, Data: v.buf[msg.Offset-v.base:]}
+	return wire.RepAck{OK: true, Term: n.term, Offset: msg.Offset, Data: v.from(msg.Offset)}
 }
-
-// repSendChunk bounds one RepAppend payload; large tails ship as several
-// frames so a slow link never pins one oversized write.
-const repSendChunk = 256 << 10
 
 // runSender replicates this leadership's streams to one peer: a serial
 // dial → sync → reconcile → stream loop that survives connection failures
@@ -914,14 +955,36 @@ func (n *ReplicaNode) senderWait(stop chan struct{}, kick chan struct{}) bool {
 	return true
 }
 
+// repLink is the dialing side of one replication connection: messages go
+// out through a connection-scoped stream encoder and acks come back through
+// a stream decoder, so each gob type is described and compiled once per
+// connection, not once per frame.
+type repLink struct {
+	conn net.Conn
+	enc  *wire.StreamEncoder
+	dec  *wire.StreamDecoder
+}
+
+func newRepLink(conn net.Conn) *repLink {
+	return &repLink{
+		conn: conn,
+		enc:  wire.NewStreamEncoder(conn),
+		dec:  wire.NewRepStreamDecoder(bufio.NewReader(conn)),
+	}
+}
+
 // roundTrip runs one request/ack exchange with deadlines.
-func (n *ReplicaNode) roundTrip(conn net.Conn, msg *wire.RepMsg) (*wire.RepAck, error) {
-	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	if err := wire.EncodeRep(conn, msg); err != nil {
+func (l *repLink) roundTrip(msg *wire.RepMsg) (*wire.RepAck, error) {
+	l.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+	if err := l.enc.EncodeRep(msg); err != nil {
 		return nil, err
 	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	return wire.DecodeRepAck(conn)
+	l.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	ack := new(wire.RepAck)
+	if err := l.dec.DecodeRepAck(ack); err != nil {
+		return nil, err
+	}
+	return ack, nil
 }
 
 // senderConversation drives one connection's replication: sync positions,
@@ -930,7 +993,8 @@ func (n *ReplicaNode) roundTrip(conn net.Conn, msg *wire.RepMsg) (*wire.RepAck, 
 // connection errors, the peer fences us with a newer term, or the
 // leadership ends.
 func (n *ReplicaNode) senderConversation(conn net.Conn, peer int, term uint64, stop chan struct{}, kick chan struct{}, resetDone *bool) {
-	ack, err := n.roundTrip(conn, &wire.RepMsg{Type: wire.RepSync, Term: term, From: n.cfg.ID})
+	link := newRepLink(conn)
+	ack, err := link.roundTrip(&wire.RepMsg{Type: wire.RepSync, Term: term, From: n.cfg.ID})
 	if err != nil {
 		return
 	}
@@ -957,7 +1021,7 @@ func (n *ReplicaNode) senderConversation(conn net.Conn, peer int, term uint64, s
 				}
 				v := n.log.view(i)
 				if !wasReset[i] || fpos[i] < v.base || fpos[i] > v.pos {
-					rack, err := n.roundTrip(conn, &wire.RepMsg{
+					rack, err := link.roundTrip(&wire.RepMsg{
 						Type: wire.RepRotate, Term: term, From: n.cfg.ID,
 						Stream: i, Offset: v.base, Snapshot: v.snap,
 					})
@@ -975,13 +1039,9 @@ func (n *ReplicaNode) senderConversation(conn net.Conn, peer int, term uint64, s
 					n.log.ackPeer(peer, i, fpos[i])
 					break
 				}
-				chunk := v.buf[fpos[i]-v.base:]
-				if len(chunk) > repSendChunk {
-					chunk = chunk[:repSendChunk]
-				}
-				aack, err := n.roundTrip(conn, &wire.RepMsg{
+				aack, err := link.roundTrip(&wire.RepMsg{
 					Type: wire.RepAppend, Term: term, From: n.cfg.ID,
-					Stream: i, Offset: fpos[i], Data: chunk,
+					Stream: i, Offset: fpos[i], Data: v.from(fpos[i]),
 				})
 				if err != nil {
 					return
@@ -1007,7 +1067,7 @@ func (n *ReplicaNode) senderConversation(conn net.Conn, peer int, term uint64, s
 			return
 		case <-kick:
 		case <-time.After(n.cfg.HeartbeatEvery):
-			hack, err := n.roundTrip(conn, &wire.RepMsg{Type: wire.RepHeartbeat, Term: term, From: n.cfg.ID})
+			hack, err := link.roundTrip(&wire.RepMsg{Type: wire.RepHeartbeat, Term: term, From: n.cfg.ID})
 			if err != nil {
 				return
 			}

@@ -1045,12 +1045,15 @@ func (s *Server) probeBatchLocked(sess *session, req *wire.Request, charge bool)
 	}
 	if charge && s.jw != nil {
 		// Write-ahead: a probe is charged iff its record reached the
-		// journal. If a record cannot be written, nothing is charged and the
-		// client may retry; never charge a probe a recovery would forget.
+		// journal. The batch's records go out in one write; if it fails,
+		// nothing is charged and the client may retry; never charge a probe
+		// a recovery would forget.
+		s.jw.Begin()
 		for _, pr := range req.Probes {
-			if err := s.jw.Probe(sess.id, req.Seq, pr.Player, pr.Object); err != nil {
-				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-			}
+			_ = s.jw.Probe(sess.id, req.Seq, pr.Player, pr.Object) // a batch's write error surfaces at Flush
+		}
+		if err := s.jw.Flush(); err != nil {
+			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 		}
 	}
 	results := make([]wire.ProbeRes, len(req.Probes))
@@ -1070,7 +1073,8 @@ func (s *Server) probeBatchLocked(sess *session, req *wire.Request, charge bool)
 
 // doneLocked deregisters the listed players (they found a good object, or
 // timed out), each of which must lie in the session's range. Journaled per
-// player; deregistration is idempotent, so a replay is harmless.
+// player, in one write, before anyone is deregistered; deregistration is
+// idempotent, so a replay is harmless.
 func (s *Server) doneLocked(sess *session, req *wire.Request) wire.Response {
 	for i, p := range req.Players {
 		if !sess.has(p) {
@@ -1078,10 +1082,12 @@ func (s *Server) doneLocked(sess *session, req *wire.Request) wire.Response {
 		}
 	}
 	if s.jw != nil {
+		s.jw.Begin()
 		for _, p := range req.Players {
-			if err := s.jw.Done(sess.id, req.Seq, p); err != nil {
-				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-			}
+			_ = s.jw.Done(sess.id, req.Seq, p) // a batch's write error surfaces at Flush
+		}
+		if err := s.jw.Flush(); err != nil {
+			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 		}
 	}
 	for _, p := range req.Players {
@@ -1096,7 +1102,8 @@ func (s *Server) doneLocked(sess *session, req *wire.Request) wire.Response {
 // post is buffered. Past that check the batch is not transactional: an
 // invalid post aborts the remainder with an error, leaving earlier posts
 // buffered and journaled under the batch's sequence number, whose resend is
-// answered without re-applying any of them.
+// answered without re-applying any of them. The posts' records (and the
+// arrival's, when the batch ends the round) reach the journal in one write.
 func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response {
 	if s.sharded() {
 		// Posts on a sharded server carry client-assigned indices and flow
@@ -1112,17 +1119,21 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 			return outsideRange("batch post", i, len(req.Posts), p.Player, sess)
 		}
 	}
+	if s.jw != nil {
+		s.jw.Begin()
+	}
 	for i, p := range req.Posts {
 		post := billboard.Post{Player: p.Player, Object: p.Object, Value: p.Value, Positive: p.Positive}
 		if err := s.board.Post(post); err != nil {
+			if err := s.flushJournalLocked(); err != nil {
+				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
+			}
 			return wire.Response{Err: fmt.Sprintf("batch post %d/%d: %v", i+1, len(req.Posts), err)}
 		}
 		// The record carries the session and sequence number so recovery
 		// can rebuild the dedup window.
 		if s.jw != nil {
-			if err := s.jw.AppendFrom(sess.id, req.Seq, post); err != nil {
-				return wire.Response{Err: fmt.Sprintf("batch post %d/%d: journal: %v", i+1, len(req.Posts), err)}
-			}
+			_ = s.jw.AppendFrom(sess.id, req.Seq, post) // a batch's write error surfaces at Flush
 		}
 	}
 	if req.EndRound {
@@ -1130,7 +1141,19 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 		// the stamp releases necessarily contains them.
 		return s.arriveLocked(sess, req.Seq, req.Epoch, true)
 	}
+	if err := s.flushJournalLocked(); err != nil {
+		return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
+	}
 	return wire.Response{Round: s.round}
+}
+
+// flushJournalLocked ends the request's journal batch, writing its records
+// in one write (a no-op without a journal or a batch). Caller holds s.mu.
+func (s *Server) flushJournalLocked() error {
+	if s.jw == nil {
+		return nil
+	}
+	return s.jw.Flush()
 }
 
 // arriveLocked takes every arrival — bare (ReqEpoch), fused onto a post
@@ -1141,29 +1164,33 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 // once its round has committed — at once, if it already has. record is
 // false only for a swarm resend, whose original wrote the journal record.
 func (s *Server) arriveLocked(sess *session, seq uint64, target int, record bool) wire.Response {
-	if target < 1 {
-		return badStamp(target)
-	}
 	live := false
 	for p := sess.player; p < sess.playerTo && !live; p++ {
 		live = s.active[p]
-	}
-	if !live {
-		return wire.Response{Err: "player is done; no arrival"}
 	}
 	// Journaled (round-buffered, like the posts): a committed round's
 	// arrivals bind the session's dedup window across a restart; an
 	// uncommitted round's are rolled back and re-arrive on retry. A swarm
 	// session's arrival is one record, Player -1, meaning "all active
-	// members of Session".
+	// members of Session". The record joins a fused post batch's records,
+	// and the batch is flushed on every path, before any seal can write.
 	if record && s.jw != nil {
-		player := sess.player
-		if sess.swarm {
-			player = -1
+		if target >= 1 && live {
+			player := sess.player
+			if sess.swarm {
+				player = -1
+			}
+			_ = s.jw.Barrier(sess.id, seq, player) // a batch's write error surfaces at Flush
 		}
-		if err := s.jw.Barrier(sess.id, seq, player); err != nil {
+		if err := s.jw.Flush(); err != nil {
 			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
 		}
+	}
+	if target < 1 {
+		return badStamp(target)
+	}
+	if !live {
+		return wire.Response{Err: "player is done; no arrival"}
 	}
 	s.stampLocked(sess, target)
 	s.advanceLocked()

@@ -702,24 +702,28 @@ func (s *Server) lanePostBatch(ln *lane, sess *session, req *wire.Request) wire.
 			return outsideRange("batch post", i, len(req.Posts), p.Player, sess)
 		}
 	}
+	// Write-ahead: buffered iff journaled, so a lane restart restores
+	// exactly the acknowledged pending set. The batch's records go out in
+	// one write, and nothing is buffered unless it succeeds.
+	if ln.jw != nil {
+		ln.jw.Begin()
+		for _, p := range req.Posts {
+			_ = ln.jw.AppendAt(sess.id, req.Seq, p.Index, lanePost(p)) // a batch's write error surfaces at Flush
+		}
+		if err := ln.jw.Flush(); err != nil {
+			return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
+		}
+	}
 	for _, p := range req.Posts {
-		post := billboard.Post{
-			Player:   p.Player,
-			Object:   p.Object,
-			Value:    p.Value,
-			Positive: p.Positive,
-		}
-		// Write-ahead: buffered iff journaled, so a lane restart restores
-		// exactly the acknowledged pending set.
-		if ln.jw != nil {
-			if err := ln.jw.AppendAt(sess.id, req.Seq, p.Index, post); err != nil {
-				return wire.Response{Err: fmt.Sprintf("journal: %v", err)}
-			}
-		}
-		ln.addPending(stampedPost{post: post, index: p.Index})
+		ln.addPending(stampedPost{post: lanePost(p), index: p.Index})
 		ln.mPosts.Inc()
 	}
 	return wire.Response{Round: int(s.roundA.Load())}
+}
+
+// lanePost is the board post a lane batch entry carries.
+func lanePost(p wire.PostMsg) billboard.Post {
+	return billboard.Post{Player: p.Player, Object: p.Object, Value: p.Value, Positive: p.Positive}
 }
 
 // waitLaneUpLocked blocks (releasing s.mu via the condition variable) while

@@ -10,10 +10,14 @@ package wire
 // fencing rule that makes a deposed leader step down instead of splitting
 // the group.
 //
-// The framing is the same uvarint-length + fresh-gob scheme as the client
-// protocol, but with a larger size cap: a rotation frame carries a full
-// service snapshot, which can legitimately exceed the 1 MiB client-frame
-// bound.
+// The framing is the client protocol's connection-scoped stream codec: each
+// side of a replica link keeps one StreamEncoder and one StreamDecoder for
+// the connection's life, so gob type descriptors cross the link once per
+// connection instead of once per frame. Frames stay length-prefixed, but
+// with a larger size cap (NewRepStreamDecoder): a rotation frame carries a
+// full service snapshot, which can legitimately exceed the 1 MiB
+// client-frame bound. As on client links, only a connection's first frame
+// is self-contained, so every member of a group must run the same framing.
 
 import (
 	"fmt"
@@ -122,32 +126,32 @@ type RepAck struct {
 	Err string
 }
 
-// EncodeRep writes msg as one replication frame.
-func EncodeRep(w io.Writer, msg *RepMsg) error {
-	return encodeFrame(w, msg)
+// NewRepStreamDecoder binds a stream decoder to one replica link for the
+// connection's life: frames up to MaxRepFrame, read from r (prefer a
+// *bufio.Reader). A frame above MaxFrame is read into a buffer of its own,
+// so a snapshot is not kept for the rest of the connection.
+func NewRepStreamDecoder(r io.Reader) *StreamDecoder {
+	return newStreamDecoder(r, MaxRepFrame)
 }
 
-// DecodeRep reads one replication message, tolerating frames up to
-// MaxRepFrame.
-func DecodeRep(r io.Reader) (*RepMsg, error) {
-	var msg RepMsg
-	if err := decodeFrameCap(r, &msg, MaxRepFrame); err != nil {
-		return nil, err
-	}
-	return &msg, nil
+// EncodeRep writes msg as one frame on the stream.
+func (e *StreamEncoder) EncodeRep(msg *RepMsg) error { return e.Encode(msg) }
+
+// EncodeRepAck writes ack as one frame on the stream.
+func (e *StreamEncoder) EncodeRepAck(ack *RepAck) error { return e.Encode(ack) }
+
+// DecodeRep reads one replication message from the stream into msg,
+// zeroing it first, except that the new message's Data decodes into the
+// buffer msg.Data already holds: a follower copies each append's payload
+// out before reading the next, and need not allocate one per frame.
+func (d *StreamDecoder) DecodeRep(msg *RepMsg) error {
+	*msg = RepMsg{Data: msg.Data[:0]}
+	return d.Decode(msg)
 }
 
-// EncodeRepAck writes ack as one replication frame.
-func EncodeRepAck(w io.Writer, ack *RepAck) error {
-	return encodeFrame(w, ack)
-}
-
-// DecodeRepAck reads one replication ack, tolerating frames up to
-// MaxRepFrame (fetch replies carry segment payloads).
-func DecodeRepAck(r io.Reader) (*RepAck, error) {
-	var ack RepAck
-	if err := decodeFrameCap(r, &ack, MaxRepFrame); err != nil {
-		return nil, err
-	}
-	return &ack, nil
+// DecodeRepAck reads one replication ack from the stream into ack, zeroing
+// it first.
+func (d *StreamDecoder) DecodeRepAck(ack *RepAck) error {
+	*ack = RepAck{}
+	return d.Decode(ack)
 }

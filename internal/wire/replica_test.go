@@ -1,14 +1,18 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"reflect"
 	"testing"
 )
 
-func TestRepMsgRoundTrip(t *testing.T) {
-	msgs := []RepMsg{
+// repMsgs and repAcks cover every replication message kind and the ack
+// shapes the group sends back.
+var (
+	repMsgs = []RepMsg{
 		{Type: RepSync, Term: 3, From: 1},
 		{Type: RepAppend, Term: 3, From: 0, Stream: 2, Offset: 4096, Data: []byte("journal bytes")},
 		{Type: RepRotate, Term: 4, From: 0, Stream: 0, Offset: 9000, Snapshot: []byte("snap")},
@@ -16,70 +20,115 @@ func TestRepMsgRoundTrip(t *testing.T) {
 		{Type: RepVoteReq, Term: 5, From: 2, Offsets: []int64{100, 0, 250}},
 		{Type: RepFetch, Term: 5, From: 2, Stream: 1, Offset: 128},
 	}
-	var buf bytes.Buffer
-	for _, m := range msgs {
-		if err := EncodeRep(&buf, &m); err != nil {
-			t.Fatalf("%s: encode: %v", m.Type, err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := DecodeRep(&buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", want.Type, err)
-		}
-		if !reflect.DeepEqual(*got, want) {
-			t.Fatalf("%s: round trip mismatch:\ngot  %+v\nwant %+v", want.Type, got, want)
-		}
-	}
-}
-
-func TestRepAckRoundTrip(t *testing.T) {
-	acks := []RepAck{
+	repAcks = []RepAck{
 		{OK: true, Term: 3, Offset: 512},
 		{OK: false, Term: 9, Err: "already leading this term"},
 		{OK: true, Term: 3, Offsets: []int64{10, 20}},
 		{OK: true, Term: 3, Offset: 64, Data: []byte("tail"), Snapshot: []byte("seg"), Reset: true},
 	}
+)
+
+// encodeRepStream writes msgs as one replica link's stream: the first frame
+// carries the gob type descriptors, every later one only its value.
+func encodeRepStream(t testing.TB, msgs []RepMsg) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	for _, a := range acks {
-		if err := EncodeRepAck(&buf, &a); err != nil {
+	enc := NewStreamEncoder(&buf)
+	for i := range msgs {
+		if err := enc.EncodeRep(&msgs[i]); err != nil {
+			t.Fatalf("%s: encode: %v", msgs[i].Type, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+func encodeAckStream(t testing.TB, acks []RepAck) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := NewStreamEncoder(&buf)
+	for i := range acks {
+		if err := enc.EncodeRepAck(&acks[i]); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 	}
-	for _, want := range acks {
-		got, err := DecodeRepAck(&buf)
-		if err != nil {
+	return buf.Bytes()
+}
+
+func TestRepMsgRoundTrip(t *testing.T) {
+	dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(encodeRepStream(t, repMsgs))))
+	for _, want := range repMsgs {
+		var got RepMsg
+		if err := dec.DecodeRep(&got); err != nil {
+			t.Fatalf("%s: decode: %v", want.Type, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: round trip mismatch:\ngot  %+v\nwant %+v", want.Type, got, want)
+		}
+	}
+	var got RepMsg
+	if err := dec.DecodeRep(&got); err != io.EOF {
+		t.Fatalf("clean end of stream: got %v, want io.EOF", err)
+	}
+}
+
+// TestRepMsgReusesData: decoding into a message that holds a payload
+// buffer reuses it for the next payload, and a frame without Data leaves
+// the message's Data empty.
+func TestRepMsgReusesData(t *testing.T) {
+	msgs := []RepMsg{
+		{Type: RepAppend, Term: 1, Data: []byte("first payload")},
+		{Type: RepAppend, Term: 1, Offset: 13, Data: []byte("second")},
+		{Type: RepHeartbeat, Term: 1},
+	}
+	dec := NewRepStreamDecoder(bytes.NewReader(encodeRepStream(t, msgs)))
+	var msg RepMsg
+	if err := dec.DecodeRep(&msg); err != nil || string(msg.Data) != "first payload" {
+		t.Fatalf("first append: %q, %v", msg.Data, err)
+	}
+	buf := &msg.Data[0]
+	if err := dec.DecodeRep(&msg); err != nil || string(msg.Data) != "second" || msg.Offset != 13 {
+		t.Fatalf("second append: %+v, %v", msg, err)
+	}
+	if &msg.Data[0] != buf {
+		t.Fatal("the second payload did not reuse the first one's buffer")
+	}
+	if err := dec.DecodeRep(&msg); err != nil || msg.Type != RepHeartbeat || len(msg.Data) != 0 {
+		t.Fatalf("heartbeat after appends: %+v, %v", msg, err)
+	}
+}
+
+func TestRepAckRoundTrip(t *testing.T) {
+	dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(encodeAckStream(t, repAcks))))
+	var got RepAck
+	for _, want := range repAcks {
+		if err := dec.DecodeRepAck(&got); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if !reflect.DeepEqual(*got, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
 		}
 	}
 }
 
-// FuzzDecodeRep feeds arbitrary byte streams to the replication decoder.
+// FuzzDecodeRep feeds arbitrary byte streams to a replica link's decoder.
 // Replica links are authenticated by deployment topology, not by handshake,
 // so the decoder still faces whatever a confused or half-dead peer writes:
 // it must error out cleanly, never panic, never allocate beyond MaxRepFrame.
 func FuzzDecodeRep(f *testing.F) {
-	for _, m := range []RepMsg{
-		{Type: RepSync, Term: 3, From: 1},
-		{Type: RepAppend, Term: 3, From: 0, Stream: 2, Offset: 4096, Data: []byte("journal bytes")},
-		{Type: RepRotate, Term: 4, From: 0, Stream: 0, Offset: 9000, Snapshot: []byte("snap")},
-		{Type: RepHeartbeat, Term: 4, From: 0},
-		{Type: RepVoteReq, Term: 5, From: 2, Offsets: []int64{100, 0, 250}},
-		{Type: RepFetch, Term: 5, From: 2, Stream: 1, Offset: 128},
-	} {
-		var buf bytes.Buffer
-		if err := EncodeRep(&buf, &m); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		if buf.Len() > 2 {
-			f.Add(buf.Bytes()[:buf.Len()/2])
-			f.Add(buf.Bytes()[:1])
-		}
+	stream := encodeRepStream(f, repMsgs)
+	for k := 1; k <= len(repMsgs); k++ {
+		f.Add(encodeRepStream(f, repMsgs[:k])) // the first k frames of a link
 	}
+	for i := range repMsgs {
+		f.Add(encodeRepStream(f, repMsgs[i:i+1])) // each kind as a link's first frame
+	}
+	first := len(encodeRepStream(f, repMsgs[:1]))
+	f.Add(stream[:len(stream)/2])
+	f.Add(stream[:1])
+	f.Add(stream[:len(stream)-3])
+	f.Add(stream[:first+1]) // torn at the second frame's length
+	f.Add(append(stream[:first:first], "not a frame at all"...))
+	f.Add(append(stream[:first:first], encodeAckStream(f, repAcks[:1])...)) // an ack stream spliced in
 	var lenb [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenb[:], MaxRepFrame+1)
 	f.Add(append([]byte(nil), lenb[:n]...))
@@ -89,9 +138,10 @@ func FuzzDecodeRep(f *testing.F) {
 	f.Add([]byte("not a frame at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for i := 0; i < 4; i++ {
-			if _, err := DecodeRep(r); err != nil {
+		dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(data)))
+		var msg RepMsg
+		for i := 0; i < 8; i++ {
+			if err := dec.DecodeRep(&msg); err != nil {
 				return
 			}
 		}
@@ -100,63 +150,144 @@ func FuzzDecodeRep(f *testing.F) {
 
 // FuzzDecodeRepAck does the same for the acknowledgment side of the link.
 func FuzzDecodeRepAck(f *testing.F) {
-	for _, a := range []RepAck{
-		{OK: true, Term: 3, Offset: 512},
-		{OK: false, Term: 9, Err: "already leading this term"},
-		{OK: true, Term: 3, Offsets: []int64{10, 20}},
-		{OK: true, Term: 3, Offset: 64, Data: []byte("tail"), Snapshot: []byte("seg"), Reset: true},
-	} {
-		var buf bytes.Buffer
-		if err := EncodeRepAck(&buf, &a); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		if buf.Len() > 2 {
-			f.Add(buf.Bytes()[:buf.Len()/2])
-		}
+	stream := encodeAckStream(f, repAcks)
+	for k := 1; k <= len(repAcks); k++ {
+		f.Add(encodeAckStream(f, repAcks[:k]))
 	}
+	for i := range repAcks {
+		f.Add(encodeAckStream(f, repAcks[i:i+1]))
+	}
+	f.Add(stream[:len(stream)/2])
+	f.Add(stream[:len(stream)-3])
 	var lenb [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenb[:], MaxRepFrame+1)
 	f.Add(append([]byte(nil), lenb[:n]...))
 	f.Add([]byte{0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for i := 0; i < 4; i++ {
-			if _, err := DecodeRepAck(r); err != nil {
+		dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(data)))
+		var ack RepAck
+		for i := 0; i < 8; i++ {
+			if err := dec.DecodeRepAck(&ack); err != nil {
 				return
 			}
 		}
 	})
 }
 
-// TestRepFrameCaps pins the two size bounds: replication frames may exceed
-// the client MaxFrame (snapshots ride in rotations), but a declared length
-// beyond MaxRepFrame is corruption.
-func TestRepFrameCaps(t *testing.T) {
-	big := RepMsg{Type: RepRotate, Term: 1, Snapshot: make([]byte, MaxFrame+1024)}
-	var buf bytes.Buffer
-	if err := EncodeRep(&buf, &big); err != nil {
-		t.Fatalf("encode oversized-for-client frame: %v", err)
+// gobUint is gob's unsigned-integer encoding: one byte below 128, else the
+// negated byte count followed by the big-endian bytes.
+func gobUint(x uint64) []byte {
+	if x < 128 {
+		return []byte{byte(x)}
 	}
-	if got, err := DecodeRep(&buf); err != nil || len(got.Snapshot) != MaxFrame+1024 {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], x)
+	i := 0
+	for b[i] == 0 {
+		i++
+	}
+	return append([]byte{byte(-(8 - i))}, b[i:]...)
+}
+
+// zeros reads n zero bytes without holding them.
+type zeros struct{ n int }
+
+func (z *zeros) Read(p []byte) (int, error) {
+	if z.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), z.n)
+	clear(p[:k])
+	z.n -= k
+	return k, nil
+}
+
+// maxRepFrameStream is a replica link stream whose second frame is exactly
+// size bytes, streamed lazily so the test holds no copy of it. The sender's
+// type has RepMsg's Term plus a Pad field RepMsg lacks; gob matches fields
+// by name and skips Pad, so the frame decodes as RepMsg{Term: 7} after the
+// decoder has read every byte of it. A third frame follows.
+func maxRepFrameStream(t *testing.T, size int) io.Reader {
+	t.Helper()
+	type padded struct {
+		Term uint64
+		Pad  []byte
+	}
+	var head bytes.Buffer
+	enc := NewStreamEncoder(&head)
+	if err := enc.Encode(&padded{Term: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// A sample frame, to learn the stream's type id for padded: its gob
+	// message is count (one byte) | type id | 01 07 (Term) | 01 01 09 (Pad)
+	// | 00.
+	var sample bytes.Buffer
+	enc.w = &sample
+	if err := enc.Encode(&padded{Term: 7, Pad: []byte{9}}); err != nil {
+		t.Fatal(err)
+	}
+	_, n := binary.Uvarint(sample.Bytes())
+	msg := sample.Bytes()[n:]
+	typeID := msg[1 : len(msg)-6]
+
+	// The big frame: its gob message is count | type id | 01 07 | 01
+	// len(pad) pad | 00, with len(pad) chosen to make the message size bytes.
+	fixed := len(typeID) + 2 + 1 + 1
+	pad := size - fixed - len(gobUint(uint64(size))) - 5
+	body := append(append([]byte(nil), typeID...), 0x01, 0x07, 0x01)
+	body = append(body, gobUint(uint64(pad))...)
+	count := gobUint(uint64(len(body) + pad + 1))
+	if got := len(count) + len(body) + pad + 1; got != size {
+		t.Fatalf("hand-built frame is %d bytes, want %d", got, size)
+	}
+	frameHead := binary.AppendUvarint(nil, uint64(size))
+	frameHead = append(append(frameHead, count...), body...)
+
+	var tail bytes.Buffer
+	enc.w = &tail
+	if err := enc.Encode(&padded{Term: 2}); err != nil {
+		t.Fatal(err)
+	}
+	return io.MultiReader(&head, bytes.NewReader(frameHead), &zeros{n: pad},
+		bytes.NewReader([]byte{0}), &tail)
+}
+
+// TestRepFrameCaps pins the replica link's size bounds: a frame of exactly
+// MaxRepFrame bytes decodes (frames may exceed the client MaxFrame:
+// snapshots ride in rotations), one byte more is corruption, and a torn
+// frame is an error. The decoder does not keep a frame above MaxFrame once
+// it is read.
+func TestRepFrameCaps(t *testing.T) {
+	dec := NewRepStreamDecoder(bufio.NewReader(maxRepFrameStream(t, MaxRepFrame)))
+	var got RepMsg
+	for _, want := range []uint64{1, 7, 2} {
+		if err := dec.DecodeRep(&got); err != nil || got.Term != want {
+			t.Fatalf("frame with term %d: got %+v, %v", want, got, err)
+		}
+		if cap(dec.frame) > MaxFrame {
+			t.Fatalf("decoder kept a %d-byte frame buffer", cap(dec.frame))
+		}
+	}
+
+	// A snapshot above the client cap round-trips on a replica link.
+	big := RepMsg{Type: RepRotate, Term: 1, Snapshot: bytes.Repeat([]byte{5}, MaxFrame+1024)}
+	dec = NewRepStreamDecoder(bytes.NewReader(encodeRepStream(t, []RepMsg{big})))
+	if err := dec.DecodeRep(&got); err != nil || !bytes.Equal(got.Snapshot, big.Snapshot) {
 		t.Fatalf("decode snapshot frame: %v (snapshot %d bytes)", err, len(got.Snapshot))
 	}
 
-	buf.Reset()
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], MaxRepFrame+1)
-	buf.Write(hdr[:n])
-	if _, err := DecodeRep(&buf); err == nil {
+	if err := NewRepStreamDecoder(bytes.NewReader(hdr[:n])).DecodeRep(&got); err == nil {
 		t.Fatal("declared frame above MaxRepFrame accepted")
 	}
 
 	// Truncated payload: header promises more bytes than follow.
-	buf.Reset()
 	n = binary.PutUvarint(hdr[:], 100)
-	buf.Write(hdr[:n])
-	buf.Write([]byte("short"))
-	if _, err := DecodeRepAck(&buf); err == nil {
+	torn := append(hdr[:n:n], "short"...)
+	var ack RepAck
+	if err := NewRepStreamDecoder(bytes.NewReader(torn)).DecodeRepAck(&ack); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }

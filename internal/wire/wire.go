@@ -445,14 +445,7 @@ func (o oneByteReader) ReadByte() (byte, error) {
 // surfaces as an error, never a panic: gob's decoder is guarded so a
 // hostile frame cannot kill the per-connection goroutine. A stream that
 // ends cleanly before the first length byte returns io.EOF.
-func decodeFrame(r io.Reader, v any) error {
-	return decodeFrameCap(r, v, MaxFrame)
-}
-
-// decodeFrameCap is decodeFrame under an explicit size cap — the
-// replication path (internal/wire/replica.go) carries whole snapshots and
-// needs a larger bound than client frames.
-func decodeFrameCap(r io.Reader, v any, maxSize uint64) (err error) {
+func decodeFrame(r io.Reader, v any) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("wire: decode panic: %v", p)
@@ -469,7 +462,7 @@ func decodeFrameCap(r io.Reader, v any, maxSize uint64) (err error) {
 		}
 		return fmt.Errorf("wire: frame length: %w", err)
 	}
-	if size == 0 || size > maxSize {
+	if size == 0 || size > MaxFrame {
 		return fmt.Errorf("wire: implausible frame size %d", size)
 	}
 	frame := make([]byte, size)
@@ -570,14 +563,19 @@ type StreamDecoder struct {
 	br    io.ByteReader
 	fr    frameReader
 	dec   *gob.Decoder
-	frame []byte // reused frame buffer
+	limit uint64 // frame size cap: MaxFrame, or MaxRepFrame on replica links
+	frame []byte // reused frame buffer, up to MaxFrame bytes
 	err   error
 }
 
 // NewStreamDecoder binds a stream decoder to r for the connection's life.
 // Prefer passing a reader that implements io.ByteReader (e.g. *bufio.Reader).
 func NewStreamDecoder(r io.Reader) *StreamDecoder {
-	d := &StreamDecoder{r: r}
+	return newStreamDecoder(r, MaxFrame)
+}
+
+func newStreamDecoder(r io.Reader, maxSize uint64) *StreamDecoder {
+	d := &StreamDecoder{r: r, limit: maxSize}
 	if br, ok := r.(io.ByteReader); ok {
 		d.br = br
 	} else {
@@ -609,22 +607,31 @@ func (d *StreamDecoder) Decode(v any) (err error) {
 		}
 		return fmt.Errorf("wire: frame length: %w", err)
 	}
-	if size == 0 || size > MaxFrame {
+	if size == 0 || size > d.limit {
 		return fmt.Errorf("wire: implausible frame size %d", size)
 	}
-	if uint64(cap(d.frame)) < size {
-		d.frame = make([]byte, size)
+	buf := d.frame
+	if uint64(cap(buf)) < size {
+		buf = make([]byte, size)
+		if size <= MaxFrame {
+			// Larger frames (replica snapshots) are read into a buffer of
+			// their own, so the connection does not keep it.
+			d.frame = buf
+		}
 	}
-	buf := d.frame[:size]
+	buf = buf[:size]
 	if _, err := io.ReadFull(d.r, buf); err != nil {
 		return fmt.Errorf("wire: truncated frame: %w", err)
 	}
 	d.fr.data, d.fr.pos = buf, 0
-	if err := d.dec.Decode(v); err != nil {
+	err = d.dec.Decode(v)
+	trailing := len(d.fr.data) - d.fr.pos
+	d.fr.data = nil // the frame is consumed; keep no reference to it
+	if err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}
-	if d.fr.pos != len(d.fr.data) {
-		return fmt.Errorf("wire: %d trailing bytes after frame", len(d.fr.data)-d.fr.pos)
+	if trailing != 0 {
+		return fmt.Errorf("wire: %d trailing bytes after frame", trailing)
 	}
 	return nil
 }
