@@ -47,7 +47,7 @@ check: build
 	$(GO) test -race -run 'TestGoldenScenarioReplay' -count=2 .
 	$(GO) test -race -run 'TestSwarmDynamics|TestEngineReplayDeterministic|TestClusterReplayDeterministic' -count=2 ./internal/dist ./internal/scenario
 	$(GO) test -race -run 'TestScenario' ./cmd/experiments
-	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/server ./internal/journal > /dev/null
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/server ./internal/journal ./internal/wire > /dev/null
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short passes over every fuzz harness: the byte-level decoders (client and

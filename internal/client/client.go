@@ -162,7 +162,7 @@ type Client struct {
 	conn    net.Conn
 	w       io.Writer // encode path: conn, or a counting wrapper over it
 	br      *bufio.Reader
-	enc     *wire.StreamEncoder // connection-scoped codecs (protocol v6),
+	enc     *wire.StreamEncoder // connection-scoped codecs,
 	dec     *wire.StreamDecoder // rebuilt with every reconnect
 	jitter  *rng.Source
 	closed  bool  // set by Close: no further calls, no reconnects

@@ -32,8 +32,8 @@ type clientLane struct {
 	conn    net.Conn
 	w       io.Writer
 	br      *bufio.Reader
-	enc     *wire.StreamEncoder // connection-scoped codecs (protocol v6):
-	dec     *wire.StreamDecoder // the lane hot path encodes with no codec compile
+	enc     *wire.StreamEncoder // connection-scoped codecs: each keeps its
+	dec     *wire.StreamDecoder // frame buffer for the lane's life
 	jitter  *rng.Source
 }
 

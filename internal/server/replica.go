@@ -956,9 +956,9 @@ func (n *ReplicaNode) senderWait(stop chan struct{}, kick chan struct{}) bool {
 }
 
 // repLink is the dialing side of one replication connection: messages go
-// out through a connection-scoped stream encoder and acks come back through
-// a stream decoder, so each gob type is described and compiled once per
-// connection, not once per frame.
+// out through a connection-scoped stream encoder, one Write each, and acks
+// come back through a stream decoder, each reusing its buffer for the
+// connection's life.
 type repLink struct {
 	conn net.Conn
 	enc  *wire.StreamEncoder

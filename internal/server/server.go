@@ -633,9 +633,9 @@ func (s *Server) handle(conn net.Conn) {
 		rw = &countingConn{Conn: conn, in: s.m.bytesIn, out: s.m.bytesOut}
 	}
 	br := bufio.NewReader(rw)
-	// Connection-scoped codecs (protocol v6): gob type descriptors cross the
-	// wire once per connection, and the lane data plane stops paying a codec
-	// compile per frame.
+	// Connection-scoped codecs: frames are self-contained (protocol v11),
+	// so the pair keeps only buffers — the decoder's frame buffer and the
+	// encoder's, which writes each response in one Write.
 	dec := wire.NewStreamDecoder(br)
 	enc := wire.NewStreamEncoder(rw)
 

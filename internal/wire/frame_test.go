@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -122,11 +124,85 @@ func TestImplausibleFrameSizeRejected(t *testing.T) {
 }
 
 func TestGarbagePayloadIsError(t *testing.T) {
-	junk := []byte{0x05, 0xff, 0xfe, 0xfd, 0xfc, 0xfb} // valid length, garbage gob
+	junk := []byte{0x05, 0xff, 0xfe, 0xfd, 0xfc, 0xfb} // valid length, garbage payload
 	if _, err := DecodeRequest(bytes.NewReader(junk)); err == nil {
 		t.Fatal("garbage payload decoded")
 	}
 	if _, err := DecodeResponse(bytes.NewReader(junk)); err == nil {
 		t.Fatal("garbage payload decoded as response")
+	}
+}
+
+// frameOf wraps a payload in its length prefix.
+func frameOf(payload []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+}
+
+// splice returns b with b[i:j] replaced by mid, leaving b as it was.
+func splice(b []byte, i, j int, mid ...byte) []byte {
+	return append(append(append([]byte(nil), b[:i]...), mid...), b[j:]...)
+}
+
+// TestHostileCountRefusedBeforeAllocation: a slice count larger than the
+// bytes left in its frame is refused before anything is allocated for it.
+func TestHostileCountRefusedBeforeAllocation(t *testing.T) {
+	// A post-batch request's kind and type, its nine zero scalars (Session
+	// through Last), then a count of 2^40 posts: an 18-byte frame.
+	req := append([]byte{kindRequest, byte(ReqPostBatch)}, make([]byte, 9)...)
+	req = frameOf(binary.AppendUvarint(req, 1<<40))
+	// A response's kind and seven zero fields (Err through Beta), then 2^40
+	// costs.
+	resp := append([]byte{kindResponse}, make([]byte, 7)...)
+	resp = frameOf(binary.AppendUvarint(resp, 1<<40))
+	for _, c := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"request posts", func() error { _, err := DecodeRequest(bytes.NewReader(req)); return err }},
+		{"response costs", func() error { _, err := DecodeResponse(bytes.NewReader(resp)); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "entries declared") {
+			t.Fatalf("%s: err = %v, want a refused count", c.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Fatalf("%s: refusing the count allocated %d bytes", c.name, grew)
+		}
+	}
+}
+
+// TestMalformedPayloadIsStickyError: a bool byte other than 0 or 1, a varint
+// that is not minimal or runs past 64 bits, a byte after the last field, and
+// a frame of the wrong kind are each an error, and the decoder stays failed
+// even though a valid frame follows.
+func TestMalformedPayloadIsStickyError(t *testing.T) {
+	ack := (&RepAck{OK: true, Term: 5}).appendTo(nil) // kind | OK | Term | ...
+	valid := frameOf(ack)
+	if err := NewRepStreamDecoder(bytes.NewReader(valid)).DecodeRepAck(&RepAck{}); err != nil {
+		t.Fatalf("the unmodified frame: %v", err)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"bool byte 2", splice(ack, 1, 2, 2)},
+		{"bool byte 0xff", splice(ack, 1, 2, 0xff)},
+		{"non-minimal varint", splice(ack, 2, 3, 0x85, 0x00)},
+		{"varint past 64 bits", splice(ack, 2, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)},
+		{"trailing byte", splice(ack, len(ack), len(ack), 0)},
+		{"torn payload", ack[:len(ack)-1]},
+		{"wrong kind", splice(ack, 0, 1, kindRep)},
+	} {
+		dec := NewRepStreamDecoder(bytes.NewReader(append(frameOf(c.payload), valid...)))
+		var got RepAck
+		if err := dec.DecodeRepAck(&got); err == nil || errors.Is(err, io.EOF) {
+			t.Fatalf("%s: err = %v, want a decode error", c.name, err)
+		}
+		if err := dec.DecodeRepAck(&got); err == nil {
+			t.Fatalf("%s: the error is not sticky: the next frame decoded", c.name)
+		}
 	}
 }

@@ -3,17 +3,91 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"reflect"
 	"testing"
 )
 
+// fuzzStream decodes up to eight frames of like's kind from data, as one
+// connection would, with frames capped at limit. Any decode error ends the
+// stream; a panic fails. Each frame that decodes must re-encode to the same
+// payload (a value has one encoding) and decode again to an equal value.
+func fuzzStream(t *testing.T, data []byte, limit uint64, like any) {
+	r := bytes.NewReader(data)
+	dec := newStreamDecoder(r, limit)
+	for range 8 {
+		start := len(data) - r.Len()
+		v, err := decodeMsg(dec, like)
+		if err != nil {
+			return
+		}
+		frame := data[start : len(data)-r.Len()]
+		var buf bytes.Buffer
+		if err := encodeMsg(NewStreamEncoder(&buf), v); err != nil {
+			t.Fatalf("re-encode %+v: %v", v, err)
+		}
+		if !bytes.Equal(payload(buf.Bytes()), payload(frame)) {
+			t.Fatalf("frame %x re-encodes as %x", frame, buf.Bytes())
+		}
+		again, err := decodeMsg(newStreamDecoder(&buf, limit), like)
+		if err != nil || !sameValue(reflect.ValueOf(again), reflect.ValueOf(v)) {
+			t.Fatalf("re-encoded frame decodes to %+v (%v), want %+v", again, err, v)
+		}
+	}
+}
+
+// payload strips a frame's length prefix.
+func payload(frame []byte) []byte {
+	_, n := binary.Uvarint(frame)
+	return frame[n:]
+}
+
+// sameValue is reflect.DeepEqual with floats compared by bit pattern, so a
+// NaN a fuzzer writes equals itself.
+func sameValue(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Pointer:
+		return sameValue(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if w := b.MapIndex(k); !w.IsValid() || !sameValue(a.MapIndex(k), w) {
+				return false
+			}
+		}
+		return true
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	}
+	return a.Equal(b)
+}
+
 // FuzzDecodeRequest feeds arbitrary byte streams to the request decoder. The
-// server calls DecodeRequest on every byte an unauthenticated peer sends, so
-// the invariant is absolute: malformed, truncated, or hostile input returns
-// an error (or a valid request) — it never panics and never allocates an
-// implausible buffer.
+// server decodes every byte an unauthenticated peer sends, so the invariant
+// is absolute: malformed, truncated, or hostile input returns an error (or a
+// valid request) — it never panics and never allocates an implausible
+// buffer.
 func FuzzDecodeRequest(f *testing.F) {
-	// Valid frames.
-	for _, req := range []Request{
+	reqs := []Request{
 		{Type: ReqHello, Player: 0, Token: "tok", Version: Version, Session: 1},
 		{Type: ReqProbeBatch, Probes: []ProbeMsg{{Player: 0, Object: 5}}, Session: 1, Seq: 1},
 		{Type: ReqPostBatch, Posts: []PostMsg{{Player: 0, Object: 5, Value: -1.5, Positive: true}},
@@ -24,17 +98,16 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Type: ReqHello, Player: 1, Token: "tok", Version: Version, Session: 2, Lane: true, Shard: 3},
 		{Type: ReqPostBatch, Session: 2, Seq: 4, Shard: 3,
 			Posts: []PostMsg{{Object: 9, Value: 1, Positive: true, Index: 17}}},
-	} {
-		var buf bytes.Buffer
-		if err := EncodeRequest(&buf, &req); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		// Truncations of a valid frame.
-		if buf.Len() > 2 {
-			f.Add(buf.Bytes()[:buf.Len()/2])
-			f.Add(buf.Bytes()[:1])
-		}
+	}
+	// A connection's whole stream, and torn at its middle.
+	stream := encodeStream(f, reqs)
+	f.Add(stream)
+	f.Add(stream[:len(stream)/2])
+	for i := range reqs {
+		frame := encodeStream(f, reqs[i:i+1])
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+		f.Add(frame[:1])
 	}
 	// Hostile length prefixes.
 	var lenb [binary.MaxVarintLen64]byte
@@ -48,38 +121,31 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte("not a frame at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for i := 0; i < 4; i++ { // drain several frames, as a connection would
-			req, err := DecodeRequest(r)
-			if err != nil {
-				return // any error is acceptable; panics are not
-			}
-			if req == nil {
-				t.Fatal("nil request without error")
-			}
-		}
+		fuzzStream(t, data, MaxFrame, &Request{})
 	})
 }
 
 // FuzzDecodeResponse is the client-side mirror: a byzantine or corrupted
 // server must not be able to crash a player.
 func FuzzDecodeResponse(f *testing.F) {
-	var buf bytes.Buffer
-	resp := Response{N: 2, M: 8, Costs: []float64{1, 2}, Round: 1, Counts: map[int]int{1: 1}}
-	if err := EncodeResponse(&buf, &resp); err != nil {
-		f.Fatal(err)
+	resps := []Response{
+		{N: 2, M: 8, Costs: []float64{1, 2}, Round: 1, Alpha: 0.5, Beta: 0.25, LocalTesting: true},
+		{Round: 1, ProbeResults: []ProbeRes{{Value: 1, Good: true}, {Value: 0}}},
+		{Round: 2, Votes: []VoteMsg{{Player: 1, Object: 5, Round: 1, Value: 1}}, Objects: []int{5},
+			Count: 1, Counts: map[int]int{1: 1, 5: 2}},
+		// Protocol v4: shard-count payload and a coded error.
+		{Round: 3, Shards: 4, Code: CodeSessionExpired, Err: "gone"},
+		{Code: CodeNotLeader, Err: "not the leader", Leader: "127.0.0.1:7000"},
 	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/2])
+	stream := encodeStream(f, resps)
+	f.Add(stream)
+	f.Add(stream[:len(stream)/2])
+	for i := range resps {
+		f.Add(encodeStream(f, resps[i:i+1]))
+	}
 	f.Add([]byte{0x03, 0x01, 0x02, 0x03})
-	// Protocol v4: shard-count payload and a coded error.
-	buf.Reset()
-	if err := EncodeResponse(&buf, &Response{Round: 3, Shards: 4, Code: CodeSessionExpired, Err: "gone"}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeResponse(bytes.NewReader(data))
+		fuzzStream(t, data, MaxFrame, &Response{})
 	})
 }

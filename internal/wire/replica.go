@@ -10,14 +10,13 @@ package wire
 // fencing rule that makes a deposed leader step down instead of splitting
 // the group.
 //
-// The framing is the client protocol's connection-scoped stream codec: each
+// The framing is the client protocol's frame codec (protocol v11): each
 // side of a replica link keeps one StreamEncoder and one StreamDecoder for
-// the connection's life, so gob type descriptors cross the link once per
-// connection instead of once per frame. Frames stay length-prefixed, but
+// the connection's life, for their reused buffers; every frame is
+// self-contained and goes out in one Write. Frames stay length-prefixed, but
 // with a larger size cap (NewRepStreamDecoder): a rotation frame carries a
 // full service snapshot, which can legitimately exceed the 1 MiB
-// client-frame bound. As on client links, only a connection's first frame
-// is self-contained, so every member of a group must run the same framing.
+// client-frame bound.
 
 import (
 	"fmt"
@@ -135,23 +134,45 @@ func NewRepStreamDecoder(r io.Reader) *StreamDecoder {
 }
 
 // EncodeRep writes msg as one frame on the stream.
-func (e *StreamEncoder) EncodeRep(msg *RepMsg) error { return e.Encode(msg) }
+func (e *StreamEncoder) EncodeRep(msg *RepMsg) error {
+	if e.err != nil {
+		return e.err
+	}
+	size := msg.size()
+	return e.flush(msg.appendTo(e.begin(size)), size)
+}
 
 // EncodeRepAck writes ack as one frame on the stream.
-func (e *StreamEncoder) EncodeRepAck(ack *RepAck) error { return e.Encode(ack) }
+func (e *StreamEncoder) EncodeRepAck(ack *RepAck) error {
+	if e.err != nil {
+		return e.err
+	}
+	size := ack.size()
+	return e.flush(ack.appendTo(e.begin(size)), size)
+}
 
 // DecodeRep reads one replication message from the stream into msg,
-// zeroing it first, except that the new message's Data decodes into the
+// zeroing it first, except that the new message's Data is copied into the
 // buffer msg.Data already holds: a follower copies each append's payload
 // out before reading the next, and need not allocate one per frame.
 func (d *StreamDecoder) DecodeRep(msg *RepMsg) error {
 	*msg = RepMsg{Data: msg.Data[:0]}
-	return d.Decode(msg)
+	p, err := d.next(kindRep)
+	if err != nil {
+		return err
+	}
+	msg.parse(&p)
+	return d.done(&p)
 }
 
 // DecodeRepAck reads one replication ack from the stream into ack, zeroing
 // it first.
 func (d *StreamDecoder) DecodeRepAck(ack *RepAck) error {
 	*ack = RepAck{}
-	return d.Decode(ack)
+	p, err := d.next(kindRepAck)
+	if err != nil {
+		return err
+	}
+	ack.parse(&p)
+	return d.done(&p)
 }

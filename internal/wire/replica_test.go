@@ -28,34 +28,8 @@ var (
 	}
 )
 
-// encodeRepStream writes msgs as one replica link's stream: the first frame
-// carries the gob type descriptors, every later one only its value.
-func encodeRepStream(t testing.TB, msgs []RepMsg) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := NewStreamEncoder(&buf)
-	for i := range msgs {
-		if err := enc.EncodeRep(&msgs[i]); err != nil {
-			t.Fatalf("%s: encode: %v", msgs[i].Type, err)
-		}
-	}
-	return buf.Bytes()
-}
-
-func encodeAckStream(t testing.TB, acks []RepAck) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := NewStreamEncoder(&buf)
-	for i := range acks {
-		if err := enc.EncodeRepAck(&acks[i]); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-	}
-	return buf.Bytes()
-}
-
 func TestRepMsgRoundTrip(t *testing.T) {
-	dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(encodeRepStream(t, repMsgs))))
+	dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(encodeStream(t, repMsgs))))
 	for _, want := range repMsgs {
 		var got RepMsg
 		if err := dec.DecodeRep(&got); err != nil {
@@ -80,7 +54,7 @@ func TestRepMsgReusesData(t *testing.T) {
 		{Type: RepAppend, Term: 1, Offset: 13, Data: []byte("second")},
 		{Type: RepHeartbeat, Term: 1},
 	}
-	dec := NewRepStreamDecoder(bytes.NewReader(encodeRepStream(t, msgs)))
+	dec := NewRepStreamDecoder(bytes.NewReader(encodeStream(t, msgs)))
 	var msg RepMsg
 	if err := dec.DecodeRep(&msg); err != nil || string(msg.Data) != "first payload" {
 		t.Fatalf("first append: %q, %v", msg.Data, err)
@@ -98,7 +72,7 @@ func TestRepMsgReusesData(t *testing.T) {
 }
 
 func TestRepAckRoundTrip(t *testing.T) {
-	dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(encodeAckStream(t, repAcks))))
+	dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(encodeStream(t, repAcks))))
 	var got RepAck
 	for _, want := range repAcks {
 		if err := dec.DecodeRepAck(&got); err != nil {
@@ -115,20 +89,20 @@ func TestRepAckRoundTrip(t *testing.T) {
 // so the decoder still faces whatever a confused or half-dead peer writes:
 // it must error out cleanly, never panic, never allocate beyond MaxRepFrame.
 func FuzzDecodeRep(f *testing.F) {
-	stream := encodeRepStream(f, repMsgs)
+	stream := encodeStream(f, repMsgs)
 	for k := 1; k <= len(repMsgs); k++ {
-		f.Add(encodeRepStream(f, repMsgs[:k])) // the first k frames of a link
+		f.Add(encodeStream(f, repMsgs[:k])) // the first k frames of a link
 	}
 	for i := range repMsgs {
-		f.Add(encodeRepStream(f, repMsgs[i:i+1])) // each kind as a link's first frame
+		f.Add(encodeStream(f, repMsgs[i:i+1])) // each kind as a link's first frame
 	}
-	first := len(encodeRepStream(f, repMsgs[:1]))
+	first := len(encodeStream(f, repMsgs[:1]))
 	f.Add(stream[:len(stream)/2])
 	f.Add(stream[:1])
 	f.Add(stream[:len(stream)-3])
 	f.Add(stream[:first+1]) // torn at the second frame's length
 	f.Add(append(stream[:first:first], "not a frame at all"...))
-	f.Add(append(stream[:first:first], encodeAckStream(f, repAcks[:1])...)) // an ack stream spliced in
+	f.Add(append(stream[:first:first], encodeStream(f, repAcks[:1])...)) // an ack stream spliced in
 	var lenb [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenb[:], MaxRepFrame+1)
 	f.Add(append([]byte(nil), lenb[:n]...))
@@ -138,24 +112,18 @@ func FuzzDecodeRep(f *testing.F) {
 	f.Add([]byte("not a frame at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(data)))
-		var msg RepMsg
-		for i := 0; i < 8; i++ {
-			if err := dec.DecodeRep(&msg); err != nil {
-				return
-			}
-		}
+		fuzzStream(t, data, MaxRepFrame, &RepMsg{})
 	})
 }
 
 // FuzzDecodeRepAck does the same for the acknowledgment side of the link.
 func FuzzDecodeRepAck(f *testing.F) {
-	stream := encodeAckStream(f, repAcks)
+	stream := encodeStream(f, repAcks)
 	for k := 1; k <= len(repAcks); k++ {
-		f.Add(encodeAckStream(f, repAcks[:k]))
+		f.Add(encodeStream(f, repAcks[:k]))
 	}
 	for i := range repAcks {
-		f.Add(encodeAckStream(f, repAcks[i:i+1]))
+		f.Add(encodeStream(f, repAcks[i:i+1]))
 	}
 	f.Add(stream[:len(stream)/2])
 	f.Add(stream[:len(stream)-3])
@@ -165,29 +133,8 @@ func FuzzDecodeRepAck(f *testing.F) {
 	f.Add([]byte{0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewRepStreamDecoder(bufio.NewReader(bytes.NewReader(data)))
-		var ack RepAck
-		for i := 0; i < 8; i++ {
-			if err := dec.DecodeRepAck(&ack); err != nil {
-				return
-			}
-		}
+		fuzzStream(t, data, MaxRepFrame, &RepAck{})
 	})
-}
-
-// gobUint is gob's unsigned-integer encoding: one byte below 128, else the
-// negated byte count followed by the big-endian bytes.
-func gobUint(x uint64) []byte {
-	if x < 128 {
-		return []byte{byte(x)}
-	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], x)
-	i := 0
-	for b[i] == 0 {
-		i++
-	}
-	return append([]byte{byte(-(8 - i))}, b[i:]...)
 }
 
 // zeros reads n zero bytes without holding them.
@@ -203,54 +150,31 @@ func (z *zeros) Read(p []byte) (int, error) {
 	return k, nil
 }
 
-// maxRepFrameStream is a replica link stream whose second frame is exactly
-// size bytes, streamed lazily so the test holds no copy of it. The sender's
-// type has RepMsg's Term plus a Pad field RepMsg lacks; gob matches fields
-// by name and skips Pad, so the frame decodes as RepMsg{Term: 7} after the
-// decoder has read every byte of it. A third frame follows.
-func maxRepFrameStream(t *testing.T, size int) io.Reader {
+// maxRepFrameStream is a replica link stream of three frames: a heartbeat
+// with term 1, a rotation with term 7 whose snapshot of zeros makes its
+// payload exactly size bytes, and a heartbeat with term 2. The snapshot is
+// streamed lazily, so the test holds no copy of it; its length is returned.
+func maxRepFrameStream(t *testing.T, size int) (io.Reader, int) {
 	t.Helper()
-	type padded struct {
-		Term uint64
-		Pad  []byte
+	head := encodeStream(t, []RepMsg{{Type: RepHeartbeat, Term: 1}})
+	tail := encodeStream(t, []RepMsg{{Type: RepHeartbeat, Term: 2}})
+	rot := RepMsg{Type: RepRotate, Term: 7}
+	// rot's payload ends with the snapshot's length (0) and the empty
+	// Offsets' count (0); base is the rest.
+	body := rot.appendTo(nil)
+	base := len(body) - 1
+	snap := size - base - 1
+	for base+uvarintSize(uint64(snap))+snap > size {
+		snap--
 	}
-	var head bytes.Buffer
-	enc := NewStreamEncoder(&head)
-	if err := enc.Encode(&padded{Term: 1}); err != nil {
-		t.Fatal(err)
+	if got := base + uvarintSize(uint64(snap)) + snap; got != size {
+		t.Fatalf("rotation payload is %d bytes, want %d", got, size)
 	}
-	// A sample frame, to learn the stream's type id for padded: its gob
-	// message is count (one byte) | type id | 01 07 (Term) | 01 01 09 (Pad)
-	// | 00.
-	var sample bytes.Buffer
-	enc.w = &sample
-	if err := enc.Encode(&padded{Term: 7, Pad: []byte{9}}); err != nil {
-		t.Fatal(err)
-	}
-	_, n := binary.Uvarint(sample.Bytes())
-	msg := sample.Bytes()[n:]
-	typeID := msg[1 : len(msg)-6]
-
-	// The big frame: its gob message is count | type id | 01 07 | 01
-	// len(pad) pad | 00, with len(pad) chosen to make the message size bytes.
-	fixed := len(typeID) + 2 + 1 + 1
-	pad := size - fixed - len(gobUint(uint64(size))) - 5
-	body := append(append([]byte(nil), typeID...), 0x01, 0x07, 0x01)
-	body = append(body, gobUint(uint64(pad))...)
-	count := gobUint(uint64(len(body) + pad + 1))
-	if got := len(count) + len(body) + pad + 1; got != size {
-		t.Fatalf("hand-built frame is %d bytes, want %d", got, size)
-	}
-	frameHead := binary.AppendUvarint(nil, uint64(size))
-	frameHead = append(append(frameHead, count...), body...)
-
-	var tail bytes.Buffer
-	enc.w = &tail
-	if err := enc.Encode(&padded{Term: 2}); err != nil {
-		t.Fatal(err)
-	}
-	return io.MultiReader(&head, bytes.NewReader(frameHead), &zeros{n: pad},
-		bytes.NewReader([]byte{0}), &tail)
+	prefix := binary.AppendUvarint(nil, uint64(size))
+	prefix = append(prefix, body[:len(body)-2]...)
+	prefix = binary.AppendUvarint(prefix, uint64(snap))
+	return io.MultiReader(bytes.NewReader(head), bytes.NewReader(prefix), &zeros{n: snap},
+		bytes.NewReader([]byte{0}), bytes.NewReader(tail)), snap
 }
 
 // TestRepFrameCaps pins the replica link's size bounds: a frame of exactly
@@ -259,11 +183,15 @@ func maxRepFrameStream(t *testing.T, size int) io.Reader {
 // frame is an error. The decoder does not keep a frame above MaxFrame once
 // it is read.
 func TestRepFrameCaps(t *testing.T) {
-	dec := NewRepStreamDecoder(bufio.NewReader(maxRepFrameStream(t, MaxRepFrame)))
+	stream, snap := maxRepFrameStream(t, MaxRepFrame)
+	dec := NewRepStreamDecoder(bufio.NewReader(stream))
 	var got RepMsg
 	for _, want := range []uint64{1, 7, 2} {
 		if err := dec.DecodeRep(&got); err != nil || got.Term != want {
-			t.Fatalf("frame with term %d: got %+v, %v", want, got, err)
+			t.Fatalf("frame with term %d: got term %d, %v", want, got.Term, err)
+		}
+		if want == 7 && len(got.Snapshot) != snap {
+			t.Fatalf("rotation snapshot: %d bytes, want %d", len(got.Snapshot), snap)
 		}
 		if cap(dec.frame) > MaxFrame {
 			t.Fatalf("decoder kept a %d-byte frame buffer", cap(dec.frame))
@@ -272,7 +200,7 @@ func TestRepFrameCaps(t *testing.T) {
 
 	// A snapshot above the client cap round-trips on a replica link.
 	big := RepMsg{Type: RepRotate, Term: 1, Snapshot: bytes.Repeat([]byte{5}, MaxFrame+1024)}
-	dec = NewRepStreamDecoder(bytes.NewReader(encodeRepStream(t, []RepMsg{big})))
+	dec = NewRepStreamDecoder(bytes.NewReader(encodeStream(t, []RepMsg{big})))
 	if err := dec.DecodeRep(&got); err != nil || !bytes.Equal(got.Snapshot, big.Snapshot) {
 		t.Fatalf("decode snapshot frame: %v (snapshot %d bytes)", err, len(got.Snapshot))
 	}

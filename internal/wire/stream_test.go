@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -45,40 +46,60 @@ func TestStreamRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if err := dec.Decode(&got); !errors.Is(err, io.EOF) {
+	if err := dec.DecodeRequest(&got); !errors.Is(err, io.EOF) {
 		t.Fatalf("past last frame: err = %v, want io.EOF", err)
 	}
 }
 
 // TestStreamFirstFrameSelfContained pins the interop contract the NotLeader
-// redirect relies on: the first frame of a stream encoder decodes with the
-// stateless single-frame decoder, and a stateless frame decodes as the first
-// frame of a stream decoder.
+// redirect relies on, for every frame of a stream (protocol v11): each frame
+// a stream encoder writes decodes alone with the stateless single-frame
+// decoder and with a fresh stream decoder, and stateless frames decode in
+// sequence through one stream decoder.
 func TestStreamFirstFrameSelfContained(t *testing.T) {
-	want := Request{Type: ReqHello, Session: 42, Player: 1, Token: "t", Version: Version}
+	reqs := []Request{
+		{Type: ReqHello, Session: 42, Player: 1, Token: "t", Version: Version},
+		{Type: ReqProbeBatch, Session: 42, Seq: 1, Probes: []ProbeMsg{{Player: 1, Object: 9}}},
+		{Type: ReqPostBatch, Session: 42, Seq: 2, EndRound: true, Epoch: 1,
+			Posts: []PostMsg{{Player: 1, Object: 9, Value: 0.5, Positive: true}}},
+		{Type: ReqDone, Session: 42, Seq: 3, Players: []int{1}},
+	}
+	var stream, stateless bytes.Buffer
+	enc := NewStreamEncoder(&stream)
+	var ends []int
+	for i := range reqs {
+		if err := enc.EncodeRequest(&reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, stream.Len())
+		if err := EncodeRequest(&stateless, &reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(stream.Bytes(), stateless.Bytes()) {
+		t.Fatal("a stream encoder and the stateless encoder wrote different bytes")
+	}
 
-	var a bytes.Buffer
-	if err := NewStreamEncoder(&a).EncodeRequest(&want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRequest(&a)
-	if err != nil {
-		t.Fatalf("stateless decode of first stream frame: %v", err)
-	}
-	if got.Type != want.Type || got.Session != want.Session || got.Token != want.Token {
-		t.Fatalf("got %+v, want %+v", *got, want)
+	start := 0
+	for i, end := range ends {
+		frame := stream.Bytes()[start:end]
+		start = end
+		got, err := DecodeRequest(bytes.NewReader(frame))
+		if err != nil || !reflect.DeepEqual(*got, reqs[i]) {
+			t.Fatalf("stateless decode of stream frame %d: %v\ngot  %+v\nwant %+v", i, err, got, reqs[i])
+		}
+		var got2 Request
+		if err := NewStreamDecoder(bytes.NewReader(frame)).DecodeRequest(&got2); err != nil || !reflect.DeepEqual(got2, reqs[i]) {
+			t.Fatalf("fresh stream decoder on frame %d: %v\ngot  %+v\nwant %+v", i, err, got2, reqs[i])
+		}
 	}
 
-	var b bytes.Buffer
-	if err := EncodeRequest(&b, &want); err != nil {
-		t.Fatal(err)
-	}
-	var got2 Request
-	if err := NewStreamDecoder(&b).DecodeRequest(&got2); err != nil {
-		t.Fatalf("stream decode of stateless frame: %v", err)
-	}
-	if got2.Type != want.Type || got2.Session != want.Session || got2.Token != want.Token {
-		t.Fatalf("got %+v, want %+v", got2, want)
+	dec := NewStreamDecoder(&stateless)
+	for i := range reqs {
+		var got Request
+		if err := dec.DecodeRequest(&got); err != nil || !reflect.DeepEqual(got, reqs[i]) {
+			t.Fatalf("stream decode of stateless frame %d: %v\ngot  %+v\nwant %+v", i, err, got, reqs[i])
+		}
 	}
 }
 
@@ -116,7 +137,7 @@ func TestStreamResponseRoundTrip(t *testing.T) {
 
 // TestStreamDecoderRejectsGarbage feeds implausible lengths and corrupt
 // payloads: each must error (never panic), and the error must be sticky —
-// the shared type stream cannot be trusted after a bad frame.
+// the stream's frame boundaries cannot be trusted after a bad frame.
 func TestStreamDecoderRejectsGarbage(t *testing.T) {
 	// Implausible declared length.
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0x7f}
@@ -151,5 +172,94 @@ func TestStreamDecoderRejectsGarbage(t *testing.T) {
 	d3 := NewStreamDecoder(bytes.NewReader(junk))
 	if err := d3.DecodeRequest(&req); err == nil {
 		t.Fatal("garbage payload decoded")
+	}
+}
+
+// countingWriter counts the Write calls made on it.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestStreamEncoderOneWritePerFrame pins that each frame, length and
+// payload together, reaches the connection in one Write.
+func TestStreamEncoderOneWritePerFrame(t *testing.T) {
+	w := &countingWriter{}
+	enc := NewStreamEncoder(w)
+	for _, like := range framedKinds {
+		for _, v := range []any{filled(like), like} {
+			before := w.writes
+			if err := encodeMsg(enc, v); err != nil {
+				t.Fatal(err)
+			}
+			if got := w.writes - before; got != 1 {
+				t.Fatalf("%T: %d writes for one frame, want 1", v, got)
+			}
+		}
+	}
+}
+
+// codecRound is one round of BenchmarkStreamCodec: a swarm group's probe,
+// post, vote-batch and done frames over n players, and their responses.
+func codecRound(n int) (reqs []Request, resps []Response) {
+	probes := make([]ProbeMsg, n)
+	posts := make([]PostMsg, n)
+	players := make([]int, n)
+	results := make([]ProbeRes, n)
+	votes := make([]VoteMsg, n)
+	for i := range n {
+		obj := (i * 7919) % 65536
+		probes[i] = ProbeMsg{Player: i, Object: obj}
+		posts[i] = PostMsg{Player: i, Object: obj, Value: float64(i % 2), Positive: i%2 == 1}
+		players[i] = i
+		results[i] = ProbeRes{Value: float64(i % 2), Good: i%2 == 1}
+		votes[i] = VoteMsg{Player: i, Object: obj, Round: 12, Value: 1}
+	}
+	reqs = []Request{
+		{Type: ReqProbeBatch, Session: 1, Seq: 1, Probes: probes},
+		{Type: ReqPostBatch, Session: 1, Seq: 2, Posts: posts, EndRound: true, Epoch: 13},
+		{Type: ReqVoteBatch, Session: 1, Seq: 3, Players: players},
+		{Type: ReqDone, Session: 1, Seq: 4, Players: players},
+	}
+	resps = []Response{
+		{Round: 12, ProbeResults: results},
+		{Round: 13},
+		{Round: 13, Votes: votes},
+		{Round: 13},
+	}
+	return reqs, resps
+}
+
+// BenchmarkStreamCodec sends 4096-entry probe, post, vote-batch and done
+// frames, and their responses, through one encoder/decoder pair; one op is
+// the round of four frame pairs.
+func BenchmarkStreamCodec(b *testing.B) {
+	reqs, resps := codecRound(4096)
+	var buf bytes.Buffer
+	enc, dec := NewStreamEncoder(&buf), NewStreamDecoder(&buf)
+	var req Request
+	var resp Response
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i := range reqs {
+			if err := enc.EncodeRequest(&reqs[i]); err != nil {
+				b.Fatal(err)
+			}
+			if err := dec.DecodeRequest(&req); err != nil {
+				b.Fatal(err)
+			}
+			if err := enc.EncodeResponse(&resps[i]); err != nil {
+				b.Fatal(err)
+			}
+			if err := dec.DecodeResponse(&resp); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package wire defines the client/server protocol of the networked
-// billboard service (internal/server, internal/client): length-prefixed,
-// gob-encoded request/response frames over a TCP stream.
+// billboard service (internal/server, internal/client): length-prefixed
+// request/response frames over a TCP stream, in a hand-written codec
+// (codec.go).
 //
 // The protocol realizes the billboard guarantees of §2.1 —
 //
@@ -20,9 +21,9 @@
 //
 // Version 2 adds fault tolerance to the transport:
 //
-//   - framing: every message is one self-contained frame (uvarint length +
-//     gob payload), so a torn write is detected as a clean decode error on
-//     the peer instead of silently desynchronizing a shared gob stream;
+//   - framing: every message is one length-prefixed frame (uvarint length +
+//     payload), so a torn write is detected as a clean decode error on
+//     the peer instead of silently desynchronizing the stream;
 //   - sessions: the client picks a session id at first Hello and repeats it
 //     on every request; a reconnecting client re-Hellos with the same id to
 //     resume its registration within the server's grace window;
@@ -33,9 +34,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -123,13 +122,12 @@ func (t ReqType) String() string {
 // heartbeat / vote / fetch frames (RepMsg, RepAck) and the NotLeader
 // redirect (CodeNotLeader plus Response.Leader), which lets a client that
 // reached a follower re-dial the advertised leader instead of failing;
-// version 6 makes request/response gob streams connection-scoped
+// version 6 made request/response gob streams connection-scoped
 // (StreamEncoder/StreamDecoder): each peer keeps one encoder and one decoder
-// per connection, so gob type descriptors cross the wire once per connection
-// instead of once per frame and neither side recompiles codecs per message.
-// Frames stay length-prefixed (torn writes detect cleanly, sizes stay
-// capped) but are no longer individually self-contained — a v5 peer cannot
-// decode a v6 stream past its first frame, hence the bump.
+// per connection, so gob type descriptors crossed the wire once per
+// connection instead of once per frame. From version 6 to version 10 only a
+// connection's first frame was self-contained; version 11 makes every frame
+// self-contained again.
 //
 // Version 7 adds swarm sessions: one session registering a contiguous
 // player range [Player, PlayerTo) under a server-configured swarm token
@@ -163,7 +161,17 @@ func (t ReqType) String() string {
 // range. The single-player probe, post and vote-read frames are gone,
 // ReqDone takes the list of departing players, and the request kinds
 // number ten.
-const Version = 10
+//
+// Version 11 replaces gob with a hand-written codec for the four framed
+// messages (Request, Response, RepMsg, RepAck; see codec.go): every field in
+// declaration order, varints, no reflection and no type descriptors. Every
+// frame is self-contained, so a stream decoder reads a single-frame peer's
+// frames and the reverse, and the StreamEncoder writes each frame, length
+// and payload together, in one Write. The frames keep their uvarint length,
+// the MaxFrame and MaxRepFrame caps, and clean, sticky errors on torn,
+// oversized, garbage and trailing-byte input. A v10 peer cannot parse a v11
+// frame, hence the bump.
+const Version = 11
 
 // Shard maps an object id onto one of shards lanes. It is the single
 // shard-map definition shared by client and server: deterministic, seedless,
@@ -408,23 +416,66 @@ func (r *Response) Error() error {
 	return fmt.Errorf("billboard server: %s", r.Err)
 }
 
-// encodeFrame writes v as one self-contained frame: uvarint length followed
-// by a gob payload produced by a fresh encoder, so every frame decodes
-// independently of connection history.
-func encodeFrame(w io.Writer, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
+// StreamEncoder writes framed messages to one connection. Each frame is
+// sized exactly, appended into a buffer the encoder keeps for the
+// connection's next frames, and written with one Write: length and payload
+// together. Frames are self-contained (protocol v11), so the encoder keeps no
+// codec state, only the buffer. Not safe for concurrent use; callers
+// serialize per connection.
+type StreamEncoder struct {
+	w   io.Writer
+	buf []byte
+	err error // first error; the stream is desynced after one, fail fast
+}
+
+// NewStreamEncoder binds a stream encoder to w for the connection's life.
+func NewStreamEncoder(w io.Writer) *StreamEncoder {
+	return &StreamEncoder{w: w}
+}
+
+// begin returns the encode buffer holding the length prefix of a size-byte
+// payload, with room for exactly that payload.
+func (e *StreamEncoder) begin(size int) []byte {
+	total := uvarintSize(uint64(size)) + size
+	if cap(e.buf) < total {
+		e.buf = make([]byte, 0, total)
 	}
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(buf.Len()))
-	if _, err := w.Write(lenb[:n]); err != nil {
-		return fmt.Errorf("wire: %w", err)
+	return binary.AppendUvarint(e.buf[:0], uint64(size))
+}
+
+// flush writes the frame begin started and the message's appendTo finished.
+// A buffer above MaxFrame (a replica snapshot) is not kept.
+func (e *StreamEncoder) flush(frame []byte, size int) error {
+	if _, n := binary.Uvarint(frame); len(frame)-n != size {
+		e.err = fmt.Errorf("wire: encoded %d payload bytes, sized %d", len(frame)-n, size)
+		return e.err
 	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: %w", err)
+	if cap(frame) > MaxFrame+binary.MaxVarintLen64 {
+		e.buf = nil
+	}
+	if _, err := e.w.Write(frame); err != nil {
+		e.err = fmt.Errorf("wire: %w", err)
+		return e.err
 	}
 	return nil
+}
+
+// EncodeRequest writes req as one frame on the stream.
+func (e *StreamEncoder) EncodeRequest(req *Request) error {
+	if e.err != nil {
+		return e.err
+	}
+	size := req.size()
+	return e.flush(req.appendTo(e.begin(size)), size)
+}
+
+// EncodeResponse writes resp as one frame on the stream.
+func (e *StreamEncoder) EncodeResponse(resp *Response) error {
+	if e.err != nil {
+		return e.err
+	}
+	size := resp.size()
+	return e.flush(resp.appendTo(e.begin(size)), size)
 }
 
 // oneByteReader adapts an io.Reader into an io.ByteReader without buffering
@@ -441,128 +492,17 @@ func (o oneByteReader) ReadByte() (byte, error) {
 	return b[0], nil
 }
 
-// decodeFrame reads one frame from r into v. Malformed or truncated input
-// surfaces as an error, never a panic: gob's decoder is guarded so a
-// hostile frame cannot kill the per-connection goroutine. A stream that
-// ends cleanly before the first length byte returns io.EOF.
-func decodeFrame(r io.Reader, v any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("wire: decode panic: %v", p)
-		}
-	}()
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = oneByteReader{r}
-	}
-	size, err := binary.ReadUvarint(br)
-	if err != nil {
-		if err == io.EOF {
-			return io.EOF // clean end of stream, not corruption
-		}
-		return fmt.Errorf("wire: frame length: %w", err)
-	}
-	if size == 0 || size > MaxFrame {
-		return fmt.Errorf("wire: implausible frame size %d", size)
-	}
-	frame := make([]byte, size)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return fmt.Errorf("wire: truncated frame: %w", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
-}
-
-// StreamEncoder writes framed messages through one connection-scoped gob
-// encoder (protocol v6). The first Encode emits the value's type descriptors
-// alongside it — that first frame is self-contained, which is what keeps
-// single-frame peers (a follower's NotLeader redirect answers exactly one
-// request) interoperable — and every later frame reuses them, so the
-// per-frame codec-compile cost of the stateless helpers disappears from the
-// hot path. Not safe for concurrent use; callers serialize per connection.
-type StreamEncoder struct {
-	w    io.Writer
-	buf  bytes.Buffer
-	enc  *gob.Encoder
-	lenb [binary.MaxVarintLen64]byte
-	err  error // first error; the stream is desynced after one, fail fast
-}
-
-// NewStreamEncoder binds a stream encoder to w for the connection's life.
-func NewStreamEncoder(w io.Writer) *StreamEncoder {
-	e := &StreamEncoder{w: w}
-	e.enc = gob.NewEncoder(&e.buf)
-	return e
-}
-
-// Encode writes v as one length-prefixed frame on the shared gob stream.
-func (e *StreamEncoder) Encode(v any) error {
-	if e.err != nil {
-		return e.err
-	}
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		e.err = fmt.Errorf("wire: encode: %w", err)
-		return e.err
-	}
-	n := binary.PutUvarint(e.lenb[:], uint64(e.buf.Len()))
-	if _, err := e.w.Write(e.lenb[:n]); err != nil {
-		e.err = fmt.Errorf("wire: %w", err)
-		return e.err
-	}
-	if _, err := e.w.Write(e.buf.Bytes()); err != nil {
-		e.err = fmt.Errorf("wire: %w", err)
-		return e.err
-	}
-	return nil
-}
-
-// EncodeRequest writes req as one frame on the stream.
-func (e *StreamEncoder) EncodeRequest(req *Request) error { return e.Encode(req) }
-
-// EncodeResponse writes resp as one frame on the stream.
-func (e *StreamEncoder) EncodeResponse(resp *Response) error { return e.Encode(resp) }
-
-// frameReader feeds the current frame's bytes to the stream decoder's gob
-// decoder. It implements io.ByteReader so gob reads it directly instead of
-// wrapping it in a bufio.Reader that would blur frame boundaries.
-type frameReader struct {
-	data []byte
-	pos  int
-}
-
-func (f *frameReader) Read(p []byte) (int, error) {
-	if f.pos >= len(f.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.data[f.pos:])
-	f.pos += n
-	return n, nil
-}
-
-func (f *frameReader) ReadByte() (byte, error) {
-	if f.pos >= len(f.data) {
-		return 0, io.EOF
-	}
-	b := f.data[f.pos]
-	f.pos++
-	return b, nil
-}
-
-// StreamDecoder reads framed messages through one connection-scoped gob
-// decoder (protocol v6), the receiving half of StreamEncoder. Each frame is
-// still length-delimited and size-capped, so a torn write or hostile length
-// surfaces as a clean error; the gob decoder is guarded against panics the
-// same way the stateless path is. A decode error (other than a clean EOF
-// between frames) is sticky: the shared type-descriptor stream cannot be
-// resynchronized, so the connection must be dropped.
+// StreamDecoder reads framed messages from one connection, the receiving
+// half of StreamEncoder. Each frame is length-delimited and size-capped and
+// its payload is parsed with every length checked against the bytes left,
+// so a torn write, a hostile length, garbage or trailing bytes surface as a
+// clean error, never a panic or an outsized allocation. A decode error
+// (other than a clean EOF between frames) is sticky: the stream's frame
+// boundaries can no longer be trusted, so the connection must be dropped.
+// Decoded values never alias the decoder's frame buffer, which it reuses.
 type StreamDecoder struct {
 	r     io.Reader
 	br    io.ByteReader
-	fr    frameReader
-	dec   *gob.Decoder
 	limit uint64 // frame size cap: MaxFrame, or MaxRepFrame on replica links
 	frame []byte // reused frame buffer, up to MaxFrame bytes
 	err   error
@@ -581,34 +521,25 @@ func newStreamDecoder(r io.Reader, maxSize uint64) *StreamDecoder {
 	} else {
 		d.br = oneByteReader{r}
 	}
-	d.dec = gob.NewDecoder(&d.fr)
 	return d
 }
 
-// Decode reads one frame into v. A stream that ends cleanly between frames
-// returns io.EOF. The caller must pass a zeroed target: gob leaves fields
-// absent from the frame untouched (DecodeRequest/DecodeResponse do this).
-func (d *StreamDecoder) Decode(v any) (err error) {
+// next reads one frame and returns a parser over its payload after the kind
+// byte, which must be kind. A stream that ends cleanly between frames
+// returns io.EOF.
+func (d *StreamDecoder) next(kind byte) (parser, error) {
 	if d.err != nil {
-		return d.err
+		return parser{}, d.err
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("wire: decode panic: %v", p)
-		}
-		if err != nil && err != io.EOF {
-			d.err = err
-		}
-	}()
 	size, err := binary.ReadUvarint(d.br)
 	if err != nil {
 		if err == io.EOF {
-			return io.EOF // clean end of stream, not corruption
+			return parser{}, io.EOF // clean end of stream, not corruption
 		}
-		return fmt.Errorf("wire: frame length: %w", err)
+		return parser{}, d.fail(fmt.Errorf("wire: frame length: %w", err))
 	}
 	if size == 0 || size > d.limit {
-		return fmt.Errorf("wire: implausible frame size %d", size)
+		return parser{}, d.fail(fmt.Errorf("wire: implausible frame size %d", size))
 	}
 	buf := d.frame
 	if uint64(cap(buf)) < size {
@@ -621,46 +552,68 @@ func (d *StreamDecoder) Decode(v any) (err error) {
 	}
 	buf = buf[:size]
 	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return fmt.Errorf("wire: truncated frame: %w", err)
+		return parser{}, d.fail(fmt.Errorf("wire: truncated frame: %w", err))
 	}
-	d.fr.data, d.fr.pos = buf, 0
-	err = d.dec.Decode(v)
-	trailing := len(d.fr.data) - d.fr.pos
-	d.fr.data = nil // the frame is consumed; keep no reference to it
-	if err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
+	if buf[0] != kind {
+		return parser{}, d.fail(fmt.Errorf("wire: frame kind %d, want %d", buf[0], kind))
 	}
-	if trailing != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after frame", trailing)
+	return parser{b: buf[1:]}, nil
+}
+
+// done ends a frame's parse: the parser's error, or bytes it left unread,
+// fail the stream.
+func (d *StreamDecoder) done(p *parser) error {
+	if p.err != nil {
+		return d.fail(p.err)
+	}
+	if len(p.b) != 0 {
+		return d.fail(fmt.Errorf("wire: %d trailing bytes after frame", len(p.b)))
 	}
 	return nil
+}
+
+func (d *StreamDecoder) fail(err error) error {
+	d.err = err
+	return err
 }
 
 // DecodeRequest reads one request frame from the stream into req, zeroing it
 // first so a reused struct never leaks fields between frames.
 func (d *StreamDecoder) DecodeRequest(req *Request) error {
 	*req = Request{}
-	return d.Decode(req)
+	p, err := d.next(kindRequest)
+	if err != nil {
+		return err
+	}
+	req.parse(&p)
+	return d.done(&p)
 }
 
-// DecodeResponse reads one response frame from the stream into resp.
+// DecodeResponse reads one response frame from the stream into resp,
+// zeroing it first.
 func (d *StreamDecoder) DecodeResponse(resp *Response) error {
 	*resp = Response{}
-	return d.Decode(resp)
+	p, err := d.next(kindResponse)
+	if err != nil {
+		return err
+	}
+	resp.parse(&p)
+	return d.done(&p)
 }
 
-// EncodeRequest writes req as one self-contained frame (fresh codec). The
-// connection hot paths use StreamEncoder; this form remains for single-frame
-// exchanges and tooling.
+// EncodeRequest writes req as one frame. Frames are self-contained, so this
+// single-frame form and a stream encoder write the same bytes; the
+// connection hot paths keep a StreamEncoder for its reused buffer.
 func EncodeRequest(w io.Writer, req *Request) error {
-	return encodeFrame(w, req)
+	return NewStreamEncoder(w).EncodeRequest(req)
 }
 
-// DecodeRequest reads one request frame from r. Prefer passing a reader
-// that implements io.ByteReader (e.g. *bufio.Reader) on connection paths.
+// DecodeRequest reads one request frame from r, reading no byte past it.
+// Prefer passing a reader that implements io.ByteReader (e.g.
+// *bufio.Reader) on connection paths.
 func DecodeRequest(r io.Reader) (*Request, error) {
 	var req Request
-	if err := decodeFrame(r, &req); err != nil {
+	if err := NewStreamDecoder(r).DecodeRequest(&req); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -668,13 +621,13 @@ func DecodeRequest(r io.Reader) (*Request, error) {
 
 // EncodeResponse writes resp as one frame.
 func EncodeResponse(w io.Writer, resp *Response) error {
-	return encodeFrame(w, resp)
+	return NewStreamEncoder(w).EncodeResponse(resp)
 }
 
 // DecodeResponse reads one response frame from r.
 func DecodeResponse(r io.Reader) (*Response, error) {
 	var resp Response
-	if err := decodeFrame(r, &resp); err != nil {
+	if err := NewStreamDecoder(r).DecodeResponse(&resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

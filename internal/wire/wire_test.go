@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
+	"flag"
+	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -40,52 +43,198 @@ func TestResponseError(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
+// fill sets every exported field of v, recursively, to a distinct non-zero
+// value drawn from *next: ints alternate in sign and span several varint
+// bytes, slices and byte slices get two entries, maps two pairs. A field of
+// a kind fill does not know fails the test rather than stay zero.
+func fill(v reflect.Value, next *int) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			fill(v.Field(i), next)
+		}
+		return
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		for i := range s.Len() {
+			fill(s.Index(i), next)
+		}
+		v.Set(s)
+		return
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		for range 2 {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(k, next)
+			fill(e, next)
+			m.SetMapIndex(k, e)
+		}
+		v.Set(m)
+		return
+	}
+	*next++
+	n := int64(*next)
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(n * 1_000_003 * (1 - 2*(n%2)))
+	case reflect.Uint8:
+		v.SetUint(uint64(n))
+	case reflect.Uint64:
+		v.SetUint(uint64(n) << 40)
+	case reflect.Float64:
+		v.SetFloat(float64(n) + 0.25)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", n))
+	default:
+		panic(fmt.Sprintf("fill: no value for a %s field", v.Kind()))
+	}
+}
+
+// framedKinds holds a zero value of each framed message.
+var framedKinds = []any{&Request{}, &Response{}, &RepMsg{}, &RepAck{}}
+
+// filled returns a new value of like's message type with every field set.
+func filled(like any) any {
+	v := reflect.New(reflect.TypeOf(like).Elem())
+	next := 0
+	fill(v.Elem(), &next)
+	return v.Interface()
+}
+
+// encodeMsg writes one framed message of any kind on enc.
+func encodeMsg(enc *StreamEncoder, v any) error {
+	switch m := v.(type) {
+	case *Request:
+		return enc.EncodeRequest(m)
+	case *Response:
+		return enc.EncodeResponse(m)
+	case *RepMsg:
+		return enc.EncodeRep(m)
+	case *RepAck:
+		return enc.EncodeRepAck(m)
+	}
+	panic(fmt.Sprintf("encodeMsg: %T is not a framed message", v))
+}
+
+// decodeMsg reads one message of like's kind from dec into a new value.
+func decodeMsg(dec *StreamDecoder, like any) (any, error) {
+	switch like.(type) {
+	case *Request:
+		var m Request
+		return &m, dec.DecodeRequest(&m)
+	case *Response:
+		var m Response
+		return &m, dec.DecodeResponse(&m)
+	case *RepMsg:
+		var m RepMsg
+		return &m, dec.DecodeRep(&m)
+	case *RepAck:
+		var m RepAck
+		return &m, dec.DecodeRepAck(&m)
+	}
+	panic(fmt.Sprintf("decodeMsg: %T is not a framed message", like))
+}
+
+// encodeStream writes msgs as one connection's stream of frames.
+func encodeStream[T any](tb testing.TB, msgs []T) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	dec := gob.NewDecoder(&buf)
+	enc := NewStreamEncoder(&buf)
+	for i := range msgs {
+		if err := encodeMsg(enc, &msgs[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
 
-	req := Request{
-		Type: ReqWindow, Player: 3, Token: "t", Object: 7, From: 10, To: 20,
-		Posts:    []PostMsg{{Player: 3, Object: 1, Value: 2, Positive: true}},
-		EndRound: true,
-		Probes:   []ProbeMsg{{Player: 3, Object: 4}},
-		Players:  []int{3, 5},
-	}
-	if err := enc.Encode(&req); err != nil {
-		t.Fatal(err)
-	}
-	var gotReq Request
-	if err := dec.Decode(&gotReq); err != nil {
-		t.Fatal(err)
-	}
-	if gotReq.Type != req.Type || gotReq.Player != req.Player || gotReq.Token != req.Token ||
-		gotReq.Object != req.Object || gotReq.From != req.From || gotReq.To != req.To ||
-		!gotReq.EndRound || len(gotReq.Posts) != 1 || gotReq.Posts[0] != req.Posts[0] ||
-		len(gotReq.Probes) != 1 || gotReq.Probes[0] != req.Probes[0] ||
-		len(gotReq.Players) != 2 || gotReq.Players[1] != 5 {
-		t.Fatalf("request round-trip: %+v != %+v", gotReq, req)
-	}
+// TestCodecCoversEveryField round-trips each framed message with every
+// exported field set, then with each top-level field alone set: a field the
+// codec leaves out comes back zero, and two fields it swaps come back
+// swapped. Every value crosses one stream encoder/decoder pair; requests and
+// responses also cross the stateless helpers.
+func TestCodecCoversEveryField(t *testing.T) {
+	for _, like := range framedKinds {
+		typ := reflect.TypeOf(like).Elem()
+		want := []any{filled(like)}
+		for i := range typ.NumField() {
+			v := reflect.New(typ)
+			next := 0
+			fill(v.Elem().Field(i), &next)
+			want = append(want, v.Interface())
+		}
 
-	resp := Response{
-		N: 4, M: 8, LocalTesting: true, Alpha: 0.5, Beta: 0.25,
-		Costs:        []float64{1, 2},
-		Votes:        []VoteMsg{{Player: 1, Object: 2, Round: 3, Value: 4}},
-		Counts:       map[int]int{5: 6},
-		Round:        9,
-		ProbeResults: []ProbeRes{{Value: 0.5, Good: true}},
+		var buf bytes.Buffer
+		enc := NewStreamEncoder(&buf)
+		for _, w := range want {
+			if err := encodeMsg(enc, w); err != nil {
+				t.Fatalf("%s: encode: %v", typ.Name(), err)
+			}
+		}
+		dec := NewRepStreamDecoder(&buf)
+		for i, w := range want {
+			got, err := decodeMsg(dec, like)
+			if err != nil || !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s value %d through the stream codec: %v\ngot  %+v\nwant %+v", typ.Name(), i, err, got, w)
+			}
+		}
+
+		for i, w := range want {
+			var got any
+			var err error
+			buf.Reset()
+			switch m := w.(type) {
+			case *Request:
+				if err = EncodeRequest(&buf, m); err == nil {
+					got, err = DecodeRequest(&buf)
+				}
+			case *Response:
+				if err = EncodeResponse(&buf, m); err == nil {
+					got, err = DecodeResponse(&buf)
+				}
+			default:
+				continue // replica links have only the stream codec
+			}
+			if err != nil || !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s value %d through the stateless helpers: %v\ngot  %+v\nwant %+v", typ.Name(), i, err, got, w)
+			}
+		}
 	}
-	if err := enc.Encode(&resp); err != nil {
-		t.Fatal(err)
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/frames.golden")
+
+// TestFrameGolden pins the v11 format: one populated frame of each message
+// kind, in the order request, response, replica message, replica ack, must
+// encode to the committed bytes and decode back from them.
+func TestFrameGolden(t *testing.T) {
+	const path = "testdata/frames.golden"
+	var buf bytes.Buffer
+	enc := NewStreamEncoder(&buf)
+	for _, like := range framedKinds {
+		if err := encodeMsg(enc, filled(like)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var gotResp Response
-	if err := dec.Decode(&gotResp); err != nil {
-		t.Fatal(err)
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if gotResp.N != 4 || gotResp.M != 8 || !gotResp.LocalTesting ||
-		len(gotResp.Costs) != 2 || len(gotResp.Votes) != 1 ||
-		gotResp.Counts[5] != 6 || gotResp.Round != 9 ||
-		len(gotResp.ProbeResults) != 1 || gotResp.ProbeResults[0] != resp.ProbeResults[0] {
-		t.Fatalf("response round-trip mangled: %+v", gotResp)
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -run TestFrameGolden -update to create it)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("encoded frames differ from %s:\ngot  %x\nwant %x", path, buf.Bytes(), golden)
+	}
+	dec := NewRepStreamDecoder(bytes.NewReader(golden))
+	for _, like := range framedKinds {
+		got, err := decodeMsg(dec, like)
+		if want := filled(like); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoding %s: %v\ngot  %+v\nwant %+v", path, err, got, want)
+		}
 	}
 }
