@@ -7,7 +7,9 @@
 // same wire protocol, and finally read the run back out of the registry
 // (the numbers cmd/billboard-server serves on -metrics-addr).
 //
-// For the one-call version of this shape, see repro.RunDistributedCluster.
+// For the one-call version, see repro.RunDistributedCluster: it drives the
+// honest players through the swarm scheduler over a few pipelined
+// connections instead of one client each.
 package main
 
 import (

@@ -113,23 +113,26 @@ func NewCachedReader(c *BillboardClient) *CachedReader { return client.NewCached
 type (
 	// ClusterConfig describes a full distributed run on localhost: world
 	// and fleet sizes flat, the service shape under Topology, the fault
-	// machinery under Chaos, and the fleet driver under Drive.
+	// machinery under Chaos, and the fleet's swarm layout and dynamics
+	// under Drive.
 	ClusterConfig = dist.ClusterConfig
 	// ClusterTopology shapes the service (shards, replica group).
 	ClusterTopology = dist.Topology
 	// ClusterChaos schedules fault injection and kill/restart hooks.
 	ClusterChaos = dist.Chaos
-	// ClusterDrive selects the honest-fleet driver: per-player goroutines
-	// (zero value) or the swarm scheduler (Swarm: true).
+	// ClusterDrive tunes the swarm scheduler that drives the honest fleet
+	// (connection groups, frame size, pipelining window) and carries the
+	// open-world Dynamics hook; the zero value takes the swarm defaults.
 	ClusterDrive = dist.Drive
 	// ClusterResult aggregates a distributed run.
 	ClusterResult = dist.ClusterResult
 )
 
-// RunDistributedCluster starts a billboard server and runs every player as
-// a concurrent TCP client. ClusterOption and its constructors (WithMode,
-// WithMetrics, WithLogf, WithClientOptions) live in options.go with the
-// rest of the unified option layer.
+// RunDistributedCluster starts a billboard server, drives the honest
+// players through the swarm scheduler over a few pipelined connections,
+// and runs every Byzantine player as its own TCP client. ClusterOption and
+// its constructors (WithMode, WithMetrics, WithLogf, WithClientOptions)
+// live in options.go with the rest of the unified option layer.
 func RunDistributedCluster(cfg ClusterConfig, opts ...ClusterOption) (*ClusterResult, error) {
 	for _, opt := range opts {
 		opt.applyCluster(&cfg)

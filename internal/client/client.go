@@ -559,7 +559,11 @@ func (c *Client) Probe(obj int) (ProbeResult, error) {
 }
 
 // Post appends a report under the client's authenticated identity: a
-// PostBatch of one that does not end the round.
+// PostBatch of one that does not end the round. Like PostBatch(posts,
+// false), it returns before its round commits: on an unsharded server a
+// coordinator restart or leader failover that rolls the round back
+// discards the report, and nothing re-sends it. PostBatch(posts, true) is
+// the durable form.
 func (c *Client) Post(obj int, value float64, positive bool) error {
 	_, err := c.PostBatch([]BatchPost{{Object: obj, Value: value, Positive: positive}}, false)
 	return err
@@ -579,6 +583,14 @@ type BatchPost struct {
 // response replays the recorded outcome and never re-applies any post. It
 // returns the round number after the call (the new round when endRound is
 // set). An empty batch with endRound is exactly a Barrier.
+//
+// Without endRound the call returns once the posts are journaled, before
+// their round commits. On an unsharded server a coordinator restart or
+// leader failover that rolls the round back discards them, and nothing
+// re-sends them (shard lanes keep acknowledged posts across a restart).
+// With endRound the posts ride in the arrival frame, which is retried until
+// its round commits, so a rolled-back batch executes again: that is the
+// durable form.
 //
 // Against a sharded server the batch is split by the shard map and the
 // per-shard sub-batches are pipelined concurrently over the lane

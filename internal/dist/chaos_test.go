@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/object"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -32,10 +33,31 @@ func chaosBase(t *testing.T) ClusterConfig {
 	}
 }
 
+// watchReconnects attaches a fresh metrics registry to every connection of
+// cfg's run and returns a check to call after it. The check fails t unless
+// the fleet's reconnect counter (metric) moved: a fault schedule that never
+// forced a session resume tests nothing.
+func watchReconnects(t *testing.T, cfg *ClusterConfig, metric string) (check func()) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	cfg.Client.Metrics = reg
+	return func() {
+		t.Helper()
+		n := reg.Snapshot()[metric]
+		if n == 0 {
+			t.Errorf("%s = 0: the fault schedule never forced a reconnect", metric)
+		}
+		t.Logf("%s = %v", metric, n)
+	}
+}
+
 // TestChaosClusterMatchesFaultFree runs the same cluster twice — once clean,
 // once through ≥10% fault injection (drops, delays, torn writes) — and
 // requires identical outcomes: same per-player probe counts, zero
-// double-charged probes, and a byte-identical final billboard digest.
+// double-charged probes, and a byte-identical final billboard digest. The
+// per-player row drives the reference fleet through the same schedule:
+// every honest player is a client.Client, so its session resume and
+// recorded-response replay face the faults too.
 func TestChaosClusterMatchesFaultFree(t *testing.T) {
 	clean, err := RunCluster(chaosBase(t))
 	if err != nil {
@@ -45,51 +67,65 @@ func TestChaosClusterMatchesFaultFree(t *testing.T) {
 		t.Fatal("fault-free cluster did not finish")
 	}
 
-	chaos := chaosBase(t)
-	chaos.Chaos.Fault = &faultnet.Config{
-		Seed:     7,
-		Drop:     0.04,
-		Delay:    0.04,
-		Tear:     0.03, // 11% total injection per I/O operation
-		MaxDelay: 2 * time.Millisecond,
-	}
-	chaos.SessionGrace = 10 * time.Second
-	chaos.BarrierDeadline = 30 * time.Second // generous: must never fire here
-	chaos.Client = client.Options{
-		Retries: 16, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
-		CallTimeout: 10 * time.Second,
-	}
-	faulty, err := RunCluster(chaos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !faulty.AllFound {
-		t.Fatal("chaos cluster did not finish")
-	}
+	for _, row := range []struct {
+		name       string
+		fleet      fleet
+		reconnects string
+	}{
+		{"swarm", swarmFleet, "swarm_reconnects_total"},
+		{"per-player", playerFleet, "client_reconnects_total"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			chaos := chaosBase(t)
+			chaos.Chaos.Fault = &faultnet.Config{
+				Seed:     7,
+				Drop:     0.04,
+				Delay:    0.04,
+				Tear:     0.03, // 11% total injection per I/O operation
+				MaxDelay: 2 * time.Millisecond,
+			}
+			chaos.SessionGrace = 10 * time.Second
+			chaos.BarrierDeadline = 30 * time.Second // must never fire here
+			chaos.Client = client.Options{
+				Retries: 16, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
+				CallTimeout: 10 * time.Second,
+			}
+			reconnected := watchReconnects(t, &chaos, row.reconnects)
+			faulty, err := runCluster(chaos, row.fleet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !faulty.AllFound {
+				t.Fatal("chaos cluster did not finish")
+			}
+			reconnected()
 
-	// Same search, fault by fault: every player pays exactly what it paid in
-	// the clean run…
-	for i, r := range faulty.Honest {
-		if r.Probes != clean.Honest[i].Probes {
-			t.Errorf("player %d: %d probes under chaos, %d clean",
-				i, r.Probes, clean.Honest[i].Probes)
-		}
-		if r.Rounds != clean.Honest[i].Rounds {
-			t.Errorf("player %d: halted in round %d under chaos, %d clean",
-				i, r.Rounds, clean.Honest[i].Rounds)
-		}
-	}
-	// …and the server's books agree with the clients': a retried probe that
-	// was executed-but-unanswered must not be charged twice.
-	for i, r := range faulty.Honest {
-		if faulty.ServerProbes[i] != r.Probes {
-			t.Errorf("player %d: server charged %d probes, client performed %d (double charge)",
-				i, faulty.ServerProbes[i], r.Probes)
-		}
-	}
-	if !bytes.Equal(faulty.BoardDigest, clean.BoardDigest) {
-		t.Fatalf("final billboards diverged:\nclean:\n%s\nchaos:\n%s",
-			clean.BoardDigest, faulty.BoardDigest)
+			// Same search, fault by fault: every player pays exactly what it
+			// paid in the clean run…
+			for i, r := range faulty.Honest {
+				if r.Probes != clean.Honest[i].Probes {
+					t.Errorf("player %d: %d probes under chaos, %d clean",
+						i, r.Probes, clean.Honest[i].Probes)
+				}
+				if r.Rounds != clean.Honest[i].Rounds {
+					t.Errorf("player %d: halted in round %d under chaos, %d clean",
+						i, r.Rounds, clean.Honest[i].Rounds)
+				}
+			}
+			// …and the server's books agree with the clients': a retried
+			// probe that was executed-but-unanswered must not be charged
+			// twice.
+			for i, r := range faulty.Honest {
+				if faulty.ServerProbes[i] != r.Probes {
+					t.Errorf("player %d: server charged %d probes, client performed %d (double charge)",
+						i, faulty.ServerProbes[i], r.Probes)
+				}
+			}
+			if !bytes.Equal(faulty.BoardDigest, clean.BoardDigest) {
+				t.Fatalf("final billboards diverged:\nclean:\n%s\nchaos:\n%s",
+					clean.BoardDigest, faulty.BoardDigest)
+			}
+		})
 	}
 }
 
@@ -120,6 +156,7 @@ func TestChaosBatchedRoundsExactlyOnce(t *testing.T) {
 		Retries: 24, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
 		CallTimeout: 10 * time.Second,
 	}
+	reconnected := watchReconnects(t, &chaos, "swarm_reconnects_total")
 	faulty, err := RunCluster(chaos)
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +164,7 @@ func TestChaosBatchedRoundsExactlyOnce(t *testing.T) {
 	if !faulty.AllFound {
 		t.Fatal("batched chaos cluster did not finish")
 	}
+	reconnected()
 	if !bytes.Equal(faulty.BoardDigest, clean.BoardDigest) {
 		t.Fatalf("batched run diverged from fault-free billboard:\nclean:\n%s\nchaos:\n%s",
 			clean.BoardDigest, faulty.BoardDigest)
@@ -230,6 +268,7 @@ func TestChaosKillRestartUnderFaultInjection(t *testing.T) {
 		Retries: 32, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
 		CallTimeout: 10 * time.Second,
 	}
+	reconnected := watchReconnects(t, &crash, "swarm_reconnects_total")
 	faulty, err := RunCluster(crash)
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +276,7 @@ func TestChaosKillRestartUnderFaultInjection(t *testing.T) {
 	if !faulty.AllFound {
 		t.Fatal("cluster did not finish across restart + fault injection")
 	}
+	reconnected()
 	if !bytes.Equal(faulty.BoardDigest, clean.BoardDigest) {
 		t.Fatalf("billboard diverged across restart under fault injection:\nclean:\n%s\nfaulty:\n%s",
 			clean.BoardDigest, faulty.BoardDigest)
@@ -262,10 +302,12 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		cfg.Client = client.Options{
 			Retries: 16, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
 		}
+		reconnected := watchReconnects(t, &cfg, "swarm_reconnects_total")
 		res, err := RunCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reconnected()
 		return res
 	}
 	a, b := run(), run()
@@ -307,6 +349,7 @@ func TestChaosPartitionRecovery(t *testing.T) {
 			BarrierTimeout: time.Second,
 		},
 	}
+	reconnected := watchReconnects(t, &cfg, "swarm_reconnects_total")
 	res, err := RunCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -314,6 +357,7 @@ func TestChaosPartitionRecovery(t *testing.T) {
 	if !res.AllFound {
 		t.Fatal("cluster did not survive partitions")
 	}
+	reconnected()
 	for i, r := range res.Honest {
 		if res.ServerProbes[i] != r.Probes {
 			t.Errorf("player %d: server charged %d, client performed %d",

@@ -1,10 +1,11 @@
-// Package dist orchestrates fully distributed runs: a billboard server plus
-// one TCP client per player, honest players driving their own core.Distill
-// instances (per-player, not the engine's shared-instance optimization) and
-// Byzantine players lying over the same wire protocol. This is the
-// deployment shape the paper describes — independent parties and a shared
-// billboard service — and doubles as an end-to-end proof that the protocol
-// code is engine-independent.
+// Package dist orchestrates fully distributed runs on localhost: a billboard
+// service (one coordinator or a replica group, optionally sharded), the
+// honest fleet driven by the swarm scheduler (internal/swarm) over a few
+// pipelined connections, and Byzantine players lying over the same wire
+// protocol, each through its own client connection. This is the deployment
+// shape the paper describes — independent parties and a shared billboard
+// service — and doubles as an end-to-end proof that the protocol code is
+// engine-independent.
 //
 // A cluster can also run through deterministic fault injection
 // (ClusterConfig.Chaos.Fault → internal/faultnet): connections drop, stall, and
@@ -33,96 +34,12 @@ import (
 )
 
 // HonestResult is one honest player's outcome.
-type HonestResult struct {
-	Player   int
-	Probes   int
-	Rounds   int // round at which the player halted (or MaxRounds)
-	Found    bool
-	TimedOut bool
-	Departed bool // left via Drive.Dynamics before finding an object
-}
+type HonestResult = swarm.PlayerResult
 
-// RunHonestPlayer connects to the billboard server at addr and runs DISTILL
-// for one player until it probes a good object (local testing) or maxRounds
-// elapse. The player's randomness derives from seed alone.
-func RunHonestPlayer(addr string, player int, token string, params core.Params, seed uint64, maxRounds int) (*HonestResult, error) {
-	return runHonestPlayer(addr, player, token, params, seed, maxRounds, client.Options{})
-}
-
-func runHonestPlayer(addr string, player int, token string, params core.Params, seed uint64, maxRounds int, opt client.Options) (*HonestResult, error) {
-	c, err := client.DialOptions(addr, player, token, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	cached := client.NewCached(c)
-	d := core.NewDistill(params)
-	if err := d.Init(sim.Setup{
-		N:        c.N(),
-		Alpha:    c.Alpha(),
-		Beta:     c.Beta(),
-		Universe: c,
-		Board:    cached, // per-round read cache over the RPC reader
-		Rng:      rng.New(seed).Split(uint64(player)),
-	}); err != nil {
-		return nil, fmt.Errorf("dist: player %d init: %w", player, err)
-	}
-
-	res := &HonestResult{Player: player}
-	var probeBuf []sim.Probe
-	var batch []client.BatchPost
-	for round := 0; round < maxRounds; round++ {
-		probeBuf = d.Probes(round, []int{player}, probeBuf[:0])
-		found := false
-		batch = batch[:0]
-		for _, pr := range probeBuf {
-			pres, err := c.Probe(pr.Object)
-			if err != nil {
-				return nil, fmt.Errorf("dist: player %d probe: %w", player, err)
-			}
-			res.Probes++
-			positive := c.LocalTesting() && pres.Good
-			batch = append(batch, client.BatchPost{Object: pr.Object, Value: pres.Value, Positive: positive})
-			if positive {
-				found = true
-			}
-		}
-		// Protocol v3: the round's posts and its barrier travel in one
-		// frame, so the round costs O(1) frames regardless of probe count.
-		if _, err := c.PostBatch(batch, true); err != nil {
-			return nil, fmt.Errorf("dist: player %d post-batch barrier: %w", player, err)
-		}
-		cached.Invalidate() // board state changed at the round boundary
-		// The Reader methods behind DISTILL cannot return errors; surface
-		// any transport failure they recorded before trusting this round's
-		// advice-driven decisions.
-		if err := c.Err(); err != nil {
-			return nil, fmt.Errorf("dist: player %d board read: %w", player, err)
-		}
-		if found {
-			res.Found = true
-			res.Rounds = round + 1
-			if err := c.Done(); err != nil {
-				return nil, fmt.Errorf("dist: player %d done: %w", player, err)
-			}
-			return res, nil
-		}
-	}
-	res.Rounds = maxRounds
-	res.TimedOut = true
-	_ = c.Done()
-	return res, nil
-}
-
-// RunByzantineSpam connects as a dishonest player that probes one bad
+// runByzantineSpam connects as a dishonest player that probes one bad
 // object, lies that it is good, and sends Done once the round holding the
 // lie has committed. Its footprint is that one round whatever the timing,
 // so a run's round count is paced by the honest players alone.
-func RunByzantineSpam(addr string, player int, token string) error {
-	return runByzantineSpam(addr, player, token, client.Options{})
-}
-
 func runByzantineSpam(addr string, player int, token string, opt client.Options) error {
 	c, err := client.DialOptions(addr, player, token, opt)
 	if err != nil {
@@ -209,16 +126,10 @@ type Chaos struct {
 	KillLeaderAtRound int
 }
 
-// Drive selects how the honest fleet is driven against the service. The
-// zero value is the classic goroutine-and-connection per player.
+// Drive tunes the swarm scheduler (internal/swarm) that drives the honest
+// fleet over a few pipelined connections. The zero value takes the swarm
+// defaults in a closed world.
 type Drive struct {
-	// Swarm drives every honest player through one event-loop scheduler
-	// (internal/swarm) multiplexed onto a few pipelined connections instead
-	// of a goroutine and TCP connection per player. The swarm path is
-	// digest-identical to the per-player path — same player streams, same
-	// per-round probe/post/barrier ordering, same halt rule — while scaling
-	// to player counts no goroutine fleet can reach.
-	Swarm bool
 	// SwarmGroups, SwarmChunk, and SwarmWindow forward to swarm.Config
 	// (connection groups, frame batch size, pipelining window); zero takes
 	// the swarm defaults (4, 4096, 8).
@@ -227,15 +138,14 @@ type Drive struct {
 	SwarmWindow int
 	// Dynamics, when non-nil, opens the world: honest arrivals and
 	// departures flow through the hook at round boundaries (see
-	// sim.Dynamics and swarm.Config.Dynamics). Requires Swarm — the
-	// goroutine-per-player fleet has no round-aligned point to inject
-	// membership changes deterministically, the event-loop driver does.
+	// sim.Dynamics and swarm.Config.Dynamics).
 	Dynamics sim.Dynamics
 }
 
 // ClusterConfig describes a full distributed run on localhost: the world
 // and fleet sizes flat, the service shape under Topology, the fault
-// machinery under Chaos, and the fleet driver under Drive.
+// machinery under Chaos, and the fleet's swarm layout and dynamics under
+// Drive.
 type ClusterConfig struct {
 	// Universe is the ground truth (required, local testing).
 	Universe *object.Universe
@@ -269,11 +179,11 @@ type ClusterConfig struct {
 	Topology Topology
 	// Chaos schedules fault injection and kill/restart hooks.
 	Chaos Chaos
-	// Drive selects the honest-fleet driver (per-player goroutines or the
-	// swarm scheduler).
+	// Drive tunes the swarm that drives the honest fleet.
 	Drive Drive
 
-	// Client tunes every player's retry/backoff/deadline behavior.
+	// Client tunes the retry/backoff/deadline behavior of every connection:
+	// the swarm's and each Byzantine player's.
 	Client client.Options
 	// Logf receives server operational events (resume, lease expiry,
 	// force-done); nil discards them.
@@ -308,20 +218,31 @@ type ClusterResult struct {
 	Failovers int
 }
 
-// RunCluster starts a billboard server on a loopback port, runs all players
-// as concurrent TCP clients, and tears everything down.
+// RunCluster starts a billboard server on a loopback port, drives the
+// honest fleet through the swarm and every Byzantine player as its own TCP
+// client, and tears everything down.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
+	return runCluster(cfg, swarmFleet)
+}
+
+// fleet drives the honest players [0, cfg.Honest) against the service at
+// addr to completion and returns their results in player order. tokens are
+// the per-player credentials, swarmToken the block credential, and
+// playerOptions yields the client options for one fault-stream label.
+// RunCluster always passes swarmFleet; the parity tests pass a per-player
+// reference fleet.
+type fleet func(cfg *ClusterConfig, addr string, tokens []string, swarmToken string,
+	playerOptions func(label int) (client.Options, error)) ([]*HonestResult, error)
+
+func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	if cfg.Universe == nil {
 		return nil, fmt.Errorf("dist: Universe is required")
 	}
 	if cfg.Honest < 1 {
 		return nil, fmt.Errorf("dist: need at least one honest player")
 	}
-	if cfg.Drive.Dynamics != nil && !cfg.Drive.Swarm {
-		return nil, fmt.Errorf("dist: Drive.Dynamics requires Drive.Swarm")
-	}
 	if cfg.Topology.Replicas > 1 {
-		return runReplicated(cfg)
+		return runReplicated(cfg, honestFleet)
 	}
 	if cfg.Chaos.KillLeaderAtRound > 0 {
 		return nil, fmt.Errorf("dist: KillLeaderAtRound requires Topology.Replicas > 1")
@@ -530,7 +451,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		}(player, opt)
 	}
 
-	results, honestErr := runHonestFleet(&cfg, addr, tokens, swarmToken, playerOptions)
+	results, honestErr := honestFleet(&cfg, addr, tokens, swarmToken, playerOptions)
 	byzWG.Wait()
 	close(watcherStop)
 	<-watcherDone
@@ -588,73 +509,39 @@ func summarize(results []*HonestResult, final *server.Server) *ClusterResult {
 	return out
 }
 
-// runHonestFleet drives every honest player to completion and returns their
-// results in player order. The classic path is a goroutine and TCP
-// connection per player; with Drive.Swarm set, the whole fleet runs through
-// one swarm event-loop driver over a few pipelined connections —
-// digest-identical, asserted by the swarm parity tests. The swarm transport
-// gets the fault dialer under label n (one past the last player id), so its
-// chaos schedule is deterministic and disjoint from every per-player stream.
-func runHonestFleet(cfg *ClusterConfig, addr string, tokens []string, swarmToken string,
-	playerOptions func(player int) (client.Options, error)) ([]*HonestResult, error) {
-	if cfg.Drive.Swarm {
-		opt, err := playerOptions(cfg.Honest + cfg.Byzantine)
-		if err != nil {
-			return nil, err
-		}
-		res, err := swarm.Run(context.Background(), swarm.Config{
-			Addr:      addr,
-			Fallbacks: opt.Fallbacks,
-			From:      0,
-			To:        cfg.Honest,
-			Token:     swarmToken,
-			Params:    cfg.Params,
-			Seed:      cfg.Seed,
-			MaxRounds: cfg.MaxRounds,
-			Groups:    cfg.Drive.SwarmGroups,
-			Chunk:     cfg.Drive.SwarmChunk,
-			Window:    cfg.Drive.SwarmWindow,
-			Dynamics:  cfg.Drive.Dynamics,
-			Client:    opt,
-			Metrics:   opt.Metrics,
-			Logf:      cfg.Logf,
-		})
-		if err != nil {
-			return nil, err
-		}
-		results := make([]*HonestResult, cfg.Honest)
-		for i := range res.Players {
-			pr := &res.Players[i]
-			results[i] = &HonestResult{
-				Player:   pr.Player,
-				Probes:   pr.Probes,
-				Rounds:   pr.Rounds,
-				Found:    pr.Found,
-				TimedOut: pr.TimedOut,
-				Departed: pr.Departed,
-			}
-		}
-		return results, nil
+// swarmFleet drives the whole honest fleet through one swarm event-loop
+// driver over a few pipelined connections. The swarm transport gets the
+// fault dialer under label n (one past the last player id), so its chaos
+// schedule is disjoint from every Byzantine player's stream.
+func swarmFleet(cfg *ClusterConfig, addr string, _ []string, swarmToken string,
+	playerOptions func(label int) (client.Options, error)) ([]*HonestResult, error) {
+	opt, err := playerOptions(cfg.Honest + cfg.Byzantine)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]*HonestResult, cfg.Honest)
-	errs := make([]error, cfg.Honest)
-	var wg sync.WaitGroup
-	for p := 0; p < cfg.Honest; p++ {
-		opt, err := playerOptions(p)
-		if err != nil {
-			return nil, err
-		}
-		wg.Add(1)
-		go func(p int, opt client.Options) {
-			defer wg.Done()
-			results[p], errs[p] = runHonestPlayer(addr, p, tokens[p], cfg.Params, cfg.Seed, cfg.MaxRounds, opt)
-		}(p, opt)
+	res, err := swarm.Run(context.Background(), swarm.Config{
+		Addr:      addr,
+		Fallbacks: opt.Fallbacks,
+		From:      0,
+		To:        cfg.Honest,
+		Token:     swarmToken,
+		Params:    cfg.Params,
+		Seed:      cfg.Seed,
+		MaxRounds: cfg.MaxRounds,
+		Groups:    cfg.Drive.SwarmGroups,
+		Chunk:     cfg.Drive.SwarmChunk,
+		Window:    cfg.Drive.SwarmWindow,
+		Dynamics:  cfg.Drive.Dynamics,
+		Client:    opt,
+		Metrics:   opt.Metrics,
+		Logf:      cfg.Logf,
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	results := make([]*HonestResult, len(res.Players))
+	for i := range res.Players {
+		results[i] = &res.Players[i]
 	}
 	return results, nil
 }

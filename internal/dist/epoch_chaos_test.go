@@ -80,6 +80,7 @@ func TestEpochChaosConvergesToSyncDigest(t *testing.T) {
 	epoch.Chaos.Fault = epochChaosFault()
 	epoch.SessionGrace = 10 * time.Second
 	epoch.Client = epochChaosClient()
+	reconnected := watchReconnects(t, &epoch, "swarm_reconnects_total")
 	faulty, err := RunCluster(epoch)
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +88,7 @@ func TestEpochChaosConvergesToSyncDigest(t *testing.T) {
 	if !faulty.AllFound {
 		t.Fatal("epoch chaos cluster did not finish")
 	}
+	reconnected()
 	assertRunsConverge(t, clean, faulty)
 }
 
@@ -110,6 +112,7 @@ func TestEpochChaosShardedConvergesToSyncDigest(t *testing.T) {
 	epoch.Chaos.Fault = epochChaosFault()
 	epoch.SessionGrace = 10 * time.Second
 	epoch.Client = epochChaosClient()
+	reconnected := watchReconnects(t, &epoch, "swarm_reconnects_total")
 	faulty, err := RunCluster(epoch)
 	if err != nil {
 		t.Fatal(err)
@@ -117,12 +120,13 @@ func TestEpochChaosShardedConvergesToSyncDigest(t *testing.T) {
 	if !faulty.AllFound {
 		t.Fatal("epoch sharded chaos cluster did not finish")
 	}
+	reconnected()
 	assertRunsConverge(t, cleanRes, faulty)
 }
 
 // TestEpochSwarmMatchesSyncDigest drives the swarm scheduler against an
 // epoch-mode server: one arrival per group per round must land the same
-// committed billboard as the sync-mode goroutine fleet on the same seed.
+// committed billboard as the sync-mode run on the same seed.
 func TestEpochSwarmMatchesSyncDigest(t *testing.T) {
 	clean, err := RunCluster(chaosBase(t))
 	if err != nil {
@@ -131,7 +135,6 @@ func TestEpochSwarmMatchesSyncDigest(t *testing.T) {
 
 	epoch := chaosBase(t)
 	epoch.Mode = server.ModeEpoch
-	epoch.Drive.Swarm = true
 	swarmed, err := RunCluster(epoch)
 	if err != nil {
 		t.Fatal(err)

@@ -161,7 +161,7 @@ func startReplicaCluster(cfg ClusterConfig, tokens []string, swarmToken string) 
 }
 
 // runReplicated is RunCluster's replica-group branch (Topology.Replicas > 1).
-func runReplicated(cfg ClusterConfig) (*ClusterResult, error) {
+func runReplicated(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	if cfg.PersistDir == "" {
 		return nil, fmt.Errorf("dist: Replicas > 1 requires PersistDir")
 	}
@@ -286,7 +286,7 @@ func runReplicated(cfg ClusterConfig) (*ClusterResult, error) {
 			_ = runByzantineSpam(rc.clientAddrs[0], player, tokens[player], opt)
 		}(player, opt)
 	}
-	results, honestErr := runHonestFleet(&cfg, rc.clientAddrs[0], tokens, swarmToken, playerOptions)
+	results, honestErr := honestFleet(&cfg, rc.clientAddrs[0], tokens, swarmToken, playerOptions)
 	byzWG.Wait()
 	close(killerStop)
 	<-killerDone

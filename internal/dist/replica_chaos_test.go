@@ -133,6 +133,7 @@ func TestChaosLeaderFailoverUnderFaultInjection(t *testing.T) {
 	chaos.SessionGrace = 10 * time.Second
 	chaos.BarrierDeadline = 30 * time.Second
 	chaos.Client = replicaClientOpts()
+	reconnected := watchReconnects(t, &chaos, "swarm_reconnects_total")
 	got, err := RunCluster(chaos)
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +141,7 @@ func TestChaosLeaderFailoverUnderFaultInjection(t *testing.T) {
 	if got.Failovers != 1 {
 		t.Fatalf("expected exactly one leader kill, got %d", got.Failovers)
 	}
+	reconnected()
 	assertMatchesClean(t, clean, got, "failover under faults")
 }
 

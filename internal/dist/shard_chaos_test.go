@@ -125,9 +125,11 @@ func TestChaosShardedUnderFaultInjection(t *testing.T) {
 		Retries: 24, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
 		CallTimeout: 10 * time.Second,
 	}
+	reconnected := watchReconnects(t, &chaos, "swarm_reconnects_total")
 	got, err := RunCluster(chaos)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reconnected()
 	assertMatchesClean(t, clean, got, "sharded under faults")
 }

@@ -1,35 +1,18 @@
 package dist
 
-// Fleet-driver benchmarks, recorded as BENCH_PR8.json by `make bench-diff`.
-// BenchmarkClusterFleet prices the same full cluster search under both
-// drivers — goroutine-and-connection per player vs the swarm event-loop
-// scheduler — at matched player counts, reporting ns/player; the Makefile
-// gates swarm < goroutine at the largest pair the file-descriptor budget
-// admits (a goroutine fleet needs two descriptors per player, which is
-// exactly what caps it). BenchmarkSwarmScale records the swarm alone at
-// fleet sizes the goroutine path cannot reach.
+// Fleet benchmarks, recorded as BENCH_PR8.json by `make bench-diff`: the
+// same full cluster search at growing fleet sizes, reporting ns/player —
+// 2k and 10k players in BenchmarkClusterFleet, 100k and 1M in
+// BenchmarkSwarmScale.
 
 import (
-	"syscall"
 	"testing"
 
 	"repro/internal/object"
 	"repro/internal/rng"
 )
 
-// fdBudgetOK reports whether the process may hold roughly need descriptors.
-func fdBudgetOK(need uint64) bool {
-	var rl syscall.Rlimit
-	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err != nil {
-		return true // unknown platform limit: let the bench try
-	}
-	return rl.Cur >= need
-}
-
-func benchFleet(b *testing.B, honest int, swarmDrive bool) {
-	if !swarmDrive && !fdBudgetOK(uint64(2*honest+64)) {
-		b.Skipf("goroutine fleet of %d needs ~%d descriptors", honest, 2*honest+64)
-	}
+func benchFleet(b *testing.B, honest int) {
 	u, err := object.NewPlanted(object.Planted{M: 256, Good: 8}, rng.New(77))
 	if err != nil {
 		b.Fatal(err)
@@ -39,9 +22,6 @@ func benchFleet(b *testing.B, honest int, swarmDrive bool) {
 		Honest:    honest,
 		Seed:      42,
 		MaxRounds: 8,
-	}
-	if swarmDrive {
-		cfg.Drive.Swarm = true
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -57,13 +37,11 @@ func benchFleet(b *testing.B, honest int, swarmDrive bool) {
 }
 
 func BenchmarkClusterFleet(b *testing.B) {
-	b.Run("goroutine-2k", func(b *testing.B) { benchFleet(b, 2_000, false) })
-	b.Run("swarm-2k", func(b *testing.B) { benchFleet(b, 2_000, true) })
-	b.Run("goroutine-10k", func(b *testing.B) { benchFleet(b, 10_000, false) })
-	b.Run("swarm-10k", func(b *testing.B) { benchFleet(b, 10_000, true) })
+	b.Run("swarm-2k", func(b *testing.B) { benchFleet(b, 2_000) })
+	b.Run("swarm-10k", func(b *testing.B) { benchFleet(b, 10_000) })
 }
 
 func BenchmarkSwarmScale(b *testing.B) {
-	b.Run("players-100k", func(b *testing.B) { benchFleet(b, 100_000, true) })
-	b.Run("players-1M", func(b *testing.B) { benchFleet(b, 1_000_000, true) })
+	b.Run("players-100k", func(b *testing.B) { benchFleet(b, 100_000) })
+	b.Run("players-1M", func(b *testing.B) { benchFleet(b, 1_000_000) })
 }

@@ -41,7 +41,6 @@ func (d *rampDynamics) Idle(round int) bool      { return round >= d.n }
 func TestSwarmDynamicsDeterministicDigest(t *testing.T) {
 	run := func() *ClusterResult {
 		cfg := chaosBase(t)
-		cfg.Drive.Swarm = true
 		cfg.Drive.SwarmGroups = 3 // uneven split: groups go empty at times
 		cfg.Drive.Dynamics = &rampDynamics{n: 8, departs: map[int]int{2: 4, 5: 6}}
 		res, err := RunCluster(cfg)
@@ -70,7 +69,6 @@ func TestSwarmDynamicsDepartedPlayersStopProbing(t *testing.T) {
 		t.Run(fmt.Sprintf("replicas-%d", replicas), func(t *testing.T) {
 			cfg := chaosBase(t)
 			cfg.MaxRounds = 6
-			cfg.Drive.Swarm = true
 			cfg.Drive.SwarmGroups = 2
 			// Players 0 and 1 (arrivals at rounds 0 and 1) depart after one
 			// round of play each; the rest ride to found/timeout.
@@ -117,7 +115,6 @@ func TestSwarmDynamicsDepartedPlayersStopProbing(t *testing.T) {
 // assertion (a regression hangs and trips the test timeout).
 func TestSwarmDynamicsEmptyGroupPacesBarrier(t *testing.T) {
 	cfg := chaosBase(t)
-	cfg.Drive.Swarm = true
 	cfg.Drive.SwarmGroups = 4
 	// Player 0 (group 0) arrives alone at round 0; groups 1-3 stay
 	// spectator-only until rounds 2, 4, 6 bring their first members.
@@ -135,7 +132,6 @@ func TestSwarmDynamicsEpochMode(t *testing.T) {
 	run := func() *ClusterResult {
 		cfg := chaosBase(t)
 		cfg.Mode = server.ModeEpoch
-		cfg.Drive.Swarm = true
 		cfg.Drive.SwarmGroups = 2
 		cfg.Drive.Dynamics = &rampDynamics{n: 8, departs: map[int]int{3: 5}}
 		res, err := RunCluster(cfg)
@@ -147,13 +143,5 @@ func TestSwarmDynamicsEpochMode(t *testing.T) {
 	a, b := run(), run()
 	if !bytes.Equal(a.BoardDigest, b.BoardDigest) {
 		t.Fatalf("epoch-mode open-world digest not reproducible:\n a %x\n b %x", a.BoardDigest, b.BoardDigest)
-	}
-}
-
-func TestSwarmDynamicsRequiresSwarm(t *testing.T) {
-	cfg := chaosBase(t)
-	cfg.Drive.Dynamics = &rampDynamics{n: 8}
-	if _, err := RunCluster(cfg); err == nil {
-		t.Fatal("Dynamics without Drive.Swarm did not error")
 	}
 }

@@ -195,7 +195,6 @@ func runCluster(ctx context.Context, spec *Spec, opts Options) (*Result, error) 
 		Params:    spec.params(),
 		Seed:      opts.Seed,
 		MaxRounds: spec.MaxRounds,
-		Drive:     dist.Drive{Swarm: true},
 		Logf:      opts.Logf,
 	}
 	if spec.Mode == ModeEpoch {

@@ -10,6 +10,13 @@ package swarm
 // dones acknowledge, an arrival re-executes its stamp, which is already in
 // place). That is what lets the driver pipeline safely: a lost response
 // never turns into a double-applied side effect.
+//
+// A batch that ends in an arrival closes a round, and a coordinator restart
+// or leader failover before that round commits discards its acknowledged
+// posts along with it. A reconnect inside such a batch therefore resends it
+// from the first frame: the posts the server still holds are answered as
+// replays, and the rolled-back ones, which lie above the recovered session's
+// sequence number, execute again before the arrival does.
 
 import (
 	"bufio"
@@ -222,23 +229,21 @@ func (c *conn) deadline(d time.Duration) {
 // exchange runs a batch of frames over the connection with up to
 // transport.window requests outstanding and fills resps positionally.
 // Sequence numbers are assigned once, up front; a transport failure
-// reconnects (resuming the session) and resends the unacked tail under the
-// same numbers, so the server's in-order replay semantics make the whole
-// batch exactly-once. blocking marks frames that may legitimately stall on
-// other players (arrivals): they run under Options.BarrierTimeout instead
-// of CallTimeout. Progress resets the retry budget — only consecutive
-// failures without a single ack count against Options.Retries.
-func (c *conn) exchange(reqs []wire.Request, resps []wire.Response, blocking bool) error {
+// reconnects (resuming the session) and resends under the same numbers —
+// the unacked tail, or the whole batch when it ends in an arrival — so the
+// server's in-order replay semantics make the whole batch exactly-once. An
+// arrival may legitimately stall on other players, so its answer waits
+// under Options.BarrierTimeout instead of CallTimeout. Progress resets the
+// retry budget — only consecutive failures that ack no frame beyond the
+// furthest one acked so far count against Options.Retries.
+func (c *conn) exchange(reqs []wire.Request, resps []wire.Response) error {
 	for i := range reqs {
 		c.seq++
 		reqs[i].Session = c.session
 		reqs[i].Seq = c.seq
 	}
-	recvTimeout := c.t.opt.CallTimeout
-	if blocking {
-		recvTimeout = c.t.opt.BarrierTimeout
-	}
-	acked, sent := 0, 0
+	rewind := len(reqs) > 0 && reqs[len(reqs)-1].Type == wire.ReqEpoch
+	acked, sent, furthest := 0, 0, 0
 	attempt := 0
 	var last error
 	dialFailed := false
@@ -274,7 +279,10 @@ func (c *conn) exchange(reqs []wire.Request, resps []wire.Response, blocking boo
 				continue
 			}
 			dialFailed = false
-			sent = acked // resend the unacked tail, oldest first
+			if rewind {
+				acked = 0
+			}
+			sent = acked // resend from the oldest unacked frame
 		}
 		// Fill the window.
 		encodeFailed := false
@@ -298,7 +306,11 @@ func (c *conn) exchange(reqs []wire.Request, resps []wire.Response, blocking boo
 		if c.t.met.enabled {
 			c.t.met.inflight.Observe(float64(sent - acked))
 		}
-		c.deadline(recvTimeout)
+		if reqs[acked].Type == wire.ReqEpoch {
+			c.deadline(c.t.opt.BarrierTimeout)
+		} else {
+			c.deadline(c.t.opt.CallTimeout)
+		}
 		resp := &resps[acked]
 		*resp = wire.Response{}
 		if err := c.dec.DecodeResponse(resp); err != nil {
@@ -319,16 +331,19 @@ func (c *conn) exchange(reqs []wire.Request, resps []wire.Response, blocking boo
 			return fmt.Errorf("swarm: %s: %w", c.label, err)
 		}
 		acked++
-		attempt = 0
+		if acked > furthest {
+			furthest = acked
+			attempt = 0
+		}
 	}
 	return nil
 }
 
 // one runs a single frame through exchange and returns its response.
-func (c *conn) one(req wire.Request, blocking bool) (*wire.Response, error) {
+func (c *conn) one(req wire.Request) (*wire.Response, error) {
 	reqs := [1]wire.Request{req}
 	var resps [1]wire.Response
-	if err := c.exchange(reqs[:], resps[:], blocking); err != nil {
+	if err := c.exchange(reqs[:], resps[:]); err != nil {
 		return nil, err
 	}
 	return &resps[0], nil

@@ -68,7 +68,7 @@ func (r *boardReader) call(req wire.Request) *wire.Response {
 	if r.err != nil {
 		return nil
 	}
-	resp, err := r.c.one(req, false)
+	resp, err := r.c.one(req)
 	if err != nil {
 		r.err = err
 		return nil
@@ -101,7 +101,7 @@ func (r *boardReader) prefetchVotes(players []int, chunk int) {
 		reqs = append(reqs, wire.Request{Type: wire.ReqVoteBatch, Players: miss[lo:hi]})
 	}
 	resps := make([]wire.Response, len(reqs))
-	if err := r.c.exchange(reqs, resps, false); err != nil {
+	if err := r.c.exchange(reqs, resps); err != nil {
 		r.err = err
 		return
 	}

@@ -1,7 +1,9 @@
 // Package swarm drives a large block of simulated players — thousands to a
-// million — over a handful of pipelined connections, replacing the
-// goroutine-per-player client fleet with an event-loop scheduler over plain
-// player state.
+// million — over a handful of pipelined connections: an event-loop
+// scheduler over plain player state, with no goroutine, connection or
+// DISTILL instance per player. It is the only honest-fleet driver; the
+// distributed harness (internal/dist) and the scenario engine run every
+// honest player through it.
 //
 // One core.Distill instance carries the schedule shared by every honest
 // player (the DISTILL schedule evolves from committed billboard state only,
@@ -12,13 +14,18 @@
 // per-player indices when the server is sharded), one arrival, then batched
 // deregistration of the players that found their object. Every phase
 // pipelines up to Config.Window frames per connection, and the transport
-// resumes sessions and resends the unacked frame tail across reconnects,
-// so chaos runs (shard bounce, leader kill) drive through unchanged.
+// resumes sessions and resends the unacked frame tail across reconnects —
+// the whole closing exchange of a round whose arrival is unanswered, since
+// a coordinator restart or leader failover rolls that round's posts back —
+// so chaos runs (server restart, shard bounce, leader kill) drive through
+// unchanged.
 //
-// The driver is bit-compatible with the goroutine-per-player path in
-// internal/dist: same per-player randomness (rng.New(Seed).Split(player)),
-// same probe/post/arrival ordering per round, same halt rule — so a
-// swarm-backed cluster run commits a byte-identical board digest.
+// The shared schedule is bit-compatible with independent per-player DISTILL
+// instances: same per-player randomness (rng.New(Seed).Split(player)), same
+// probe/post/arrival ordering per round, same halt rule — so a swarm-backed
+// cluster run commits the board digest a fleet of per-player clients would.
+// internal/dist pins that parity against a per-player reference fleet kept
+// in its tests.
 package swarm
 
 import (
@@ -51,7 +58,7 @@ type Config struct {
 	// Params configures the DISTILL schedule shared by all players.
 	Params core.Params
 	// Seed derives every player's private stream as rng.New(Seed).Split(player)
-	// — the same derivation the goroutine-per-player path uses.
+	// — the derivation an independent per-player DISTILL instance uses.
 	Seed uint64
 	// MaxRounds bounds the search (default 4096); players still active then
 	// are deregistered and reported timed out.
@@ -94,8 +101,7 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// PlayerResult is one player's outcome, matching the semantics of the
-// goroutine-per-player path (dist.HonestResult).
+// PlayerResult is one player's outcome (dist.HonestResult is an alias).
 type PlayerResult struct {
 	Player   int
 	Probes   int // probes issued by this player (client-side count)
@@ -297,8 +303,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Player state: the same per-player stream derivation the
-	// goroutine-per-player path uses (Split depends only on (seed, label)).
+	// Player state: the per-player stream derivation of an independent
+	// DISTILL instance (Split depends only on (seed, label)).
 	// (This is the rng.Partition player-stream derivation inlined: bulk
 	// blocks skip the partition's stream cache, which would pin a Source
 	// per player.)
@@ -632,7 +638,7 @@ func (g *group) runRound() error {
 		g.reqs = append(g.reqs, wire.Request{Type: wire.ReqProbeBatch, Probes: g.probes[lo:hi]})
 	}
 	g.resps = resize(g.resps, len(g.reqs))
-	if err := g.prim.exchange(g.reqs, g.resps, false); err != nil {
+	if err := g.prim.exchange(g.reqs, g.resps); err != nil {
 		return err
 	}
 
@@ -661,7 +667,9 @@ func (g *group) runRound() error {
 
 	// Posts. Sharded: stamp each player's running index (commit order) and
 	// scatter by the shard map over this group's lane sessions. Unsharded:
-	// batched frames on the primary connection.
+	// batched frames on the primary connection, sent in one exchange with
+	// the arrival below.
+	g.reqs = g.reqs[:0]
 	if len(g.posts) > 0 {
 		if d.shards > 1 {
 			for i := range g.posts {
@@ -689,40 +697,42 @@ func (g *group) runRound() error {
 					g.reqs = append(g.reqs, wire.Request{Type: wire.ReqPostBatch, Posts: part[lo:hi], Shard: k})
 				}
 				g.resps = resize(g.resps, len(g.reqs))
-				if err := g.lanes[k].exchange(g.reqs, g.resps, false); err != nil {
+				if err := g.lanes[k].exchange(g.reqs, g.resps); err != nil {
 					return err
 				}
 			}
-		} else {
 			g.reqs = g.reqs[:0]
+		} else {
 			for lo := 0; lo < len(g.posts); lo += chunk {
 				hi := min(lo+chunk, len(g.posts))
 				g.reqs = append(g.reqs, wire.Request{Type: wire.ReqPostBatch, Posts: g.posts[lo:hi]})
 			}
-			g.resps = resize(g.resps, len(g.reqs))
-			if err := g.prim.exchange(g.reqs, g.resps, false); err != nil {
-				return err
-			}
 		}
 	}
 
-	// Arrival: every post of this group is acknowledged (journaled and
-	// buffered server-side), so arriving the whole block is safe. One frame
-	// stamps the block past the group's round, and the server answers once
-	// that round has committed. An answer below the stamp can only be a
-	// replay recorded before the seal, so the bare stamp is re-sent; the
-	// group's round only ever moves forward.
+	// Arrival: one frame stamps the block past the group's round, and the
+	// server answers once that round has committed. A post acknowledged on
+	// the primary connection is not yet safe: until the commit, a
+	// coordinator restart or leader failover rolls the round back and
+	// discards it (shard lanes keep their acknowledged posts). The
+	// primary's post frames therefore travel in the arrival's exchange,
+	// which resends them all if the session resumes before the arrival is
+	// answered. An answer below the stamp can only be a replay recorded
+	// before the seal, so the bare stamp is re-sent; the group's round only
+	// ever moves forward.
 	start := time.Now()
 	target := g.round + 1
+	g.reqs = append(g.reqs, wire.Request{Type: wire.ReqEpoch, Epoch: target})
 	for {
-		resp, err := g.prim.one(wire.Request{Type: wire.ReqEpoch, Epoch: target}, true)
-		if err != nil {
+		g.resps = resize(g.resps, len(g.reqs))
+		if err := g.prim.exchange(g.reqs, g.resps); err != nil {
 			return err
 		}
-		if resp.Round >= target {
+		if resp := &g.resps[len(g.reqs)-1]; resp.Round >= target {
 			g.round = resp.Round
 			break
 		}
+		g.reqs = append(g.reqs[:0], wire.Request{Type: wire.ReqEpoch, Epoch: target})
 	}
 	if d.met.enabled {
 		d.met.barrierSeconds.ObserveSince(start)
@@ -742,7 +752,7 @@ func (g *group) sendDones(players []int) error {
 		g.reqs = append(g.reqs, wire.Request{Type: wire.ReqDone, Players: players[lo:hi]})
 	}
 	g.resps = resize(g.resps, len(g.reqs))
-	if err := g.prim.exchange(g.reqs, g.resps, false); err != nil {
+	if err := g.prim.exchange(g.reqs, g.resps); err != nil {
 		return err
 	}
 	for _, p := range players {

@@ -100,11 +100,11 @@ func (v metricsOption) applyScenario(o *scenario.Options) { o.Metrics = v.reg }
 
 // WithMetrics records the run's metric families into reg: client_* on Dial
 // (dials, reconnects, retries, backoff time, frames/bytes), swarm_* on
-// RunSwarm (scheduler depth, round and barrier latency, transport health),
-// and the honest fleet's family on RunDistributedCluster and on
-// cluster-backed RunScenario — client_* for the goroutine-per-player
-// fleet, swarm_* when the swarm driver runs it (Drive.Swarm, and always
-// for scenarios). Share one registry across a fleet to aggregate.
+// RunSwarm (scheduler depth, round and barrier latency, transport health).
+// On RunDistributedCluster and cluster-backed RunScenario the swarm drives
+// the honest fleet, so swarm_* moves; client_* comes only from the
+// Byzantine players, each its own client. Share one registry across a
+// fleet to aggregate.
 func WithMetrics(reg *Metrics) MetricsOption { return metricsOption{reg} }
 
 // LogfOption is a WithLogf value: valid on RunSwarm,

@@ -16,9 +16,10 @@ import (
 //
 // A swarm drives a block of players over a handful of pipelined
 // connections — an event-loop scheduler over plain player state instead of
-// a goroutine and TCP connection per player — and is bit-compatible with
-// the per-player client fleet: same player streams, same per-round
-// ordering, same committed billboard digest.
+// a goroutine and TCP connection per player — and commits the billboard
+// digest a fleet of independent per-player DISTILL clients would: same
+// player streams, same per-round ordering. RunDistributedCluster and
+// cluster-backed RunScenario drive their honest players through it.
 
 // SwarmConfig describes one swarm: a contiguous player block [From, To)
 // driven against one billboard service. Addr, From/To, and Token (the
