@@ -6,21 +6,29 @@
 // durable billboard server (server.Config.Persist) recovers from without
 // losing a single identity-tagged, timestamped report.
 //
-// Format: length-prefixed frames (uvarint length + gob-encoded entry),
-// each frame self-contained. Self-contained frames make journals safely
-// appendable across process restarts (unlike a single gob stream, whose
-// type dictionary cannot be re-sent), and a torn tail loses at most the
-// final partial frame. Posts are grouped into rounds by marker frames; a
-// round without its marker was never visible to players (the synchrony
-// contract) and is discarded by recovery.
+// Format: length-prefixed frames, each self-contained: a uvarint payload
+// length, then the payload — the record's kind byte followed by every
+// Record field but Round, in declaration order, none omitted, in the
+// canonical encoding of internal/codec (zigzag varints, uvarints for
+// Session, Seq and Term, a 0/1 byte for Post.Positive, Post.Value in gob's
+// byte-reversed float layout, Admits as a count and its pairs). No
+// reflection and no type descriptors: a record takes 16 to about 40 bytes.
+// Self-contained frames make journals safely appendable across process
+// restarts. Posts are grouped into rounds by marker frames; a round
+// without its marker was never visible to players (the synchrony contract)
+// and is discarded by recovery. A Writer batch (Begin … Flush) gathers a
+// request's records into one underlying Write.
 //
-// Encoding cost. A frame is exactly what a fresh gob encoder writes for
-// its entry: the entry type's descriptors, then the value. The descriptors
-// are the same for every entry, so they are encoded once per process (the
-// type prefix) and every Writer keeps one primed encoder that emits the
-// value alone; a frame is the prefix plus that value, byte for byte what a
-// fresh encoder would write, and just as self-contained. A Writer batch
-// (Begin … Flush) gathers a request's records into one underlying Write.
+// Torn versus corrupt. A journal whose final frame is incomplete (a crash
+// mid-write, or a replication chunk boundary) replays every complete frame
+// and reports ErrTruncated, as a *TruncatedError giving where the complete
+// prefix ends: a recovering server cuts the wal back there (Store.Truncate)
+// before appending, so later records are not stranded behind the torn
+// bytes. A complete frame that does not parse — an unknown kind, bytes
+// left after its last field, a count its bytes cannot hold — is ErrCorrupt,
+// and recovery refuses it. A persist directory written by a build whose
+// journal frames were gob-encoded (each payload starts with 0xff) is
+// therefore refused, not read as an empty torn tail.
 //
 // Write-ahead records (durable restart). Beyond posts and round markers,
 // the journal carries the operational records a server needs to restart
@@ -46,69 +54,59 @@ package journal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 
 	"repro/internal/billboard"
+	"repro/internal/codec"
 )
 
-// entryKind discriminates journal records.
-type entryKind uint8
+// RecordKind discriminates journal records: a frame's first payload byte.
+type RecordKind uint8
 
+// Record kinds, one per Writer method family.
 const (
-	kindPost entryKind = iota + 1
-	kindEndRound
-	kindForceDone
-	kindProbe
-	kindDone
-	kindBarrier
-	kindRollback
-	kindSwarmOpen
-	kindEpoch
+	RecordPost RecordKind = iota + 1
+	RecordEndRound
+	RecordForceDone
+	RecordProbe
+	RecordDone
+	RecordBarrier
+	RecordRollback
+	RecordSwarmOpen
 )
 
-// entry is one journal record. Session/Seq are zero in journals written
-// before the write-ahead extension; gob decodes old frames with the new
-// fields absent, so both generations replay through the same path. Index
-// and Admits are the sharding extension: a sharded server's lanes journal
-// each post with its global batch index, and round markers carry the
-// round's admitted (player, object) vote pairs so a single lane's journal
-// replays to exactly the votes the global admission pass granted, without
-// consulting the other lanes.
-type entry struct {
-	Kind    entryKind
-	Post    billboard.Post // valid when Kind == kindPost
-	Player  int            // valid for kindForceDone, kindProbe, kindDone, kindBarrier
+// Record is one journal record. A frame encodes every field but Round, the
+// number of round markers replayed before it — the round the record
+// belongs to. Index and Admits are the sharding extension: a sharded
+// server's lanes journal each post with its global batch index, and round
+// markers carry the round's admitted (player, object) vote pairs so a
+// single lane's journal replays to exactly the votes the global admission
+// pass granted, without consulting the other lanes.
+type Record struct {
+	Kind    RecordKind
+	Post    billboard.Post // valid when Kind == RecordPost
 	Session uint64         // session the record belongs to (0: none recorded)
 	Seq     uint64         // per-session request sequence number (0: none)
-	Object  int            // valid when Kind == kindProbe
-	Index   int            // valid when Kind == kindPost: client batch order
-	Admits  []Admit        // valid when Kind == kindEndRound on a sharded store
+	Player  int            // valid for force-done, probe, done, barrier, swarm-open
+	Object  int            // valid when Kind == RecordProbe
+	Index   int            // valid when Kind == RecordPost: client batch order
+	Admits  []Admit        // valid when Kind == RecordEndRound on a sharded store
 	// PlayerTo closes the member range [Player, PlayerTo) of a swarm
-	// session (kindSwarmOpen): one session that registered a contiguous
+	// session (RecordSwarmOpen): one session that registered a contiguous
 	// block of players at once. Recovery rebuilds the whole block's
 	// membership from the single record.
 	PlayerTo int
-
 	// Term and Quorum annotate a round marker written by a replicated
-	// coordinator (kindEndRound): the leader term that proposed the round
+	// coordinator (EndRoundQuorum): the leader term that proposed the round
 	// and the number of durable replica acknowledgements (leader included)
-	// the commit waited for. Zero on single-coordinator journals — gob
-	// omits zero fields, so unreplicated journals stay byte-identical.
+	// the commit waited for. Zero on single-coordinator journals.
 	Term   uint64
 	Quorum int
-
-	// Epoch is the sealed epoch number of an epoch marker (kindEpoch).
-	// Earlier epoch-mode servers wrote one next to each round marker; none
-	// is written any more, and nothing reads it. The kind stays decodable
-	// so such a journal still replays: the round markers alone rebuild the
-	// board.
-	Epoch int
+	Round  int
 }
 
 // Admit is one admitted vote pair recorded on a sharded round marker: in
@@ -120,6 +118,77 @@ type Admit struct {
 
 // maxFrame bounds a frame's declared size; anything larger is corruption.
 const maxFrame = 1 << 20
+
+// minAdmit is an Admit's smallest encoding (two one-byte varints): a
+// declared Admits count is checked against the bytes left before anything
+// is allocated.
+const minAdmit = 2
+
+// size is the exact payload size of r's frame.
+func (r *Record) size() int {
+	n := 1 + codec.IntSize(r.Post.Player) + codec.IntSize(r.Post.Object) +
+		codec.FloatSize(r.Post.Value) + 1 + codec.IntSize(r.Post.Round) +
+		codec.UvarintSize(r.Session) + codec.UvarintSize(r.Seq) + codec.IntSize(r.Player) +
+		codec.IntSize(r.Object) + codec.IntSize(r.Index) + codec.CountSize(r.Admits)
+	for _, a := range r.Admits {
+		n += codec.IntSize(a.Player) + codec.IntSize(a.Object)
+	}
+	return n + codec.IntSize(r.PlayerTo) + codec.UvarintSize(r.Term) + codec.IntSize(r.Quorum)
+}
+
+// appendFrame appends r's frame — uvarint payload length, then the payload
+// — to b and returns the extended slice.
+func appendFrame(b []byte, r *Record) []byte {
+	size := r.size()
+	b = slices.Grow(b, codec.UvarintSize(uint64(size))+size)
+	b = binary.AppendUvarint(b, uint64(size))
+	b = append(b, byte(r.Kind))
+	b = codec.AppendInt(b, r.Post.Player)
+	b = codec.AppendInt(b, r.Post.Object)
+	b = codec.AppendFloat(b, r.Post.Value)
+	b = codec.AppendBool(b, r.Post.Positive)
+	b = codec.AppendInt(b, r.Post.Round)
+	b = binary.AppendUvarint(b, r.Session)
+	b = binary.AppendUvarint(b, r.Seq)
+	b = codec.AppendInt(b, r.Player)
+	b = codec.AppendInt(b, r.Object)
+	b = codec.AppendInt(b, r.Index)
+	b = codec.AppendCount(b, r.Admits)
+	for _, a := range r.Admits {
+		b = codec.AppendInt(b, a.Player)
+		b = codec.AppendInt(b, a.Object)
+	}
+	b = codec.AppendInt(b, r.PlayerTo)
+	b = binary.AppendUvarint(b, r.Term)
+	return codec.AppendInt(b, r.Quorum)
+}
+
+// parse fills r (Round aside) from a frame's payload.
+func (r *Record) parse(p *codec.Parser) {
+	r.Kind = RecordKind(p.Byte())
+	if r.Kind < RecordPost || r.Kind > RecordSwarmOpen {
+		p.Fail("unknown record kind %#x", byte(r.Kind))
+	}
+	r.Post.Player = p.Int()
+	r.Post.Object = p.Int()
+	r.Post.Value = p.Float()
+	r.Post.Positive = p.Bool()
+	r.Post.Round = p.Int()
+	r.Session = p.Uvarint()
+	r.Seq = p.Uvarint()
+	r.Player = p.Int()
+	r.Object = p.Int()
+	r.Index = p.Int()
+	if n := p.Count(minAdmit); n > 0 {
+		r.Admits = make([]Admit, n)
+		for i := range r.Admits {
+			r.Admits[i] = Admit{Player: p.Int(), Object: p.Int()}
+		}
+	}
+	r.PlayerTo = p.Int()
+	r.Term = p.Uvarint()
+	r.Quorum = p.Int()
+}
 
 // SyncPolicy selects when a Writer invokes its sync hook (typically
 // os.File.Sync) — the durability/throughput trade-off of the journal.
@@ -170,76 +239,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// typePrefix holds the type-descriptor messages a fresh gob encoder writes
-// ahead of its first entry — the same bytes for every entry, computed once
-// per process. Computing it lazily keeps gob's process-wide type ids
-// assigned at the first record, where a fresh encoder assigned them.
-var typePrefix struct {
-	once sync.Once
-	b    []byte
-	err  error
-}
-
-func entryPrefix() ([]byte, error) {
-	typePrefix.once.Do(func() {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(&entry{}); err != nil {
-			typePrefix.err = fmt.Errorf("journal: %w", err)
-			return
-		}
-		first := buf.Len()
-		if err := enc.Encode(&entry{}); err != nil {
-			typePrefix.err = fmt.Errorf("journal: %w", err)
-			return
-		}
-		// The second Encode wrote the value message alone; the first wrote
-		// the descriptors ahead of the same message.
-		out := buf.Bytes()
-		value := out[first:]
-		if !bytes.HasSuffix(out[:first], value) {
-			typePrefix.err = errors.New("journal: gob type prefix did not split")
-			return
-		}
-		typePrefix.b = bytes.Clone(out[:first-len(value)])
-	})
-	return typePrefix.b, typePrefix.err
-}
-
-// frameEncoder appends entries as journal frames. Its gob encoder is primed
-// (it has sent entry's descriptors), so each Encode emits only the value
-// message, which the frame puts behind the shared type prefix.
-type frameEncoder struct {
-	prefix []byte
-	enc    *gob.Encoder
-	value  bytes.Buffer
-}
-
-func newFrameEncoder() (*frameEncoder, error) {
-	prefix, err := entryPrefix()
-	if err != nil {
-		return nil, err
-	}
-	fe := &frameEncoder{prefix: prefix}
-	fe.enc = gob.NewEncoder(&fe.value)
-	if err := fe.enc.Encode(&entry{}); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	return fe, nil
-}
-
-// appendFrame appends e's frame — uvarint length, type prefix, value — to
-// dst and returns the extended slice.
-func (fe *frameEncoder) appendFrame(dst []byte, e *entry) ([]byte, error) {
-	fe.value.Reset()
-	if err := fe.enc.Encode(e); err != nil {
-		return dst, fmt.Errorf("journal: %w", err)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(fe.prefix)+fe.value.Len()))
-	dst = append(dst, fe.prefix...)
-	return append(dst, fe.value.Bytes()...), nil
-}
-
 // maxRetainedFrames bounds the frame buffer a Writer keeps between writes;
 // a larger batch's buffer is dropped once written.
 const maxRetainedFrames = 1 << 20
@@ -253,12 +252,10 @@ const maxRetainedFrames = 1 << 20
 // writes them all in one Write, applying the sync policy once.
 type Writer struct {
 	w      io.Writer
-	fe     *frameEncoder // primed at the first record
-	e      entry         // the record being encoded (by pointer: no boxing)
-	frames []byte        // encoded frames awaiting the underlying Write
-	marker bool          // frames hold a round marker or rollback
-	batch  bool          // between Begin and Flush
-	err    error         // first write error; subsequent calls fail fast
+	frames []byte // encoded frames awaiting the underlying Write
+	marker bool   // frames hold a round marker or rollback
+	batch  bool   // between Begin and Flush
+	err    error  // first write error; subsequent calls fail fast
 	sync   func() error
 	policy SyncPolicy
 }
@@ -288,22 +285,12 @@ func (w *Writer) Flush() error {
 	return w.flush()
 }
 
-func (w *Writer) write(e entry) error {
+func (w *Writer) write(rec Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.fe == nil {
-		if w.fe, w.err = newFrameEncoder(); w.err != nil {
-			return w.err
-		}
-	}
-	w.e = e
-	w.frames, w.err = w.fe.appendFrame(w.frames, &w.e)
-	w.e = entry{} // keep no reference to the caller's admits
-	if w.err != nil {
-		return w.err
-	}
-	w.marker = w.marker || e.Kind == kindEndRound || e.Kind == kindRollback
+	w.frames = appendFrame(w.frames, &rec)
+	w.marker = w.marker || rec.Kind == RecordEndRound || rec.Kind == RecordRollback
 	if w.batch {
 		return nil
 	}
@@ -339,19 +326,19 @@ func (w *Writer) flush() error {
 // number that produced it, so recovery can rebuild the session's dedup
 // window alongside the board.
 func (w *Writer) AppendFrom(session, seq uint64, post billboard.Post) error {
-	return w.write(entry{Kind: kindPost, Post: post, Session: session, Seq: seq})
+	return w.write(Record{Kind: RecordPost, Post: post, Session: session, Seq: seq})
 }
 
 // AppendAt is AppendFrom plus the post's client batch order index — the
 // write-ahead form used by a sharded lane, where the commit order across
 // lanes is (player, index) rather than single-log arrival order.
 func (w *Writer) AppendAt(session, seq uint64, index int, post billboard.Post) error {
-	return w.write(entry{Kind: kindPost, Post: post, Session: session, Seq: seq, Index: index})
+	return w.write(Record{Kind: RecordPost, Post: post, Session: session, Seq: seq, Index: index})
 }
 
 // EndRound records a round boundary.
 func (w *Writer) EndRound() error {
-	return w.write(entry{Kind: kindEndRound})
+	return w.write(Record{Kind: RecordEndRound})
 }
 
 // EndRoundAdmits records a round boundary carrying the round's admitted
@@ -359,7 +346,7 @@ func (w *Writer) EndRound() error {
 // admissions instead of re-deriving them, which keeps lane replay exact
 // even though the global vote budget was consumed across all lanes.
 func (w *Writer) EndRoundAdmits(admits []Admit) error {
-	return w.write(entry{Kind: kindEndRound, Admits: admits})
+	return w.write(Record{Kind: RecordEndRound, Admits: admits})
 }
 
 // EndRoundQuorum records a round boundary annotated with the replication
@@ -368,21 +355,17 @@ func (w *Writer) EndRoundAdmits(admits []Admit) error {
 // seals every round with this marker; replay treats it exactly like
 // EndRoundAdmits and surfaces the annotation on Record.Term/Quorum.
 func (w *Writer) EndRoundQuorum(admits []Admit, term uint64, quorum int) error {
-	return w.write(entry{Kind: kindEndRound, Admits: admits, Term: term, Quorum: quorum})
+	return w.write(Record{Kind: RecordEndRound, Admits: admits, Term: term, Quorum: quorum})
 }
 
 // AppendEndRoundFrame appends one complete round-marker frame — uvarint
-// length prefix plus gob payload, byte-identical to what EndRoundAdmits
-// (term and quorum zero) or EndRoundQuorum would write — to dst and returns
-// the extended slice. Frames are self-contained, so a sharded commit
-// encodes its admits marker once and hands the same bytes to every lane's
-// WriteEndRoundFrame instead of re-encoding per lane.
+// length prefix plus payload, byte-identical to what EndRoundAdmits (term
+// and quorum zero) or EndRoundQuorum would write — to dst and returns the
+// extended slice; the error is always nil. Frames are self-contained, so a
+// sharded commit encodes its admits marker once and hands the same bytes to
+// every lane's WriteEndRoundFrame instead of re-encoding per lane.
 func AppendEndRoundFrame(dst []byte, admits []Admit, term uint64, quorum int) ([]byte, error) {
-	fe, err := newFrameEncoder()
-	if err != nil {
-		return dst, err
-	}
-	return fe.appendFrame(dst, &entry{Kind: kindEndRound, Admits: admits, Term: term, Quorum: quorum})
+	return appendFrame(dst, &Record{Kind: RecordEndRound, Admits: admits, Term: term, Quorum: quorum}), nil
 }
 
 // WriteEndRoundFrame appends a pre-encoded round-marker frame (from
@@ -406,25 +389,25 @@ func (w *Writer) WriteEndRoundFrame(frame []byte) error {
 // keeps crash recovery consistent — a recovered server refuses to let a
 // force-done player rejoin a run it was already expelled from.
 func (w *Writer) ForceDone(player int) error {
-	return w.write(entry{Kind: kindForceDone, Player: player})
+	return w.write(Record{Kind: RecordForceDone, Player: player})
 }
 
 // Probe records a charged probe before its response is sent — the
 // write-ahead half of the exactly-once billing contract: a probe is
 // charged iff its record is in the journal.
 func (w *Writer) Probe(session, seq uint64, player, object int) error {
-	return w.write(entry{Kind: kindProbe, Session: session, Seq: seq, Player: player, Object: object})
+	return w.write(Record{Kind: RecordProbe, Session: session, Seq: seq, Player: player, Object: object})
 }
 
 // Done records a player's voluntary deregistration.
 func (w *Writer) Done(session, seq uint64, player int) error {
-	return w.write(entry{Kind: kindDone, Session: session, Seq: seq, Player: player})
+	return w.write(Record{Kind: RecordDone, Session: session, Seq: seq, Player: player})
 }
 
 // Barrier records a player's arrival at the round barrier. Buffered like a
 // post: it binds only when the round's marker follows.
 func (w *Writer) Barrier(session, seq uint64, player int) error {
-	return w.write(entry{Kind: kindBarrier, Session: session, Seq: seq, Player: player})
+	return w.write(Record{Kind: RecordBarrier, Session: session, Seq: seq, Player: player})
 }
 
 // Rollback marks that a recovering server discarded the records since the
@@ -432,7 +415,7 @@ func (w *Writer) Barrier(session, seq uint64, player int) error {
 // it by dropping their pending buffers, so posts re-executed after the
 // restart are not double-applied by the next recovery.
 func (w *Writer) Rollback() error {
-	return w.write(entry{Kind: kindRollback})
+	return w.write(Record{Kind: RecordRollback})
 }
 
 // SwarmOpen records the registration of a swarm session: one session that
@@ -440,106 +423,91 @@ func (w *Writer) Rollback() error {
 // registration itself; recovery rebuilds the block's membership and session
 // binding from this single record.
 func (w *Writer) SwarmOpen(session uint64, from, to int) error {
-	return w.write(entry{Kind: kindSwarmOpen, Session: session, Player: from, PlayerTo: to})
+	return w.write(Record{Kind: RecordSwarmOpen, Session: session, Player: from, PlayerTo: to})
 }
 
 // Err returns the Writer's first write error (nil while healthy).
 func (w *Writer) Err() error { return w.err }
 
-// RecordKind discriminates replayed journal records.
-type RecordKind uint8
+// ErrTruncated marks a journal whose final frame is incomplete — the torn
+// tail of a write cut short by a crash, or of a replication chunk boundary.
+// Every complete frame before it was delivered, and the error is a
+// *TruncatedError saying where they end.
+var ErrTruncated = errors.New("journal: truncated tail")
 
-// Record kinds, mirroring the Writer's vocabulary.
-const (
-	RecordPost      = RecordKind(kindPost)
-	RecordEndRound  = RecordKind(kindEndRound)
-	RecordForceDone = RecordKind(kindForceDone)
-	RecordProbe     = RecordKind(kindProbe)
-	RecordDone      = RecordKind(kindDone)
-	RecordBarrier   = RecordKind(kindBarrier)
-	RecordRollback  = RecordKind(kindRollback)
-	RecordSwarmOpen = RecordKind(kindSwarmOpen)
-	RecordEpoch     = RecordKind(kindEpoch)
-)
+// ErrCorrupt marks a complete frame that does not parse: an impossible
+// length, an unknown kind (a gob frame of an earlier build starts with
+// 0xff), bytes left after its last field, or a count its bytes cannot hold.
+// Dropping a tail does not repair such a journal.
+var ErrCorrupt = errors.New("journal: corrupt frame")
 
-// Record is one decoded journal record. Round is the number of round
-// markers read before it — the round the record belongs to.
-type Record struct {
-	Kind    RecordKind
-	Post    billboard.Post // valid when Kind == RecordPost
-	Session uint64
-	Seq     uint64
-	Player  int     // valid for force-done, probe, done, barrier, swarm-open
-	Object  int     // valid when Kind == RecordProbe
-	Index   int     // valid when Kind == RecordPost: client batch order
-	Admits  []Admit // valid when Kind == RecordEndRound on a sharded store
-	// PlayerTo closes a swarm session's member range [Player, PlayerTo)
-	// (RecordSwarmOpen).
-	PlayerTo int
-	// Term and Quorum surface a replicated round marker's annotation
-	// (EndRoundQuorum); zero on single-coordinator journals.
-	Term   uint64
-	Quorum int
-	// Epoch surfaces an epoch marker's sealed epoch number (RecordEpoch,
-	// found only in journals of earlier epoch-mode servers).
-	Epoch int
-	Round int
+// TruncatedError reports a torn final frame. Complete is the length of the
+// journal's complete prefix: where a recovering store cuts its wal back to
+// before it appends.
+type TruncatedError struct {
+	Complete int64
 }
 
-// ErrTruncated marks a journal whose tail could not be decoded. State
-// rebuilt before the truncation point is still valid.
-var ErrTruncated = errors.New("journal: truncated or corrupt tail")
+func (e *TruncatedError) Error() string {
+	return fmt.Sprintf("%v after %d complete bytes", ErrTruncated, e.Complete)
+}
+
+// Is makes errors.Is(err, ErrTruncated) hold.
+func (e *TruncatedError) Is(target error) bool { return target == ErrTruncated }
 
 // ReplayRecords reads a journal and invokes fn for every record, stopping
-// cleanly at EOF. A torn or corrupt tail is reported as ErrTruncated after
-// every complete preceding frame has been delivered. Records are delivered
-// raw: the round buffering that discards an uncommitted tail is the
-// recovering server's job.
+// cleanly at EOF. An incomplete final frame is reported as a
+// *TruncatedError (ErrTruncated) after every complete frame before it has
+// been delivered; a complete frame that does not parse stops the replay
+// with ErrCorrupt. Frames are parsed out of one reused buffer, which no
+// delivered record aliases. Records are delivered raw: the round buffering
+// that discards an uncommitted tail is the recovering server's job.
 func ReplayRecords(r io.Reader, fn func(Record) error) error {
 	br := bufio.NewReader(r)
+	var frame []byte
+	var off int64 // end of the last complete frame
 	round := 0
 	for {
-		size, err := binary.ReadUvarint(br)
-		if errors.Is(err, io.EOF) {
-			return nil
+		head, err := br.Peek(binary.MaxVarintLen64)
+		if len(head) == 0 {
+			if err == io.EOF {
+				return nil
+			}
+			return fmt.Errorf("journal: %w", err)
 		}
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrTruncated, err)
+		size, n := binary.Uvarint(head)
+		if n == 0 && len(head) < binary.MaxVarintLen64 { // the bytes end inside the length
+			if err != io.EOF {
+				return fmt.Errorf("journal: %w", err)
+			}
+			return &TruncatedError{Complete: off}
 		}
-		if size == 0 || size > maxFrame {
-			return fmt.Errorf("%w: implausible frame size %d", ErrTruncated, size)
+		if n <= 0 || (n > 1 && head[n-1] == 0) || size == 0 || size > maxFrame {
+			return fmt.Errorf("%w at offset %d: frame length %x", ErrCorrupt, off, head[:max(n, -n, 1)])
 		}
-		frame := make([]byte, size)
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return fmt.Errorf("%w: %v", ErrTruncated, err)
+		br.Discard(n) // peeked above: cannot fail
+		frame = slices.Grow(frame[:0], int(size))[:size]
+		if _, err := io.ReadFull(br, frame); err == io.EOF || err == io.ErrUnexpectedEOF {
+			return &TruncatedError{Complete: off}
+		} else if err != nil {
+			return fmt.Errorf("journal: %w", err)
 		}
-		var e entry
-		if err := gob.NewDecoder(bytes.NewReader(frame)).Decode(&e); err != nil {
-			return fmt.Errorf("%w: %v", ErrTruncated, err)
+		var rec Record
+		p := codec.NewParser(frame)
+		rec.parse(&p)
+		if err := p.Err(); err != nil {
+			return fmt.Errorf("%w at offset %d: %v", ErrCorrupt, off, err)
 		}
-		if e.Kind < kindPost || e.Kind > kindEpoch {
-			return fmt.Errorf("%w: unknown entry kind %d", ErrTruncated, e.Kind)
+		if p.Len() != 0 {
+			return fmt.Errorf("%w at offset %d: %d bytes after the last field", ErrCorrupt, off, p.Len())
 		}
-		rec := Record{
-			Kind:     RecordKind(e.Kind),
-			Post:     e.Post,
-			Session:  e.Session,
-			Seq:      e.Seq,
-			Player:   e.Player,
-			Object:   e.Object,
-			Index:    e.Index,
-			Admits:   e.Admits,
-			PlayerTo: e.PlayerTo,
-			Term:     e.Term,
-			Quorum:   e.Quorum,
-			Epoch:    e.Epoch,
-			Round:    round,
-		}
+		rec.Round = round
 		if err := fn(rec); err != nil {
 			return err
 		}
-		if e.Kind == kindEndRound {
+		if rec.Kind == RecordEndRound {
 			round++
 		}
+		off += int64(n) + int64(size)
 	}
 }

@@ -142,7 +142,7 @@ func TestReplayCallbackErrorsPropagate(t *testing.T) {
 func TestAppendAcrossWriters(t *testing.T) {
 	// Two separate Writers appending to the same buffer model a process
 	// restart; one replay must read both segments (this is why frames are
-	// self-contained rather than one gob stream).
+	// self-contained: a frame depends on nothing written before it).
 	var buf bytes.Buffer
 	w1 := NewWriter(&buf)
 	if err := w1.AppendFrom(1, 1, post(0, 1, true)); err != nil {

@@ -179,6 +179,34 @@ func (s *Store) Snapshot() []byte { return s.snap }
 // as loaded at OpenStore.
 func (s *Store) Tail() io.Reader { return bytes.NewReader(s.tail) }
 
+// Truncate cuts the wal loaded at OpenStore back to its first n bytes, and
+// Tail with it — a recovering server's cut of a torn final frame (the
+// Complete offset of a *TruncatedError), made before anything is appended
+// so that later records do not land behind the torn bytes. Once the wal
+// has grown past what was loaded, Truncate refuses.
+func (s *Store) Truncate(n int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return fmt.Errorf("journal: store: closed")
+	}
+	fi, err := s.f.Stat()
+	if err != nil {
+		return fmt.Errorf("journal: store: truncate: %w", err)
+	}
+	if fi.Size() != int64(len(s.tail)) || n < 0 || n > fi.Size() {
+		return fmt.Errorf("journal: store: truncate to %d bytes: the wal holds %d, %d loaded", n, fi.Size(), len(s.tail))
+	}
+	if err := s.f.Truncate(n); err != nil {
+		return fmt.Errorf("journal: store: truncate: %w", err)
+	}
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("journal: store: truncate: %w", err)
+	}
+	s.tail = s.tail[:n]
+	return nil
+}
+
 // Writer returns the store's journal writer. It stays valid across
 // Rotate — frames always land in the current segment's wal.
 func (s *Store) Writer() *Writer { return s.w }

@@ -102,6 +102,11 @@ func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 
 	reads := 0
 	closed := make(chan struct{})
+	// firstRead closes once the reader has a successful window read (or has
+	// stopped), so Close cannot land before the reader's first read returns.
+	firstRead := make(chan struct{})
+	var readOnce sync.Once
+	markRead := func() { readOnce.Do(func() { close(firstRead) }) }
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -110,6 +115,7 @@ func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 		for srv.Round() < 40 {
 			time.Sleep(50 * time.Microsecond)
 		}
+		<-firstRead
 		srv.Close()
 		close(closed)
 	}()
@@ -134,7 +140,9 @@ func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 			t.Errorf("read %d (round %d): odd event total %d — half a round visible", reads, resp.Round, total)
 		}
 		reads++
+		markRead()
 	}
+	markRead()
 	<-closed
 	wg.Wait()
 	if reads == 0 {

@@ -419,7 +419,7 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 		}
 		return nil
 	})
-	if err != nil && !errors.Is(err, journal.ErrTruncated) {
+	if err := s.cutTornTail(st, err); err != nil {
 		return fmt.Errorf("server: recover: %w", err)
 	}
 	if len(pending) > 0 {
@@ -433,6 +433,23 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 		s.logf("recovered round %d from %s: snapshot=%v, %d journal records replayed, %d uncommitted discarded",
 			s.round, st.Dir(), hadSnapshot, replayed, len(pending))
 	}
+	return nil
+}
+
+// cutTornTail ends a store's replay: a torn final frame (ErrTruncated) is
+// cut off the wal before recovery appends anything, so the records written
+// next are not stranded behind bytes the next replay stops at; any other
+// replay error is returned.
+func (s *Server) cutTornTail(st *journal.Store, err error) error {
+	var torn *journal.TruncatedError
+	if !errors.As(err, &torn) {
+		return err
+	}
+	if err := st.Truncate(torn.Complete); err != nil {
+		return err
+	}
+	s.tailCut = true
+	s.logf("cut a torn journal tail in %s at byte %d", st.Dir(), torn.Complete)
 	return nil
 }
 

@@ -8,6 +8,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -160,6 +161,103 @@ func TestRecoverFromGarbageRejected(t *testing.T) {
 	cfg.Persist = st
 	if _, err := server.New(cfg); err == nil || !strings.Contains(err.Error(), "recover snapshot") {
 		t.Fatalf("garbage snapshot accepted: %v", err)
+	}
+}
+
+// TestPersistTornTailThenAppend: a torn final frame tolerated by one
+// recovery is cut off the wal, so the rounds and probes a restarted server
+// journals after it are recovered by the next restart — not stranded behind
+// bytes that replay stops at.
+func TestPersistTornTailThenAppend(t *testing.T) {
+	u := plantedUniverse(t)
+	bad := firstBad(u)
+	dir := t.TempDir()
+	cfg := server.Config{
+		Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta(),
+		SessionGrace: 10 * time.Second,
+	}
+	srv1, st1 := openDurable(t, dir, cfg)
+	addr, err := srv1.Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := client.Options{Retries: 24, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond}
+	c0, err := client.DialOptions(addr, 0, "tok", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
+	c1, err := client.DialOptions(addr, 1, "tok", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	if _, err := c0.Probe(bad); err != nil {
+		t.Fatal(err)
+	}
+	barrierAll(c0, c1) // round 0 commits
+	srv1.Close()
+	st1.Close()
+
+	// A crash mid-write: a frame header promising more bytes than follow.
+	f, err := os.OpenFile(filepath.Join(dir, "wal-00000000.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x40, 0x01, 0x02}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	srv2, st2 := openDurable(t, dir, cfg)
+	if _, err := srv2.Start(addr); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	if _, err := c1.Probe(bad); err != nil { // resumes onto the restarted server
+		t.Fatal(err)
+	}
+	barrierAll(c0, c1) // rounds 1 and 2 commit behind the cut
+	barrierAll(c0, c1)
+	live := srv2.Digest()
+	srv2.Close()
+	st2.Close()
+	if err := c0.Err(); err != nil {
+		t.Fatalf("resume after restart: %v", err)
+	}
+
+	srv3, st3 := openDurable(t, dir, cfg)
+	defer st3.Close()
+	defer srv3.Close()
+	probes, _, _, _ := srv3.Stats()
+	if srv3.Round() != 3 || !reflect.DeepEqual(probes, []int{1, 1}) {
+		t.Fatalf("recovered round %d with probe ledger %v, want round 3 with [1 1]", srv3.Round(), probes)
+	}
+	if !bytes.Equal(srv3.Digest(), live) {
+		t.Fatalf("recovered board diverged:\nlive:\n%s\nrecovered:\n%s", live, srv3.Digest())
+	}
+}
+
+// TestPersistRefusesGobJournal: a persist directory whose wal holds the
+// gob-encoded frames of earlier builds is refused at startup — a corrupt
+// journal, not a torn tail recovery could drop.
+func TestPersistRefusesGobJournal(t *testing.T) {
+	gobWal, err := os.ReadFile("../journal/testdata/gob-frames.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000000.log"), gobWal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := journal.OpenStore(dir, journal.SyncCommit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	u := plantedUniverse(t)
+	_, err = server.New(server.Config{Universe: u, Tokens: []string{"tok"}, Persist: st})
+	if err == nil || !errors.Is(err, journal.ErrCorrupt) || errors.Is(err, journal.ErrTruncated) {
+		t.Fatalf("server over a gob journal: %v, want a corrupt-journal error", err)
 	}
 }
 

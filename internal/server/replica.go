@@ -572,11 +572,15 @@ func (n *ReplicaNode) becomeLeaderLocked(term uint64, bootstrap bool) error {
 	srv.replTerm = term
 	srv.replQuorum = n.cfg.Quorum
 	srv.ArmSessionGrace()
-	if bootstrap && hadState {
+	if (bootstrap && hadState) || srv.tailCut {
 		// A whole-group cold restart: this node's repLog starts empty while
 		// its disk does not, so followers seeded from the buffer would miss
-		// the recovered prefix. Rotating folds that prefix into a snapshot
-		// at the new segment base, which the first-contact reset then ships.
+		// the recovered prefix. A promotion whose recovery cut a torn final
+		// frame (a leader that died mid-chunk): the repLog still holds the
+		// cut bytes, so streaming it would ship them to the followers.
+		// Either way rotating folds the recovered state into a snapshot at
+		// a new segment base, which the first-contact reset then ships, and
+		// every stream equals its wal again.
 		srv.ForceRotate()
 	}
 	n.term = term

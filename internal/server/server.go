@@ -343,6 +343,10 @@ type Server struct {
 	replLog    *repLog
 	replTerm   uint64
 	replQuorum int
+	// tailCut records that recovery cut a torn final frame off a wal: a
+	// replica promoted over such stores rotates them, since its replicated
+	// streams still hold the cut bytes.
+	tailCut bool
 
 	m serverMetrics
 }

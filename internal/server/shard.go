@@ -53,7 +53,6 @@ package server
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -327,7 +326,7 @@ func (s *Server) recoverLane(ln *lane, boardCfg billboard.Config, admitHist map[
 		}
 		return nil
 	})
-	if err != nil && !errors.Is(err, journal.ErrTruncated) {
+	if err := s.cutTornTail(st, err); err != nil {
 		return fmt.Errorf("lane recover: %w", err)
 	}
 	// Top up: the coordinator committed rounds this lane never sealed (a

@@ -7,6 +7,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // repMsgs and repAcks cover every replication message kind and the ack
@@ -164,10 +166,10 @@ func maxRepFrameStream(t *testing.T, size int) (io.Reader, int) {
 	body := rot.appendTo(nil)
 	base := len(body) - 1
 	snap := size - base - 1
-	for base+uvarintSize(uint64(snap))+snap > size {
+	for base+codec.UvarintSize(uint64(snap))+snap > size {
 		snap--
 	}
-	if got := base + uvarintSize(uint64(snap)) + snap; got != size {
+	if got := base + codec.UvarintSize(uint64(snap)) + snap; got != size {
 		t.Fatalf("rotation payload is %d bytes, want %d", got, size)
 	}
 	prefix := binary.AppendUvarint(nil, uint64(size))

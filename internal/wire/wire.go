@@ -38,6 +38,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/codec"
 )
 
 // ReqType enumerates request kinds.
@@ -436,7 +438,7 @@ func NewStreamEncoder(w io.Writer) *StreamEncoder {
 // begin returns the encode buffer holding the length prefix of a size-byte
 // payload, with room for exactly that payload.
 func (e *StreamEncoder) begin(size int) []byte {
-	total := uvarintSize(uint64(size)) + size
+	total := codec.UvarintSize(uint64(size)) + size
 	if cap(e.buf) < total {
 		e.buf = make([]byte, 0, total)
 	}
@@ -527,19 +529,19 @@ func newStreamDecoder(r io.Reader, maxSize uint64) *StreamDecoder {
 // next reads one frame and returns a parser over its payload after the kind
 // byte, which must be kind. A stream that ends cleanly between frames
 // returns io.EOF.
-func (d *StreamDecoder) next(kind byte) (parser, error) {
+func (d *StreamDecoder) next(kind byte) (codec.Parser, error) {
 	if d.err != nil {
-		return parser{}, d.err
+		return codec.Parser{}, d.err
 	}
 	size, err := binary.ReadUvarint(d.br)
 	if err != nil {
 		if err == io.EOF {
-			return parser{}, io.EOF // clean end of stream, not corruption
+			return codec.Parser{}, io.EOF // clean end of stream, not corruption
 		}
-		return parser{}, d.fail(fmt.Errorf("wire: frame length: %w", err))
+		return codec.Parser{}, d.fail(fmt.Errorf("wire: frame length: %w", err))
 	}
 	if size == 0 || size > d.limit {
-		return parser{}, d.fail(fmt.Errorf("wire: implausible frame size %d", size))
+		return codec.Parser{}, d.fail(fmt.Errorf("wire: implausible frame size %d", size))
 	}
 	buf := d.frame
 	if uint64(cap(buf)) < size {
@@ -552,22 +554,22 @@ func (d *StreamDecoder) next(kind byte) (parser, error) {
 	}
 	buf = buf[:size]
 	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return parser{}, d.fail(fmt.Errorf("wire: truncated frame: %w", err))
+		return codec.Parser{}, d.fail(fmt.Errorf("wire: truncated frame: %w", err))
 	}
 	if buf[0] != kind {
-		return parser{}, d.fail(fmt.Errorf("wire: frame kind %d, want %d", buf[0], kind))
+		return codec.Parser{}, d.fail(fmt.Errorf("wire: frame kind %d, want %d", buf[0], kind))
 	}
-	return parser{b: buf[1:]}, nil
+	return codec.NewParser(buf[1:]), nil
 }
 
 // done ends a frame's parse: the parser's error, or bytes it left unread,
 // fail the stream.
-func (d *StreamDecoder) done(p *parser) error {
-	if p.err != nil {
-		return d.fail(p.err)
+func (d *StreamDecoder) done(p *codec.Parser) error {
+	if err := p.Err(); err != nil {
+		return d.fail(fmt.Errorf("wire: %w", err))
 	}
-	if len(p.b) != 0 {
-		return d.fail(fmt.Errorf("wire: %d trailing bytes after frame", len(p.b)))
+	if p.Len() != 0 {
+		return d.fail(fmt.Errorf("wire: %d trailing bytes after frame", p.Len()))
 	}
 	return nil
 }
