@@ -53,7 +53,7 @@ func run(args []string, out io.Writer) error {
 		fsync       = fs.String("fsync", "commit", "with -persist-dir: journal fsync policy — commit (at round boundaries), none, or always")
 		grace       = fs.Duration("session-grace", 0, "how long a disconnected player's session stays resumable (0: a disconnect deregisters the player immediately)")
 		deadline    = fs.Duration("barrier-deadline", 0, "how long a round barrier waits for stragglers before force-Done'ing them (0: wait forever)")
-		shards      = fs.Int("shards", 0, "partition the billboard by object id into this many independent shard lanes; v4 clients batch and pipeline posts per shard (0 or 1: single board)")
+		shards      = fs.Int("shards", 0, "partition the billboard by object id into this many shard lanes, each with its own board and journal (0 or 1: single board)")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics (empty: disabled)")
 		once        = fs.Bool("print-and-exit", false, "print config and exit (for tests)")
 

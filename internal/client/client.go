@@ -14,7 +14,8 @@
 //
 // The client's session is a player range of one (wire protocol v10): it
 // speaks the same batch frames as the swarm driver, each entry naming the
-// client's own player.
+// client's own player. Every request travels on the one connection, whether
+// or not the server is sharded (wire protocol v12).
 package client
 
 import (
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -145,9 +145,6 @@ func NewSessionID(label int) uint64 {
 // Client is one player's authenticated connection to a billboard server.
 // It is not safe for concurrent use; each player goroutine owns one Client.
 type Client struct {
-	// addrMu guards the address state: concurrent lane calls share it when
-	// a failover steers the whole client to a new leader.
-	addrMu  sync.Mutex
 	addr    string   // current target: the last leader hint or rotation pick
 	addrs   []string // rotation ring: primary + Options.Fallbacks
 	addrIdx int
@@ -169,10 +166,6 @@ type Client struct {
 	lastErr error // first unrecovered transport failure; sticky
 	resumed bool  // a Hello has succeeded before: later connects are resumes
 	met     clientMetrics
-
-	shards  int           // server-advertised shard count (from Hello)
-	lanes   []*clientLane // one per shard when shards > 1
-	postSeq int           // running index stamped on every sharded post
 
 	n, m         int
 	localTesting bool
@@ -253,33 +246,18 @@ func DialContext(ctx context.Context, addr string, player int, token string, opt
 	return nil, fmt.Errorf("client: dial %s: retries exhausted: %w (%w)", addr, last, wire.ErrServerClosed)
 }
 
-// curAddr returns the address calls currently target.
-func (c *Client) curAddr() string {
-	c.addrMu.Lock()
-	defer c.addrMu.Unlock()
-	return c.addr
-}
-
 // adoptLeader steers the client to the address a not-leader rejection named
 // (or rotates when the rejecting replica did not know the leader).
 func (c *Client) adoptLeader(addr string) {
-	c.addrMu.Lock()
-	defer c.addrMu.Unlock()
 	if addr != "" {
 		c.addr = addr
 		return
 	}
-	c.rotateAddrLocked()
+	c.rotateAddr()
 }
 
 // rotateAddr advances to the next address in the fallback ring.
 func (c *Client) rotateAddr() {
-	c.addrMu.Lock()
-	defer c.addrMu.Unlock()
-	c.rotateAddrLocked()
-}
-
-func (c *Client) rotateAddrLocked() {
 	if len(c.addrs) <= 1 {
 		return
 	}
@@ -298,7 +276,7 @@ func (c *Client) connect() error {
 	if c.resumed {
 		c.met.reconnects.Inc()
 	}
-	nc, err := c.opt.Dialer(c.curAddr())
+	nc, err := c.opt.Dialer(c.addr)
 	if err != nil {
 		c.rotateAddr()
 		return fmt.Errorf("client: %w", err)
@@ -347,11 +325,6 @@ func (c *Client) connect() error {
 	if resp.Round > c.round {
 		c.round = resp.Round
 	}
-	sh := resp.Shards
-	if sh < 1 {
-		sh = 1
-	}
-	c.setupLanes(sh)
 	return nil
 }
 
@@ -397,7 +370,6 @@ func (c *Client) sleepBackoff(attempt int) error {
 // closing mid-round cannot wedge the round.
 func (c *Client) Close() error {
 	c.closed = true
-	c.closeLanes()
 	if c.conn == nil {
 		return nil
 	}
@@ -409,13 +381,10 @@ func (c *Client) Close() error {
 // ErrClosed is returned by calls made after Close.
 var ErrClosed = errors.New("client: closed")
 
-// Abort severs the transports abruptly — as a crash or network fault would —
+// Abort severs the transport abruptly — as a crash or network fault would —
 // leaving the client usable: the next call reconnects and resumes the
-// sessions (within the server's grace window). Test and chaos hook.
-func (c *Client) Abort() {
-	c.drop()
-	c.closeLanes()
-}
+// session (within the server's grace window). Test and chaos hook.
+func (c *Client) Abort() { c.drop() }
 
 // Err reports the first transport failure that retries could not recover
 // (nil while the session is healthy). The billboard.Reader methods cannot
@@ -560,10 +529,9 @@ func (c *Client) Probe(obj int) (ProbeResult, error) {
 
 // Post appends a report under the client's authenticated identity: a
 // PostBatch of one that does not end the round. Like PostBatch(posts,
-// false), it returns before its round commits: on an unsharded server a
-// coordinator restart or leader failover that rolls the round back
-// discards the report, and nothing re-sends it. PostBatch(posts, true) is
-// the durable form.
+// false), it returns before its round commits: a server restart or leader
+// failover that rolls the round back discards the report, and nothing
+// re-sends it. PostBatch(posts, true) is the durable form.
 func (c *Client) Post(obj int, value float64, positive bool) error {
 	_, err := c.PostBatch([]BatchPost{{Object: obj, Value: value, Positive: positive}}, false)
 	return err
@@ -585,40 +553,15 @@ type BatchPost struct {
 // set). An empty batch with endRound is exactly a Barrier.
 //
 // Without endRound the call returns once the posts are journaled, before
-// their round commits. On an unsharded server a coordinator restart or
-// leader failover that rolls the round back discards them, and nothing
-// re-sends them (shard lanes keep acknowledged posts across a restart).
-// With endRound the posts ride in the arrival frame, which is retried until
-// its round commits, so a rolled-back batch executes again: that is the
-// durable form.
-//
-// Against a sharded server the batch is split by the shard map and the
-// per-shard sub-batches are pipelined concurrently over the lane
-// connections; the arrival then travels as a plain Barrier on the primary
-// connection once every sub-batch is acknowledged.
+// their round commits. A server restart or leader failover that rolls the
+// round back discards them, sharded or not, and nothing re-sends them. With
+// endRound the posts ride in the arrival frame, which is retried until its
+// round commits, so a rolled-back batch executes again: that is the durable
+// form.
 func (c *Client) PostBatch(posts []BatchPost, endRound bool) (int, error) {
 	msgs := make([]wire.PostMsg, len(posts))
 	for i, p := range posts {
 		msgs[i] = wire.PostMsg{Player: c.player, Object: p.Object, Value: p.Value, Positive: p.Positive}
-	}
-	if c.shards > 1 {
-		if c.closed {
-			return 0, ErrClosed
-		}
-		if c.lastErr != nil {
-			return 0, c.lastErr
-		}
-		if len(msgs) > 0 {
-			c.stampIndices(msgs)
-			if err := c.scatterPosts(msgs); err != nil {
-				return 0, err
-			}
-			c.commitIndices(msgs)
-		}
-		if !endRound {
-			return c.round, nil
-		}
-		return c.Barrier()
 	}
 	req := wire.Request{Type: wire.ReqPostBatch, Posts: msgs, EndRound: endRound}
 	if endRound {

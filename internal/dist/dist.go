@@ -38,7 +38,9 @@ type HonestResult = swarm.PlayerResult
 
 // runByzantineSpam connects as a dishonest player that probes one bad
 // object, lies that it is good, and sends Done once the round holding the
-// lie has committed. Its footprint is that one round whatever the timing,
+// lie has committed. The lie rides in its arrival frame, which is retried
+// until its round commits, so a restart or failover that rolls the round
+// back cannot drop it. Its footprint is that one round whatever the timing,
 // so a run's round count is paced by the honest players alone.
 func runByzantineSpam(addr string, player int, token string, opt client.Options) error {
 	c, err := client.DialOptions(addr, player, token, opt)
@@ -63,12 +65,11 @@ func runByzantineSpam(addr string, player int, token string, opt client.Options)
 			break
 		}
 	}
+	var lie []client.BatchPost
 	if target >= 0 {
-		if err := c.Post(target, 1, true); err != nil {
-			return err
-		}
+		lie = append(lie, client.BatchPost{Object: target, Value: 1, Positive: true})
 	}
-	if _, err := c.Barrier(); err != nil {
+	if _, err := c.PostBatch(lie, true); err != nil {
 		// Server closed or we were kicked: either way we are finished.
 		return nil
 	}
@@ -78,10 +79,10 @@ func runByzantineSpam(addr string, player int, token string, opt client.Options)
 // Topology shapes the billboard service the players run against: the
 // object-id shard partition and the coordinator replica group.
 type Topology struct {
-	// Shards partitions the billboard by object id into this many
-	// independent shard lanes (see server.Config.Shards); clients batch and
-	// pipeline their posts per shard automatically. 0 or 1 is the classic
-	// single-board server.
+	// Shards partitions the billboard by object id into this many shard
+	// lanes (see server.Config.Shards); clients post exactly as to an
+	// unsharded server, which splits their batches by lane. 0 or 1 is the
+	// classic single-board server.
 	Shards int
 	// Replicas, when > 1, runs the coordinator as a replica group of this
 	// size (odd, >= 3; see server.StartReplica) instead of a single server:
@@ -381,10 +382,10 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	}
 
 	// KillShardAtRound watcher: one shard lane is torn down mid-run — its
-	// board, pending posts, and lane sessions dropped, its store closed —
-	// and rebuilt from its per-shard journal while every other shard keeps
-	// serving. Lane traffic for the dead shard stalls (dropped connections,
-	// client retries) and resumes transparently after the restart.
+	// board and pending posts dropped, its store closed — and rebuilt from
+	// its per-shard journal while every other shard keeps serving. Posts and
+	// reads for the dead shard's objects block and resume transparently
+	// after the restart.
 	shardRestarts := 0
 	var shardErr error
 	shardStop := make(chan struct{})

@@ -59,10 +59,10 @@ func TestSwarmByzantineMix(t *testing.T) {
 	assertMatchesClean(t, clean, got, "swarm+byzantine")
 }
 
-// TestSwarmShardedMatchesSingleShard sends the swarm's posts through shard
-// lanes: per-player post indices are stamped at frame build and scattered
-// over per-shard connections, and the committed billboard must match the
-// fault-free single-shard baseline.
+// TestSwarmShardedMatchesSingleShard sends the swarm's posts to a sharded
+// server, which splits each batch by lane and stamps its posts' commit
+// order itself; the committed billboard must match the fault-free
+// single-shard baseline.
 func TestSwarmShardedMatchesSingleShard(t *testing.T) {
 	clean, err := RunCluster(chaosBase(t))
 	if err != nil {

@@ -82,7 +82,8 @@ const (
 // Record is one journal record. A frame encodes every field but Round, the
 // number of round markers replayed before it — the round the record
 // belongs to. Index and Admits are the sharding extension: a sharded
-// server's lanes journal each post with its global batch index, and round
+// server's lanes journal each post with the commit-order index the server
+// stamped on it, and round
 // markers carry the round's admitted (player, object) vote pairs so a
 // single lane's journal replays to exactly the votes the global admission
 // pass granted, without consulting the other lanes.
@@ -93,7 +94,7 @@ type Record struct {
 	Seq     uint64         // per-session request sequence number (0: none)
 	Player  int            // valid for force-done, probe, done, barrier, swarm-open
 	Object  int            // valid when Kind == RecordProbe
-	Index   int            // valid when Kind == RecordPost: client batch order
+	Index   int            // valid when Kind == RecordPost: commit order in its round
 	Admits  []Admit        // valid when Kind == RecordEndRound on a sharded store
 	// PlayerTo closes the member range [Player, PlayerTo) of a swarm
 	// session (RecordSwarmOpen): one session that registered a contiguous
@@ -329,7 +330,7 @@ func (w *Writer) AppendFrom(session, seq uint64, post billboard.Post) error {
 	return w.write(Record{Kind: RecordPost, Post: post, Session: session, Seq: seq})
 }
 
-// AppendAt is AppendFrom plus the post's client batch order index — the
+// AppendAt is AppendFrom plus the post's commit-order index — the
 // write-ahead form used by a sharded lane, where the commit order across
 // lanes is (player, index) rather than single-log arrival order.
 func (w *Writer) AppendAt(session, seq uint64, index int, post billboard.Post) error {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/journal"
@@ -24,9 +23,10 @@ func (c *writeCounter) expectWrites(t *testing.T, what string, want int, send fu
 }
 
 // TestPersistOneStoreWritePerRequest pins the write-ahead path's batching:
-// every record a probe batch, post batch, done or lane post batch produces
-// reaches the store in one write, and the request's side effects — probes
-// charged, lane posts buffered — happen only once that write succeeded.
+// every record a probe batch, post batch or done produces reaches the store
+// in one write — a sharded server's post batch one write per lane store it
+// touches — and the request's side effects — probes charged, lane posts
+// buffered — happen only once that write succeeded.
 func TestPersistOneStoreWritePerRequest(t *testing.T) {
 	const k = 8
 	t.Run("coordinator", func(t *testing.T) {
@@ -87,8 +87,9 @@ func TestPersistOneStoreWritePerRequest(t *testing.T) {
 	})
 
 	t.Run("lane", func(t *testing.T) {
+		const shards = 2
 		cfg := rigConfig(t, ModeSync, k)
-		cfg.Shards = 2
+		cfg.Shards = shards
 		st, err := journal.OpenStore(t.TempDir(), journal.SyncCommit)
 		if err != nil {
 			t.Fatal(err)
@@ -96,45 +97,51 @@ func TestPersistOneStoreWritePerRequest(t *testing.T) {
 		cfg.Persist = st
 		r := newFrameRig(t, cfg)
 		defer r.s.Close()
-		r.joinSwarm(0, k)
-		const shard = 1
-		r.ids++
-		hello := wire.Request{
-			Type: wire.ReqHello, Version: wire.Version, Session: r.ids,
-			Swarm: true, Player: 0, PlayerTo: k, Token: rigSwarmToken, Lane: true, Shard: shard,
+		swarm := r.joinSwarm(0, k)
+		var coord writeCounter
+		coord.watch(st)
+		lanes := make([]writeCounter, shards)
+		for i, ln := range r.s.lanes {
+			lanes[i].watch(ln.store)
 		}
-		hr, sess, ln := r.s.laneHello(&hello)
-		if hr.Err != "" {
-			t.Fatalf("lane hello: %s", hr.Err)
+		posts := make([]wire.PostMsg, k)
+		perLane := make([]int, shards)
+		for i := range posts {
+			posts[i] = wire.PostMsg{Player: i, Object: i, Value: 1, Positive: true}
+			perLane[wire.Shard(i, shards)]++
 		}
-		var posts []wire.PostMsg
-		for obj := 0; len(posts) < k; obj++ {
-			if wire.Shard(obj, 2) == shard {
-				posts = append(posts, wire.PostMsg{Player: len(posts), Object: obj, Value: 1, Positive: true, Index: len(posts)})
+		for ln, n := range perLane {
+			if n == 0 {
+				t.Fatalf("the batch touches no object of lane %d", ln)
 			}
 		}
-		var c writeCounter
-		c.watch(ln.store)
-		c.expectWrites(t, "a k-post lane batch", 1, func() {
-			req := wire.Request{Type: wire.ReqPostBatch, Shard: shard, Posts: posts, Session: sess.id, Seq: 1}
-			if resp := r.s.laneDispatch(ln, sess, &req); resp.Err != "" {
-				t.Fatalf("lane batch: %s", resp.Err)
-			}
+		coord.expectWrites(t, "a sharded k-post batch, at the coordinator", 0, func() {
+			r.send(swarm, wire.Request{Type: wire.ReqPostBatch, Posts: posts})
 		})
-		if ln.nPending != k {
-			t.Fatalf("%d lane posts buffered, want %d", ln.nPending, k)
+		for i, ln := range r.s.lanes {
+			if lanes[i].n != 1 {
+				t.Fatalf("a sharded k-post batch reached lane %d's store in %d writes, want 1", i, lanes[i].n)
+			}
+			if ln.nPending != perLane[i] {
+				t.Fatalf("lane %d buffered %d posts, want %d", i, ln.nPending, perLane[i])
+			}
 		}
 
-		// A failed write buffers nothing.
+		// A failed lane write buffers nothing on that lane.
+		const shard = 1
+		ln := r.s.lanes[shard]
+		var mine []wire.PostMsg
+		for _, p := range posts {
+			if wire.Shard(p.Object, shards) == shard {
+				mine = append(mine, p)
+			}
+		}
 		if err := ln.store.Close(); err != nil {
 			t.Fatal(err)
 		}
-		req := wire.Request{Type: wire.ReqPostBatch, Shard: shard, Posts: posts, Session: sess.id, Seq: 2}
-		if resp := r.s.laneDispatch(ln, sess, &req); !strings.Contains(resp.Err, "journal") {
-			t.Fatalf("lane batch past a closed store answered %+v, want a journal error", resp)
-		}
-		if ln.nPending != k {
-			t.Fatalf("lane posts buffered past a failed journal write: %d, want %d", ln.nPending, k)
+		r.reject(swarm, wire.Request{Type: wire.ReqPostBatch, Posts: mine}, "journal")
+		if ln.nPending != perLane[shard] {
+			t.Fatalf("lane posts buffered past a failed journal write: %d, want %d", ln.nPending, perLane[shard])
 		}
 	})
 }

@@ -48,7 +48,7 @@ type serverMetrics struct {
 }
 
 // Commit phases of the sharded round pipeline, in execution order: freeze
-// (acquire every lane lock), admit (per-lane merge + global vote admission),
+// (check that every lane is up), admit (per-lane merge + global vote admission),
 // journal (coordinator commit-point marker), seal (parallel per-lane feed +
 // lane marker + board EndRound + cache invalidate).
 const (

@@ -170,13 +170,7 @@ func (s *Server) ForceRotate() {
 		return
 	}
 	if s.sharded() {
-		for _, ln := range s.lanes {
-			ln.lock()
-		}
 		s.rotateShardedLocked()
-		for _, ln := range s.lanes {
-			ln.unlock()
-		}
 		return
 	}
 	s.rotateLocked()
@@ -273,38 +267,6 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 
 	u := s.cfg.Universe
 	n := len(s.cfg.Tokens)
-	// touch re-derives registration: any journaled activity proves the
-	// player completed a Hello (expelled players stay expelled).
-	touch := func(player int) {
-		if s.registered[player] {
-			return
-		}
-		if _, expelled := s.forceDone[player]; expelled {
-			s.registerLocked(player)
-		} else {
-			s.joinLocked(player)
-		}
-	}
-	// sessOf finds or rebuilds the session a record is attributed to;
-	// player is the identity the record acts for.
-	sessOf := func(rec journal.Record, player int) *session {
-		if rec.Session == 0 {
-			return nil // legacy record with no session attribution
-		}
-		sess := s.sessions[rec.Session]
-		if sess == nil {
-			if player < 0 {
-				// A swarm barrier sentinel whose session is unknown (its
-				// open record should always precede it); nothing to rebuild.
-				return nil
-			}
-			sess = &session{id: rec.Session, player: player, playerTo: player + 1, loose: true}
-			s.sessions[rec.Session] = sess
-			s.byPlayer[player] = sess
-		}
-		return sess
-	}
-
 	replayed := 0
 	var pending []journal.Record
 	err := journal.ReplayRecords(st.Tail(), func(rec journal.Record) error {
@@ -323,14 +285,14 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 			if rec.Object < 0 || rec.Object >= u.M() {
 				return fmt.Errorf("probe object %d out of range", rec.Object)
 			}
-			touch(rec.Player)
+			s.touchLocked(rec.Player)
 			s.probes[rec.Player]++
 			s.cost[rec.Player] += u.Cost(rec.Object)
 			good := u.LocalTesting() && u.IsGood(rec.Object)
 			if good {
 				s.satisfied[rec.Player] = true
 			}
-			if sess := sessOf(rec, rec.Player); sess != nil {
+			if sess := s.replaySessionLocked(rec, rec.Player); sess != nil {
 				// The recorded response of a probe batch: one result per
 				// probe record under its sequence number, in order.
 				if rec.Seq != sess.lastSeq {
@@ -341,9 +303,9 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 					wire.ProbeRes{Value: u.Value(rec.Object), Good: good})
 			}
 		case journal.RecordDone:
-			touch(rec.Player)
+			s.touchLocked(rec.Player)
 			s.deactivateLocked(rec.Player)
-			if sess := sessOf(rec, rec.Player); sess != nil {
+			if sess := s.replaySessionLocked(rec, rec.Player); sess != nil {
 				if rec.Seq > sess.lastSeq {
 					sess.lastSeq = rec.Seq
 				}
@@ -360,7 +322,7 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 			sess.swarm = true
 			sess.player, sess.playerTo = rec.Player, rec.PlayerTo
 			for p := rec.Player; p < rec.PlayerTo; p++ {
-				touch(p)
+				s.touchLocked(p)
 				s.byPlayer[p] = sess
 			}
 		case journal.RecordEndRound:
@@ -368,24 +330,24 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 			for _, p := range pending {
 				switch p.Kind {
 				case journal.RecordPost:
-					touch(p.Post.Player)
+					s.touchLocked(p.Post.Player)
 					if s.board == nil {
 						return fmt.Errorf("post record in a sharded coordinator journal")
 					}
 					if err := s.board.Post(p.Post); err != nil {
 						return fmt.Errorf("replay post: %v", err)
 					}
-					if sess := sessOf(p, p.Post.Player); sess != nil {
+					if sess := s.replaySessionLocked(p, p.Post.Player); sess != nil {
 						sess.lastSeq = p.Seq
 					}
 				case journal.RecordBarrier:
 					if p.Player >= 0 {
-						touch(p.Player)
+						s.touchLocked(p.Player)
 					}
 					// Player -1: a swarm barrier — all active members of the
 					// session arrived at once; membership needs no touch (the
 					// swarm-open record already registered the block).
-					if sess := sessOf(p, p.Player); sess != nil {
+					if sess := s.replaySessionLocked(p, p.Player); sess != nil {
 						sess.lastSeq = p.Seq
 						arrivals = append(arrivals, sess)
 					}
@@ -434,6 +396,39 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 			s.round, st.Dir(), hadSnapshot, replayed, len(pending))
 	}
 	return nil
+}
+
+// touchLocked re-derives a registration at recovery: any journaled activity
+// proves the player completed a Hello (expelled players stay expelled).
+func (s *Server) touchLocked(player int) {
+	if s.registered[player] {
+		return
+	}
+	if _, expelled := s.forceDone[player]; expelled {
+		s.registerLocked(player)
+	} else {
+		s.joinLocked(player)
+	}
+}
+
+// replaySessionLocked finds or rebuilds, at recovery, the session a journal
+// record is attributed to; player is the identity the record acts for.
+func (s *Server) replaySessionLocked(rec journal.Record, player int) *session {
+	if rec.Session == 0 {
+		return nil // legacy record with no session attribution
+	}
+	sess := s.sessions[rec.Session]
+	if sess == nil {
+		if player < 0 {
+			// A swarm barrier sentinel whose session is unknown (its open
+			// record should always precede it); nothing to rebuild.
+			return nil
+		}
+		sess = &session{id: rec.Session, player: player, playerTo: player + 1, loose: true}
+		s.sessions[rec.Session] = sess
+		s.byPlayer[player] = sess
+	}
+	return sess
 }
 
 // cutTornTail ends a store's replay: a torn final frame (ErrTruncated) is

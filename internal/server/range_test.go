@@ -9,8 +9,8 @@ import (
 
 // TestSessionRangeRule pins the range rule at the frame level. A player's
 // own session is the range [p, p+1): a probe batch, post batch or done that
-// also names another player is rejected on the primary connection, and so is
-// a lane post batch on a sharded server. In every case nothing is charged,
+// also names another player is rejected, and so is a post batch bound for
+// the shard lanes of a sharded server. In every case nothing is charged,
 // buffered or deregistered, not even the entry that names the session's own
 // player.
 func TestSessionRangeRule(t *testing.T) {
@@ -27,9 +27,9 @@ func TestSessionRangeRule(t *testing.T) {
 			{Player: 0, Object: object, Value: 1, Positive: true}, {Player: 1, Object: object, Value: 1, Positive: true},
 		}}},
 		{"done", 0, wire.Request{Type: wire.ReqDone, Players: []int{0, 1}}},
-		{"lane post batch", 2, wire.Request{Type: wire.ReqPostBatch, Shard: wire.Shard(object, 2), Posts: []wire.PostMsg{
-			{Player: 0, Object: object, Value: 1, Positive: true, Index: 0},
-			{Player: 1, Object: object, Value: 1, Positive: true, Index: 1},
+		{"lane post batch", 2, wire.Request{Type: wire.ReqPostBatch, Posts: []wire.PostMsg{
+			{Player: 0, Object: object, Value: 1, Positive: true},
+			{Player: 1, Object: otherLane(object, 2), Value: 1, Positive: true},
 		}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -39,25 +39,9 @@ func TestSessionRangeRule(t *testing.T) {
 			defer r.s.Close()
 			own := r.join(0)
 			r.join(1)
-			var resp wire.Response
-			if tc.shards > 1 {
-				r.ids++
-				hello := wire.Request{
-					Type: wire.ReqHello, Version: wire.Version, Session: r.ids,
-					Player: 0, Token: cfg.Tokens[0], Lane: true, Shard: tc.req.Shard,
-				}
-				hr, sess, ln := r.s.laneHello(&hello)
-				if hr.Err != "" {
-					t.Fatalf("lane hello: %s", hr.Err)
-				}
-				req := tc.req
-				req.Session, req.Seq = sess.id, 1
-				resp = r.s.laneDispatch(ln, sess, &req)
-			} else {
-				req := tc.req
-				req.Session, req.Seq = own.id, 1
-				resp = r.s.dispatch(own, &req)
-			}
+			req := tc.req
+			req.Session, req.Seq = own.id, 1
+			resp := r.s.dispatch(own, &req)
 			if want := "player 1 outside session range [0, 1)"; !strings.Contains(resp.Err, want) {
 				t.Fatalf("%s naming another player answered %+v, want an error containing %q", tc.name, resp, want)
 			}
@@ -81,5 +65,15 @@ func TestSessionRangeRule(t *testing.T) {
 				t.Errorf("players deregistered: active %v", r.s.active)
 			}
 		})
+	}
+}
+
+// otherLane returns the first object after obj that the shard map puts on
+// another of shards lanes.
+func otherLane(obj, shards int) int {
+	for o := obj + 1; ; o++ {
+		if wire.Shard(o, shards) != wire.Shard(obj, shards) {
+			return o
+		}
 	}
 }

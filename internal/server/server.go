@@ -11,10 +11,9 @@
 // range: a player's own token opens [p, p+1), and the swarm token
 // (Config.SwarmToken) opens any block [from, to). Every probe, post and done
 // entry names its player, and the server rejects one outside the session's
-// range, on the primary connection and on the shard lanes alike; no path
-// substitutes the session's identity for the player a frame names. The
-// credential still decides one thing, how a resent request is answered (see
-// session.swarm).
+// range, sharded or not; no path substitutes the session's identity for the
+// player a frame names. The credential still decides one thing, how a
+// resent request is answered (see session.swarm).
 //
 // The server owns the ground truth (the object universe): a probe request
 // reveals an object's value only to the prober and charges its cost, so
@@ -131,15 +130,15 @@ type Config struct {
 	// resumable. Nil runs the service in memory only.
 	Persist *journal.Store
 	// Shards, when greater than 1, partitions the billboard by object id
-	// across that many independent shard lanes (protocol v4): each lane has
-	// its own mutex, board partition, read cache, and — with Persist — its
-	// own journal store under Persist.Dir()/shard-%03d. Clients learn the
-	// count at Hello and pipeline per-shard post batches over dedicated lane
-	// connections; rounds commit through a per-round shard barrier (see
-	// shard.go). Requires a LocalTesting universe (FirstPositive voting; the
-	// BestValue mode's single movable vote is inherently global). Zero or 1
-	// keeps the classic single-lane server, byte-identical to previous
-	// versions at fixed seeds.
+	// across that many shard lanes: each lane has its own board partition,
+	// read cache, and — with Persist — its own journal store under
+	// Persist.Dir()/shard-%03d. Clients do not see it: posts travel on the
+	// primary connection and the server splits each batch by lane; rounds
+	// commit through a per-round shard barrier (see shard.go). Requires a
+	// LocalTesting universe (FirstPositive voting; the BestValue mode's
+	// single movable vote is inherently global). Zero or 1 keeps the classic
+	// single-lane server, byte-identical to previous versions at fixed
+	// seeds.
 	Shards int
 	// SwarmToken, when non-empty, lets a swarm driver open swarm sessions
 	// (wire protocol v7): one Hello with Swarm set registers a contiguous
@@ -280,8 +279,9 @@ type Server struct {
 
 	// Sharding state (Config.Shards > 1; see shard.go). lanes is immutable
 	// after New. The admission maps implement the global vote budget across
-	// lanes; roundA/closedA mirror round/closed for the lane data plane,
-	// which answers without taking s.mu.
+	// lanes. postIndex is the open round's post counter, which stamps each
+	// accepted post's commit order; laneParts is the accept path's
+	// split-by-lane scratch.
 	lanes           []*lane
 	votesTaken      []int
 	votedPair       map[admitKey]bool
@@ -289,8 +289,8 @@ type Server struct {
 	lastAdmits      []journal.Admit
 	lastAdmitsRound int
 	recoveredAdmits map[int][]journal.Admit // transient, New-time only
-	roundA          atomic.Int64
-	closedA         atomic.Bool
+	postIndex       int
+	laneParts       [][]int
 
 	// Pooled commit scratch (commitShardedLocked): the round's posters, the
 	// per-poster dedup bitmap, the per-player merge heads and cursors, the
@@ -427,7 +427,6 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		s.board.SetMetrics(cfg.Metrics)
 	}
-	s.roundA.Store(int64(s.round))
 	return s, nil
 }
 
@@ -493,7 +492,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 // Close stops the listener, wakes blocked arrivals, and waits for
 // connection handlers to drain.
 func (s *Server) Close() error {
-	s.closedA.Store(true)
 	s.mu.Lock()
 	s.closed = true
 	if s.barrierTimer != nil {
@@ -524,15 +522,15 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	// Lane stores are owned by the server (opened in setupShards), unlike
 	// the caller-owned coordinator store; close them once handlers drained.
+	s.mu.Lock()
 	for _, ln := range s.lanes {
-		ln.lock()
 		if ln.store != nil && !ln.down {
 			if cerr := ln.store.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}
-		ln.unlock()
 	}
+	s.mu.Unlock()
 	return err
 }
 
@@ -644,8 +642,6 @@ func (s *Server) handle(conn net.Conn) {
 	enc := wire.NewStreamEncoder(rw)
 
 	var sess *session
-	var laneSess *session
-	var laneOf *lane
 	gen := 0
 	defer func() {
 		if sess != nil {
@@ -670,24 +666,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		var resp wire.Response
 		switch {
-		case req.Type == wire.ReqHello && req.Lane:
-			// Data-plane lane binding (protocol v4): no membership, no
-			// lease; the connection serves only shard-local post batches.
-			if sess != nil || laneSess != nil {
-				resp.Err = "connection already bound"
-				break
-			}
-			var ns *session
-			var ln *lane
-			resp, ns, ln = s.laneHello(req)
-			if resp.Err == "" {
-				laneSess, laneOf = ns, ln
-			}
 		case req.Type == wire.ReqHello:
-			if laneSess != nil {
-				resp.Err = "connection already bound to a shard lane"
-				break
-			}
 			if sess != nil && req.Session != sess.id {
 				resp.Err = "connection already bound to another session"
 				break
@@ -698,8 +677,6 @@ func (s *Server) handle(conn net.Conn) {
 			if resp.Err == "" {
 				sess, gen = ns, ng
 			}
-		case laneSess != nil:
-			resp = s.laneDispatch(laneOf, laneSess, req)
 		case sess == nil:
 			resp.Err = "not authenticated: send hello first"
 		default:
@@ -957,7 +934,7 @@ func (s *Server) helloLocked(req *wire.Request) (wire.Response, *session) {
 // auth checks a Hello's protocol version, credential and session id, and
 // returns the player range the credential opens: a player's own token opens
 // [Player, Player+1), the swarm token any [Player, PlayerTo). It reads only
-// the immutable configuration, so lane Hellos call it without s.mu.
+// the immutable configuration.
 func (s *Server) auth(req *wire.Request) (from, to int, err error) {
 	if req.Version != wire.Version {
 		return 0, 0, fmt.Errorf("protocol version %d, server speaks %d", req.Version, wire.Version)
@@ -999,7 +976,6 @@ func (s *Server) helloPayloadLocked() wire.Response {
 		Beta:         s.cfg.Beta,
 		Costs:        costs,
 		Round:        s.round,
-		Shards:       s.ShardCount(),
 	}
 }
 
@@ -1107,14 +1083,10 @@ func (s *Server) doneLocked(sess *session, req *wire.Request) wire.Response {
 // invalid post aborts the remainder with an error, leaving earlier posts
 // buffered and journaled under the batch's sequence number, whose resend is
 // answered without re-applying any of them. The posts' records (and the
-// arrival's, when the batch ends the round) reach the journal in one write.
+// arrival's, when the batch ends the round) reach the journal in one write;
+// a sharded server's reach each lane store they touch in one write (see
+// shardPostBatchLocked).
 func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response {
-	if s.sharded() {
-		// Posts on a sharded server carry client-assigned indices and flow
-		// through the lane data plane, where cross-player commit order is
-		// well defined.
-		return wire.Response{Err: "posts on a sharded server go to shard lanes"}
-	}
 	if req.EndRound && req.Epoch < 1 {
 		return badStamp(req.Epoch)
 	}
@@ -1122,6 +1094,9 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 		if !sess.has(p.Player) {
 			return outsideRange("batch post", i, len(req.Posts), p.Player, sess)
 		}
+	}
+	if s.sharded() {
+		return s.shardPostBatchLocked(sess, req)
 	}
 	if s.jw != nil {
 		s.jw.Begin()
@@ -1483,7 +1458,6 @@ func (s *Server) sealLocked() bool {
 	} else {
 		s.board.EndRound()
 		s.round++
-		s.roundA.Store(int64(s.round))
 		s.m.rounds.Inc()
 		s.invalidateReadCacheLocked()
 		if s.jw != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // benchShardCluster mirrors benchSetup but brings the server up with the
-// given shard count and a client per player, so the 1/4/16-shard variants
+// given shard count and a client per player, so the 1/2/4/16-shard variants
 // below differ only in lane count and the posting load actually contends.
 func benchShardCluster(b *testing.B, shards, players int) []*client.Client {
 	b.Helper()
@@ -49,18 +49,15 @@ func benchShardCluster(b *testing.B, shards, players int) []*client.Client {
 }
 
 // BenchmarkShardedPostBatch measures one full posting round per iteration:
-// eight players concurrently scatter a 128-report batch across the shard
-// lanes and arrive at the round barrier, which commits via the per-round
-// shard barrier. The shards-1 case is the classic single-frame v3 path
-// serialized under the coordinator mutex; the sharded cases pipeline one
-// frame per lane, each accepted under its own lane mutex. The spread is the
-// scaling the parallel lane data plane buys under contention — on a
-// single-CPU box (GOMAXPROCS=1) concurrent frames cannot overlap, so the
-// sharded points instead price the per-lane framing overhead; run with
-// multiple CPUs to see the contention win.
+// eight players concurrently send a 128-report batch that ends their round,
+// one frame each on the primary connection. Every case accepts under the
+// coordinator mutex; the sharded cases split each batch by lane, write each
+// lane's part to its pending buffer, and commit through the per-round shard
+// barrier and the parallel lane seal. The spread prices what the lanes cost
+// a posting round.
 func BenchmarkShardedPostBatch(b *testing.B) {
 	const players, perPlayer = 8, 128
-	for _, shards := range []int{1, 4, 16} {
+	for _, shards := range []int{1, 2, 4, 16} {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
 			clients := benchShardCluster(b, shards, players)
 			batches := make([][]client.BatchPost, players)

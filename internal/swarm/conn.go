@@ -11,9 +11,9 @@ package swarm
 // place). That is what lets the driver pipeline safely: a lost response
 // never turns into a double-applied side effect.
 //
-// A batch that ends in an arrival closes a round, and a coordinator restart
-// or leader failover before that round commits discards its acknowledged
-// posts along with it. A reconnect inside such a batch therefore resends it
+// A batch that ends in an arrival closes a round, and a server restart or
+// leader failover before that round commits discards its acknowledged posts
+// along with it. A reconnect inside such a batch therefore resends it
 // from the first frame: the posts the server still holds are answered as
 // replays, and the rolled-back ones, which lie above the recovered session's
 // sequence number, execute again before the arrival does.
@@ -112,10 +112,8 @@ func (t *transport) pause(d time.Duration) error {
 // use; each conn is owned by one goroutine at a time.
 type conn struct {
 	t        *transport
-	label    string // for error messages: "group 2", "group 2 lane 1"
-	lane     bool
-	shard    int
-	from, to int // the swarm member range this session registers
+	label    string // for error messages: "group 2"
+	from, to int    // the swarm member range this session registers
 
 	session uint64
 	seq     uint64
@@ -153,9 +151,6 @@ func (c *conn) connect() (*wire.Response, error) {
 	req := wire.Request{
 		Type: wire.ReqHello, Version: wire.Version, Session: c.session,
 		Swarm: true, Player: c.from, PlayerTo: c.to, Token: c.t.token,
-	}
-	if c.lane {
-		req.Lane, req.Shard = true, c.shard
 	}
 	if err := enc.EncodeRequest(&req); err != nil {
 		nc.Close()

@@ -8,16 +8,16 @@
 // One core.Distill instance carries the schedule shared by every honest
 // player (the DISTILL schedule evolves from committed billboard state only,
 // never from private randomness), while each player keeps its own split
-// random stream, probe count, and post index. A round is a fixed frame
-// pattern per connection group: bulk board reads, chunked probe batches,
-// chunked post batches (scattered to shard lanes with client-stamped
-// per-player indices when the server is sharded), one arrival, then batched
-// deregistration of the players that found their object. Every phase
+// random stream and probe count. A round is a fixed frame pattern per
+// connection group: bulk board reads, chunked probe batches, chunked post
+// batches riding one exchange with the group's arrival, then batched
+// deregistration of the players that found their object. A sharded server
+// looks the same: it splits the post batches by lane itself. Every phase
 // pipelines up to Config.Window frames per connection, and the transport
 // resumes sessions and resends the unacked frame tail across reconnects —
 // the whole closing exchange of a round whose arrival is unanswered, since
-// a coordinator restart or leader failover rolls that round's posts back —
-// so chaos runs (server restart, shard bounce, leader kill) drive through
+// a server restart or leader failover rolls that round's posts back — so
+// chaos runs (server restart, shard bounce, leader kill) drive through
 // unchanged.
 //
 // The shared schedule is bit-compatible with independent per-player DISTILL
@@ -65,8 +65,7 @@ type Config struct {
 	MaxRounds int
 	// Groups is the number of connection groups (default 4, clamped to the
 	// player count). Each group owns a contiguous sub-block and its own
-	// pipelined connection (plus one lane connection per shard when the
-	// server is sharded); groups run each round's phases concurrently.
+	// pipelined connection; groups run each round's phases concurrently.
 	Groups int
 	// Chunk caps probes/posts/dones per frame (default 4096).
 	Chunk int
@@ -155,7 +154,6 @@ func (cfg *Config) applyDefaults() error {
 type playerState struct {
 	src          rng.Source // private stream, rng.New(Seed).Split(player)
 	probes       int32
-	postIndex    int32 // next sharded post index (client-stamped commit order)
 	rounds       int32
 	active       bool // currently searching (mirrors group membership)
 	found        bool
@@ -164,15 +162,13 @@ type playerState struct {
 	deregistered bool // ReqDone sent for this player
 }
 
-// group is one connection group: a contiguous sub-block of players, the
-// pipelined primary connection carrying its swarm session, and (when the
-// server is sharded) one lane connection per shard.
+// group is one connection group: a contiguous sub-block of players and the
+// pipelined connection carrying its swarm session.
 type group struct {
 	d        *driver
 	idx      int
 	from, to int
 	prim     *conn
-	lanes    []*conn
 	members  []int // active players, ascending
 	// registered counts the players of this block still registered with the
 	// server (not yet deregistered via ReqDone). Under Dynamics a group
@@ -184,7 +180,6 @@ type group struct {
 	// Per-round scratch, reused across rounds.
 	probes  []wire.ProbeMsg
 	posts   []wire.PostMsg
-	parts   [][]wire.PostMsg
 	found   []int
 	departs []int
 	reqs    []wire.Request
@@ -200,8 +195,7 @@ type driver struct {
 	board *boardReader
 	proto *core.Distill
 
-	n       int // total players served (server-advertised)
-	shards  int
+	n       int           // total players served (server-advertised)
 	players []playerState // indexed by player-cfg.From
 	groups  []*group
 
@@ -265,9 +259,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	defer func() {
 		for _, g := range d.groups {
 			g.prim.drop()
-			for _, l := range g.lanes {
-				l.drop()
-			}
 		}
 	}()
 
@@ -279,7 +270,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	d.groups[0].round = hello.Round
 	d.n = hello.N
-	d.shards = max(hello.Shards, 1)
 	d.uni = &universe{m: hello.M, costs: hello.Costs, localTesting: hello.LocalTesting}
 	for _, g := range d.groups[1:] {
 		resp, err := g.prim.ensure()
@@ -287,20 +277,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		g.round = resp.Round
-	}
-	if d.shards > 1 {
-		for _, g := range d.groups {
-			g.lanes = make([]*conn, d.shards)
-			for k := range g.lanes {
-				g.lanes[k] = &conn{
-					t: d.t, label: fmt.Sprintf("group %d lane %d", g.idx, k),
-					lane: true, shard: k,
-					from: g.from, to: g.to,
-					session: client.NewSessionID(g.from),
-					jitter:  rng.New(opt.Seed).Split(0x173e + uint64(g.idx)<<16 + uint64(k)),
-				}
-			}
-		}
 	}
 
 	// Player state: the per-player stream derivation of an independent
@@ -618,8 +594,8 @@ func (d *driver) eachGroup(fn func(g *group) error) error {
 }
 
 // runRound executes one group's share of a round: chunked pipelined probe
-// batches, the resulting posts (scattered to shard lanes when sharded),
-// and the group's arrival.
+// batches, then the resulting posts and the group's arrival in one
+// exchange.
 func (g *group) runRound() error {
 	if len(g.members) == 0 && g.registered == 0 {
 		// A fully deregistered group adds nothing; its arrival would only
@@ -665,61 +641,21 @@ func (g *group) runRound() error {
 		return fmt.Errorf("swarm: group %d: %d probes answered, want %d", g.idx, ri, len(g.probes))
 	}
 
-	// Posts. Sharded: stamp each player's running index (commit order) and
-	// scatter by the shard map over this group's lane sessions. Unsharded:
-	// batched frames on the primary connection, sent in one exchange with
-	// the arrival below.
+	// Posts: batched frames, sent in one exchange with the arrival below.
 	g.reqs = g.reqs[:0]
-	if len(g.posts) > 0 {
-		if d.shards > 1 {
-			for i := range g.posts {
-				st := d.state(g.posts[i].Player)
-				g.posts[i].Index = int(st.postIndex)
-				st.postIndex++
-			}
-			if g.parts == nil {
-				g.parts = make([][]wire.PostMsg, d.shards)
-			}
-			for k := range g.parts {
-				g.parts[k] = g.parts[k][:0]
-			}
-			for _, m := range g.posts {
-				k := wire.Shard(m.Object, d.shards)
-				g.parts[k] = append(g.parts[k], m)
-			}
-			for k, part := range g.parts {
-				if len(part) == 0 {
-					continue
-				}
-				g.reqs = g.reqs[:0]
-				for lo := 0; lo < len(part); lo += chunk {
-					hi := min(lo+chunk, len(part))
-					g.reqs = append(g.reqs, wire.Request{Type: wire.ReqPostBatch, Posts: part[lo:hi], Shard: k})
-				}
-				g.resps = resize(g.resps, len(g.reqs))
-				if err := g.lanes[k].exchange(g.reqs, g.resps); err != nil {
-					return err
-				}
-			}
-			g.reqs = g.reqs[:0]
-		} else {
-			for lo := 0; lo < len(g.posts); lo += chunk {
-				hi := min(lo+chunk, len(g.posts))
-				g.reqs = append(g.reqs, wire.Request{Type: wire.ReqPostBatch, Posts: g.posts[lo:hi]})
-			}
-		}
+	for lo := 0; lo < len(g.posts); lo += chunk {
+		hi := min(lo+chunk, len(g.posts))
+		g.reqs = append(g.reqs, wire.Request{Type: wire.ReqPostBatch, Posts: g.posts[lo:hi]})
 	}
 
 	// Arrival: one frame stamps the block past the group's round, and the
-	// server answers once that round has committed. A post acknowledged on
-	// the primary connection is not yet safe: until the commit, a
-	// coordinator restart or leader failover rolls the round back and
-	// discards it (shard lanes keep their acknowledged posts). The
-	// primary's post frames therefore travel in the arrival's exchange,
-	// which resends them all if the session resumes before the arrival is
-	// answered. An answer below the stamp can only be a replay recorded
-	// before the seal, so the bare stamp is re-sent; the group's round only
-	// ever moves forward.
+	// server answers once that round has committed. An acknowledged post is
+	// not yet safe: until the commit, a server restart or leader failover
+	// rolls the round back and discards it. The post frames therefore
+	// travel in the arrival's exchange, which resends them all if the
+	// session resumes before the arrival is answered. An answer below the
+	// stamp can only be a replay recorded before the seal, so the bare stamp
+	// is re-sent; the group's round only ever moves forward.
 	start := time.Now()
 	target := g.round + 1
 	g.reqs = append(g.reqs, wire.Request{Type: wire.ReqEpoch, Epoch: target})

@@ -1,6 +1,6 @@
 package wire
 
-// The frame codec (protocol v11). Every frame is a uvarint payload length
+// The frame codec (since protocol v11). Every frame is a uvarint payload length
 // followed by the payload: one kind byte naming the message, then each of
 // the message's fields in declaration order, none omitted, in the canonical
 // encoding of internal/codec: a uint8 kind or code is one byte, and the
@@ -34,7 +34,7 @@ const (
 // Minimum encoded sizes of slice entries: a declared count is checked
 // against the bytes left divided by these before anything is allocated.
 const (
-	minPost       = 5 // Object, Value, Positive, Index, Player
+	minPost       = 4 // Object, Value, Positive, Player
 	minProbe      = 2 // Player, Object
 	minProbeRes   = 2 // Value, Good
 	minVote       = 4 // Player, Object, Round, Value
@@ -47,9 +47,9 @@ func (r *Request) size() int {
 		codec.IntSize(r.From) + codec.IntSize(r.To) + codec.IntSize(r.Last) + codec.CountSize(r.Posts)
 	for i := range r.Posts {
 		q := &r.Posts[i]
-		n += codec.IntSize(q.Object) + codec.FloatSize(q.Value) + 1 + codec.IntSize(q.Index) + codec.IntSize(q.Player)
+		n += codec.IntSize(q.Object) + codec.FloatSize(q.Value) + 1 + codec.IntSize(q.Player)
 	}
-	n += 1 + codec.IntSize(r.Shard) + 2 + codec.IntSize(r.PlayerTo) + codec.CountSize(r.Probes)
+	n += 2 + codec.IntSize(r.PlayerTo) + codec.CountSize(r.Probes)
 	for _, q := range r.Probes {
 		n += codec.IntSize(q.Player) + codec.IntSize(q.Object)
 	}
@@ -73,12 +73,9 @@ func (r *Request) appendTo(b []byte) []byte {
 		b = codec.AppendInt(b, q.Object)
 		b = codec.AppendFloat(b, q.Value)
 		b = codec.AppendBool(b, q.Positive)
-		b = codec.AppendInt(b, q.Index)
 		b = codec.AppendInt(b, q.Player)
 	}
 	b = codec.AppendBool(b, r.EndRound)
-	b = codec.AppendInt(b, r.Shard)
-	b = codec.AppendBool(b, r.Lane)
 	b = codec.AppendBool(b, r.Swarm)
 	b = codec.AppendInt(b, r.PlayerTo)
 	b = codec.AppendCount(b, r.Probes)
@@ -108,13 +105,10 @@ func (r *Request) parse(p *codec.Parser) {
 			q.Object = p.Int()
 			q.Value = p.Float()
 			q.Positive = p.Bool()
-			q.Index = p.Int()
 			q.Player = p.Int()
 		}
 	}
 	r.EndRound = p.Bool()
-	r.Shard = p.Int()
-	r.Lane = p.Bool()
 	r.Swarm = p.Bool()
 	r.PlayerTo = p.Int()
 	if n := p.Count(minProbe); n > 0 {
@@ -142,7 +136,7 @@ func (r *Response) size() int {
 	for k, v := range r.Counts {
 		n += codec.IntSize(k) + codec.IntSize(v)
 	}
-	n += codec.IntSize(r.Round) + codec.IntSize(r.Shards) + codec.BytesSize(r.Leader) + codec.CountSize(r.ProbeResults)
+	n += codec.IntSize(r.Round) + codec.BytesSize(r.Leader) + codec.CountSize(r.ProbeResults)
 	for _, q := range r.ProbeResults {
 		n += codec.FloatSize(q.Value) + 1
 	}
@@ -185,7 +179,6 @@ func (r *Response) appendTo(b []byte) []byte {
 		}
 	}
 	b = codec.AppendInt(b, r.Round)
-	b = codec.AppendInt(b, r.Shards)
 	b = codec.AppendBytes(b, r.Leader)
 	b = codec.AppendCount(b, r.ProbeResults)
 	for _, q := range r.ProbeResults {
@@ -223,7 +216,6 @@ func (r *Response) parse(p *codec.Parser) {
 		}
 	}
 	r.Round = p.Int()
-	r.Shards = p.Int()
 	r.Leader = p.Str()
 	if n := p.Count(minProbeRes); n > 0 {
 		r.ProbeResults = make([]ProbeRes, n)

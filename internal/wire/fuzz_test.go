@@ -94,10 +94,10 @@ func FuzzDecodeRequest(f *testing.F) {
 			Session: 1, Seq: 2},
 		{Type: ReqEpoch, Epoch: 1, Session: 1, Seq: 3},
 		{Type: ReqDone, Players: []int{0}, Session: 1, Seq: 4},
-		// Protocol v4: lane hello and shard-routed indexed batch.
-		{Type: ReqHello, Player: 1, Token: "tok", Version: Version, Session: 2, Lane: true, Shard: 3},
-		{Type: ReqPostBatch, Session: 2, Seq: 4, Shard: 3,
-			Posts: []PostMsg{{Object: 9, Value: 1, Positive: true, Index: 17}}},
+		// A swarm range and a multi-player batch ending the round.
+		{Type: ReqHello, Player: 1, PlayerTo: 4, Swarm: true, Token: "swarm", Version: Version, Session: 2},
+		{Type: ReqPostBatch, Session: 2, Seq: 4, EndRound: true, Epoch: 2,
+			Posts: []PostMsg{{Player: 1, Object: 9, Value: 1, Positive: true}, {Player: 3, Object: 17}}},
 	}
 	// A connection's whole stream, and torn at its middle.
 	stream := encodeStream(f, reqs)
@@ -133,8 +133,8 @@ func FuzzDecodeResponse(f *testing.F) {
 		{Round: 1, ProbeResults: []ProbeRes{{Value: 1, Good: true}, {Value: 0}}},
 		{Round: 2, Votes: []VoteMsg{{Player: 1, Object: 5, Round: 1, Value: 1}}, Objects: []int{5},
 			Count: 1, Counts: map[int]int{1: 1, 5: 2}},
-		// Protocol v4: shard-count payload and a coded error.
-		{Round: 3, Shards: 4, Code: CodeSessionExpired, Err: "gone"},
+		// Protocol v4: a coded error.
+		{Round: 3, Code: CodeSessionExpired, Err: "gone"},
 		{Code: CodeNotLeader, Err: "not the leader", Leader: "127.0.0.1:7000"},
 	}
 	stream := encodeStream(f, resps)

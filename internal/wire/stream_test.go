@@ -17,9 +17,9 @@ func TestStreamRoundTrip(t *testing.T) {
 	enc := NewStreamEncoder(&buf)
 	reqs := []Request{
 		{Type: ReqHello, Session: 7, Player: 3, Token: "tok", Version: Version},
-		{Type: ReqPostBatch, Session: 7, Seq: 1, Shard: 2, Posts: []PostMsg{
-			{Object: 5, Value: 0.5, Positive: true, Index: 0},
-			{Object: 9, Value: 0.25, Index: 1},
+		{Type: ReqPostBatch, Session: 7, Seq: 1, Posts: []PostMsg{
+			{Player: 3, Object: 5, Value: 0.5, Positive: true},
+			{Player: 3, Object: 9, Value: 0.25},
 		}, EndRound: true},
 		{Type: ReqEpoch, Epoch: 1, Session: 7, Seq: 2},
 		{}, // all-zero frame: nothing from the batch frame may survive
@@ -36,7 +36,7 @@ func TestStreamRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.Type != reqs[i].Type || got.Session != reqs[i].Session ||
-			got.Seq != reqs[i].Seq || got.Shard != reqs[i].Shard ||
+			got.Seq != reqs[i].Seq || got.Player != reqs[i].Player ||
 			got.EndRound != reqs[i].EndRound || len(got.Posts) != len(reqs[i].Posts) {
 			t.Fatalf("frame %d: got %+v, want %+v", i, got, reqs[i])
 		}
@@ -109,7 +109,7 @@ func TestStreamResponseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewStreamEncoder(&buf)
 	resps := []Response{
-		{N: 8, M: 64, LocalTesting: true, Alpha: 1, Beta: 0.25, Round: 3, Shards: 4,
+		{N: 8, M: 64, LocalTesting: true, Alpha: 1, Beta: 0.25, Round: 3,
 			Costs: []float64{1, 2}},
 		{Votes: []VoteMsg{{Player: 1, Object: 2, Round: 3, Value: 0.5}},
 			Counts: map[int]int{7: 2}, Objects: []int{1, 2, 3}},
@@ -128,7 +128,7 @@ func TestStreamResponseRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.Err != resps[i].Err || got.Code != resps[i].Code ||
-			got.Round != resps[i].Round || got.Shards != resps[i].Shards ||
+			got.Round != resps[i].Round || got.Leader != resps[i].Leader ||
 			len(got.Votes) != len(resps[i].Votes) || len(got.Counts) != len(resps[i].Counts) {
 			t.Fatalf("frame %d: got %+v, want %+v", i, got, resps[i])
 		}

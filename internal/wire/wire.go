@@ -117,9 +117,10 @@ func (t ReqType) String() string {
 // connection time instead of corrupting a run. Version 2 introduced framed
 // messages, session ids, and request sequence numbers; version 3 added
 // batched round posts (ReqPostBatch) and server-side read caching, cutting
-// a player's round to O(1) frames; version 4 adds shard routing (the server
-// advertises its shard count at Hello, lane connections carry a shard id,
-// batch posts carry a client-assigned order index) and typed error codes;
+// a player's round to O(1) frames; version 4 added shard routing (the server
+// advertised its shard count at Hello, lane connections carried a shard id,
+// batch posts carried a client-assigned order index; all gone in version 12)
+// and typed error codes;
 // version 5 adds coordinator replication — replica-to-replica append / ack /
 // heartbeat / vote / fetch frames (RepMsg, RepAck) and the NotLeader
 // redirect (CodeNotLeader plus Response.Leader), which lets a client that
@@ -173,12 +174,17 @@ func (t ReqType) String() string {
 // the MaxFrame and MaxRepFrame caps, and clean, sticky errors on torn,
 // oversized, garbage and trailing-byte input. A v10 peer cannot parse a v11
 // frame, hence the bump.
-const Version = 11
+//
+// Version 12 has one post path. A sharded server takes posts on the primary
+// connection and splits each batch by lane itself, stamping each post's
+// commit order, so the lane Hello and the shard routing fields are gone:
+// Request.Lane, Request.Shard, PostMsg.Index and Response.Shards. Clients
+// cannot tell a sharded server from an unsharded one.
+const Version = 12
 
-// Shard maps an object id onto one of shards lanes. It is the single
-// shard-map definition shared by client and server: deterministic, seedless,
-// and stable across processes, so both sides always agree on which lane owns
-// an object. The mix is a splitmix64-style finalizer so that consecutive
+// Shard maps an object id onto one of shards lanes: deterministic, seedless,
+// and stable across processes, so a lane's journal store always holds the
+// same objects. The mix is a splitmix64-style finalizer so that consecutive
 // object ids spread across lanes instead of striping.
 func Shard(object, shards int) int {
 	if shards <= 1 {
@@ -238,21 +244,11 @@ type Request struct {
 	Posts    []PostMsg
 	EndRound bool
 
-	// Shard routing (protocol v4). A lane Hello (Lane true) authenticates
-	// the connection as a data-plane lane onto shard Shard: it shares the
-	// primary session's credential and range but registers no membership,
-	// and accepts only shard-local post batches. On a lane ReqPostBatch,
-	// Shard names the lane the batch targets; the server rejects posts
-	// whose objects the shard map assigns elsewhere.
-	Shard int
-	Lane  bool
-
 	// Swarm sessions (protocol v7). A swarm Hello (Swarm true) opens the
 	// contiguous player range [Player, PlayerTo) under one session,
 	// authenticated by the server-configured swarm token in Token instead
-	// of a player's own token. A lane Hello may also carry Swarm + the
-	// range. PlayerTo is meaningful only with Swarm set: without it the
-	// range is the single player [Player, Player+1).
+	// of a player's own token. PlayerTo is meaningful only with Swarm set:
+	// without it the range is the single player [Player, Player+1).
 	Swarm    bool
 	PlayerTo int
 
@@ -292,14 +288,6 @@ type PostMsg struct {
 	Object   int
 	Value    float64
 	Positive bool
-
-	// Index (protocol v4) is the post's position in the player's original
-	// round batch, assigned by the client before the batch is split across
-	// shard lanes. The server commits a round's posts in (player, index)
-	// order, so the global vote budget is consumed in the order the player
-	// issued the posts regardless of which lanes carried them. Posts to an
-	// unsharded server leave it zero: they are applied in arrival order.
-	Index int
 
 	// Player (protocol v7) names the posting player. It must lie in the
 	// session's range (since v10 on every session), so players cannot
@@ -389,10 +377,6 @@ type Response struct {
 	// the round its target released; on Hello and every other request, the
 	// current round.
 	Round int
-
-	// Shards (protocol v4) is the server's lane count, advertised on the
-	// Hello reply so the client can route posts with Shard(object, Shards).
-	Shards int
 
 	// Leader (protocol v5) accompanies a CodeNotLeader rejection: the client
 	// address of the replica currently leading the coordinator group, when
