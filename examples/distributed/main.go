@@ -118,7 +118,6 @@ func main() {
 	for _, name := range []string{
 		"server_rounds_total",
 		`server_requests_total{type="post-batch"}`,
-		"server_read_cache_hits_total",
 		"billboard_posts_total",
 		"client_dials_total",
 		"client_frames_sent_total",

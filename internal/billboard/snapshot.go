@@ -2,9 +2,11 @@ package billboard
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 )
 
 // snapshotState is the serialized form of a Board's committed state.
@@ -30,8 +32,8 @@ type snapshotState struct {
 // reconstructs the exact board — the compaction story for long-running
 // billboard services.
 func (b *Board) Snapshot() ([]byte, error) {
-	if len(b.pending) != 0 {
-		return nil, fmt.Errorf("billboard: snapshot with %d uncommitted posts; call EndRound first", len(b.pending))
+	if b.nPending != 0 {
+		return nil, fmt.Errorf("billboard: snapshot with %d uncommitted posts; call EndRound first", b.nPending)
 	}
 	st := snapshotState{
 		Players:        b.cfg.Players,
@@ -59,42 +61,7 @@ func (b *Board) Snapshot() ([]byte, error) {
 // varies with client interleaving in a networked run.) Uncommitted pending
 // posts are excluded, as in Snapshot. The chaos tests in internal/dist use
 // this to assert a faulty run converged to exactly the fault-free state.
-func (b *Board) Digest() []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "round %d mode %d f %d\n", b.round, b.cfg.Mode, b.cfg.VotesPerPlayer)
-	for p, votes := range b.votesByPlayer {
-		sorted := append([]Vote(nil), votes...)
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Round != sorted[j].Round {
-				return sorted[i].Round < sorted[j].Round
-			}
-			return sorted[i].Object < sorted[j].Object
-		})
-		for _, v := range sorted {
-			fmt.Fprintf(&buf, "vote p%d o%d r%d v%g\n", p, v.Object, v.Round, v.Value)
-		}
-	}
-	for obj, n := range b.negCount {
-		if n != 0 {
-			fmt.Fprintf(&buf, "neg o%d %d\n", obj, n)
-		}
-	}
-	events := append([]VoteEvent(nil), b.events...)
-	sort.Slice(events, func(i, j int) bool {
-		a, c := events[i], events[j]
-		if a.Round != c.Round {
-			return a.Round < c.Round
-		}
-		if a.Player != c.Player {
-			return a.Player < c.Player
-		}
-		return a.Object < c.Object
-	})
-	for _, e := range events {
-		fmt.Fprintf(&buf, "event p%d o%d r%d\n", e.Player, e.Object, e.Round)
-	}
-	return buf.Bytes()
-}
+func (b *Board) Digest() []byte { return MergeDigest(b) }
 
 // MergeDigest returns the canonical digest of the union of several boards
 // that partition one object space: every board is configured with the full
@@ -106,29 +73,62 @@ func (b *Board) Digest() []byte {
 // player, negative counts by object, events by (round, player, object))
 // never depends on which lane a record lived in. MergeDigest of one board
 // is exactly that board's Digest.
+//
+// The digest is built in one presized buffer: a player's votes are sorted
+// in reused scratch only when it holds more than one, and the events are
+// sorted in one copy of the event logs.
 func MergeDigest(boards ...*Board) []byte {
 	if len(boards) == 0 {
 		return nil
 	}
-	if len(boards) == 1 {
-		return boards[0].Digest()
-	}
 	b0 := boards[0]
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "round %d mode %d f %d\n", b0.round, b0.cfg.Mode, b0.cfg.VotesPerPlayer)
+	votes, events := 0, 0
+	for _, b := range boards {
+		votes += b.TotalVotes()
+		events += len(b.events)
+	}
+	// Presize for the longest ids: a vote line holds 19 more bytes (its
+	// words, spaces and newline, and a short float), an event line 12.
+	var num [20]byte
+	ids := 0
+	for _, x := range [...]int{b0.cfg.Players, b0.cfg.Objects, b0.round} {
+		ids += len(strconv.AppendInt(num[:0], int64(x), 10))
+	}
+	buf := make([]byte, 0, 64+votes*(ids+19)+events*(ids+12))
+	buf = append(buf, "round "...)
+	buf = strconv.AppendInt(buf, int64(b0.round), 10)
+	buf = append(buf, " mode "...)
+	buf = strconv.AppendInt(buf, int64(b0.cfg.Mode), 10)
+	buf = append(buf, " f "...)
+	buf = strconv.AppendInt(buf, int64(b0.cfg.VotesPerPlayer), 10)
+	buf = append(buf, '\n')
+
+	var scratch []Vote
 	for p := 0; p < b0.cfg.Players; p++ {
-		var sorted []Vote
-		for _, b := range boards {
-			sorted = append(sorted, b.votesByPlayer[p]...)
-		}
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Round != sorted[j].Round {
-				return sorted[i].Round < sorted[j].Round
+		held := b0.votesByPlayer[p]
+		if len(boards) > 1 || len(held) > 1 {
+			scratch = scratch[:0]
+			for _, b := range boards {
+				scratch = append(scratch, b.votesByPlayer[p]...)
 			}
-			return sorted[i].Object < sorted[j].Object
-		})
-		for _, v := range sorted {
-			fmt.Fprintf(&buf, "vote p%d o%d r%d v%g\n", p, v.Object, v.Round, v.Value)
+			held = scratch
+			slices.SortFunc(held, func(a, c Vote) int {
+				if a.Round != c.Round {
+					return cmp.Compare(a.Round, c.Round)
+				}
+				return cmp.Compare(a.Object, c.Object)
+			})
+		}
+		for _, v := range held {
+			buf = append(buf, "vote p"...)
+			buf = strconv.AppendInt(buf, int64(p), 10)
+			buf = append(buf, " o"...)
+			buf = strconv.AppendInt(buf, int64(v.Object), 10)
+			buf = append(buf, " r"...)
+			buf = strconv.AppendInt(buf, int64(v.Round), 10)
+			buf = append(buf, " v"...)
+			buf = strconv.AppendFloat(buf, v.Value, 'g', -1, 64) // fmt's %g
+			buf = append(buf, '\n')
 		}
 	}
 	for obj := 0; obj < b0.cfg.Objects; obj++ {
@@ -137,27 +137,36 @@ func MergeDigest(boards ...*Board) []byte {
 			n += b.negCount[obj]
 		}
 		if n != 0 {
-			fmt.Fprintf(&buf, "neg o%d %d\n", obj, n)
+			buf = append(buf, "neg o"...)
+			buf = strconv.AppendInt(buf, int64(obj), 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(n), 10)
+			buf = append(buf, '\n')
 		}
 	}
-	var events []VoteEvent
+	sorted := make([]VoteEvent, 0, events)
 	for _, b := range boards {
-		events = append(events, b.events...)
+		sorted = append(sorted, b.events...)
 	}
-	sort.Slice(events, func(i, j int) bool {
-		a, c := events[i], events[j]
+	slices.SortFunc(sorted, func(a, c VoteEvent) int {
 		if a.Round != c.Round {
-			return a.Round < c.Round
+			return cmp.Compare(a.Round, c.Round)
 		}
 		if a.Player != c.Player {
-			return a.Player < c.Player
+			return cmp.Compare(a.Player, c.Player)
 		}
-		return a.Object < c.Object
+		return cmp.Compare(a.Object, c.Object)
 	})
-	for _, e := range events {
-		fmt.Fprintf(&buf, "event p%d o%d r%d\n", e.Player, e.Object, e.Round)
+	for _, e := range sorted {
+		buf = append(buf, "event p"...)
+		buf = strconv.AppendInt(buf, int64(e.Player), 10)
+		buf = append(buf, " o"...)
+		buf = strconv.AppendInt(buf, int64(e.Object), 10)
+		buf = append(buf, " r"...)
+		buf = strconv.AppendInt(buf, int64(e.Round), 10)
+		buf = append(buf, '\n')
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // Restore rebuilds a board from a Snapshot. The VoteFilter (a function,

@@ -29,7 +29,13 @@ func splitMix64(x *uint64) uint64 {
 
 // New returns a Source seeded deterministically from seed.
 func New(seed uint64) *Source {
-	s := &Source{seed: seed}
+	s := seeded(seed)
+	return &s
+}
+
+// seeded returns the stream New(seed) points to, by value.
+func seeded(seed uint64) Source {
+	s := Source{seed: seed}
 	x := seed
 	for i := range s.state {
 		s.state[i] = splitMix64(&x)
@@ -47,11 +53,18 @@ func New(seed uint64) *Source {
 // stream has been consumed, so stream identities are stable across
 // refactorings of draw order.
 func (s *Source) Split(label uint64) *Source {
+	c := s.SplitValue(label)
+	return &c
+}
+
+// SplitValue returns the stream Split(label) points to, by value: a caller
+// keeping many streams in a slice of values pays no allocation per stream.
+func (s *Source) SplitValue(label uint64) Source {
 	x := s.seed
 	a := splitMix64(&x)
 	x = a ^ (label * goldenGamma)
 	b := splitMix64(&x)
-	return New(b ^ bits.RotateLeft64(label, 32))
+	return seeded(b ^ bits.RotateLeft64(label, 32))
 }
 
 // Seed returns the seed this stream was created from.

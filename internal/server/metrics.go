@@ -27,9 +27,6 @@ type serverMetrics struct {
 	sessionsExpired *obs.Counter
 	dedupReplays    *obs.Counter
 
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-
 	barrierWait *obs.Histogram
 	rounds      *obs.Counter
 	forceDone   *obs.Counter
@@ -50,7 +47,7 @@ type serverMetrics struct {
 // Commit phases of the sharded round pipeline, in execution order: freeze
 // (check that every lane is up), admit (per-lane merge + global vote admission),
 // journal (coordinator commit-point marker), seal (parallel per-lane feed +
-// lane marker + board EndRound + cache invalidate).
+// lane marker + board EndRound).
 const (
 	phaseFreeze = iota
 	phaseAdmit
@@ -90,9 +87,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		sessionsResumed: reg.Counter("server_sessions_resumed_total", "disconnected sessions resumed within grace"),
 		sessionsExpired: reg.Counter("server_sessions_expired_total", "sessions ended by lease expiry or zero-grace disconnect"),
 		dedupReplays:    reg.Counter("server_dedup_replays_total", "retransmitted requests answered from the dedup cache"),
-
-		cacheHits:   reg.Counter("server_read_cache_hits_total", "committed-round reads served from cache"),
-		cacheMisses: reg.Counter("server_read_cache_misses_total", "committed-round reads that built a cache entry"),
 
 		barrierWait: reg.Histogram("server_barrier_wait_seconds", "time an arrival waited for its round to commit", nil),
 		rounds:      reg.Counter("server_rounds_total", "rounds committed"),

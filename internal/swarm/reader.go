@@ -7,9 +7,13 @@ package swarm
 // fleet would issue N times happen once. For advice rounds the driver
 // additionally prefetches the round's per-player vote lookups in bulk
 // (ReqVoteBatch) before the draw loop, collapsing up to N round-trips into
-// a few pipelined frames.
+// a few pipelined frames. The vote reads are held densely, one span per
+// player into one flat slice, so a round's reads allocate no map or slice
+// per player.
 
 import (
+	"fmt"
+
 	"repro/internal/billboard"
 	"repro/internal/wire"
 )
@@ -36,18 +40,38 @@ type boardReader struct {
 	round int
 	err   error
 
-	votes    map[int][]billboard.Vote
+	// The round's vote reads, dense by player: player p's votes are
+	// votes[spans[p].lo:spans[p].hi], read this round iff spans[p].epoch
+	// equals epoch. invalidate bumps epoch instead of clearing the spans,
+	// and reuses votes' array.
+	epoch int32
+	spans []voteSpan
+	votes []billboard.Vote
+
 	counts   map[int]int
 	negs     map[int]int
 	windows  map[[2]int]map[int]int
 	objects  []int
 	haveObjs bool
+
+	// fetchVotes scratch, reused across rounds: miss queues the players
+	// want named.
+	miss  []int
+	reqs  []wire.Request
+	resps []wire.Response
 }
+
+// voteSpan locates one player's votes in boardReader.votes.
+type voteSpan struct{ epoch, lo, hi int32 }
 
 var _ billboard.Reader = (*boardReader)(nil)
 
-func newBoardReader(c *conn, round int) *boardReader {
-	r := &boardReader{c: c, round: round}
+// newBoardReader returns a reader for a board of n players.
+func newBoardReader(c *conn, round, n int) *boardReader {
+	r := &boardReader{
+		c: c, round: round, spans: make([]voteSpan, n),
+		counts: map[int]int{}, negs: map[int]int{}, windows: map[[2]int]map[int]int{},
+	}
 	r.invalidate()
 	return r
 }
@@ -55,10 +79,11 @@ func newBoardReader(c *conn, round int) *boardReader {
 // invalidate drops all cached reads; the driver calls it after each round
 // barrier.
 func (r *boardReader) invalidate() {
-	r.votes = make(map[int][]billboard.Vote)
-	r.counts = make(map[int]int)
-	r.negs = make(map[int]int)
-	r.windows = make(map[[2]int]map[int]int)
+	r.epoch++
+	r.votes = r.votes[:0]
+	clear(r.counts)
+	clear(r.negs)
+	clear(r.windows)
 	r.objects = nil
 	r.haveObjs = false
 }
@@ -79,42 +104,55 @@ func (r *boardReader) call(req wire.Request) *wire.Response {
 	return resp
 }
 
-// prefetchVotes bulk-loads the votes of every listed player that is not
-// already cached, a chunk of players per frame, pipelined. Players without
-// votes are cached as empty.
-func (r *boardReader) prefetchVotes(players []int, chunk int) {
-	if r.err != nil {
-		return
-	}
-	miss := make([]int, 0, len(players))
-	for _, p := range players {
-		if _, ok := r.votes[p]; !ok {
-			miss = append(miss, p)
+// want queues player p's votes for the next fetchVotes, unless they were
+// read or queued this round.
+func (r *boardReader) want(p int) {
+	if uint(p) >= uint(len(r.spans)) {
+		if r.err == nil {
+			r.err = fmt.Errorf("swarm: vote read of player %d outside [0, %d)", p, len(r.spans))
 		}
-	}
-	if len(miss) == 0 {
 		return
 	}
-	var reqs []wire.Request
-	for lo := 0; lo < len(miss); lo += chunk {
-		hi := min(lo+chunk, len(miss))
-		reqs = append(reqs, wire.Request{Type: wire.ReqVoteBatch, Players: miss[lo:hi]})
+	if sp := &r.spans[p]; sp.epoch != r.epoch {
+		*sp = voteSpan{epoch: r.epoch}
+		r.miss = append(r.miss, p)
 	}
-	resps := make([]wire.Response, len(reqs))
-	if err := r.c.exchange(reqs, resps); err != nil {
+}
+
+// fetchVotes bulk-loads the votes of the queued players, a chunk of
+// players per frame, pipelined. Players without votes read as empty.
+func (r *boardReader) fetchVotes(chunk int) {
+	defer func() { r.miss = r.miss[:0] }()
+	if r.err != nil || len(r.miss) == 0 {
+		return
+	}
+	r.reqs = r.reqs[:0]
+	for lo := 0; lo < len(r.miss); lo += chunk {
+		hi := min(lo+chunk, len(r.miss))
+		r.reqs = append(r.reqs, wire.Request{Type: wire.ReqVoteBatch, Players: r.miss[lo:hi]})
+	}
+	r.resps = resize(r.resps, len(r.reqs))
+	if err := r.c.exchange(r.reqs, r.resps); err != nil {
 		r.err = err
 		return
 	}
-	for _, p := range miss {
-		r.votes[p] = nil
-	}
-	for i := range resps {
-		for _, v := range resps[i].Votes {
-			r.votes[v.Player] = append(r.votes[v.Player],
-				billboard.Vote{Player: v.Player, Object: v.Object, Round: v.Round, Value: v.Value})
+	// A batch answer lists each player's votes together, so each player's
+	// span is one run of the flat slice.
+	for i := range r.resps {
+		for _, v := range r.resps[i].Votes {
+			if uint(v.Player) >= uint(len(r.spans)) || r.spans[v.Player].epoch != r.epoch {
+				r.err = fmt.Errorf("swarm: vote batch answered for unrequested player %d", v.Player)
+				return
+			}
+			sp := &r.spans[v.Player]
+			if sp.lo == sp.hi {
+				sp.lo = int32(len(r.votes))
+			}
+			r.votes = append(r.votes, billboard.Vote{Player: v.Player, Object: v.Object, Round: v.Round, Value: v.Value})
+			sp.hi = int32(len(r.votes))
 		}
-		if resps[i].Round > r.round {
-			r.round = resps[i].Round
+		if r.resps[i].Round > r.round {
+			r.round = r.resps[i].Round
 		}
 	}
 }
@@ -122,20 +160,18 @@ func (r *boardReader) prefetchVotes(players []int, chunk int) {
 // Round returns the last round number observed from the server.
 func (r *boardReader) Round() int { return r.round }
 
-// Votes returns player p's committed votes, cached for the round.
+// Votes returns player p's committed votes, cached for the round. The
+// slice aliases the reader's round cache: it is valid until invalidate.
 func (r *boardReader) Votes(player int) []billboard.Vote {
-	if v, ok := r.votes[player]; ok {
-		return v
-	}
-	var votes []billboard.Vote
-	if resp := r.call(wire.Request{Type: wire.ReqVoteBatch, Players: []int{player}}); resp != nil {
-		votes = make([]billboard.Vote, len(resp.Votes))
-		for i, v := range resp.Votes {
-			votes[i] = billboard.Vote{Player: v.Player, Object: v.Object, Round: v.Round, Value: v.Value}
+	if uint(player) >= uint(len(r.spans)) || r.spans[player].epoch != r.epoch {
+		r.want(player)
+		r.fetchVotes(1)
+		if r.err != nil {
+			return nil
 		}
 	}
-	r.votes[player] = votes
-	return votes
+	sp := r.spans[player]
+	return r.votes[sp.lo:sp.hi:sp.hi]
 }
 
 // HasVote reports whether player p has a committed vote.

@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -198,9 +199,6 @@ type driver struct {
 	n       int           // total players served (server-advertised)
 	players []playerState // indexed by player-cfg.From
 	groups  []*group
-
-	seen     []int32 // advice-prefetch dedupe, stamped by round+1
-	prefetch []int
 }
 
 func (d *driver) logf(format string, args ...any) {
@@ -249,6 +247,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		g.registered = gTo - gFrom
 		g.members = make([]int, 0, gTo-gFrom)
+		g.probes = make([]wire.ProbeMsg, 0, gTo-gFrom)
 		if cfg.Dynamics == nil {
 			for p := gFrom; p < gTo; p++ {
 				g.members = append(g.members, p)
@@ -283,11 +282,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// DISTILL instance (Split depends only on (seed, label)).
 	// (This is the rng.Partition player-stream derivation inlined: bulk
 	// blocks skip the partition's stream cache, which would pin a Source
-	// per player.)
+	// per player, and split by value, which allocates none.)
 	base := rng.New(cfg.Seed)
 	d.players = make([]playerState, total)
 	for i := range d.players {
-		d.players[i].src = *base.Split(uint64(cfg.From + i))
+		d.players[i].src = base.SplitValue(uint64(cfg.From + i))
 		d.players[i].active = cfg.Dynamics == nil
 	}
 	if met.enabled {
@@ -298,7 +297,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// group 0's connection; the Init-time source is never drawn from (the
 	// schedule is a pure function of committed board state), but Init
 	// requires one.
-	d.board = newBoardReader(d.groups[0].prim, hello.Round)
+	d.board = newBoardReader(d.groups[0].prim, hello.Round, d.n)
 	d.proto = core.NewDistill(cfg.Params)
 	if err := d.proto.Init(sim.Setup{
 		N: d.n, Alpha: hello.Alpha, Beta: hello.Beta,
@@ -310,7 +309,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if d.board.err != nil {
 		return nil, fmt.Errorf("swarm: board read: %w", d.board.err)
 	}
-	d.seen = make([]int32, d.n)
 
 	if err := d.run(); err != nil {
 		return nil, err
@@ -346,7 +344,7 @@ func (d *driver) run() error {
 		// through the cached reader).
 		d.proto.BeginRound(round)
 		if d.proto.AdviceRound() {
-			d.prefetchAdvice(round)
+			d.prefetchAdvice()
 		}
 		for _, g := range d.groups {
 			g.probes = g.probes[:0]
@@ -558,20 +556,14 @@ func (d *driver) probesThisRound() int {
 // prefetchAdvice peeks every active player's advice draw — a value copy of
 // the player's stream leaves the real draw untouched — and bulk-loads the
 // votes of every distinct advised player before the draw loop runs.
-func (d *driver) prefetchAdvice(round int) {
-	stamp := int32(round + 1)
-	d.prefetch = d.prefetch[:0]
+func (d *driver) prefetchAdvice() {
 	for _, g := range d.groups {
 		for _, p := range g.members {
 			peek := d.state(p).src
-			j := peek.Intn(d.n)
-			if d.seen[j] != stamp {
-				d.seen[j] = stamp
-				d.prefetch = append(d.prefetch, j)
-			}
+			d.board.want(peek.Intn(d.n))
 		}
 	}
-	d.board.prefetchVotes(d.prefetch, d.cfg.Chunk)
+	d.board.fetchVotes(d.cfg.Chunk)
 }
 
 // eachGroup runs fn concurrently over the groups and returns the first
@@ -620,7 +612,7 @@ func (g *group) runRound() error {
 
 	// Results → posts. One post per answered probe, in probe order — the
 	// same posting order the per-player loop produces.
-	g.posts = g.posts[:0]
+	g.posts = slices.Grow(g.posts[:0], len(g.probes))
 	ri := 0
 	for i := range g.resps {
 		for _, pr := range g.resps[i].ProbeResults {

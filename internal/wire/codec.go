@@ -12,7 +12,8 @@ package wire
 // steps, and each frame goes out in one Write. The parser checks every
 // length against the bytes left before it allocates, and copies every string
 // and byte slice out of the frame, so the decoder can reuse its frame
-// buffer.
+// buffer. A stream decoder also decodes each request's entry lists into the
+// previous request's arrays (see the package doc's ownership rule).
 
 import (
 	"encoding/binary"
@@ -87,6 +88,9 @@ func (r *Request) appendTo(b []byte) []byte {
 	return codec.AppendInt(b, r.Epoch)
 }
 
+// parse fills r. Its entry slices are decoded into the arrays r.Posts,
+// r.Probes and r.Players hold on entry (nil for fresh ones), grown when too
+// small; a list with no entries decodes as nil.
 func (r *Request) parse(p *codec.Parser) {
 	r.Type = ReqType(p.Byte())
 	r.Session = p.Uvarint()
@@ -98,27 +102,38 @@ func (r *Request) parse(p *codec.Parser) {
 	r.From = p.Int()
 	r.To = p.Int()
 	r.Last = p.Int()
-	if n := p.Count(minPost); n > 0 {
-		r.Posts = make([]PostMsg, n)
-		for i := range r.Posts {
-			q := &r.Posts[i]
-			q.Object = p.Int()
-			q.Value = p.Float()
-			q.Positive = p.Bool()
-			q.Player = p.Int()
-		}
+	r.Posts = reuse(r.Posts, p.Count(minPost))
+	for i := range r.Posts {
+		q := &r.Posts[i]
+		q.Object = p.Int()
+		q.Value = p.Float()
+		q.Positive = p.Bool()
+		q.Player = p.Int()
 	}
 	r.EndRound = p.Bool()
 	r.Swarm = p.Bool()
 	r.PlayerTo = p.Int()
-	if n := p.Count(minProbe); n > 0 {
-		r.Probes = make([]ProbeMsg, n)
-		for i := range r.Probes {
-			r.Probes[i] = ProbeMsg{Player: p.Int(), Object: p.Int()}
-		}
+	r.Probes = reuse(r.Probes, p.Count(minProbe))
+	for i := range r.Probes {
+		r.Probes[i] = ProbeMsg{Player: p.Int(), Object: p.Int()}
 	}
-	r.Players = codec.ParseVarints[int](p)
+	r.Players = reuse(r.Players, p.Count(1))
+	for i := range r.Players {
+		r.Players[i] = p.Int()
+	}
 	r.Epoch = p.Int()
+}
+
+// reuse returns a slice of n entries backed by s's array when it is large
+// enough, a fresh one otherwise, and nil for n == 0.
+func reuse[T any](s []T, n int) []T {
+	switch {
+	case n == 0:
+		return nil
+	case cap(s) < n:
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (r *Response) size() int {

@@ -98,6 +98,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Type: ReqHello, Player: 1, PlayerTo: 4, Swarm: true, Token: "swarm", Version: Version, Session: 2},
 		{Type: ReqPostBatch, Session: 2, Seq: 4, EndRound: true, Epoch: 2,
 			Posts: []PostMsg{{Player: 1, Object: 9, Value: 1, Positive: true}, {Player: 3, Object: 17}}},
+		// Shorter batches after longer ones: the decoder reuses the longer
+		// frames' entry arrays.
+		{Type: ReqPostBatch, Session: 2, Seq: 5, Posts: []PostMsg{{Player: 2, Object: 4, Value: 0.5}}},
+		{Type: ReqProbeBatch, Session: 2, Seq: 6, Probes: []ProbeMsg{{Player: 1, Object: 3}, {Player: 2, Object: 8}}},
+		{Type: ReqDone, Session: 2, Seq: 7, Players: []int{1, 2, 3}},
+		{Type: ReqVoteBatch, Session: 2, Seq: 8, Players: []int{5}},
 	}
 	// A connection's whole stream, and torn at its middle.
 	stream := encodeStream(f, reqs)
@@ -122,7 +128,29 @@ func FuzzDecodeRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzStream(t, data, MaxFrame, &Request{})
+		fuzzReusedRequests(t, data)
 	})
+}
+
+// fuzzReusedRequests decodes up to eight frames from data into one reused
+// Request on one decoder, as the server does, and checks each against the
+// same frame decoded on a fresh decoder: a frame decoded after others holds
+// exactly what a fresh decode does, whatever the arrays it reused held.
+func fuzzReusedRequests(t *testing.T, data []byte) {
+	r := bytes.NewReader(data)
+	dec := NewStreamDecoder(r)
+	var req Request
+	for range 8 {
+		start := len(data) - r.Len()
+		if err := dec.DecodeRequest(&req); err != nil {
+			return
+		}
+		frame := data[start : len(data)-r.Len()]
+		fresh, err := DecodeRequest(bytes.NewReader(frame))
+		if err != nil || !sameValue(reflect.ValueOf(&req), reflect.ValueOf(fresh)) {
+			t.Fatalf("frame %x decodes to %+v after earlier frames, %+v (%v) on a fresh decoder", frame, req, fresh, err)
+		}
+	}
 }
 
 // FuzzDecodeResponse is the client-side mirror: a byzantine or corrupted

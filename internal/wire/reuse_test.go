@@ -1,0 +1,68 @@
+package wire
+
+import (
+	"bufio"
+	"bytes"
+	"reflect"
+	"testing"
+)
+
+// batchFrames returns a post batch, a probe batch and a vote batch of n
+// entries each.
+func batchFrames(n int) []Request {
+	posts := make([]PostMsg, n)
+	probes := make([]ProbeMsg, n)
+	players := make([]int, n)
+	for i := range n {
+		posts[i] = PostMsg{Player: i, Object: 3 * i, Value: float64(i) / 4, Positive: i%2 == 0}
+		probes[i] = ProbeMsg{Player: i, Object: 5 * i}
+		players[i] = 7 * i
+	}
+	return []Request{
+		{Type: ReqPostBatch, Session: 9, Seq: 1, Posts: posts, EndRound: true, Epoch: 2},
+		{Type: ReqProbeBatch, Session: 9, Seq: 2, Probes: probes},
+		{Type: ReqVoteBatch, Session: 9, Seq: 3, Players: players},
+	}
+}
+
+// TestDecodeRequestReusesEntryArrays pins the decoder's reuse: once a
+// decoder has decoded a post batch, a probe batch and a vote batch, decoding
+// the same frames again allocates nothing.
+func TestDecodeRequestReusesEntryArrays(t *testing.T) {
+	const runs = 50
+	frames := batchFrames(256)
+	one := encodeStream(t, frames)
+	dec := NewStreamDecoder(bufio.NewReader(bytes.NewReader(bytes.Repeat(one, runs+1))))
+	var req Request
+	allocs := testing.AllocsPerRun(runs, func() {
+		for range frames {
+			if err := dec.DecodeRequest(&req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decoding the batch frames again allocated %v objects, want 0", allocs)
+	}
+	if last := frames[len(frames)-1]; !reflect.DeepEqual(req, last) {
+		t.Fatalf("last frame decoded as %+v, want %+v", req, last)
+	}
+}
+
+// TestDecodeRequestShortAfterLong pins the ownership rule's other half: a
+// request decoded into a reused array holds exactly its own entries, and
+// the lists its frame leaves empty are nil, as on a fresh decoder.
+func TestDecodeRequestShortAfterLong(t *testing.T) {
+	long, short := batchFrames(64), batchFrames(3)
+	stream := encodeStream(t, append(long, short...))
+	dec := NewStreamDecoder(bytes.NewReader(stream))
+	var req Request
+	for _, want := range append(long, short...) {
+		if err := dec.DecodeRequest(&req); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(req, want) {
+			t.Fatalf("decoded %+v, want %+v", req, want)
+		}
+	}
+}

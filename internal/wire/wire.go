@@ -31,6 +31,16 @@
 //     sequence number, so a retried request (response lost in transit)
 //     never executes twice — a retried probe never pays twice. How a resend
 //     is answered depends on the credential (see Request.Seq).
+//
+// Ownership: a decoded value never aliases the decoder's frame buffer, and
+// belongs to the caller, with one exception. A StreamDecoder decodes each
+// request's Posts, Probes and Players into the arrays of the request it
+// decoded before, so a decoded request's entry slices are valid until the
+// next DecodeRequest on the same decoder. The server, which decodes every
+// request of a connection on one decoder, is done with them before it
+// reads the next frame: the board copies each post it buffers, and the
+// journal encodes its records at once. The stateless DecodeRequest makes a
+// fresh decoder per call, so its requests own their slices.
 package wire
 
 import (
@@ -486,12 +496,20 @@ func (o oneByteReader) ReadByte() (byte, error) {
 // (other than a clean EOF between frames) is sticky: the stream's frame
 // boundaries can no longer be trusted, so the connection must be dropped.
 // Decoded values never alias the decoder's frame buffer, which it reuses.
+// A decoded request's entry slices are reused by the next DecodeRequest
+// (the package doc's ownership rule).
 type StreamDecoder struct {
 	r     io.Reader
 	br    io.ByteReader
 	limit uint64 // frame size cap: MaxFrame, or MaxRepFrame on replica links
 	frame []byte // reused frame buffer, up to MaxFrame bytes
 	err   error
+
+	// The entry arrays of the requests decoded so far, which the next
+	// DecodeRequest decodes into.
+	posts   []PostMsg
+	probes  []ProbeMsg
+	players []int
 }
 
 // NewStreamDecoder binds a stream decoder to r for the connection's life.
@@ -564,15 +582,30 @@ func (d *StreamDecoder) fail(err error) error {
 }
 
 // DecodeRequest reads one request frame from the stream into req, zeroing it
-// first so a reused struct never leaks fields between frames.
+// first so a reused struct never leaks fields between frames. Its Posts,
+// Probes and Players are decoded into the arrays of earlier requests, so
+// they are valid only until the next DecodeRequest on this decoder: a
+// caller that keeps an entry past that copies it.
 func (d *StreamDecoder) DecodeRequest(req *Request) error {
-	*req = Request{}
+	*req = Request{Posts: d.posts, Probes: d.probes, Players: d.players}
 	p, err := d.next(kindRequest)
 	if err != nil {
+		*req = Request{}
 		return err
 	}
 	req.parse(&p)
+	d.posts = keep(d.posts, req.Posts)
+	d.probes = keep(d.probes, req.Probes)
+	d.players = keep(d.players, req.Players)
 	return d.done(&p)
+}
+
+// keep returns the array of decoded when a decode allocated one, else old.
+func keep[T any](old, decoded []T) []T {
+	if cap(decoded) > cap(old) {
+		return decoded[:0]
+	}
+	return old
 }
 
 // DecodeResponse reads one response frame from the stream into resp,
