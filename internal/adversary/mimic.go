@@ -82,7 +82,7 @@ func (a *Mimic) Act(ctx *sim.AdvContext) {
 	}
 	// Count honest first-votes in flight this round.
 	honestVotes := 0
-	for _, post := range ctx.Board.PendingView() {
+	for _, post := range ctx.Board.Pending() {
 		if post.Positive && !ctx.Board.HasVote(post.Player) {
 			honestVotes++
 		}

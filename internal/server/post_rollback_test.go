@@ -16,7 +16,7 @@ func pendingPosts(s *Server) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.board != nil {
-		return len(s.board.PendingView())
+		return len(s.board.Pending())
 	}
 	n := 0
 	for _, ln := range s.lanes {

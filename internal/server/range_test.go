@@ -53,7 +53,7 @@ func TestSessionRangeRule(t *testing.T) {
 			}
 			pending := 0
 			if r.s.board != nil {
-				pending = len(r.s.board.PendingView())
+				pending = len(r.s.board.Pending())
 			}
 			for _, ln := range r.s.lanes {
 				pending += ln.nPending

@@ -320,11 +320,10 @@ func TestKillRestartShard(t *testing.T) {
 
 // TestSealRaceShardBounce is the race-detector stress for the parallel
 // commit: eight lanes sealing concurrently (goroutine-per-lane feed +
-// journal marker + EndRound + cache invalidate) while two shards are
-// killed and restarted in a tight loop and a reader hammers window queries
-// (cache rebuild/invalidate races). Run under -race this covers every
-// cross-goroutine edge of the seal path; the digest must still match an
-// unfaulted single-shard run of the same script.
+// journal marker + EndRound) while two shards are killed and restarted in
+// a tight loop and a reader hammers window queries. Run under -race this
+// covers every cross-goroutine edge of the seal path; the digest must
+// still match an unfaulted single-shard run of the same script.
 func TestSealRaceShardBounce(t *testing.T) {
 	const players, rounds = 6, 8
 	dir := t.TempDir()
@@ -365,7 +364,7 @@ func TestSealRaceShardBounce(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
-	go func() { // concurrent committed-round reads race the cache seal
+	go func() { // concurrent committed-round reads race the seal
 		defer aux.Done()
 		c, err := client.Dial(addr, players, "tok")
 		if err != nil {
