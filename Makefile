@@ -6,13 +6,12 @@
 # of out-of-range players), the packages the perf pass touched (billboard,
 # wire), the DISTILL variants (core, whose tests run replications in
 # parallel), the metrics registry and its scrape-under-load tests (obs,
-# server metrics), the shard chaos + scatter-gather suite (sharded digests,
-# single-shard kill/restart, whole sharded-server kill/restart, the
-# goroutine count after Close) doubled under -race, the
-# parallel-commit suite (the serial-vs-parallel determinism golden and the
-# seal-race shard-bounce stress) doubled under -race, the
-# replicated-coordinator election + failover suite (quorum commit, leader
-# kill, isolation step-down, failover chaos digests) doubled under -race,
+# server metrics), the kill/restart and persistence suite (whole-server
+# kill/restart mid-round, rollback of uncommitted posts, lease timers)
+# doubled under -race, the commit determinism golden doubled under -race,
+# the replicated-coordinator election + failover suite (quorum commit,
+# leader kill, isolation step-down, failover chaos digests) doubled under
+# -race,
 # the pacing suite (stamp closure, the round deadline's policy in each
 # mode, sync-vs-epoch digest convergence under chaos, close-during-commit
 # seal audit, the stale-arrival re-stamp, the closure-counter edges in both
@@ -40,8 +39,7 @@ check: build
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/billboard/... ./internal/wire/... ./internal/journal/... ./internal/server/... ./internal/client/... ./internal/dist/... ./internal/core/...
 	$(GO) test -race -run 'TestChaosServerKillRestart|TestChaosKillRestartUnderFaultInjection|TestPersist|TestCloseStopsLeaseTimers|TestResumeStopsLeaseTimer' -count=2 ./internal/server ./internal/dist
-	$(GO) test -race -run 'TestChaosShard|TestSharded|TestKillRestartShard' -count=2 ./internal/server ./internal/dist
-	$(GO) test -race -run 'TestShardCommitDeterminismGolden|TestSealRaceShardBounce' -count=2 ./internal/server
+	$(GO) test -race -run 'TestShardCommitDeterminismGolden' -count=2 ./internal/server
 	$(GO) test -race -run 'TestReplica|TestLeader|TestChaosReplica|TestChaosLeader' -count=2 ./internal/server ./internal/dist
 	$(GO) test -race -run 'TestSwarm' -count=2 ./internal/swarm ./internal/dist
 	$(GO) test -race -run 'TestEpoch|TestStale|TestCloseDuringCommit|TestClosure|TestBarrierDeadline' -count=2 ./internal/server ./internal/swarm ./internal/dist
@@ -83,22 +81,17 @@ bench:
 # (the observability layer's overhead budget is enforced here too). The
 # allocating WindowCountMap variant is deliberately left out: its time is
 # dominated by map allocation, which drifts well past 5% run to run on the
-# same commit. Alongside the gate, the sharded service benchmarks are
-# re-timed and recorded as BENCH_PR7.json (1/2/4/16-shard post-round and
-# 1/4/16-shard scatter-gather window-query points), not gated, and the
-# replicated coordinator's
-# post-round commit latency is recorded as BENCH_PR6.json: the replicas-1
-# point is the repLog bookkeeping with a quorum of self, the replicas-3 point
-# adds one follower's durable ack per round — the replication tax, priced,
-# not gated. The swarm fleet's cost per player, from 2k to 1M players, is
-# recorded as BENCH_PR8.json, also not gated.
+# same commit. Alongside the gate, three service costs are recorded, not
+# gated: the replicated coordinator's post-round commit latency as
+# BENCH_PR6.json (the replicas-1 point is the repLog bookkeeping with a
+# quorum of self, the replicas-3 point adds one follower's durable ack per
+# round — the replication tax, priced), the swarm fleet's cost per player,
+# from 2k to 1M players, as BENCH_PR8.json, and the sync-vs-epoch posting
+# round as BENCH_PR9.json.
 
 bench-diff:
 	$(GO) test -run xxx -bench 'BenchmarkEngineRoundDistill$$|BenchmarkBillboardPostCommit$$|BenchmarkBillboardWindowCount$$' -benchmem . \
 	  | $(GO) run ./cmd/benchjson -baseline BENCH_PR2.json -max-regress 5
-	$(GO) test -run xxx -bench 'BenchmarkSharded' -benchmem ./internal/server \
-	  | $(GO) run ./cmd/benchjson -o BENCH_PR7.json
-	@echo "wrote BENCH_PR7.json (sharded post round and window query; recorded, not gated)"
 	$(GO) test -run xxx -bench 'BenchmarkReplicated' -benchmem ./internal/server \
 	  | $(GO) run ./cmd/benchjson -o BENCH_PR6.json
 	@echo "wrote BENCH_PR6.json"

@@ -91,10 +91,9 @@ func run(args []string, in io.Reader, out io.Writer) error {
 }
 
 // requireFaster enforces a same-run ordering gate, spec "A<B": benchmark
-// A's ns/op must be strictly below B's. This is how the Makefile asserts
-// the parallel sharded commit actually buys throughput on a multi-core box
-// — shards-16 must beat shards-1 in absolute time, not merely avoid
-// regressing against a recorded baseline.
+// A's ns/op must be strictly below B's. Both sides ran on the same machine
+// in the same pass, so the gate asserts that A beats B in absolute time,
+// not merely that neither regressed against a baseline recorded elsewhere.
 func requireFaster(doc *Doc, spec string, out io.Writer) error {
 	aName, bName, ok := strings.Cut(spec, "<")
 	if !ok {
@@ -122,8 +121,8 @@ func requireFaster(doc *Doc, spec string, out io.Writer) error {
 // captureEnv records the execution environment next to whatever go test
 // printed. benchjson reads the benchmark's own pipe, so it runs on the
 // machine that produced the numbers — GOMAXPROCS and the core count here
-// are the ones the results depend on (the sharded commit path parallelizes
-// across lanes, so a 1-core recording is not comparable to a 16-core one).
+// are the ones the results depend on (a concurrent benchmark recorded on 1
+// core is not comparable to one recorded on 16).
 func captureEnv(env map[string]string) {
 	env["gomaxprocs"] = strconv.Itoa(runtime.GOMAXPROCS(0))
 	env["numcpu"] = strconv.Itoa(runtime.NumCPU())

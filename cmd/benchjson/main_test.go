@@ -122,8 +122,8 @@ func TestDiffWithinBudgetPasses(t *testing.T) {
 }
 
 // A baseline recorded under a different GOMAXPROCS/core count must be
-// flagged loudly: the sharded commit numbers depend on real parallelism, so
-// a cross-machine delta is a machine comparison, not a code one. The
+// flagged loudly: concurrent benchmarks depend on real parallelism, so a
+// cross-machine delta is a machine comparison, not a code one. The
 // warning never fails the run.
 func TestDiffWarnsOnEnvMismatch(t *testing.T) {
 	// gomaxprocs "0" can never match a live runtime value.
@@ -226,10 +226,10 @@ func TestDiffZeroCurrentNsIsClearError(t *testing.T) {
 // when A beat B, fail when it did not, and fail loudly when either side is
 // missing (a renamed benchmark must not silently disarm the gate).
 func TestFasterGate(t *testing.T) {
-	in := "BenchmarkShardedPostBatch/shards-1-8 100 5000 ns/op\n" +
-		"BenchmarkShardedPostBatch/shards-16-8 400 1200 ns/op\n"
+	in := "BenchmarkEpochPostRound/mode-sync-8 100 5000 ns/op\n" +
+		"BenchmarkEpochPostRound/mode-epoch-8 400 1200 ns/op\n"
 	var out strings.Builder
-	err := run([]string{"-faster", "BenchmarkShardedPostBatch/shards-16<BenchmarkShardedPostBatch/shards-1", "-o", filepath.Join(t.TempDir(), "b.json")},
+	err := run([]string{"-faster", "BenchmarkEpochPostRound/mode-epoch<BenchmarkEpochPostRound/mode-sync", "-o", filepath.Join(t.TempDir(), "b.json")},
 		strings.NewReader(in), &out)
 	if err != nil {
 		t.Fatalf("gate failed on a 4x win: %v", err)
@@ -238,13 +238,13 @@ func TestFasterGate(t *testing.T) {
 		t.Fatalf("missing gate report:\n%s", out.String())
 	}
 
-	err = run([]string{"-faster", "BenchmarkShardedPostBatch/shards-1<BenchmarkShardedPostBatch/shards-16"},
+	err = run([]string{"-faster", "BenchmarkEpochPostRound/mode-sync<BenchmarkEpochPostRound/mode-epoch"},
 		strings.NewReader(in), &strings.Builder{})
 	if err == nil || !strings.Contains(err.Error(), "not faster") {
 		t.Fatalf("inverted gate passed: %v", err)
 	}
 
-	err = run([]string{"-faster", "BenchmarkNope<BenchmarkShardedPostBatch/shards-1"},
+	err = run([]string{"-faster", "BenchmarkNope<BenchmarkEpochPostRound/mode-sync"},
 		strings.NewReader(in), &strings.Builder{})
 	if err == nil || !strings.Contains(err.Error(), "lacks a positive ns/op") {
 		t.Fatalf("missing benchmark disarmed the gate: %v", err)

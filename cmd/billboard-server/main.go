@@ -53,7 +53,6 @@ func run(args []string, out io.Writer) error {
 		fsync       = fs.String("fsync", "commit", "with -persist-dir: journal fsync policy — commit (at round boundaries), none, or always")
 		grace       = fs.Duration("session-grace", 0, "how long a disconnected player's session stays resumable (0: a disconnect deregisters the player immediately)")
 		deadline    = fs.Duration("barrier-deadline", 0, "how long a round barrier waits for stragglers before force-Done'ing them (0: wait forever)")
-		shards      = fs.Int("shards", 0, "partition the billboard by object id into this many shard lanes, each with its own board and journal (0 or 1: single board)")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics (empty: disabled)")
 		once        = fs.Bool("print-and-exit", false, "print config and exit (for tests)")
 
@@ -87,8 +86,7 @@ func run(args []string, out io.Writer) error {
 	cfg := server.Config{
 		Universe: u, Tokens: tokens, Alpha: *alpha, Beta: u.Beta(),
 		SessionGrace: *grace, BarrierDeadline: *deadline,
-		Shards: *shards,
-		Logf:   logf,
+		Logf: logf,
 	}
 	var reg *obs.Registry
 	if *metricsAddr != "" {
@@ -171,9 +169,6 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "players %d, objects %d (%d good), advertised alpha %.3f\n",
 		*n, *m, *good, *alpha)
-	if *shards > 1 {
-		fmt.Fprintf(out, "sharded: %d lanes by object id\n", *shards)
-	}
 	if *grace > 0 || *deadline > 0 {
 		fmt.Fprintf(out, "session grace %v, barrier deadline %v\n", *grace, *deadline)
 	}

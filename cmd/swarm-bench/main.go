@@ -6,7 +6,7 @@
 // orders of magnitude earlier.
 //
 //	swarm-bench -players 1000000 -max-rounds 4
-//	swarm-bench -players 100000 -shards 4 -groups 8 -metrics
+//	swarm-bench -players 100000 -groups 8 -metrics
 package main
 
 import (
@@ -37,7 +37,6 @@ func run(args []string, out io.Writer) error {
 		players   = fs.Int("players", 100_000, "players to drive")
 		m         = fs.Int("m", 256, "number of objects")
 		good      = fs.Int("good", 8, "number of good objects")
-		shards    = fs.Int("shards", 0, "shard the billboard by object id (0 or 1: single board)")
 		groups    = fs.Int("groups", 4, "swarm connection groups")
 		chunk     = fs.Int("chunk", 4096, "probes/posts per frame")
 		window    = fs.Int("window", 8, "pipelined frames in flight per connection")
@@ -60,7 +59,6 @@ func run(args []string, out io.Writer) error {
 		Tokens:     make([]string, *players),
 		Alpha:      1.0,
 		Beta:       u.Beta(),
-		Shards:     *shards,
 		SwarmToken: token,
 	})
 	if err != nil {
@@ -84,8 +82,8 @@ func run(args []string, out io.Writer) error {
 		opts = append(opts, repro.WithLogf(logf))
 	}
 
-	fmt.Fprintf(out, "swarm-bench: %d players, m=%d good=%d shards=%d groups=%d chunk=%d window=%d max-rounds=%d\n",
-		*players, *m, *good, *shards, *groups, *chunk, *window, *maxRounds)
+	fmt.Fprintf(out, "swarm-bench: %d players, m=%d good=%d groups=%d chunk=%d window=%d max-rounds=%d\n",
+		*players, *m, *good, *groups, *chunk, *window, *maxRounds)
 	start := time.Now()
 	res, err := repro.RunSwarm(context.Background(), repro.SwarmConfig{
 		Addr: addr, From: 0, To: *players, Token: token,

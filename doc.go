@@ -62,7 +62,7 @@
 // [ErrBarrierDeadline] (a sync-mode server's round deadline expelled the
 // player as a straggler; an epoch-mode server seals past stragglers
 // instead and never expels). Everything short of these — dropped connections, torn
-// frames, lost responses, server restarts, shard-lane restarts — is
+// frames, lost responses, server restarts, leader failovers — is
 // absorbed by the client's reconnect/resume/dedup machinery and never
 // surfaces to callers.
 package repro

@@ -116,7 +116,7 @@ type (
 	// machinery under Chaos, and the fleet's swarm layout and dynamics
 	// under Drive.
 	ClusterConfig = dist.ClusterConfig
-	// ClusterTopology shapes the service (shards, replica group).
+	// ClusterTopology shapes the service (the coordinator replica group).
 	ClusterTopology = dist.Topology
 	// ClusterChaos schedules fault injection and kill/restart hooks.
 	ClusterChaos = dist.Chaos

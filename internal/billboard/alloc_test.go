@@ -165,8 +165,8 @@ func TestVotesPastCarve(t *testing.T) {
 	}
 }
 
-// TestDigestMatchesReference compares Digest and MergeDigest against the
-// fmt-and-sort.Slice implementation they replaced, kept below, over random
+// TestDigestMatchesReference compares Digest against the
+// fmt-and-sort.Slice implementation it replaced, kept below, over random
 // boards in both vote modes: the digest bytes are the behaviour contract.
 func TestDigestMatchesReference(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), 1e21, 1e-7, math.Inf(1), math.Inf(-1), 0.1, 123456789.125}
@@ -177,12 +177,7 @@ func TestDigestMatchesReference(t *testing.T) {
 			mode = BestValue
 		}
 		cfg := Config{Players: 1 + src.Intn(40), Objects: 1 + src.Intn(30), Mode: mode, VotesPerPlayer: 1 + src.Intn(3)}
-		lanes := 1 + src.Intn(3)
-		whole := mustBoard(t, cfg)
-		parts := make([]*Board, lanes)
-		for i := range parts {
-			parts[i] = mustBoard(t, cfg)
-		}
+		b := mustBoard(t, cfg)
 		for r := src.Intn(6); r >= 0; r-- {
 			for n := src.Intn(3 * cfg.Players); n > 0; n-- {
 				p := Post{Player: src.Intn(cfg.Players), Object: src.Intn(cfg.Objects), Positive: src.Bernoulli(0.6)}
@@ -191,24 +186,14 @@ func TestDigestMatchesReference(t *testing.T) {
 				} else {
 					p.Value = float64(src.Intn(1000)) / 7
 				}
-				if err := whole.Post(p); err != nil {
-					t.Fatal(err)
-				}
-				if err := parts[p.Object%lanes].Post(p); err != nil {
+				if err := b.Post(p); err != nil {
 					t.Fatal(err)
 				}
 			}
-			whole.EndRound()
-			for _, b := range parts {
-				b.EndRound()
-			}
+			b.EndRound()
 		}
-		if got, want := whole.Digest(), referenceDigest(whole); !bytes.Equal(got, want) {
+		if got, want := b.Digest(), referenceDigest(b); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: Digest differs from the reference:\n%s\n--- want ---\n%s", seed, got, want)
-		}
-		if got, want := MergeDigest(parts...), referenceDigest(parts...); !bytes.Equal(got, want) {
-			t.Fatalf("seed %d: MergeDigest of %d boards differs from the reference:\n%s\n--- want ---\n%s",
-				seed, lanes, got, want)
 		}
 	}
 }
@@ -230,17 +215,13 @@ func TestDigestAllocationsFlat(t *testing.T) {
 	}
 }
 
-// referenceDigest is MergeDigest as it was written before the digest was
-// built in one buffer: fmt lines, and a sort.Slice per player.
-func referenceDigest(boards ...*Board) []byte {
-	b0 := boards[0]
+// referenceDigest is Digest as it was written before the digest was built
+// in one buffer: fmt lines, and a sort.Slice per player.
+func referenceDigest(b *Board) []byte {
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "round %d mode %d f %d\n", b0.round, b0.cfg.Mode, b0.cfg.VotesPerPlayer)
-	for p := 0; p < b0.cfg.Players; p++ {
-		var sorted []Vote
-		for _, b := range boards {
-			sorted = append(sorted, b.votesByPlayer[p]...)
-		}
+	fmt.Fprintf(&buf, "round %d mode %d f %d\n", b.round, b.cfg.Mode, b.cfg.VotesPerPlayer)
+	for p := 0; p < b.cfg.Players; p++ {
+		sorted := append([]Vote(nil), b.votesByPlayer[p]...)
 		sort.Slice(sorted, func(i, j int) bool {
 			if sorted[i].Round != sorted[j].Round {
 				return sorted[i].Round < sorted[j].Round
@@ -251,19 +232,12 @@ func referenceDigest(boards ...*Board) []byte {
 			fmt.Fprintf(&buf, "vote p%d o%d r%d v%g\n", p, v.Object, v.Round, v.Value)
 		}
 	}
-	for obj := 0; obj < b0.cfg.Objects; obj++ {
-		n := 0
-		for _, b := range boards {
-			n += b.negCount[obj]
-		}
-		if n != 0 {
+	for obj := 0; obj < b.cfg.Objects; obj++ {
+		if n := b.negCount[obj]; n != 0 {
 			fmt.Fprintf(&buf, "neg o%d %d\n", obj, n)
 		}
 	}
-	var events []VoteEvent
-	for _, b := range boards {
-		events = append(events, b.events...)
-	}
+	events := append([]VoteEvent(nil), b.events...)
 	sort.Slice(events, func(i, j int) bool {
 		a, c := events[i], events[j]
 		if a.Round != c.Round {

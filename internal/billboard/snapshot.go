@@ -61,56 +61,35 @@ func (b *Board) Snapshot() ([]byte, error) {
 // varies with client interleaving in a networked run.) Uncommitted pending
 // posts are excluded, as in Snapshot. The chaos tests in internal/dist use
 // this to assert a faulty run converged to exactly the fault-free state.
-func (b *Board) Digest() []byte { return MergeDigest(b) }
-
-// MergeDigest returns the canonical digest of the union of several boards
-// that partition one object space: every board is configured with the full
-// (Players, Objects) dimensions, agrees on mode, vote budget, and round,
-// and holds the committed state of a disjoint subset of objects. This is
-// how a sharded billboard service digests itself — the output is
-// byte-identical to Digest on the single board an unsharded server would
-// hold, because Digest's canonical ordering (votes by (round, object) per
-// player, negative counts by object, events by (round, player, object))
-// never depends on which lane a record lived in. MergeDigest of one board
-// is exactly that board's Digest.
 //
-// The digest is built in one presized buffer: a player's votes are sorted
-// in reused scratch only when it holds more than one, and the events are
-// sorted in one copy of the event logs.
-func MergeDigest(boards ...*Board) []byte {
-	if len(boards) == 0 {
-		return nil
-	}
-	b0 := boards[0]
-	votes, events := 0, 0
-	for _, b := range boards {
-		votes += b.TotalVotes()
-		events += len(b.events)
-	}
+// The canonical order is votes by (round, object) per player, negative
+// counts by object, and events by (round, player, object). The digest is
+// built in one presized buffer: a player's votes are sorted in reused
+// scratch only when it holds more than one, and the events are sorted in
+// one copy of the event log.
+func (b *Board) Digest() []byte {
+	votes, events := b.TotalVotes(), len(b.events)
 	// Presize for the longest ids: a vote line holds 19 more bytes (its
 	// words, spaces and newline, and a short float), an event line 12.
 	var num [20]byte
 	ids := 0
-	for _, x := range [...]int{b0.cfg.Players, b0.cfg.Objects, b0.round} {
+	for _, x := range [...]int{b.cfg.Players, b.cfg.Objects, b.round} {
 		ids += len(strconv.AppendInt(num[:0], int64(x), 10))
 	}
 	buf := make([]byte, 0, 64+votes*(ids+19)+events*(ids+12))
 	buf = append(buf, "round "...)
-	buf = strconv.AppendInt(buf, int64(b0.round), 10)
+	buf = strconv.AppendInt(buf, int64(b.round), 10)
 	buf = append(buf, " mode "...)
-	buf = strconv.AppendInt(buf, int64(b0.cfg.Mode), 10)
+	buf = strconv.AppendInt(buf, int64(b.cfg.Mode), 10)
 	buf = append(buf, " f "...)
-	buf = strconv.AppendInt(buf, int64(b0.cfg.VotesPerPlayer), 10)
+	buf = strconv.AppendInt(buf, int64(b.cfg.VotesPerPlayer), 10)
 	buf = append(buf, '\n')
 
 	var scratch []Vote
-	for p := 0; p < b0.cfg.Players; p++ {
-		held := b0.votesByPlayer[p]
-		if len(boards) > 1 || len(held) > 1 {
-			scratch = scratch[:0]
-			for _, b := range boards {
-				scratch = append(scratch, b.votesByPlayer[p]...)
-			}
+	for p := 0; p < b.cfg.Players; p++ {
+		held := b.votesByPlayer[p]
+		if len(held) > 1 {
+			scratch = append(scratch[:0], held...)
 			held = scratch
 			slices.SortFunc(held, func(a, c Vote) int {
 				if a.Round != c.Round {
@@ -131,12 +110,8 @@ func MergeDigest(boards ...*Board) []byte {
 			buf = append(buf, '\n')
 		}
 	}
-	for obj := 0; obj < b0.cfg.Objects; obj++ {
-		n := 0
-		for _, b := range boards {
-			n += b.negCount[obj]
-		}
-		if n != 0 {
+	for obj := 0; obj < b.cfg.Objects; obj++ {
+		if n := b.negCount[obj]; n != 0 {
 			buf = append(buf, "neg o"...)
 			buf = strconv.AppendInt(buf, int64(obj), 10)
 			buf = append(buf, ' ')
@@ -144,10 +119,7 @@ func MergeDigest(boards ...*Board) []byte {
 			buf = append(buf, '\n')
 		}
 	}
-	sorted := make([]VoteEvent, 0, events)
-	for _, b := range boards {
-		sorted = append(sorted, b.events...)
-	}
+	sorted := slices.Clone(b.events)
 	slices.SortFunc(sorted, func(a, c VoteEvent) int {
 		if a.Round != c.Round {
 			return cmp.Compare(a.Round, c.Round)
@@ -169,10 +141,9 @@ func MergeDigest(boards ...*Board) []byte {
 	return buf
 }
 
-// Restore rebuilds a board from a Snapshot. The VoteFilter (a function,
-// not serializable) must be re-supplied via filter; pass nil when none was
-// in use.
-func Restore(data []byte, filter func(player, object int) bool) (*Board, error) {
+// Restore rebuilds a board from a Snapshot. A VoteFilter (a function, not
+// serializable) is not restored: the board comes back without one.
+func Restore(data []byte) (*Board, error) {
 	var st snapshotState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("billboard: restore: %w", err)
@@ -183,7 +154,6 @@ func Restore(data []byte, filter func(player, object int) bool) (*Board, error) 
 		Mode:           st.Mode,
 		VotesPerPlayer: st.VotesPerPlayer,
 		KeepLog:        st.KeepLog,
-		VoteFilter:     filter,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("billboard: restore: %w", err)

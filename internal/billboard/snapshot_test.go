@@ -32,7 +32,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(data, nil)
+	restored, err := Restore(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,28 +85,8 @@ func TestSnapshotRejectsPending(t *testing.T) {
 }
 
 func TestRestoreGarbage(t *testing.T) {
-	if _, err := Restore([]byte("junk"), nil); err == nil {
+	if _, err := Restore([]byte("junk")); err == nil {
 		t.Fatal("garbage restore accepted")
-	}
-}
-
-func TestRestoreReappliesVoteFilter(t *testing.T) {
-	b := mustBoard(t, Config{Players: 2, Objects: 4})
-	b.EndRound()
-	data, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(data, func(player, object int) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Post(Post{Player: 0, Object: 1, Value: 1, Positive: true}); err != nil {
-		t.Fatal(err)
-	}
-	restored.EndRound()
-	if restored.TotalVotes() != 0 {
-		t.Fatal("re-supplied vote filter not applied")
 	}
 }
 
@@ -116,7 +96,7 @@ func TestSnapshotEmptyBoard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(data, nil)
+	restored, err := Restore(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestWindowCountsSurviveSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(snap, nil)
+	restored, err := Restore(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

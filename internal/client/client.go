@@ -14,8 +14,8 @@
 //
 // The client's session is a player range of one (wire protocol v10): it
 // speaks the same batch frames as the swarm driver, each entry naming the
-// client's own player. Every request travels on the one connection, whether
-// or not the server is sharded (wire protocol v12).
+// client's own player. Every request travels on the one connection (wire
+// protocol v12).
 package client
 
 import (
@@ -554,7 +554,7 @@ type BatchPost struct {
 //
 // Without endRound the call returns once the posts are journaled, before
 // their round commits. A server restart or leader failover that rolls the
-// round back discards them, sharded or not, and nothing re-sends them. With
+// round back discards them, and nothing re-sends them. With
 // endRound the posts ride in the arrival frame, which is retried until its
 // round commits, so a rolled-back batch executes again: that is the durable
 // form.

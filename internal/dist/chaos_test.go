@@ -51,6 +51,31 @@ func watchReconnects(t *testing.T, cfg *ClusterConfig, metric string) (check fun
 	}
 }
 
+// assertMatchesClean pins the full equivalence bar between a run and the
+// fault-free single-coordinator baseline: every player's probes and rounds,
+// the server's probe ledger, and the committed billboard.
+func assertMatchesClean(t *testing.T, clean, got *ClusterResult, label string) {
+	t.Helper()
+	if !got.AllFound {
+		t.Fatalf("%s cluster did not finish", label)
+	}
+	for i, r := range got.Honest {
+		if r.Probes != clean.Honest[i].Probes {
+			t.Errorf("player %d: %d probes %s, %d clean", i, r.Probes, label, clean.Honest[i].Probes)
+		}
+		if r.Rounds != clean.Honest[i].Rounds {
+			t.Errorf("player %d: halted in round %d %s, %d clean", i, r.Rounds, label, clean.Honest[i].Rounds)
+		}
+		if got.ServerProbes[i] != r.Probes {
+			t.Errorf("player %d: server charged %d probes, client performed %d (double charge)",
+				i, got.ServerProbes[i], r.Probes)
+		}
+	}
+	if !bytes.Equal(got.BoardDigest, clean.BoardDigest) {
+		t.Fatalf("billboard diverged (%s):\nclean:\n%s\ngot:\n%s", label, clean.BoardDigest, got.BoardDigest)
+	}
+}
+
 // TestChaosClusterMatchesFaultFree runs the same cluster twice — once clean,
 // once through ≥10% fault injection (drops, delays, torn writes) — and
 // requires identical outcomes: same per-player probe counts, zero
@@ -268,6 +293,7 @@ func TestChaosKillRestartUnderFaultInjection(t *testing.T) {
 		Retries: 32, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
 		CallTimeout: 10 * time.Second,
 	}
+	crash.Logf = t.Logf
 	reconnected := watchReconnects(t, &crash, "swarm_reconnects_total")
 	faulty, err := RunCluster(crash)
 	if err != nil {

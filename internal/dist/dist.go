@@ -1,8 +1,8 @@
 // Package dist orchestrates fully distributed runs on localhost: a billboard
-// service (one coordinator or a replica group, optionally sharded), the
-// honest fleet driven by the swarm scheduler (internal/swarm) over a few
-// pipelined connections, and Byzantine players lying over the same wire
-// protocol, each through its own client connection. This is the deployment
+// service (one coordinator or a replica group), the honest fleet driven by
+// the swarm scheduler (internal/swarm) over a few pipelined connections,
+// and Byzantine players lying over the same wire protocol, each through its
+// own client connection. This is the deployment
 // shape the paper describes — independent parties and a shared billboard
 // service — and doubles as an end-to-end proof that the protocol code is
 // engine-independent.
@@ -16,6 +16,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -77,13 +78,8 @@ func runByzantineSpam(addr string, player int, token string, opt client.Options)
 }
 
 // Topology shapes the billboard service the players run against: the
-// object-id shard partition and the coordinator replica group.
+// coordinator replica group.
 type Topology struct {
-	// Shards partitions the billboard by object id into this many shard
-	// lanes (see server.Config.Shards); clients post exactly as to an
-	// unsharded server, which splits their batches by lane. 0 or 1 is the
-	// classic single-board server.
-	Shards int
 	// Replicas, when > 1, runs the coordinator as a replica group of this
 	// size (odd, >= 3; see server.StartReplica) instead of a single server:
 	// the leader quorum-commits every round into the group before clients
@@ -104,26 +100,19 @@ type Chaos struct {
 	// internal/faultnet. Pair it with a SessionGrace so dropped players can
 	// resume, and Client retry knobs sized for the injection rate.
 	Fault *faultnet.Config
-	// KillAtRound, when > 0, kills the server the moment its round counter
-	// reaches this value — mid-round, with clients in flight — and restarts
-	// it from PersistDir on the same address. The crash-recovery chaos
-	// hook: honest players must ride through it on session resume alone.
+	// KillAtRound, when > 0, kills the server inside the round of this
+	// number, or the first later one that has posts — with clients in
+	// flight, once the round has journaled a post it has not committed —
+	// and restarts it from PersistDir on the same address. The
+	// crash-recovery chaos hook: honest players must ride through it on
+	// session resume alone, and the restart rolls the open round back.
 	KillAtRound int
-	// KillShardAtRound, when > 0, kills one shard lane (index 1) the moment
-	// the round counter reaches this value and restarts it from its
-	// per-shard store shortly after — the partial-failure chaos hook: posts
-	// and reads for that shard's objects stall and resume, every other
-	// shard keeps serving. Requires Topology.Shards > 1 and PersistDir;
-	// mutually exclusive with KillAtRound (a whole-server restart would
-	// race the shard bounce).
-	KillShardAtRound int
 	// KillLeaderAtRound, when > 0, crash-stops the replica-group leader the
 	// moment its committed round counter reaches this value — mid-round,
 	// with clients in flight. The failover chaos hook: the survivors elect
 	// a new leader which replays the quorum-committed prefix, discards the
 	// uncommitted tail, and serves the retried requests. Requires
-	// Topology.Replicas > 1; composable with KillShardAtRound in the same
-	// round.
+	// Topology.Replicas > 1.
 	KillLeaderAtRound int
 }
 
@@ -176,7 +165,7 @@ type ClusterConfig struct {
 	// (see server.Config.SnapshotEvery).
 	SnapshotEvery int
 
-	// Topology shapes the service (shards, replica group).
+	// Topology shapes the service (the replica group).
 	Topology Topology
 	// Chaos schedules fault injection and kill/restart hooks.
 	Chaos Chaos
@@ -211,9 +200,6 @@ type ClusterResult struct {
 	BoardDigest []byte
 	// Restarts counts server kill/restart cycles performed (KillAtRound).
 	Restarts int
-	// ShardRestarts counts shard lane kill/restart cycles performed
-	// (KillShardAtRound).
-	ShardRestarts int
 	// Failovers counts leaders crash-stopped by KillLeaderAtRound; each one
 	// forced a quorum takeover by a surviving replica.
 	Failovers int
@@ -256,17 +242,6 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	if cfg.Chaos.KillAtRound > 0 && cfg.PersistDir == "" {
 		return nil, fmt.Errorf("dist: KillAtRound requires PersistDir")
 	}
-	if cfg.Chaos.KillShardAtRound > 0 {
-		if cfg.Topology.Shards < 2 {
-			return nil, fmt.Errorf("dist: KillShardAtRound requires Topology.Shards > 1")
-		}
-		if cfg.PersistDir == "" {
-			return nil, fmt.Errorf("dist: KillShardAtRound requires PersistDir")
-		}
-		if cfg.Chaos.KillAtRound > 0 {
-			return nil, fmt.Errorf("dist: KillShardAtRound and KillAtRound are mutually exclusive")
-		}
-	}
 	// newServer builds one server generation; with a PersistDir each
 	// generation recovers from (and journals into) the same store, which is
 	// what makes kill/restart cycles transparent to the players.
@@ -279,7 +254,6 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 			SessionGrace:    cfg.SessionGrace,
 			BarrierDeadline: cfg.BarrierDeadline,
 			Mode:            cfg.Mode,
-			Shards:          cfg.Topology.Shards,
 			SwarmToken:      swarmToken,
 			Logf:            cfg.Logf,
 		}
@@ -323,101 +297,60 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	}
 	defer closeCurrent()
 
-	// KillAtRound watcher: the moment the round counter reaches the target,
-	// the server is torn down with every connection in flight (the
-	// in-process stand-in for kill -9: no goodbye, no extra journal state
-	// beyond what the WAL already holds) and a fresh generation recovers
-	// from the persist dir onto the same address.
+	// KillAtRound watcher: the kill lands inside the open round, once the
+	// round KillAtRound or a later one has journaled a post it has not
+	// committed, which the first generation's journal shows as it is
+	// written (killInRound). Rounds here last a few milliseconds, and their
+	// posts stay uncommitted for tens of microseconds of them, so no
+	// clock-based kill finds them. The server is then torn down with every
+	// connection in flight (the in-process stand-in for kill -9: no goodbye,
+	// no extra journal state beyond what the WAL already holds) and a fresh
+	// generation recovers from the persist dir onto the same address,
+	// rolling the open round back.
 	restarts := 0
 	var restartErr error
 	watcherStop := make(chan struct{})
 	watcherDone := make(chan struct{})
 	if cfg.Chaos.KillAtRound > 0 {
+		kill := make(chan struct{}, 1)
+		store.SetMirror(killInRound(srv.Round(), cfg.Chaos.KillAtRound, kill))
 		go func() {
 			defer close(watcherDone)
-			for {
-				select {
-				case <-watcherStop:
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
-				srvMu.Lock()
-				cs := srv
-				srvMu.Unlock()
-				if cs.Round() < cfg.Chaos.KillAtRound {
-					continue
-				}
-				closeCurrent()
-				nsrv, nst, err := newServer()
-				if err == nil {
-					var ln net.Listener
-					// The freed port can linger briefly; Go listeners set
-					// SO_REUSEADDR, so a short retry loop suffices.
-					for i := 0; i < 400; i++ {
-						ln, err = net.Listen("tcp", addr)
-						if err == nil {
-							break
-						}
-						time.Sleep(5 * time.Millisecond)
-					}
-					if err == nil {
-						nsrv.Serve(ln)
-						srvMu.Lock()
-						srv, store = nsrv, nst
-						srvMu.Unlock()
-						restarts++
-						return
-					}
-					nsrv.Close()
-					if nst != nil {
-						nst.Close()
-					}
-				}
-				restartErr = fmt.Errorf("dist: server restart: %w", err)
+			select {
+			case <-watcherStop:
 				return
+			case <-kill:
 			}
+			closeCurrent()
+			nsrv, nst, err := newServer()
+			if err == nil {
+				var ln net.Listener
+				// The freed port can linger briefly; Go listeners set
+				// SO_REUSEADDR, so a short retry loop suffices.
+				for i := 0; i < 400; i++ {
+					ln, err = net.Listen("tcp", addr)
+					if err == nil {
+						break
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				if err == nil {
+					nsrv.Serve(ln)
+					srvMu.Lock()
+					srv, store = nsrv, nst
+					srvMu.Unlock()
+					restarts++
+					return
+				}
+				nsrv.Close()
+				if nst != nil {
+					nst.Close()
+				}
+			}
+			restartErr = fmt.Errorf("dist: server restart: %w", err)
 		}()
 	} else {
 		close(watcherDone)
-	}
-
-	// KillShardAtRound watcher: one shard lane is torn down mid-run — its
-	// board and pending posts dropped, its store closed — and rebuilt from
-	// its per-shard journal while every other shard keeps serving. Posts and
-	// reads for the dead shard's objects block and resume transparently
-	// after the restart.
-	shardRestarts := 0
-	var shardErr error
-	shardStop := make(chan struct{})
-	shardDone := make(chan struct{})
-	if cfg.Chaos.KillShardAtRound > 0 {
-		go func() {
-			defer close(shardDone)
-			const victim = 1
-			for {
-				select {
-				case <-shardStop:
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
-				if srv.Round() < cfg.Chaos.KillShardAtRound {
-					continue
-				}
-				if err := srv.KillShard(victim); err != nil {
-					shardErr = fmt.Errorf("dist: kill shard: %w", err)
-					return
-				}
-				time.Sleep(10 * time.Millisecond)
-				if err := srv.RestartShard(victim); err != nil {
-					shardErr = fmt.Errorf("dist: restart shard: %w", err)
-					return
-				}
-				shardRestarts++
-				return
-			}
-		}()
-	} else {
-		close(shardDone)
 	}
 
 	// Per-player client options; with fault injection each player's dialer
@@ -456,13 +389,8 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	byzWG.Wait()
 	close(watcherStop)
 	<-watcherDone
-	close(shardStop)
-	<-shardDone
 	if restartErr != nil {
 		return nil, restartErr
-	}
-	if shardErr != nil {
-		return nil, shardErr
 	}
 	if honestErr != nil {
 		return nil, honestErr
@@ -471,8 +399,34 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	final := srv
 	srvMu.Unlock()
 	out := summarize(results, final)
-	out.Restarts, out.ShardRestarts = restarts, shardRestarts
+	out.Restarts = restarts
 	return out, nil
+}
+
+// killInRound returns a journal mirror for a server at round round: it
+// reads each write's records as the store appends them, counts round
+// markers, and signals kill (without blocking) at every post record
+// written while the open round is target or later — a post of the open
+// round, journaled but not committed.
+func killInRound(round, target int, kill chan<- struct{}) func(p []byte) {
+	return func(p []byte) {
+		// A write holds whole frames the server just encoded, so the replay
+		// cannot fail on them, and a mirror has no caller to report to.
+		_ = journal.ReplayRecords(bytes.NewReader(p), func(rec journal.Record) error {
+			switch rec.Kind {
+			case journal.RecordEndRound:
+				round++
+			case journal.RecordPost:
+				if round >= target {
+					select {
+					case kill <- struct{}{}:
+					default:
+					}
+				}
+			}
+			return nil
+		})
+	}
 }
 
 // mintTokens derives every player's bearer token and the swarm credential

@@ -92,38 +92,6 @@ func TestEpochChaosConvergesToSyncDigest(t *testing.T) {
 	assertRunsConverge(t, clean, faulty)
 }
 
-// TestEpochChaosShardedConvergesToSyncDigest repeats the convergence bar on
-// a sharded board: per-lane epoch sealing under fault injection must still
-// quiesce to the sync sharded run's digest.
-func TestEpochChaosShardedConvergesToSyncDigest(t *testing.T) {
-	clean := chaosBase(t)
-	clean.Topology.Shards = 3
-	cleanRes, err := RunCluster(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cleanRes.AllFound {
-		t.Fatal("sync sharded cluster did not finish")
-	}
-
-	epoch := chaosBase(t)
-	epoch.Topology.Shards = 3
-	epoch.Mode = server.ModeEpoch
-	epoch.Chaos.Fault = epochChaosFault()
-	epoch.SessionGrace = 10 * time.Second
-	epoch.Client = epochChaosClient()
-	reconnected := watchReconnects(t, &epoch, "swarm_reconnects_total")
-	faulty, err := RunCluster(epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !faulty.AllFound {
-		t.Fatal("epoch sharded chaos cluster did not finish")
-	}
-	reconnected()
-	assertRunsConverge(t, cleanRes, faulty)
-}
-
 // TestEpochSwarmMatchesSyncDigest drives the swarm scheduler against an
 // epoch-mode server: one arrival per group per round must land the same
 // committed billboard as the sync-mode run on the same seed.

@@ -99,7 +99,6 @@ func startReplicaCluster(cfg ClusterConfig, tokens []string, swarmToken string) 
 		SessionGrace:    cfg.SessionGrace,
 		BarrierDeadline: cfg.BarrierDeadline,
 		Mode:            cfg.Mode,
-		Shards:          cfg.Topology.Shards,
 		SwarmToken:      swarmToken,
 		SnapshotEvery:   cfg.SnapshotEvery,
 		Logf:            cfg.Logf,
@@ -168,9 +167,6 @@ func runReplicated(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error)
 	if cfg.Chaos.KillAtRound > 0 {
 		return nil, fmt.Errorf("dist: KillAtRound is the single-coordinator restart hook; use KillLeaderAtRound with Replicas > 1")
 	}
-	if cfg.Chaos.KillShardAtRound > 0 && cfg.Topology.Shards < 2 {
-		return nil, fmt.Errorf("dist: KillShardAtRound requires Topology.Shards > 1")
-	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 4096
 	}
@@ -208,58 +204,6 @@ func runReplicated(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error)
 		close(killerDone)
 	}
 
-	// KillShardAtRound watcher, replicated flavor: bounce the victim lane on
-	// whatever node currently leads. Composed with KillLeaderAtRound in the
-	// same round this deliberately races a leader kill: if the leader dies
-	// between kill and restart, promotion recovers the lane from the
-	// replicated journal and the explicit restart is a no-op.
-	shardRestarts := 0
-	shardDone := make(chan struct{})
-	shardStop := make(chan struct{})
-	if cfg.Chaos.KillShardAtRound > 0 {
-		go func() {
-			defer close(shardDone)
-			const victim = 1
-			for {
-				select {
-				case <-shardStop:
-					return
-				case <-time.After(2 * time.Millisecond):
-				}
-				if rc.leaderRound() < cfg.Chaos.KillShardAtRound {
-					continue
-				}
-				node := rc.leaderNode()
-				if node == nil {
-					continue
-				}
-				srv := node.Server()
-				if srv == nil {
-					continue
-				}
-				if err := srv.KillShard(victim); err != nil {
-					continue // leader changed under us; retry on the new one
-				}
-				time.Sleep(10 * time.Millisecond)
-				for i := 0; i < 200; i++ {
-					node = rc.leaderNode()
-					if node == nil || node.Server() == nil {
-						time.Sleep(5 * time.Millisecond)
-						continue
-					}
-					// An error here means the lane is already up — either we
-					// restarted it or a failover resurrected it; both count.
-					_ = node.Server().RestartShard(victim)
-					break
-				}
-				shardRestarts++
-				return
-			}
-		}()
-	} else {
-		close(shardDone)
-	}
-
 	playerOptions := func(player int) (client.Options, error) {
 		opt := cfg.Client
 		opt.Fallbacks = append(append([]string(nil), opt.Fallbacks...), rc.clientAddrs[1:]...)
@@ -290,8 +234,6 @@ func runReplicated(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error)
 	byzWG.Wait()
 	close(killerStop)
 	<-killerDone
-	close(shardStop)
-	<-shardDone
 	if honestErr != nil {
 		return nil, honestErr
 	}
@@ -312,6 +254,6 @@ func runReplicated(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error)
 		return nil, fmt.Errorf("dist: no leader at teardown")
 	}
 	out := summarize(results, final)
-	out.Failovers, out.ShardRestarts = rc.kills, shardRestarts
+	out.Failovers = rc.kills
 	return out, nil
 }

@@ -2,8 +2,8 @@ package dist
 
 // Replicated-coordinator chaos tests. The acceptance bar is the strongest
 // in the suite: a run that quorum-commits every round into a replica group —
-// even one that loses its leader mid-round, even with transport faults and
-// a shard bounce layered on top — must converge to the very same committed
+// even one that loses its leader mid-round, even with transport faults
+// layered on top — must converge to the very same committed
 // billboard as the fault-free single-coordinator run on the same seed, with
 // every probe charged exactly once. And a 1-replica configuration must be
 // the classic single coordinator, not a degenerate group.
@@ -143,40 +143,4 @@ func TestChaosLeaderFailoverUnderFaultInjection(t *testing.T) {
 	}
 	reconnected()
 	assertMatchesClean(t, clean, got, "failover under faults")
-}
-
-// TestChaosLeaderFailoverWithShardBounce composes the two hardest failure
-// modes in the same round: the leader of a sharded replica group is killed
-// while one shard lane is bounced. The promoted follower recovers every
-// lane from the replicated journal, the bounced lane comes back on whoever
-// leads, and the outcome must still match the fault-free single-shard,
-// single-coordinator baseline exactly.
-func TestChaosLeaderFailoverWithShardBounce(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !clean.AllFound {
-		t.Fatal("fault-free cluster did not finish")
-	}
-
-	crash := chaosBase(t)
-	crash.Topology.Replicas = 3
-	crash.Topology.Shards = 4
-	crash.PersistDir = t.TempDir()
-	crash.SnapshotEvery = 3
-	crash.Chaos.KillLeaderAtRound = 3
-	crash.Chaos.KillShardAtRound = 3 // same round: bounce races the failover
-	crash.SessionGrace = 10 * time.Second
-	crash.BarrierDeadline = 30 * time.Second
-	crash.Client = replicaClientOpts()
-	crash.Logf = t.Logf
-	got, err := RunCluster(crash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Failovers != 1 {
-		t.Fatalf("expected exactly one leader kill, got %d", got.Failovers)
-	}
-	assertMatchesClean(t, clean, got, "failover + shard bounce")
 }

@@ -59,26 +59,6 @@ func TestSwarmByzantineMix(t *testing.T) {
 	assertMatchesClean(t, clean, got, "swarm+byzantine")
 }
 
-// TestSwarmShardedMatchesSingleShard sends the swarm's posts to a sharded
-// server, which splits each batch by lane and stamps its posts' commit
-// order itself; the committed billboard must match the fault-free
-// single-shard baseline.
-func TestSwarmShardedMatchesSingleShard(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sw := chaosBase(t)
-	sw.Topology.Shards = 4
-	sw.Drive.SwarmGroups = 2
-	got, err := RunCluster(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesClean(t, clean, got, "swarm sharded")
-}
-
 // TestSwarmReplicatedMatchesSingleCoordinator runs the swarm against a
 // 3-replica coordinator group: swarm journal records quorum-commit like any
 // other state change, and the outcome matches the plain baseline.

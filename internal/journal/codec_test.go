@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"os"
@@ -14,6 +15,12 @@ var update = flag.Bool("update", false, "rewrite testdata/records.golden")
 // gobWal holds two frames, a probe record and a round marker, as the
 // gob-encoded journal of earlier builds wrote them.
 const gobWal = "testdata/gob-frames.wal"
+
+// indexAdmitsWal holds one frame of each record kind as the builds before
+// this format wrote them: every frame also carried a post index and a
+// count of admitted vote pairs (with the pairs), between Object and
+// PlayerTo.
+const indexAdmitsWal = "testdata/index-admits-frames.wal"
 
 // TestRecordGolden pins the record format byte for byte: one frame of each
 // record kind, written through one Writer, must equal
@@ -154,7 +161,7 @@ func TestReplayTornVersusCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := int64(buf.Len())
-	if err := w.EndRoundAdmits([]Admit{{Player: 0, Object: 3}}); err != nil {
+	if err := w.EndRoundQuorum(7, 3); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -184,7 +191,6 @@ func TestReplayTornVersusCorrupt(t *testing.T) {
 		{"zero length", []byte{0}},
 		{"non-minimal length", append([]byte{0x80 | byte(len(payload)), 0}, payload...)},
 		{"length past maxFrame", []byte{0x81, 0x80, 0x80, 0x01}},
-		{"hostile admits count", frame(append(bytes.Clone(marker[1:12]), 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0))},
 	} {
 		data := append(append(bytes.Clone(probe), c.frame...), marker...)
 		recs, err := replayAll(data)
@@ -204,6 +210,37 @@ func TestReplayRefusesGobFrames(t *testing.T) {
 	recs, err := replayAll(data)
 	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) || len(recs) != 0 {
 		t.Fatalf("gob wal: %d records, %v; want ErrCorrupt before any record", len(recs), err)
+	}
+}
+
+// TestReplayRefusesIndexAdmitsFrames: a wal written by a build whose
+// frames carried a post index and a round marker's admitted vote pairs is
+// corrupt under this format, and so is each of its frames on its own: no
+// such frame is ever read as some other record.
+func TestReplayRefusesIndexAdmitsFrames(t *testing.T) {
+	data, err := os.ReadFile(indexAdmitsWal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := replayAll(data)
+	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) || len(recs) != 0 {
+		t.Fatalf("index/admits wal: %d records, %v; want ErrCorrupt before any record", len(recs), err)
+	}
+	frames := 0
+	for rest := data; len(rest) > 0; frames++ {
+		size, n := binary.Uvarint(rest)
+		if n <= 0 || int(size) > len(rest)-n {
+			t.Fatalf("fixture frame %d: bad length prefix", frames)
+		}
+		frame := rest[:n+int(size)]
+		rest = rest[len(frame):]
+		recs, err := replayAll(frame)
+		if !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
+			t.Fatalf("fixture frame %d (%x): %d records, %v; want ErrCorrupt", frames, frame, len(recs), err)
+		}
+	}
+	if frames != 11 {
+		t.Fatalf("fixture holds %d frames, want one per record kind the old writer had (11)", frames)
 	}
 }
 

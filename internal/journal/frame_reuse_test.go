@@ -11,77 +11,6 @@ import (
 	"repro/internal/billboard"
 )
 
-// TestAppendEndRoundFrameByteIdentical pins the encode-once contract of the
-// sharded commit: a pre-encoded round-marker frame written via
-// WriteEndRoundFrame must be byte-for-byte what EndRoundAdmits (and, with
-// term/quorum set, EndRoundQuorum) would have written — otherwise the lane
-// journals of a parallel commit would diverge from a serial commit's and
-// recovery digests would split.
-func TestAppendEndRoundFrameByteIdentical(t *testing.T) {
-	admits := []Admit{{Player: 1, Object: 9}, {Player: 3, Object: 2}}
-	cases := []struct {
-		name   string
-		term   uint64
-		quorum int
-		write  func(w *Writer) error
-	}{
-		{"admits", 0, 0, func(w *Writer) error { return w.EndRoundAdmits(admits) }},
-		{"quorum", 4, 2, func(w *Writer) error { return w.EndRoundQuorum(admits, 4, 2) }},
-		{"empty", 0, 0, func(w *Writer) error { return w.EndRoundAdmits(nil) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var want bytes.Buffer
-			if err := tc.write(NewWriter(&want)); err != nil {
-				t.Fatal(err)
-			}
-			a := admits
-			if tc.name == "empty" {
-				a = nil
-			}
-			frame, err := AppendEndRoundFrame(nil, a, tc.term, tc.quorum)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(frame, want.Bytes()) {
-				t.Fatalf("frame bytes diverge:\ngot:  %x\nwant: %x", frame, want.Bytes())
-			}
-			var got bytes.Buffer
-			if err := NewWriter(&got).WriteEndRoundFrame(frame); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("WriteEndRoundFrame output diverges from EndRoundAdmits")
-			}
-		})
-	}
-}
-
-// TestWriteEndRoundFrameSyncPolicy checks the reused-frame path honors the
-// round-marker fsync contract: SyncCommit and SyncAlways fire the hook,
-// SyncNone does not.
-func TestWriteEndRoundFrameSyncPolicy(t *testing.T) {
-	frame, err := AppendEndRoundFrame(nil, []Admit{{Player: 0, Object: 1}}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		policy SyncPolicy
-		want   int
-	}{{SyncCommit, 1}, {SyncAlways, 1}, {SyncNone, 0}} {
-		var buf bytes.Buffer
-		synced := 0
-		w := NewWriter(&buf)
-		w.SetSync(func() error { synced++; return nil }, tc.policy)
-		if err := w.WriteEndRoundFrame(frame); err != nil {
-			t.Fatal(err)
-		}
-		if synced != tc.want {
-			t.Fatalf("policy %v: synced %d times, want %d", tc.policy, synced, tc.want)
-		}
-	}
-}
-
 // recordCase is one record written through the Writer API, paired with the
 // record its frame must encode.
 type recordCase struct {
@@ -93,12 +22,9 @@ type recordCase struct {
 // everyRecordKind covers every record a Writer can write.
 func everyRecordKind() []recordCase {
 	p := billboard.Post{Player: 3, Object: 41, Value: 0.75, Positive: true}
-	admits := []Admit{{Player: 1, Object: 9}, {Player: 3, Object: 2}}
 	return []recordCase{
 		{"post", func(w *Writer) error { return w.AppendFrom(7, 2, p) },
 			Record{Kind: RecordPost, Post: p, Session: 7, Seq: 2}},
-		{"post-index", func(w *Writer) error { return w.AppendAt(7, 3, 5, p) },
-			Record{Kind: RecordPost, Post: p, Session: 7, Seq: 3, Index: 5}},
 		{"probe", func(w *Writer) error { return w.Probe(7, 4, 3, 12) },
 			Record{Kind: RecordProbe, Session: 7, Seq: 4, Player: 3, Object: 12}},
 		{"done", func(w *Writer) error { return w.Done(7, 5, 3) },
@@ -113,10 +39,8 @@ func everyRecordKind() []recordCase {
 			Record{Kind: RecordRollback}},
 		{"end-round", func(w *Writer) error { return w.EndRound() },
 			Record{Kind: RecordEndRound}},
-		{"end-round-admits", func(w *Writer) error { return w.EndRoundAdmits(admits) },
-			Record{Kind: RecordEndRound, Admits: admits}},
-		{"end-round-quorum", func(w *Writer) error { return w.EndRoundQuorum(admits, 4, 2) },
-			Record{Kind: RecordEndRound, Admits: admits, Term: 4, Quorum: 2}},
+		{"end-round-quorum", func(w *Writer) error { return w.EndRoundQuorum(4, 2) },
+			Record{Kind: RecordEndRound, Term: 4, Quorum: 2}},
 	}
 }
 
@@ -317,7 +241,7 @@ func quorumTail(tb testing.TB) ([]byte, int) {
 	if err := w.Flush(); err != nil {
 		tb.Fatal(err)
 	}
-	if err := w.EndRoundQuorum(nil, 1, 2); err != nil {
+	if err := w.EndRoundQuorum(1, 2); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes(), 2*batch + 1

@@ -34,8 +34,10 @@ func FuzzReplay(f *testing.F) {
 		_ = c.write(w)
 	}
 	f.Add(every.Bytes())
-	if gob, err := os.ReadFile(gobWal); err == nil {
-		f.Add(gob)
+	for _, path := range []string{gobWal, indexAdmitsWal} {
+		if old, err := os.ReadFile(path); err == nil {
+			f.Add(old)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -102,8 +104,8 @@ func FuzzWriteReplayRoundTrip(f *testing.F) {
 					Value:    float64(b) / 255,
 					Positive: b%2 == 0,
 				}
-				err = w.AppendAt(sess, seq, i, p)
-				want = append(want, Record{Kind: RecordPost, Post: p, Session: sess, Seq: seq, Index: i, Round: round})
+				err = w.AppendFrom(sess, seq, p)
+				want = append(want, Record{Kind: RecordPost, Post: p, Session: sess, Seq: seq, Round: round})
 			case 3:
 				err = w.Probe(sess, seq, int(b%8), int(b%16))
 				want = append(want, Record{Kind: RecordProbe, Session: sess, Seq: seq,
@@ -118,9 +120,8 @@ func FuzzWriteReplayRoundTrip(f *testing.F) {
 				err = w.Barrier(sess, seq, int(b%8)-1)
 				want = append(want, Record{Kind: RecordBarrier, Session: sess, Seq: seq, Player: int(b%8) - 1, Round: round})
 			case 7:
-				admits := []Admit{{Player: int(b % 8), Object: i}}
-				err = w.EndRoundQuorum(admits, uint64(b), i)
-				want = append(want, Record{Kind: RecordEndRound, Admits: admits, Term: uint64(b), Quorum: i, Round: round})
+				err = w.EndRoundQuorum(uint64(b), i)
+				want = append(want, Record{Kind: RecordEndRound, Term: uint64(b), Quorum: i, Round: round})
 				round++
 			}
 			if err != nil {

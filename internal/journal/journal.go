@@ -11,10 +11,9 @@
 // Record field but Round, in declaration order, none omitted, in the
 // canonical encoding of internal/codec (zigzag varints, uvarints for
 // Session, Seq and Term, a 0/1 byte for Post.Positive, Post.Value in gob's
-// byte-reversed float layout, Admits as a count and its pairs). No
-// reflection and no type descriptors: a record takes 16 to about 40 bytes.
-// Self-contained frames make journals safely appendable across process
-// restarts. Posts are grouped into rounds by marker frames; a round
+// byte-reversed float layout). No reflection and no type descriptors: a
+// record takes 14 to about 40 bytes. Self-contained frames make journals
+// safely appendable across process restarts. Posts are grouped into rounds by marker frames; a round
 // without its marker was never visible to players (the synchrony contract)
 // and is discarded by recovery. A Writer batch (Begin … Flush) gathers a
 // request's records into one underlying Write.
@@ -25,10 +24,12 @@
 // prefix ends: a recovering server cuts the wal back there (Store.Truncate)
 // before appending, so later records are not stranded behind the torn
 // bytes. A complete frame that does not parse — an unknown kind, bytes
-// left after its last field, a count its bytes cannot hold — is ErrCorrupt,
-// and recovery refuses it. A persist directory written by a build whose
-// journal frames were gob-encoded (each payload starts with 0xff) is
-// therefore refused, not read as an empty torn tail.
+// left after its last field — is ErrCorrupt, and recovery refuses it. A
+// persist directory written by a build whose journal frames were
+// gob-encoded (each payload starts with 0xff) is therefore refused, not
+// read as an empty torn tail; so is one written by a build whose frames
+// also carried a post index and a round marker's admitted vote pairs: each
+// of its frames holds at least two fields more than this format reads.
 //
 // Write-ahead records (durable restart). Beyond posts and round markers,
 // the journal carries the operational records a server needs to restart
@@ -81,12 +82,7 @@ const (
 
 // Record is one journal record. A frame encodes every field but Round, the
 // number of round markers replayed before it — the round the record
-// belongs to. Index and Admits are the sharding extension: a sharded
-// server's lanes journal each post with the commit-order index the server
-// stamped on it, and round
-// markers carry the round's admitted (player, object) vote pairs so a
-// single lane's journal replays to exactly the votes the global admission
-// pass granted, without consulting the other lanes.
+// belongs to.
 type Record struct {
 	Kind    RecordKind
 	Post    billboard.Post // valid when Kind == RecordPost
@@ -94,8 +90,6 @@ type Record struct {
 	Seq     uint64         // per-session request sequence number (0: none)
 	Player  int            // valid for force-done, probe, done, barrier, swarm-open
 	Object  int            // valid when Kind == RecordProbe
-	Index   int            // valid when Kind == RecordPost: commit order in its round
-	Admits  []Admit        // valid when Kind == RecordEndRound on a sharded store
 	// PlayerTo closes the member range [Player, PlayerTo) of a swarm
 	// session (RecordSwarmOpen): one session that registered a contiguous
 	// block of players at once. Recovery rebuilds the whole block's
@@ -110,31 +104,16 @@ type Record struct {
 	Round  int
 }
 
-// Admit is one admitted vote pair recorded on a sharded round marker: in
-// the round it closes, player's positive post on Object became a vote.
-type Admit struct {
-	Player int
-	Object int
-}
-
 // maxFrame bounds a frame's declared size; anything larger is corruption.
 const maxFrame = 1 << 20
 
-// minAdmit is an Admit's smallest encoding (two one-byte varints): a
-// declared Admits count is checked against the bytes left before anything
-// is allocated.
-const minAdmit = 2
-
 // size is the exact payload size of r's frame.
 func (r *Record) size() int {
-	n := 1 + codec.IntSize(r.Post.Player) + codec.IntSize(r.Post.Object) +
+	return 1 + codec.IntSize(r.Post.Player) + codec.IntSize(r.Post.Object) +
 		codec.FloatSize(r.Post.Value) + 1 + codec.IntSize(r.Post.Round) +
 		codec.UvarintSize(r.Session) + codec.UvarintSize(r.Seq) + codec.IntSize(r.Player) +
-		codec.IntSize(r.Object) + codec.IntSize(r.Index) + codec.CountSize(r.Admits)
-	for _, a := range r.Admits {
-		n += codec.IntSize(a.Player) + codec.IntSize(a.Object)
-	}
-	return n + codec.IntSize(r.PlayerTo) + codec.UvarintSize(r.Term) + codec.IntSize(r.Quorum)
+		codec.IntSize(r.Object) + codec.IntSize(r.PlayerTo) + codec.UvarintSize(r.Term) +
+		codec.IntSize(r.Quorum)
 }
 
 // appendFrame appends r's frame — uvarint payload length, then the payload
@@ -153,12 +132,6 @@ func appendFrame(b []byte, r *Record) []byte {
 	b = binary.AppendUvarint(b, r.Seq)
 	b = codec.AppendInt(b, r.Player)
 	b = codec.AppendInt(b, r.Object)
-	b = codec.AppendInt(b, r.Index)
-	b = codec.AppendCount(b, r.Admits)
-	for _, a := range r.Admits {
-		b = codec.AppendInt(b, a.Player)
-		b = codec.AppendInt(b, a.Object)
-	}
 	b = codec.AppendInt(b, r.PlayerTo)
 	b = binary.AppendUvarint(b, r.Term)
 	return codec.AppendInt(b, r.Quorum)
@@ -179,13 +152,6 @@ func (r *Record) parse(p *codec.Parser) {
 	r.Seq = p.Uvarint()
 	r.Player = p.Int()
 	r.Object = p.Int()
-	r.Index = p.Int()
-	if n := p.Count(minAdmit); n > 0 {
-		r.Admits = make([]Admit, n)
-		for i := range r.Admits {
-			r.Admits[i] = Admit{Player: p.Int(), Object: p.Int()}
-		}
-	}
 	r.PlayerTo = p.Int()
 	r.Term = p.Uvarint()
 	r.Quorum = p.Int()
@@ -330,59 +296,18 @@ func (w *Writer) AppendFrom(session, seq uint64, post billboard.Post) error {
 	return w.write(Record{Kind: RecordPost, Post: post, Session: session, Seq: seq})
 }
 
-// AppendAt is AppendFrom plus the post's commit-order index — the
-// write-ahead form used by a sharded lane, where the commit order across
-// lanes is (player, index) rather than single-log arrival order.
-func (w *Writer) AppendAt(session, seq uint64, index int, post billboard.Post) error {
-	return w.write(Record{Kind: RecordPost, Post: post, Session: session, Seq: seq, Index: index})
-}
-
 // EndRound records a round boundary.
 func (w *Writer) EndRound() error {
 	return w.write(Record{Kind: RecordEndRound})
-}
-
-// EndRoundAdmits records a round boundary carrying the round's admitted
-// vote pairs (sharded stores). Replaying a single lane honors the recorded
-// admissions instead of re-deriving them, which keeps lane replay exact
-// even though the global vote budget was consumed across all lanes.
-func (w *Writer) EndRoundAdmits(admits []Admit) error {
-	return w.write(Record{Kind: RecordEndRound, Admits: admits})
 }
 
 // EndRoundQuorum records a round boundary annotated with the replication
 // facts of its commit: the leader term that proposed it and the quorum of
 // durable replica acknowledgements it waited for. A replicated coordinator
 // seals every round with this marker; replay treats it exactly like
-// EndRoundAdmits and surfaces the annotation on Record.Term/Quorum.
-func (w *Writer) EndRoundQuorum(admits []Admit, term uint64, quorum int) error {
-	return w.write(Record{Kind: RecordEndRound, Admits: admits, Term: term, Quorum: quorum})
-}
-
-// AppendEndRoundFrame appends one complete round-marker frame — uvarint
-// length prefix plus payload, byte-identical to what EndRoundAdmits (term
-// and quorum zero) or EndRoundQuorum would write — to dst and returns the
-// extended slice; the error is always nil. Frames are self-contained, so a
-// sharded commit encodes its admits marker once and hands the same bytes to
-// every lane's WriteEndRoundFrame instead of re-encoding per lane.
-func AppendEndRoundFrame(dst []byte, admits []Admit, term uint64, quorum int) ([]byte, error) {
-	return appendFrame(dst, &Record{Kind: RecordEndRound, Admits: admits, Term: term, Quorum: quorum}), nil
-}
-
-// WriteEndRoundFrame appends a pre-encoded round-marker frame (from
-// AppendEndRoundFrame) and applies the writer's round-marker sync policy,
-// exactly as EndRoundAdmits would. The frame lands in one underlying Write,
-// so a store mirror tees it as a single chunk.
-func (w *Writer) WriteEndRoundFrame(frame []byte) error {
-	if w.err != nil {
-		return w.err
-	}
-	w.frames = append(w.frames, frame...)
-	w.marker = true
-	if w.batch {
-		return nil
-	}
-	return w.flush()
+// EndRound and surfaces the annotation on Record.Term/Quorum.
+func (w *Writer) EndRoundQuorum(term uint64, quorum int) error {
+	return w.write(Record{Kind: RecordEndRound, Term: term, Quorum: quorum})
 }
 
 // ForceDone records a barrier-deadline decision: the server deregistered
@@ -438,7 +363,7 @@ var ErrTruncated = errors.New("journal: truncated tail")
 
 // ErrCorrupt marks a complete frame that does not parse: an impossible
 // length, an unknown kind (a gob frame of an earlier build starts with
-// 0xff), bytes left after its last field, or a count its bytes cannot hold.
+// 0xff), or bytes left after its last field.
 // Dropping a tail does not repair such a journal.
 var ErrCorrupt = errors.New("journal: corrupt frame")
 

@@ -18,8 +18,7 @@ func TestEndRoundQuorumAnnotation(t *testing.T) {
 	if err := w.AppendFrom(1, 1, billboard.Post{Player: 1, Object: 2, Value: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	admits := []Admit{{Player: 1, Object: 2}}
-	if err := w.EndRoundQuorum(admits, 7, 2); err != nil {
+	if err := w.EndRoundQuorum(7, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.AppendFrom(2, 1, billboard.Post{Player: 0, Object: 3, Value: 1}); err != nil {
@@ -43,9 +42,6 @@ func TestEndRoundQuorumAnnotation(t *testing.T) {
 	}
 	if markers[0].Term != 7 || markers[0].Quorum != 2 {
 		t.Fatalf("quorum marker = term %d quorum %d, want 7/2", markers[0].Term, markers[0].Quorum)
-	}
-	if len(markers[0].Admits) != 1 || markers[0].Admits[0] != admits[0] {
-		t.Fatalf("quorum marker admits = %+v, want %+v", markers[0].Admits, admits)
 	}
 	if markers[1].Term != 0 || markers[1].Quorum != 0 {
 		t.Fatalf("plain marker carries annotation: term %d quorum %d", markers[1].Term, markers[1].Quorum)

@@ -214,10 +214,6 @@ func (s *Store) Writer() *Writer { return s.w }
 // Dir returns the persistence directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Policy returns the store's sync policy, so a sharded server can open its
-// per-shard stores with the durability the operator chose for the parent.
-func (s *Store) Policy() SyncPolicy { return s.policy }
-
 // Rotate begins a new segment whose snapshot is the given bytes: the
 // snapshot is written tmp+fsync+rename, a fresh wal starts, and the old
 // segment is deleted. A nil snapshot starts a snapshot-less segment (no

@@ -14,15 +14,13 @@ import (
 	"repro/internal/wire"
 )
 
-// TestCloseDuringCommitNoPartialSeal hammers a sharded epoch-mode server
-// with round commits (two posts per round, scattered across lanes) and
-// concurrent scatter-gather window reads while Close lands mid-run. The
-// commit pipeline's parallel per-lane seal runs under the server lock, so a
-// reader must observe each round's posts all-or-nothing: every successful
-// window read returns an even event total and complete per-round pairs —
-// never a half-sealed board. Run under -race this also audits the seal
-// WaitGroup vs Close ordering (a Close racing the lane seal goroutines
-// would trip the detector).
+// TestCloseDuringCommitNoPartialSeal hammers an epoch-mode server with
+// round commits (two posts per round) and concurrent window reads while
+// Close lands mid-run. The seal runs under the server lock, so a reader
+// must observe each round's posts all-or-nothing: every successful window
+// read returns an even event total and complete per-round pairs — never a
+// half-sealed board. Run under -race this also audits the seal against
+// Close.
 func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 	u, err := object.NewPlanted(object.Planted{M: 4096, Good: 1}, rng.New(7))
 	if err != nil {
@@ -30,7 +28,7 @@ func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 	}
 	srv, err := server.New(server.Config{
 		Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta(),
-		Mode: server.ModeEpoch, Shards: 4,
+		Mode: server.ModeEpoch,
 		// Every positive post must commit a vote event for the pairing
 		// invariant, so lift the per-player vote budget out of the way.
 		VotesPerPlayer: 1 << 20,
@@ -45,8 +43,8 @@ func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 	defer srv.Close()
 
 	// The driver: player 0 commits rounds as fast as the server seals them.
-	// Posts go in pairs on distinct objects; shard scatter puts them on
-	// different lanes often enough to make a torn seal observable.
+	// Posts go in pairs on distinct objects, so a torn seal would show as
+	// an unpaired object.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -69,7 +67,7 @@ func TestCloseDuringCommitNoPartialSeal(t *testing.T) {
 
 	// The reader: player 1 registers and departs with Done (so it never
 	// holds rounds open — an arrival would wait for its round, blocking the
-	// reads behind it), then issues atomic scatter-gather window reads.
+	// reads behind it), then issues window reads.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

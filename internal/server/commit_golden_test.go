@@ -10,17 +10,90 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/object"
 	"repro/internal/rng"
+	"repro/internal/server"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// startPlanted starts a server over a planted LocalTesting universe whose
+// players all hold the token "tok".
+func startPlanted(t *testing.T, players int, cfg func(*server.Config)) (string, *server.Server) {
+	t.Helper()
+	u, err := object.NewPlanted(object.Planted{M: 64, Good: 4}, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := make([]string, players)
+	for i := range tokens {
+		tokens[i] = "tok"
+	}
+	sc := server.Config{Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta()}
+	if cfg != nil {
+		cfg(&sc)
+	}
+	srv, err := server.New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return addr, srv
+}
+
+// runScript drives a deterministic multi-round script through real clients:
+// every player posts a scripted mix of positives and negatives each round
+// and ends it with a combined batch+barrier frame.
+func runScript(t *testing.T, addr string, players, rounds int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, players)
+	for p := 0; p < players; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			c, err := client.Dial(addr, p, "tok")
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for r := 0; r < rounds; r++ {
+				// Two positives per round (the second exceeding the vote
+				// budget in later rounds) and one negative, spread across
+				// objects by player and round.
+				batch := []client.BatchPost{
+					{Object: (p*7 + r*13) % c.M(), Value: 1, Positive: true},
+					{Object: (p*11 + r*17 + 5) % c.M(), Value: 1, Positive: true},
+					{Object: (p*3 + r*29 + 9) % c.M(), Value: 0, Positive: false},
+				}
+				if _, err := c.PostBatch(batch, true); err != nil {
+					errs <- fmt.Errorf("player %d round %d: %w", p, r, err)
+					return
+				}
+			}
+			errs <- c.Done()
+		}(p)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 // runSeededScript drives a seeded pseudo-random multi-round workload
 // through real clients: every player draws its per-round batch (size, object
 // spread, positive/negative mix) from its own deterministic rng stream, so
 // the committed content is independent of goroutine scheduling. The batches
-// deliberately collide on objects and overrun the vote budget so the global
-// admission pass (budget f, first-vote-per-pair) does real work every round.
+// deliberately collide on objects and overrun the vote budget so vote
+// derivation (budget f, first-vote-per-pair) does real work every round.
 func runSeededScript(t *testing.T, addr string, players, rounds int, seed uint64) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -63,53 +136,41 @@ func runSeededScript(t *testing.T, addr string, players, rounds int, seed uint64
 	}
 }
 
-// TestShardCommitDeterminismGolden pins the commit path's digest bit-for-bit:
-// the same seeded workload, run through 1-, 4-, and 16-shard servers, must
-// reproduce the digest recorded in testdata from the serial commit path.
-// The (player, index) commit order is the only ordering FirstPositive vote
-// derivation depends on; any reordering introduced by the parallel commit
-// shows up here as a byte diff. Refresh with -update only when the workload
-// script itself changes.
+// TestShardCommitDeterminismGolden pins the commit path's digest bit for
+// bit: the seeded workload must reproduce the digest recorded in testdata.
+// A player's posting order is the only ordering FirstPositive vote
+// derivation depends on; any reordering of the commit shows up here as a
+// byte diff. Refresh with -update only when the workload script itself
+// changes.
 func TestShardCommitDeterminismGolden(t *testing.T) {
 	const players, rounds, seed = 6, 8, 0xADA9
 	goldenPath := filepath.Join("testdata", "commit_digest.golden")
 
-	digests := make(map[int][]byte)
-	for _, shards := range []int{1, 4, 16} {
-		addr, srv := startSharded(t, players, shards, nil)
-		runSeededScript(t, addr, players, rounds, seed)
-		d := srv.Digest()
-		if len(d) == 0 {
-			t.Fatalf("shards=%d: empty digest", shards)
-		}
-		if srv.Round() != rounds {
-			t.Fatalf("shards=%d: round %d, want %d", shards, srv.Round(), rounds)
-		}
-		digests[shards] = d
+	addr, srv := startPlanted(t, players, nil)
+	runSeededScript(t, addr, players, rounds, seed)
+	digest := srv.Digest()
+	if len(digest) == 0 {
+		t.Fatal("empty digest")
 	}
-	for _, shards := range []int{4, 16} {
-		if !bytes.Equal(digests[shards], digests[1]) {
-			t.Fatalf("digest mismatch between 1-shard and %d-shard runs:\n1:\n%s\n%d:\n%s",
-				shards, digests[1], shards, digests[shards])
-		}
+	if srv.Round() != rounds {
+		t.Fatalf("round %d, want %d", srv.Round(), rounds)
 	}
 
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, digests[1], 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, digest, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden updated: %s (%d bytes)", goldenPath, len(digests[1]))
+		t.Logf("golden updated: %s (%d bytes)", goldenPath, len(digest))
 		return
 	}
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("reading golden (run with -update to record): %v", err)
 	}
-	if !bytes.Equal(digests[1], want) {
-		t.Fatalf("digest diverged from recorded serial-commit golden:\ngot:\n%s\nwant:\n%s",
-			digests[1], want)
+	if !bytes.Equal(digest, want) {
+		t.Fatalf("digest diverged from the recorded golden:\ngot:\n%s\nwant:\n%s", digest, want)
 	}
 }

@@ -3,15 +3,14 @@ package server
 // Leader election for the replicated coordinator (see replica.go for the
 // protocol overview). The loop is deliberately small: a follower that has
 // heard no leader for its staggered timeout bumps its term and asks every
-// peer for a vote, carrying its per-stream positions; a majority of grants
+// peer for a vote, carrying its stream position; a majority of grants
 // (itself included) makes it leader, anything else drops it back to
-// follower. Because a vote is granted only to a candidate whose positions
-// dominate the voter's, and because both vote and ack quorums are
+// follower. Because a vote is granted only to a candidate whose position is
+// at least the voter's, and because both vote and ack quorums are
 // majorities, the winner provably holds every byte any committed round
-// waited on. A candidate denied on log length fetches the missing suffixes
-// from the most advanced denier before its next attempt, so incomparable
-// position vectors (each node ahead on a different stream) converge instead
-// of deadlocking the election.
+// waited on. A candidate denied on log length fetches the missing suffix
+// from the most advanced denier before its next attempt, so the next
+// election has a candidate every voter can grant.
 
 import (
 	"time"
@@ -47,11 +46,11 @@ func (n *ReplicaNode) electionLoop() {
 		n.votedFor = n.cfg.ID
 		n.role = roleCandidate
 		n.lastHeard = time.Now() // restart the clock for this attempt
-		offsets := n.log.positions()
+		offset := n.log.position()
 		n.mu.Unlock()
 		n.mElections.Inc()
 		n.logf("replica %d: leader silent; campaigning in term %d", n.cfg.ID, term)
-		n.campaign(term, offsets)
+		n.campaign(term, offset)
 	}
 }
 
@@ -64,7 +63,7 @@ type voteResult struct {
 // campaign runs one election attempt in term: parallel vote requests, then
 // either leadership (majority granted) or a drop back to follower with a
 // best-effort catch-up from the most advanced denier.
-func (n *ReplicaNode) campaign(term uint64, offsets []int64) {
+func (n *ReplicaNode) campaign(term uint64, offset int64) {
 	results := make(chan voteResult, len(n.cfg.Peers))
 	asked := 0
 	for p := range n.cfg.Peers {
@@ -73,7 +72,7 @@ func (n *ReplicaNode) campaign(term uint64, offsets []int64) {
 		}
 		asked++
 		go func(peer int) {
-			ack := n.requestVote(peer, term, offsets)
+			ack := n.requestVote(peer, term, offset)
 			results <- voteResult{peer: peer, ack: ack}
 		}(p)
 	}
@@ -130,14 +129,14 @@ func (n *ReplicaNode) campaign(term uint64, offsets []int64) {
 }
 
 // requestVote performs one vote RPC; nil on any transport failure.
-func (n *ReplicaNode) requestVote(peer int, term uint64, offsets []int64) *wire.RepAck {
+func (n *ReplicaNode) requestVote(peer int, term uint64, offset int64) *wire.RepAck {
 	conn, err := n.cfg.Dial(n.cfg.Peers[peer])
 	if err != nil {
 		return nil
 	}
 	defer conn.Close()
 	ack, err := newRepLink(conn).roundTrip(&wire.RepMsg{
-		Type: wire.RepVoteReq, Term: term, From: n.cfg.ID, Offsets: offsets,
+		Type: wire.RepVoteReq, Term: term, From: n.cfg.ID, Offset: offset,
 	})
 	if err != nil {
 		return nil
@@ -145,32 +144,17 @@ func (n *ReplicaNode) requestVote(peer int, term uint64, offsets []int64) *wire.
 	return ack
 }
 
-// catchUp fetches, from the most advanced denier, the stream suffixes this
+// catchUp fetches, from the most advanced denier, the stream suffix this
 // node is missing, so its next candidacy can dominate the group. Best
 // effort: any failure just leaves the next election to whoever is ahead.
 func (n *ReplicaNode) catchUp(denials []voteResult) {
 	var best *voteResult
-	var bestSum int64
 	for i := range denials {
-		var sum int64
-		for _, o := range denials[i].ack.Offsets {
-			sum += o
-		}
-		if best == nil || sum > bestSum {
-			best, bestSum = &denials[i], sum
+		if best == nil || denials[i].ack.Offset > best.ack.Offset {
+			best = &denials[i]
 		}
 	}
-	if best == nil || len(best.ack.Offsets) == 0 {
-		return
-	}
-	mine := n.log.positions()
-	var wanted []int
-	for i, p := range mine {
-		if i < len(best.ack.Offsets) && best.ack.Offsets[i] > p {
-			wanted = append(wanted, i)
-		}
-	}
-	if len(wanted) == 0 {
+	if best == nil || best.ack.Offset <= n.log.position() {
 		return
 	}
 	conn, err := n.cfg.Dial(n.cfg.Peers[best.peer])
@@ -179,25 +163,22 @@ func (n *ReplicaNode) catchUp(denials []voteResult) {
 	}
 	defer conn.Close()
 	link := newRepLink(conn)
-	for _, stream := range wanted {
-		for {
-			v := n.log.view(stream)
-			ack, err := link.roundTrip(&wire.RepMsg{
-				Type: wire.RepFetch, Term: n.Term(), From: n.cfg.ID,
-				Stream: stream, Offset: v.pos,
-			})
-			if err != nil || !ack.OK {
-				return
-			}
-			if !n.applyFetch(stream, v, ack) {
-				return
-			}
-			if len(ack.Data) == 0 && !ack.Reset {
-				break // fully caught up on this stream
-			}
-			if next := n.log.view(stream); next.pos == v.pos && !ack.Reset {
-				break // no progress; stop rather than spin
-			}
+	for {
+		v := n.log.view()
+		ack, err := link.roundTrip(&wire.RepMsg{
+			Type: wire.RepFetch, Term: n.Term(), From: n.cfg.ID, Offset: v.pos,
+		})
+		if err != nil || !ack.OK {
+			return
+		}
+		if !n.applyFetch(v, ack) {
+			return
+		}
+		if len(ack.Data) == 0 && !ack.Reset {
+			return // fully caught up
+		}
+		if next := n.log.view(); next.pos == v.pos && !ack.Reset {
+			return // no progress; stop rather than spin
 		}
 	}
 }
@@ -205,27 +186,27 @@ func (n *ReplicaNode) catchUp(denials []voteResult) {
 // applyFetch applies one fetch reply to the follower store and repLog —
 // either a reset to the responder's segment (snapshot + bytes) or a plain
 // suffix append. Returns false on any inconsistency.
-func (n *ReplicaNode) applyFetch(stream int, v streamView, ack *wire.RepAck) bool {
+func (n *ReplicaNode) applyFetch(v streamView, ack *wire.RepAck) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed || n.role != roleFollower || stream >= len(n.fstores) || n.fstores[stream] == nil {
+	if n.closed || n.role != roleFollower || n.fstore == nil {
 		return false
 	}
-	cur := n.log.view(stream)
+	cur := n.log.view()
 	if cur.pos != v.pos || cur.epoch != v.epoch {
 		return false // the stream moved under us (a leader appeared); stop
 	}
-	st := n.fstores[stream]
+	st := n.fstore
 	if ack.Reset {
 		if err := st.Rotate(ack.Snapshot); err != nil {
 			return false
 		}
-		n.log.resetStream(stream, ack.Offset, ack.Snapshot)
+		n.log.resetStream(ack.Offset, ack.Snapshot)
 		if len(ack.Data) > 0 {
 			if _, err := st.Write(ack.Data); err != nil {
 				return false
 			}
-			n.log.extend(stream, ack.Data)
+			n.log.extend(ack.Data)
 		}
 		return st.Sync() == nil
 	}
@@ -238,6 +219,6 @@ func (n *ReplicaNode) applyFetch(stream int, v streamView, ack *wire.RepAck) boo
 	if _, err := st.Write(ack.Data); err != nil {
 		return false
 	}
-	n.log.extend(stream, ack.Data)
+	n.log.extend(ack.Data)
 	return st.Sync() == nil
 }

@@ -281,7 +281,7 @@ func TestEpochJournalMarkersAndRecovery(t *testing.T) {
 
 // epochWorkload drives the identical two-player posting script against a
 // server in the given mode and returns the final committed digest.
-func epochWorkload(t *testing.T, mode server.Mode, shards int) []byte {
+func epochWorkload(t *testing.T, mode server.Mode) []byte {
 	t.Helper()
 	u, err := object.NewPlanted(object.Planted{M: 32, Good: 1}, rng.New(7))
 	if err != nil {
@@ -289,7 +289,7 @@ func epochWorkload(t *testing.T, mode server.Mode, shards int) []byte {
 	}
 	srv, err := server.New(server.Config{
 		Universe: u, Tokens: []string{"tok", "tok"}, Alpha: 1, Beta: u.Beta(),
-		Mode: mode, Shards: shards,
+		Mode: mode,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,23 +340,9 @@ func epochWorkload(t *testing.T, mode server.Mode, shards int) []byte {
 // posts into the exact rounds a synchronous-barrier run does — the final
 // board digests are byte-identical.
 func TestEpochDigestMatchesSync(t *testing.T) {
-	sync1 := epochWorkload(t, server.ModeSync, 0)
-	epoch1 := epochWorkload(t, server.ModeEpoch, 0)
+	sync1 := epochWorkload(t, server.ModeSync)
+	epoch1 := epochWorkload(t, server.ModeEpoch)
 	if !bytes.Equal(sync1, epoch1) {
-		t.Fatalf("unsharded digests diverge:\nsync  %x\nepoch %x", sync1, epoch1)
-	}
-}
-
-// TestEpochDigestMatchesSyncSharded extends digest parity to the sharded
-// commit pipeline.
-func TestEpochDigestMatchesSyncSharded(t *testing.T) {
-	sync4 := epochWorkload(t, server.ModeSync, 4)
-	epoch4 := epochWorkload(t, server.ModeEpoch, 4)
-	if !bytes.Equal(sync4, epoch4) {
-		t.Fatalf("sharded digests diverge:\nsync  %x\nepoch %x", sync4, epoch4)
-	}
-	// And sharding itself is digest-neutral, epoch mode included.
-	if unsharded := epochWorkload(t, server.ModeEpoch, 0); !bytes.Equal(epoch4, unsharded) {
-		t.Fatalf("epoch sharded/unsharded digests diverge:\n%x\n%x", epoch4, unsharded)
+		t.Fatalf("digests diverge:\nsync  %x\nepoch %x", sync1, epoch1)
 	}
 }

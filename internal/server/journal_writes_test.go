@@ -24,9 +24,8 @@ func (c *writeCounter) expectWrites(t *testing.T, what string, want int, send fu
 
 // TestPersistOneStoreWritePerRequest pins the write-ahead path's batching:
 // every record a probe batch, post batch or done produces reaches the store
-// in one write — a sharded server's post batch one write per lane store it
-// touches — and the request's side effects — probes charged, lane posts
-// buffered — happen only once that write succeeded.
+// in one write, and the request's side effects — probes charged — happen
+// only once that write succeeded.
 func TestPersistOneStoreWritePerRequest(t *testing.T) {
 	const k = 8
 	t.Run("coordinator", func(t *testing.T) {
@@ -83,65 +82,6 @@ func TestPersistOneStoreWritePerRequest(t *testing.T) {
 		defer r.s.mu.Unlock()
 		if r.s.probes[k] != charged {
 			t.Fatalf("probes charged past a failed journal write: %d, want %d", r.s.probes[k], charged)
-		}
-	})
-
-	t.Run("lane", func(t *testing.T) {
-		const shards = 2
-		cfg := rigConfig(t, ModeSync, k)
-		cfg.Shards = shards
-		st, err := journal.OpenStore(t.TempDir(), journal.SyncCommit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Persist = st
-		r := newFrameRig(t, cfg)
-		defer r.s.Close()
-		swarm := r.joinSwarm(0, k)
-		var coord writeCounter
-		coord.watch(st)
-		lanes := make([]writeCounter, shards)
-		for i, ln := range r.s.lanes {
-			lanes[i].watch(ln.store)
-		}
-		posts := make([]wire.PostMsg, k)
-		perLane := make([]int, shards)
-		for i := range posts {
-			posts[i] = wire.PostMsg{Player: i, Object: i, Value: 1, Positive: true}
-			perLane[wire.Shard(i, shards)]++
-		}
-		for ln, n := range perLane {
-			if n == 0 {
-				t.Fatalf("the batch touches no object of lane %d", ln)
-			}
-		}
-		coord.expectWrites(t, "a sharded k-post batch, at the coordinator", 0, func() {
-			r.send(swarm, wire.Request{Type: wire.ReqPostBatch, Posts: posts})
-		})
-		for i, ln := range r.s.lanes {
-			if lanes[i].n != 1 {
-				t.Fatalf("a sharded k-post batch reached lane %d's store in %d writes, want 1", i, lanes[i].n)
-			}
-			if ln.nPending != perLane[i] {
-				t.Fatalf("lane %d buffered %d posts, want %d", i, ln.nPending, perLane[i])
-			}
-		}
-
-		// A failed lane write buffers nothing on that lane.
-		const shard = 1
-		ln := r.s.lanes[shard]
-		var mine []wire.PostMsg
-		for _, p := range posts {
-			if wire.Shard(p.Object, shards) == shard {
-				mine = append(mine, p)
-			}
-		}
-		if err := ln.store.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r.reject(swarm, wire.Request{Type: wire.ReqPostBatch, Posts: mine}, "journal")
-		if ln.nPending != perLane[shard] {
-			t.Fatalf("lane posts buffered past a failed journal write: %d, want %d", ln.nPending, perLane[shard])
 		}
 	})
 }

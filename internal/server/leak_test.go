@@ -13,23 +13,21 @@ import (
 
 // TestShardedCloseLeavesNoGoroutines checks the "no leak after Close"
 // promise on the topologies that start the most goroutines: a durable
-// 1-shard server, a durable 4-shard server whose lane 1 is bounced mid-run,
-// and a 3-node replica group running 3 shards. Each is driven through a few
-// rounds and closed; within 2 s the goroutine count must fall back to what
-// it was before the topology started.
+// server and a 3-node replica group. Each is driven through a few rounds
+// and closed; within 2 s the goroutine count must fall back to what it was
+// before the topology started.
 func TestShardedCloseLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"durable-1-shard", func(t *testing.T) { runDurable(t, 1, false) }},
-		{"durable-4-shards-bounced", func(t *testing.T) { runDurable(t, 4, true) }},
+		{"durable-1-shard", runDurable},
 		{"replicas-3-shards-3", func(t *testing.T) {
 			tokens := []string{"t0", "t1", "t2"}
 			u := replicaUniverse(t)
 			g := startReplicaGroup(t, 3, server.Config{
 				Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-				Shards: 3, SessionGrace: 5 * time.Second,
+				SessionGrace: 5 * time.Second,
 			}, nil)
 			runReplicaWorkload(t, g, tokens, 4)
 			for _, node := range g.nodes {
@@ -56,10 +54,9 @@ func TestShardedCloseLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// runDurable drives a durable server with the given shard count through
-// runScript's rounds, bouncing lane 1 once the first round has committed
-// when bounce is set, then closes the server and its store.
-func runDurable(t *testing.T, shards int, bounce bool) {
+// runDurable drives a durable server through runScript's rounds, then
+// closes the server and its store.
+func runDurable(t *testing.T) {
 	t.Helper()
 	const players, rounds = 4, 5
 	u, err := object.NewPlanted(object.Planted{M: 64, Good: 4}, rng.New(7))
@@ -76,7 +73,7 @@ func runDurable(t *testing.T, shards int, bounce bool) {
 	}
 	srv, err := server.New(server.Config{
 		Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta(),
-		Shards: shards, Persist: st, SnapshotEvery: 2, SessionGrace: time.Minute,
+		Persist: st, SnapshotEvery: 2, SessionGrace: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,26 +82,7 @@ func runDurable(t *testing.T, shards int, bounce bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounced := make(chan error, 1)
-	go func() {
-		if !bounce {
-			bounced <- nil
-			return
-		}
-		for deadline := time.Now().Add(5 * time.Second); srv.Round() < 1 && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		if err := srv.KillShard(1); err != nil {
-			bounced <- err
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-		bounced <- srv.RestartShard(1)
-	}()
 	runScript(t, addr, players, rounds)
-	if err := <-bounced; err != nil {
-		t.Fatal(err)
-	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

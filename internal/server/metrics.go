@@ -2,7 +2,6 @@ package server
 
 import (
 	"net"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -37,36 +36,6 @@ type serverMetrics struct {
 	snapshots       *obs.Counter
 	journalReplayed *obs.Counter
 	replaySeconds   *obs.Histogram
-
-	shardRestarts *obs.Counter
-
-	commitSeconds *obs.Histogram
-	commitPhase   [commitPhases]*obs.Histogram
-}
-
-// Commit phases of the sharded round pipeline, in execution order: freeze
-// (check that every lane is up), admit (per-lane merge + global vote admission),
-// journal (coordinator commit-point marker), seal (parallel per-lane feed +
-// lane marker + board EndRound).
-const (
-	phaseFreeze = iota
-	phaseAdmit
-	phaseJournal
-	phaseSeal
-	commitPhases
-)
-
-var commitPhaseNames = [commitPhases]string{"freeze", "admit", "journal", "seal"}
-
-// commitBuckets resolves the commit-phase histograms: the phases of an
-// in-memory commit sit well under obs.DefBuckets' 100µs floor, so these
-// start at 1µs.
-var commitBuckets = []float64{
-	1e-6, 2.5e-6, 5e-6,
-	1e-5, 2.5e-5, 5e-5,
-	1e-4, 2.5e-4, 5e-4,
-	1e-3, 2.5e-3, 5e-3,
-	1e-2, 2.5e-2, 5e-2, 1e-1,
 }
 
 // newServerMetrics registers the server_* metric family in reg. A nil reg
@@ -98,16 +67,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		snapshots:       reg.Counter("server_snapshots_total", "service snapshots taken at journal rotation"),
 		journalReplayed: reg.Counter("server_journal_replayed_total", "journal records replayed at recovery"),
 		replaySeconds:   reg.Histogram("server_journal_replay_seconds", "recovery replay latency (snapshot restore + journal tail)", nil),
-
-		shardRestarts: reg.Counter("server_shard_restarts_total", "shard lanes rebuilt by RestartShard"),
-
-		commitSeconds: reg.Histogram("server_commit_seconds",
-			"sharded round commit latency, all phases", commitBuckets),
-	}
-	for i, name := range commitPhaseNames {
-		m.commitPhase[i] = reg.Histogram(
-			`server_commit_phase_seconds{phase="`+name+`"}`,
-			"sharded round commit latency by pipeline phase", commitBuckets)
 	}
 	for t := wire.ReqHello; t <= wire.ReqEpoch; t++ {
 		m.requests[t] = reg.Counter(
@@ -115,18 +74,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 			"decoded client frames by request type")
 	}
 	return m
-}
-
-// phaseTick observes the time since prev in a commit-phase histogram and
-// returns the new reference instant; a disabled zero value skips the clock
-// read entirely and returns prev unchanged.
-func (m *serverMetrics) phaseTick(phase int, prev time.Time) time.Time {
-	if !m.enabled {
-		return prev
-	}
-	now := time.Now()
-	m.commitPhase[phase].Observe(now.Sub(prev).Seconds())
-	return now
 }
 
 // request returns the per-type frame counter (nil-safe for unknown types

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -151,46 +150,6 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	if snap["server_read_bytes_total"] != snap["client_bytes_sent_total"] {
 		t.Errorf("bytes diverge: server read %v, clients sent %v",
 			snap["server_read_bytes_total"], snap["client_bytes_sent_total"])
-	}
-}
-
-// TestShardedCommitPhaseMetrics commits rounds on an instrumented sharded
-// server and checks the per-phase commit histograms land on /metrics: one
-// observation per phase per committed round, a total-latency observation,
-// and exposition lines with the phase label merged ahead of le.
-func TestShardedCommitPhaseMetrics(t *testing.T) {
-	const players, rounds = 4, 3
-	reg := obs.NewRegistry()
-	addr, _ := startSharded(t, players, 4, func(sc *server.Config) {
-		sc.Metrics = reg
-	})
-	runScript(t, addr, players, rounds)
-
-	snap := reg.Snapshot()
-	for _, phase := range []string{"freeze", "admit", "journal", "seal"} {
-		name := fmt.Sprintf(`server_commit_phase_seconds{phase=%q}_count`, phase)
-		if snap[name] != rounds {
-			t.Errorf("%s = %v, want %v", name, snap[name], rounds)
-		}
-	}
-	if snap["server_commit_seconds_count"] != rounds {
-		t.Errorf("server_commit_seconds_count = %v, want %v",
-			snap["server_commit_seconds_count"], rounds)
-	}
-
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	rec := httptest.NewRecorder()
-	obs.Handler(reg).ServeHTTP(rec, req)
-	body := rec.Body.String()
-	for _, line := range []string{
-		fmt.Sprintf(`server_commit_phase_seconds_bucket{phase="seal",le="+Inf"} %d`, rounds),
-		fmt.Sprintf(`server_commit_phase_seconds_count{phase="admit"} %d`, rounds),
-		fmt.Sprintf(`server_commit_seconds_bucket{le="+Inf"} %d`, rounds),
-		"# TYPE server_commit_phase_seconds histogram",
-	} {
-		if !strings.Contains(body, line+"\n") {
-			t.Errorf("missing exposition line %q in:\n%s", line, body)
-		}
 	}
 }
 

@@ -72,7 +72,6 @@ func (ss sessionSnap) session() *session {
 // capture (membership, expulsions, the probe ledger, session windows).
 type serverSnap struct {
 	Board      []byte
-	Round      int
 	Registered []int
 	Active     []int
 	ForceDone  map[int]int
@@ -87,19 +86,12 @@ type serverSnap struct {
 // every in-flight request is one the just-committed round is about to
 // answer.
 func (s *Server) snapshotLocked() ([]byte, error) {
-	// A sharded coordinator has no board of its own (Board stays nil in the
-	// snapshot); the lane boards snapshot into their per-shard stores.
-	var boardBytes []byte
-	if s.board != nil {
-		var err error
-		boardBytes, err = s.board.Snapshot()
-		if err != nil {
-			return nil, err
-		}
+	boardBytes, err := s.board.Snapshot()
+	if err != nil {
+		return nil, err
 	}
 	sn := serverSnap{
 		Board:     boardBytes,
-		Round:     s.round,
 		ForceDone: make(map[int]int, len(s.forceDone)),
 		Probes:    append([]int(nil), s.probes...),
 		Cost:      append([]float64(nil), s.cost...),
@@ -152,13 +144,13 @@ func (s *Server) rotateLocked() {
 		return
 	}
 	if s.replLog != nil {
-		s.replLog.noteRotate(0, snap)
+		s.replLog.noteRotate(snap)
 	}
 	s.m.snapshots.Inc()
 	s.logf("snapshot at round %d (%d bytes): journal truncated", s.round, len(snap))
 }
 
-// ForceRotate snapshots and rotates the persist store(s) immediately — the
+// ForceRotate snapshots and rotates the persist store immediately — the
 // replica bootstrap path uses it so a leader starting over recovered state
 // folds that state into a snapshot its followers can be seeded from. Only
 // meaningful on a durable server at a round boundary (which construction
@@ -167,10 +159,6 @@ func (s *Server) ForceRotate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cfg.Persist == nil {
-		return
-	}
-	if s.sharded() {
-		s.rotateShardedLocked()
 		return
 	}
 	s.rotateLocked()
@@ -208,17 +196,17 @@ func (s *Server) restoreSnapshot(data []byte) error {
 			return err
 		}
 	}
-	if sn.Board != nil {
-		board, err := billboard.Restore(sn.Board, nil)
-		if err != nil {
-			return err
-		}
-		s.board = board
-		s.round = board.Round()
-	} else {
-		// Sharded coordinator snapshot: the boards live in the lane stores.
-		s.round = sn.Round
+	if sn.Board == nil {
+		// A coordinator of an earlier build kept its board elsewhere and
+		// wrote snapshots without one: nothing here could serve a post.
+		return errors.New("snapshot holds no billboard")
 	}
+	board, err := billboard.Restore(sn.Board)
+	if err != nil {
+		return err
+	}
+	s.board = board
+	s.round = board.Round()
 	for _, p := range sn.Registered {
 		s.registerLocked(p)
 	}
@@ -257,7 +245,7 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 		if err := s.restoreSnapshot(snap); err != nil {
 			return fmt.Errorf("server: recover snapshot: %w", err)
 		}
-	} else if s.cfg.Shards <= 1 {
+	} else {
 		board, err := billboard.New(boardCfg)
 		if err != nil {
 			return fmt.Errorf("server: %w", err)
@@ -331,9 +319,6 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 				switch p.Kind {
 				case journal.RecordPost:
 					s.touchLocked(p.Post.Player)
-					if s.board == nil {
-						return fmt.Errorf("post record in a sharded coordinator journal")
-					}
 					if err := s.board.Post(p.Post); err != nil {
 						return fmt.Errorf("replay post: %v", err)
 					}
@@ -363,15 +348,8 @@ func (s *Server) recoverFromStore(boardCfg billboard.Config) error {
 				}
 			}
 			pending = pending[:0]
-			if s.board != nil {
-				s.board.EndRound()
-			}
+			s.board.EndRound()
 			s.round++
-			if s.recoveredAdmits != nil {
-				// Keep the round's admitted vote pairs: lane recovery tops up
-				// a lane that missed this round's seal from exactly this set.
-				s.recoveredAdmits[s.round] = rec.Admits
-			}
 			// A committed arrival answers with the round this marker opened —
 			// the response a live server had recorded for those sessions (one
 			// stamped further ahead re-stamps on retry).

@@ -11,33 +11,32 @@ package server
 // fence a single-coordinator restart uses, and the clients' retries re-earn
 // it against the new leader.
 //
-// Replication unit. The leader's persist stores are replicated as raw byte
-// streams: stream 0 is the coordinator store, stream 1+k is shard lane k's
-// store (when the service is sharded). Store.SetMirror tees every appended
-// byte slice into the node's replicated log (repLog); per-peer sender
-// goroutines ship the tail and collect acknowledgements; a response leaves
-// the leader only once commitWait sees a quorum of replicas (leader
-// included) at or past the positions the request produced. Followers apply
-// the bytes to their own stores and fsync before acking, so "quorum acked"
-// means "durable on a quorum".
+// Replication unit. The leader's persist store is replicated as one raw
+// byte stream. Store.SetMirror tees every appended byte slice into the
+// node's replicated log (repLog); per-peer sender goroutines ship the tail
+// and collect acknowledgements; a response leaves the leader only once
+// commitWait sees a quorum of replicas (leader included) at or past the
+// position the request produced. Followers apply the bytes to their own
+// store and fsync before acking, so "quorum acked" means "durable on a
+// quorum".
 //
 // Elections. Terms fence leaderships exactly as in Raft's skeleton: every
 // replication message carries the sender's term; a receiver holding a newer
 // term refuses, and a leader seeing a refusal (or any message) with a newer
 // term steps down. A follower that has heard nothing for its (id-staggered)
 // election timeout campaigns; a vote is granted only to a candidate whose
-// per-stream positions are elementwise at least the voter's, which —
-// because vote quorums and ack quorums are both majorities — guarantees the
-// winner holds every quorum-committed byte. Promotion is just the existing
-// durable-restart path run over the replicated stores: rollback fence,
-// admission top-up, session grace, all unchanged.
+// stream position is at least the voter's, which — because vote quorums and
+// ack quorums are both majorities — guarantees the winner holds every
+// quorum-committed byte. Promotion is just the existing durable-restart path
+// run over the replicated store: rollback fence and session grace,
+// unchanged.
 //
 // Divergence. A follower that accepted bytes a dead leader never committed
 // holds a journal suffix the new leader does not. A new leader therefore
 // resets every follower on first contact of its term (RepRotate to its own
 // segment base, then re-append), and positional mismatches detected later
 // reset the same way. The reset truncates only uncommitted bytes: committed
-// bytes are, by the vote rule, a prefix of the new leader's streams.
+// bytes are, by the vote rule, a prefix of the new leader's stream.
 
 import (
 	"bufio"
@@ -85,9 +84,9 @@ type ReplicaConfig struct {
 	// included) a round commit waits for. Zero means majority; anything
 	// below majority or above the group size is rejected.
 	Quorum int
-	// Dir is this node's persistence root: stream 0 lives at Dir, shard
-	// lane k at Dir/shard-%03d — the same layout a single durable server
-	// uses, so promotion is a plain durable restart.
+	// Dir is this node's persistence directory: the replicated store lives
+	// there, as a single durable server's does, so promotion is a plain
+	// durable restart.
 	Dir string
 	// HeartbeatEvery paces leader heartbeats and sender retries
 	// (default 25ms).
@@ -164,7 +163,7 @@ const repSendChunk = 256 << 10
 // moves once allocated; appends fill the last one in place.
 type repChunk = [repSendChunk]byte
 
-// repStream is one replicated byte stream's retained state: the bytes
+// repStream is the replicated byte stream's retained state: the bytes
 // appended since the segment base (earlier bytes live only in the base
 // snapshot) plus the epoch that fences resets. The bytes [base, pos) are
 // kept in chunks: chunk j holds [base+j·C, base+(j+1)·C) for C =
@@ -197,21 +196,21 @@ func (st *repStream) reset(base int64, snap []byte) {
 	st.epoch++
 }
 
-// repLog is the node's replicated-log bookkeeping: per-stream retained
-// tails plus, while leading, per-peer acknowledged positions. It is a leaf
+// repLog is the node's replicated-log bookkeeping: the stream's retained
+// tail plus, while leading, each peer's acknowledged position. It is a leaf
 // lock — nothing called under its mutex takes any other lock.
 type repLog struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	streams []repStream
-	acked   map[int][]int64       // peer → per-stream durably acked position
+	stream  repStream
+	acked   map[int]int64         // peer → durably acked position
 	kicks   map[int]chan struct{} // peer → sender wakeup
 	aborted bool
 	ackHist *obs.Histogram
 }
 
-func newRepLog(streams int, hist *obs.Histogram) *repLog {
-	l := &repLog{streams: make([]repStream, streams), ackHist: hist}
+func newRepLog(hist *obs.Histogram) *repLog {
+	l := &repLog{ackHist: hist}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -219,9 +218,9 @@ func newRepLog(streams int, hist *obs.Histogram) *repLog {
 // appendLocal records bytes the local store just appended (the mirror hook
 // on a leader; promotion-time recovery writes also land here). p is copied:
 // callers reuse their buffers.
-func (l *repLog) appendLocal(stream int, p []byte) {
+func (l *repLog) appendLocal(p []byte) {
 	l.mu.Lock()
-	l.streams[stream].append(p)
+	l.stream.append(p)
 	l.kickLocked()
 	l.mu.Unlock()
 }
@@ -237,43 +236,38 @@ func (l *repLog) kickLocked() {
 }
 
 // extend records bytes a follower applied from its leader.
-func (l *repLog) extend(stream int, p []byte) {
+func (l *repLog) extend(p []byte) {
 	l.mu.Lock()
-	l.streams[stream].append(p)
+	l.stream.append(p)
 	l.mu.Unlock()
 }
 
-// noteRotate moves a stream's segment base to its current position: the
+// noteRotate moves the stream's segment base to its current position: the
 // snapshot now stands in for everything before it (leader-side journal
 // rotation).
-func (l *repLog) noteRotate(stream int, snap []byte) {
+func (l *repLog) noteRotate(snap []byte) {
 	l.mu.Lock()
-	st := &l.streams[stream]
-	st.reset(st.pos, snap)
+	l.stream.reset(l.stream.pos, snap)
 	l.kickLocked()
 	l.mu.Unlock()
 }
 
 // resetStream adopts a leader-dictated segment (follower side of RepRotate).
-func (l *repLog) resetStream(stream int, base int64, snap []byte) {
+func (l *repLog) resetStream(base int64, snap []byte) {
 	l.mu.Lock()
-	l.streams[stream].reset(base, snap)
+	l.stream.reset(base, snap)
 	l.mu.Unlock()
 }
 
-// positions returns the per-stream position vector (the election log-length
-// comparison and the RepSync reply).
-func (l *repLog) positions() []int64 {
+// position returns the stream position (the election log-length comparison
+// and the RepSync reply).
+func (l *repLog) position() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]int64, len(l.streams))
-	for i := range l.streams {
-		out[i] = l.streams[i].pos
-	}
-	return out
+	return l.stream.pos
 }
 
-// streamView is a consistent snapshot of one stream's retained state. Its
+// streamView is a consistent snapshot of the stream's retained state. Its
 // bytes stay valid after the lock is dropped: chunks never move, appends
 // only write past pos, and every reset replaces the chunk list instead of
 // reusing it.
@@ -284,10 +278,10 @@ type streamView struct {
 	chunks    []*repChunk
 }
 
-func (l *repLog) view(stream int) streamView {
+func (l *repLog) view() streamView {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := &l.streams[stream]
+	st := &l.stream
 	return streamView{base: st.base, pos: st.pos, epoch: st.epoch, snap: st.snap, chunks: st.chunks}
 }
 
@@ -308,10 +302,10 @@ func (v streamView) from(off int64) []byte {
 // starts unacknowledged, every sender gets a kick channel.
 func (l *repLog) beginLeadership(peers []int) {
 	l.mu.Lock()
-	l.acked = make(map[int][]int64, len(peers))
+	l.acked = make(map[int]int64, len(peers))
 	l.kicks = make(map[int]chan struct{}, len(peers))
 	for _, p := range peers {
-		l.acked[p] = make([]int64, len(l.streams))
+		l.acked[p] = 0
 		l.kicks[p] = make(chan struct{}, 1)
 	}
 	l.aborted = false
@@ -325,10 +319,10 @@ func (l *repLog) kickChan(peer int) chan struct{} {
 }
 
 // ackPeer records a follower's durable position and wakes commit waiters.
-func (l *repLog) ackPeer(peer, stream int, pos int64) {
+func (l *repLog) ackPeer(peer int, pos int64) {
 	l.mu.Lock()
-	if acks := l.acked[peer]; acks != nil && pos > acks[stream] {
-		acks[stream] = pos
+	if acked, ok := l.acked[peer]; ok && pos > acked {
+		l.acked[peer] = pos
 		l.cond.Broadcast()
 	}
 	l.mu.Unlock()
@@ -337,32 +331,22 @@ func (l *repLog) ackPeer(peer, stream int, pos int64) {
 // errCommitAborted reports a commitWait cut short by demotion or shutdown.
 var errCommitAborted = errors.New("server: replication commit aborted")
 
-// commitWait blocks until, for every stream, at least quorum replicas
-// (this leader counted) durably hold the bytes written so far. The targets
-// are captured at entry, so later appends never extend the wait.
+// commitWait blocks until at least quorum replicas (this leader counted)
+// durably hold the bytes written so far. The target is captured at entry,
+// so later appends never extend the wait.
 func (l *repLog) commitWait(quorum int) error {
 	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	targets := make([]int64, len(l.streams))
-	for i := range l.streams {
-		targets[i] = l.streams[i].pos
-	}
+	target := l.stream.pos
 	for !l.aborted {
-		ok := true
-		for i, t := range targets {
-			n := 1 // self: the leader's own store already holds the bytes
-			for _, acks := range l.acked {
-				if acks[i] >= t {
-					n++
-				}
-			}
-			if n < quorum {
-				ok = false
-				break
+		n := 1 // self: the leader's own store already holds the bytes
+		for _, acked := range l.acked {
+			if acked >= target {
+				n++
 			}
 		}
-		if ok {
+		if n >= quorum {
 			l.ackHist.ObserveSince(start)
 			return nil
 		}
@@ -404,9 +388,9 @@ type ReplicaNode struct {
 	role      int
 	leaderID  int // last known leader; -1 when unknown
 	lastHeard time.Time
-	srv       *Server          // non-nil while leading
-	fstores   []*journal.Store // per-stream stores while following
-	leadStop  chan struct{}    // closes when this leadership ends
+	srv       *Server        // non-nil while leading
+	fstore    *journal.Store // the replicated store while following
+	leadStop  chan struct{}  // closes when this leadership ends
 	closed    bool
 	conns     map[net.Conn]struct{} // open rep/redirect conns, force-closed on Close
 
@@ -418,25 +402,9 @@ type ReplicaNode struct {
 	mFailovers *obs.Counter
 }
 
-// nstreams is the replicated stream count for a service config.
-func nstreams(scfg Config) int {
-	if scfg.Shards > 1 {
-		return 1 + scfg.Shards
-	}
-	return 1
-}
-
-// streamDir maps a stream index to its persistence directory under root.
-func streamDir(root string, stream int) string {
-	if stream == 0 {
-		return root
-	}
-	return shardDir(root, stream-1)
-}
-
 // StartReplica starts one replica-group member. scfg describes the service
 // a leader runs; its persistence knobs must be unset — the node owns the
-// stores (rooted at rc.Dir) and wires them itself. Replica 0 bootstraps as
+// store (at rc.Dir) and wires it itself. Replica 0 bootstraps as
 // the leader of term 1; everyone else starts as a term-1 follower (vote
 // spent on node 0) and learns the leader from its first heartbeat.
 func StartReplica(rc ReplicaConfig, scfg Config) (*ReplicaNode, error) {
@@ -454,7 +422,7 @@ func StartReplica(rc ReplicaConfig, scfg Config) (*ReplicaNode, error) {
 		leaderID: -1,
 		conns:    make(map[net.Conn]struct{}),
 		stop:     make(chan struct{}),
-		log: newRepLog(nstreams(scfg), scfg.Metrics.Histogram(
+		log: newRepLog(scfg.Metrics.Histogram(
 			"server_quorum_ack_seconds", "time a commit waited for its durable quorum", nil)),
 		mElections: scfg.Metrics.Counter("server_elections_total", "elections started by this replica"),
 		mFailovers: scfg.Metrics.Counter("server_failovers_total", "leaderships assumed after a failover"),
@@ -492,7 +460,7 @@ func StartReplica(rc ReplicaConfig, scfg Config) (*ReplicaNode, error) {
 		// catch.
 		n.term = 1
 		n.votedFor = 0
-		if err := n.openFollowerStoresLocked(); err != nil {
+		if err := n.openFollowerStoreLocked(); err != nil {
 			n.repLn.Close()
 			n.clientLn.Close()
 			return nil, fmt.Errorf("server: replica %d: %w", rc.ID, err)
@@ -505,67 +473,55 @@ func StartReplica(rc ReplicaConfig, scfg Config) (*ReplicaNode, error) {
 	return n, nil
 }
 
-// openFollowerStoresLocked opens this node's per-stream stores for
-// follower-mode writes. Stale on-disk content (a previous incarnation's
-// bytes, no longer position-aligned with the fresh repLog) is truncated:
-// the leader re-seeds us with a reset + snapshot anyway.
-func (n *ReplicaNode) openFollowerStoresLocked() error {
-	streams := nstreams(n.scfg)
-	n.fstores = make([]*journal.Store, streams)
-	for i := 0; i < streams; i++ {
-		st, err := journal.OpenStore(streamDir(n.cfg.Dir, i), journal.SyncCommit)
-		if err != nil {
-			return err
-		}
-		v := n.log.view(i)
-		if tail, _ := io.ReadAll(st.Tail()); v.pos == v.base &&
-			(st.Snapshot() != nil || len(tail) > 0) && v.snap == nil {
-			if err := st.Rotate(nil); err != nil {
-				st.Close()
-				return err
-			}
-		}
-		n.fstores[i] = st
-	}
-	return nil
-}
-
-// closeFollowerStoresLocked closes the follower-mode stores (promotion
-// reopens stream 0 for the server; demotion reopens them all).
-func (n *ReplicaNode) closeFollowerStoresLocked() {
-	for _, st := range n.fstores {
-		if st != nil {
-			st.Close()
-		}
-	}
-	n.fstores = nil
-}
-
-// becomeLeaderLocked assumes leadership of term: reopen the stores in
-// server mode with replication mirrors installed, run the ordinary durable
-// restart over them (rollback fence, lane top-up, session grace — all
-// mirrored to the repLog before any sender ships a byte), and start the
-// per-peer senders. bootstrap marks the startup leadership of replica 0.
-// Caller holds n.mu.
-func (n *ReplicaNode) becomeLeaderLocked(term uint64, bootstrap bool) error {
-	n.closeFollowerStoresLocked()
-	st0, err := journal.OpenStore(n.cfg.Dir, journal.SyncCommit)
+// openFollowerStoreLocked opens this node's store for follower-mode
+// writes. Stale on-disk content (a previous incarnation's bytes, no longer
+// position-aligned with the fresh repLog) is truncated: the leader re-seeds
+// us with a reset + snapshot anyway.
+func (n *ReplicaNode) openFollowerStoreLocked() error {
+	st, err := journal.OpenStore(n.cfg.Dir, journal.SyncCommit)
 	if err != nil {
 		return err
 	}
-	tail, _ := io.ReadAll(st0.Tail())
-	hadState := st0.Snapshot() != nil || len(tail) > 0
-	st0.SetMirror(func(p []byte) { n.log.appendLocal(0, p) })
-	cfg := n.scfg
-	cfg.Persist = st0
-	if cfg.Shards > 1 {
-		cfg.laneStore = func(k int, st *journal.Store) {
-			st.SetMirror(func(p []byte) { n.log.appendLocal(1+k, p) })
+	v := n.log.view()
+	if tail, _ := io.ReadAll(st.Tail()); v.pos == v.base &&
+		(st.Snapshot() != nil || len(tail) > 0) && v.snap == nil {
+		if err := st.Rotate(nil); err != nil {
+			st.Close()
+			return err
 		}
 	}
+	n.fstore = st
+	return nil
+}
+
+// closeFollowerStoreLocked closes the follower-mode store (promotion and
+// demotion reopen it).
+func (n *ReplicaNode) closeFollowerStoreLocked() {
+	if n.fstore != nil {
+		n.fstore.Close()
+		n.fstore = nil
+	}
+}
+
+// becomeLeaderLocked assumes leadership of term: reopen the store in server
+// mode with the replication mirror installed, run the ordinary durable
+// restart over it (rollback fence, session grace — all mirrored to the
+// repLog before any sender ships a byte), and start the per-peer senders.
+// bootstrap marks the startup leadership of replica 0. Caller holds n.mu.
+func (n *ReplicaNode) becomeLeaderLocked(term uint64, bootstrap bool) error {
+	n.closeFollowerStoreLocked()
+	st, err := journal.OpenStore(n.cfg.Dir, journal.SyncCommit)
+	if err != nil {
+		return err
+	}
+	tail, _ := io.ReadAll(st.Tail())
+	hadState := st.Snapshot() != nil || len(tail) > 0
+	st.SetMirror(n.log.appendLocal)
+	cfg := n.scfg
+	cfg.Persist = st
 	srv, err := New(cfg)
 	if err != nil {
-		st0.Close()
+		st.Close()
 		return fmt.Errorf("promote: %w", err)
 	}
 	srv.replLog = n.log
@@ -580,7 +536,7 @@ func (n *ReplicaNode) becomeLeaderLocked(term uint64, bootstrap bool) error {
 		// cut bytes, so streaming it would ship them to the followers.
 		// Either way rotating folds the recovered state into a snapshot at
 		// a new segment base, which the first-contact reset then ships, and
-		// every stream equals its wal again.
+		// the stream equals the wal again.
 		srv.ForceRotate()
 	}
 	n.term = term
@@ -612,8 +568,8 @@ func (n *ReplicaNode) becomeLeaderLocked(term uint64, bootstrap bool) error {
 
 // demoteLocked ends a leadership: stop the senders, fail the quorum waiters
 // (they hold the server lock — aborting first is what lets Close drain),
-// close the server and its stores, and reopen follower-mode stores. Caller
-// holds n.mu.
+// close the server and its store, and reopen the store in follower mode.
+// Caller holds n.mu.
 func (n *ReplicaNode) demoteLocked() {
 	if n.role != roleLeader {
 		return
@@ -624,13 +580,13 @@ func (n *ReplicaNode) demoteLocked() {
 	n.log.abortWaiters()
 	srv := n.srv
 	n.srv = nil
-	st0 := srv.cfg.Persist
-	srv.Close() // also closes the lane stores it owns
-	st0.SetMirror(nil)
-	st0.Close()
+	st := srv.cfg.Persist
+	srv.Close()
+	st.SetMirror(nil)
+	st.Close()
 	if !n.closed {
-		if err := n.openFollowerStoresLocked(); err != nil {
-			n.logf("replica %d: reopen follower stores: %v", n.cfg.ID, err)
+		if err := n.openFollowerStoreLocked(); err != nil {
+			n.logf("replica %d: reopen follower store: %v", n.cfg.ID, err)
 		}
 	}
 	n.lastHeard = time.Now()
@@ -672,7 +628,7 @@ func (n *ReplicaNode) ClientAddr() string { return n.clientLn.Addr().String() }
 func (n *ReplicaNode) RepAddr() string { return n.repLn.Addr().String() }
 
 // Kill crash-stops the node: listeners close, the leadership (if any) is
-// torn down, stores close. The chaos harness uses it to kill a leader
+// torn down, the store closes. The chaos harness uses it to kill a leader
 // mid-round.
 func (n *ReplicaNode) Kill() error { return n.Close() }
 
@@ -686,7 +642,7 @@ func (n *ReplicaNode) Close() error {
 	n.closed = true
 	close(n.stop)
 	n.demoteLocked()
-	n.closeFollowerStoresLocked()
+	n.closeFollowerStoreLocked()
 	for conn := range n.conns {
 		conn.Close()
 	}
@@ -835,7 +791,7 @@ func (n *ReplicaNode) applyRep(msg *wire.RepMsg) wire.RepAck {
 	}
 	// Leader-stream traffic below. A leader refusing its own term's
 	// messages is unreachable (one leader per term), but refuse defensively
-	// rather than corrupt the stores the server owns.
+	// rather than corrupt the store the server owns.
 	if n.role == roleLeader {
 		return wire.RepAck{OK: false, Term: n.term, Err: "already leading this term"}
 	}
@@ -844,36 +800,35 @@ func (n *ReplicaNode) applyRep(msg *wire.RepMsg) wire.RepAck {
 	n.lastHeard = time.Now()
 	switch msg.Type {
 	case wire.RepSync:
-		return wire.RepAck{OK: true, Term: n.term, Offsets: n.log.positions()}
+		return wire.RepAck{OK: true, Term: n.term, Offset: n.log.position()}
 	case wire.RepHeartbeat:
 		return wire.RepAck{OK: true, Term: n.term}
 	case wire.RepRotate:
-		if msg.Stream < 0 || msg.Stream >= len(n.fstores) {
-			return wire.RepAck{OK: false, Term: n.term, Err: fmt.Sprintf("no stream %d", msg.Stream)}
+		if n.fstore == nil {
+			return wire.RepAck{OK: false, Term: n.term, Err: "no follower store"}
 		}
-		if err := n.fstores[msg.Stream].Rotate(msg.Snapshot); err != nil {
+		if err := n.fstore.Rotate(msg.Snapshot); err != nil {
 			return wire.RepAck{OK: false, Term: n.term, Err: err.Error()}
 		}
-		n.log.resetStream(msg.Stream, msg.Offset, msg.Snapshot)
+		n.log.resetStream(msg.Offset, msg.Snapshot)
 		return wire.RepAck{OK: true, Term: n.term, Offset: msg.Offset}
 	case wire.RepAppend:
-		if msg.Stream < 0 || msg.Stream >= len(n.fstores) {
-			return wire.RepAck{OK: false, Term: n.term, Err: fmt.Sprintf("no stream %d", msg.Stream)}
+		if n.fstore == nil {
+			return wire.RepAck{OK: false, Term: n.term, Err: "no follower store"}
 		}
-		v := n.log.view(msg.Stream)
+		v := n.log.view()
 		if msg.Offset != v.pos {
 			// Position mismatch: report where we are so the sender can
 			// rewind or reset.
 			return wire.RepAck{OK: false, Term: n.term, Offset: v.pos}
 		}
-		st := n.fstores[msg.Stream]
-		if _, err := st.Write(msg.Data); err != nil {
+		if _, err := n.fstore.Write(msg.Data); err != nil {
 			return wire.RepAck{OK: false, Term: n.term, Offset: v.pos, Err: err.Error()}
 		}
-		if err := st.Sync(); err != nil {
+		if err := n.fstore.Sync(); err != nil {
 			return wire.RepAck{OK: false, Term: n.term, Offset: v.pos, Err: err.Error()}
 		}
-		n.log.extend(msg.Stream, msg.Data)
+		n.log.extend(msg.Data)
 		return wire.RepAck{OK: true, Term: n.term, Offset: v.pos + int64(len(msg.Data))}
 	default:
 		return wire.RepAck{OK: false, Term: n.term, Err: fmt.Sprintf("unknown message %v", msg.Type)}
@@ -881,23 +836,18 @@ func (n *ReplicaNode) applyRep(msg *wire.RepMsg) wire.RepAck {
 }
 
 // voteLocked decides one vote request: grant iff this term's vote is free
-// (or already the candidate's) and the candidate's streams are elementwise
-// at least ours — the rule that makes every quorum-committed byte survive
-// into the next leadership. A denial carries our positions as the
-// candidate's catch-up hint.
+// (or already the candidate's) and the candidate's stream position is at
+// least ours — the rule that makes every quorum-committed byte survive into
+// the next leadership. Every reply carries our position; on a denial it is
+// the candidate's catch-up hint.
 func (n *ReplicaNode) voteLocked(msg *wire.RepMsg) wire.RepAck {
-	mine := n.log.positions()
-	if n.role == roleLeader || (n.votedFor != -1 && n.votedFor != msg.From) {
-		return wire.RepAck{OK: false, Term: n.term, Offsets: mine}
-	}
-	for i, p := range mine {
-		if i >= len(msg.Offsets) || msg.Offsets[i] < p {
-			return wire.RepAck{OK: false, Term: n.term, Offsets: mine}
-		}
+	mine := n.log.position()
+	if n.role == roleLeader || (n.votedFor != -1 && n.votedFor != msg.From) || msg.Offset < mine {
+		return wire.RepAck{OK: false, Term: n.term, Offset: mine}
 	}
 	n.votedFor = msg.From
 	n.lastHeard = time.Now() // a granted vote defers our own candidacy
-	return wire.RepAck{OK: true, Term: n.term, Offsets: mine}
+	return wire.RepAck{OK: true, Term: n.term, Offset: mine}
 }
 
 // serveFetchLocked answers a catch-up fetch from our retained stream state:
@@ -905,10 +855,7 @@ func (n *ReplicaNode) voteLocked(msg *wire.RepMsg) wire.RepAck {
 // segment base — the segment's snapshot and first bytes as a reset. A reply
 // carries at most one chunk; the fetcher asks again from where it ends.
 func (n *ReplicaNode) serveFetchLocked(msg *wire.RepMsg) wire.RepAck {
-	if msg.Stream < 0 || msg.Stream >= len(n.log.streams) {
-		return wire.RepAck{OK: false, Term: n.term, Err: fmt.Sprintf("no stream %d", msg.Stream)}
-	}
-	v := n.log.view(msg.Stream)
+	v := n.log.view()
 	if msg.Offset < v.base {
 		return wire.RepAck{OK: true, Term: n.term, Reset: true, Offset: v.base, Snapshot: v.snap, Data: v.from(v.base)}
 	}
@@ -918,7 +865,7 @@ func (n *ReplicaNode) serveFetchLocked(msg *wire.RepMsg) wire.RepAck {
 	return wire.RepAck{OK: true, Term: n.term, Offset: msg.Offset, Data: v.from(msg.Offset)}
 }
 
-// runSender replicates this leadership's streams to one peer: a serial
+// runSender replicates this leadership's stream to one peer: a serial
 // dial → sync → reconcile → stream loop that survives connection failures
 // and ends with the leadership. The first successful contact always resets
 // the peer — the only way, with raw byte streams, to be sure a previous
@@ -991,8 +938,8 @@ func (l *repLink) roundTrip(msg *wire.RepMsg) (*wire.RepAck, error) {
 	return ack, nil
 }
 
-// senderConversation drives one connection's replication: sync positions,
-// reconcile every stream (reset on first contact or divergence, then chunked
+// senderConversation drives one connection's replication: sync position,
+// reconcile the stream (reset on first contact or divergence, then chunked
 // appends), then idle on heartbeats until new bytes arrive. Returns when the
 // connection errors, the peer fences us with a newer term, or the
 // leadership ends.
@@ -1006,64 +953,55 @@ func (n *ReplicaNode) senderConversation(conn net.Conn, peer int, term uint64, s
 		n.maybeStepDown(ack.Term, term)
 		return
 	}
-	streams := len(n.log.streams)
-	fpos := make([]int64, streams)
-	copy(fpos, ack.Offsets)
-	// One forced reset per stream on the leadership's first contact; later
-	// resets happen only on positional divergence.
-	wasReset := make([]bool, streams)
-	for i := range wasReset {
-		wasReset[i] = *resetDone
-	}
+	// One forced reset on the leadership's first contact; later resets
+	// happen only on positional divergence.
+	fpos, wasReset := ack.Offset, *resetDone
 	for {
-		for i := 0; i < streams; i++ {
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				v := n.log.view(i)
-				if !wasReset[i] || fpos[i] < v.base || fpos[i] > v.pos {
-					rack, err := link.roundTrip(&wire.RepMsg{
-						Type: wire.RepRotate, Term: term, From: n.cfg.ID,
-						Stream: i, Offset: v.base, Snapshot: v.snap,
-					})
-					if err != nil {
-						return
-					}
-					if !rack.OK {
-						n.maybeStepDown(rack.Term, term)
-						return
-					}
-					fpos[i] = rack.Offset
-					wasReset[i] = true
-				}
-				if fpos[i] == v.pos {
-					n.log.ackPeer(peer, i, fpos[i])
-					break
-				}
-				aack, err := link.roundTrip(&wire.RepMsg{
-					Type: wire.RepAppend, Term: term, From: n.cfg.ID,
-					Stream: i, Offset: fpos[i], Data: v.from(fpos[i]),
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := n.log.view()
+			if !wasReset || fpos < v.base || fpos > v.pos {
+				rack, err := link.roundTrip(&wire.RepMsg{
+					Type: wire.RepRotate, Term: term, From: n.cfg.ID,
+					Offset: v.base, Snapshot: v.snap,
 				})
 				if err != nil {
 					return
 				}
-				if !aack.OK {
-					if n.maybeStepDown(aack.Term, term) {
-						return
-					}
-					fpos[i] = aack.Offset // rewind to the peer's actual position
-					continue
+				if !rack.OK {
+					n.maybeStepDown(rack.Term, term)
+					return
 				}
-				fpos[i] = aack.Offset
-				n.log.ackPeer(peer, i, fpos[i])
+				fpos, wasReset = rack.Offset, true
 			}
+			if fpos == v.pos {
+				n.log.ackPeer(peer, fpos)
+				break
+			}
+			aack, err := link.roundTrip(&wire.RepMsg{
+				Type: wire.RepAppend, Term: term, From: n.cfg.ID,
+				Offset: fpos, Data: v.from(fpos),
+			})
+			if err != nil {
+				return
+			}
+			if !aack.OK {
+				if n.maybeStepDown(aack.Term, term) {
+					return
+				}
+				fpos = aack.Offset // rewind to the peer's actual position
+				continue
+			}
+			fpos = aack.Offset
+			n.log.ackPeer(peer, fpos)
 		}
-		// Once every stream reconciled at least once, the peer's content is
-		// ours: later divergence can only come from a newer leader, whose
-		// term fences us off anyway.
+		// Once the stream reconciled, the peer's content is ours: later
+		// divergence can only come from a newer leader, whose term fences us
+		// off anyway.
 		*resetDone = true
 		// Idle until new bytes or the heartbeat interval.
 		select {

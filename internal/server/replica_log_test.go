@@ -49,7 +49,7 @@ func fetchAll(t *testing.T, n *ReplicaNode, off int64) []byte {
 // what was retained.
 func TestReplicaLogChunks(t *testing.T) {
 	const C = repSendChunk
-	l := newRepLog(1, nil)
+	l := newRepLog(nil)
 	r := rng.New(11)
 	var want []byte
 	// Sizes that land exactly on, just short of, and across boundaries,
@@ -59,10 +59,10 @@ func TestReplicaLogChunks(t *testing.T) {
 		for i := range p {
 			p[i] = byte(r.Uint64())
 		}
-		l.appendLocal(0, p)
+		l.appendLocal(p)
 		want = append(want, p...)
 	}
-	v := l.view(0)
+	v := l.view()
 	if v.base != 0 || v.pos != int64(len(want)) {
 		t.Fatalf("view base %d pos %d, want 0 and %d", v.base, v.pos, len(want))
 	}
@@ -93,13 +93,13 @@ func TestReplicaLogChunks(t *testing.T) {
 	}
 
 	// Rotation drops the retained bytes; the segment starts at pos.
-	l.noteRotate(0, []byte("snap"))
-	rv := l.view(0)
+	l.noteRotate([]byte("snap"))
+	rv := l.view()
 	if rv.base != v.pos || rv.pos != v.pos || len(rv.chunks) != 0 || rv.epoch != v.epoch+1 {
 		t.Fatalf("after rotate: base %d pos %d, %d chunks, epoch %d", rv.base, rv.pos, len(rv.chunks), rv.epoch)
 	}
-	l.appendLocal(0, []byte("tail"))
-	if got := streamBytes(l.view(0), rv.base); string(got) != "tail" {
+	l.appendLocal([]byte("tail"))
+	if got := streamBytes(l.view(), rv.base); string(got) != "tail" {
 		t.Fatalf("after rotate, stream reads %q", got)
 	}
 	// A fetch from before the segment is answered with a reset to it.
@@ -108,13 +108,58 @@ func TestReplicaLogChunks(t *testing.T) {
 		t.Fatalf("fetch from before the segment answered %+v", ack)
 	}
 	// A follower's reset adopts the leader's segment with nothing retained.
-	l.resetStream(0, 42, nil)
-	if fv := l.view(0); fv.base != 42 || fv.pos != 42 || len(fv.chunks) != 0 || fv.snap != nil {
+	l.resetStream(42, nil)
+	if fv := l.view(); fv.base != 42 || fv.pos != 42 || len(fv.chunks) != 0 || fv.snap != nil {
 		t.Fatalf("after reset: base %d pos %d, %d chunks", fv.base, fv.pos, len(fv.chunks))
 	}
-	l.extend(0, want[:C+1])
-	if got := streamBytes(l.view(0), 42); !bytes.Equal(got, want[:C+1]) {
+	l.extend(want[:C+1])
+	if got := streamBytes(l.view(), 42); !bytes.Equal(got, want[:C+1]) {
 		t.Fatal("bytes extended after a reset diverge")
+	}
+}
+
+// TestReplicaVoteRule pins the one-stream vote rule (voteLocked) on a bare
+// node whose stream holds 100 bytes: a candidate at our position or past it
+// is granted the vote, one a byte behind is refused, a vote spent on
+// another candidate and a node that is leading refuse, the candidate we
+// already voted for is granted again, and every reply carries our position.
+func TestReplicaVoteRule(t *testing.T) {
+	const term, mine = 3, 100
+	for _, tc := range []struct {
+		name   string
+		setup  func(n *ReplicaNode)
+		offset int64
+		grant  bool
+	}{
+		{"at our offset", nil, mine, true},
+		{"past our offset", nil, mine + 1, true},
+		{"one byte behind", nil, mine - 1, false},
+		{"vote spent on another", func(n *ReplicaNode) { n.votedFor = 2 }, mine + 1, false},
+		{"vote spent on the candidate", func(n *ReplicaNode) { n.votedFor = 1 }, mine, true},
+		{"leading", func(n *ReplicaNode) { n.role = roleLeader }, mine + 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newRepLog(nil)
+			l.appendLocal(make([]byte, mine))
+			n := &ReplicaNode{log: l, term: term, votedFor: -1, leaderID: -1}
+			if tc.setup != nil {
+				tc.setup(n)
+			}
+			before := n.votedFor
+			ack := n.voteLocked(&wire.RepMsg{Type: wire.RepVoteReq, Term: term, From: 1, Offset: tc.offset})
+			if ack.OK != tc.grant || ack.Term != term {
+				t.Fatalf("candidate at offset %d answered %+v, want granted=%v in term %d", tc.offset, ack, tc.grant, term)
+			}
+			if ack.Offset != mine {
+				t.Fatalf("reply carries offset %d, want ours (%d)", ack.Offset, mine)
+			}
+			switch {
+			case tc.grant && n.votedFor != 1:
+				t.Fatalf("granted, but the vote went to %d", n.votedFor)
+			case !tc.grant && n.votedFor != before:
+				t.Fatalf("refused, but the vote moved from %d to %d", before, n.votedFor)
+			}
+		})
 	}
 }
 
@@ -123,7 +168,7 @@ func TestReplicaLogChunks(t *testing.T) {
 // journals: under -race this pins that a view's bytes are never written
 // after it was taken, and every read matches what was appended.
 func TestReplicaLogConcurrentViews(t *testing.T) {
-	l := newRepLog(1, nil)
+	l := newRepLog(nil)
 	const total = 3*repSendChunk + 1000
 	byteAt := func(off int64) byte { return byte(off*7 + off>>9) }
 	var wg sync.WaitGroup
@@ -134,7 +179,7 @@ func TestReplicaLogConcurrentViews(t *testing.T) {
 			defer wg.Done()
 			var off int64
 			for {
-				v := l.view(0)
+				v := l.view()
 				for off < v.pos {
 					piece := v.from(off)
 					for i, b := range piece {
@@ -163,7 +208,7 @@ func TestReplicaLogConcurrentViews(t *testing.T) {
 		for i := int64(0); i < n; i++ {
 			p = append(p, byteAt(off+i))
 		}
-		l.appendLocal(0, p) // p is reused: appendLocal must copy
+		l.appendLocal(p) // p is reused: appendLocal must copy
 		off += n
 	}
 	close(done)

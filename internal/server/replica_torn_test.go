@@ -100,7 +100,7 @@ func TestReplicaPromotionCutsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := n.log.view(0)
+	v := n.log.view()
 	if got := streamBytes(v, v.base); !bytes.Equal(got, wal) {
 		t.Fatalf("replicated stream holds %x past its base, the wal %x", got, wal)
 	}

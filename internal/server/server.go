@@ -11,9 +11,9 @@
 // range: a player's own token opens [p, p+1), and the swarm token
 // (Config.SwarmToken) opens any block [from, to). Every probe, post and done
 // entry names its player, and the server rejects one outside the session's
-// range, sharded or not; no path substitutes the session's identity for the
-// player a frame names. The credential still decides one thing, how a
-// resent request is answered (see session.swarm).
+// range; no path substitutes the session's identity for the player a frame
+// names. The credential still decides one thing, how a resent request is
+// answered (see session.swarm).
 //
 // The server owns the ground truth (the object universe): a probe request
 // reveals an object's value only to the prober and charges its cost, so
@@ -43,25 +43,18 @@
 //     stragglers: sync mode force-Dones them (journaled, so crash recovery
 //     refuses to resurrect them), epoch mode seals without them.
 //
-// Performance (wire protocol v3). Two hot-path optimizations keep per-round
-// traffic and CPU constant:
-//
-//   - batched posts: ReqPostBatch carries a whole round's posts (and
-//     optionally the player's arrival) in one frame, so a player's round
-//     costs O(1) frames instead of O(posts);
-//   - read caching: committed-round reads (votes, voted objects, window
-//     counts) are memoized until the next EndRound — the billboard cannot
-//     change mid-round, so N players asking for the same round's state cost
-//     one board traversal, not N.
+// Performance (wire protocol v3). Batched posts keep per-round traffic
+// constant: ReqPostBatch carries a whole round's posts (and optionally the
+// player's arrival) in one frame, so a player's round costs O(1) frames
+// instead of O(posts). Reads go straight to the one board; the server keeps
+// no read cache.
 package server
 
 import (
 	"bufio"
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,17 +124,6 @@ type Config struct {
 	// once. Pair it with a SessionGrace so mid-restart clients stay
 	// resumable. Nil runs the service in memory only.
 	Persist *journal.Store
-	// Shards, when greater than 1, partitions the billboard by object id
-	// across that many shard lanes: each lane has its own board partition
-	// and — with Persist — its own journal store under
-	// Persist.Dir()/shard-%03d. Clients do not see it: posts travel on the
-	// primary connection and the server splits each batch by lane; rounds
-	// commit through a per-round shard barrier (see shard.go). Requires a
-	// LocalTesting universe (FirstPositive voting; the BestValue mode's
-	// single movable vote is inherently global). Zero or 1 keeps the classic
-	// single-lane server, byte-identical to previous versions at fixed
-	// seeds.
-	Shards int
 	// SwarmToken, when non-empty, lets a swarm driver open swarm sessions
 	// (wire protocol v7): one Hello with Swarm set registers a contiguous
 	// block of players [Player, PlayerTo) under this shared credential, and
@@ -186,12 +168,6 @@ type Config struct {
 	// billboard for the billboard_* family. Nil disables recording at the
 	// cost of one branch per event.
 	Metrics *obs.Registry
-
-	// laneStore, when non-nil, is called with every shard lane's freshly
-	// opened journal store before any recovery write lands in it — the hook
-	// a replicated coordinator uses to install its journal mirrors.
-	// Unexported: only the replica node (same package) sets it.
-	laneStore func(k int, st *journal.Store)
 }
 
 // session is the server half of one client session. Every session speaks
@@ -281,34 +257,6 @@ type Server struct {
 	satisfied   []bool
 	closed      bool
 
-	// Sharding state (Config.Shards > 1; see shard.go). lanes is immutable
-	// after New. The admission maps implement the global vote budget across
-	// lanes. postIndex is the open round's post counter, which stamps each
-	// accepted post's commit order; laneParts is the accept path's
-	// split-by-lane scratch.
-	lanes           []*lane
-	votesTaken      []int
-	votedPair       map[admitKey]bool
-	admitSet        map[admitKey]bool
-	lastAdmits      []journal.Admit
-	lastAdmitsRound int
-	recoveredAdmits map[int][]journal.Admit // transient, New-time only
-	postIndex       int
-	laneParts       [][]int
-
-	// Pooled commit scratch (commitShardedLocked): the round's posters, the
-	// per-poster dedup bitmap, the per-player merge heads and cursors, the
-	// alternating admit slices (double-buffered because lastAdmits must
-	// outlive the round that produced it), and the encode-once marker frame.
-	// All retained across rounds so a steady-state commit allocates nothing
-	// per shard.
-	commitPosters []int
-	posterSeen    []bool
-	mergeHeads    []*pbucket
-	mergeCurs     []int
-	admitsScratch [2][]journal.Admit
-	markerFrame   []byte
-
 	// The round deadline (Config.BarrierDeadline): one timer, armed for
 	// the open round by the first arrival that waits on it, stopped at the
 	// seal and at Close.
@@ -319,8 +267,7 @@ type Server struct {
 	// has finished submitting every round below it. nClosed counts the
 	// active players whose stamp is past the open round, so the round is
 	// closed when nClosed == nActive. forced marks the open round as
-	// force-sealed by an epoch-mode deadline; it holds while a down lane
-	// blocks the commit and is cleared at the seal.
+	// force-sealed by an epoch-mode deadline; the seal clears it.
 	lastStamp []int
 	nClosed   int
 	forced    bool
@@ -339,9 +286,9 @@ type Server struct {
 	replLog    *repLog
 	replTerm   uint64
 	replQuorum int
-	// tailCut records that recovery cut a torn final frame off a wal: a
-	// replica promoted over such stores rotates them, since its replicated
-	// streams still hold the cut bytes.
+	// tailCut records that recovery cut a torn final frame off the wal: a
+	// replica promoted over such a store rotates it, since its replicated
+	// stream still holds the cut bytes.
 	tailCut bool
 
 	m serverMetrics
@@ -374,12 +321,6 @@ func New(cfg Config) (*Server, error) {
 		Mode:           mode,
 		VotesPerPlayer: cfg.VotesPerPlayer,
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("server: Shards %d must be non-negative", cfg.Shards)
-	}
-	if cfg.Shards > 1 && mode != billboard.FirstPositive {
-		return nil, fmt.Errorf("server: Shards > 1 requires a LocalTesting universe (BestValue's single movable vote is global)")
-	}
 	n := len(cfg.Tokens)
 	s := &Server{
 		cfg:        cfg,
@@ -398,31 +339,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.Persist != nil {
-		if cfg.Shards > 1 {
-			s.recoveredAdmits = make(map[int][]journal.Admit)
-		}
 		if err := s.recoverFromStore(boardCfg); err != nil {
 			return nil, err
 		}
 		s.jw = cfg.Persist.Writer()
-	} else if cfg.Shards <= 1 {
+	} else {
 		board, err := billboard.New(boardCfg)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.board = board
 	}
-	if cfg.Shards > 1 {
-		// The coordinator keeps no board of its own: posts live in the shard
-		// lanes. Its store (when durable) carries probes, barriers, dones,
-		// and the round markers whose admitted vote pairs anchor lane replay.
-		if err := s.setupShards(boardCfg, s.recoveredAdmits); err != nil {
-			return nil, err
-		}
-		s.recoveredAdmits = nil
-	} else {
-		s.board.SetMetrics(cfg.Metrics)
-	}
+	s.board.SetMetrics(cfg.Metrics)
 	return s, nil
 }
 
@@ -516,17 +444,6 @@ func (s *Server) Close() error {
 		err = s.ln.Close()
 	}
 	s.wg.Wait()
-	// Lane stores are owned by the server (opened in setupShards), unlike
-	// the caller-owned coordinator store; close them once handlers drained.
-	s.mu.Lock()
-	for _, ln := range s.lanes {
-		if ln.store != nil && !ln.down {
-			if cerr := ln.store.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-	}
-	s.mu.Unlock()
 	return err
 }
 
@@ -543,18 +460,6 @@ func (s *Server) Round() int {
 func (s *Server) Digest() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sharded() {
-		if !s.waitLanesUpLocked() {
-			return nil
-		}
-		boards := make([]*billboard.Board, len(s.lanes))
-		for i, ln := range s.lanes {
-			boards[i] = ln.board
-		}
-		// MergeDigest is byte-identical to the single board an unsharded
-		// server would digest — canonical ordering is lane-oblivious.
-		return billboard.MergeDigest(boards...)
-	}
 	return s.board.Digest()
 }
 
@@ -1079,9 +984,7 @@ func (s *Server) doneLocked(sess *session, req *wire.Request) wire.Response {
 // invalid post aborts the remainder with an error, leaving earlier posts
 // buffered and journaled under the batch's sequence number, whose resend is
 // answered without re-applying any of them. The posts' records (and the
-// arrival's, when the batch ends the round) reach the journal in one write;
-// a sharded server's reach each lane store they touch in one write (see
-// shardPostBatchLocked).
+// arrival's, when the batch ends the round) reach the journal in one write.
 func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response {
 	if req.EndRound && req.Epoch < 1 {
 		return badStamp(req.Epoch)
@@ -1090,9 +993,6 @@ func (s *Server) postBatchLocked(sess *session, req *wire.Request) wire.Response
 		if !sess.has(p.Player) {
 			return outsideRange("batch post", i, len(req.Posts), p.Player, sess)
 		}
-	}
-	if s.sharded() {
-		return s.shardPostBatchLocked(sess, req)
 	}
 	if s.jw != nil {
 		s.jw.Begin()
@@ -1231,44 +1131,20 @@ func (s *Server) deactivateLocked(p int) {
 // player, so the caller regroups them. Players without votes contribute
 // nothing. Serving one frame instead of len(Players) round-trips is what
 // keeps a million-player swarm's advice rounds latency-bound on frames,
-// not on per-player reads. The answer is read straight from the boards'
-// vote views into one slice, sized by a counting pass; a sharded server
-// merges each player's votes across lanes into (round, object) order.
+// not on per-player reads. The answer is read straight from the board's
+// vote views into one slice, sized by a counting pass.
 func (s *Server) voteBatchLocked(req *wire.Request) wire.Response {
-	boards := []*billboard.Board{s.board}
-	if s.sharded() {
-		if !s.waitLanesUpLocked() {
-			return wire.Response{Err: errServerClosed}
-		}
-		boards = make([]*billboard.Board, len(s.lanes))
-		for k, ln := range s.lanes {
-			boards[k] = ln.board
-		}
-	}
 	n := 0
 	for _, p := range req.Players {
 		if p < 0 || p >= len(s.cfg.Tokens) {
 			return wire.Response{Err: fmt.Sprintf("player %d out of range", p)}
 		}
-		for _, b := range boards {
-			n += len(b.VotesView(p))
-		}
+		n += len(s.board.VotesView(p))
 	}
 	out := make([]wire.VoteMsg, 0, n)
 	for _, p := range req.Players {
-		from := len(out)
-		for _, b := range boards {
-			for _, v := range b.VotesView(p) {
-				out = append(out, wire.VoteMsg{Player: v.Player, Object: v.Object, Round: v.Round, Value: v.Value})
-			}
-		}
-		if len(boards) > 1 && len(out)-from > 1 {
-			slices.SortFunc(out[from:], func(a, b wire.VoteMsg) int {
-				if a.Round != b.Round {
-					return cmp.Compare(a.Round, b.Round)
-				}
-				return cmp.Compare(a.Object, b.Object)
-			})
+		for _, v := range s.board.VotesView(p) {
+			out = append(out, wire.VoteMsg{Player: v.Player, Object: v.Object, Round: v.Round, Value: v.Value})
 		}
 	}
 	return wire.Response{Votes: out, Round: s.round}
@@ -1276,36 +1152,17 @@ func (s *Server) voteBatchLocked(req *wire.Request) wire.Response {
 
 // votedObjectsLocked reads the voted-object set.
 func (s *Server) votedObjectsLocked() wire.Response {
-	if !s.sharded() {
-		return wire.Response{Objects: s.board.VotedObjects(), Round: s.round}
-	}
-	if !s.waitLanesUpLocked() {
-		return wire.Response{Err: errServerClosed}
-	}
-	return wire.Response{Objects: s.shardVotedObjectsLocked(), Round: s.round}
+	return wire.Response{Objects: s.board.VotedObjects(), Round: s.round}
 }
 
 // windowLocked counts vote events per object in [from, to).
 func (s *Server) windowLocked(from, to int) wire.Response {
-	if !s.sharded() {
-		return wire.Response{Counts: s.board.CountVotesInWindow(from, to), Round: s.round}
-	}
-	if !s.waitLanesUpLocked() {
-		return wire.Response{Err: errServerClosed}
-	}
-	return wire.Response{Counts: s.shardWindowLocked(from, to), Round: s.round}
+	return wire.Response{Counts: s.board.CountVotesInWindow(from, to), Round: s.round}
 }
 
 func (s *Server) voteCountLocked(obj int) wire.Response {
 	if obj < 0 || obj >= s.cfg.Universe.M() {
 		return wire.Response{Err: fmt.Sprintf("object %d out of range", obj)}
-	}
-	if s.sharded() {
-		ln := s.laneFor(obj)
-		if !s.waitLaneUpLocked(ln) {
-			return wire.Response{Err: errServerClosed}
-		}
-		return wire.Response{Count: ln.board.VoteCount(obj), Round: s.round}
 	}
 	return wire.Response{Count: s.board.VoteCount(obj), Round: s.round}
 }
@@ -1313,13 +1170,6 @@ func (s *Server) voteCountLocked(obj int) wire.Response {
 func (s *Server) negCountLocked(obj int) wire.Response {
 	if obj < 0 || obj >= s.cfg.Universe.M() {
 		return wire.Response{Err: fmt.Sprintf("object %d out of range", obj)}
-	}
-	if s.sharded() {
-		ln := s.laneFor(obj)
-		if !s.waitLaneUpLocked(ln) {
-			return wire.Response{Err: errServerClosed}
-		}
-		return wire.Response{Count: ln.board.NegativeCount(obj), Round: s.round}
 	}
 	return wire.Response{Count: s.board.NegativeCount(obj), Round: s.round}
 }
@@ -1406,44 +1256,30 @@ func (s *Server) leaveLocked(player int) {
 // (or an epoch-mode deadline forced it). The rule is the same in both
 // modes, which is why they commit the same posts into the same rounds
 // until a deadline fires. It loops because a seal opens the next round,
-// which stamps several rounds ahead may already close. A down lane leaves
-// the round open.
+// which stamps several rounds ahead may already close.
 func (s *Server) advanceLocked() {
 	for s.nRegistered >= s.cfg.Expected && s.nActive > 0 &&
 		(s.nClosed == s.nActive || s.forced) {
-		if !s.sealLocked() {
-			return
-		}
+		s.sealLocked()
 	}
 }
 
 // sealLocked commits the open round and reopens closure for the next one.
-// It reports false when a down lane blocked the commit (the round stays
-// open; RestartShard re-runs the advance).
-func (s *Server) sealLocked() bool {
-	if s.sharded() {
-		// The per-round shard barrier: every lane must seal before the round
-		// is observable. A down lane leaves the round open (waiters stay
-		// blocked); RestartShard re-runs this advance.
-		if !s.commitShardedLocked() {
-			return false
+func (s *Server) sealLocked() {
+	s.board.EndRound()
+	s.round++
+	s.m.rounds.Inc()
+	if s.jw != nil {
+		// A marker failure is logged into the error path on the next post;
+		// the in-memory board stays authoritative for this process.
+		if s.replLog != nil {
+			_ = s.jw.EndRoundQuorum(s.replTerm, s.replQuorum)
+		} else {
+			_ = s.jw.EndRound()
 		}
-	} else {
-		s.board.EndRound()
-		s.round++
-		s.m.rounds.Inc()
-		if s.jw != nil {
-			// A marker failure is logged into the error path on the next post;
-			// the in-memory board stays authoritative for this process.
-			if s.replLog != nil {
-				_ = s.jw.EndRoundQuorum(nil, s.replTerm, s.replQuorum)
-			} else {
-				_ = s.jw.EndRound()
-			}
-		}
-		if s.cfg.Mode == ModeEpoch {
-			s.m.epochSeals.Inc()
-		}
+	}
+	if s.cfg.Mode == ModeEpoch {
+		s.m.epochSeals.Inc()
 	}
 	s.reopenLocked()
 	if s.barrierTimer != nil && s.armedRound >= 0 {
@@ -1455,12 +1291,10 @@ func (s *Server) sealLocked() bool {
 	// a snapshot taken after that would persist those sentinels — a recovered
 	// server would then replay "server closed" to every retry, forever. The
 	// EndRound marker above already made this commit durable in the journal.
-	// (A sharded commit rotates inside its own critical section instead.)
-	if !s.sharded() && s.cfg.Persist != nil && !s.closed && s.cfg.SnapshotEvery > 0 && s.round%s.cfg.SnapshotEvery == 0 {
+	if s.cfg.Persist != nil && !s.closed && s.cfg.SnapshotEvery > 0 && s.round%s.cfg.SnapshotEvery == 0 {
 		s.rotateLocked()
 	}
 	s.cond.Broadcast()
-	return true
 }
 
 // reopenLocked re-derives closure for a freshly opened round and clears

@@ -125,7 +125,7 @@ func TestSwarmResendsRolledBackRound(t *testing.T) {
 	}
 	pass := func(*wire.Request) error { return nil }
 
-	cleanSrv, cleanAddr := startServer(t, u, n, 0, "")
+	cleanSrv, cleanAddr := startServer(t, u, n)
 	clean := run(cleanAddr, pass)
 	cleanProbes, _, _, _ := cleanSrv.Stats()
 

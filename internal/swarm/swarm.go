@@ -11,14 +11,12 @@
 // random stream and probe count. A round is a fixed frame pattern per
 // connection group: bulk board reads, chunked probe batches, chunked post
 // batches riding one exchange with the group's arrival, then batched
-// deregistration of the players that found their object. A sharded server
-// looks the same: it splits the post batches by lane itself. Every phase
+// deregistration of the players that found their object. Every phase
 // pipelines up to Config.Window frames per connection, and the transport
 // resumes sessions and resends the unacked frame tail across reconnects —
 // the whole closing exchange of a round whose arrival is unanswered, since
 // a server restart or leader failover rolls that round's posts back — so
-// chaos runs (server restart, shard bounce, leader kill) drive through
-// unchanged.
+// chaos runs (server restart, leader kill) drive through unchanged.
 //
 // The shared schedule is bit-compatible with independent per-player DISTILL
 // instances: same per-player randomness (rng.New(Seed).Split(player)), same

@@ -1,22 +1,16 @@
 package swarm_test
 
-// Swarm scheduler stress tests. The headline run drains a 10k-player block
-// through 4 connection groups while two shard lanes bounce mid-search —
-// killed with frames in flight, recovered from their per-shard journals —
-// and requires the committed billboard digest to be byte-identical to the
-// fault-free run on the same seed. Run under -race this doubles as the
-// scheduler's concurrency audit: group fan-out, transport resume, and the
-// bounce watcher all race against each other.
+// Swarm scheduler tests against an in-process server: the helpers every
+// test of the package shares, and the determinism contract. Kill/restart
+// stress lives in rollback_test.go and internal/dist's chaos tests.
 
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/journal"
 	"repro/internal/object"
 	"repro/internal/rng"
 	"repro/internal/server"
@@ -25,29 +19,18 @@ import (
 
 const stressToken = "swarm-stress-token"
 
-// startServer boots a billboard server sized for n players; persistDir ""
-// runs it memory-only (no shard bounce possible then).
-func startServer(t *testing.T, u *object.Universe, n, shards int, persistDir string) (*server.Server, string) {
+// startServer boots an in-memory billboard server sized for n players.
+func startServer(t *testing.T, u *object.Universe, n int) (*server.Server, string) {
 	t.Helper()
-	sc := server.Config{
+	srv, err := server.New(server.Config{
 		Universe:        u,
 		Tokens:          make([]string, n),
 		Alpha:           1.0,
 		Beta:            u.Beta(),
 		SessionGrace:    20 * time.Second,
 		BarrierDeadline: 60 * time.Second,
-		Shards:          shards,
 		SwarmToken:      stressToken,
-	}
-	if persistDir != "" {
-		st, err := journal.OpenStore(persistDir, journal.SyncCommit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Persist = st
-		t.Cleanup(func() { st.Close() })
-	}
-	srv, err := server.New(sc)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,78 +81,11 @@ func TestSwarmDeterministicDigest(t *testing.T) {
 	u := stressUniverse(t)
 	const n = 500
 	run := func() []byte {
-		srv, addr := startServer(t, u, n, 0, "")
+		srv, addr := startServer(t, u, n)
 		runSwarm(t, addr, n, 3)
 		return srv.Digest()
 	}
 	if a, b := run(), run(); !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different billboards")
-	}
-}
-
-// TestSwarmStressShardBounce is the scheduler's acceptance stress: a
-// 10k-player block drains through 4 connection groups against a 3-shard
-// server while two shard lanes bounce mid-search. The digest must match
-// the fault-free run on the same seed byte for byte, and the server's
-// probe ledger must agree with the driver's per-player counts exactly.
-func TestSwarmStressShardBounce(t *testing.T) {
-	n := 10_000
-	if testing.Short() {
-		n = 2_000
-	}
-	u := stressUniverse(t)
-
-	cleanSrv, cleanAddr := startServer(t, u, n, 3, "")
-	clean := runSwarm(t, cleanAddr, n, 4)
-	cleanDigest := cleanSrv.Digest()
-
-	srv, addr := startServer(t, u, n, 3, t.TempDir())
-	// Bounce watcher: the moment rounds are underway, kill lanes 1 and 2
-	// with frames in flight, then recover each from its per-shard journal.
-	bounceDone := make(chan error, 1)
-	go func() {
-		bounceDone <- func() error {
-			for srv.Round() < 2 {
-				time.Sleep(time.Millisecond)
-			}
-			for _, victim := range []int{1, 2} {
-				if err := srv.KillShard(victim); err != nil {
-					return fmt.Errorf("kill shard %d: %w", victim, err)
-				}
-			}
-			time.Sleep(10 * time.Millisecond)
-			for _, victim := range []int{1, 2} {
-				if err := srv.RestartShard(victim); err != nil {
-					return fmt.Errorf("restart shard %d: %w", victim, err)
-				}
-			}
-			return nil
-		}()
-	}()
-	got := runSwarm(t, addr, n, 4)
-	if err := <-bounceDone; err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range got.Players {
-		if got.Players[i].Probes != clean.Players[i].Probes {
-			t.Errorf("player %d: %d probes across bounce, %d clean",
-				i, got.Players[i].Probes, clean.Players[i].Probes)
-		}
-		if got.Players[i].Rounds != clean.Players[i].Rounds {
-			t.Errorf("player %d: halted in round %d across bounce, %d clean",
-				i, got.Players[i].Rounds, clean.Players[i].Rounds)
-		}
-	}
-	sProbes, _, _, _ := srv.Stats()
-	for i := range got.Players {
-		if sProbes[i] != got.Players[i].Probes {
-			t.Errorf("player %d: server charged %d probes, driver performed %d (double charge)",
-				i, sProbes[i], got.Players[i].Probes)
-		}
-	}
-	if digest := srv.Digest(); !bytes.Equal(digest, cleanDigest) {
-		t.Fatalf("billboard diverged across shard bounce:\nclean:\n%s\nbounced:\n%s",
-			cleanDigest, digest)
 	}
 }

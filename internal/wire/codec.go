@@ -241,19 +241,17 @@ func (r *Response) parse(p *codec.Parser) {
 }
 
 func (m *RepMsg) size() int {
-	return 2 + codec.UvarintSize(m.Term) + codec.IntSize(m.From) + codec.IntSize(m.Stream) +
-		codec.VarintSize(m.Offset) + codec.BytesSize(m.Data) + codec.BytesSize(m.Snapshot) + codec.VarintsSize(m.Offsets)
+	return 2 + codec.UvarintSize(m.Term) + codec.IntSize(m.From) + codec.VarintSize(m.Offset) +
+		codec.BytesSize(m.Data) + codec.BytesSize(m.Snapshot)
 }
 
 func (m *RepMsg) appendTo(b []byte) []byte {
 	b = append(b, kindRep, byte(m.Type))
 	b = binary.AppendUvarint(b, m.Term)
 	b = codec.AppendInt(b, m.From)
-	b = codec.AppendInt(b, m.Stream)
 	b = binary.AppendVarint(b, m.Offset)
 	b = codec.AppendBytes(b, m.Data)
-	b = codec.AppendBytes(b, m.Snapshot)
-	return codec.AppendVarints(b, m.Offsets)
+	return codec.AppendBytes(b, m.Snapshot)
 }
 
 // parse fills m, decoding Data into the buffer m.Data holds on entry.
@@ -261,16 +259,13 @@ func (m *RepMsg) parse(p *codec.Parser) {
 	m.Type = RepType(p.Byte())
 	m.Term = p.Uvarint()
 	m.From = p.Int()
-	m.Stream = p.Int()
 	m.Offset = p.Int64()
 	m.Data = p.Bytes(m.Data)
 	m.Snapshot = p.Bytes(nil)
-	m.Offsets = codec.ParseVarints[int64](p)
 }
 
 func (a *RepAck) size() int {
-	return 1 + 1 + codec.UvarintSize(a.Term) + codec.VarintSize(a.Offset) + codec.VarintsSize(a.Offsets) +
-		codec.BytesSize(a.Data) + codec.BytesSize(a.Snapshot) + 1 + codec.BytesSize(a.Err)
+	return 1 + 1 + codec.UvarintSize(a.Term) + codec.VarintSize(a.Offset) + codec.BytesSize(a.Data) + codec.BytesSize(a.Snapshot) + 1 + codec.BytesSize(a.Err)
 }
 
 func (a *RepAck) appendTo(b []byte) []byte {
@@ -278,7 +273,6 @@ func (a *RepAck) appendTo(b []byte) []byte {
 	b = codec.AppendBool(b, a.OK)
 	b = binary.AppendUvarint(b, a.Term)
 	b = binary.AppendVarint(b, a.Offset)
-	b = codec.AppendVarints(b, a.Offsets)
 	b = codec.AppendBytes(b, a.Data)
 	b = codec.AppendBytes(b, a.Snapshot)
 	b = codec.AppendBool(b, a.Reset)
@@ -289,7 +283,6 @@ func (a *RepAck) parse(p *codec.Parser) {
 	a.OK = p.Bool()
 	a.Term = p.Uvarint()
 	a.Offset = p.Int64()
-	a.Offsets = codec.ParseVarints[int64](p)
 	a.Data = p.Bytes(nil)
 	a.Snapshot = p.Bytes(nil)
 	a.Reset = p.Bool()

@@ -1,8 +1,7 @@
 package wire
 
 // Replica-to-replica frames (protocol v5). A coordinator group replicates
-// the leader's journal stores as raw byte streams: stream 0 is the
-// coordinator store, stream 1+k is shard lane k's store. The leader dials
+// the leader's journal store as one raw byte stream. The leader dials
 // each follower and drives a strictly serial request/ack conversation —
 // sync, appends, rotations, heartbeats — while candidates dial peers for
 // votes and catch-up fetches during an election. Every frame carries the
@@ -28,13 +27,13 @@ type RepType uint8
 
 const (
 	// RepSync opens a leader→follower conversation: the follower answers
-	// with its per-stream positions so the leader can plan catch-up.
+	// with its stream position so the leader can plan catch-up.
 	RepSync RepType = iota + 1
-	// RepAppend carries journal bytes for one stream, starting at Offset;
+	// RepAppend carries journal bytes starting at Offset;
 	// the follower appends them to its store iff Offset matches its
 	// position, and acks its new position.
 	RepAppend
-	// RepRotate resets one stream to a new segment: the follower rotates
+	// RepRotate resets the stream to a new segment: the follower rotates
 	// its store behind the carried snapshot (possibly nil) and adopts
 	// Offset as its position. Sent at leader-side journal rotation and as
 	// the full-resync path for a follower too far behind the retained tail.
@@ -43,9 +42,9 @@ const (
 	// follower resets its election timer.
 	RepHeartbeat
 	// RepVoteReq asks for a vote in Term: granted iff the term is newer and
-	// the candidate's per-stream positions are at least the voter's.
+	// the candidate's stream position is at least the voter's.
 	RepVoteReq
-	// RepFetch asks a peer for its journal bytes from Offset on one stream —
+	// RepFetch asks a peer for its journal bytes from Offset —
 	// the catch-up path of a candidate whose vote was denied on log length.
 	RepFetch
 )
@@ -85,35 +84,28 @@ type RepMsg struct {
 	// From is the sending replica's id.
 	From int
 
-	// Stream addresses one replicated store: 0 = coordinator, 1+k = lane k.
-	Stream int
 	// Offset is the stream position the payload starts at (RepAppend), the
-	// new segment's base position (RepRotate), or the position to read from
-	// (RepFetch).
+	// new segment's base position (RepRotate), the position to read from
+	// (RepFetch), or the candidate's stream position (RepVoteReq).
 	Offset int64
 	// Data is the journal byte payload (RepAppend).
 	Data []byte
 	// Snapshot is the new segment's snapshot bytes (RepRotate; nil for a
 	// snapshot-less segment).
 	Snapshot []byte
-
-	// Offsets is the candidate's per-stream position vector (RepVoteReq).
-	Offsets []int64
 }
 
 // RepAck is the reply to any RepMsg.
 type RepAck struct {
 	// OK reports acceptance. A refusal carries the responder's Term (the
-	// fencing signal) and, for votes, its Offsets (the catch-up hint).
+	// fencing signal) and, for votes, its Offset (the catch-up hint).
 	OK bool
 	// Term is the responder's current term after processing the message.
 	Term uint64
-	// Offset is the responder's position on the addressed stream after an
-	// append/rotate, or the base position of the returned Data on a fetch.
+	// Offset is the responder's stream position after an append or rotate,
+	// and in its replies to a sync or a vote; on a fetch reply, the base
+	// position of the returned Data.
 	Offset int64
-	// Offsets is the responder's full per-stream position vector (RepSync
-	// replies and vote denials).
-	Offsets []int64
 	// Data is the requested journal bytes (RepFetch replies).
 	Data []byte
 	// Snapshot, on a RepFetch reply, is non-nil when the requested offset
@@ -121,7 +113,7 @@ type RepAck struct {
 	// whole segment (snapshot + Data from Offset) and Reset is true.
 	Snapshot []byte
 	Reset    bool
-	// Err describes a structural failure (unknown stream, store error).
+	// Err describes a structural failure (a store error).
 	Err string
 }
 

@@ -16,16 +16,16 @@ import (
 var (
 	repMsgs = []RepMsg{
 		{Type: RepSync, Term: 3, From: 1},
-		{Type: RepAppend, Term: 3, From: 0, Stream: 2, Offset: 4096, Data: []byte("journal bytes")},
-		{Type: RepRotate, Term: 4, From: 0, Stream: 0, Offset: 9000, Snapshot: []byte("snap")},
+		{Type: RepAppend, Term: 3, From: 0, Offset: 4096, Data: []byte("journal bytes")},
+		{Type: RepRotate, Term: 4, From: 0, Offset: 9000, Snapshot: []byte("snap")},
 		{Type: RepHeartbeat, Term: 4, From: 0},
-		{Type: RepVoteReq, Term: 5, From: 2, Offsets: []int64{100, 0, 250}},
-		{Type: RepFetch, Term: 5, From: 2, Stream: 1, Offset: 128},
+		{Type: RepVoteReq, Term: 5, From: 2, Offset: 250},
+		{Type: RepFetch, Term: 5, From: 2, Offset: 128},
 	}
 	repAcks = []RepAck{
 		{OK: true, Term: 3, Offset: 512},
 		{OK: false, Term: 9, Err: "already leading this term"},
-		{OK: true, Term: 3, Offsets: []int64{10, 20}},
+		{OK: false, Term: 5, Offset: 300},
 		{OK: true, Term: 3, Offset: 64, Data: []byte("tail"), Snapshot: []byte("seg"), Reset: true},
 	}
 )
@@ -161,8 +161,7 @@ func maxRepFrameStream(t *testing.T, size int) (io.Reader, int) {
 	head := encodeStream(t, []RepMsg{{Type: RepHeartbeat, Term: 1}})
 	tail := encodeStream(t, []RepMsg{{Type: RepHeartbeat, Term: 2}})
 	rot := RepMsg{Type: RepRotate, Term: 7}
-	// rot's payload ends with the snapshot's length (0) and the empty
-	// Offsets' count (0); base is the rest.
+	// rot's payload ends with the snapshot's length (0); base is the rest.
 	body := rot.appendTo(nil)
 	base := len(body) - 1
 	snap := size - base - 1
@@ -173,10 +172,10 @@ func maxRepFrameStream(t *testing.T, size int) (io.Reader, int) {
 		t.Fatalf("rotation payload is %d bytes, want %d", got, size)
 	}
 	prefix := binary.AppendUvarint(nil, uint64(size))
-	prefix = append(prefix, body[:len(body)-2]...)
+	prefix = append(prefix, body[:base]...)
 	prefix = binary.AppendUvarint(prefix, uint64(snap))
 	return io.MultiReader(bytes.NewReader(head), bytes.NewReader(prefix), &zeros{n: snap},
-		bytes.NewReader([]byte{0}), bytes.NewReader(tail)), snap
+		bytes.NewReader(tail)), snap
 }
 
 // TestRepFrameCaps pins the replica link's size bounds: a frame of exactly

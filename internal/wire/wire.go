@@ -190,24 +190,14 @@ func (t ReqType) String() string {
 // commit order, so the lane Hello and the shard routing fields are gone:
 // Request.Lane, Request.Shard, PostMsg.Index and Response.Shards. Clients
 // cannot tell a sharded server from an unsharded one.
-const Version = 12
-
-// Shard maps an object id onto one of shards lanes: deterministic, seedless,
-// and stable across processes, so a lane's journal store always holds the
-// same objects. The mix is a splitmix64-style finalizer so that consecutive
-// object ids spread across lanes instead of striping.
-func Shard(object, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := uint64(object)
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return int(h % uint64(shards))
-}
+//
+// Version 13 replicates one stream. The server keeps one board and one
+// journal store (sharding is gone), so a replica group streams that one
+// store: RepMsg.Stream, RepMsg.Offsets and RepAck.Offsets are gone, and a
+// vote request, and the replies to a sync or a vote, carry the stream
+// position in Offset. Client frames are unchanged; a v12 replica cannot
+// parse a v13 replication frame, hence the bump.
+const Version = 13
 
 // MaxFrame bounds one framed message's declared size; anything larger is
 // treated as corruption, never allocated.

@@ -6,37 +6,6 @@ import (
 	"testing"
 )
 
-// TestShardMap pins the shard map's contract: deterministic, in range, 0
-// for unsharded configs, and actually spreading objects across lanes (a
-// degenerate map would silently serialize a sharded server onto one lane).
-func TestShardMap(t *testing.T) {
-	for _, shards := range []int{0, 1} {
-		for o := 0; o < 64; o++ {
-			if got := Shard(o, shards); got != 0 {
-				t.Fatalf("Shard(%d, %d) = %d, want 0", o, shards, got)
-			}
-		}
-	}
-	for _, shards := range []int{2, 4, 16} {
-		hit := make([]int, shards)
-		for o := 0; o < 256; o++ {
-			k := Shard(o, shards)
-			if k < 0 || k >= shards {
-				t.Fatalf("Shard(%d, %d) = %d out of range", o, shards, k)
-			}
-			if k != Shard(o, shards) {
-				t.Fatalf("Shard(%d, %d) not deterministic", o, shards)
-			}
-			hit[k]++
-		}
-		for k, n := range hit {
-			if n == 0 {
-				t.Fatalf("shard %d/%d received none of 256 objects", k, shards)
-			}
-		}
-	}
-}
-
 // TestV4FrameRoundTrip round-trips what protocol v4 left in the frames — a
 // post batch of several posts, the shape its per-lane batches had, and the
 // coded response — through the real frame layer.
