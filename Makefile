@@ -1,7 +1,10 @@
 # Developer entry points. `make check` is the gate for hot-path and
 # networking changes: gofmt (no file may need reformatting), vet, the race
-# detector over the concurrent packages (server, client, dist — including
-# the chaos, kill/restart recovery, and lease-timer lifecycle tests), the
+# detector over the concurrent packages (server, client, swarm, dist —
+# including the chaos, kill/restart recovery, and lease-timer lifecycle
+# tests), the session transport's contract tests (pipelining window,
+# tail and whole-batch resends, deadlines, the Retries bound, cancellation
+# of a blocked arrival) doubled under -race, the
 # durability layer (journal store, snapshot rotation, recovery's rejection
 # of out-of-range players), the packages the perf pass touched (billboard,
 # wire), the DISTILL variants (core, whose tests run replications in
@@ -37,7 +40,8 @@ test:
 check: build
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
-	$(GO) test -race ./internal/obs/... ./internal/billboard/... ./internal/wire/... ./internal/journal/... ./internal/server/... ./internal/client/... ./internal/dist/... ./internal/core/...
+	$(GO) test -race ./internal/obs/... ./internal/billboard/... ./internal/wire/... ./internal/journal/... ./internal/server/... ./internal/client/... ./internal/swarm/... ./internal/dist/... ./internal/core/...
+	$(GO) test -race -run 'TestConn|TestRetriesBoundDials|TestCancel' -count=2 ./internal/client ./internal/swarm
 	$(GO) test -race -run 'TestChaosServerKillRestart|TestChaosKillRestartUnderFaultInjection|TestPersist|TestCloseStopsLeaseTimers|TestResumeStopsLeaseTimer' -count=2 ./internal/server ./internal/dist
 	$(GO) test -race -run 'TestShardCommitDeterminismGolden' -count=2 ./internal/server
 	$(GO) test -race -run 'TestReplica|TestLeader|TestChaosReplica|TestChaosLeader' -count=2 ./internal/server ./internal/dist

@@ -32,8 +32,8 @@
 //
 //	reg := repro.NewMetrics()
 //
-//	// Networked: a client fleet sharing one registry. The context cancels
-//	// the dial and every later reconnect/backoff loop on the client.
+//	// Networked: a client fleet sharing one registry. Once the context is
+//	// done, the client's call in progress and every later one fail.
 //	c, err := repro.Dial(ctx, addr, player, token,
 //		repro.WithRetries(16),
 //		repro.WithMetrics(reg))

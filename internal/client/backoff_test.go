@@ -1,12 +1,12 @@
 package client
 
-// Backoff must be total: WithDefaults normalizes the knobs, but a zero or
-// hand-rolled Options (tests, embedding) reaches Backoff with whatever the
+// backoff must be total: withDefaults normalizes the knobs, but a zero or
+// hand-rolled Options (tests, embedding) reaches backoff with whatever the
 // caller left there. Degenerate configs — zero, negative, or
 // overflow-inducing values — must yield a sane wait (zero for "no backoff
-// configured"), never a panic in Uint64n(0). Both drivers draw their retry
-// waits from Backoff: the client and its shard lanes, and the swarm
-// transport.
+// configured"), never a panic in Uint64n(0). Every retry wait of both
+// drivers, the client and the swarm, is drawn from backoff by the session
+// transport they share.
 
 import (
 	"math"
@@ -53,7 +53,7 @@ func TestBackoffDegenerateConfigs(t *testing.T) {
 			// Several draws: the jitter must stay in range for every sample,
 			// and no draw may panic.
 			for i := 0; i < 32; i++ {
-				d := Backoff(opt, src, tc.attempt)
+				d := backoff(opt, src, tc.attempt)
 				if tc.wantZero {
 					if d != 0 {
 						t.Fatalf("backoff(%d) = %v, want 0", tc.attempt, d)
@@ -75,7 +75,7 @@ func TestBackoffOverflowTerminates(t *testing.T) {
 	opt := Options{BackoffBase: time.Nanosecond, BackoffMax: math.MaxInt64}
 	src := rng.New(2).Split(0)
 	done := make(chan time.Duration, 1)
-	go func() { done <- Backoff(opt, src, 1<<30) }()
+	go func() { done <- backoff(opt, src, 1<<30) }()
 	select {
 	case d := <-done:
 		if d <= 0 {

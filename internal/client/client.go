@@ -1,16 +1,20 @@
-// Package client is the player-side library for the networked billboard
-// service (internal/server). A Client implements billboard.Reader and
-// sim.PublicUniverse against the remote server, so the very same protocol
-// code (core.Distill and friends) that runs in the in-process engine drives
-// a distributed player over TCP.
+// Package client is the session transport of the networked billboard
+// service (internal/server) and the player-side library over it. A Client
+// implements billboard.Reader and sim.PublicUniverse against the remote
+// server, so the very same protocol code (core.Distill and friends) that
+// runs in the in-process engine drives a distributed player over TCP.
 //
-// The transport is fault tolerant beneath that surface: every call carries
-// a session id and sequence number (wire protocol v2), and on a transport
-// failure the client reconnects, resumes its session, and retries the
-// in-flight request with exponential backoff and jitter, bounded by
-// Options.Retries and per-call deadlines. The server deduplicates on the
-// sequence number, so a retry never re-executes a request whose response
-// was lost — in particular, a retried Probe is never charged twice.
+// The transport, a Conn on a Transport, is the one implementation of the
+// session both drivers speak: the Client rides one with a window of one
+// frame, and the swarm driver (internal/swarm) one per connection group
+// with a pipelining window. Every frame carries a session id and sequence
+// number (wire protocol v2), and on a transport failure the Conn
+// reconnects, resumes its session, and resends the unanswered frames with
+// backoff and jitter, bounded by Options.Retries and the call deadlines.
+// The server deduplicates on the sequence number, so a resend never
+// re-executes a request whose response was lost — in particular, a retried
+// Probe is never charged twice. A Transport's context ends its calls, even
+// one blocked in an arrival.
 //
 // The client's session is a player range of one (wire protocol v10): it
 // speaks the same batch frames as the swarm driver, each entry naming the
@@ -19,13 +23,11 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync/atomic"
 	"time"
@@ -37,29 +39,35 @@ import (
 	"repro/internal/wire"
 )
 
-// Options tunes the client's fault tolerance. The zero value gives sane
-// defaults, preserving the original Dial signature's behavior plus
-// automatic reconnect.
+// Options tunes the session transport's fault tolerance, for a Client and
+// for the swarm driver alike. The zero value gives sane defaults, preserving
+// the original Dial signature's behavior plus automatic reconnect.
 type Options struct {
 	// Dialer overrides the transport dial (default net.Dial "tcp") — the
 	// hook internal/faultnet uses for deterministic fault injection.
 	Dialer func(addr string) (net.Conn, error)
-	// Retries is how many times a failed call is retried (reconnecting and
-	// resuming the session first) before the error is reported. Default 8.
-	// Negative disables retries.
+	// Retries bounds a streak of consecutive failures that ack no new
+	// frame: at most Retries of them are retried, each by reconnecting and
+	// resuming the session (the first at once, later ones after a
+	// backoff), before the call fails and the session is lost. A
+	// connection already down when a call starts (after Client.Abort, say)
+	// is dialed without spending a retry. Default 8; negative disables
+	// retries.
 	Retries int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// retries; actual waits are fully jittered — uniform in (0, step].
-	// Defaults 5ms and 500ms.
+	// BackoffBase and BackoffMax shape the exponential backoff before the
+	// second and later retries of a streak; actual waits are fully
+	// jittered — uniform in (0, step]. Defaults 5ms and 500ms.
 	BackoffBase, BackoffMax time.Duration
-	// CallTimeout bounds one attempt of every call but an arrival (connect,
-	// probe, post, reads). Default 30s; negative disables the deadline.
+	// CallTimeout bounds the handshake, each frame's send, and the wait for
+	// every answer but an arrival's. Default 30s; negative disables the
+	// deadline.
 	CallTimeout time.Duration
-	// BarrierTimeout bounds one attempt of every arrival: Barrier, and
-	// PostBatch with endRound. An arrival blocks legitimately while other
-	// players finish their rounds, so the default is 0 (no deadline); set
-	// it when fault injection can swallow an arrival (the retry resumes the
-	// session and re-arrives idempotently).
+	// BarrierTimeout bounds the wait for an arrival's answer: Barrier, and
+	// PostBatch with endRound (a swarm group's stamp alike). An arrival
+	// blocks legitimately while other players finish their rounds, so the
+	// default is 0 (no deadline); set it when fault injection can swallow
+	// an arrival (the retry resumes the session and re-arrives
+	// idempotently).
 	BarrierTimeout time.Duration
 	// Seed drives the backoff jitter (default: derived from the player id).
 	Seed uint64
@@ -76,10 +84,10 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// WithDefaults returns o with every unset knob filled with its default.
+// withDefaults returns o with every unset knob filled with its default.
 // label seeds the default backoff jitter: the player id for a client, the
 // first player of the block for a swarm.
-func WithDefaults(o Options, label int) Options {
+func withDefaults(o Options, label int) Options {
 	if o.Dialer == nil {
 		o.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
@@ -107,12 +115,12 @@ func WithDefaults(o Options, label int) Options {
 	return o
 }
 
-// Backoff returns o's fully-jittered exponential backoff for an attempt
+// backoff returns o's fully-jittered exponential backoff for an attempt
 // (1-based), drawing jitter from src: uniform in (0, min(base·2^(attempt-1),
-// max)], or zero for degenerate knobs. WithDefaults normalizes non-positive
+// max)], or zero for degenerate knobs. withDefaults normalizes non-positive
 // knobs, but a zero-valued Options reaching this directly (or a doubling
 // overflow) must yield an immediate retry, not a panic in Uint64n(0).
-func Backoff(o Options, src *rng.Source, attempt int) time.Duration {
+func backoff(o Options, src *rng.Source, attempt int) time.Duration {
 	step := o.BackoffBase
 	for i := 1; i < attempt && step > 0 && step < o.BackoffMax; i++ {
 		step *= 2 // overflow drives step non-positive and exits the loop
@@ -129,10 +137,10 @@ func Backoff(o Options, src *rng.Source, attempt int) time.Duration {
 // sessionCounter backs session-id generation when crypto/rand fails.
 var sessionCounter atomic.Uint64
 
-// NewSessionID picks a client-chosen session id: unique is all that matters
+// newSessionID picks a client-chosen session id: unique is all that matters
 // (it names the session for resume; it carries no randomness the simulation
 // depends on). label breaks ties in the fallback when crypto/rand fails.
-func NewSessionID(label int) uint64 {
+func newSessionID(label int) uint64 {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err == nil {
 		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
@@ -142,49 +150,25 @@ func NewSessionID(label int) uint64 {
 	return sessionCounter.Add(1)<<16 | uint64(label&0xffff) | 1
 }
 
-// Client is one player's authenticated connection to a billboard server.
-// It is not safe for concurrent use; each player goroutine owns one Client.
+// Client is one player's authenticated connection to a billboard server:
+// a thin player API over one session Conn with a window of one frame. It
+// is not safe for concurrent use; each player goroutine owns one Client.
 type Client struct {
-	addr    string   // current target: the last leader hint or rotation pick
-	addrs   []string // rotation ring: primary + Options.Fallbacks
-	addrIdx int
-
-	token  string
-	player int
-	opt    Options
-
-	ctx     context.Context // cancels backoff sleeps and retry loops
-	session uint64
-	seq     uint64
-	conn    net.Conn
-	w       io.Writer // encode path: conn, or a counting wrapper over it
-	br      *bufio.Reader
-	enc     *wire.StreamEncoder // connection-scoped codecs,
-	dec     *wire.StreamDecoder // rebuilt with every reconnect
-	jitter  *rng.Source
+	conn    *Conn
+	player  int
 	closed  bool  // set by Close: no further calls, no reconnects
-	lastErr error // first unrecovered transport failure; sticky
-	resumed bool  // a Hello has succeeded before: later connects are resumes
-	met     clientMetrics
+	readErr error // the first failed Reader call; sticky
 
 	n, m         int
 	localTesting bool
 	alpha, beta  float64
 	costs        []float64
-	round        int
 }
 
 var (
 	_ billboard.Reader   = (*Client)(nil)
 	_ sim.PublicUniverse = (*Client)(nil)
 )
-
-// serverError marks an application-level rejection from the server during
-// connect — permanent: retrying the same credentials cannot succeed.
-type serverError struct{ err error }
-
-func (e *serverError) Error() string { return e.err.Error() }
-func (e *serverError) Unwrap() error { return e.err }
 
 // Dial connects and authenticates as the given player with default
 // Options.
@@ -198,170 +182,27 @@ func DialOptions(addr string, player int, token string, opt Options) (*Client, e
 	return DialContext(context.Background(), addr, player, token, opt)
 }
 
-// DialContext is DialOptions under a context: cancellation interrupts the
-// dial's backoff sleeps, and the context stays attached to the client,
-// cutting short every later reconnect/retry loop. A nil ctx means
-// context.Background().
+// DialContext is DialOptions under a context, which stays attached to the
+// client. Once it is done, the dial or call in progress fails with its
+// error, even one blocked in an arrival or a backoff sleep, and so does
+// every later call. A nil ctx means context.Background(). A dial that
+// exhausts its retries without completing a handshake wraps
+// wire.ErrServerClosed.
 func DialContext(ctx context.Context, addr string, player int, token string, opt Options) (*Client, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = WithDefaults(opt, player)
-	c := &Client{
-		addr:    addr,
-		addrs:   []string{addr},
-		token:   token,
-		player:  player,
-		opt:     opt,
-		ctx:     ctx,
-		session: NewSessionID(player),
-		jitter:  rng.New(opt.Seed).Split(uint64(player)),
-		met:     newClientMetrics(opt.Metrics),
-	}
-	for _, fb := range opt.Fallbacks {
-		if fb != "" && fb != addr {
-			c.addrs = append(c.addrs, fb)
-		}
-	}
-	var last error
-	for attempt := 0; attempt <= opt.Retries; attempt++ {
-		if attempt > 0 {
-			c.met.retries.Inc()
-			if err := c.sleepBackoff(attempt); err != nil {
-				return nil, fmt.Errorf("client: dial %s: %w", addr, err)
-			}
-		}
-		if err := c.connect(); err != nil {
-			var perm *serverError
-			if errors.As(err, &perm) {
-				return nil, perm.err
-			}
-			last = err
-			continue
-		}
-		return c, nil
-	}
-	// Every attempt failed to complete a handshake: classify the endpoint
-	// as dead so callers can match with errors.Is(err, wire.ErrServerClosed).
-	return nil, fmt.Errorf("client: dial %s: retries exhausted: %w (%w)", addr, last, wire.ErrServerClosed)
-}
-
-// adoptLeader steers the client to the address a not-leader rejection named
-// (or rotates when the rejecting replica did not know the leader).
-func (c *Client) adoptLeader(addr string) {
-	if addr != "" {
-		c.addr = addr
-		return
-	}
-	c.rotateAddr()
-}
-
-// rotateAddr advances to the next address in the fallback ring.
-func (c *Client) rotateAddr() {
-	if len(c.addrs) <= 1 {
-		return
-	}
-	c.addrIdx = (c.addrIdx + 1) % len(c.addrs)
-	c.addr = c.addrs[c.addrIdx]
-}
-
-// connect dials and performs the Hello handshake. Because the session id is
-// fixed at construction, a reconnect resumes the session: registration,
-// vote state, and the server-side dedup window all survive. Address
-// steering lives here: a dial failure rotates the fallback ring, a
-// not-leader rejection adopts the leader it names — both return retryable
-// errors so the caller's loop tries the new address.
-func (c *Client) connect() error {
-	c.met.dials.Inc()
-	if c.resumed {
-		c.met.reconnects.Inc()
-	}
-	nc, err := c.opt.Dialer(c.addr)
+	// A player's own session answers a resend below its last sequence
+	// number as stale, so the client must not pipeline: a window of one.
+	t := NewTransport(ctx, addr, opt, player, 1, newClientMetrics(opt.Metrics))
+	conn := t.NewConn(fmt.Sprintf("client: player %d", player),
+		wire.Request{Player: player, Token: token}, uint64(player))
+	hello, err := conn.Dial()
 	if err != nil {
-		c.rotateAddr()
-		return fmt.Errorf("client: %w", err)
+		return nil, err
 	}
-	var w io.Writer = nc
-	if c.met.enabled {
-		w = &countingWriter{w: nc, bytes: c.met.bytesSent}
-	}
-	br := bufio.NewReader(nc)
-	enc, dec := wire.NewStreamEncoder(w), wire.NewStreamDecoder(br)
-	if c.opt.CallTimeout > 0 {
-		nc.SetDeadline(time.Now().Add(c.opt.CallTimeout))
-	}
-	req := wire.Request{
-		Type: wire.ReqHello, Player: c.player, Token: c.token,
-		Version: wire.Version, Session: c.session,
-	}
-	if err := enc.EncodeRequest(&req); err != nil {
-		nc.Close()
-		return fmt.Errorf("client: send hello: %w", err)
-	}
-	c.met.framesSent.Inc()
-	var resp wire.Response
-	if err := dec.DecodeResponse(&resp); err != nil {
-		nc.Close()
-		return fmt.Errorf("client: recv hello: %w", err)
-	}
-	nc.SetDeadline(time.Time{})
-	if e := resp.Error(); e != nil {
-		nc.Close()
-		if errors.Is(e, wire.ErrNotLeader) {
-			c.adoptLeader(resp.Leader)
-			return fmt.Errorf("client: hello: %w", e) // retryable: try the leader
-		}
-		return &serverError{e}
-	}
-	c.conn, c.w, c.br = nc, w, br
-	c.enc, c.dec = enc, dec
-	c.resumed = true
-	c.n = resp.N
-	c.m = resp.M
-	c.localTesting = resp.LocalTesting
-	c.alpha = resp.Alpha
-	c.beta = resp.Beta
-	c.costs = resp.Costs
-	if resp.Round > c.round {
-		c.round = resp.Round
-	}
-	return nil
-}
-
-// drop severs the current transport (keeping the session resumable).
-func (c *Client) drop() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.w, c.br = nil, nil, nil
-		c.enc, c.dec = nil, nil
-	}
-}
-
-// pause sleeps for d, attributing the wait to client_backoff_seconds_total,
-// and returns early with the context's error if it is canceled first.
-func (c *Client) pause(d time.Duration) error {
-	c.met.backoffSeconds.Add(d.Seconds())
-	if c.ctx == nil {
-		time.Sleep(d)
-		return nil
-	}
-	if d <= 0 {
-		return c.ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-c.ctx.Done():
-		return c.ctx.Err()
-	}
-}
-
-// sleepBackoff sleeps the jittered backoff for an attempt; a non-nil error
-// means the client's context was canceled mid-wait.
-func (c *Client) sleepBackoff(attempt int) error {
-	return c.pause(Backoff(c.opt, c.jitter, attempt))
+	return &Client{
+		conn: conn, player: player,
+		n: hello.N, m: hello.M, localTesting: hello.LocalTesting,
+		alpha: hello.Alpha, beta: hello.Beta, costs: hello.Costs,
+	}, nil
 }
 
 // Close tears down the connection without Done. With a session grace
@@ -370,12 +211,7 @@ func (c *Client) sleepBackoff(attempt int) error {
 // closing mid-round cannot wedge the round.
 func (c *Client) Close() error {
 	c.closed = true
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn, c.w, c.br = nil, nil, nil
-	return err
+	return c.conn.Close()
 }
 
 // ErrClosed is returned by calls made after Close.
@@ -384,13 +220,19 @@ var ErrClosed = errors.New("client: closed")
 // Abort severs the transport abruptly — as a crash or network fault would —
 // leaving the client usable: the next call reconnects and resumes the
 // session (within the server's grace window). Test and chaos hook.
-func (c *Client) Abort() { c.drop() }
+func (c *Client) Abort() { c.conn.Close() }
 
-// Err reports the first transport failure that retries could not recover
-// (nil while the session is healthy). The billboard.Reader methods cannot
-// return errors — they report zero values on failure and record it here;
-// callers (internal/dist) should check Err once per round.
-func (c *Client) Err() error { return c.lastErr }
+// Err reports the first failure the client could not recover from: a lost
+// session (retries exhausted, resume refused) or a failed Reader call. Nil
+// while the session is healthy. The billboard.Reader methods cannot return
+// errors — they report zero values on failure and record it here; callers
+// (internal/dist) should check Err once per round.
+func (c *Client) Err() error {
+	if c.readErr != nil {
+		return c.readErr
+	}
+	return c.conn.Err()
+}
 
 // Player returns the authenticated player id.
 func (c *Client) Player() int { return c.player }
@@ -404,91 +246,34 @@ func (c *Client) Alpha() float64 { return c.alpha }
 // Beta returns the server-advertised assumed good fraction.
 func (c *Client) Beta() float64 { return c.beta }
 
-// call runs one sequenced request, transparently reconnecting, resuming
-// the session, and retrying on transport failures. Application-level
-// errors from the server are returned as-is and are not retried.
-func (c *Client) call(req wire.Request) (*wire.Response, error) {
+// usable reports why the client can make no further call, if it cannot.
+func (c *Client) usable() error {
 	if c.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	if c.lastErr != nil {
-		return nil, c.lastErr
+	return c.readErr
+}
+
+// call runs one request on the session (see Conn.Exchange for its retries).
+// Application-level errors from the server fail the call and are not
+// retried.
+func (c *Client) call(req wire.Request) (*wire.Response, error) {
+	if err := c.usable(); err != nil {
+		return nil, err
 	}
-	c.seq++
-	req.Session = c.session
-	req.Seq = c.seq
-	timeout := c.opt.CallTimeout
-	if req.Type == wire.ReqEpoch || (req.Type == wire.ReqPostBatch && req.EndRound) {
-		// An arrival blocks legitimately while other players finish their
-		// rounds.
-		timeout = c.opt.BarrierTimeout
+	return c.conn.Call(req)
+}
+
+// arrive sends req as the caller's arrival, stamped one past the client's
+// round, and returns the round the server answers once that round has
+// committed (see Conn.Arrive).
+func (c *Client) arrive(req wire.Request) (int, error) {
+	if err := c.usable(); err != nil {
+		return 0, err
 	}
-	var last error
-	dialFailed := false
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		if attempt > 0 {
-			c.met.retries.Inc()
-			if err := c.sleepBackoff(attempt); err != nil {
-				return nil, err // context canceled mid-backoff
-			}
-		}
-		if c.conn == nil {
-			if err := c.connect(); err != nil {
-				var perm *serverError
-				if errors.As(err, &perm) {
-					// The session is gone (lease expired, force-done, …):
-					// no retry can bring it back.
-					c.lastErr = fmt.Errorf("client: resume %v: %w", req.Type, perm.err)
-					return nil, c.lastErr
-				}
-				dialFailed = true
-				last = err
-				continue
-			}
-		}
-		dialFailed = false
-		if timeout > 0 {
-			c.conn.SetDeadline(time.Now().Add(timeout))
-		}
-		if err := c.enc.EncodeRequest(&req); err != nil {
-			c.drop()
-			last = fmt.Errorf("client: send %v: %w", req.Type, err)
-			continue
-		}
-		c.met.framesSent.Inc()
-		resp := new(wire.Response)
-		if err := c.dec.DecodeResponse(resp); err != nil {
-			c.drop()
-			last = fmt.Errorf("client: recv %v: %w", req.Type, err)
-			continue
-		}
-		if timeout > 0 {
-			c.conn.SetDeadline(time.Time{})
-		}
-		if resp.Round > c.round {
-			c.round = resp.Round
-		}
-		if err := resp.Error(); err != nil {
-			if errors.Is(err, wire.ErrNotLeader) {
-				// The server we were talking to lost its leadership between
-				// our requests: follow the redirect and retry there.
-				c.adoptLeader(resp.Leader)
-				c.drop()
-				last = err
-				continue
-			}
-			return nil, err
-		}
-		return resp, nil
-	}
-	if dialFailed {
-		// The final attempt never reached a live server: best-effort
-		// dead-endpoint classification (errors.Is(err, wire.ErrServerClosed)).
-		c.lastErr = fmt.Errorf("client: %v: retries exhausted: %w (%w)", req.Type, last, wire.ErrServerClosed)
-	} else {
-		c.lastErr = fmt.Errorf("client: %v: retries exhausted: %w", req.Type, last)
-	}
-	return nil, c.lastErr
+	reqs := [1]wire.Request{req}
+	var resps [1]wire.Response
+	return c.conn.Arrive(reqs[:], resps[:], c.conn.Round()+1)
 }
 
 // sim.PublicUniverse implementation (from the Hello payload).
@@ -580,27 +365,6 @@ func (c *Client) Barrier() (int, error) {
 	return c.arrive(wire.Request{Type: wire.ReqEpoch})
 }
 
-// arrive sends req as the caller's arrival, stamped round+1 ("finished every
-// round below it"), and returns the round the server answers once that
-// round has committed. The server answers a live arrival only then, so an
-// answer below the stamp is a dedup replay recorded before the seal (after
-// a crash recovery, say); the bare stamp is then re-sent under a fresh
-// sequence number. It waits server-side, so nothing spins.
-func (c *Client) arrive(req wire.Request) (int, error) {
-	target := c.round + 1
-	req.Epoch = target
-	for {
-		resp, err := c.call(req)
-		if err != nil {
-			return 0, err
-		}
-		if resp.Round >= target {
-			return resp.Round, nil
-		}
-		req = wire.Request{Type: wire.ReqEpoch, Epoch: target}
-	}
-}
-
 // Done deregisters the player from future rounds.
 func (c *Client) Done() error {
 	_, err := c.call(wire.Request{Type: wire.ReqDone, Players: []int{c.player}})
@@ -613,18 +377,18 @@ func (c *Client) Done() error {
 // the distributed runner additionally checks Err each round.
 
 // noteReadErr records a failure observed on the zero-value Reader path.
-// Transport exhaustion is already latched by call; this catches
-// application-level rejections, which call returns without recording — a
+// A lost session is already latched by the Conn; this catches
+// application-level rejections, which a call returns without recording — a
 // rejected read silently answering "no votes" would otherwise steer the
 // protocol with fabricated advice and never surface through Err.
 func (c *Client) noteReadErr(err error) {
-	if err != nil && c.lastErr == nil {
-		c.lastErr = err
+	if err != nil && c.readErr == nil {
+		c.readErr = err
 	}
 }
 
 // Round returns the last round number observed from the server.
-func (c *Client) Round() int { return c.round }
+func (c *Client) Round() int { return c.conn.Round() }
 
 // Votes returns player p's committed votes.
 func (c *Client) Votes(player int) []billboard.Vote {
@@ -699,7 +463,7 @@ func (c *Client) CountVotesInLast(last int) (map[int]int, int) {
 	resp, err := c.call(wire.Request{Type: wire.ReqWindow, Last: last})
 	if err != nil {
 		c.noteReadErr(err)
-		return map[int]int{}, c.round
+		return map[int]int{}, c.conn.Round()
 	}
 	if resp.Counts == nil {
 		return map[int]int{}, resp.Round

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/object"
+	"repro/internal/rng"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -48,5 +51,51 @@ func TestDialExhaustionClassifiesDeadEndpoint(t *testing.T) {
 	})
 	if !errors.Is(err, wire.ErrServerClosed) {
 		t.Fatalf("err = %v, want it to wrap wire.ErrServerClosed", err)
+	}
+}
+
+// TestCancelEndsBlockedBarrier pins the context rule for a blocked arrival:
+// player 0 of two arrives, so its Barrier waits for player 1, who never
+// registers, with no barrier deadline. Canceling the client's context must
+// end the Barrier promptly with the context's error, and every later call
+// must fail too.
+func TestCancelEndsBlockedBarrier(t *testing.T) {
+	u, err := object.NewPlanted(object.Planted{M: 16, Good: 1}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Universe: u, Tokens: []string{"a", "b"}, Alpha: 1, Beta: u.Beta()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	addr, err := srv.Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c, err := DialContext(ctx, addr, 0, "a", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Barrier()
+		errc <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Barrier returned %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Barrier still blocked a second after the cancel")
+	}
+	if _, err := c.Probe(0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("probe after the cancel returned %v, want context.Canceled", err)
 	}
 }

@@ -228,17 +228,122 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	if cfg.Honest < 1 {
 		return nil, fmt.Errorf("dist: need at least one honest player")
 	}
-	if cfg.Topology.Replicas > 1 {
-		return runReplicated(cfg, honestFleet)
-	}
-	if cfg.Chaos.KillLeaderAtRound > 0 {
-		return nil, fmt.Errorf("dist: KillLeaderAtRound requires Topology.Replicas > 1")
-	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 4096
 	}
 	n := cfg.Honest + cfg.Byzantine
 	tokens, swarmToken := mintTokens(cfg.Seed, n)
+	start := startCoordinator
+	if cfg.Topology.Replicas > 1 {
+		start = startReplicas
+	}
+	svc, err := start(&cfg, server.Config{
+		Universe:        cfg.Universe,
+		Tokens:          tokens,
+		Alpha:           float64(cfg.Honest) / float64(n),
+		Beta:            cfg.Universe.Beta(),
+		SessionGrace:    cfg.SessionGrace,
+		BarrierDeadline: cfg.BarrierDeadline,
+		Mode:            cfg.Mode,
+		SwarmToken:      swarmToken,
+		SnapshotEvery:   cfg.SnapshotEvery, // rotates a Persist store only
+		Logf:            cfg.Logf,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer svc.close()
+
+	// Per-player client options: the service's other client addresses as
+	// dial fallbacks and, with fault injection, a dialer carrying the
+	// player's own deterministic fault stream (label = player id), so the
+	// chaos schedule is reproducible from Fault.Seed alone. One injector
+	// shared across players would serialize ordinal counting on a mutex
+	// but still be deterministic per label; per-player injectors make the
+	// independence explicit.
+	playerOptions := func(label int) (client.Options, error) {
+		opt := cfg.Client
+		opt.Fallbacks = append(append([]string(nil), opt.Fallbacks...), svc.addrs[1:]...)
+		if cfg.Chaos.Fault != nil {
+			inj, err := faultnet.New(*cfg.Chaos.Fault)
+			if err != nil {
+				return opt, err
+			}
+			opt.Dialer = inj.Dialer(uint64(label), opt.Dialer)
+		}
+		return opt, nil
+	}
+
+	var byzWG sync.WaitGroup
+	for b := 0; b < cfg.Byzantine; b++ {
+		player := cfg.Honest + b
+		opt, err := playerOptions(player)
+		if err != nil {
+			return nil, err
+		}
+		byzWG.Add(1)
+		go func(player int, opt client.Options) {
+			defer byzWG.Done()
+			_ = runByzantineSpam(svc.addrs[0], player, tokens[player], opt)
+		}(player, opt)
+	}
+
+	results, honestErr := honestFleet(&cfg, svc.addrs[0], tokens, swarmToken, playerOptions)
+	byzWG.Wait()
+	kills, err := svc.stop()
+	if err != nil {
+		return nil, err
+	}
+	if honestErr != nil {
+		return nil, honestErr
+	}
+	final, err := svc.final()
+	if err != nil {
+		return nil, err
+	}
+	out := summarize(results, final)
+	if cfg.Topology.Replicas > 1 {
+		out.Failovers = kills
+	} else {
+		out.Restarts = kills
+	}
+	return out, nil
+}
+
+// service is the billboard service a cluster run drives: one coordinator
+// or a replica group. The topologies differ only in how they start, what
+// their chaos hook kills, and the replica group's dial fallbacks.
+type service struct {
+	addrs []string // client addresses: players dial addrs[0], then fall back to the rest
+	// stop ends the chaos hook and returns the kills it made, or the
+	// restart it could not complete.
+	stop func() (kills int, err error)
+	// final returns the server whose committed state the run reports.
+	final func() (*server.Server, error)
+	close func()
+}
+
+// watch runs a chaos hook in its own goroutine until the hook returns or
+// the returned stop is called, which closes the hook's quit channel and
+// waits for the hook to exit.
+func watch(hook func(quit <-chan struct{})) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		hook(quit)
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
+}
+
+// startCoordinator starts a single coordinator on a loopback port, with
+// the KillAtRound restart hook when the chaos schedule asks for it.
+func startCoordinator(cfg *ClusterConfig, sc server.Config) (*service, error) {
+	if cfg.Chaos.KillLeaderAtRound > 0 {
+		return nil, fmt.Errorf("dist: KillLeaderAtRound requires Topology.Replicas > 1")
+	}
 	if cfg.Chaos.KillAtRound > 0 && cfg.PersistDir == "" {
 		return nil, fmt.Errorf("dist: KillAtRound requires PersistDir")
 	}
@@ -246,24 +351,13 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	// generation recovers from (and journals into) the same store, which is
 	// what makes kill/restart cycles transparent to the players.
 	newServer := func() (*server.Server, *journal.Store, error) {
-		sc := server.Config{
-			Universe:        cfg.Universe,
-			Tokens:          tokens,
-			Alpha:           float64(cfg.Honest) / float64(n),
-			Beta:            cfg.Universe.Beta(),
-			SessionGrace:    cfg.SessionGrace,
-			BarrierDeadline: cfg.BarrierDeadline,
-			Mode:            cfg.Mode,
-			SwarmToken:      swarmToken,
-			Logf:            cfg.Logf,
-		}
+		sc := sc
 		if cfg.PersistDir != "" {
 			st, err := journal.OpenStore(cfg.PersistDir, journal.SyncCommit)
 			if err != nil {
 				return nil, nil, err
 			}
 			sc.Persist = st
-			sc.SnapshotEvery = cfg.SnapshotEvery
 		}
 		srv, err := server.New(sc)
 		if err != nil {
@@ -278,13 +372,16 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// current guards the live server generation: the watcher swaps it at a
+	// srvMu guards the live server generation: the hook swaps it at a
 	// restart; teardown and final stats always address the newest one.
 	var srvMu sync.Mutex
-	closeCurrent := func() {
+	current := func() (*server.Server, *journal.Store) {
 		srvMu.Lock()
-		cs, cst := srv, store
-		srvMu.Unlock()
+		defer srvMu.Unlock()
+		return srv, store
+	}
+	closeCurrent := func() {
+		cs, cst := current()
 		cs.Close()
 		if cst != nil {
 			cst.Close()
@@ -295,9 +392,8 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 		closeCurrent()
 		return nil, err
 	}
-	defer closeCurrent()
 
-	// KillAtRound watcher: the kill lands inside the open round, once the
+	// KillAtRound hook: the kill lands inside the open round, once the
 	// round KillAtRound or a later one has journaled a post it has not
 	// committed, which the first generation's journal shows as it is
 	// written (killInRound). Rounds here last a few milliseconds, and their
@@ -309,15 +405,13 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	// rolling the open round back.
 	restarts := 0
 	var restartErr error
-	watcherStop := make(chan struct{})
-	watcherDone := make(chan struct{})
+	stop := func() {}
 	if cfg.Chaos.KillAtRound > 0 {
 		kill := make(chan struct{}, 1)
 		store.SetMirror(killInRound(srv.Round(), cfg.Chaos.KillAtRound, kill))
-		go func() {
-			defer close(watcherDone)
+		stop = watch(func(quit <-chan struct{}) {
 			select {
-			case <-watcherStop:
+			case <-quit:
 				return
 			case <-kill:
 			}
@@ -348,59 +442,20 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 				}
 			}
 			restartErr = fmt.Errorf("dist: server restart: %w", err)
-		}()
-	} else {
-		close(watcherDone)
+		})
 	}
-
-	// Per-player client options; with fault injection each player's dialer
-	// carries its own deterministic fault stream (label = player id), so
-	// the chaos schedule is reproducible from Fault.Seed alone.
-	playerOptions := func(player int) (client.Options, error) {
-		opt := cfg.Client
-		if cfg.Chaos.Fault != nil {
-			inj, err := faultnet.New(*cfg.Chaos.Fault)
-			if err != nil {
-				return opt, err
-			}
-			opt.Dialer = inj.Dialer(uint64(player), opt.Dialer)
-		}
-		return opt, nil
-	}
-	// One injector shared across players would serialize ordinal counting
-	// on a mutex but still be deterministic per label; per-player injectors
-	// make the independence explicit.
-
-	var byzWG sync.WaitGroup
-	for b := 0; b < cfg.Byzantine; b++ {
-		player := cfg.Honest + b
-		opt, err := playerOptions(player)
-		if err != nil {
-			return nil, err
-		}
-		byzWG.Add(1)
-		go func(player int, opt client.Options) {
-			defer byzWG.Done()
-			_ = runByzantineSpam(addr, player, tokens[player], opt)
-		}(player, opt)
-	}
-
-	results, honestErr := honestFleet(&cfg, addr, tokens, swarmToken, playerOptions)
-	byzWG.Wait()
-	close(watcherStop)
-	<-watcherDone
-	if restartErr != nil {
-		return nil, restartErr
-	}
-	if honestErr != nil {
-		return nil, honestErr
-	}
-	srvMu.Lock()
-	final := srv
-	srvMu.Unlock()
-	out := summarize(results, final)
-	out.Restarts = restarts
-	return out, nil
+	return &service{
+		addrs: []string{addr},
+		stop: func() (int, error) {
+			stop()
+			return restarts, restartErr
+		},
+		final: func() (*server.Server, error) {
+			final, _ := current()
+			return final, nil
+		},
+		close: closeCurrent,
+	}, nil
 }
 
 // killInRound returns a journal mirror for a server at round round: it

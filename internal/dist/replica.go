@@ -3,7 +3,7 @@ package dist
 // Replicated-coordinator cluster runs. With Topology.Replicas > 1 the
 // billboard service is a replica group (server.StartReplica): a leader
 // quorum-commits every round into the group before clients see it, and a
-// follower takes over when the leader dies. The harness gives every player
+// follower takes over when the leader dies. The runner gives every player
 // the full client-address list as dial fallbacks, so a leader kill looks to
 // them like any other transport fault: retry, redirect, resume.
 
@@ -14,8 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/client"
-	"repro/internal/faultnet"
 	"repro/internal/server"
 )
 
@@ -88,21 +86,9 @@ func (rc *replicaCluster) closeAll() {
 }
 
 // startReplicaCluster binds every listener up front (so the address book is
-// complete before any node starts) and launches the group.
-func startReplicaCluster(cfg ClusterConfig, tokens []string, swarmToken string) (*replicaCluster, error) {
-	n := cfg.Honest + cfg.Byzantine
-	scfg := server.Config{
-		Universe:        cfg.Universe,
-		Tokens:          tokens,
-		Alpha:           float64(cfg.Honest) / float64(n),
-		Beta:            cfg.Universe.Beta(),
-		SessionGrace:    cfg.SessionGrace,
-		BarrierDeadline: cfg.BarrierDeadline,
-		Mode:            cfg.Mode,
-		SwarmToken:      swarmToken,
-		SnapshotEvery:   cfg.SnapshotEvery,
-		Logf:            cfg.Logf,
-	}
+// complete before any node starts) and launches the group, each member
+// serving scfg.
+func startReplicaCluster(cfg *ClusterConfig, scfg server.Config) (*replicaCluster, error) {
 	reps := cfg.Topology.Replicas
 	repLns := make([]net.Listener, reps)
 	clientLns := make([]net.Listener, reps)
@@ -159,101 +145,63 @@ func startReplicaCluster(cfg ClusterConfig, tokens []string, swarmToken string) 
 	return rc, nil
 }
 
-// runReplicated is RunCluster's replica-group branch (Topology.Replicas > 1).
-func runReplicated(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
+// startReplicas starts the replica group (Topology.Replicas > 1), with the
+// KillLeaderAtRound failover hook when the chaos schedule asks for it.
+// Players dial the first member and fall back to the others.
+func startReplicas(cfg *ClusterConfig, sc server.Config) (*service, error) {
 	if cfg.PersistDir == "" {
 		return nil, fmt.Errorf("dist: Replicas > 1 requires PersistDir")
 	}
 	if cfg.Chaos.KillAtRound > 0 {
 		return nil, fmt.Errorf("dist: KillAtRound is the single-coordinator restart hook; use KillLeaderAtRound with Replicas > 1")
 	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 4096
-	}
-	tokens, swarmToken := mintTokens(cfg.Seed, cfg.Honest+cfg.Byzantine)
-	rc, err := startReplicaCluster(cfg, tokens, swarmToken)
+	rc, err := startReplicaCluster(cfg, sc)
 	if err != nil {
 		return nil, err
 	}
-	defer rc.closeAll()
 
-	// KillLeaderAtRound watcher: the moment the leader's committed round
+	// KillLeaderAtRound hook: the moment the leader's committed round
 	// counter reaches the target, crash-stop the leader with every client in
 	// flight. The survivors elect, replay the quorum-committed prefix, and
 	// pick the round up where the group (not the dead leader) left it.
-	killerDone := make(chan struct{})
-	killerStop := make(chan struct{})
+	stop := func() {}
 	if cfg.Chaos.KillLeaderAtRound > 0 {
-		go func() {
-			defer close(killerDone)
+		stop = watch(func(quit <-chan struct{}) {
 			for {
 				select {
-				case <-killerStop:
+				case <-quit:
 					return
 				case <-time.After(2 * time.Millisecond):
 				}
-				if rc.leaderRound() < cfg.Chaos.KillLeaderAtRound {
-					continue
-				}
-				if rc.killLeader() {
+				if rc.leaderRound() >= cfg.Chaos.KillLeaderAtRound && rc.killLeader() {
 					return
 				}
 			}
-		}()
-	} else {
-		close(killerDone)
+		})
 	}
+	return &service{
+		addrs: rc.clientAddrs,
+		stop: func() (int, error) {
+			stop()
+			rc.mu.Lock()
+			defer rc.mu.Unlock()
+			return rc.kills, nil
+		},
+		final: rc.final,
+		close: rc.closeAll,
+	}, nil
+}
 
-	playerOptions := func(player int) (client.Options, error) {
-		opt := cfg.Client
-		opt.Fallbacks = append(append([]string(nil), opt.Fallbacks...), rc.clientAddrs[1:]...)
-		if cfg.Chaos.Fault != nil {
-			inj, err := faultnet.New(*cfg.Chaos.Fault)
-			if err != nil {
-				return opt, err
-			}
-			opt.Dialer = inj.Dialer(uint64(player), opt.Dialer)
-		}
-		return opt, nil
-	}
-
-	var byzWG sync.WaitGroup
-	for b := 0; b < cfg.Byzantine; b++ {
-		player := cfg.Honest + b
-		opt, err := playerOptions(player)
-		if err != nil {
-			return nil, err
-		}
-		byzWG.Add(1)
-		go func(player int, opt client.Options) {
-			defer byzWG.Done()
-			_ = runByzantineSpam(rc.clientAddrs[0], player, tokens[player], opt)
-		}(player, opt)
-	}
-	results, honestErr := honestFleet(&cfg, rc.clientAddrs[0], tokens, swarmToken, playerOptions)
-	byzWG.Wait()
-	close(killerStop)
-	<-killerDone
-	if honestErr != nil {
-		return nil, honestErr
-	}
-
-	// Final state is whatever the current leader committed; wait briefly for
-	// one if the last kill landed after the players finished.
-	var final *server.Server
+// final returns the current leader's server, waiting briefly for one if
+// the last kill landed after the players finished.
+func (rc *replicaCluster) final() (*server.Server, error) {
 	for i := 0; i < 1000; i++ {
 		if node := rc.leaderNode(); node != nil {
 			if srv := node.Server(); srv != nil {
-				final = srv
-				break
+				return srv, nil
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if final == nil {
-		return nil, fmt.Errorf("dist: no leader at teardown")
-	}
-	out := summarize(results, final)
-	out.Failovers = rc.kills
-	return out, nil
+	return nil, fmt.Errorf("dist: no leader at teardown")
 }

@@ -11,8 +11,9 @@ import (
 	"repro/internal/server"
 )
 
-// benchModeCluster mirrors benchShardCluster for the operation-mode pair:
-// same universe, same fleet, only the server's mode differs.
+// benchModeCluster starts an in-memory server in the given mode and dials
+// one client per player. Both rows of the operation-mode pair build it the
+// same way: same universe, same fleet, only the server's mode differs.
 func benchModeCluster(b *testing.B, mode server.Mode, players int) []*client.Client {
 	b.Helper()
 	u, err := object.NewPlanted(object.Planted{M: 1024, Good: 1}, rng.New(1))

@@ -1,25 +1,22 @@
 package swarm
 
-import "repro/internal/obs"
+import (
+	"repro/internal/client"
+	"repro/internal/obs"
+)
 
 // metrics is the swarm_* metric family: scheduler depth and latency plus
-// transport health. All recording is nil-safe — a driver without a registry
-// pays one branch per event.
+// the handles its transport records connection health into. All recording
+// is nil-safe — a driver without a registry pays one branch per event.
 type metrics struct {
 	enabled bool
 
 	players       *obs.Gauge // configured swarm size
 	activePlayers *obs.Gauge // players still searching at round start
 
-	rounds     *obs.Counter
-	frames     *obs.Counter
-	dials      *obs.Counter
-	reconnects *obs.Counter
-	retries    *obs.Counter
+	rounds    *obs.Counter
+	transport client.TransportMetrics
 
-	backoffSeconds *obs.Gauge
-
-	inflight       *obs.Histogram // pipelined frames outstanding at each ack
 	roundSeconds   *obs.Histogram // wall time per swarm round
 	barrierSeconds *obs.Histogram // wall time blocked in the round barrier
 }
@@ -33,15 +30,17 @@ func newMetrics(r *obs.Registry) metrics {
 		players:       r.Gauge("swarm_players", "players driven by the swarm scheduler"),
 		activePlayers: r.Gauge("swarm_active_players", "players still searching at round start"),
 		rounds:        r.Counter("swarm_rounds_total", "swarm rounds completed"),
-		frames:        r.Counter("swarm_frames_sent_total", "request frames sent by the swarm driver"),
-		dials:         r.Counter("swarm_dials_total", "transport dials (including reconnects)"),
-		reconnects:    r.Counter("swarm_reconnects_total", "session resumes after a transport drop"),
-		retries:       r.Counter("swarm_retries_total", "frame retries after transport failures"),
-		backoffSeconds: r.Gauge("swarm_backoff_seconds_total",
-			"total time spent sleeping in retry backoff"),
-		inflight: r.Histogram("swarm_inflight_frames",
-			"pipelined frames outstanding when a response arrived",
-			[]float64{1, 2, 4, 8, 16, 32}),
+		transport: client.TransportMetrics{
+			Frames:     r.Counter("swarm_frames_sent_total", "request frames sent by the swarm driver"),
+			Dials:      r.Counter("swarm_dials_total", "transport dials (including reconnects)"),
+			Reconnects: r.Counter("swarm_reconnects_total", "session resumes after a transport drop"),
+			Retries:    r.Counter("swarm_retries_total", "frame retries after transport failures"),
+			BackoffSeconds: r.Gauge("swarm_backoff_seconds_total",
+				"total time spent sleeping in retry backoff"),
+			Inflight: r.Histogram("swarm_inflight_frames",
+				"pipelined frames outstanding when a response arrived",
+				[]float64{1, 2, 4, 8, 16, 32}),
+		},
 		roundSeconds: r.Histogram("swarm_round_seconds",
 			"wall time per swarm round",
 			[]float64{0.001, 0.01, 0.1, 1, 10}),

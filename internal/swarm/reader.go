@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/billboard"
+	"repro/internal/client"
 	"repro/internal/wire"
 )
 
@@ -36,7 +37,7 @@ func (u *universe) LocalTesting() bool { return u.localTesting }
 // and answer zero values; the driver checks err once per round, exactly
 // like the per-player client path checks Client.Err.
 type boardReader struct {
-	c     *conn
+	c     *client.Conn
 	round int
 	err   error
 
@@ -67,7 +68,7 @@ type voteSpan struct{ epoch, lo, hi int32 }
 var _ billboard.Reader = (*boardReader)(nil)
 
 // newBoardReader returns a reader for a board of n players.
-func newBoardReader(c *conn, round, n int) *boardReader {
+func newBoardReader(c *client.Conn, round, n int) *boardReader {
 	r := &boardReader{
 		c: c, round: round, spans: make([]voteSpan, n),
 		counts: map[int]int{}, negs: map[int]int{}, windows: map[[2]int]map[int]int{},
@@ -93,7 +94,7 @@ func (r *boardReader) call(req wire.Request) *wire.Response {
 	if r.err != nil {
 		return nil
 	}
-	resp, err := r.c.one(req)
+	resp, err := r.c.Call(req)
 	if err != nil {
 		r.err = err
 		return nil
@@ -132,7 +133,7 @@ func (r *boardReader) fetchVotes(chunk int) {
 		r.reqs = append(r.reqs, wire.Request{Type: wire.ReqVoteBatch, Players: r.miss[lo:hi]})
 	}
 	r.resps = resize(r.resps, len(r.reqs))
-	if err := r.c.exchange(r.reqs, r.resps); err != nil {
+	if err := r.c.Exchange(r.reqs, r.resps); err != nil {
 		r.err = err
 		return
 	}

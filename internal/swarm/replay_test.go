@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -95,20 +94,12 @@ func startScriptedServer(t *testing.T, handle func(int, *wire.Request) (wire.Res
 // newTestGroup wires a single-member group to addr with fast retry knobs —
 // the minimum state runRound's arrival tail touches.
 func newTestGroup(addr string) *group {
-	opt := client.WithDefaults(client.Options{
+	t := client.NewTransport(context.Background(), addr, client.Options{
 		Retries: 8, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
 		CallTimeout: 5 * time.Second, BarrierTimeout: 5 * time.Second,
-	}, 0)
-	d := &driver{cfg: Config{Chunk: 4096}}
-	d.t = &transport{
-		ctx: context.Background(), opt: opt, token: "tok", window: 4,
-		met: &d.met, addr: addr, addrs: []string{addr},
-	}
-	g := &group{d: d, idx: 0, from: 0, to: 1, members: []int{0}}
-	g.prim = &conn{
-		t: d.t, label: "group 0", from: 0, to: 1,
-		session: 7, jitter: rng.New(1).Split(1),
-	}
+	}, 0, 4, client.TransportMetrics{})
+	g := &group{d: &driver{cfg: Config{Chunk: 4096}}, idx: 0, from: 0, to: 1, members: []int{0}}
+	g.prim = t.NewConn("swarm: group 0", wire.Request{Swarm: true, Player: 0, PlayerTo: 1, Token: "tok"}, 1)
 	return g
 }
 

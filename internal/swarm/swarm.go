@@ -12,11 +12,14 @@
 // connection group: bulk board reads, chunked probe batches, chunked post
 // batches riding one exchange with the group's arrival, then batched
 // deregistration of the players that found their object. Every phase
-// pipelines up to Config.Window frames per connection, and the transport
-// resumes sessions and resends the unacked frame tail across reconnects —
-// the whole closing exchange of a round whose arrival is unanswered, since
-// a server restart or leader failover rolls that round's posts back — so
-// chaos runs (server restart, leader kill) drive through unchanged.
+// pipelines up to Config.Window frames per connection. Each group's
+// connection is a client.Conn, the session transport the player client
+// rides too: it resumes sessions and resends the unacked frame tail across
+// reconnects — the whole closing exchange of a round whose arrival is
+// unanswered, since a server restart or leader failover rolls that round's
+// posts back — so chaos runs (server restart, leader kill) drive through
+// unchanged. Config.Client tunes it, with the client's meaning of every
+// knob.
 //
 // The shared schedule is bit-compatible with independent per-player DISTILL
 // instances: same per-player randomness (rng.New(Seed).Split(player)), same
@@ -71,8 +74,9 @@ type Config struct {
 	// Window caps pipelined in-flight frames per connection (default 8).
 	Window int
 	// Client tunes the transport (dialer, retries, backoff, timeouts) —
-	// the same knobs the per-player client takes, including the faultnet
-	// dialer hook.
+	// the same knobs, with the same meaning, as the per-player client's,
+	// including the faultnet dialer hook. Its Fallbacks are ignored: the
+	// address ring is Addr and Fallbacks above.
 	Client client.Options
 	// Metrics, when non-nil, receives the swarm_* metric family.
 	Metrics *obs.Registry
@@ -167,7 +171,7 @@ type group struct {
 	d        *driver
 	idx      int
 	from, to int
-	prim     *conn
+	prim     *client.Conn
 	members  []int // active players, ascending
 	// registered counts the players of this block still registered with the
 	// server (not yet deregistered via ReqDone). Under Dynamics a group
@@ -188,7 +192,6 @@ type group struct {
 
 type driver struct {
 	cfg   Config
-	t     *transport
 	met   metrics
 	uni   *universe
 	board *boardReader
@@ -208,27 +211,18 @@ func (d *driver) logf(format string, args ...any) {
 func (d *driver) state(player int) *playerState { return &d.players[player-d.cfg.From] }
 
 // Run drives the configured player block to completion: every player either
-// finds a good object or times out at MaxRounds. The context cancels the
-// run (including mid-backoff and mid-arrival).
+// finds a good object or times out at MaxRounds. Once the context is done,
+// Run returns its error, even from mid-backoff or mid-arrival: the
+// transport closes every group's connection.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	opt := client.WithDefaults(cfg.Client, cfg.From)
 	met := newMetrics(cfg.Metrics)
 	d := &driver{cfg: cfg, met: met}
-	d.t = &transport{
-		ctx: ctx, opt: opt, token: cfg.Token, window: cfg.Window, met: &d.met,
-		addr: cfg.Addr, addrs: []string{cfg.Addr},
-	}
-	for _, fb := range cfg.Fallbacks {
-		if fb != "" && fb != cfg.Addr {
-			d.t.addrs = append(d.t.addrs, fb)
-		}
-	}
+	opt := cfg.Client
+	opt.Fallbacks = cfg.Fallbacks
+	t := client.NewTransport(ctx, cfg.Addr, opt, cfg.From, cfg.Window, met.transport)
 
 	// Carve [From, To) into contiguous near-equal group sub-blocks.
 	total := cfg.To - cfg.From
@@ -237,12 +231,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		gFrom := cfg.From + gi*total/cfg.Groups
 		gTo := cfg.From + (gi+1)*total/cfg.Groups
 		g := &group{d: d, idx: gi, from: gFrom, to: gTo}
-		g.prim = &conn{
-			t: d.t, label: fmt.Sprintf("group %d", gi),
-			from: gFrom, to: gTo,
-			session: client.NewSessionID(gFrom),
-			jitter:  rng.New(opt.Seed).Split(0x5731 + uint64(gi)),
-		}
+		g.prim = t.NewConn(fmt.Sprintf("swarm: group %d", gi), wire.Request{
+			Swarm: true, Player: gFrom, PlayerTo: gTo, Token: cfg.Token,
+		}, 0x5731+uint64(gi))
 		g.registered = gTo - gFrom
 		g.members = make([]int, 0, gTo-gFrom)
 		g.probes = make([]wire.ProbeMsg, 0, gTo-gFrom)
@@ -255,13 +246,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	defer func() {
 		for _, g := range d.groups {
-			g.prim.drop()
+			g.prim.Close()
 		}
 	}()
 
 	// Eager handshakes: group 0 first (its Hello payload carries the
 	// universe), then the rest. Each group paces from its Hello's round.
-	hello, err := d.groups[0].prim.ensure()
+	hello, err := d.groups[0].prim.Dial()
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +260,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	d.n = hello.N
 	d.uni = &universe{m: hello.M, costs: hello.Costs, localTesting: hello.LocalTesting}
 	for _, g := range d.groups[1:] {
-		resp, err := g.prim.ensure()
+		resp, err := g.prim.Dial()
 		if err != nil {
 			return nil, err
 		}
@@ -604,7 +595,7 @@ func (g *group) runRound() error {
 		g.reqs = append(g.reqs, wire.Request{Type: wire.ReqProbeBatch, Probes: g.probes[lo:hi]})
 	}
 	g.resps = resize(g.resps, len(g.reqs))
-	if err := g.prim.exchange(g.reqs, g.resps); err != nil {
+	if err := g.prim.Exchange(g.reqs, g.resps); err != nil {
 		return err
 	}
 
@@ -643,23 +634,16 @@ func (g *group) runRound() error {
 	// not yet safe: until the commit, a server restart or leader failover
 	// rolls the round back and discards it. The post frames therefore
 	// travel in the arrival's exchange, which resends them all if the
-	// session resumes before the arrival is answered. An answer below the
-	// stamp can only be a replay recorded before the seal, so the bare stamp
-	// is re-sent; the group's round only ever moves forward.
+	// session resumes before the arrival is answered. The group's round
+	// only ever moves forward: Arrive re-stamps an answer below the stamp.
 	start := time.Now()
-	target := g.round + 1
-	g.reqs = append(g.reqs, wire.Request{Type: wire.ReqEpoch, Epoch: target})
-	for {
-		g.resps = resize(g.resps, len(g.reqs))
-		if err := g.prim.exchange(g.reqs, g.resps); err != nil {
-			return err
-		}
-		if resp := &g.resps[len(g.reqs)-1]; resp.Round >= target {
-			g.round = resp.Round
-			break
-		}
-		g.reqs = append(g.reqs[:0], wire.Request{Type: wire.ReqEpoch, Epoch: target})
+	g.reqs = append(g.reqs, wire.Request{Type: wire.ReqEpoch})
+	g.resps = resize(g.resps, len(g.reqs))
+	round, err := g.prim.Arrive(g.reqs, g.resps, g.round+1)
+	if err != nil {
+		return err
 	}
+	g.round = round
 	if d.met.enabled {
 		d.met.barrierSeconds.ObserveSince(start)
 	}
@@ -678,7 +662,7 @@ func (g *group) sendDones(players []int) error {
 		g.reqs = append(g.reqs, wire.Request{Type: wire.ReqDone, Players: players[lo:hi]})
 	}
 	g.resps = resize(g.resps, len(g.reqs))
-	if err := g.prim.exchange(g.reqs, g.resps); err != nil {
+	if err := g.prim.Exchange(g.reqs, g.resps); err != nil {
 		return err
 	}
 	for _, p := range players {

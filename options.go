@@ -201,26 +201,28 @@ func WithSwarmFallbacks(addrs ...string) SwarmOption {
 // ---------------------------------------------------------------------------
 // Dial-only options (per-client transport knobs).
 
-// WithRetries sets how many times a failed call is retried (reconnecting
-// and resuming the session first) before the error is reported. Negative
-// disables retries.
+// WithRetries bounds a failing call's retries: at most n consecutive
+// failures that ack no new frame are retried, each by reconnecting and
+// resuming the session (the first at once, later ones after a backoff),
+// before the error is reported. Negative disables retries.
 func WithRetries(n int) DialOption {
 	return dialOptionFunc(func(o *ClientOptions) { o.Retries = n })
 }
 
-// WithBackoff shapes the jittered exponential backoff between retries.
+// WithBackoff shapes the jittered exponential backoff before the second
+// and later retries of a failure streak.
 func WithBackoff(base, max time.Duration) DialOption {
 	return dialOptionFunc(func(o *ClientOptions) { o.BackoffBase, o.BackoffMax = base, max })
 }
 
-// WithCallTimeout bounds one attempt of every call but an arrival. Negative
-// disables the deadline.
+// WithCallTimeout bounds the handshake, each request's send, and the wait
+// for every answer but an arrival's. Negative disables the deadline.
 func WithCallTimeout(d time.Duration) DialOption {
 	return dialOptionFunc(func(o *ClientOptions) { o.CallTimeout = d })
 }
 
-// WithBarrierTimeout bounds one attempt of every arrival — Barrier, and
-// PostBatch ending the round (default: no deadline — an arrival blocks
+// WithBarrierTimeout bounds the wait for an arrival's answer — Barrier,
+// and PostBatch ending the round (default: no deadline — an arrival blocks
 // legitimately while other players finish).
 func WithBarrierTimeout(d time.Duration) DialOption {
 	return dialOptionFunc(func(o *ClientOptions) { o.BarrierTimeout = d })
