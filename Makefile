@@ -4,10 +4,12 @@
 # including the chaos, kill/restart recovery, and lease-timer lifecycle
 # tests), the session transport's contract tests (pipelining window,
 # tail and whole-batch resends, deadlines, the Retries bound, cancellation
-# of a blocked arrival) doubled under -race, the
+# of a blocked arrival, the Hello answer's cost table and its refusal when
+# malformed, the swarm's concurrent handshakes and a refused group's
+# error) doubled under -race, the
 # durability layer (journal store, snapshot rotation, recovery's rejection
 # of out-of-range players), the packages the perf pass touched (billboard,
-# wire), the DISTILL variants (core, whose tests run replications in
+# codec, wire), the DISTILL variants (core, whose tests run replications in
 # parallel), the metrics registry and its scrape-under-load tests (obs,
 # server metrics), the kill/restart and persistence suite (whole-server
 # kill/restart mid-round, rollback of uncommitted posts, lease timers)
@@ -40,8 +42,8 @@ test:
 check: build
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
-	$(GO) test -race ./internal/obs/... ./internal/billboard/... ./internal/wire/... ./internal/journal/... ./internal/server/... ./internal/client/... ./internal/swarm/... ./internal/dist/... ./internal/core/...
-	$(GO) test -race -run 'TestConn|TestRetriesBoundDials|TestCancel' -count=2 ./internal/client ./internal/swarm
+	$(GO) test -race ./internal/obs/... ./internal/billboard/... ./internal/codec/... ./internal/wire/... ./internal/journal/... ./internal/server/... ./internal/client/... ./internal/swarm/... ./internal/dist/... ./internal/core/...
+	$(GO) test -race -run 'TestConn|TestRetriesBoundDials|TestCancel|Hello|TestLargeUnitUniverseDials|TestMalformedCostTableRefused|TestHandshakesRunConcurrently' -count=2 ./internal/client ./internal/swarm
 	$(GO) test -race -run 'TestChaosServerKillRestart|TestChaosKillRestartUnderFaultInjection|TestPersist|TestCloseStopsLeaseTimers|TestResumeStopsLeaseTimer' -count=2 ./internal/server ./internal/dist
 	$(GO) test -race -run 'TestShardCommitDeterminismGolden' -count=2 ./internal/server
 	$(GO) test -race -run 'TestReplica|TestLeader|TestChaosReplica|TestChaosLeader' -count=2 ./internal/server ./internal/dist
@@ -53,11 +55,13 @@ check: build
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/server ./internal/journal ./internal/wire > /dev/null
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short passes over every fuzz harness: the byte-level decoders (client and
-# replica wire frames, the journal) and the billboard state machine. Each
+# Short passes over every fuzz harness: the byte-level decoders (the varint
+# parser, client and replica wire frames, the journal) and the billboard
+# state machine. Each
 # -fuzz pattern is anchored: go test fuzzes one target per run, and a bare
 # FuzzDecodeRep would also match FuzzDecodeRepAck.
 fuzz:
+	$(GO) test ./internal/codec -run xxx -fuzz '^FuzzUvarint$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run xxx -fuzz '^FuzzDecodeRequest$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run xxx -fuzz '^FuzzDecodeResponse$$' -fuzztime 30s
 	$(GO) test ./internal/wire -run xxx -fuzz '^FuzzDecodeRep$$' -fuzztime 30s

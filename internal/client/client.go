@@ -282,7 +282,7 @@ func (c *Client) arrive(req wire.Request) (int, error) {
 func (c *Client) M() int { return c.m }
 
 // Cost returns the public cost of object i.
-func (c *Client) Cost(i int) float64 { return c.costs[i] }
+func (c *Client) Cost(i int) float64 { return wire.Cost(c.costs, i) }
 
 // LocalTesting reports the goodness model.
 func (c *Client) LocalTesting() bool { return c.localTesting }
@@ -305,11 +305,11 @@ func (c *Client) Probe(obj int) (ProbeResult, error) {
 	if err != nil {
 		return ProbeResult{}, err
 	}
-	if len(resp.ProbeResults) != 1 || obj < 0 || obj >= len(c.costs) {
+	if len(resp.ProbeResults) != 1 || obj < 0 || obj >= c.m {
 		return ProbeResult{}, fmt.Errorf("client: malformed answer to a probe of object %d", obj)
 	}
 	r := resp.ProbeResults[0]
-	return ProbeResult{Value: r.Value, Good: r.Good, Cost: c.costs[obj]}, nil
+	return ProbeResult{Value: r.Value, Good: r.Good, Cost: c.Cost(obj)}, nil
 }
 
 // Post appends a report under the client's authenticated identity: a

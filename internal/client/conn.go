@@ -199,8 +199,9 @@ func (c *Conn) Close() error {
 // session id is fixed, so a reconnect resumes the session: its players'
 // registration and the server's dedup state survive. A dial failure
 // rotates the address ring and a not-leader rejection adopts the leader it
-// names, so a retry tries the new address. Any other rejection is reported
-// as refused: no retry of the same credentials can succeed.
+// names, so a retry tries the new address. Any other rejection, and an
+// answer that breaks the Hello rules (wire.Response.CheckHello), is
+// reported as refused: no retry of the same credentials can succeed.
 func (c *Conn) connect() (refused bool, err error) {
 	t := c.t
 	t.met.Dials.Inc()
@@ -236,6 +237,10 @@ func (c *Conn) connect() (refused bool, err error) {
 			t.adoptLeader(resp.Leader)
 			return false, err
 		}
+		return true, err
+	}
+	if err := resp.CheckHello(); err != nil {
+		c.Close()
 		return true, err
 	}
 	c.resumed, c.welcome = true, resp

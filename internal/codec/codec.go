@@ -104,21 +104,33 @@ func (p *Parser) Fail(format string, args ...any) {
 	p.b = nil
 }
 
-// Uvarint reads a minimal uvarint.
+// Uvarint reads a minimal uvarint. Every value below 2^28 takes at most
+// four bytes and is read inline: that covers unit costs (three bytes in the
+// float layout), player ids and object ids. Each case needs a continuation
+// bit on every byte before the last and a non-zero last byte, the
+// minimality rule; anything else, longer varints included, takes
+// uvarintLong.
 func (p *Parser) Uvarint() uint64 {
 	b := p.b
-	if len(b) > 0 && b[0] < 0x80 {
+	switch {
+	case len(b) > 0 && b[0] < 0x80:
 		p.b = b[1:]
 		return uint64(b[0])
-	}
-	if len(b) > 1 && b[1] < 0x80 && b[1] != 0 {
+	case len(b) > 1 && 0 < b[1] && b[1] < 0x80:
 		p.b = b[2:]
 		return uint64(b[0]&0x7f) | uint64(b[1])<<7
+	case len(b) > 2 && b[1] >= 0x80 && 0 < b[2] && b[2] < 0x80:
+		p.b = b[3:]
+		return uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2])<<14
+	case len(b) > 3 && b[1] >= 0x80 && b[2] >= 0x80 && 0 < b[3] && b[3] < 0x80:
+		p.b = b[4:]
+		return uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2]&0x7f)<<14 | uint64(b[3])<<21
 	}
 	return p.uvarintLong()
 }
 
-// uvarintLong reads a uvarint of three or more bytes, or fails.
+// uvarintLong reads what Uvarint does not read inline: a uvarint of five or
+// more bytes. It fails on a truncated or overlong one of any length.
 func (p *Parser) uvarintLong() uint64 {
 	v, n := binary.Uvarint(p.b)
 	switch {

@@ -24,6 +24,7 @@ import (
 type Universe struct {
 	values       []float64
 	costs        []float64
+	unitCosts    bool // every cost is 1
 	good         []bool
 	goodCount    int
 	localTesting bool
@@ -63,10 +64,12 @@ func NewUniverse(cfg Config) (*Universe, error) {
 	if len(costs) != m {
 		return nil, fmt.Errorf("object: %d costs for %d values", len(costs), m)
 	}
+	unit := true
 	for i, c := range costs {
 		if c < 0 {
 			return nil, fmt.Errorf("object: negative cost %v at index %d", c, i)
 		}
+		unit = unit && c == 1
 	}
 	for i, v := range cfg.Values {
 		if v < 0 {
@@ -76,6 +79,7 @@ func NewUniverse(cfg Config) (*Universe, error) {
 	u := &Universe{
 		values:       append([]float64(nil), cfg.Values...),
 		costs:        append([]float64(nil), costs...),
+		unitCosts:    unit,
 		localTesting: cfg.LocalTesting,
 		threshold:    cfg.Threshold,
 	}
@@ -128,6 +132,10 @@ func (u *Universe) Value(i int) float64 { return u.values[i] }
 
 // Cost returns the publicly known cost of object i.
 func (u *Universe) Cost(i int) float64 { return u.costs[i] }
+
+// UnitCosts reports whether every object costs 1, the unit cost model of
+// §4.
+func (u *Universe) UnitCosts() bool { return u.unitCosts }
 
 // IsGood reports whether object i is good. With local testing a player
 // learns this bit by probing; without, only the evaluation harness may
@@ -214,6 +222,7 @@ func (u *Universe) Restrict(keep []int) (*Universe, []int) {
 	v := &Universe{
 		values:       make([]float64, len(keep)),
 		costs:        make([]float64, len(keep)),
+		unitCosts:    true,
 		good:         make([]bool, len(keep)),
 		localTesting: u.localTesting,
 		threshold:    u.threshold,
@@ -222,6 +231,7 @@ func (u *Universe) Restrict(keep []int) (*Universe, []int) {
 	for newIdx, oldIdx := range keep {
 		v.values[newIdx] = u.values[oldIdx]
 		v.costs[newIdx] = u.costs[oldIdx]
+		v.unitCosts = v.unitCosts && v.costs[newIdx] == 1
 		v.good[newIdx] = u.good[oldIdx]
 		if v.good[newIdx] {
 			v.goodCount++

@@ -106,8 +106,15 @@ func TestDefaultUnitCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Cost(0) != 1 || u.Cost(1) != 1 {
+	if u.Cost(0) != 1 || u.Cost(1) != 1 || !u.UnitCosts() {
 		t.Fatal("default costs should be unit")
+	}
+	given, err := NewUniverse(Config{Values: []float64{1, 2}, Costs: []float64{1, 1}, Beta: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !given.UnitCosts() {
+		t.Fatal("costs given as all 1 should read as unit")
 	}
 }
 
@@ -145,6 +152,12 @@ func TestRestrict(t *testing.T) {
 	}
 	if v.Cost(0) != 3 || v.Cost(1) != 4 {
 		t.Fatal("restricted costs wrong")
+	}
+	if u.UnitCosts() || v.UnitCosts() {
+		t.Fatal("priced universes read as unit-cost")
+	}
+	if one, _ := u.Restrict([]int{0}); !one.UnitCosts() {
+		t.Fatal("a restriction to the cost-1 objects should read as unit-cost")
 	}
 	if mapping[0] != 2 || mapping[1] != 3 {
 		t.Fatalf("mapping = %v", mapping)

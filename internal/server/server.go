@@ -257,6 +257,11 @@ type Server struct {
 	satisfied   []bool
 	closed      bool
 
+	// welcome is the Hello answer but its Round, built once in New: every
+	// Hello and every resume shares its cost table, which is empty for a
+	// unit-cost universe (wire protocol v14).
+	welcome wire.Response
+
 	// The round deadline (Config.BarrierDeadline): one timer, armed for
 	// the open round by the first arrival that waits on it, stopped at the
 	// seal and at Close.
@@ -311,6 +316,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Mode < ModeSync || cfg.Mode > ModeEpoch {
 		return nil, fmt.Errorf("server: unknown Mode %d", int(cfg.Mode))
 	}
+	u := cfg.Universe
+	welcome := wire.Response{
+		N: len(cfg.Tokens), M: u.M(), LocalTesting: u.LocalTesting(),
+		Alpha: cfg.Alpha, Beta: cfg.Beta,
+	}
+	if !u.UnitCosts() { // a unit-cost universe ships no table (wire v14)
+		welcome.Costs = make([]float64, u.M())
+		for i := range welcome.Costs {
+			welcome.Costs[i] = u.Cost(i)
+		}
+	}
+	if err := welcome.CheckFits(); err != nil {
+		return nil, fmt.Errorf("server: the Hello answer for %d objects cannot be sent: %w", u.M(), err)
+	}
 	mode := billboard.FirstPositive
 	if !cfg.Universe.LocalTesting() {
 		mode = billboard.BestValue
@@ -324,6 +343,7 @@ func New(cfg Config) (*Server, error) {
 	n := len(cfg.Tokens)
 	s := &Server{
 		cfg:        cfg,
+		welcome:    welcome,
 		registered: make([]bool, n),
 		active:     make([]bool, n),
 		byPlayer:   make([]*session, n),
@@ -863,21 +883,12 @@ func (s *Server) auth(req *wire.Request) (from, to int, err error) {
 	return from, to, nil
 }
 
+// helloPayloadLocked answers a Hello: the configuration built in New, at
+// the current round.
 func (s *Server) helloPayloadLocked() wire.Response {
-	u := s.cfg.Universe
-	costs := make([]float64, u.M())
-	for i := range costs {
-		costs[i] = u.Cost(i)
-	}
-	return wire.Response{
-		N:            len(s.cfg.Tokens),
-		M:            u.M(),
-		LocalTesting: u.LocalTesting(),
-		Alpha:        s.cfg.Alpha,
-		Beta:         s.cfg.Beta,
-		Costs:        costs,
-		Round:        s.round,
-	}
+	resp := s.welcome
+	resp.Round = s.round
+	return resp
 }
 
 // swarmReplayLocked answers a resent swarm frame (req.Seq <= sess.lastSeq)

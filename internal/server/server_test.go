@@ -343,3 +343,35 @@ func TestUnauthenticatedNonHelloRejected(t *testing.T) {
 		t.Fatalf("unauthenticated probe accepted: %+v", resp)
 	}
 }
+
+// TestNewRefusesHelloPastMaxFrame: a universe whose Hello answer cannot fit
+// one frame is refused at construction, with an error naming the limit,
+// instead of being served an answer every client decoder refuses. 360k
+// Pareto costs take about nine bytes each; the same count of unit costs
+// ships no table and is served.
+func TestNewRefusesHelloPastMaxFrame(t *testing.T) {
+	const m = 360_000
+	for _, c := range []struct {
+		name  string
+		costs []float64
+		ok    bool
+	}{
+		{"unit", nil, true},
+		{"pareto", object.ParetoCosts(m, 1.5, rng.New(9)), false},
+	} {
+		u, err := object.NewPlanted(object.Planted{M: m, Good: 1, Costs: c.costs}, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Config{Universe: u, Tokens: []string{"tok"}, Alpha: 1, Beta: u.Beta()})
+		switch {
+		case c.ok && err != nil:
+			t.Fatalf("%s: %v", c.name, err)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), "wire.MaxFrame")):
+			t.Fatalf("%s: New = %v, want a refusal naming wire.MaxFrame", c.name, err)
+		}
+		if srv != nil {
+			srv.Close()
+		}
+	}
+}

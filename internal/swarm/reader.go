@@ -22,12 +22,12 @@ import (
 // universe is the sim.PublicUniverse the server advertised in Hello.
 type universe struct {
 	m            int
-	costs        []float64
+	costs        []float64 // the Hello's cost table, read through wire.Cost
 	localTesting bool
 }
 
 func (u *universe) M() int             { return u.m }
-func (u *universe) Cost(i int) float64 { return u.costs[i] }
+func (u *universe) Cost(i int) float64 { return wire.Cost(u.costs, i) }
 func (u *universe) LocalTesting() bool { return u.localTesting }
 
 // boardReader implements billboard.Reader over a swarm connection with a

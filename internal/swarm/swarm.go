@@ -8,11 +8,14 @@
 // One core.Distill instance carries the schedule shared by every honest
 // player (the DISTILL schedule evolves from committed billboard state only,
 // never from private randomness), while each player keeps its own split
-// random stream and probe count. A round is a fixed frame pattern per
-// connection group: bulk board reads, chunked probe batches, chunked post
-// batches riding one exchange with the group's arrival, then batched
-// deregistration of the players that found their object. Every phase
-// pipelines up to Config.Window frames per connection. Each group's
+// random stream and probe count. Each connection group owns the state of
+// its contiguous sub-block of players: every group says its Hello at once
+// and then fills its own players' state, so no handshake waits for
+// another. A round is a fixed frame pattern per connection group: bulk
+// board reads, chunked probe batches, chunked post batches riding one
+// exchange with the group's arrival, then batched deregistration of the
+// players that found their object. Every phase pipelines up to
+// Config.Window frames per connection. Each group's
 // connection is a client.Conn, the session transport the player client
 // rides too: it resumes sessions and resends the unacked frame tail across
 // reconnects — the whole closing exchange of a round whose arrival is
@@ -165,14 +168,15 @@ type playerState struct {
 	deregistered bool // ReqDone sent for this player
 }
 
-// group is one connection group: a contiguous sub-block of players and the
-// pipelined connection carrying its swarm session.
+// group is one connection group: a contiguous sub-block of players, their
+// state, and the pipelined connection carrying its swarm session.
 type group struct {
 	d        *driver
 	idx      int
 	from, to int
 	prim     *client.Conn
-	members  []int // active players, ascending
+	players  []playerState // indexed by player-from, filled by the group's handshake
+	members  []int         // active players, ascending
 	// registered counts the players of this block still registered with the
 	// server (not yet deregistered via ReqDone). Under Dynamics a group
 	// can hold zero active members while not-yet-arrived players remain
@@ -197,9 +201,8 @@ type driver struct {
 	board *boardReader
 	proto *core.Distill
 
-	n       int           // total players served (server-advertised)
-	players []playerState // indexed by player-cfg.From
-	groups  []*group
+	n      int // total players served (server-advertised)
+	groups []*group
 }
 
 func (d *driver) logf(format string, args ...any) {
@@ -208,10 +211,13 @@ func (d *driver) logf(format string, args ...any) {
 	}
 }
 
-func (d *driver) state(player int) *playerState { return &d.players[player-d.cfg.From] }
+// state returns the state of player p, who must lie in the group's block.
+func (g *group) state(p int) *playerState { return &g.players[p-g.from] }
 
 // Run drives the configured player block to completion: every player either
-// finds a good object or times out at MaxRounds. Once the context is done,
+// finds a good object or times out at MaxRounds. Its groups handshake
+// concurrently; a refused Hello fails the run with the error of the group
+// it refused, under the group's label. Once the context is done,
 // Run returns its error, even from mid-backoff or mid-arrival: the
 // transport closes every group's connection.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
@@ -235,13 +241,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			Swarm: true, Player: gFrom, PlayerTo: gTo, Token: cfg.Token,
 		}, 0x5731+uint64(gi))
 		g.registered = gTo - gFrom
-		g.members = make([]int, 0, gTo-gFrom)
-		g.probes = make([]wire.ProbeMsg, 0, gTo-gFrom)
-		if cfg.Dynamics == nil {
-			for p := gFrom; p < gTo; p++ {
-				g.members = append(g.members, p)
-			}
-		} // open world: everyone starts as a registered spectator
 		d.groups[gi] = g
 	}
 	defer func() {
@@ -250,34 +249,20 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}()
 
-	// Eager handshakes: group 0 first (its Hello payload carries the
-	// universe), then the rest. Each group paces from its Hello's round.
-	hello, err := d.groups[0].prim.Dial()
-	if err != nil {
+	// Eager handshakes, every group at once: no Hello waits for another,
+	// and each group fills its own players' state. Group 0's answer
+	// carries the universe.
+	base := rng.New(cfg.Seed)
+	hellos := make([]*wire.Response, len(d.groups))
+	if err := d.eachGroup(func(g *group) (err error) {
+		hellos[g.idx], err = g.handshake(base)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	d.groups[0].round = hello.Round
+	hello := hellos[0]
 	d.n = hello.N
 	d.uni = &universe{m: hello.M, costs: hello.Costs, localTesting: hello.LocalTesting}
-	for _, g := range d.groups[1:] {
-		resp, err := g.prim.Dial()
-		if err != nil {
-			return nil, err
-		}
-		g.round = resp.Round
-	}
-
-	// Player state: the per-player stream derivation of an independent
-	// DISTILL instance (Split depends only on (seed, label)).
-	// (This is the rng.Partition player-stream derivation inlined: bulk
-	// blocks skip the partition's stream cache, which would pin a Source
-	// per player, and split by value, which allocates none.)
-	base := rng.New(cfg.Seed)
-	d.players = make([]playerState, total)
-	for i := range d.players {
-		d.players[i].src = base.SplitValue(uint64(cfg.From + i))
-		d.players[i].active = cfg.Dynamics == nil
-	}
 	if met.enabled {
 		met.players.Set(float64(total))
 	}
@@ -303,6 +288,36 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return d.collect(), nil
+}
+
+// handshake says the group's Hello, then allocates and fills its players'
+// state. Each player's stream is the per-player derivation of an
+// independent DISTILL instance (Split depends only on (seed, label)): the
+// rng.Partition player-stream derivation inlined, since bulk blocks skip
+// the partition's stream cache, which would pin a Source per player, and
+// split by value, which allocates none. The group paces from its Hello's
+// round.
+func (g *group) handshake(base *rng.Source) (*wire.Response, error) {
+	hello, err := g.prim.Dial()
+	if err != nil {
+		return nil, err
+	}
+	g.round = hello.Round
+	// A closed world starts with every player active; an open one
+	// (Config.Dynamics) with every player a registered spectator.
+	closed := g.d.cfg.Dynamics == nil
+	n := g.to - g.from
+	g.players = make([]playerState, n)
+	g.members = make([]int, 0, n)
+	g.probes = make([]wire.ProbeMsg, 0, n)
+	for i := range g.players {
+		g.players[i].src = base.SplitValue(uint64(g.from + i))
+		if closed {
+			g.players[i].active = true
+			g.members = append(g.members, g.from+i)
+		}
+	}
+	return hello, nil
 }
 
 // run is the event loop: one iteration per round while players remain.
@@ -338,7 +353,7 @@ func (d *driver) run() error {
 		for _, g := range d.groups {
 			g.probes = g.probes[:0]
 			for _, p := range g.members {
-				if obj, ok := d.proto.ProbeFor(&d.state(p).src); ok {
+				if obj, ok := d.proto.ProbeFor(&g.state(p).src); ok {
 					g.probes = append(g.probes, wire.ProbeMsg{Player: p, Object: obj})
 				}
 			}
@@ -369,7 +384,7 @@ func (d *driver) run() error {
 			g.found = g.found[:0]
 			keep := g.members[:0]
 			for _, p := range g.members {
-				st := d.state(p)
+				st := g.state(p)
 				if st.found {
 					st.rounds = int32(round + 1)
 					st.active = false
@@ -418,7 +433,7 @@ func (d *driver) run() error {
 	// spectators, which simply never played.
 	for _, g := range d.groups {
 		for _, p := range g.members {
-			st := d.state(p)
+			st := g.state(p)
 			st.rounds = int32(cfg.MaxRounds)
 			st.timedOut = true
 		}
@@ -430,7 +445,7 @@ func (d *driver) run() error {
 		}
 		g.departs = g.departs[:0]
 		for p := g.from; p < g.to; p++ {
-			if !d.state(p).deregistered {
+			if !g.state(p).deregistered {
 				g.departs = append(g.departs, p)
 			}
 		}
@@ -465,7 +480,7 @@ func (d *driver) applyDynamics(dyn sim.Dynamics, round int) (int, error) {
 			g.departs = g.departs[:0]
 			keep := g.members[:0]
 			for _, p := range g.members {
-				if st := d.state(p); st.departed && !st.deregistered {
+				if st := g.state(p); st.departed && !st.deregistered {
 					g.departs = append(g.departs, p)
 					departed++
 				} else {
@@ -520,7 +535,7 @@ func (d *driver) checkedState(p, round int) (*playerState, error) {
 		return nil, fmt.Errorf("swarm: dynamics player %d outside block [%d, %d) at round %d",
 			p, d.cfg.From, d.cfg.To, round)
 	}
-	return d.state(p), nil
+	return d.groupOf(p).state(p), nil
 }
 
 // groupOf returns the group whose sub-block contains player p.
@@ -548,7 +563,7 @@ func (d *driver) probesThisRound() int {
 func (d *driver) prefetchAdvice() {
 	for _, g := range d.groups {
 		for _, p := range g.members {
-			peek := d.state(p).src
+			peek := g.state(p).src
 			d.board.want(peek.Intn(d.n))
 		}
 	}
@@ -607,7 +622,7 @@ func (g *group) runRound() error {
 		for _, pr := range g.resps[i].ProbeResults {
 			pm := g.probes[ri]
 			ri++
-			st := d.state(pm.Player)
+			st := g.state(pm.Player)
 			st.probes++
 			positive := d.uni.localTesting && pr.Good
 			if positive {
@@ -666,7 +681,7 @@ func (g *group) sendDones(players []int) error {
 		return err
 	}
 	for _, p := range players {
-		if st := g.d.state(p); !st.deregistered {
+		if st := g.state(p); !st.deregistered {
 			st.deregistered = true
 			g.registered--
 		}
@@ -674,37 +689,40 @@ func (g *group) sendDones(players []int) error {
 	return nil
 }
 
-// collect assembles the Result from the swept player state.
+// collect assembles the Result from the swept player state, group by
+// group, which is player order.
 func (d *driver) collect() *Result {
 	res := &Result{From: d.cfg.From, To: d.cfg.To}
-	res.Players = make([]PlayerResult, len(d.players))
+	res.Players = make([]PlayerResult, 0, d.cfg.To-d.cfg.From)
 	total := 0
-	for i := range d.players {
-		st := &d.players[i]
-		pr := PlayerResult{
-			Player:   d.cfg.From + i,
-			Probes:   int(st.probes),
-			Rounds:   int(st.rounds),
-			Found:    st.found,
-			TimedOut: st.timedOut,
-			Departed: st.departed,
-		}
-		res.Players[i] = pr
-		total += pr.Probes
-		if pr.Found {
-			res.Found++
-		}
-		if pr.TimedOut {
-			res.TimedOut++
-		}
-		if pr.Departed {
-			res.Departed++
-		}
-		if pr.Rounds > res.Rounds {
-			res.Rounds = pr.Rounds
+	for _, g := range d.groups {
+		for i := range g.players {
+			st := &g.players[i]
+			pr := PlayerResult{
+				Player:   g.from + i,
+				Probes:   int(st.probes),
+				Rounds:   int(st.rounds),
+				Found:    st.found,
+				TimedOut: st.timedOut,
+				Departed: st.departed,
+			}
+			res.Players = append(res.Players, pr)
+			total += pr.Probes
+			if pr.Found {
+				res.Found++
+			}
+			if pr.TimedOut {
+				res.TimedOut++
+			}
+			if pr.Departed {
+				res.Departed++
+			}
+			if pr.Rounds > res.Rounds {
+				res.Rounds = pr.Rounds
+			}
 		}
 	}
-	res.MeanProbes = float64(total) / float64(len(d.players))
+	res.MeanProbes = float64(total) / float64(len(res.Players))
 	return res
 }
 

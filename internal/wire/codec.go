@@ -13,7 +13,9 @@ package wire
 // length against the bytes left before it allocates, and copies every string
 // and byte slice out of the frame, so the decoder can reuse its frame
 // buffer. A stream decoder also decodes each request's entry lists into the
-// previous request's arrays (see the package doc's ownership rule).
+// previous request's arrays, and each response's probe results and votes
+// into the arrays of the Response it fills (see the package doc's ownership
+// rule).
 
 import (
 	"encoding/binary"
@@ -127,10 +129,17 @@ func (r *Request) parse(p *codec.Parser) {
 // reuse returns a slice of n entries backed by s's array when it is large
 // enough, a fresh one otherwise, and nil for n == 0.
 func reuse[T any](s []T, n int) []T {
-	switch {
-	case n == 0:
+	if n == 0 {
 		return nil
-	case cap(s) < n:
+	}
+	return refill(s, n)
+}
+
+// refill returns a slice of n entries backed by s's array when it is large
+// enough, a fresh one otherwise. For n == 0 it returns s[:0], which keeps
+// s's array for the next frame decoded into the same place.
+func refill[T any](s []T, n int) []T {
+	if cap(s) < n {
 		return make([]T, n)
 	}
 	return s[:n]
@@ -203,6 +212,9 @@ func (r *Response) appendTo(b []byte) []byte {
 	return b
 }
 
+// parse fills r. Its ProbeResults and Votes are decoded into the arrays r
+// holds on entry (nil for fresh ones), grown when too small; an empty list
+// keeps the array.
 func (r *Response) parse(p *codec.Parser) {
 	r.Err = p.Str()
 	r.Code = p.Byte()
@@ -212,11 +224,9 @@ func (r *Response) parse(p *codec.Parser) {
 	r.Alpha = p.Float()
 	r.Beta = p.Float()
 	r.Costs = p.Floats()
-	if n := p.Count(minVote); n > 0 {
-		r.Votes = make([]VoteMsg, n)
-		for i := range r.Votes {
-			r.Votes[i] = VoteMsg{Player: p.Int(), Object: p.Int(), Round: p.Int(), Value: p.Float()}
-		}
+	r.Votes = refill(r.Votes, p.Count(minVote))
+	for i := range r.Votes {
+		r.Votes[i] = VoteMsg{Player: p.Int(), Object: p.Int(), Round: p.Int(), Value: p.Float()}
 	}
 	r.Objects = codec.ParseVarints[int](p)
 	r.Count = p.Int()
@@ -232,11 +242,9 @@ func (r *Response) parse(p *codec.Parser) {
 	}
 	r.Round = p.Int()
 	r.Leader = p.Str()
-	if n := p.Count(minProbeRes); n > 0 {
-		r.ProbeResults = make([]ProbeRes, n)
-		for i := range r.ProbeResults {
-			r.ProbeResults[i] = ProbeRes{Value: p.Float(), Good: p.Bool()}
-		}
+	r.ProbeResults = refill(r.ProbeResults, p.Count(minProbeRes))
+	for i := range r.ProbeResults {
+		r.ProbeResults[i] = ProbeRes{Value: p.Float(), Good: p.Bool()}
 	}
 }
 

@@ -163,6 +163,10 @@ func FuzzDecodeResponse(f *testing.F) {
 			Count: 1, Counts: map[int]int{1: 1, 5: 2}},
 		// Protocol v4: a coded error.
 		{Round: 3, Code: CodeSessionExpired, Err: "gone"},
+		// Shorter lists after longer ones: a reused Response keeps the
+		// longer answers' arrays.
+		{Round: 4, ProbeResults: []ProbeRes{{Value: 2}}},
+		{Round: 4, Votes: []VoteMsg{{Player: 3, Object: 1, Round: 2, Value: 0.5}}},
 		{Code: CodeNotLeader, Err: "not the leader", Leader: "127.0.0.1:7000"},
 	}
 	stream := encodeStream(f, resps)
@@ -175,5 +179,30 @@ func FuzzDecodeResponse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzStream(t, data, MaxFrame, &Response{})
+		fuzzReusedResponses(t, data)
 	})
+}
+
+// fuzzReusedResponses decodes up to eight frames from data into one reused
+// Response, as a pipelining client decodes into its answer slots, and
+// checks that each re-encodes to its own frame: entries left over from an
+// earlier, longer answer would change the bytes.
+func fuzzReusedResponses(t *testing.T, data []byte) {
+	r := bytes.NewReader(data)
+	dec := NewStreamDecoder(r)
+	var resp Response
+	for range 8 {
+		start := len(data) - r.Len()
+		if err := dec.DecodeResponse(&resp); err != nil {
+			return
+		}
+		frame := data[start : len(data)-r.Len()]
+		var buf bytes.Buffer
+		if err := NewStreamEncoder(&buf).EncodeResponse(&resp); err != nil {
+			t.Fatalf("re-encode %+v: %v", resp, err)
+		}
+		if !bytes.Equal(payload(buf.Bytes()), payload(frame)) {
+			t.Fatalf("frame %x decoded after earlier frames re-encodes as %x", frame, buf.Bytes())
+		}
+	}
 }

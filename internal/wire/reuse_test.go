@@ -66,3 +66,61 @@ func TestDecodeRequestShortAfterLong(t *testing.T) {
 		}
 	}
 }
+
+// answerFrames returns a probe-result answer and a vote answer of n entries
+// each, and an arrival's answer, which has neither.
+func answerFrames(n int) []Response {
+	results := make([]ProbeRes, n)
+	votes := make([]VoteMsg, n)
+	for i := range n {
+		results[i] = ProbeRes{Value: float64(i % 3), Good: i%2 == 0}
+		votes[i] = VoteMsg{Player: i, Object: 3 * i, Round: 4, Value: float64(i) / 8}
+	}
+	return []Response{
+		{Round: 4, ProbeResults: results},
+		{Round: 4, Votes: votes},
+		{Round: 5},
+	}
+}
+
+// TestDecodeResponseReusesEntryArrays pins the response half of the
+// ownership rule: once one Response has held a 256-entry probe-result
+// answer and a 256-entry vote answer, decoding them into it again
+// allocates nothing, an answer with neither list in between included.
+func TestDecodeResponseReusesEntryArrays(t *testing.T) {
+	const runs = 50
+	frames := answerFrames(256)
+	one := encodeStream(t, frames)
+	dec := NewStreamDecoder(bufio.NewReader(bytes.NewReader(bytes.Repeat(one, runs+1))))
+	var resp Response
+	allocs := testing.AllocsPerRun(runs, func() {
+		for range frames {
+			if err := dec.DecodeResponse(&resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decoding the answers again allocated %v objects, want 0", allocs)
+	}
+	if len(resp.ProbeResults) != 0 || len(resp.Votes) != 0 || resp.Round != 5 {
+		t.Fatalf("last answer decoded as %+v, want round 5 and no entries", resp)
+	}
+}
+
+// TestDecodeResponseShortAfterLong: an answer decoded into a Response that
+// held a longer one holds exactly its own entries, so it re-encodes to its
+// own frame.
+func TestDecodeResponseShortAfterLong(t *testing.T) {
+	frames := append(answerFrames(64), answerFrames(3)...)
+	dec := NewStreamDecoder(bytes.NewReader(encodeStream(t, frames)))
+	var resp Response
+	for i := range frames {
+		if err := dec.DecodeResponse(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := encodeStream(t, []Response{resp}), encodeStream(t, frames[i:i+1]); !bytes.Equal(got, want) {
+			t.Fatalf("answer %d decoded as %+v, want %+v", i, resp, frames[i])
+		}
+	}
+}

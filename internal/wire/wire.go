@@ -33,14 +33,25 @@
 //     is answered depends on the credential (see Request.Seq).
 //
 // Ownership: a decoded value never aliases the decoder's frame buffer, and
-// belongs to the caller, with one exception. A StreamDecoder decodes each
-// request's Posts, Probes and Players into the arrays of the request it
-// decoded before, so a decoded request's entry slices are valid until the
-// next DecodeRequest on the same decoder. The server, which decodes every
-// request of a connection on one decoder, is done with them before it
-// reads the next frame: the board copies each post it buffers, and the
-// journal encodes its records at once. The stateless DecodeRequest makes a
-// fresh decoder per call, so its requests own their slices.
+// belongs to the caller, with two exceptions, one per direction.
+//
+//   - Requests: a StreamDecoder decodes each request's Posts, Probes and
+//     Players into the arrays of the request it decoded before, so a
+//     decoded request's entry slices are valid until the next
+//     DecodeRequest on the same decoder. The server, which decodes every
+//     request of a connection on one decoder, is done with them before it
+//     reads the next frame: the board copies each post it buffers, and the
+//     journal encodes its records at once. The stateless DecodeRequest
+//     makes a fresh decoder per call, so its requests own their slices.
+//   - Responses: DecodeResponse decodes a response's ProbeResults and Votes
+//     into the arrays the Response it fills already holds, so decoding into
+//     a Response again overwrites the entries of the answer it held: a
+//     caller that keeps an entry copies it first. A list with no entries
+//     decodes as an empty slice of the held array (nil for a fresh
+//     Response), so the array serves the next answer decoded into that
+//     Response. The arrays belong to the Response, not to the decoder: a
+//     client that pipelines decodes each outstanding answer into a Response
+//     of its own. The stateless DecodeResponse fills a fresh Response.
 package wire
 
 import (
@@ -48,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/codec"
 )
@@ -197,7 +209,15 @@ func (t ReqType) String() string {
 // vote request, and the replies to a sync or a vote, carry the stream
 // position in Offset. Client frames are unchanged; a v12 replica cannot
 // parse a v13 replication frame, hence the bump.
-const Version = 13
+//
+// Version 14 sends no cost table for a unit-cost universe. The paper's §4
+// model charges every probe one unit, yet every Hello answer and every
+// resume carried all m costs, three bytes each. Now a Hello answer carries
+// Costs only when some object's cost is not 1, and an empty table means
+// every cost is 1 (see Cost and CheckHello). The frame layout is
+// unchanged, but a v13 client would index past an empty table, hence the
+// bump.
+const Version = 14
 
 // MaxFrame bounds one framed message's declared size; anything larger is
 // treated as corruption, never allocated.
@@ -359,7 +379,9 @@ type Response struct {
 	Code uint8
 
 	// Hello reply: run configuration. Costs are the objects' public probe
-	// costs; a probe's charge is its object's entry here.
+	// costs, a probe's charge its object's entry here: empty when every
+	// object costs 1, else one entry per object (protocol v14; read them
+	// through Cost).
 	N            int
 	M            int
 	LocalTesting bool
@@ -400,6 +422,36 @@ func (r *Response) Error() error {
 		return fmt.Errorf("billboard server: %s: %w", r.Err, s)
 	}
 	return fmt.Errorf("billboard server: %s", r.Err)
+}
+
+// Cost returns object i's probe cost under a Hello answer's cost table:
+// 1 when the table is empty, its entry otherwise.
+func Cost(costs []float64, i int) float64 {
+	if len(costs) == 0 {
+		return 1
+	}
+	return costs[i]
+}
+
+// CheckHello refuses a Hello answer whose cost table is neither empty nor
+// one cost per object, so Cost never reads past the table.
+func (r *Response) CheckHello() error {
+	if n := len(r.Costs); n != 0 && n != r.M {
+		return fmt.Errorf("wire: hello answer carries %d costs for %d objects", n, r.M)
+	}
+	return nil
+}
+
+// CheckFits refuses a response that would not fit one frame at any Round:
+// a peer's decoder refuses a frame larger than MaxFrame. The server checks
+// its Hello answer, whose size grows with the universe, once at start-up.
+func (r *Response) CheckFits() error {
+	worst := *r
+	worst.Round = math.MinInt // the longest varint
+	if size := worst.size(); size > MaxFrame {
+		return fmt.Errorf("wire: a %d-byte answer exceeds the %d-byte frame limit (wire.MaxFrame)", size, MaxFrame)
+	}
+	return nil
 }
 
 // StreamEncoder writes framed messages to one connection. Each frame is
@@ -599,9 +651,11 @@ func keep[T any](old, decoded []T) []T {
 }
 
 // DecodeResponse reads one response frame from the stream into resp,
-// zeroing it first.
+// zeroing it first except for the arrays of its ProbeResults and Votes,
+// into which it decodes this frame's (the package doc's ownership rule):
+// a caller that keeps an entry of the answer resp held copies it first.
 func (d *StreamDecoder) DecodeResponse(resp *Response) error {
-	*resp = Response{}
+	*resp = Response{ProbeResults: resp.ProbeResults[:0], Votes: resp.Votes[:0]}
 	p, err := d.next(kindResponse)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -236,5 +237,46 @@ func TestFrameGolden(t *testing.T) {
 		if want := filled(like); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoding %s: %v\ngot  %+v\nwant %+v", path, err, got, want)
 		}
+	}
+}
+
+// TestHelloCostRule pins the v14 cost table: an empty table reads 1
+// everywhere, any other its own entries, and a table that is neither empty
+// nor one cost per object is refused.
+func TestHelloCostRule(t *testing.T) {
+	table := []float64{1, 2, 1, 2, 0.5}
+	for i, want := range table {
+		if Cost(nil, i) != 1 || Cost(table, i) != want {
+			t.Fatalf("object %d: cost %v without a table, %v with %v", i, Cost(nil, i), Cost(table, i), table)
+		}
+	}
+	for _, c := range []struct {
+		costs []float64
+		ok    bool
+	}{{nil, true}, {table, true}, {table[:2], false}, {append(table, 1), false}} {
+		err := (&Response{M: 5, Costs: c.costs}).CheckHello()
+		if (err == nil) != c.ok {
+			t.Fatalf("%d costs for 5 objects: CheckHello = %v", len(c.costs), err)
+		}
+	}
+}
+
+// TestCheckFitsNamesTheLimit: an answer whose frame would exceed MaxFrame
+// is refused with an error naming the limit, and the largest that fits at
+// any round is accepted.
+func TestCheckFitsNamesTheLimit(t *testing.T) {
+	big := &Response{Costs: make([]float64, MaxFrame)} // a zero cost is one byte
+	if err := big.CheckFits(); err == nil || !strings.Contains(err.Error(), "wire.MaxFrame") {
+		t.Fatalf("CheckFits = %v, want the frame limit named", err)
+	}
+	fits := &Response{Round: math.MinInt}
+	// The count takes three bytes where an empty table's takes one.
+	fits.Costs = make([]float64, MaxFrame-fits.size()-2)
+	if err := fits.CheckFits(); err != nil {
+		t.Fatalf("%d costs: %v", len(fits.Costs), err)
+	}
+	fits.Costs = append(fits.Costs, 0)
+	if err := fits.CheckFits(); err == nil {
+		t.Fatalf("%d costs fit", len(fits.Costs))
 	}
 }
