@@ -6,7 +6,9 @@
 # tail and whole-batch resends, deadlines, the Retries bound, cancellation
 # of a blocked arrival, the Hello answer's cost table and its refusal when
 # malformed, the swarm's concurrent handshakes and a refused group's
-# error) doubled under -race, the
+# error, both wire-backed readers answering as a local board does, and a
+# read answer too large for one frame refused without losing the session)
+# doubled under -race, the
 # durability layer (journal store, snapshot rotation, recovery's rejection
 # of out-of-range players), the packages the perf pass touched (billboard,
 # codec, wire), the DISTILL variants (core, whose tests run replications in
@@ -22,7 +24,8 @@
 # seal audit, the stale-arrival re-stamp, the closure-counter edges in both
 # modes) doubled under -race, the scenario-replay golden (same file + seed
 # → byte-identical digest) doubled under -race plus the open-world swarm
-# dynamics suite and a `cmd/experiments -scenario` smoke test, a
+# dynamics suite, a canceled cluster-backed scenario's prompt, leak-free
+# return, and a `cmd/experiments -scenario` smoke test, a
 # 1-iteration bench smoke so a broken benchmark cannot land silently, and a
 # vet + unit-test pass over perfbench (the repo's benchmark harness, a module
 # of its own that imports internal/server, internal/swarm and
@@ -43,14 +46,14 @@ check: build
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/billboard/... ./internal/codec/... ./internal/wire/... ./internal/journal/... ./internal/server/... ./internal/client/... ./internal/swarm/... ./internal/dist/... ./internal/core/...
-	$(GO) test -race -run 'TestConn|TestRetriesBoundDials|TestCancel|Hello|TestLargeUnitUniverseDials|TestMalformedCostTableRefused|TestHandshakesRunConcurrently' -count=2 ./internal/client ./internal/swarm
+	$(GO) test -race -run 'TestConn|TestRetriesBoundDials|TestCancel|Hello|TestLargeUnitUniverseDials|TestMalformedCostTableRefused|TestHandshakesRunConcurrently|TestReaderContract|TestOversizedAnswerRefused' -count=2 ./internal/client ./internal/swarm ./internal/server
 	$(GO) test -race -run 'TestChaosServerKillRestart|TestChaosKillRestartUnderFaultInjection|TestPersist|TestCloseStopsLeaseTimers|TestResumeStopsLeaseTimer' -count=2 ./internal/server ./internal/dist
 	$(GO) test -race -run 'TestShardCommitDeterminismGolden' -count=2 ./internal/server
 	$(GO) test -race -run 'TestReplica|TestLeader|TestChaosReplica|TestChaosLeader' -count=2 ./internal/server ./internal/dist
 	$(GO) test -race -run 'TestSwarm' -count=2 ./internal/swarm ./internal/dist
 	$(GO) test -race -run 'TestEpoch|TestStale|TestCloseDuringCommit|TestClosure|TestBarrierDeadline' -count=2 ./internal/server ./internal/swarm ./internal/dist
 	$(GO) test -race -run 'TestGoldenScenarioReplay' -count=2 .
-	$(GO) test -race -run 'TestSwarmDynamics|TestEngineReplayDeterministic|TestClusterReplayDeterministic' -count=2 ./internal/dist ./internal/scenario
+	$(GO) test -race -run 'TestSwarmDynamics|TestEngineReplayDeterministic|TestClusterReplayDeterministic|TestClusterRunHonorsContext' -count=2 ./internal/dist ./internal/scenario
 	$(GO) test -race -run 'TestScenario' ./cmd/experiments
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/server ./internal/journal ./internal/wire > /dev/null
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
@@ -86,10 +89,8 @@ bench:
 # Gate the hot paths against the recorded baseline: re-time the substrate
 # micro-benchmarks and fail when any ns/op grew more than 5% past
 # BENCH_PR2.json. Run after touching billboard, wire, or engine internals
-# (the observability layer's overhead budget is enforced here too). The
-# allocating WindowCountMap variant is deliberately left out: its time is
-# dominated by map allocation, which drifts well past 5% run to run on the
-# same commit. Alongside the gate, three service costs are recorded, not
+# (the observability layer's overhead budget is enforced here too).
+# Alongside the gate, three service costs are recorded, not
 # gated: the replicated coordinator's post-round commit latency as
 # BENCH_PR6.json (the replicas-1 point is the repLog bookkeeping with a
 # quorum of self, the replicas-3 point adds one follower's durable ack per

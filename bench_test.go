@@ -126,16 +126,6 @@ func BenchmarkBillboardWindowCount(b *testing.B) {
 	var wc billboard.WindowCounts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		board.CountVotesInWindowInto(8, 24, &wc)
-	}
-}
-
-// BenchmarkBillboardWindowCountMap measures the allocating map variant kept
-// for callers that need an owned map (e.g. the RPC read path).
-func BenchmarkBillboardWindowCountMap(b *testing.B) {
-	board := windowCountBoard(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = board.CountVotesInWindow(8, 24)
+		board.CountVotesInWindow(8, 24, &wc)
 	}
 }

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"context"
+
 	"repro/internal/async"
 	"repro/internal/client"
 	"repro/internal/dist"
@@ -74,7 +76,8 @@ type (
 	// BatchPost is one entry of BillboardClient.PostBatch — a whole round's
 	// posts plus the player's arrival in a single protocol-v3 frame.
 	BatchPost = client.BatchPost
-	// CachedReader is a per-round read cache over a BillboardClient.
+	// CachedReader is a player's BoardReader over a BillboardClient, with
+	// a per-round read cache.
 	CachedReader = client.Cached
 )
 
@@ -105,8 +108,8 @@ const (
 // metrics registry. Usually built implicitly via Dial's options.
 type ClientOptions = client.Options
 
-// NewCachedReader wraps a client with a per-round read cache; call
-// Invalidate after each Barrier.
+// NewCachedReader returns a BoardReader over a client's session, with a
+// per-round read cache; call Invalidate after each Barrier.
 func NewCachedReader(c *BillboardClient) *CachedReader { return client.NewCached(c) }
 
 // Distributed runs.
@@ -121,8 +124,8 @@ type (
 	// ClusterChaos schedules fault injection and kill/restart hooks.
 	ClusterChaos = dist.Chaos
 	// ClusterDrive tunes the swarm scheduler that drives the honest fleet
-	// (connection groups, frame size, pipelining window) and carries the
-	// open-world Dynamics hook; the zero value takes the swarm defaults.
+	// (its connection groups) and carries the open-world Dynamics hook;
+	// the zero value takes the swarm defaults.
 	ClusterDrive = dist.Drive
 	// ClusterResult aggregates a distributed run.
 	ClusterResult = dist.ClusterResult
@@ -137,7 +140,7 @@ func RunDistributedCluster(cfg ClusterConfig, opts ...ClusterOption) (*ClusterRe
 	for _, opt := range opts {
 		opt.applyCluster(&cfg)
 	}
-	return dist.RunCluster(cfg)
+	return dist.RunCluster(context.Background(), cfg)
 }
 
 // ---------------------------------------------------------------------------

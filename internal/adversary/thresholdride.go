@@ -71,7 +71,7 @@ func (a *ThresholdRide) Act(ctx *sim.AdvContext) {
 	}
 	voters := make([]int, 0, len(ctx.Dishonest))
 	for _, p := range ctx.Dishonest {
-		if len(ctx.Board.VotesView(p)) < voteCap {
+		if len(ctx.Board.Votes(p)) < voteCap {
 			voters = append(voters, p)
 		}
 	}

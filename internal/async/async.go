@@ -182,7 +182,7 @@ func (s *ExploreFollow) Probe(player int, board *billboard.Board, src *rng.Sourc
 		return src.Intn(s.M), true
 	}
 	j := src.Intn(s.N)
-	votes := board.VotesView(j)
+	votes := board.Votes(j)
 	if len(votes) == 0 {
 		return 0, false
 	}

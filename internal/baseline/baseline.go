@@ -68,9 +68,6 @@ type AsyncRoundRobin struct {
 	m     int
 	src   *rng.Source
 	board billboard.Reader
-	// votesOf is the copy-free read path when the board supports it (the
-	// in-process Board does; RPC readers fall back to the copying Votes).
-	votesOf func(player int) []billboard.Vote
 }
 
 var _ sim.Protocol = (*AsyncRoundRobin)(nil)
@@ -87,11 +84,6 @@ func (p *AsyncRoundRobin) Init(setup sim.Setup) error {
 	p.m = setup.Universe.M()
 	p.src = setup.Rng
 	p.board = setup.Board
-	if v, ok := setup.Board.(billboard.VotesViewer); ok {
-		p.votesOf = v.VotesView
-	} else {
-		p.votesOf = setup.Board.Votes
-	}
 	return nil
 }
 
@@ -108,7 +100,7 @@ func (p *AsyncRoundRobin) Probes(round int, active []int, dst []sim.Probe) []sim
 		}
 		// Follow a random player's vote, if it has one.
 		j := p.src.Intn(p.n)
-		votes := p.votesOf(j)
+		votes := p.board.Votes(j)
 		if len(votes) == 0 {
 			continue
 		}

@@ -89,8 +89,8 @@ func TestPendingAcrossBlocks(t *testing.T) {
 	}
 }
 
-// TestVotesViewCannotAppendIntoStorage pins the vote slab's isolation: a
-// player's view ends at its length, so appending to it leaves the slab
+// TestVotesViewCannotAppendIntoStorage pins the vote slab's isolation: the
+// view Votes returns ends at its length, so appending to it leaves the slab
 // slots reserved for the player's later votes, and every other player's
 // votes, untouched.
 func TestVotesViewCannotAppendIntoStorage(t *testing.T) {
@@ -98,13 +98,13 @@ func TestVotesViewCannotAppendIntoStorage(t *testing.T) {
 	_ = b.Post(Post{Player: 0, Object: 1, Value: 1, Positive: true})
 	_ = b.Post(Post{Player: 1, Object: 2, Value: 1, Positive: true})
 	b.EndRound()
-	_ = append(b.VotesView(0), Vote{Player: 0, Object: 7})
+	_ = append(b.Votes(0), Vote{Player: 0, Object: 7})
 	_ = b.Post(Post{Player: 0, Object: 3, Value: 1, Positive: true})
 	b.EndRound()
-	if got := b.VotesView(0); len(got) != 2 || got[1].Object != 3 {
+	if got := b.Votes(0); len(got) != 2 || got[1].Object != 3 {
 		t.Fatalf("player 0 votes = %+v, want objects 1 and 3", got)
 	}
-	if got := b.VotesView(1); len(got) != 1 || got[0].Object != 2 {
+	if got := b.Votes(1); len(got) != 1 || got[0].Object != 2 {
 		t.Fatalf("player 1 votes = %+v, want object 2", got)
 	}
 }
@@ -153,7 +153,7 @@ func TestVotesPastCarve(t *testing.T) {
 		if p == 1 {
 			want = 1
 		}
-		got := b.VotesView(p)
+		got := b.Votes(p)
 		if len(got) != want {
 			t.Fatalf("player %d holds %d votes, want %d", p, len(got), want)
 		}

@@ -27,13 +27,17 @@ import (
 )
 
 // Reader is the read-only view of a billboard that honest protocols
-// consume. *Board implements it locally; the network client in
-// internal/client implements it against a remote billboard server, so the
-// same protocol code runs in-process and distributed.
+// consume: committed state only, which changes at round boundaries alone
+// (§2.1), so every read is valid for the rest of the round. *Board
+// implements it locally; internal/client and internal/swarm implement it
+// against a remote billboard server, so the same protocol code runs
+// in-process and distributed. Each concept has one read.
 type Reader interface {
 	// Round returns the current round number.
 	Round() int
-	// Votes returns player p's current committed votes.
+	// Votes returns player p's current committed votes as a read-only
+	// view, valid until the next round commits. Its capacity ends at its
+	// length, so an append cannot write into the reader's storage.
 	Votes(player int) []Vote
 	// HasVote reports whether player p has at least one committed vote.
 	HasVote(player int) bool
@@ -46,9 +50,9 @@ type Reader interface {
 	VotedObjects() []int
 	// NumVotedObjects returns the number of distinct objects with votes.
 	NumVotedObjects() int
-	// CountVotesInWindow counts vote events per object with round in
-	// [fromRound, toRound).
-	CountVotesInWindow(fromRound, toRound int) map[int]int
+	// CountVotesInWindow fills wc with the number of vote events per object
+	// with round in [fromRound, toRound), resetting it first.
+	CountVotesInWindow(fromRound, toRound int, wc *WindowCounts)
 }
 
 // VoteMode selects how votes are derived from posts.
@@ -187,8 +191,8 @@ type Board struct {
 
 // SetMetrics registers the board's metrics in reg (nil is a no-op) and
 // starts recording: billboard_posts_total (accepted posts, committed or
-// still pending), billboard_window_queries_total (CountVotesInWindow and
-// the allocation-free Into variant), and billboard_index_rebuilds_total
+// still pending), billboard_window_queries_total (CountVotesInWindow
+// calls), and billboard_index_rebuilds_total
 // (full event-offset-index reconstructions, i.e. snapshot/journal
 // recoveries — already-performed rebuilds are backfilled). Recording is
 // one nil check plus one atomic add per event, so the hot paths stay
@@ -420,24 +424,11 @@ func (b *Board) dropObject(obj int) {
 	}
 }
 
-// Votes returns player p's current committed votes. The returned slice is
-// a copy.
-func (b *Board) Votes(player int) []Vote {
-	votes := b.votesByPlayer[player]
-	if len(votes) == 0 {
-		return nil
-	}
-	out := make([]Vote, len(votes))
-	copy(out, votes)
-	return out
-}
-
-// VotesView returns player p's committed votes without copying. The slice
+// Votes returns player p's committed votes without copying. The slice
 // aliases board state: it is valid until the next EndRound and must not be
-// mutated. The copy-free variant for per-probe hot loops (advice probes
-// call it once per player per round). Its capacity ends at its length, so
-// an append cannot write into the player's vote storage.
-func (b *Board) VotesView(player int) []Vote {
+// mutated. Its capacity ends at its length, so an append cannot write into
+// the player's vote storage.
+func (b *Board) Votes(player int) []Vote {
 	votes := b.votesByPlayer[player]
 	return votes[:len(votes):len(votes)]
 }
@@ -492,33 +483,16 @@ func (b *Board) eventOffset(r int) int {
 	}
 }
 
-// CountVotesInWindow returns, for each object, the number of vote events
-// with round in [fromRound, toRound). This realizes the shared variable
-// ℓ_t(i) of Figure 1: votes an object received during iteration t. The
-// returned map is freshly allocated; hot loops should prefer
-// CountVotesInWindowInto with a reused WindowCounts buffer.
-func (b *Board) CountVotesInWindow(fromRound, toRound int) map[int]int {
-	b.mWindowQueries.Inc()
-	lo, hi := b.eventOffset(fromRound), b.eventOffset(toRound)
-	if hi < lo {
-		hi = lo
-	}
-	counts := make(map[int]int, hi-lo)
-	for _, e := range b.events[lo:hi] {
-		counts[e.Object]++
-	}
-	return counts
-}
-
-// CountVotesInWindowInto fills wc with the per-object vote-event counts of
+// CountVotesInWindow fills wc with the per-object vote-event counts of
 // [fromRound, toRound), reusing wc's buffers (zero allocations once warm).
-// The allocation-free variant of CountVotesInWindow for the engine hot loop.
-func (b *Board) CountVotesInWindowInto(fromRound, toRound int, wc *WindowCounts) {
+// This realizes the shared variable ℓ_t(i) of Figure 1: votes an object
+// received during iteration t.
+func (b *Board) CountVotesInWindow(fromRound, toRound int, wc *WindowCounts) {
 	b.mWindowQueries.Inc()
 	wc.Reset(b.cfg.Objects)
-	lo, hi := b.eventOffset(fromRound), b.eventOffset(toRound)
-	for i := lo; i < hi; i++ {
-		wc.Add(b.events[i].Object, 1)
+	events := b.WindowEvents(fromRound, toRound)
+	for i := range events {
+		wc.Add(events[i].Object, 1)
 	}
 }
 
@@ -531,15 +505,6 @@ func (b *Board) WindowEvents(fromRound, toRound int) []VoteEvent {
 		hi = lo
 	}
 	return b.events[lo:hi]
-}
-
-// EventsInWindow returns the vote events with round in [fromRound, toRound).
-// The returned slice is a copy.
-func (b *Board) EventsInWindow(fromRound, toRound int) []VoteEvent {
-	view := b.WindowEvents(fromRound, toRound)
-	out := make([]VoteEvent, len(view))
-	copy(out, view)
-	return out
 }
 
 // Log returns the full post log if KeepLog was enabled, else nil. The

@@ -93,7 +93,7 @@ func TestFirstPositiveOneVote(t *testing.T) {
 		t.Fatalf("TotalVotes = %d", b.TotalVotes())
 	}
 	// Only the first positive report generated a vote event.
-	if got := b.EventsInWindow(0, 100); len(got) != 1 {
+	if got := b.WindowEvents(0, 100); len(got) != 1 {
 		t.Fatalf("events = %+v", got)
 	}
 }
@@ -199,19 +199,19 @@ func TestCountVotesInWindow(t *testing.T) {
 	}
 	b.EndRound()
 
-	counts := b.CountVotesInWindow(0, 1)
+	counts := windowMap(b, 0, 1)
 	if counts[0] != 2 || counts[1] != 0 {
 		t.Fatalf("window [0,1) = %v", counts)
 	}
-	counts = b.CountVotesInWindow(2, 3)
+	counts = windowMap(b, 2, 3)
 	if counts[1] != 3 || counts[0] != 0 {
 		t.Fatalf("window [2,3) = %v", counts)
 	}
-	counts = b.CountVotesInWindow(0, 3)
+	counts = windowMap(b, 0, 3)
 	if counts[0] != 2 || counts[1] != 3 {
 		t.Fatalf("window [0,3) = %v", counts)
 	}
-	if got := b.CountVotesInWindow(1, 2); len(got) != 0 {
+	if got := windowMap(b, 1, 2); len(got) != 0 {
 		t.Fatalf("empty window = %v", got)
 	}
 }
@@ -257,7 +257,7 @@ func TestBestValueReaffirmationCountsInWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.EndRound() // round 1: re-affirmation event
-	if got := b.CountVotesInWindow(1, 2); got[1] != 1 {
+	if got := windowMap(b, 1, 2); got[1] != 1 {
 		t.Fatalf("re-affirmation not counted: %v", got)
 	}
 	// State unchanged: still exactly one vote on object 1.
@@ -276,7 +276,7 @@ func TestBestValueWorseReportNoEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.EndRound()
-	if got := b.EventsInWindow(1, 2); len(got) != 0 {
+	if got := b.WindowEvents(1, 2); len(got) != 0 {
 		t.Fatalf("worse report produced events: %+v", got)
 	}
 }
@@ -304,19 +304,6 @@ func TestKeepLog(t *testing.T) {
 	b2 := mustBoard(t, Config{Players: 1, Objects: 1})
 	if b2.Log() != nil {
 		t.Fatal("Log without KeepLog should be nil")
-	}
-}
-
-func TestVotesReturnsCopy(t *testing.T) {
-	b := mustBoard(t, Config{Players: 1, Objects: 2})
-	if err := b.Post(Post{Player: 0, Object: 1, Value: 1, Positive: true}); err != nil {
-		t.Fatal(err)
-	}
-	b.EndRound()
-	v := b.Votes(0)
-	v[0].Object = 0
-	if b.Votes(0)[0].Object != 1 {
-		t.Fatal("Votes exposed internal state")
 	}
 }
 

@@ -43,8 +43,12 @@ func ExampleBoard_CountVotesInWindow() {
 	_ = board.Post(billboard.Post{Player: 2, Object: 1, Value: 1, Positive: true})
 	board.EndRound() // round 1
 
-	fmt.Println("votes for object 1 in [0,1):", board.CountVotesInWindow(0, 1)[1])
-	fmt.Println("votes for object 1 in [1,2):", board.CountVotesInWindow(1, 2)[1])
+	// One reused buffer serves every window read.
+	var wc billboard.WindowCounts
+	board.CountVotesInWindow(0, 1, &wc)
+	fmt.Println("votes for object 1 in [0,1):", wc.Count(1))
+	board.CountVotesInWindow(1, 2, &wc)
+	fmt.Println("votes for object 1 in [1,2):", wc.Count(1))
 	// Output:
 	// votes for object 1 in [0,1): 1
 	// votes for object 1 in [1,2): 2

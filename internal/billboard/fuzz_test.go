@@ -1,6 +1,9 @@
 package billboard
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzBoardInvariants drives a board with an arbitrary post/commit script
 // and checks the global accounting invariants after every commit:
@@ -81,12 +84,16 @@ func FuzzBoardInvariants(f *testing.F) {
 	})
 }
 
-// FuzzWindowCounts checks that window queries partition correctly: counts
-// over [0, r) equal the sum of counts over [0, k) and [k, r) for any split.
+// FuzzWindowCounts checks the dense window counts against a brute-force
+// count over the event log (WindowEvents filtered by each event's round),
+// for the windows [0, r), [0, k) and [k, r) of any split k and for a
+// window past the open round, and that the split windows partition the
+// full one.
 func FuzzWindowCounts(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 3, 0}, uint8(1))
 	f.Fuzz(func(t *testing.T, script []byte, splitRaw uint8) {
-		b, err := New(Config{Players: 8, Objects: 8})
+		const objects = 8
+		b, err := New(Config{Players: 8, Objects: objects})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +104,7 @@ func FuzzWindowCounts(f *testing.F) {
 			}
 			_ = b.Post(Post{
 				Player:   int(op) % 8,
-				Object:   int(op>>3) % 8,
+				Object:   int(op>>3) % objects,
 				Value:    1,
 				Positive: true,
 			})
@@ -105,18 +112,37 @@ func FuzzWindowCounts(f *testing.F) {
 		b.EndRound()
 		r := b.Round()
 		split := int(splitRaw) % (r + 1)
-		full := b.CountVotesInWindow(0, r)
-		left := b.CountVotesInWindow(0, split)
-		right := b.CountVotesInWindow(split, r)
-		for obj, want := range full {
-			if left[obj]+right[obj] != want {
-				t.Fatalf("window split broken at %d for object %d: %d + %d != %d",
-					split, obj, left[obj], right[obj], want)
+		all := b.WindowEvents(0, r)
+		var full, left, right WindowCounts
+		for _, w := range []struct {
+			from, to int
+			wc       *WindowCounts
+		}{{0, r, &full}, {0, split, &left}, {split, r, &right}, {split, r + 3, new(WindowCounts)}} {
+			b.CountVotesInWindow(w.from, w.to, w.wc)
+			var want [objects]int
+			for _, e := range all {
+				if e.Round >= w.from && e.Round < w.to {
+					want[e.Object]++
+				}
+			}
+			nonzero := 0
+			for obj, n := range want {
+				if got := w.wc.Count(obj); got != n {
+					t.Fatalf("window [%d,%d): object %d counted %d, want %d", w.from, w.to, obj, got, n)
+				}
+				if n > 0 {
+					nonzero++
+				}
+			}
+			objs := w.wc.Objects()
+			if len(objs) != nonzero || !slices.IsSorted(objs) {
+				t.Fatalf("window [%d,%d): objects %v, want the %d counted ones ascending", w.from, w.to, objs, nonzero)
 			}
 		}
-		for obj, c := range left {
-			if c > full[obj] {
-				t.Fatalf("left window exceeds full for object %d", obj)
+		for obj := 0; obj < objects; obj++ {
+			if left.Count(obj)+right.Count(obj) != full.Count(obj) {
+				t.Fatalf("window split broken at %d for object %d: %d + %d != %d",
+					split, obj, left.Count(obj), right.Count(obj), full.Count(obj))
 			}
 		}
 	})

@@ -50,7 +50,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.NegativeCount(5) != 1 {
 		t.Fatal("negative count lost")
 	}
-	if !reflect.DeepEqual(restored.CountVotesInWindow(0, 2), original.CountVotesInWindow(0, 2)) {
+	if !reflect.DeepEqual(windowMap(restored, 0, 2), windowMap(original, 0, 2)) {
 		t.Fatal("vote-event windows differ")
 	}
 	if len(restored.Log()) != len(original.Log()) {
@@ -68,7 +68,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if got := len(restored.Votes(0)); got != 2 {
 		t.Fatalf("restored vote cap broken: %d votes", got)
 	}
-	events := restored.EventsInWindow(2, 3)
+	events := restored.WindowEvents(2, 3)
 	if len(events) != 1 || events[0].Round != 2 {
 		t.Fatalf("continuing rounds broken: %+v", events)
 	}

@@ -5,8 +5,7 @@ import "sort"
 // WindowCounts is a reusable dense per-object counter for window queries:
 // a counts array indexed by object plus the list of touched objects, so
 // resetting costs O(objects touched), not O(objects). One buffer serves
-// every window query of a run — the allocation-free alternative to the
-// map returned by CountVotesInWindow.
+// every window query of a run (Reader.CountVotesInWindow fills it).
 type WindowCounts struct {
 	counts   []int
 	touched  []int
@@ -56,23 +55,3 @@ func (wc *WindowCounts) Objects() []int {
 
 // Len returns the number of objects with nonzero counts.
 func (wc *WindowCounts) Len() int { return len(wc.touched) }
-
-// WindowCounter is implemented by billboard readers that can serve window
-// counts into a caller-reusable buffer instead of allocating a map per
-// query. *Board implements it; hot loops type-assert and fall back to
-// Reader.CountVotesInWindow otherwise.
-type WindowCounter interface {
-	CountVotesInWindowInto(fromRound, toRound int, wc *WindowCounts)
-}
-
-// VotesViewer is implemented by readers that can expose a player's votes
-// without copying. The returned slice must be treated as read-only and is
-// only valid until the next round commit.
-type VotesViewer interface {
-	VotesView(player int) []Vote
-}
-
-var (
-	_ WindowCounter = (*Board)(nil)
-	_ VotesViewer   = (*Board)(nil)
-)

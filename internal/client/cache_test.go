@@ -1,9 +1,11 @@
 package client_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
+	"repro/internal/billboard"
 	"repro/internal/client"
 	"repro/internal/object"
 	"repro/internal/rng"
@@ -78,8 +80,9 @@ func TestCachedServesStaleWithinRoundFreshAfterInvalidate(t *testing.T) {
 	if !cached.HasVote(1) || cached.NumVotedObjects() != 1 {
 		t.Fatal("cached vote views wrong after invalidate")
 	}
-	if got := cached.CountVotesInWindow(0, 1)[bad]; got != 1 {
-		t.Fatalf("cached window count %d", got)
+	var wc billboard.WindowCounts
+	if cached.CountVotesInWindow(0, 1, &wc); wc.Count(bad) != 1 {
+		t.Fatalf("window count %d", wc.Count(bad))
 	}
 	if cached.NegativeCount(bad) != 0 {
 		t.Fatal("spurious negative count")
@@ -114,23 +117,28 @@ func TestCallsAfterServerClose(t *testing.T) {
 	// values (Reader interface) and explicit calls error.
 	// The server is closed by the test cleanup at the END, so instead close
 	// the client side and verify explicit calls fail fast.
+	cached := client.NewCached(c0)
 	if err := c0.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c0.Post(0, 1, true); err == nil {
 		t.Fatal("post on closed client succeeded")
 	}
-	if got := c0.Votes(0); got != nil {
+	if got := cached.Votes(0); got != nil {
 		t.Fatalf("votes on closed client = %v", got)
 	}
-	if got := c0.VoteCount(0); got != 0 {
+	if got := cached.VoteCount(0); got != 0 {
 		t.Fatalf("vote count on closed client = %d", got)
 	}
-	if got := c0.VotedObjects(); got != nil {
+	if got := cached.VotedObjects(); got != nil {
 		t.Fatalf("voted objects on closed client = %v", got)
 	}
-	if got := c0.CountVotesInWindow(0, 1); len(got) != 0 {
-		t.Fatalf("window on closed client = %v", got)
+	var wc billboard.WindowCounts
+	if cached.CountVotesInWindow(0, 1, &wc); wc.Len() != 0 {
+		t.Fatalf("window on closed client = %v", wc.Objects())
+	}
+	if !errors.Is(c0.Err(), client.ErrClosed) {
+		t.Fatalf("Err after reads on a closed client = %v, want ErrClosed", c0.Err())
 	}
 	if _, err := c0.Barrier(); err == nil {
 		t.Fatal("barrier on closed client succeeded")

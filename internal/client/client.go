@@ -1,8 +1,9 @@
 // Package client is the session transport of the networked billboard
 // service (internal/server) and the player-side library over it. A Client
-// implements billboard.Reader and sim.PublicUniverse against the remote
-// server, so the very same protocol code (core.Distill and friends) that
-// runs in the in-process engine drives a distributed player over TCP.
+// implements sim.PublicUniverse against the remote server, and a Cached
+// reader over it implements billboard.Reader with a per-round read cache,
+// so the very same protocol code (core.Distill and friends) that runs in
+// the in-process engine drives a distributed player over TCP.
 //
 // The transport, a Conn on a Transport, is the one implementation of the
 // session both drivers speak: the Client rides one with a window of one
@@ -32,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/billboard"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -157,7 +157,7 @@ type Client struct {
 	conn    *Conn
 	player  int
 	closed  bool  // set by Close: no further calls, no reconnects
-	readErr error // the first failed Reader call; sticky
+	readErr error // the first failed read of a Cached reader; sticky
 
 	n, m         int
 	localTesting bool
@@ -165,10 +165,7 @@ type Client struct {
 	costs        []float64
 }
 
-var (
-	_ billboard.Reader   = (*Client)(nil)
-	_ sim.PublicUniverse = (*Client)(nil)
-)
+var _ sim.PublicUniverse = (*Client)(nil)
 
 // Dial connects and authenticates as the given player with default
 // Options.
@@ -223,10 +220,10 @@ var ErrClosed = errors.New("client: closed")
 func (c *Client) Abort() { c.conn.Close() }
 
 // Err reports the first failure the client could not recover from: a lost
-// session (retries exhausted, resume refused) or a failed Reader call. Nil
-// while the session is healthy. The billboard.Reader methods cannot return
-// errors — they report zero values on failure and record it here; callers
-// (internal/dist) should check Err once per round.
+// session (retries exhausted, resume refused) or a failed read of a Cached
+// reader over it. Nil while the session is healthy. The billboard.Reader
+// methods cannot return errors — they answer zero values on failure and
+// record it here; a driver checks Err once per round.
 func (c *Client) Err() error {
 	if c.readErr != nil {
 		return c.readErr
@@ -234,8 +231,23 @@ func (c *Client) Err() error {
 	return c.conn.Err()
 }
 
+// noteReadErr records a failed read of a Cached reader over this client,
+// which the Reader interface cannot return: the read answered a zero
+// value. A lost session is already latched by the Conn; this also catches
+// a read the server refused, which would otherwise steer the protocol with
+// fabricated advice and never surface through Err. The session stays
+// usable.
+func (c *Client) noteReadErr(err error) {
+	if c.readErr == nil {
+		c.readErr = err
+	}
+}
+
 // Player returns the authenticated player id.
 func (c *Client) Player() int { return c.player }
+
+// Round returns the last round number observed from the server.
+func (c *Client) Round() int { return c.conn.Round() }
 
 // N returns the total number of players.
 func (c *Client) N() int { return c.n }
@@ -246,20 +258,12 @@ func (c *Client) Alpha() float64 { return c.alpha }
 // Beta returns the server-advertised assumed good fraction.
 func (c *Client) Beta() float64 { return c.beta }
 
-// usable reports why the client can make no further call, if it cannot.
-func (c *Client) usable() error {
-	if c.closed {
-		return ErrClosed
-	}
-	return c.readErr
-}
-
 // call runs one request on the session (see Conn.Exchange for its retries).
 // Application-level errors from the server fail the call and are not
 // retried.
 func (c *Client) call(req wire.Request) (*wire.Response, error) {
-	if err := c.usable(); err != nil {
-		return nil, err
+	if c.closed {
+		return nil, ErrClosed
 	}
 	return c.conn.Call(req)
 }
@@ -268,8 +272,8 @@ func (c *Client) call(req wire.Request) (*wire.Response, error) {
 // round, and returns the round the server answers once that round has
 // committed (see Conn.Arrive).
 func (c *Client) arrive(req wire.Request) (int, error) {
-	if err := c.usable(); err != nil {
-		return 0, err
+	if c.closed {
+		return 0, ErrClosed
 	}
 	reqs := [1]wire.Request{req}
 	var resps [1]wire.Response
@@ -369,104 +373,4 @@ func (c *Client) Barrier() (int, error) {
 func (c *Client) Done() error {
 	_, err := c.call(wire.Request{Type: wire.ReqDone, Players: []int{c.player}})
 	return err
-}
-
-// billboard.Reader implementation (RPC-backed). Errors are not expressible
-// through the Reader interface, so failures surface as zero values here,
-// are recorded in Err, and re-surface as errors on the next explicit call;
-// the distributed runner additionally checks Err each round.
-
-// noteReadErr records a failure observed on the zero-value Reader path.
-// A lost session is already latched by the Conn; this catches
-// application-level rejections, which a call returns without recording — a
-// rejected read silently answering "no votes" would otherwise steer the
-// protocol with fabricated advice and never surface through Err.
-func (c *Client) noteReadErr(err error) {
-	if err != nil && c.readErr == nil {
-		c.readErr = err
-	}
-}
-
-// Round returns the last round number observed from the server.
-func (c *Client) Round() int { return c.conn.Round() }
-
-// Votes returns player p's committed votes.
-func (c *Client) Votes(player int) []billboard.Vote {
-	resp, err := c.call(wire.Request{Type: wire.ReqVoteBatch, Players: []int{player}})
-	if err != nil {
-		c.noteReadErr(err)
-		return nil
-	}
-	votes := make([]billboard.Vote, len(resp.Votes))
-	for i, v := range resp.Votes {
-		votes[i] = billboard.Vote{Player: v.Player, Object: v.Object, Round: v.Round, Value: v.Value}
-	}
-	return votes
-}
-
-// HasVote reports whether player p has a committed vote.
-func (c *Client) HasVote(player int) bool { return len(c.Votes(player)) > 0 }
-
-// VoteCount returns object i's committed vote count.
-func (c *Client) VoteCount(object int) int {
-	resp, err := c.call(wire.Request{Type: wire.ReqVoteCount, Object: object})
-	if err != nil {
-		c.noteReadErr(err)
-		return 0
-	}
-	return resp.Count
-}
-
-// NegativeCount returns object i's negative-report count.
-func (c *Client) NegativeCount(object int) int {
-	resp, err := c.call(wire.Request{Type: wire.ReqNegCount, Object: object})
-	if err != nil {
-		c.noteReadErr(err)
-		return 0
-	}
-	return resp.Count
-}
-
-// VotedObjects returns the objects currently holding votes.
-func (c *Client) VotedObjects() []int {
-	resp, err := c.call(wire.Request{Type: wire.ReqVotedObjects})
-	if err != nil {
-		c.noteReadErr(err)
-		return nil
-	}
-	return resp.Objects
-}
-
-// NumVotedObjects returns the number of objects holding votes.
-func (c *Client) NumVotedObjects() int { return len(c.VotedObjects()) }
-
-// CountVotesInWindow counts vote events per object in [fromRound, toRound).
-func (c *Client) CountVotesInWindow(fromRound, toRound int) map[int]int {
-	resp, err := c.call(wire.Request{Type: wire.ReqWindow, From: fromRound, To: toRound})
-	if err != nil {
-		c.noteReadErr(err)
-		return map[int]int{}
-	}
-	if resp.Counts == nil {
-		return map[int]int{}
-	}
-	return resp.Counts
-}
-
-// CountVotesInLast counts vote events per object over the most recent
-// `last` closed rounds (protocol v8 sliding window). The server anchors the
-// window at its own current round — which an epoch-mode client cannot pin
-// in advance, since epochs seal on other players' stamps — and that anchor
-// round is returned alongside the counts: the answer covers
-// [round-last, round).
-func (c *Client) CountVotesInLast(last int) (map[int]int, int) {
-	resp, err := c.call(wire.Request{Type: wire.ReqWindow, Last: last})
-	if err != nil {
-		c.noteReadErr(err)
-		return map[int]int{}, c.conn.Round()
-	}
-	if resp.Counts == nil {
-		return map[int]int{}, resp.Round
-	}
-	return resp.Counts, resp.Round
 }

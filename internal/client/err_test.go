@@ -1,8 +1,9 @@
 package client_test
 
-// Sticky-error surface: the billboard.Reader methods cannot return errors,
-// so the client records unrecovered transport failures and reports them via
-// Err() on the next explicit check (internal/dist checks once per round).
+// Sticky-error surface: the billboard.Reader methods of a Cached reader
+// cannot return errors, so the client records unrecovered failures and
+// reports them via Err() on the next explicit check (a driver checks once
+// per round).
 
 import (
 	"testing"
@@ -37,17 +38,18 @@ func TestStickyErrSurfacesReaderFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cached := client.NewCached(c)
 	if err := c.Err(); err != nil {
 		t.Fatalf("fresh client has sticky error: %v", err)
 	}
-	if got := c.VoteCount(3); got != 0 {
+	if got := cached.VoteCount(3); got != 0 {
 		t.Fatalf("vote count = %d", got)
 	}
 
 	// Kill the server for good: reads now silently degrade to zero values —
 	// the old failure mode — but Err() must expose what happened.
 	srv.Close()
-	if got := c.Votes(0); got != nil {
+	if got := cached.Votes(0); got != nil {
 		t.Fatalf("votes after server death = %v, want nil", got)
 	}
 	if err := c.Err(); err == nil {
@@ -59,7 +61,7 @@ func TestStickyErrSurfacesReaderFailures(t *testing.T) {
 		t.Fatal("probe succeeded after sticky error")
 	}
 	first := c.Err()
-	_ = c.VoteCount(1)
+	_ = cached.VoteCount(1)
 	if c.Err() != first {
 		t.Fatalf("sticky error changed: %v → %v", first, c.Err())
 	}

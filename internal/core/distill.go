@@ -119,12 +119,7 @@ type Distill struct {
 	probeSet    []int // explore set of the current step
 	candidates  []int // C_t during phaseDistill
 
-	// Hot-path accessors resolved once at Init: the copy-free/buffered
-	// billboard fast paths when the Reader supports them, the allocating
-	// Reader methods otherwise (e.g. an RPC-backed board).
-	wc         billboard.WindowCounts  // reused window-count buffer
-	winCounter billboard.WindowCounter // nil → map fallback
-	votesOf    func(player int) []billboard.Vote
+	wc billboard.WindowCounts // reused window-count buffer
 
 	// Metrics.
 	attempts       int
@@ -200,16 +195,6 @@ func (d *Distill) Init(setup sim.Setup) error {
 	d.beta = setup.Beta
 	d.src = setup.Rng
 	d.board = setup.Board
-	if wcb, ok := setup.Board.(billboard.WindowCounter); ok {
-		d.winCounter = wcb
-	} else {
-		d.winCounter = nil
-	}
-	if vv, ok := setup.Board.(billboard.VotesViewer); ok {
-		d.votesOf = vv.VotesView
-	} else {
-		d.votesOf = setup.Board.Votes
-	}
 
 	if d.params.Domain != nil {
 		for _, obj := range d.params.Domain {
@@ -405,24 +390,17 @@ func (d *Distill) thresholdScale() float64 {
 }
 
 // loadWindowCounts fills d.wc with the vote counts the candidate filters
-// use: the per-window counts ℓ_t of Figure 1, or cumulative totals under
-// the A4 ablation. Boards implementing billboard.WindowCounter (the local
-// board; the hot path) fill the reused buffer with zero allocations;
-// RPC-backed readers fall through to the map API.
+// use: the per-window counts ℓ_t of Figure 1, read into the reused buffer,
+// or cumulative totals under the A4 ablation. It is the protocol's only
+// window read.
 func (d *Distill) loadWindowCounts(round int) {
-	switch {
-	case d.params.CumulativeCounts:
-		d.wc.Reset(d.m)
-		for _, obj := range d.board.VotedObjects() {
-			d.wc.Add(obj, d.board.VoteCount(obj))
-		}
-	case d.winCounter != nil:
-		d.winCounter.CountVotesInWindowInto(d.windowStart, round, &d.wc)
-	default:
-		d.wc.Reset(d.m)
-		for obj, c := range d.board.CountVotesInWindow(d.windowStart, round) {
-			d.wc.Add(obj, c)
-		}
+	if !d.params.CumulativeCounts {
+		d.board.CountVotesInWindow(d.windowStart, round, &d.wc)
+		return
+	}
+	d.wc.Reset(d.m)
+	for _, obj := range d.board.VotedObjects() {
+		d.wc.Add(obj, d.board.VoteCount(obj))
 	}
 }
 
@@ -526,7 +504,7 @@ func (d *Distill) FinishRound() {
 // the given stream.
 func (d *Distill) adviceProbeFrom(src *rng.Source) (int, bool) {
 	j := src.Intn(d.n)
-	votes := d.votesOf(j)
+	votes := d.board.Votes(j)
 	if len(votes) == 0 {
 		return 0, false
 	}

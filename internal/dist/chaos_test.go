@@ -7,6 +7,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -84,7 +85,7 @@ func assertMatchesClean(t *testing.T, clean, got *ClusterResult, label string) {
 // every honest player is a client.Client, so its session resume and
 // recorded-response replay face the faults too.
 func TestChaosClusterMatchesFaultFree(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestChaosClusterMatchesFaultFree(t *testing.T) {
 				CallTimeout: 10 * time.Second,
 			}
 			reconnected := watchReconnects(t, &chaos, row.reconnects)
-			faulty, err := runCluster(chaos, row.fleet)
+			faulty, err := runCluster(context.Background(), chaos, row.fleet)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +163,7 @@ func TestChaosClusterMatchesFaultFree(t *testing.T) {
 // are common; the run must still produce a billboard byte-identical to the
 // fault-free run and charge every probe exactly once.
 func TestChaosBatchedRoundsExactlyOnce(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestChaosBatchedRoundsExactlyOnce(t *testing.T) {
 		CallTimeout: 10 * time.Second,
 	}
 	reconnected := watchReconnects(t, &chaos, "swarm_reconnects_total")
-	faulty, err := RunCluster(chaos)
+	faulty, err := RunCluster(context.Background(), chaos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestChaosBatchedRoundsExactlyOnce(t *testing.T) {
 // same per-player probe counts and rounds, zero double-charged probes, and
 // a byte-identical final billboard digest.
 func TestChaosServerKillRestartMatchesFaultFree(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestChaosServerKillRestartMatchesFaultFree(t *testing.T) {
 		CallTimeout: 10 * time.Second,
 	}
 	crash.Logf = t.Logf
-	faulty, err := RunCluster(crash)
+	faulty, err := RunCluster(context.Background(), crash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestChaosServerKillRestartMatchesFaultFree(t *testing.T) {
 // and after the restart window. Recovery composes with the retry machinery —
 // the digest and the exactly-once ledger still match the fault-free run.
 func TestChaosKillRestartUnderFaultInjection(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestChaosKillRestartUnderFaultInjection(t *testing.T) {
 	}
 	crash.Logf = t.Logf
 	reconnected := watchReconnects(t, &crash, "swarm_reconnects_total")
-	faulty, err := RunCluster(crash)
+	faulty, err := RunCluster(context.Background(), crash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 			Retries: 16, BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
 		}
 		reconnected := watchReconnects(t, &cfg, "swarm_reconnects_total")
-		res, err := RunCluster(cfg)
+		res, err := RunCluster(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +377,7 @@ func TestChaosPartitionRecovery(t *testing.T) {
 		},
 	}
 	reconnected := watchReconnects(t, &cfg, "swarm_reconnects_total")
-	res, err := RunCluster(cfg)
+	res, err := RunCluster(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

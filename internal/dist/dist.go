@@ -43,8 +43,8 @@ type HonestResult = swarm.PlayerResult
 // until its round commits, so a restart or failover that rolls the round
 // back cannot drop it. Its footprint is that one round whatever the timing,
 // so a run's round count is paced by the honest players alone.
-func runByzantineSpam(addr string, player int, token string, opt client.Options) error {
-	c, err := client.DialOptions(addr, player, token, opt)
+func runByzantineSpam(ctx context.Context, addr string, player int, token string, opt client.Options) error {
+	c, err := client.DialContext(ctx, addr, player, token, opt)
 	if err != nil {
 		return err
 	}
@@ -86,10 +86,8 @@ type Topology struct {
 	// observe it, and a follower takes over if the leader dies. Requires
 	// PersistDir (each member journals under its own subdirectory). 0 or 1
 	// is the classic single coordinator — same code path, byte-identical
-	// behavior.
+	// behavior. The group commits on a majority quorum.
 	Replicas int
-	// ReplicaQuorum overrides the commit quorum (default: majority).
-	ReplicaQuorum int
 }
 
 // Chaos schedules a run's fault machinery: deterministic transport fault
@@ -120,12 +118,9 @@ type Chaos struct {
 // fleet over a few pipelined connections. The zero value takes the swarm
 // defaults in a closed world.
 type Drive struct {
-	// SwarmGroups, SwarmChunk, and SwarmWindow forward to swarm.Config
-	// (connection groups, frame batch size, pipelining window); zero takes
-	// the swarm defaults (4, 4096, 8).
+	// SwarmGroups forwards to swarm.Config.Groups (connection groups);
+	// zero takes the swarm default (4).
 	SwarmGroups int
-	SwarmChunk  int
-	SwarmWindow int
 	// Dynamics, when non-nil, opens the world: honest arrivals and
 	// departures flow through the hook at round boundaries (see
 	// sim.Dynamics and swarm.Config.Dynamics).
@@ -207,21 +202,23 @@ type ClusterResult struct {
 
 // RunCluster starts a billboard server on a loopback port, drives the
 // honest fleet through the swarm and every Byzantine player as its own TCP
-// client, and tears everything down.
-func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
-	return runCluster(cfg, swarmFleet)
+// client, and tears everything down. The swarm and every Byzantine client
+// run under ctx: once it is done, the run ends with its error.
+func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterResult, error) {
+	return runCluster(ctx, cfg, swarmFleet)
 }
 
 // fleet drives the honest players [0, cfg.Honest) against the service at
-// addr to completion and returns their results in player order. tokens are
+// addr to completion, under ctx, and returns their results in player
+// order. tokens are
 // the per-player credentials, swarmToken the block credential, and
 // playerOptions yields the client options for one fault-stream label.
 // RunCluster always passes swarmFleet; the parity tests pass a per-player
 // reference fleet.
-type fleet func(cfg *ClusterConfig, addr string, tokens []string, swarmToken string,
+type fleet func(ctx context.Context, cfg *ClusterConfig, addr string, tokens []string, swarmToken string,
 	playerOptions func(label int) (client.Options, error)) ([]*HonestResult, error)
 
-func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
+func runCluster(ctx context.Context, cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 	if cfg.Universe == nil {
 		return nil, fmt.Errorf("dist: Universe is required")
 	}
@@ -284,11 +281,11 @@ func runCluster(cfg ClusterConfig, honestFleet fleet) (*ClusterResult, error) {
 		byzWG.Add(1)
 		go func(player int, opt client.Options) {
 			defer byzWG.Done()
-			_ = runByzantineSpam(svc.addrs[0], player, tokens[player], opt)
+			_ = runByzantineSpam(ctx, svc.addrs[0], player, tokens[player], opt)
 		}(player, opt)
 	}
 
-	results, honestErr := honestFleet(&cfg, svc.addrs[0], tokens, swarmToken, playerOptions)
+	results, honestErr := honestFleet(ctx, &cfg, svc.addrs[0], tokens, swarmToken, playerOptions)
 	byzWG.Wait()
 	kills, err := svc.stop()
 	if err != nil {
@@ -523,13 +520,13 @@ func summarize(results []*HonestResult, final *server.Server) *ClusterResult {
 // driver over a few pipelined connections. The swarm transport gets the
 // fault dialer under label n (one past the last player id), so its chaos
 // schedule is disjoint from every Byzantine player's stream.
-func swarmFleet(cfg *ClusterConfig, addr string, _ []string, swarmToken string,
+func swarmFleet(ctx context.Context, cfg *ClusterConfig, addr string, _ []string, swarmToken string,
 	playerOptions func(label int) (client.Options, error)) ([]*HonestResult, error) {
 	opt, err := playerOptions(cfg.Honest + cfg.Byzantine)
 	if err != nil {
 		return nil, err
 	}
-	res, err := swarm.Run(context.Background(), swarm.Config{
+	res, err := swarm.Run(ctx, swarm.Config{
 		Addr:      addr,
 		Fallbacks: opt.Fallbacks,
 		From:      0,
@@ -539,8 +536,6 @@ func swarmFleet(cfg *ClusterConfig, addr string, _ []string, swarmToken string,
 		Seed:      cfg.Seed,
 		MaxRounds: cfg.MaxRounds,
 		Groups:    cfg.Drive.SwarmGroups,
-		Chunk:     cfg.Drive.SwarmChunk,
-		Window:    cfg.Drive.SwarmWindow,
 		Dynamics:  cfg.Drive.Dynamics,
 		Client:    opt,
 		Metrics:   opt.Metrics,

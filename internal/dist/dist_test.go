@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -13,7 +14,7 @@ func TestClusterAllHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCluster(ClusterConfig{
+	res, err := RunCluster(context.Background(), ClusterConfig{
 		Universe: u, Honest: 16, Params: core.Params{}, Seed: 1, MaxRounds: 2048,
 	})
 	if err != nil {
@@ -32,7 +33,7 @@ func TestClusterWithByzantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCluster(ClusterConfig{
+	res, err := RunCluster(context.Background(), ClusterConfig{
 		Universe: u, Honest: 24, Byzantine: 8, Params: core.Params{},
 		Seed: 2, MaxRounds: 4096,
 	})
@@ -53,14 +54,14 @@ func TestClusterWithByzantine(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := RunCluster(ClusterConfig{Honest: 1}); err == nil {
+	if _, err := RunCluster(context.Background(), ClusterConfig{Honest: 1}); err == nil {
 		t.Fatal("missing universe accepted")
 	}
 	u, err := object.NewPlanted(object.Planted{M: 8, Good: 1}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCluster(ClusterConfig{Universe: u, Honest: 0}); err == nil {
+	if _, err := RunCluster(context.Background(), ClusterConfig{Universe: u, Honest: 0}); err == nil {
 		t.Fatal("zero honest players accepted")
 	}
 }
@@ -73,7 +74,7 @@ func TestDistributedMatchesEngineBallpark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCluster(ClusterConfig{
+	res, err := RunCluster(context.Background(), ClusterConfig{
 		Universe: u, Honest: 16, Byzantine: 4, Params: core.Params{},
 		Seed: 4, MaxRounds: 4096,
 	})

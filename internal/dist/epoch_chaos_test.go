@@ -9,6 +9,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -67,7 +68,7 @@ func assertRunsConverge(t *testing.T, clean, faulty *ClusterResult) {
 // 11% fault injection — at quiescence the epoch run's committed billboard
 // is byte-identical to the sync run's.
 func TestEpochChaosConvergesToSyncDigest(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestEpochChaosConvergesToSyncDigest(t *testing.T) {
 	epoch.SessionGrace = 10 * time.Second
 	epoch.Client = epochChaosClient()
 	reconnected := watchReconnects(t, &epoch, "swarm_reconnects_total")
-	faulty, err := RunCluster(epoch)
+	faulty, err := RunCluster(context.Background(), epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +97,14 @@ func TestEpochChaosConvergesToSyncDigest(t *testing.T) {
 // epoch-mode server: one arrival per group per round must land the same
 // committed billboard as the sync-mode run on the same seed.
 func TestEpochSwarmMatchesSyncDigest(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	epoch := chaosBase(t)
 	epoch.Mode = server.ModeEpoch
-	swarmed, err := RunCluster(epoch)
+	swarmed, err := RunCluster(context.Background(), epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestEpochTickClusterCompletes(t *testing.T) {
 	cfg := chaosBase(t)
 	cfg.Mode = server.ModeEpoch
 	cfg.BarrierDeadline = 200 * time.Millisecond
-	res, err := RunCluster(cfg)
+	res, err := RunCluster(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package dist
 // client.Client's session resume and recorded-response replay covered.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -21,7 +22,7 @@ import (
 // playerFleet drives each honest player as its own TCP client, under its own
 // fault-stream label (its player id), and returns their results in player
 // order.
-func playerFleet(cfg *ClusterConfig, addr string, tokens []string, _ string,
+func playerFleet(ctx context.Context, cfg *ClusterConfig, addr string, tokens []string, _ string,
 	playerOptions func(label int) (client.Options, error)) ([]*HonestResult, error) {
 	results := make([]*HonestResult, cfg.Honest)
 	errs := make([]error, cfg.Honest)
@@ -34,7 +35,7 @@ func playerFleet(cfg *ClusterConfig, addr string, tokens []string, _ string,
 		wg.Add(1)
 		go func(p int, opt client.Options) {
 			defer wg.Done()
-			results[p], errs[p] = runHonestPlayer(addr, p, tokens[p], cfg.Params, cfg.Seed, cfg.MaxRounds, opt)
+			results[p], errs[p] = runHonestPlayer(ctx, addr, p, tokens[p], cfg.Params, cfg.Seed, cfg.MaxRounds, opt)
 		}(p, opt)
 	}
 	wg.Wait()
@@ -49,8 +50,8 @@ func playerFleet(cfg *ClusterConfig, addr string, tokens []string, _ string,
 // runHonestPlayer connects to the billboard server at addr and runs DISTILL
 // for one player until it probes a good object (local testing) or maxRounds
 // elapse. The player's randomness derives from seed alone.
-func runHonestPlayer(addr string, player int, token string, params core.Params, seed uint64, maxRounds int, opt client.Options) (*HonestResult, error) {
-	c, err := client.DialOptions(addr, player, token, opt)
+func runHonestPlayer(ctx context.Context, addr string, player int, token string, params core.Params, seed uint64, maxRounds int, opt client.Options) (*HonestResult, error) {
+	c, err := client.DialContext(ctx, addr, player, token, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +64,7 @@ func runHonestPlayer(addr string, player int, token string, params core.Params, 
 		Alpha:    c.Alpha(),
 		Beta:     c.Beta(),
 		Universe: c,
-		Board:    cached, // per-round read cache over the RPC reader
+		Board:    cached, // the player's reader over its client session
 		Rng:      rng.New(seed).Split(uint64(player)),
 	}); err != nil {
 		return nil, fmt.Errorf("dist: player %d init: %w", player, err)

@@ -123,7 +123,6 @@ func startReplicaCluster(cfg *ClusterConfig, scfg server.Config) (*replicaCluste
 			ID:              i,
 			Peers:           peers,
 			ClientAddrs:     clients,
-			Quorum:          cfg.Topology.ReplicaQuorum,
 			Dir:             filepath.Join(cfg.PersistDir, fmt.Sprintf("replica-%d", i)),
 			HeartbeatEvery:  10 * time.Millisecond,
 			ElectionTimeout: 75 * time.Millisecond,

@@ -10,6 +10,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -31,13 +32,13 @@ func replicaClientOpts() client.Options {
 // Replicas <= 1 takes the classic single-server path and its outcome is
 // byte-identical to a run that never mentions replication.
 func TestChaosReplicasOneIsSingleCoordinator(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := chaosBase(t)
 	one.Topology.Replicas = 1
-	got, err := RunCluster(one)
+	got, err := RunCluster(context.Background(), one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestChaosReplicasOneIsSingleCoordinator(t *testing.T) {
 // observe it, and the final billboard must be byte-identical to the plain
 // single-coordinator run.
 func TestChaosReplicatedMatchesSingleCoordinator(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestChaosReplicatedMatchesSingleCoordinator(t *testing.T) {
 	rep.PersistDir = t.TempDir()
 	rep.SessionGrace = 10 * time.Second
 	rep.Client = replicaClientOpts()
-	got, err := RunCluster(rep)
+	got, err := RunCluster(context.Background(), rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestChaosReplicatedMatchesSingleCoordinator(t *testing.T) {
 // identical to the fault-free single-coordinator baseline — same digest,
 // zero double-charged probes.
 func TestChaosLeaderFailoverMatchesFaultFree(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestChaosLeaderFailoverMatchesFaultFree(t *testing.T) {
 	crash.BarrierDeadline = 30 * time.Second // must never fire here
 	crash.Client = replicaClientOpts()
 	crash.Logf = t.Logf
-	got, err := RunCluster(crash)
+	got, err := RunCluster(context.Background(), crash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestChaosLeaderFailoverMatchesFaultFree(t *testing.T) {
 // and quorum replay must compose; digest and ledger must still match the
 // fault-free run.
 func TestChaosLeaderFailoverUnderFaultInjection(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestChaosLeaderFailoverUnderFaultInjection(t *testing.T) {
 	chaos.BarrierDeadline = 30 * time.Second
 	chaos.Client = replicaClientOpts()
 	reconnected := watchReconnects(t, &chaos, "swarm_reconnects_total")
-	got, err := RunCluster(chaos)
+	got, err := RunCluster(context.Background(), chaos)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package dist
 // BenchmarkSwarmScale.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/object"
@@ -25,7 +26,7 @@ func benchFleet(b *testing.B, honest int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunCluster(cfg)
+		res, err := RunCluster(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestSwarmDynamicsDeterministicDigest(t *testing.T) {
 		cfg := chaosBase(t)
 		cfg.Drive.SwarmGroups = 3 // uneven split: groups go empty at times
 		cfg.Drive.Dynamics = &rampDynamics{n: 8, departs: map[int]int{2: 4, 5: 6}}
-		res, err := RunCluster(cfg)
+		res, err := RunCluster(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestSwarmDynamicsDepartedPlayersStopProbing(t *testing.T) {
 				cfg.SessionGrace = 10 * time.Second
 				cfg.Client = replicaClientOpts()
 			}
-			res, err := RunCluster(cfg)
+			res, err := RunCluster(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +120,7 @@ func TestSwarmDynamicsEmptyGroupPacesBarrier(t *testing.T) {
 	// Player 0 (group 0) arrives alone at round 0; groups 1-3 stay
 	// spectator-only until rounds 2, 4, 6 bring their first members.
 	cfg.Drive.Dynamics = &rampDynamics{n: 8}
-	res, err := RunCluster(cfg)
+	res, err := RunCluster(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSwarmDynamicsEpochMode(t *testing.T) {
 		cfg.Mode = server.ModeEpoch
 		cfg.Drive.SwarmGroups = 2
 		cfg.Drive.Dynamics = &rampDynamics{n: 8, departs: map[int]int{3: 5}}
-		res, err := RunCluster(cfg)
+		res, err := RunCluster(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

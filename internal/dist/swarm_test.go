@@ -22,7 +22,7 @@ import (
 // single-coordinator path, with an uneven group split so boundary ranges
 // are exercised.
 func TestSwarmMatchesGoroutineFleet(t *testing.T) {
-	clean, err := runCluster(chaosBase(t), playerFleet)
+	clean, err := runCluster(context.Background(), chaosBase(t), playerFleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestSwarmMatchesGoroutineFleet(t *testing.T) {
 
 	sw := chaosBase(t)
 	sw.Drive.SwarmGroups = 3 // 8 players over 3 groups: uneven ranges
-	got, err := RunCluster(sw)
+	got, err := RunCluster(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,14 @@ func TestSwarmMatchesGoroutineFleet(t *testing.T) {
 func TestSwarmByzantineMix(t *testing.T) {
 	base := chaosBase(t)
 	base.Byzantine = 2
-	clean, err := runCluster(base, playerFleet)
+	clean, err := runCluster(context.Background(), base, playerFleet)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sw := chaosBase(t)
 	sw.Byzantine = 2
-	got, err := RunCluster(sw)
+	got, err := RunCluster(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSwarmByzantineMix(t *testing.T) {
 // 3-replica coordinator group: swarm journal records quorum-commit like any
 // other state change, and the outcome matches the plain baseline.
 func TestSwarmReplicatedMatchesSingleCoordinator(t *testing.T) {
-	clean, err := RunCluster(chaosBase(t))
+	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSwarmReplicatedMatchesSingleCoordinator(t *testing.T) {
 	sw.PersistDir = t.TempDir()
 	sw.SessionGrace = 10 * time.Second
 	sw.Client = replicaClientOpts()
-	got, err := RunCluster(sw)
+	got, err := RunCluster(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,6 @@ func runEngine(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 // swarm event-loop fleet — open-world churn over the real wire protocol, in
 // sync or epoch mode.
 func runCluster(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
-	_ = ctx // dist.RunCluster owns its teardown; swarm cancellation rides Client options
 	part := rng.NewPartition(opts.Seed)
 	u, err := buildUniverse(spec, part)
 	if err != nil {
@@ -206,7 +205,7 @@ func runCluster(ctx context.Context, spec *Spec, opts Options) (*Result, error) 
 	if opts.Metrics != nil {
 		cfg.Client.Metrics = opts.Metrics
 	}
-	cres, err := dist.RunCluster(cfg)
+	cres, err := dist.RunCluster(ctx, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}

@@ -3,7 +3,12 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 )
@@ -155,6 +160,45 @@ func TestClusterReplayDeterministic(t *testing.T) {
 		if a.Found != b.Found || a.Departed != b.Departed || a.TimedOut != b.TimedOut {
 			t.Fatalf("mode %s: replay counters differ", mode)
 		}
+	}
+}
+
+// TestClusterRunHonorsContext cancels a cluster-backed run, Byzantine
+// clients included, from its Logf at the first swarm round line: the run
+// must end with context.Canceled within a few seconds and leave no
+// goroutine behind.
+func TestClusterRunHonorsContext(t *testing.T) {
+	s, err := Builtin("cluster-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Byzantine = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	logf := func(format string, args ...any) {
+		if strings.HasPrefix(format, "swarm: round ") {
+			once.Do(cancel)
+		}
+	}
+	before := runtime.NumGoroutine()
+	start := time.Now()
+	_, err = Run(ctx, s, Options{Seed: 99, Logf: logf})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("the canceled run took %v", elapsed)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines 2s after Run returned, %d before it started:\n%s",
+				runtime.NumGoroutine(), before, buf)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

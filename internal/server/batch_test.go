@@ -39,14 +39,14 @@ func TestPostBatchCommitsAtRoundEnd(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	votes := c1.Votes(0)
+	votes := client.NewCached(c1).Votes(0)
 	if err := c1.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(votes) != 1 || votes[0].Object != 3 || votes[0].Round != 0 {
 		t.Fatalf("votes after batch = %+v, want one round-0 vote for object 3", votes)
 	}
-	counts := c1.CountVotesInWindow(0, 1)
+	counts := window(client.NewCached(c1), 0, 1)
 	if err := c1.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,10 @@ func BenchmarkRPCProbe(b *testing.B) {
 }
 
 func BenchmarkRPCVotesRead(b *testing.B) {
-	c := benchSetup(b)
+	c := client.NewCached(benchSetup(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		c.Invalidate()
 		_ = c.Votes(0)
 	}
 }

@@ -124,7 +124,7 @@ func TestEpochStampClosure(t *testing.T) {
 	if r := <-done; r != 1 {
 		t.Fatalf("c0 pacing returned round %d, want 1", r)
 	}
-	if c1.VoteCount(5) != 1 {
+	if client.NewCached(c1).VoteCount(5) != 1 {
 		t.Fatal("post not visible after the epoch sealed")
 	}
 }
@@ -155,24 +155,25 @@ func TestEpochPostBatchBindsAndSeals(t *testing.T) {
 	if srv.Round() != 3 {
 		t.Fatalf("server round = %d, want 3", srv.Round())
 	}
-	if c.VoteCount(0) != 1 {
+	if client.NewCached(c).VoteCount(0) != 1 {
 		t.Fatal("epoch 0 vote not committed")
 	}
 	for r := 1; r < 3; r++ {
-		if c.NegativeCount(r) != 1 {
+		if client.NewCached(c).NegativeCount(r) != 1 {
 			t.Fatalf("epoch %d negative report not committed", r)
 		}
 	}
 	// The vote carries the epoch it bound to.
-	votes := c.Votes(0)
+	votes := client.NewCached(c).Votes(0)
 	if len(votes) != 1 || votes[0].Round != 0 {
 		t.Fatalf("votes = %+v, want one vote bound to epoch 0", votes)
 	}
 }
 
-// TestEpochSlidingWindow pins the protocol v8 Last query: the most recent
-// Last closed epochs, anchored at the answering round.
-func TestEpochSlidingWindow(t *testing.T) {
+// TestEpochWindowReads pins window reads over sealed epochs: a window names
+// its epochs absolutely, and one reaching past the open round counts the
+// whole history.
+func TestEpochWindowReads(t *testing.T) {
 	const players = 4
 	addr, _ := startEpochServer(t, players, 1)
 	var clients [players]*client.Client
@@ -204,19 +205,17 @@ func TestEpochSlidingWindow(t *testing.T) {
 		}(p, c)
 	}
 	wg.Wait()
-	c := clients[0]
-	counts, anchor := c.CountVotesInLast(2)
-	if anchor != players {
-		t.Fatalf("anchor round = %d, want %d", anchor, players)
+	r := client.NewCached(clients[0])
+	if round := r.Round(); round != players {
+		t.Fatalf("reader round = %d, want %d", round, players)
 	}
 	// [2, 4): the votes cast in epochs 2 and 3 only.
-	if len(counts) != 2 || counts[2] != 1 || counts[3] != 1 {
+	if counts := window(r, 2, 4); len(counts) != 2 || counts[2] != 1 || counts[3] != 1 {
 		t.Fatalf("window counts = %v, want {2:1 3:1}", counts)
 	}
-	// A window wider than history clamps at round 0.
-	counts, _ = c.CountVotesInLast(100)
-	if len(counts) != players {
-		t.Fatalf("clamped window counts = %v, want all %d epochs", counts, players)
+	// A window past the open round counts every sealed epoch.
+	if counts := window(r, 0, 100); len(counts) != players {
+		t.Fatalf("whole-history window counts = %v, want all %d epochs", counts, players)
 	}
 }
 

@@ -78,8 +78,8 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	wg.Wait()
 	// Two identical window reads, each served by the board (the server
 	// keeps no read cache).
-	cs[0].CountVotesInWindow(0, 1)
-	cs[0].CountVotesInWindow(0, 1)
+	window(client.NewCached(cs[0]), 0, 1)
+	window(client.NewCached(cs[0]), 0, 1)
 	for _, c := range cs {
 		if err := c.Done(); err != nil {
 			t.Fatal(err)
@@ -197,7 +197,7 @@ func TestMetricsConcurrentClients(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				c.CountVotesInWindow(0, r)
+				window(client.NewCached(c), 0, r)
 				if _, err := c.PostBatch([]client.BatchPost{{Object: p, Value: float64(r), Positive: false}}, true); err != nil {
 					t.Error(err)
 					return

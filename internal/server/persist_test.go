@@ -128,13 +128,13 @@ func TestPersistRestartExactState(t *testing.T) {
 	defer srv2.Close()
 
 	// The clients' next calls ride session resume onto the restarted server.
-	if got := c0.VoteCount(bad); got != 1 {
+	if got := client.NewCached(c0).VoteCount(bad); got != 1 {
 		t.Fatalf("vote count across restart = %d, want 1", got)
 	}
 	if err := c0.Err(); err != nil {
 		t.Fatalf("resume after restart: %v", err)
 	}
-	if got := c1.NegativeCount(bad); got != 1 {
+	if got := client.NewCached(c1).NegativeCount(bad); got != 1 {
 		t.Fatalf("negative count across restart = %d, want 1", got)
 	}
 	// The probe ledger recovered exactly: one charged probe per player.
@@ -147,7 +147,7 @@ func TestPersistRestartExactState(t *testing.T) {
 		t.Fatal(err)
 	}
 	barrierBoth() // round 2 commits on the recovered server
-	if got := len(c1.Votes(0)); got != 1 {
+	if got := len(client.NewCached(c1).Votes(0)); got != 1 {
 		t.Fatalf("vote cap forgotten across restart: %d votes", got)
 	}
 	// A second registration under a fresh session is still refused.

@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/billboard"
+	"repro/internal/client"
+	"repro/internal/object"
+	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -107,4 +111,63 @@ func TestPostBatchesShareOneDecoder(t *testing.T) {
 			t.Fatalf("committed board:\n%s\n--- want both batches ---\n%s", got, want.Digest())
 		}
 	})
+}
+
+// TestOversizedAnswerRefused fills the board so that 360k objects hold
+// votes, one per player: the voted-object set (about 1.07 MB) and a
+// whole-history window (about 1.43 MB) each exceed wire.MaxFrame. Each read
+// must fail with an error naming the limit, not lose the reader's session:
+// a Probe on the same client then succeeds.
+func TestOversizedAnswerRefused(t *testing.T) {
+	const objects = 360_000
+	u, err := object.NewPlanted(object.Planted{M: objects, Good: 1}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := make([]string, objects)
+	tokens[0], tokens[1] = "a", "b"
+	s, err := New(Config{Universe: u, Tokens: tokens, Alpha: 1, Beta: u.Beta()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	for p := range objects {
+		if err := s.board.Post(billboard.Post{Player: p, Object: p, Value: 1, Positive: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.board.EndRound()
+	s.mu.Unlock()
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for player, read := range []func(r *client.Cached){
+		func(r *client.Cached) {
+			if objs := r.VotedObjects(); objs != nil {
+				t.Errorf("VotedObjects answered %d objects", len(objs))
+			}
+		},
+		func(r *client.Cached) {
+			var wc billboard.WindowCounts
+			if r.CountVotesInWindow(0, 1<<20, &wc); wc.Len() != 0 {
+				t.Errorf("the window read counted %d objects", wc.Len())
+			}
+		},
+	} {
+		c, err := client.DialOptions(addr, player, s.cfg.Tokens[player], client.Options{Retries: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		read(client.NewCached(c))
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), "wire.MaxFrame") {
+			t.Errorf("player %d: read error %v, want the frame limit named", player, err)
+		}
+		if _, err := c.Probe(7); err != nil {
+			t.Errorf("player %d: probe after the refused read: %v", player, err)
+		}
+		c.Close()
+	}
 }

@@ -377,10 +377,10 @@ func TestMidRoundDisconnectResumeMatchesReplay(t *testing.T) {
 	}
 
 	// What the resumed player reads is the committed board…
-	if got := c1.VoteCount(bad); got != 1 {
+	if got := client.NewCached(c1).VoteCount(bad); got != 1 {
 		t.Fatalf("resumed player sees vote count %d, want 1", got)
 	}
-	if got := c1.NegativeCount(bad); got != 1 {
+	if got := client.NewCached(c1).NegativeCount(bad); got != 1 {
 		t.Fatalf("resumed player sees negative count %d, want 1", got)
 	}
 	live := srv.Digest()
@@ -516,7 +516,7 @@ func TestRollbackFencesUncommittedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	barrierAll(c0, c1) // round 1 commits on the recovered server
-	if got := c1.NegativeCount(bad); got != 1 {
+	if got := client.NewCached(c1).NegativeCount(bad); got != 1 {
 		t.Fatalf("live negative count = %d, want 1", got)
 	}
 	live := srv2.Digest()

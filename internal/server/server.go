@@ -241,6 +241,7 @@ type Server struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	board *billboard.Board
+	wc    billboard.WindowCounts // window reads' reused count buffer
 	round int
 	// Dense per-player membership, sized len(Config.Tokens) in New, with
 	// O(1) counts: registered is permanent, active ends at Done, lease
@@ -758,17 +759,7 @@ func (s *Server) executeLocked(sess *session, req *wire.Request) wire.Response {
 	case wire.ReqNegCount:
 		return s.negCountLocked(req.Object)
 	case wire.ReqWindow:
-		from, to := req.From, req.To
-		if req.Last > 0 {
-			// Sliding window (protocol v8): the most recent Last closed
-			// rounds. Response.Round anchors the answer.
-			to = s.round
-			from = to - req.Last
-			if from < 0 {
-				from = 0
-			}
-		}
-		return s.windowLocked(from, to)
+		return s.windowLocked(req.From, req.To)
 	case wire.ReqEpoch:
 		return s.arriveLocked(sess, req.Seq, req.Epoch, true)
 	default:
@@ -1150,11 +1141,11 @@ func (s *Server) voteBatchLocked(req *wire.Request) wire.Response {
 		if p < 0 || p >= len(s.cfg.Tokens) {
 			return wire.Response{Err: fmt.Sprintf("player %d out of range", p)}
 		}
-		n += len(s.board.VotesView(p))
+		n += len(s.board.Votes(p))
 	}
 	out := make([]wire.VoteMsg, 0, n)
 	for _, p := range req.Players {
-		for _, v := range s.board.VotesView(p) {
+		for _, v := range s.board.Votes(p) {
 			out = append(out, wire.VoteMsg{Player: v.Player, Object: v.Object, Round: v.Round, Value: v.Value})
 		}
 	}
@@ -1166,9 +1157,18 @@ func (s *Server) votedObjectsLocked() wire.Response {
 	return wire.Response{Objects: s.board.VotedObjects(), Round: s.round}
 }
 
-// windowLocked counts vote events per object in [from, to).
+// windowLocked counts vote events per object in [from, to) into the
+// server's reused buffer and answers them as ascending (object, count)
+// pairs, in a slice of their own: a player's session records its answer
+// for a resend.
 func (s *Server) windowLocked(from, to int) wire.Response {
-	return wire.Response{Counts: s.board.CountVotesInWindow(from, to), Round: s.round}
+	s.board.CountVotesInWindow(from, to, &s.wc)
+	objs := s.wc.Objects()
+	counts := make([]wire.CountMsg, len(objs))
+	for i, obj := range objs {
+		counts[i] = wire.CountMsg{Object: obj, Count: s.wc.Count(obj)}
+	}
+	return wire.Response{Counts: counts, Round: s.round}
 }
 
 func (s *Server) voteCountLocked(obj int) wire.Response {

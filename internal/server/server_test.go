@@ -8,12 +8,24 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/billboard"
 	"repro/internal/client"
 	"repro/internal/object"
 	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
+
+// window reads the window [from, to) through r as a map.
+func window(r billboard.Reader, from, to int) map[int]int {
+	var wc billboard.WindowCounts
+	r.CountVotesInWindow(from, to, &wc)
+	counts := make(map[int]int, wc.Len())
+	for _, obj := range wc.Objects() {
+		counts[obj] = wc.Count(obj)
+	}
+	return counts
+}
 
 func startServer(t *testing.T, players int, good int) (addr string, tokens []string, srv *server.Server) {
 	t.Helper()
@@ -151,7 +163,7 @@ func TestPostsCommitAtRoundEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same-round read: invisible.
-	if c1.VoteCount(5) != 0 {
+	if client.NewCached(c1).VoteCount(5) != 0 {
 		t.Fatal("post visible before round end")
 	}
 	var wg sync.WaitGroup
@@ -163,10 +175,10 @@ func TestPostsCommitAtRoundEnd(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if c1.VoteCount(5) != 1 {
+	if client.NewCached(c1).VoteCount(5) != 1 {
 		t.Fatal("post not visible after round end")
 	}
-	votes := c1.Votes(0)
+	votes := client.NewCached(c1).Votes(0)
 	if len(votes) != 1 || votes[0].Object != 5 || votes[0].Round != 0 {
 		t.Fatalf("votes = %+v", votes)
 	}
@@ -196,10 +208,10 @@ func TestIdentityCannotBeSpoofed(t *testing.T) {
 		go func(c *client.Client) { defer wg.Done(); _, _ = c.Barrier() }(c)
 	}
 	wg.Wait()
-	if len(c1.Votes(1)) != 0 {
+	if len(client.NewCached(c1).Votes(1)) != 0 {
 		t.Fatal("player 1 acquired a vote it never cast")
 	}
-	if len(c1.Votes(0)) != 1 {
+	if len(client.NewCached(c1).Votes(0)) != 1 {
 		t.Fatal("player 0's vote missing")
 	}
 }

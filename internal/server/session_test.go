@@ -304,7 +304,7 @@ func TestBarrierDeadlineForceDonesStragglers(t *testing.T) {
 			}
 			// The straggler's round-0 (negative) post still committed with
 			// the round.
-			if got := c0.NegativeCount(2); got == 0 {
+			if got := client.NewCached(c0).NegativeCount(2); got == 0 {
 				t.Fatal("straggler's committed post lost")
 			}
 

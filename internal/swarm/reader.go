@@ -9,7 +9,8 @@ package swarm
 // (ReqVoteBatch) before the draw loop, collapsing up to N round-trips into
 // a few pipelined frames. The vote reads are held densely, one span per
 // player into one flat slice, so a round's reads allocate no map or slice
-// per player.
+// per player. The spans are sized by the player count, once per swarm;
+// a single player reads through client.Cached instead.
 
 import (
 	"fmt"
@@ -38,6 +39,7 @@ func (u *universe) LocalTesting() bool { return u.localTesting }
 // like the per-player client path checks Client.Err.
 type boardReader struct {
 	c     *client.Conn
+	m     int // the universe's object count, for window reads
 	round int
 	err   error
 
@@ -51,7 +53,6 @@ type boardReader struct {
 
 	counts   map[int]int
 	negs     map[int]int
-	windows  map[[2]int]map[int]int
 	objects  []int
 	haveObjs bool
 
@@ -67,11 +68,11 @@ type voteSpan struct{ epoch, lo, hi int32 }
 
 var _ billboard.Reader = (*boardReader)(nil)
 
-// newBoardReader returns a reader for a board of n players.
-func newBoardReader(c *client.Conn, round, n int) *boardReader {
+// newBoardReader returns a reader for a board of n players and m objects.
+func newBoardReader(c *client.Conn, round, n, m int) *boardReader {
 	r := &boardReader{
-		c: c, round: round, spans: make([]voteSpan, n),
-		counts: map[int]int{}, negs: map[int]int{}, windows: map[[2]int]map[int]int{},
+		c: c, m: m, round: round, spans: make([]voteSpan, n),
+		counts: map[int]int{}, negs: map[int]int{},
 	}
 	r.invalidate()
 	return r
@@ -84,7 +85,6 @@ func (r *boardReader) invalidate() {
 	r.votes = r.votes[:0]
 	clear(r.counts)
 	clear(r.negs)
-	clear(r.windows)
 	r.objects = nil
 	r.haveObjs = false
 }
@@ -179,28 +179,22 @@ func (r *boardReader) Votes(player int) []billboard.Vote {
 func (r *boardReader) HasVote(player int) bool { return len(r.Votes(player)) > 0 }
 
 // VoteCount returns object i's committed vote count, cached for the round.
-func (r *boardReader) VoteCount(object int) int {
-	if n, ok := r.counts[object]; ok {
-		return n
-	}
-	n := 0
-	if resp := r.call(wire.Request{Type: wire.ReqVoteCount, Object: object}); resp != nil {
-		n = resp.Count
-	}
-	r.counts[object] = n
-	return n
-}
+func (r *boardReader) VoteCount(object int) int { return r.count(r.counts, wire.ReqVoteCount, object) }
 
 // NegativeCount returns object i's negative-report count, cached.
-func (r *boardReader) NegativeCount(object int) int {
-	if n, ok := r.negs[object]; ok {
+func (r *boardReader) NegativeCount(object int) int { return r.count(r.negs, wire.ReqNegCount, object) }
+
+// count answers a per-object count read from cache, or by a frame of the
+// given type whose answer it caches.
+func (r *boardReader) count(cache map[int]int, typ wire.ReqType, object int) int {
+	if n, ok := cache[object]; ok {
 		return n
 	}
 	n := 0
-	if resp := r.call(wire.Request{Type: wire.ReqNegCount, Object: object}); resp != nil {
+	if resp := r.call(wire.Request{Type: typ, Object: object}); resp != nil {
 		n = resp.Count
 	}
-	r.negs[object] = n
+	cache[object] = n
 	return n
 }
 
@@ -218,16 +212,14 @@ func (r *boardReader) VotedObjects() []int {
 // NumVotedObjects returns the number of objects holding votes.
 func (r *boardReader) NumVotedObjects() int { return len(r.VotedObjects()) }
 
-// CountVotesInWindow counts vote events per object in [fromRound, toRound).
-func (r *boardReader) CountVotesInWindow(fromRound, toRound int) map[int]int {
-	key := [2]int{fromRound, toRound}
-	if m, ok := r.windows[key]; ok {
-		return m
+// CountVotesInWindow reads the vote events per object in [fromRound,
+// toRound) into wc. Windows are not cached: the schedule reads each once.
+func (r *boardReader) CountVotesInWindow(fromRound, toRound int, wc *billboard.WindowCounts) {
+	var counts []wire.CountMsg
+	if resp := r.call(wire.Request{Type: wire.ReqWindow, From: fromRound, To: toRound}); resp != nil {
+		counts = resp.Counts
 	}
-	m := map[int]int{}
-	if resp := r.call(wire.Request{Type: wire.ReqWindow, From: fromRound, To: toRound}); resp != nil && resp.Counts != nil {
-		m = resp.Counts
+	if err := client.FillWindow(wc, r.m, counts); err != nil && r.err == nil {
+		r.err = err
 	}
-	r.windows[key] = m
-	return m
 }

@@ -271,7 +271,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// group 0's connection; the Init-time source is never drawn from (the
 	// schedule is a pure function of committed board state), but Init
 	// requires one.
-	d.board = newBoardReader(d.groups[0].prim, hello.Round, d.n)
+	d.board = newBoardReader(d.groups[0].prim, hello.Round, d.n, hello.M)
 	d.proto = core.NewDistill(cfg.Params)
 	if err := d.proto.Init(sim.Setup{
 		N: d.n, Alpha: hello.Alpha, Beta: hello.Beta,

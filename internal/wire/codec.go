@@ -3,9 +3,8 @@ package wire
 // The frame codec (since protocol v11). Every frame is a uvarint payload length
 // followed by the payload: one kind byte naming the message, then each of
 // the message's fields in declaration order, none omitted, in the canonical
-// encoding of internal/codec: a uint8 kind or code is one byte, and the
-// Counts map a count and its pairs in ascending key order. A frame that
-// decodes re-encodes to the same bytes.
+// encoding of internal/codec: a uint8 kind or code is one byte. A frame
+// that decodes re-encodes to the same bytes.
 //
 // The encoder sizes each frame exactly before appending it, so its buffer
 // grows only to the exact size of the largest frame, never by append's
@@ -13,13 +12,12 @@ package wire
 // length against the bytes left before it allocates, and copies every string
 // and byte slice out of the frame, so the decoder can reuse its frame
 // buffer. A stream decoder also decodes each request's entry lists into the
-// previous request's arrays, and each response's probe results and votes
-// into the arrays of the Response it fills (see the package doc's ownership
-// rule).
+// previous request's arrays, and each response's probe results, votes and
+// counts into the arrays of the Response it fills (see the package doc's
+// ownership rule).
 
 import (
 	"encoding/binary"
-	"slices"
 
 	"repro/internal/codec"
 )
@@ -37,17 +35,17 @@ const (
 // Minimum encoded sizes of slice entries: a declared count is checked
 // against the bytes left divided by these before anything is allocated.
 const (
-	minPost       = 4 // Object, Value, Positive, Player
-	minProbe      = 2 // Player, Object
-	minProbeRes   = 2 // Value, Good
-	minVote       = 4 // Player, Object, Round, Value
-	minCountsPair = 2 // key, value
+	minPost     = 4 // Object, Value, Positive, Player
+	minProbe    = 2 // Player, Object
+	minProbeRes = 2 // Value, Good
+	minVote     = 4 // Player, Object, Round, Value
+	minCount    = 2 // Object, Count
 )
 
 func (r *Request) size() int {
 	n := 2 + codec.UvarintSize(r.Session) + codec.UvarintSize(r.Seq) + codec.IntSize(r.Player) +
 		codec.BytesSize(r.Token) + codec.IntSize(r.Version) + codec.IntSize(r.Object) +
-		codec.IntSize(r.From) + codec.IntSize(r.To) + codec.IntSize(r.Last) + codec.CountSize(r.Posts)
+		codec.IntSize(r.From) + codec.IntSize(r.To) + codec.CountSize(r.Posts)
 	for i := range r.Posts {
 		q := &r.Posts[i]
 		n += codec.IntSize(q.Object) + codec.FloatSize(q.Value) + 1 + codec.IntSize(q.Player)
@@ -69,7 +67,6 @@ func (r *Request) appendTo(b []byte) []byte {
 	b = codec.AppendInt(b, r.Object)
 	b = codec.AppendInt(b, r.From)
 	b = codec.AppendInt(b, r.To)
-	b = codec.AppendInt(b, r.Last)
 	b = codec.AppendCount(b, r.Posts)
 	for i := range r.Posts {
 		q := &r.Posts[i]
@@ -103,7 +100,6 @@ func (r *Request) parse(p *codec.Parser) {
 	r.Object = p.Int()
 	r.From = p.Int()
 	r.To = p.Int()
-	r.Last = p.Int()
 	r.Posts = reuse(r.Posts, p.Count(minPost))
 	for i := range r.Posts {
 		q := &r.Posts[i]
@@ -156,9 +152,9 @@ func (r *Response) size() int {
 		v := &r.Votes[i]
 		n += codec.IntSize(v.Player) + codec.IntSize(v.Object) + codec.IntSize(v.Round) + codec.FloatSize(v.Value)
 	}
-	n += codec.VarintsSize(r.Objects) + codec.IntSize(r.Count) + codec.UvarintSize(uint64(len(r.Counts)))
-	for k, v := range r.Counts {
-		n += codec.IntSize(k) + codec.IntSize(v)
+	n += codec.VarintsSize(r.Objects) + codec.IntSize(r.Count) + codec.CountSize(r.Counts)
+	for _, c := range r.Counts {
+		n += codec.IntSize(c.Object) + codec.IntSize(c.Count)
 	}
 	n += codec.IntSize(r.Round) + codec.BytesSize(r.Leader) + codec.CountSize(r.ProbeResults)
 	for _, q := range r.ProbeResults {
@@ -190,17 +186,10 @@ func (r *Response) appendTo(b []byte) []byte {
 	}
 	b = codec.AppendVarints(b, r.Objects)
 	b = codec.AppendInt(b, r.Count)
-	b = binary.AppendUvarint(b, uint64(len(r.Counts)))
-	if len(r.Counts) > 0 {
-		keys := make([]int, 0, len(r.Counts))
-		for k := range r.Counts {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			b = codec.AppendInt(b, k)
-			b = codec.AppendInt(b, r.Counts[k])
-		}
+	b = codec.AppendCount(b, r.Counts)
+	for _, c := range r.Counts {
+		b = codec.AppendInt(b, c.Object)
+		b = codec.AppendInt(b, c.Count)
 	}
 	b = codec.AppendInt(b, r.Round)
 	b = codec.AppendBytes(b, r.Leader)
@@ -212,9 +201,10 @@ func (r *Response) appendTo(b []byte) []byte {
 	return b
 }
 
-// parse fills r. Its ProbeResults and Votes are decoded into the arrays r
-// holds on entry (nil for fresh ones), grown when too small; an empty list
-// keeps the array.
+// parse fills r. Its ProbeResults, Votes and Counts are decoded into the
+// arrays r holds on entry (nil for fresh ones), grown when too small; an
+// empty list keeps the array. Counts whose objects are not strictly
+// ascending are refused.
 func (r *Response) parse(p *codec.Parser) {
 	r.Err = p.Str()
 	r.Code = p.Byte()
@@ -230,14 +220,11 @@ func (r *Response) parse(p *codec.Parser) {
 	}
 	r.Objects = codec.ParseVarints[int](p)
 	r.Count = p.Int()
-	if n := p.Count(minCountsPair); n > 0 {
-		r.Counts = make(map[int]int, n)
-		for i, prev := 0, 0; i < n; i++ {
-			k := p.Int()
-			if i > 0 && k <= prev {
-				p.Fail("counts key %d after %d", k, prev)
-			}
-			r.Counts[k], prev = p.Int(), k
+	r.Counts = refill(r.Counts, p.Count(minCount))
+	for i := range r.Counts {
+		r.Counts[i] = CountMsg{Object: p.Int(), Count: p.Int()}
+		if i > 0 && r.Counts[i].Object <= r.Counts[i-1].Object {
+			p.Fail("counts object %d after %d", r.Counts[i].Object, r.Counts[i-1].Object)
 		}
 	}
 	r.Round = p.Int()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -76,7 +77,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 		N: 4, M: 32, LocalTesting: true, Alpha: 0.75, Beta: 0.125,
 		Costs: []float64{1, 2}, Round: 5,
 		Votes:  []VoteMsg{{Player: 1, Object: 2, Round: 3, Value: 0.5}},
-		Counts: map[int]int{7: 2},
+		Counts: []CountMsg{{Object: 7, Count: 2}},
 	}
 	if err := EncodeResponse(&buf, &want); err != nil {
 		t.Fatal(err)
@@ -86,8 +87,34 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.N != want.N || got.M != want.M || got.Round != want.Round ||
-		len(got.Votes) != 1 || got.Votes[0] != want.Votes[0] || got.Counts[7] != 2 {
+		len(got.Votes) != 1 || got.Votes[0] != want.Votes[0] ||
+		len(got.Counts) != 1 || got.Counts[0] != want.Counts[0] {
 		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
+// TestCountsMustAscend: a window answer's objects are strictly ascending on
+// the wire (protocol v15); a repeated or descending object is refused.
+func TestCountsMustAscend(t *testing.T) {
+	for _, c := range []struct {
+		counts []CountMsg
+		ok     bool
+	}{
+		{[]CountMsg{{Object: -4, Count: 1}, {Object: 0, Count: 2}, {Object: 9, Count: 1}}, true},
+		{[]CountMsg{{Object: 5, Count: 1}, {Object: 5, Count: 2}}, false},
+		{[]CountMsg{{Object: 5, Count: 1}, {Object: 3, Count: 1}}, false},
+	} {
+		var buf bytes.Buffer
+		if err := EncodeResponse(&buf, &Response{Counts: c.counts}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeResponse(&buf)
+		if c.ok && (err != nil || !slices.Equal(got.Counts, c.counts)) {
+			t.Fatalf("counts %v: decoded %+v, %v", c.counts, got, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "counts object")) {
+			t.Fatalf("counts %v: err = %v, want a refusal", c.counts, err)
+		}
 	}
 }
 
@@ -146,9 +173,9 @@ func splice(b []byte, i, j int, mid ...byte) []byte {
 // TestHostileCountRefusedBeforeAllocation: a slice count larger than the
 // bytes left in its frame is refused before anything is allocated for it.
 func TestHostileCountRefusedBeforeAllocation(t *testing.T) {
-	// A post-batch request's kind and type, its nine zero scalars (Session
-	// through Last), then a count of 2^40 posts: an 18-byte frame.
-	req := append([]byte{kindRequest, byte(ReqPostBatch)}, make([]byte, 9)...)
+	// A post-batch request's kind and type, its eight zero scalars (Session
+	// through To), then a count of 2^40 posts: a 17-byte frame.
+	req := append([]byte{kindRequest, byte(ReqPostBatch)}, make([]byte, 8)...)
 	req = frameOf(binary.AppendUvarint(req, 1<<40))
 	// A response's kind and seven zero fields (Err through Beta), then 2^40
 	// costs.

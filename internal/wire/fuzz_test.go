@@ -160,13 +160,14 @@ func FuzzDecodeResponse(f *testing.F) {
 		{N: 2, M: 8, Costs: []float64{1, 2}, Round: 1, Alpha: 0.5, Beta: 0.25, LocalTesting: true},
 		{Round: 1, ProbeResults: []ProbeRes{{Value: 1, Good: true}, {Value: 0}}},
 		{Round: 2, Votes: []VoteMsg{{Player: 1, Object: 5, Round: 1, Value: 1}}, Objects: []int{5},
-			Count: 1, Counts: map[int]int{1: 1, 5: 2}},
+			Count: 1, Counts: []CountMsg{{Object: 1, Count: 1}, {Object: 5, Count: 2}}},
 		// Protocol v4: a coded error.
 		{Round: 3, Code: CodeSessionExpired, Err: "gone"},
 		// Shorter lists after longer ones: a reused Response keeps the
 		// longer answers' arrays.
 		{Round: 4, ProbeResults: []ProbeRes{{Value: 2}}},
 		{Round: 4, Votes: []VoteMsg{{Player: 3, Object: 1, Round: 2, Value: 0.5}}},
+		{Round: 4, Counts: []CountMsg{{Object: 2, Count: 3}}},
 		{Code: CodeNotLeader, Err: "not the leader", Leader: "127.0.0.1:7000"},
 	}
 	stream := encodeStream(f, resps)

@@ -67,26 +67,30 @@ func TestDecodeRequestShortAfterLong(t *testing.T) {
 	}
 }
 
-// answerFrames returns a probe-result answer and a vote answer of n entries
-// each, and an arrival's answer, which has neither.
+// answerFrames returns a probe-result answer, a vote answer and a window
+// answer of n entries each, and an arrival's answer, which has none.
 func answerFrames(n int) []Response {
 	results := make([]ProbeRes, n)
 	votes := make([]VoteMsg, n)
+	counts := make([]CountMsg, n)
 	for i := range n {
 		results[i] = ProbeRes{Value: float64(i % 3), Good: i%2 == 0}
 		votes[i] = VoteMsg{Player: i, Object: 3 * i, Round: 4, Value: float64(i) / 8}
+		counts[i] = CountMsg{Object: 2 * i, Count: 1 + i%5}
 	}
 	return []Response{
 		{Round: 4, ProbeResults: results},
 		{Round: 4, Votes: votes},
+		{Round: 4, Counts: counts},
 		{Round: 5},
 	}
 }
 
 // TestDecodeResponseReusesEntryArrays pins the response half of the
 // ownership rule: once one Response has held a 256-entry probe-result
-// answer and a 256-entry vote answer, decoding them into it again
-// allocates nothing, an answer with neither list in between included.
+// answer, a 256-entry vote answer and a 256-entry window answer, decoding
+// them into it again allocates nothing, an answer with none of the lists
+// in between included.
 func TestDecodeResponseReusesEntryArrays(t *testing.T) {
 	const runs = 50
 	frames := answerFrames(256)
@@ -103,7 +107,7 @@ func TestDecodeResponseReusesEntryArrays(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("decoding the answers again allocated %v objects, want 0", allocs)
 	}
-	if len(resp.ProbeResults) != 0 || len(resp.Votes) != 0 || resp.Round != 5 {
+	if len(resp.ProbeResults) != 0 || len(resp.Votes) != 0 || len(resp.Counts) != 0 || resp.Round != 5 {
 		t.Fatalf("last answer decoded as %+v, want round 5 and no entries", resp)
 	}
 }

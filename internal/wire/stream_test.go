@@ -104,7 +104,7 @@ func TestStreamFirstFrameSelfContained(t *testing.T) {
 }
 
 // TestStreamResponseRoundTrip mirrors the request test on the response side,
-// where maps and slices dominate the payload.
+// where slices dominate the payload.
 func TestStreamResponseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewStreamEncoder(&buf)
@@ -112,7 +112,7 @@ func TestStreamResponseRoundTrip(t *testing.T) {
 		{N: 8, M: 64, LocalTesting: true, Alpha: 1, Beta: 0.25, Round: 3,
 			Costs: []float64{1, 2}},
 		{Votes: []VoteMsg{{Player: 1, Object: 2, Round: 3, Value: 0.5}},
-			Counts: map[int]int{7: 2}, Objects: []int{1, 2, 3}},
+			Counts: []CountMsg{{Object: 7, Count: 2}}, Objects: []int{1, 2, 3}},
 		{Err: "gone", Code: CodeSessionExpired},
 		{},
 	}

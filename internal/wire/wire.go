@@ -43,15 +43,16 @@
 //     reads the next frame: the board copies each post it buffers, and the
 //     journal encodes its records at once. The stateless DecodeRequest
 //     makes a fresh decoder per call, so its requests own their slices.
-//   - Responses: DecodeResponse decodes a response's ProbeResults and Votes
-//     into the arrays the Response it fills already holds, so decoding into
-//     a Response again overwrites the entries of the answer it held: a
-//     caller that keeps an entry copies it first. A list with no entries
-//     decodes as an empty slice of the held array (nil for a fresh
-//     Response), so the array serves the next answer decoded into that
-//     Response. The arrays belong to the Response, not to the decoder: a
-//     client that pipelines decodes each outstanding answer into a Response
-//     of its own. The stateless DecodeResponse fills a fresh Response.
+//   - Responses: DecodeResponse decodes a response's ProbeResults, Votes
+//     and Counts into the arrays the Response it fills already holds, so
+//     decoding into a Response again overwrites the entries of the answer
+//     it held: a caller that keeps an entry copies it first. A list with
+//     no entries decodes as an empty slice of the held array (nil for a
+//     fresh Response), so the array serves the next answer decoded into
+//     that Response. The arrays belong to the Response, not to the
+//     decoder: a client that pipelines decodes each outstanding answer
+//     into a Response of its own. The stateless DecodeResponse fills a
+//     fresh Response.
 package wire
 
 import (
@@ -78,7 +79,8 @@ const (
 	ReqVoteCount
 	// ReqNegCount reads an object's negative-report count.
 	ReqNegCount
-	// ReqWindow counts vote events per object in a round window.
+	// ReqWindow counts vote events per object in the round window
+	// [Request.From, Request.To).
 	ReqWindow
 	// ReqDone deregisters the players listed in Request.Players (they
 	// halted); each must lie in the session's range. The range's remaining
@@ -166,9 +168,9 @@ func (t ReqType) String() string {
 // without a server-side response window.
 //
 // Version 8 added epoch mode: arrivals carry a lamport stamp
-// (Request.Epoch) on the ReqEpoch frame, and window queries may ask for a
-// sliding window relative to the current round (Request.Last) instead of
-// absolute bounds.
+// (Request.Epoch) on the ReqEpoch frame, and window queries could ask for a
+// sliding window relative to the current round (Request.Last, gone in
+// version 15) instead of absolute bounds.
 //
 // Version 9 has one arrival frame for both operation modes. The blocking
 // barrier request and the Hello reply's mode field are gone, and the
@@ -217,7 +219,14 @@ func (t ReqType) String() string {
 // every cost is 1 (see Cost and CheckHello). The frame layout is
 // unchanged, but a v13 client would index past an empty table, hence the
 // bump.
-const Version = 14
+//
+// Version 15 names a window one way. Request.Last, the sliding window
+// relative to the server's round, is gone: a window read sends its
+// absolute bounds From and To. Response.Counts, a window read's answer, is
+// a list of (object, count) pairs, objects strictly ascending, where it
+// was a map. Its bytes are those of the sorted map, so a response frame is
+// unchanged; the request frame lost a field, hence the bump.
+const Version = 15
 
 // MaxFrame bounds one framed message's declared size; anything larger is
 // treated as corruption, never allocated.
@@ -250,12 +259,8 @@ type Request struct {
 	// VoteCount / NegCount target.
 	Object int
 
-	// Window bounds [From, To). Last (protocol v8), when positive, asks
-	// for the sliding window of the most recent Last closed rounds instead:
-	// the server answers [round-Last, round) against its current round and
-	// sets Response.Round so the caller knows which window it got.
+	// Window bounds [From, To).
 	From, To int
-	Last     int
 
 	// PostBatch payload (protocol v3): the posts, applied in order.
 	// EndRound, when true, makes the same frame the caller's arrival at
@@ -321,6 +326,12 @@ type VoteMsg struct {
 	Object int
 	Round  int
 	Value  float64
+}
+
+// CountMsg is one entry of a window answer: Count vote events on Object.
+type CountMsg struct {
+	Object int
+	Count  int
 }
 
 // Typed error sentinels (protocol v4). The server tags failure responses
@@ -389,11 +400,13 @@ type Response struct {
 	Beta         float64 // the assumed β the protocol should use
 	Costs        []float64
 
-	// Reads.
+	// Reads. Counts answers a window read: the objects holding vote
+	// events in the window, strictly ascending, with their counts
+	// (protocol v15).
 	Votes   []VoteMsg
 	Objects []int
 	Count   int
-	Counts  map[int]int
+	Counts  []CountMsg
 
 	// Round is the server's open round when it answered: on an arrival,
 	// the round its target released; on Hello and every other request, the
@@ -449,9 +462,14 @@ func (r *Response) CheckFits() error {
 	worst := *r
 	worst.Round = math.MinInt // the longest varint
 	if size := worst.size(); size > MaxFrame {
-		return fmt.Errorf("wire: a %d-byte answer exceeds the %d-byte frame limit (wire.MaxFrame)", size, MaxFrame)
+		return fmt.Errorf("wire: %s", frameLimit(size))
 	}
 	return nil
+}
+
+// frameLimit describes an answer of size bytes, too large for one frame.
+func frameLimit(size int) string {
+	return fmt.Sprintf("a %d-byte answer exceeds the %d-byte frame limit (wire.MaxFrame)", size, MaxFrame)
 }
 
 // StreamEncoder writes framed messages to one connection. Each frame is
@@ -507,12 +525,18 @@ func (e *StreamEncoder) EncodeRequest(req *Request) error {
 	return e.flush(req.appendTo(e.begin(size)), size)
 }
 
-// EncodeResponse writes resp as one frame on the stream.
+// EncodeResponse writes resp as one frame on the stream. An answer too
+// large for one frame, which every decoder refuses, goes out instead as an
+// error response naming the limit, so the peer's session survives it.
 func (e *StreamEncoder) EncodeResponse(resp *Response) error {
 	if e.err != nil {
 		return e.err
 	}
 	size := resp.size()
+	if size > MaxFrame {
+		refusal := Response{Err: frameLimit(size), Round: resp.Round}
+		resp, size = &refusal, refusal.size()
+	}
 	return e.flush(resp.appendTo(e.begin(size)), size)
 }
 
@@ -651,11 +675,12 @@ func keep[T any](old, decoded []T) []T {
 }
 
 // DecodeResponse reads one response frame from the stream into resp,
-// zeroing it first except for the arrays of its ProbeResults and Votes,
-// into which it decodes this frame's (the package doc's ownership rule):
-// a caller that keeps an entry of the answer resp held copies it first.
+// zeroing it first except for the arrays of its ProbeResults, Votes and
+// Counts, into which it decodes this frame's (the package doc's ownership
+// rule): a caller that keeps an entry of the answer resp held copies it
+// first.
 func (d *StreamDecoder) DecodeResponse(resp *Response) error {
-	*resp = Response{ProbeResults: resp.ProbeResults[:0], Votes: resp.Votes[:0]}
+	*resp = Response{ProbeResults: resp.ProbeResults[:0], Votes: resp.Votes[:0], Counts: resp.Counts[:0]}
 	p, err := d.next(kindResponse)
 	if err != nil {
 		return err

@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,7 +103,16 @@ func filled(like any) any {
 	v := reflect.New(reflect.TypeOf(like).Elem())
 	next := 0
 	fill(v.Elem(), &next)
-	return v.Interface()
+	return ascending(v.Interface())
+}
+
+// ascending sorts a filled Response's Counts by object, the order the codec
+// requires: fill alternates signs, so the objects it draws may descend.
+func ascending(msg any) any {
+	if r, ok := msg.(*Response); ok {
+		slices.SortFunc(r.Counts, func(a, b CountMsg) int { return cmp.Compare(a.Object, b.Object) })
+	}
+	return msg
 }
 
 // encodeMsg writes one framed message of any kind on enc.
@@ -164,7 +175,7 @@ func TestCodecCoversEveryField(t *testing.T) {
 			v := reflect.New(typ)
 			next := 0
 			fill(v.Elem().Field(i), &next)
-			want = append(want, v.Interface())
+			want = append(want, ascending(v.Interface()))
 		}
 
 		var buf bytes.Buffer
@@ -278,5 +289,34 @@ func TestCheckFitsNamesTheLimit(t *testing.T) {
 	fits.Costs = append(fits.Costs, 0)
 	if err := fits.CheckFits(); err == nil {
 		t.Fatalf("%d costs fit", len(fits.Costs))
+	}
+}
+
+// TestEncodeResponseRefusesOversizedAnswer: an answer too large for one
+// frame goes out as an error response naming the limit, under its round,
+// and the stream stays in step for the next answer.
+func TestEncodeResponseRefusesOversizedAnswer(t *testing.T) {
+	big := &Response{Objects: make([]int, MaxFrame), Round: 9} // a zero id is one byte
+	var buf bytes.Buffer
+	enc := NewStreamEncoder(&buf)
+	if err := enc.EncodeResponse(big); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.EncodeResponse(&Response{Count: 3, Round: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > 256 {
+		t.Fatalf("the refusal and the next answer took %d bytes", buf.Len())
+	}
+	dec := NewStreamDecoder(&buf)
+	var got Response
+	if err := dec.DecodeResponse(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Error(); err == nil || !strings.Contains(err.Error(), "wire.MaxFrame") || got.Round != 9 || got.Objects != nil {
+		t.Fatalf("oversized answer decoded as %+v (%v), want a refusal naming the limit", got, err)
+	}
+	if err := dec.DecodeResponse(&got); err != nil || got.Err != "" || got.Count != 3 {
+		t.Fatalf("next answer decoded as %+v, %v", got, err)
 	}
 }
