@@ -16,8 +16,10 @@
 # server metrics), the kill/restart and persistence suite (whole-server
 # kill/restart mid-round, rollback of uncommitted posts, lease timers)
 # doubled under -race, the commit determinism golden doubled under -race,
-# the replicated-coordinator election + failover suite (quorum commit,
-# leader kill, isolation step-down, failover chaos digests) doubled under
+# the replicated-coordinator election + failover suite (majority commit,
+# leader kill, isolation step-down, a whole-group stall that must not
+# depose the leader, the promotion's session grace and its expiry,
+# failover chaos digests with and without a session grace) doubled under
 # -race,
 # the pacing suite (stamp closure, the round deadline's policy in each
 # mode, sync-vs-epoch digest convergence under chaos, close-during-commit
@@ -48,7 +50,7 @@ check: build
 	$(GO) test -race ./internal/obs/... ./internal/billboard/... ./internal/codec/... ./internal/wire/... ./internal/journal/... ./internal/server/... ./internal/client/... ./internal/swarm/... ./internal/dist/... ./internal/core/...
 	$(GO) test -race -run 'TestConn|TestRetriesBoundDials|TestCancel|Hello|TestLargeUnitUniverseDials|TestMalformedCostTableRefused|TestHandshakesRunConcurrently|TestReaderContract|TestOversizedAnswerRefused' -count=2 ./internal/client ./internal/swarm ./internal/server
 	$(GO) test -race -run 'TestChaosServerKillRestart|TestChaosKillRestartUnderFaultInjection|TestPersist|TestCloseStopsLeaseTimers|TestResumeStopsLeaseTimer' -count=2 ./internal/server ./internal/dist
-	$(GO) test -race -run 'TestShardCommitDeterminismGolden' -count=2 ./internal/server
+	$(GO) test -race -run 'TestCommitDeterminismGolden' -count=2 ./internal/server
 	$(GO) test -race -run 'TestReplica|TestLeader|TestChaosReplica|TestChaosLeader' -count=2 ./internal/server ./internal/dist
 	$(GO) test -race -run 'TestSwarm' -count=2 ./internal/swarm ./internal/dist
 	$(GO) test -race -run 'TestEpoch|TestStale|TestCloseDuringCommit|TestClosure|TestBarrierDeadline' -count=2 ./internal/server ./internal/swarm ./internal/dist

@@ -48,19 +48,17 @@ func run(args []string, out io.Writer) error {
 		good        = fs.Int("good", 1, "number of good objects")
 		alpha       = fs.Float64("alpha", 0.75, "advertised assumed honest fraction")
 		seed        = fs.Uint64("seed", 1, "universe/token seed")
-		persistDir  = fs.String("persist-dir", "", "run durably from this directory: full service state (board, round, probe ledger, sessions) is journaled and recovered on restart")
+		persistDir  = fs.String("persist-dir", "", "run durably from this directory: full service state (board, round, probe ledger, sessions) is journaled, fsynced at every round commit, and recovered on restart")
 		snapEvery   = fs.Int("snapshot-every", 64, "with -persist-dir: rotate the journal behind a full snapshot every k committed rounds (0: never)")
-		fsync       = fs.String("fsync", "commit", "with -persist-dir: journal fsync policy — commit (at round boundaries), none, or always")
 		grace       = fs.Duration("session-grace", 0, "how long a disconnected player's session stays resumable (0: a disconnect deregisters the player immediately)")
 		deadline    = fs.Duration("barrier-deadline", 0, "how long a round barrier waits for stragglers before force-Done'ing them (0: wait forever)")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics (empty: disabled)")
 		once        = fs.Bool("print-and-exit", false, "print config and exit (for tests)")
 
-		replicas     = fs.Int("replicas", 0, "run the coordinator as a replica group of this size (odd, >= 3); every round is quorum-committed before clients observe it, and a follower takes over if the leader dies. 0 or 1: classic single coordinator")
+		replicas     = fs.Int("replicas", 0, "run the coordinator as a replica group of this size (odd, >= 3); every round is durable on a majority before clients observe it, and a follower takes over if the leader dies. 0 or 1: classic single coordinator")
 		replicaID    = fs.Int("replica-id", 0, "with -replicas: this process's index into the peer lists")
 		replicaPeers = fs.String("replica-peers", "", "with -replicas: comma-separated replication addresses, one per member, in id order")
 		replicaCli   = fs.String("replica-client-addrs", "", "with -replicas: comma-separated client-facing addresses, one per member, in id order")
-		replicaQuo   = fs.Int("replica-quorum", 0, "with -replicas: durable-commit quorum, self included (0: majority)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,9 +92,9 @@ func run(args []string, out io.Writer) error {
 		cfg.Metrics = reg
 	}
 	if *replicas <= 1 {
-		if *replicaPeers != "" || *replicaCli != "" || *replicaID != 0 || *replicaQuo != 0 {
+		if *replicaPeers != "" || *replicaCli != "" || *replicaID != 0 {
 			return server.NewReplicaConfigError("missing-replicas",
-				"-replica-id/-replica-peers/-replica-client-addrs/-replica-quorum require -replicas > 1")
+				"-replica-id/-replica-peers/-replica-client-addrs require -replicas > 1")
 		}
 	} else {
 		// Replicated coordinator: the node owns persistence (one journal set
@@ -119,26 +117,21 @@ func run(args []string, out io.Writer) error {
 			ID:          *replicaID,
 			Peers:       peers,
 			ClientAddrs: splitAddrs(*replicaCli),
-			Quorum:      *replicaQuo,
 			Dir:         *persistDir,
 			Logf:        logf,
 		}
 		return runReplicaNode(rc, cfg, reg, *metricsAddr, tokens, out, *once)
 	}
 	if *persistDir != "" {
-		policy, err := journal.ParseSyncPolicy(*fsync)
-		if err != nil {
-			return err
-		}
-		st, err := journal.OpenStore(*persistDir, policy)
+		st, err := journal.OpenStore(*persistDir)
 		if err != nil {
 			return err
 		}
 		defer st.Close()
 		cfg.Persist = st
 		cfg.SnapshotEvery = *snapEvery
-		fmt.Fprintf(out, "durable mode: persist dir %s, snapshot every %d round(s), fsync %s\n",
-			*persistDir, *snapEvery, policy)
+		fmt.Fprintf(out, "durable mode: persist dir %s, snapshot every %d round(s), fsync commit\n",
+			*persistDir, *snapEvery)
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -205,11 +198,6 @@ func splitAddrs(s string) []string {
 // runReplicaNode runs one member of a coordinator replica group (the
 // -replicas branch of run).
 func runReplicaNode(rc server.ReplicaConfig, scfg server.Config, reg *obs.Registry, metricsAddr string, tokens []string, out io.Writer, once bool) error {
-	// Validate up front so the quorum default (majority) is filled in for
-	// the banner below; StartReplica re-validates the same config.
-	if err := rc.Validate(); err != nil {
-		return err
-	}
 	node, err := server.StartReplica(rc, scfg)
 	if err != nil {
 		return err
@@ -223,7 +211,7 @@ func runReplicaNode(rc server.ReplicaConfig, scfg server.Config, reg *obs.Regist
 	fmt.Fprintf(out, "replica %d/%d %s: replication on %s, clients on %s\n",
 		rc.ID, len(rc.Peers), role, node.RepAddr(), node.ClientAddr())
 	fmt.Fprintf(out, "quorum %d/%d, fsync commit (replicated rounds are always durable)\n",
-		rc.Quorum, len(rc.Peers))
+		len(rc.Peers)/2+1, len(rc.Peers))
 	if reg != nil {
 		mln, err := net.Listen("tcp", metricsAddr)
 		if err != nil {

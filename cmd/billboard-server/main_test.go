@@ -79,13 +79,13 @@ func TestPersistDirFlag(t *testing.T) {
 		t.Fatalf("restart from persist dir: %v", err)
 	}
 
-	// -persist-dir is the only durability flag, and a malformed fsync
-	// policy fails loudly.
+	// -persist-dir is the only durability flag, and its fsync policy is
+	// not a choice.
 	if err := run([]string{"-journal", "x.log", "-print-and-exit"}, &out); err == nil {
 		t.Fatal("removed -journal flag accepted")
 	}
-	if err := run([]string{"-persist-dir", dir, "-fsync", "eventually", "-print-and-exit"}, &out); err == nil {
-		t.Fatal("bogus fsync policy accepted")
+	if err := run([]string{"-persist-dir", dir, "-fsync", "always", "-print-and-exit"}, &out); err == nil {
+		t.Fatal("removed -fsync flag accepted")
 	}
 }
 

@@ -48,10 +48,6 @@ func TestReplicaFlagValidation(t *testing.T) {
 		{"peer count mismatch", base("-replicas", "3", "-replica-peers", "a,b"), "group-size-mismatch"},
 		{"even group size", base("-replicas", "2", "-replica-peers", "a,b",
 			"-replica-client-addrs", "x,y"), "even-group"},
-		{"quorum larger than group", base("-replicas", "3", "-replica-peers", "a,b,c",
-			"-replica-client-addrs", "x,y,z", "-replica-quorum", "4"), "quorum-too-large"},
-		{"quorum below majority", base("-replicas", "3", "-replica-peers", "a,b,c",
-			"-replica-client-addrs", "x,y,z", "-replica-quorum", "1"), "quorum-too-small"},
 		{"id out of range", base("-replicas", "3", "-replica-peers", "a,b,c",
 			"-replica-client-addrs", "x,y,z", "-replica-id", "5"), "id-out-of-range"},
 		{"client addr count mismatch", base("-replicas", "3", "-replica-peers", "a,b,c",

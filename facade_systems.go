@@ -175,7 +175,7 @@ type JournalStore = journal.Store
 // journal fsyncs at every round commit: a machine crash loses at most the
 // uncommitted round, which the synchrony contract discards anyway.
 func OpenJournalStore(dir string) (*JournalStore, error) {
-	return journal.OpenStore(dir, journal.SyncCommit)
+	return journal.OpenStore(dir)
 }
 
 // ---------------------------------------------------------------------------

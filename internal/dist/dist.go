@@ -350,7 +350,7 @@ func startCoordinator(cfg *ClusterConfig, sc server.Config) (*service, error) {
 	newServer := func() (*server.Server, *journal.Store, error) {
 		sc := sc
 		if cfg.PersistDir != "" {
-			st, err := journal.OpenStore(cfg.PersistDir, journal.SyncCommit)
+			st, err := journal.OpenStore(cfg.PersistDir)
 			if err != nil {
 				return nil, nil, err
 			}

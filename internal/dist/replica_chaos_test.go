@@ -11,6 +11,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -81,7 +82,9 @@ func TestChaosReplicatedMatchesSingleCoordinator(t *testing.T) {
 // follower takes over by replaying the quorum-committed prefix and
 // discarding the uncommitted tail, and the run must still be observably
 // identical to the fault-free single-coordinator baseline — same digest,
-// zero double-charged probes.
+// zero double-charged probes. It holds with no session grace too: a
+// failover is not a client disconnect, so the promoted leader keeps the
+// recovered sessions resumable for its failover bound.
 func TestChaosLeaderFailoverMatchesFaultFree(t *testing.T) {
 	clean, err := RunCluster(context.Background(), chaosBase(t))
 	if err != nil {
@@ -91,22 +94,26 @@ func TestChaosLeaderFailoverMatchesFaultFree(t *testing.T) {
 		t.Fatal("fault-free cluster did not finish")
 	}
 
-	crash := chaosBase(t)
-	crash.Topology.Replicas = 3
-	crash.PersistDir = t.TempDir()
-	crash.Chaos.KillLeaderAtRound = 3
-	crash.SessionGrace = 10 * time.Second
-	crash.BarrierDeadline = 30 * time.Second // must never fire here
-	crash.Client = replicaClientOpts()
-	crash.Logf = t.Logf
-	got, err := RunCluster(context.Background(), crash)
-	if err != nil {
-		t.Fatal(err)
+	for _, grace := range []time.Duration{10 * time.Second, 0} {
+		t.Run(fmt.Sprintf("grace-%v", grace), func(t *testing.T) {
+			crash := chaosBase(t)
+			crash.Topology.Replicas = 3
+			crash.PersistDir = t.TempDir()
+			crash.Chaos.KillLeaderAtRound = 3
+			crash.SessionGrace = grace
+			crash.BarrierDeadline = 30 * time.Second // must never fire here
+			crash.Client = replicaClientOpts()
+			crash.Logf = t.Logf
+			got, err := RunCluster(context.Background(), crash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Failovers != 1 {
+				t.Fatalf("expected exactly one leader kill, got %d", got.Failovers)
+			}
+			assertMatchesClean(t, clean, got, "across leader failover")
+		})
 	}
-	if got.Failovers != 1 {
-		t.Fatalf("expected exactly one leader kill, got %d", got.Failovers)
-	}
-	assertMatchesClean(t, clean, got, "across leader failover")
 }
 
 // TestChaosLeaderFailoverUnderFaultInjection layers ~11% transport fault

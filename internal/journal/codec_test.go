@@ -22,6 +22,11 @@ const gobWal = "testdata/gob-frames.wal"
 // PlayerTo.
 const indexAdmitsWal = "testdata/index-admits-frames.wal"
 
+// termQuorumWal holds one frame of each record kind as the builds before
+// this format wrote them (their records.golden): every frame also carried
+// a round marker's replication term and quorum after PlayerTo.
+const termQuorumWal = "testdata/term-quorum-frames.wal"
+
 // TestRecordGolden pins the record format byte for byte: one frame of each
 // record kind, written through one Writer, must equal
 // testdata/records.golden and replay to the records written. A deliberate
@@ -161,7 +166,7 @@ func TestReplayTornVersusCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := int64(buf.Len())
-	if err := w.EndRoundQuorum(7, 3); err != nil {
+	if err := w.EndRound(); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -218,13 +223,27 @@ func TestReplayRefusesGobFrames(t *testing.T) {
 // corrupt under this format, and so is each of its frames on its own: no
 // such frame is ever read as some other record.
 func TestReplayRefusesIndexAdmitsFrames(t *testing.T) {
-	data, err := os.ReadFile(indexAdmitsWal)
+	refusesEveryFrame(t, indexAdmitsWal, 11)
+}
+
+// TestReplayRefusesTermQuorumFrames: a wal written by a build whose frames
+// carried a round marker's replication term and quorum is corrupt under
+// this format, and so is each of its frames on its own.
+func TestReplayRefusesTermQuorumFrames(t *testing.T) {
+	refusesEveryFrame(t, termQuorumWal, 9)
+}
+
+// refusesEveryFrame checks that the wal fixture at path, and each of its
+// want frames on its own, replays as ErrCorrupt before any record.
+func refusesEveryFrame(t *testing.T, path string, want int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs, err := replayAll(data)
 	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) || len(recs) != 0 {
-		t.Fatalf("index/admits wal: %d records, %v; want ErrCorrupt before any record", len(recs), err)
+		t.Fatalf("%s: %d records, %v; want ErrCorrupt before any record", path, len(recs), err)
 	}
 	frames := 0
 	for rest := data; len(rest) > 0; frames++ {
@@ -239,8 +258,8 @@ func TestReplayRefusesIndexAdmitsFrames(t *testing.T) {
 			t.Fatalf("fixture frame %d (%x): %d records, %v; want ErrCorrupt", frames, frame, len(recs), err)
 		}
 	}
-	if frames != 11 {
-		t.Fatalf("fixture holds %d frames, want one per record kind the old writer had (11)", frames)
+	if frames != want {
+		t.Fatalf("fixture holds %d frames, want one per record the old writer wrote (%d)", frames, want)
 	}
 }
 
@@ -249,7 +268,7 @@ func TestReplayRefusesIndexAdmitsFrames(t *testing.T) {
 // and through a reopen; a wal that grew since it was loaded is not cut.
 func TestStoreTruncateThenAppend(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, SyncNone)
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +280,7 @@ func TestStoreTruncateThenAppend(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := OpenStore(dir, SyncNone)
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +299,7 @@ func TestStoreTruncateThenAppend(t *testing.T) {
 	}
 	s2.Close()
 
-	s3, err := OpenStore(dir, SyncNone)
+	s3, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

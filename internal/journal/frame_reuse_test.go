@@ -39,8 +39,6 @@ func everyRecordKind() []recordCase {
 			Record{Kind: RecordRollback}},
 		{"end-round", func(w *Writer) error { return w.EndRound() },
 			Record{Kind: RecordEndRound}},
-		{"end-round-quorum", func(w *Writer) error { return w.EndRoundQuorum(4, 2) },
-			Record{Kind: RecordEndRound, Term: 4, Quorum: 2}},
 	}
 }
 
@@ -124,7 +122,7 @@ func TestWriterFramesSelfContained(t *testing.T) {
 	})
 	t.Run("store-rotate", func(t *testing.T) {
 		dir := t.TempDir()
-		st, err := OpenStore(dir, SyncCommit)
+		st, err := OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,22 +165,19 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return c.buf.Write(p)
 }
 
-// TestWriterBatchSyncsOnce: a batch is one write, so SyncAlways flushes the
-// disk once for it, and SyncCommit only when it holds a round marker.
+// TestWriterBatchSyncsOnce: a batch is one write, so it flushes the disk
+// at most once, and only when it holds a round marker.
 func TestWriterBatchSyncsOnce(t *testing.T) {
 	for _, tc := range []struct {
-		policy SyncPolicy
 		marker bool
 		want   int
 	}{
-		{SyncAlways, false, 1},
-		{SyncCommit, false, 0},
-		{SyncCommit, true, 1},
-		{SyncNone, true, 0},
+		{false, 0},
+		{true, 1},
 	} {
 		synced := 0
 		w := NewWriter(io.Discard)
-		w.SetSync(func() error { synced++; return nil }, tc.policy)
+		w.SetSync(func() error { synced++; return nil })
 		w.Begin()
 		for i := 0; i < 4; i++ {
 			if err := w.Probe(1, 1, i, i); err != nil {
@@ -198,7 +193,7 @@ func TestWriterBatchSyncsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if synced != tc.want {
-			t.Fatalf("policy %v, marker %v: synced %d times, want %d", tc.policy, tc.marker, synced, tc.want)
+			t.Fatalf("marker %v: synced %d times, want %d", tc.marker, synced, tc.want)
 		}
 	}
 }
@@ -218,7 +213,7 @@ func BenchmarkWriterAppend(b *testing.B) {
 
 // quorumTail is a wal tail shaped like one round of the benchmark's quorum
 // workload: a 2048-probe batch and a 2048-post batch under one swarm
-// session, each one request's write, then the round's replicated marker. It
+// session, each one request's write, then the round's marker. It
 // returns the bytes and the number of records.
 func quorumTail(tb testing.TB) ([]byte, int) {
 	tb.Helper()
@@ -241,7 +236,7 @@ func quorumTail(tb testing.TB) ([]byte, int) {
 	if err := w.Flush(); err != nil {
 		tb.Fatal(err)
 	}
-	if err := w.EndRoundQuorum(1, 2); err != nil {
+	if err := w.EndRound(); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes(), 2*batch + 1

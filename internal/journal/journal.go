@@ -10,9 +10,9 @@
 // length, then the payload — the record's kind byte followed by every
 // Record field but Round, in declaration order, none omitted, in the
 // canonical encoding of internal/codec (zigzag varints, uvarints for
-// Session, Seq and Term, a 0/1 byte for Post.Positive, Post.Value in gob's
+// Session and Seq, a 0/1 byte for Post.Positive, Post.Value in gob's
 // byte-reversed float layout). No reflection and no type descriptors: a
-// record takes 14 to about 40 bytes. Self-contained frames make journals
+// record takes 12 to about 38 bytes. Self-contained frames make journals
 // safely appendable across process restarts. Posts are grouped into rounds by marker frames; a round
 // without its marker was never visible to players (the synchrony contract)
 // and is discarded by recovery. A Writer batch (Begin … Flush) gathers a
@@ -28,8 +28,9 @@
 // persist directory written by a build whose journal frames were
 // gob-encoded (each payload starts with 0xff) is therefore refused, not
 // read as an empty torn tail; so is one written by a build whose frames
-// also carried a post index and a round marker's admitted vote pairs: each
-// of its frames holds at least two fields more than this format reads.
+// also carried a post index and a round marker's admitted vote pairs, or a
+// round marker's replication term and quorum: each of its frames holds at
+// least two fields more than this format reads.
 //
 // Write-ahead records (durable restart). Beyond posts and round markers,
 // the journal carries the operational records a server needs to restart
@@ -95,13 +96,7 @@ type Record struct {
 	// block of players at once. Recovery rebuilds the whole block's
 	// membership from the single record.
 	PlayerTo int
-	// Term and Quorum annotate a round marker written by a replicated
-	// coordinator (EndRoundQuorum): the leader term that proposed the round
-	// and the number of durable replica acknowledgements (leader included)
-	// the commit waited for. Zero on single-coordinator journals.
-	Term   uint64
-	Quorum int
-	Round  int
+	Round    int
 }
 
 // maxFrame bounds a frame's declared size; anything larger is corruption.
@@ -112,8 +107,7 @@ func (r *Record) size() int {
 	return 1 + codec.IntSize(r.Post.Player) + codec.IntSize(r.Post.Object) +
 		codec.FloatSize(r.Post.Value) + 1 + codec.IntSize(r.Post.Round) +
 		codec.UvarintSize(r.Session) + codec.UvarintSize(r.Seq) + codec.IntSize(r.Player) +
-		codec.IntSize(r.Object) + codec.IntSize(r.PlayerTo) + codec.UvarintSize(r.Term) +
-		codec.IntSize(r.Quorum)
+		codec.IntSize(r.Object) + codec.IntSize(r.PlayerTo)
 }
 
 // appendFrame appends r's frame — uvarint payload length, then the payload
@@ -132,9 +126,7 @@ func appendFrame(b []byte, r *Record) []byte {
 	b = binary.AppendUvarint(b, r.Seq)
 	b = codec.AppendInt(b, r.Player)
 	b = codec.AppendInt(b, r.Object)
-	b = codec.AppendInt(b, r.PlayerTo)
-	b = binary.AppendUvarint(b, r.Term)
-	return codec.AppendInt(b, r.Quorum)
+	return codec.AppendInt(b, r.PlayerTo)
 }
 
 // parse fills r (Round aside) from a frame's payload.
@@ -153,57 +145,6 @@ func (r *Record) parse(p *codec.Parser) {
 	r.Player = p.Int()
 	r.Object = p.Int()
 	r.PlayerTo = p.Int()
-	r.Term = p.Uvarint()
-	r.Quorum = p.Int()
-}
-
-// SyncPolicy selects when a Writer invokes its sync hook (typically
-// os.File.Sync) — the durability/throughput trade-off of the journal.
-type SyncPolicy int
-
-const (
-	// SyncCommit fsyncs at round markers and rollbacks (the default): a
-	// machine crash loses at most the uncommitted round, which the
-	// synchrony contract discards anyway. Probe records between commits
-	// ride in the OS page cache — durable across a process kill, not
-	// across a power cut.
-	SyncCommit SyncPolicy = iota
-	// SyncNone never fsyncs: the OS flushes on its own schedule. Process
-	// crashes (kill -9) still lose nothing — written bytes survive the
-	// process — but a machine crash can lose committed rounds.
-	SyncNone
-	// SyncAlways fsyncs after every write: full durability, one disk
-	// flush per journaled request (a batch's records share one write, so
-	// they share its flush) and per round marker.
-	SyncAlways
-)
-
-// String returns the policy name as accepted by ParseSyncPolicy.
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncCommit:
-		return "commit"
-	case SyncNone:
-		return "none"
-	case SyncAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("SyncPolicy(%d)", int(p))
-	}
-}
-
-// ParseSyncPolicy parses "commit", "none", or "always".
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "commit":
-		return SyncCommit, nil
-	case "none":
-		return SyncNone, nil
-	case "always":
-		return SyncAlways, nil
-	default:
-		return 0, fmt.Errorf("journal: unknown sync policy %q (want commit, none, or always)", s)
-	}
 }
 
 // maxRetainedFrames bounds the frame buffer a Writer keeps between writes;
@@ -216,7 +157,7 @@ const maxRetainedFrames = 1 << 20
 //
 // Each record is one Write of its frame, unless a batch is open: between
 // Begin and Flush, records are encoded into the Writer's buffer and Flush
-// writes them all in one Write, applying the sync policy once.
+// writes them all in one Write, syncing at most once.
 type Writer struct {
 	w      io.Writer
 	frames []byte // encoded frames awaiting the underlying Write
@@ -224,7 +165,6 @@ type Writer struct {
 	batch  bool   // between Begin and Flush
 	err    error  // first write error; subsequent calls fail fast
 	sync   func() error
-	policy SyncPolicy
 }
 
 // NewWriter wraps w.
@@ -232,11 +172,13 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w}
 }
 
-// SetSync installs a sync hook (typically os.File.Sync) invoked per the
-// policy: after every write (SyncAlways) or after writes holding a round
-// marker or rollback (SyncCommit). SyncNone never invokes it.
-func (w *Writer) SetSync(sync func() error, policy SyncPolicy) {
-	w.sync, w.policy = sync, policy
+// SetSync installs a sync hook (typically os.File.Sync) invoked after
+// every write that holds a round marker or rollback: a machine crash loses
+// at most the uncommitted round, which the synchrony contract discards
+// anyway. Records between commits ride in the OS page cache, durable across
+// a process kill but not across a power cut.
+func (w *Writer) SetSync(sync func() error) {
+	w.sync = sync
 }
 
 // Begin opens a batch: the records appended until Flush reach the
@@ -245,7 +187,7 @@ func (w *Writer) SetSync(sync func() error, policy SyncPolicy) {
 func (w *Writer) Begin() { w.batch = true }
 
 // Flush closes a batch, writing its records in one Write (none when the
-// batch is empty) and syncing once per the policy. Records encoded before a
+// batch is empty) and syncing once if it holds a round marker or rollback. Records encoded before a
 // failure are discarded with the batch; the error is sticky.
 func (w *Writer) Flush() error {
 	w.batch = false
@@ -280,7 +222,7 @@ func (w *Writer) flush() error {
 		w.err = fmt.Errorf("journal: %w", err)
 		return w.err
 	}
-	if w.sync != nil && (w.policy == SyncAlways || (w.policy == SyncCommit && marker)) {
+	if w.sync != nil && marker {
 		if err := w.sync(); err != nil {
 			w.err = fmt.Errorf("journal: sync: %w", err)
 			return w.err
@@ -299,15 +241,6 @@ func (w *Writer) AppendFrom(session, seq uint64, post billboard.Post) error {
 // EndRound records a round boundary.
 func (w *Writer) EndRound() error {
 	return w.write(Record{Kind: RecordEndRound})
-}
-
-// EndRoundQuorum records a round boundary annotated with the replication
-// facts of its commit: the leader term that proposed it and the quorum of
-// durable replica acknowledgements it waited for. A replicated coordinator
-// seals every round with this marker; replay treats it exactly like
-// EndRound and surfaces the annotation on Record.Term/Quorum.
-func (w *Writer) EndRoundQuorum(term uint64, quorum int) error {
-	return w.write(Record{Kind: RecordEndRound, Term: term, Quorum: quorum})
 }
 
 // ForceDone records a barrier-deadline decision: the server deregistered

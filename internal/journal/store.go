@@ -30,8 +30,7 @@ import (
 // billboard server serializes them under its own lock. The Writer returned
 // by Writer() targets the store itself, so it survives rotation.
 type Store struct {
-	dir    string
-	policy SyncPolicy
+	dir string
 
 	mu     sync.Mutex
 	seg    uint64
@@ -51,8 +50,9 @@ const (
 // OpenStore opens (creating if needed) a persistence directory and loads
 // its newest segment: the snapshot bytes (nil when the segment has none)
 // and the wal tail, both served from memory via Snapshot and Tail. The
-// wal file is reopened for appending; policy selects the fsync cadence.
-func OpenStore(dir string, policy SyncPolicy) (*Store, error) {
+// wal file is reopened for appending, and every write holding a round
+// marker or rollback is fsynced (Writer.SetSync).
+func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: store: %w", err)
 	}
@@ -72,7 +72,7 @@ func OpenStore(dir string, policy SyncPolicy) (*Store, error) {
 		}
 		segs = append(segs, n)
 	}
-	s := &Store{dir: dir, policy: policy}
+	s := &Store{dir: dir}
 	if len(segs) == 0 {
 		if err := s.openSegment(0, true); err != nil {
 			return nil, err
@@ -125,7 +125,7 @@ func (s *Store) openSegment(seg uint64, create bool) error {
 	s.seg, s.f = seg, f
 	if s.w == nil {
 		s.w = NewWriter(s)
-		s.w.SetSync(s.syncFile, s.policy)
+		s.w.SetSync(s.syncFile)
 	}
 	return nil
 }
@@ -155,9 +155,9 @@ func (s *Store) SetMirror(fn func(p []byte)) {
 	s.mu.Unlock()
 }
 
-// Sync flushes the current wal file to stable storage regardless of the
-// store's sync policy — followers call it after applying replicated bytes
-// so an acknowledged record is durable before the ack leaves the machine.
+// Sync flushes the current wal file to stable storage whatever the bytes
+// hold — followers call it after applying replicated bytes so an
+// acknowledged record is durable before the ack leaves the machine.
 func (s *Store) Sync() error {
 	return s.syncFile()
 }

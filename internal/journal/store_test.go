@@ -2,6 +2,7 @@ package journal
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,7 +28,7 @@ func collect(t *testing.T, s *Store) []Record {
 // attribution and round numbering intact.
 func TestStoreAppendReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, SyncCommit)
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestStoreAppendReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(dir, SyncCommit)
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestStoreAppendReopen(t *testing.T) {
 // appending into the new segment. Reopen serves the new snapshot + tail.
 func TestStoreRotate(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, SyncNone)
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestStoreRotate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(dir, SyncNone)
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestStoreRotate(t *testing.T) {
 // the newest and sweep the orphans.
 func TestStoreSweepsStaleSegments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, SyncNone)
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestStoreSweepsStaleSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(dir, SyncNone)
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestStoreSweepsStaleSegments(t *testing.T) {
 // TestStoreClosed: writes and rotations after Close fail loudly instead of
 // appending to a closed file descriptor.
 func TestStoreClosed(t *testing.T) {
-	s, err := OpenStore(t.TempDir(), SyncCommit)
+	s, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +199,48 @@ func TestStoreClosed(t *testing.T) {
 	}
 }
 
-func TestParseSyncPolicy(t *testing.T) {
-	for _, p := range []SyncPolicy{SyncCommit, SyncNone, SyncAlways} {
-		got, err := ParseSyncPolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round-trip %v: got %v, %v", p, got, err)
-		}
+// TestStoreRotateNil pins the snapshot-less rotation used by follower
+// resync: Rotate(nil) truncates the segment to an empty base with no
+// snapshot, and the store keeps accepting appends afterwards.
+func TestStoreRotateNil(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseSyncPolicy("eventually"); err == nil {
-		t.Fatal("bogus policy accepted")
+	if _, err := st.Write([]byte("stale bytes from a dead leadership")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rotate(nil); err != nil {
+		t.Fatal(err)
+	}
+	if snap := st.Snapshot(); len(snap) != 0 {
+		t.Fatalf("snapshot after Rotate(nil) = %d bytes, want none", len(snap))
+	}
+	if tail, err := io.ReadAll(st.Tail()); err != nil || len(tail) != 0 {
+		t.Fatalf("tail after Rotate(nil) = %d bytes (%v), want empty", len(tail), err)
+	}
+	if _, err := st.Write([]byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The truncation is durable: a reopen sees only the post-rotation bytes.
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if snap := st2.Snapshot(); len(snap) != 0 {
+		t.Fatalf("reopened snapshot = %d bytes, want none", len(snap))
+	}
+	tail, err := io.ReadAll(st2.Tail())
+	if err != nil || string(tail) != "fresh" {
+		t.Fatalf("reopened tail = %q (%v), want \"fresh\"", tail, err)
 	}
 }
 
@@ -215,7 +249,7 @@ func TestParseSyncPolicy(t *testing.T) {
 // relies on to recover from a mid-write crash.
 func TestStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, SyncNone)
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +268,7 @@ func TestStoreTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := OpenStore(dir, SyncNone)
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -504,7 +504,7 @@ func TestClosureResentSwarmStampJournalsOnce(t *testing.T) {
 	for _, mode := range []Mode{ModeSync, ModeEpoch} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := journal.OpenStore(dir, journal.SyncCommit)
+			st, err := journal.OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -523,7 +523,7 @@ func TestClosureResentSwarmStampJournalsOnce(t *testing.T) {
 			r.s.Close()
 			st.Close()
 
-			st, err = journal.OpenStore(dir, journal.SyncCommit)
+			st, err = journal.OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

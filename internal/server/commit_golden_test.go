@@ -136,13 +136,13 @@ func runSeededScript(t *testing.T, addr string, players, rounds int, seed uint64
 	}
 }
 
-// TestShardCommitDeterminismGolden pins the commit path's digest bit for
+// TestCommitDeterminismGolden pins the commit path's digest bit for
 // bit: the seeded workload must reproduce the digest recorded in testdata.
 // A player's posting order is the only ordering FirstPositive vote
 // derivation depends on; any reordering of the commit shows up here as a
 // byte diff. Refresh with -update only when the workload script itself
 // changes.
-func TestShardCommitDeterminismGolden(t *testing.T) {
+func TestCommitDeterminismGolden(t *testing.T) {
 	const players, rounds, seed = 6, 8, 0xADA9
 	goldenPath := filepath.Join("testdata", "commit_digest.golden")
 

@@ -2,15 +2,17 @@ package server
 
 // Leader election for the replicated coordinator (see replica.go for the
 // protocol overview). The loop is deliberately small: a follower that has
-// heard no leader for its staggered timeout bumps its term and asks every
-// peer for a vote, carrying its stream position; a majority of grants
+// heard no leader for its staggered timeout, counted in heartbeat ticks,
+// bumps its term and asks every peer for a vote, carrying its stream
+// position; a majority of grants
 // (itself included) makes it leader, anything else drops it back to
 // follower. Because a vote is granted only to a candidate whose position is
 // at least the voter's, and because both vote and ack quorums are
 // majorities, the winner provably holds every byte any committed round
 // waited on. A candidate denied on log length fetches the missing suffix
 // from the most advanced denier before its next attempt, so the next
-// election has a candidate every voter can grant.
+// election has a candidate every voter can grant. The fetched segments go
+// through the same apply as a leader's appends (applySegmentLocked).
 
 import (
 	"time"
@@ -18,14 +20,17 @@ import (
 	"repro/internal/wire"
 )
 
-// timeout is this node's effective election timeout: the base bound plus an
-// id-proportional stagger so replicas time out in a fixed order and
-// simultaneous candidacies stay rare.
-func (n *ReplicaNode) timeout() time.Duration {
-	return n.cfg.ElectionTimeout + time.Duration(n.cfg.ID)*n.cfg.ElectionTimeout/2
+// electionTicks is this node's staggered election timeout in heartbeat
+// ticks, rounded up.
+func (n *ReplicaNode) electionTicks() int {
+	hb := n.cfg.HeartbeatEvery
+	return int((n.cfg.staggered(n.cfg.ID) + hb - 1) / hb)
 }
 
-// electionLoop watches for leader silence and campaigns when it sees it.
+// electionLoop counts the ticks of leader silence and campaigns when they
+// reach the timeout. It counts ticks, not wall time: time.Ticker drops the
+// ticks a stalled receiver missed, so a stall of the whole process counts
+// as one tick instead of a leader silent for the stall's length.
 func (n *ReplicaNode) electionLoop() {
 	defer n.wg.Done()
 	tick := time.NewTicker(n.cfg.HeartbeatEvery)
@@ -37,7 +42,11 @@ func (n *ReplicaNode) electionLoop() {
 		case <-tick.C:
 		}
 		n.mu.Lock()
-		if n.closed || n.role == roleLeader || time.Since(n.lastHeard) < n.timeout() {
+		if n.closed || n.role == roleLeader {
+			n.mu.Unlock()
+			continue
+		}
+		if n.silence++; n.silence < n.electionTicks() {
 			n.mu.Unlock()
 			continue
 		}
@@ -45,7 +54,7 @@ func (n *ReplicaNode) electionLoop() {
 		term := n.term
 		n.votedFor = n.cfg.ID
 		n.role = roleCandidate
-		n.lastHeard = time.Now() // restart the clock for this attempt
+		n.silence = 0 // restart the count for this attempt
 		offset := n.log.position()
 		n.mu.Unlock()
 		n.mElections.Inc()
@@ -112,7 +121,7 @@ func (n *ReplicaNode) campaign(term uint64, offset int64) {
 		if err := n.becomeLeaderLocked(term, false); err != nil {
 			n.logf("replica %d: promotion in term %d failed: %v", n.cfg.ID, term, err)
 			n.role = roleFollower
-			n.lastHeard = time.Now()
+			n.silence = 0
 		}
 		n.mu.Unlock()
 		return
@@ -122,7 +131,7 @@ func (n *ReplicaNode) campaign(term uint64, offset int64) {
 		n.term = maxTerm
 		n.votedFor = -1
 	}
-	n.lastHeard = time.Now()
+	n.silence = 0
 	n.mu.Unlock()
 	n.logf("replica %d: term %d election lost (%d/%d grants)", n.cfg.ID, term, granted, majority)
 	n.catchUp(denials)
@@ -171,54 +180,15 @@ func (n *ReplicaNode) catchUp(denials []voteResult) {
 		if err != nil || !ack.OK {
 			return
 		}
-		if !n.applyFetch(v, ack) {
-			return
+		n.mu.Lock()
+		// Stop if a leader appeared: the stream moved under us, or we no
+		// longer follow.
+		cur := n.log.view()
+		applied := !n.closed && n.role == roleFollower && cur.pos == v.pos && cur.epoch == v.epoch &&
+			n.applySegmentLocked(ack.Reset, ack.Offset, ack.Snapshot, ack.Data).OK
+		n.mu.Unlock()
+		if !applied || (len(ack.Data) == 0 && !ack.Reset) {
+			return // refused, or fully caught up
 		}
-		if len(ack.Data) == 0 && !ack.Reset {
-			return // fully caught up
-		}
-		if next := n.log.view(); next.pos == v.pos && !ack.Reset {
-			return // no progress; stop rather than spin
-		}
 	}
-}
-
-// applyFetch applies one fetch reply to the follower store and repLog —
-// either a reset to the responder's segment (snapshot + bytes) or a plain
-// suffix append. Returns false on any inconsistency.
-func (n *ReplicaNode) applyFetch(v streamView, ack *wire.RepAck) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed || n.role != roleFollower || n.fstore == nil {
-		return false
-	}
-	cur := n.log.view()
-	if cur.pos != v.pos || cur.epoch != v.epoch {
-		return false // the stream moved under us (a leader appeared); stop
-	}
-	st := n.fstore
-	if ack.Reset {
-		if err := st.Rotate(ack.Snapshot); err != nil {
-			return false
-		}
-		n.log.resetStream(ack.Offset, ack.Snapshot)
-		if len(ack.Data) > 0 {
-			if _, err := st.Write(ack.Data); err != nil {
-				return false
-			}
-			n.log.extend(ack.Data)
-		}
-		return st.Sync() == nil
-	}
-	if ack.Offset != cur.pos {
-		return false
-	}
-	if len(ack.Data) == 0 {
-		return true
-	}
-	if _, err := st.Write(ack.Data); err != nil {
-		return false
-	}
-	n.log.extend(ack.Data)
-	return st.Sync() == nil
 }

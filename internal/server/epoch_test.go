@@ -228,7 +228,7 @@ func TestEpochJournalMarkersAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	st, err := journal.OpenStore(dir, journal.SyncCommit)
+	st, err := journal.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestEpochJournalMarkersAndRecovery(t *testing.T) {
 	st.Close()
 
 	// Crash-recover from the same store.
-	st2, err := journal.OpenStore(dir, journal.SyncCommit)
+	st2, err := journal.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

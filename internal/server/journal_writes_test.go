@@ -30,7 +30,7 @@ func TestPersistOneStoreWritePerRequest(t *testing.T) {
 	const k = 8
 	t.Run("coordinator", func(t *testing.T) {
 		cfg := rigConfig(t, ModeSync, k+1)
-		st, err := journal.OpenStore(t.TempDir(), journal.SyncCommit)
+		st, err := journal.OpenStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

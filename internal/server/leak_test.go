@@ -11,18 +11,18 @@ import (
 	"repro/internal/server"
 )
 
-// TestShardedCloseLeavesNoGoroutines checks the "no leak after Close"
+// TestCloseLeavesNoGoroutines checks the "no leak after Close"
 // promise on the topologies that start the most goroutines: a durable
 // server and a 3-node replica group. Each is driven through a few rounds
 // and closed; within 2 s the goroutine count must fall back to what it was
 // before the topology started.
-func TestShardedCloseLeavesNoGoroutines(t *testing.T) {
+func TestCloseLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"durable-1-shard", runDurable},
-		{"replicas-3-shards-3", func(t *testing.T) {
+		{"durable", runDurable},
+		{"replicas-3", func(t *testing.T) {
 			tokens := []string{"t0", "t1", "t2"}
 			u := replicaUniverse(t)
 			g := startReplicaGroup(t, 3, server.Config{
@@ -67,7 +67,7 @@ func runDurable(t *testing.T) {
 	for i := range tokens {
 		tokens[i] = "tok"
 	}
-	st, err := journal.OpenStore(t.TempDir(), journal.SyncCommit)
+	st, err := journal.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestPersistRestartExactState(t *testing.T) {
 	tokens := []string{"tok", "tok"}
 
 	newPersistServer := func() (*server.Server, *journal.Store) {
-		st, err := journal.OpenStore(dir, journal.SyncCommit)
+		st, err := journal.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestPersistUncommittedRoundDiscarded(t *testing.T) {
 	tokens := []string{"tok", "tok"}
 
 	open := func() (*server.Server, *journal.Store) {
-		st, err := journal.OpenStore(dir, journal.SyncCommit)
+		st, err := journal.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ func pendingPosts(s *Server) int {
 	return len(s.board.Pending())
 }
 
-// TestPersistShardedRollsBackUncommittedPosts pins the one rule for an
+// TestPersistRollsBackUncommittedPosts pins the one rule for an
 // acknowledged post: it survives iff its round commits. A durable server
 // restarted over an acknowledged batch whose round never committed holds
 // none of it, and a second restart finds none either. The batch re-sent
@@ -25,7 +25,7 @@ func pendingPosts(s *Server) int {
 // it once, and a final restart replays the committed round to the same
 // digest, which takes replay honoring the rollback marker the first restart
 // wrote.
-func TestPersistShardedRollsBackUncommittedPosts(t *testing.T) {
+func TestPersistRollsBackUncommittedPosts(t *testing.T) {
 	posts := make([]wire.PostMsg, 6)
 	for i := range posts {
 		posts[i] = wire.PostMsg{Player: 0, Object: i, Value: float64(i), Positive: i%3 == 0}
@@ -38,13 +38,13 @@ func TestPersistShardedRollsBackUncommittedPosts(t *testing.T) {
 	ref.send(ref.join(0), withArrival)
 	want := ref.s.Digest()
 
-	t.Run("shards-1", func(t *testing.T) {
+	t.Run("restart", func(t *testing.T) {
 		dir := t.TempDir()
 		var st *journal.Store
 		var r *frameRig
 		open := func() {
 			var err error
-			if st, err = journal.OpenStore(dir, journal.SyncCommit); err != nil {
+			if st, err = journal.OpenStore(dir); err != nil {
 				t.Fatal(err)
 			}
 			cfg := rigConfig(t, ModeSync, 1)
@@ -108,7 +108,7 @@ func TestPersistCommittedPostResendReplays(t *testing.T) {
 	t.Run("shards-1", func(t *testing.T) {
 		dir := t.TempDir()
 		open := func() (*frameRig, *journal.Store) {
-			st, err := journal.OpenStore(dir, journal.SyncCommit)
+			st, err := journal.OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestPersistCommittedPostResendReplays(t *testing.T) {
 	})
 }
 
-// TestPersistShardedForceDoneStaysExpelled pins that a restart keeps a
+// TestPersistForceDoneStaysExpelled pins that a restart keeps a
 // force-done player expelled. Player 1 posts a batch and never arrives, so
 // the sync deadline force-dones it and its posts commit with the round. The
 // expulsion deletes its session; replay applies the posts and then the
@@ -155,7 +155,7 @@ func TestPersistCommittedPostResendReplays(t *testing.T) {
 // CodeSessionExpired on the swarm session, which the expulsion took with it
 // while player 0 stays registered. The recovered board
 // matches the one committed before the restart.
-func TestPersistShardedForceDoneStaysExpelled(t *testing.T) {
+func TestPersistForceDoneStaysExpelled(t *testing.T) {
 	batch := func(players ...int) wire.Request {
 		req := wire.Request{Type: wire.ReqPostBatch}
 		for _, p := range players {
@@ -166,14 +166,14 @@ func TestPersistShardedForceDoneStaysExpelled(t *testing.T) {
 		return req
 	}
 	for _, swarm := range []bool{false, true} {
-		name := "shards-1"
+		name := "player"
 		if swarm {
-			name = "swarm-" + name
+			name = "swarm"
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			open := func() (*frameRig, *journal.Store) {
-				st, err := journal.OpenStore(dir, journal.SyncCommit)
+				st, err := journal.OpenStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -31,7 +31,7 @@ import (
 // server over it; cfg supplies everything but Persist.
 func openDurable(t *testing.T, dir string, cfg server.Config) (*server.Server, *journal.Store) {
 	t.Helper()
-	st, err := journal.OpenStore(dir, journal.SyncCommit)
+	st, err := journal.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRecoverFromGarbageRejected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err = journal.OpenStore(dir, journal.SyncCommit)
+	st, err = journal.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestPersistRefusesGobJournal(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal-00000000.log"), gobWal, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := journal.OpenStore(dir, journal.SyncCommit)
+	st, err := journal.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +611,7 @@ func TestPersistRejectsOutOfRangePlayers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := journal.OpenStore(dir, journal.SyncCommit)
+			st, err := journal.OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -625,7 +625,7 @@ func TestPersistRejectsOutOfRangePlayers(t *testing.T) {
 						err = fmt.Errorf("panic: %v", p)
 					}
 				}()
-				st, err := journal.OpenStore(dir, journal.SyncCommit)
+				st, err := journal.OpenStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -652,7 +652,7 @@ func TestPersistRejectsOutOfRangePlayers(t *testing.T) {
 func TestPersistResumesSessionRebuiltFromPost(t *testing.T) {
 	u := plantedUniverse(t)
 	dir := t.TempDir()
-	st, err := journal.OpenStore(dir, journal.SyncCommit)
+	st, err := journal.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

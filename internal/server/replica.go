@@ -3,8 +3,8 @@ package server
 // Replicated coordinator (wire protocol v5): the billboard service runs as
 // a small replica group in which one node — the leader — serves clients
 // while streaming its journal stores, byte for byte, to the followers. A
-// round is sealed (and any journaled response released) only after a quorum
-// of replicas holds the bytes durably, so killing the leader mid-round
+// round is sealed (and any journaled response released) only after a
+// majority of the group holds the bytes durably, so killing the leader mid-round
 // never loses a committed round: a follower detects the silence, wins an
 // election among the survivors, and rebuilds the service from its
 // replicated copy — the uncommitted tail is discarded by the same rollback
@@ -13,30 +13,32 @@ package server
 //
 // Replication unit. The leader's persist store is replicated as one raw
 // byte stream. Store.SetMirror tees every appended byte slice into the
-// node's replicated log (repLog); per-peer sender goroutines ship the tail
-// and collect acknowledgements; a response leaves the leader only once
-// commitWait sees a quorum of replicas (leader included) at or past the
-// position the request produced. Followers apply the bytes to their own
-// store and fsync before acking, so "quorum acked" means "durable on a
-// quorum".
+// node's replicated log (repLog); one sender loop per peer ships the tail
+// as appends (wire v16: append, vote request and fetch are the only
+// replica messages) and collects acknowledgements; a response leaves the
+// leader only once commitWait sees a majority of the group (leader
+// included) at or past the position the request produced. Followers apply
+// the bytes to their own store and fsync before acking, so "majority
+// acked" means "durable on a majority".
 //
 // Elections. Terms fence leaderships exactly as in Raft's skeleton: every
 // replication message carries the sender's term; a receiver holding a newer
 // term refuses, and a leader seeing a refusal (or any message) with a newer
 // term steps down. A follower that has heard nothing for its (id-staggered)
-// election timeout campaigns; a vote is granted only to a candidate whose
-// stream position is at least the voter's, which — because vote quorums and
-// ack quorums are both majorities — guarantees the winner holds every
-// quorum-committed byte. Promotion is just the existing durable-restart path
-// run over the replicated store: rollback fence and session grace,
-// unchanged.
+// election timeout, counted in heartbeat ticks, campaigns; a vote is
+// granted only to a candidate whose stream position is at least the
+// voter's, which — because vote quorums and ack quorums are both majorities
+// — guarantees the winner holds every majority-committed byte. Promotion
+// is just the existing durable-restart path run over the replicated store:
+// the rollback fence, and a session grace of at least the failover bound.
 //
 // Divergence. A follower that accepted bytes a dead leader never committed
 // holds a journal suffix the new leader does not. A new leader therefore
-// resets every follower on first contact of its term (RepRotate to its own
-// segment base, then re-append), and positional mismatches detected later
-// reset the same way. The reset truncates only uncommitted bytes: committed
-// bytes are, by the vote rule, a prefix of the new leader's stream.
+// resets every follower on first contact of its term (an append with Reset
+// set: rotate to the leader's segment base and snapshot, then its first
+// bytes), and a position outside the retained segment later resets the
+// same way. The reset truncates only uncommitted bytes: committed bytes
+// are, by the vote rule, a prefix of the new leader's stream.
 
 import (
 	"bufio"
@@ -55,7 +57,7 @@ import (
 // ReplicaConfigError is a startup validation failure with a stable Code the
 // operator (and cmd/billboard-server's exit path) can match on.
 type ReplicaConfigError struct {
-	Code string // "empty-group", "even-group", "quorum-too-large", ...
+	Code string // "empty-group", "even-group", "missing-dir", ...
 	msg  string
 }
 
@@ -75,15 +77,13 @@ type ReplicaConfig struct {
 	// ID is this node's index into Peers/ClientAddrs.
 	ID int
 	// Peers lists every member's replication address (ID included); its
-	// length is the group size and must be odd so majorities are unique.
+	// length is the group size and must be odd so majorities are unique. A
+	// round commit waits for durable acknowledgements from a majority of it
+	// (leader included).
 	Peers []string
 	// ClientAddrs lists every member's client-facing address, parallel to
 	// Peers — what a follower hands out in not-leader redirects.
 	ClientAddrs []string
-	// Quorum is the number of durable replica acknowledgements (leader
-	// included) a round commit waits for. Zero means majority; anything
-	// below majority or above the group size is rejected.
-	Quorum int
 	// Dir is this node's persistence directory: the replicated store lives
 	// there, as a single durable server's does, so promotion is a plain
 	// durable restart.
@@ -93,7 +93,10 @@ type ReplicaConfig struct {
 	HeartbeatEvery time.Duration
 	// ElectionTimeout is the base leader-silence bound; node ID staggers
 	// the effective timeout (+ID*ElectionTimeout/2) so simultaneous
-	// candidacies are rare (default 150ms).
+	// candidacies are rare (default 150ms). A node counts the silence in
+	// HeartbeatEvery ticks, and a promoted leader keeps recovered sessions
+	// resumable for at least failoverGraceTimeouts of the group's longest
+	// staggered timeout.
 	ElectionTimeout time.Duration
 	// Dial opens replication connections (nil means net.Dial "tcp"); the
 	// chaos tests swap in faultnet dialers here.
@@ -102,15 +105,12 @@ type ReplicaConfig struct {
 	// Peers[ID] / ClientAddrs[ID] (tests pass pre-bound listeners).
 	RepListener    net.Listener
 	ClientListener net.Listener
-	// OnPromote, when non-nil, is called (on its own goroutine) with the
-	// freshly built server each time this node assumes leadership.
-	OnPromote func(*Server)
 	// Logf receives replication events; nil disables.
 	Logf func(format string, args ...any)
 }
 
-// Validate checks group shape and quorum arithmetic, filling defaults in
-// place. Every failure is a *ReplicaConfigError with a stable code.
+// Validate checks the group's shape, filling defaults in place. Every
+// failure is a *ReplicaConfigError with a stable code.
 func (rc *ReplicaConfig) Validate() error {
 	n := len(rc.Peers)
 	if n == 0 {
@@ -128,17 +128,6 @@ func (rc *ReplicaConfig) Validate() error {
 		return &ReplicaConfigError{Code: "addr-mismatch",
 			msg: fmt.Sprintf("%d client addresses for %d replicas", len(rc.ClientAddrs), n)}
 	}
-	if rc.Quorum == 0 {
-		rc.Quorum = n/2 + 1
-	}
-	if rc.Quorum > n {
-		return &ReplicaConfigError{Code: "quorum-too-large",
-			msg: fmt.Sprintf("quorum %d exceeds group size %d", rc.Quorum, n)}
-	}
-	if rc.Quorum < n/2+1 {
-		return &ReplicaConfigError{Code: "quorum-too-small",
-			msg: fmt.Sprintf("quorum %d below majority %d: split brain would commit", rc.Quorum, n/2+1)}
-	}
 	if rc.Dir == "" {
 		return &ReplicaConfigError{Code: "missing-dir", msg: "replication requires a persist directory"}
 	}
@@ -152,6 +141,26 @@ func (rc *ReplicaConfig) Validate() error {
 		rc.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	return nil
+}
+
+// failoverGraceTimeouts is the promotion grace in units of the group's
+// longest staggered election timeout: a promoted leader keeps every
+// recovered session resumable at least this long, whatever
+// Config.SessionGrace says. A failover is not a client disconnect: a client
+// needs the election plus a few of its own retry backoffs to find the new
+// leader (3 s for a 3-member group at the default timeout).
+const failoverGraceTimeouts = 10
+
+// staggered is member id's election timeout: the base bound plus an
+// id-proportional stagger, so replicas time out in a fixed order and
+// simultaneous candidacies stay rare.
+func (rc *ReplicaConfig) staggered(id int) time.Duration {
+	return rc.ElectionTimeout + time.Duration(id)*rc.ElectionTimeout/2
+}
+
+// failoverGrace is the least session grace a promoted leader arms.
+func (rc *ReplicaConfig) failoverGrace() time.Duration {
+	return failoverGraceTimeouts * rc.staggered(len(rc.Peers)-1)
 }
 
 // repSendChunk is the size of one retained chunk of a replicated stream,
@@ -252,7 +261,7 @@ func (l *repLog) noteRotate(snap []byte) {
 	l.mu.Unlock()
 }
 
-// resetStream adopts a leader-dictated segment (follower side of RepRotate).
+// resetStream adopts a received segment base (the follower side of a reset).
 func (l *repLog) resetStream(base int64, snap []byte) {
 	l.mu.Lock()
 	l.stream.reset(base, snap)
@@ -260,7 +269,7 @@ func (l *repLog) resetStream(base int64, snap []byte) {
 }
 
 // position returns the stream position (the election log-length comparison
-// and the RepSync reply).
+// and a received segment's start check).
 func (l *repLog) position() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -331,10 +340,10 @@ func (l *repLog) ackPeer(peer int, pos int64) {
 // errCommitAborted reports a commitWait cut short by demotion or shutdown.
 var errCommitAborted = errors.New("server: replication commit aborted")
 
-// commitWait blocks until at least quorum replicas (this leader counted)
-// durably hold the bytes written so far. The target is captured at entry,
-// so later appends never extend the wait.
-func (l *repLog) commitWait(quorum int) error {
+// commitWait blocks until a majority of the group — this leader and half
+// its peers — durably holds the bytes written so far. The target is
+// captured at entry, so later appends never extend the wait.
+func (l *repLog) commitWait() error {
 	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -346,7 +355,7 @@ func (l *repLog) commitWait(quorum int) error {
 				n++
 			}
 		}
-		if n >= quorum {
+		if n > len(l.acked)/2 {
 			l.ackHist.ObserveSince(start)
 			return nil
 		}
@@ -382,17 +391,17 @@ type ReplicaNode struct {
 	repLn    net.Listener
 	clientLn net.Listener
 
-	mu        sync.Mutex
-	term      uint64
-	votedFor  int
-	role      int
-	leaderID  int // last known leader; -1 when unknown
-	lastHeard time.Time
-	srv       *Server        // non-nil while leading
-	fstore    *journal.Store // the replicated store while following
-	leadStop  chan struct{}  // closes when this leadership ends
-	closed    bool
-	conns     map[net.Conn]struct{} // open rep/redirect conns, force-closed on Close
+	mu       sync.Mutex
+	term     uint64
+	votedFor int
+	role     int
+	leaderID int            // last known leader; -1 when unknown
+	silence  int            // election ticks since a leader or a granted vote was last heard
+	srv      *Server        // non-nil while leading
+	fstore   *journal.Store // the replicated store while following
+	leadStop chan struct{}  // closes when this leadership ends
+	closed   bool
+	conns    map[net.Conn]struct{} // open rep/redirect conns, force-closed on Close
 
 	log  *repLog
 	stop chan struct{}
@@ -439,7 +448,6 @@ func StartReplica(rc ReplicaConfig, scfg Config) (*ReplicaNode, error) {
 			return nil, fmt.Errorf("server: replica %d: %w", rc.ID, err)
 		}
 	}
-	n.lastHeard = time.Now()
 	if rc.ID == 0 {
 		// Bootstrap: the group needs a first leader before any election can
 		// compare logs; node 0 of term 1 is it, and every heartbeat it sends
@@ -478,7 +486,7 @@ func StartReplica(rc ReplicaConfig, scfg Config) (*ReplicaNode, error) {
 // position-aligned with the fresh repLog) is truncated: the leader re-seeds
 // us with a reset + snapshot anyway.
 func (n *ReplicaNode) openFollowerStoreLocked() error {
-	st, err := journal.OpenStore(n.cfg.Dir, journal.SyncCommit)
+	st, err := journal.OpenStore(n.cfg.Dir)
 	if err != nil {
 		return err
 	}
@@ -505,12 +513,13 @@ func (n *ReplicaNode) closeFollowerStoreLocked() {
 
 // becomeLeaderLocked assumes leadership of term: reopen the store in server
 // mode with the replication mirror installed, run the ordinary durable
-// restart over it (rollback fence, session grace — all mirrored to the
-// repLog before any sender ships a byte), and start the per-peer senders.
+// restart over it (rollback fence, and a session grace of at least the
+// failover bound — all mirrored to the repLog before any sender ships a
+// byte), and start the per-peer senders.
 // bootstrap marks the startup leadership of replica 0. Caller holds n.mu.
 func (n *ReplicaNode) becomeLeaderLocked(term uint64, bootstrap bool) error {
 	n.closeFollowerStoreLocked()
-	st, err := journal.OpenStore(n.cfg.Dir, journal.SyncCommit)
+	st, err := journal.OpenStore(n.cfg.Dir)
 	if err != nil {
 		return err
 	}
@@ -525,9 +534,7 @@ func (n *ReplicaNode) becomeLeaderLocked(term uint64, bootstrap bool) error {
 		return fmt.Errorf("promote: %w", err)
 	}
 	srv.replLog = n.log
-	srv.replTerm = term
-	srv.replQuorum = n.cfg.Quorum
-	srv.ArmSessionGrace()
+	srv.armSessionGrace(n.cfg.failoverGrace())
 	if (bootstrap && hadState) || srv.tailCut {
 		// A whole-group cold restart: this node's repLog starts empty while
 		// its disk does not, so followers seeded from the buffer would miss
@@ -559,10 +566,7 @@ func (n *ReplicaNode) becomeLeaderLocked(term uint64, bootstrap bool) error {
 	if !bootstrap {
 		n.mFailovers.Inc()
 	}
-	n.logf("replica %d: leading term %d (quorum %d/%d)", n.cfg.ID, term, n.cfg.Quorum, len(n.cfg.Peers))
-	if n.cfg.OnPromote != nil {
-		go n.cfg.OnPromote(srv)
-	}
+	n.logf("replica %d: leading term %d (quorum %d/%d)", n.cfg.ID, term, len(n.cfg.Peers)/2+1, len(n.cfg.Peers))
 	return nil
 }
 
@@ -589,7 +593,7 @@ func (n *ReplicaNode) demoteLocked() {
 			n.logf("replica %d: reopen follower store: %v", n.cfg.ID, err)
 		}
 	}
-	n.lastHeard = time.Now()
+	n.silence = 0
 	n.logf("replica %d: stepped down", n.cfg.ID)
 }
 
@@ -718,8 +722,8 @@ func (n *ReplicaNode) redirect(conn net.Conn, leader int) {
 	_ = wire.EncodeResponse(conn, &resp)
 }
 
-// acceptRep serves the replication listener: leader appends and heartbeats,
-// vote requests, catch-up fetches.
+// acceptRep serves the replication listener: leader appends, vote
+// requests, catch-up fetches.
 func (n *ReplicaNode) acceptRep() {
 	defer n.wg.Done()
 	for {
@@ -789,50 +793,54 @@ func (n *ReplicaNode) applyRep(msg *wire.RepMsg) wire.RepAck {
 	case wire.RepFetch:
 		return n.serveFetchLocked(msg)
 	}
-	// Leader-stream traffic below. A leader refusing its own term's
-	// messages is unreachable (one leader per term), but refuse defensively
-	// rather than corrupt the store the server owns.
+	if msg.Type != wire.RepAppend {
+		return wire.RepAck{OK: false, Term: n.term, Err: fmt.Sprintf("unknown message %v", msg.Type)}
+	}
+	// A leader refusing its own term's appends is unreachable (one leader
+	// per term), but refuse defensively rather than corrupt the store the
+	// server owns.
 	if n.role == roleLeader {
 		return wire.RepAck{OK: false, Term: n.term, Err: "already leading this term"}
 	}
 	n.role = roleFollower
 	n.leaderID = msg.From
-	n.lastHeard = time.Now()
-	switch msg.Type {
-	case wire.RepSync:
-		return wire.RepAck{OK: true, Term: n.term, Offset: n.log.position()}
-	case wire.RepHeartbeat:
-		return wire.RepAck{OK: true, Term: n.term}
-	case wire.RepRotate:
-		if n.fstore == nil {
-			return wire.RepAck{OK: false, Term: n.term, Err: "no follower store"}
-		}
-		if err := n.fstore.Rotate(msg.Snapshot); err != nil {
+	n.silence = 0 // every append, empty ones included, is the leader's heartbeat
+	return n.applySegmentLocked(msg.Reset, msg.Offset, msg.Snapshot, msg.Data)
+}
+
+// applySegmentLocked applies one received stream segment, a leader's
+// append or a fetch reply, to the follower store and the repLog. A reset
+// first rotates the store behind snap and adopts off as the stream
+// position. The segment's data must then start at the position; it is
+// written and fsynced before the position moves past it, and an empty
+// segment writes and fsyncs nothing. The ack carries the new position, or,
+// on a refusal, where the stream stands. Caller holds n.mu.
+func (n *ReplicaNode) applySegmentLocked(reset bool, off int64, snap, data []byte) wire.RepAck {
+	if n.fstore == nil {
+		return wire.RepAck{OK: false, Term: n.term, Err: "no follower store"}
+	}
+	if reset {
+		if err := n.fstore.Rotate(snap); err != nil {
 			return wire.RepAck{OK: false, Term: n.term, Err: err.Error()}
 		}
-		n.log.resetStream(msg.Offset, msg.Snapshot)
-		return wire.RepAck{OK: true, Term: n.term, Offset: msg.Offset}
-	case wire.RepAppend:
-		if n.fstore == nil {
-			return wire.RepAck{OK: false, Term: n.term, Err: "no follower store"}
-		}
-		v := n.log.view()
-		if msg.Offset != v.pos {
-			// Position mismatch: report where we are so the sender can
-			// rewind or reset.
-			return wire.RepAck{OK: false, Term: n.term, Offset: v.pos}
-		}
-		if _, err := n.fstore.Write(msg.Data); err != nil {
-			return wire.RepAck{OK: false, Term: n.term, Offset: v.pos, Err: err.Error()}
+		n.log.resetStream(off, snap)
+	}
+	pos := n.log.position()
+	if off != pos {
+		// Position mismatch: report where we are so the sender can rewind
+		// or reset.
+		return wire.RepAck{OK: false, Term: n.term, Offset: pos}
+	}
+	if len(data) > 0 {
+		if _, err := n.fstore.Write(data); err != nil {
+			return wire.RepAck{OK: false, Term: n.term, Offset: pos, Err: err.Error()}
 		}
 		if err := n.fstore.Sync(); err != nil {
-			return wire.RepAck{OK: false, Term: n.term, Offset: v.pos, Err: err.Error()}
+			return wire.RepAck{OK: false, Term: n.term, Offset: pos, Err: err.Error()}
 		}
-		n.log.extend(msg.Data)
-		return wire.RepAck{OK: true, Term: n.term, Offset: v.pos + int64(len(msg.Data))}
-	default:
-		return wire.RepAck{OK: false, Term: n.term, Err: fmt.Sprintf("unknown message %v", msg.Type)}
+		n.log.extend(data)
 	}
+	return wire.RepAck{OK: true, Term: n.term, Offset: pos + int64(len(data))}
 }
 
 // voteLocked decides one vote request: grant iff this term's vote is free
@@ -846,7 +854,7 @@ func (n *ReplicaNode) voteLocked(msg *wire.RepMsg) wire.RepAck {
 		return wire.RepAck{OK: false, Term: n.term, Offset: mine}
 	}
 	n.votedFor = msg.From
-	n.lastHeard = time.Now() // a granted vote defers our own candidacy
+	n.silence = 0 // a granted vote defers our own candidacy
 	return wire.RepAck{OK: true, Term: n.term, Offset: mine}
 }
 
@@ -865,45 +873,32 @@ func (n *ReplicaNode) serveFetchLocked(msg *wire.RepMsg) wire.RepAck {
 	return wire.RepAck{OK: true, Term: n.term, Offset: msg.Offset, Data: v.from(msg.Offset)}
 }
 
-// runSender replicates this leadership's stream to one peer: a serial
-// dial → sync → reconcile → stream loop that survives connection failures
-// and ends with the leadership. The first successful contact always resets
-// the peer — the only way, with raw byte streams, to be sure a previous
-// leader's uncommitted tail is not lurking beyond a matching position.
+// runSender replicates this leadership's stream to one peer. It is one
+// loop over the peer's position, which it keeps across reconnects for the
+// whole leadership (-1 until the first contact resets the peer): every
+// message is an append from that position, and each reply moves it. It
+// ends with the leadership.
 func (n *ReplicaNode) runSender(peer int, term uint64, stop chan struct{}) {
 	defer n.wg.Done()
 	kick := n.log.kickChan(peer)
-	resetDone := false
+	next := int64(-1)
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		conn, err := n.cfg.Dial(n.cfg.Peers[peer])
-		if err != nil {
-			if !n.senderWait(stop, kick) {
-				return
-			}
-			continue
+		if conn, err := n.cfg.Dial(n.cfg.Peers[peer]); err == nil {
+			n.replicate(newRepLink(conn), peer, term, stop, kick, &next)
+			conn.Close()
 		}
-		n.senderConversation(conn, peer, term, stop, kick, &resetDone)
-		conn.Close()
-		if !n.senderWait(stop, kick) {
+		select {
+		case <-stop:
 			return
+		case <-kick:
+		case <-time.After(n.cfg.HeartbeatEvery):
 		}
 	}
-}
-
-// senderWait sleeps one heartbeat (or until kicked/stopped) between dials.
-func (n *ReplicaNode) senderWait(stop chan struct{}, kick chan struct{}) bool {
-	select {
-	case <-stop:
-		return false
-	case <-time.After(n.cfg.HeartbeatEvery):
-	case <-kick:
-	}
-	return true
 }
 
 // repLink is the dialing side of one replication connection: messages go
@@ -938,91 +933,53 @@ func (l *repLink) roundTrip(msg *wire.RepMsg) (*wire.RepAck, error) {
 	return ack, nil
 }
 
-// senderConversation drives one connection's replication: sync position,
-// reconcile the stream (reset on first contact or divergence, then chunked
-// appends), then idle on heartbeats until new bytes arrive. Returns when the
-// connection errors, the peer fences us with a newer term, or the
+// replicate drives one connection of runSender's loop. Each message is an
+// append from the peer's position *next: a reset when the position lies
+// outside the retained segment (always on first contact), empty as the
+// connection's first message (the position probe) and at the tail (the
+// heartbeat), and otherwise the next chunk. An accepted append acks the
+// position its reply carries; a refused one rewinds to it. Returns when the
+// connection fails, the peer refuses with an error or a newer term, or the
 // leadership ends.
-func (n *ReplicaNode) senderConversation(conn net.Conn, peer int, term uint64, stop chan struct{}, kick chan struct{}, resetDone *bool) {
-	link := newRepLink(conn)
-	ack, err := link.roundTrip(&wire.RepMsg{Type: wire.RepSync, Term: term, From: n.cfg.ID})
-	if err != nil {
-		return
-	}
-	if !ack.OK {
-		n.maybeStepDown(ack.Term, term)
-		return
-	}
-	// One forced reset on the leadership's first contact; later resets
-	// happen only on positional divergence.
-	fpos, wasReset := ack.Offset, *resetDone
+func (n *ReplicaNode) replicate(link *repLink, peer int, term uint64, stop, kick chan struct{}, next *int64) {
+	probe := true
 	for {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			v := n.log.view()
-			if !wasReset || fpos < v.base || fpos > v.pos {
-				rack, err := link.roundTrip(&wire.RepMsg{
-					Type: wire.RepRotate, Term: term, From: n.cfg.ID,
-					Offset: v.base, Snapshot: v.snap,
-				})
-				if err != nil {
-					return
-				}
-				if !rack.OK {
-					n.maybeStepDown(rack.Term, term)
-					return
-				}
-				fpos, wasReset = rack.Offset, true
-			}
-			if fpos == v.pos {
-				n.log.ackPeer(peer, fpos)
-				break
-			}
-			aack, err := link.roundTrip(&wire.RepMsg{
-				Type: wire.RepAppend, Term: term, From: n.cfg.ID,
-				Offset: fpos, Data: v.from(fpos),
-			})
-			if err != nil {
-				return
-			}
-			if !aack.OK {
-				if n.maybeStepDown(aack.Term, term) {
-					return
-				}
-				fpos = aack.Offset // rewind to the peer's actual position
-				continue
-			}
-			fpos = aack.Offset
-			n.log.ackPeer(peer, fpos)
+		select {
+		case <-stop:
+			return
+		default:
 		}
-		// Once the stream reconciled, the peer's content is ours: later
-		// divergence can only come from a newer leader, whose term fences us
-		// off anyway.
-		*resetDone = true
-		// Idle until new bytes or the heartbeat interval.
+		v := n.log.view()
+		msg := wire.RepMsg{Type: wire.RepAppend, Term: term, From: n.cfg.ID, Offset: *next}
+		switch {
+		case *next < v.base || *next > v.pos:
+			msg.Reset, msg.Offset, msg.Snapshot, msg.Data = true, v.base, v.snap, v.from(v.base)
+		case !probe:
+			msg.Data = v.from(*next)
+		}
+		probe = false
+		ack, err := link.roundTrip(&msg)
+		if err != nil || n.maybeStepDown(ack.Term, term) || ack.Err != "" {
+			return
+		}
+		*next = ack.Offset
+		if ack.OK {
+			n.log.ackPeer(peer, *next)
+		}
+		if !ack.OK || *next < v.pos {
+			continue
+		}
 		select {
 		case <-stop:
 			return
 		case <-kick:
 		case <-time.After(n.cfg.HeartbeatEvery):
-			hack, err := link.roundTrip(&wire.RepMsg{Type: wire.RepHeartbeat, Term: term, From: n.cfg.ID})
-			if err != nil {
-				return
-			}
-			if !hack.OK {
-				n.maybeStepDown(hack.Term, term)
-				return
-			}
 		}
 	}
 }
 
 // maybeStepDown demotes this node when a peer reported a newer term than
-// the leadership the caller is driving. Returns true when the refusal was a
+// the leadership the caller is driving. Returns true when the reply was a
 // term fence (so the sender must exit).
 func (n *ReplicaNode) maybeStepDown(peerTerm, myTerm uint64) bool {
 	if peerTerm <= myTerm {

@@ -37,8 +37,6 @@ func TestReplicaValidate(t *testing.T) {
 		}, "even-group"},
 		{"id out of range", func(rc *server.ReplicaConfig) { rc.ID = 3 }, "id-out-of-range"},
 		{"addr mismatch", func(rc *server.ReplicaConfig) { rc.ClientAddrs = rc.ClientAddrs[:2] }, "addr-mismatch"},
-		{"quorum too large", func(rc *server.ReplicaConfig) { rc.Quorum = 4 }, "quorum-too-large"},
-		{"quorum below majority", func(rc *server.ReplicaConfig) { rc.Quorum = 1 }, "quorum-too-small"},
 		{"missing dir", func(rc *server.ReplicaConfig) { rc.Dir = "" }, "missing-dir"},
 	}
 	for _, tc := range cases {
@@ -49,9 +47,6 @@ func TestReplicaValidate(t *testing.T) {
 			if tc.code == "" {
 				if err != nil {
 					t.Fatalf("Validate: %v", err)
-				}
-				if rc.Quorum != 2 {
-					t.Fatalf("default quorum = %d, want majority 2", rc.Quorum)
 				}
 				return
 			}

@@ -113,7 +113,7 @@ func TestReplicaPromotionCutsTornTail(t *testing.T) {
 	}
 	n.Close()
 
-	st, err := journal.OpenStore(dir, journal.SyncCommit)
+	st, err := journal.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

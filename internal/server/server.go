@@ -285,13 +285,11 @@ type Server struct {
 	conns map[net.Conn]struct{} // open connections, force-closed on Close
 	wg    sync.WaitGroup
 
-	// Replication hooks (set by ReplicaNode on promotion, before any client
-	// connection is served): every journaled response waits on replLog until
-	// replQuorum replicas durably hold the bytes it produced, and round
-	// markers carry replTerm/replQuorum annotations.
-	replLog    *repLog
-	replTerm   uint64
-	replQuorum int
+	// replLog is the replication hook (set by ReplicaNode on promotion,
+	// before any client connection is served): every journaled response
+	// waits on it until a majority of the group durably holds the bytes it
+	// produced.
+	replLog *repLog
 	// tailCut records that recovery cut a torn final frame off the wal: a
 	// replica promoted over such a store rotates it, since its replicated
 	// stream still holds the cut bytes.
@@ -393,20 +391,22 @@ func (s *Server) Start(addr string) (string, error) {
 // address.
 func (s *Server) Serve(ln net.Listener) string {
 	s.ln = ln
-	s.ArmSessionGrace()
+	s.armSessionGrace(0)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return ln.Addr().String()
 }
 
-// ArmSessionGrace starts the lease clocks of sessions recovered from a
-// persist store: each disconnected session gets its grace window now —
-// resume stops the timer, expiry deregisters the player as usual. With no
-// grace, the crash already counted as their disconnect, so they are expired
-// immediately (the legacy contract). Serve calls this itself; a replicated
-// coordinator, which serves connections via ServeConn instead, calls it at
-// promotion.
-func (s *Server) ArmSessionGrace() {
+// armSessionGrace starts the lease clocks of sessions recovered from a
+// persist store: each disconnected session gets its grace window now, and
+// at least floor — resume stops the timer, expiry deregisters the player as
+// usual. With neither, the crash already counted as their disconnect, so
+// they are expired immediately (the legacy contract). Serve calls this with
+// no floor; a replicated coordinator, which serves connections via
+// ServeConn instead, calls it at promotion with its failover bound, since a
+// failover is not a client disconnect.
+func (s *Server) armSessionGrace(floor time.Duration) {
+	grace := max(s.cfg.SessionGrace, floor)
 	s.mu.Lock()
 	var orphans []*session
 	for _, sess := range s.sessions {
@@ -415,9 +415,9 @@ func (s *Server) ArmSessionGrace() {
 		}
 	}
 	for _, sess := range orphans {
-		if s.cfg.SessionGrace > 0 {
+		if grace > 0 {
 			id, g := sess.id, sess.gen
-			sess.timer = time.AfterFunc(s.cfg.SessionGrace, func() { s.expireSession(id, g) })
+			sess.timer = time.AfterFunc(grace, func() { s.expireSession(id, g) })
 		} else {
 			s.expireLocked(sess)
 		}
@@ -727,10 +727,10 @@ func (s *Server) dispatch(sess *session, req *wire.Request) wire.Response {
 	resp := s.executeLocked(sess, req)
 	if s.replLog != nil && resp.Err != errServerClosed {
 		// Replicated commit: the response leaves this leader only after a
-		// quorum of replicas durably holds every journal byte the request
+		// majority of the group durably holds every journal byte the request
 		// (and, via the barrier, its round) produced. An aborted wait means
 		// this node was deposed — drop the connection like a dying server.
-		if err := s.replLog.commitWait(s.replQuorum); err != nil {
+		if err := s.replLog.commitWait(); err != nil {
 			resp = wire.Response{Err: errServerClosed}
 		}
 	}
@@ -1283,11 +1283,7 @@ func (s *Server) sealLocked() {
 	if s.jw != nil {
 		// A marker failure is logged into the error path on the next post;
 		// the in-memory board stays authoritative for this process.
-		if s.replLog != nil {
-			_ = s.jw.EndRoundQuorum(s.replTerm, s.replQuorum)
-		} else {
-			_ = s.jw.EndRound()
-		}
+		_ = s.jw.EndRound()
 	}
 	if s.cfg.Mode == ModeEpoch {
 		s.m.epochSeals.Inc()

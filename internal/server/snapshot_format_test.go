@@ -35,7 +35,7 @@ func TestRecoverRefusesBoardlessSnapshot(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := journal.OpenStore(t.TempDir(), journal.SyncCommit)
+	st, err := journal.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

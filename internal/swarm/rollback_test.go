@@ -36,7 +36,7 @@ type restartable struct {
 
 // open starts a server generation recovered from the persist dir, on ln.
 func (r *restartable) open(ln net.Listener) error {
-	st, err := journal.OpenStore(r.dir, journal.SyncCommit)
+	st, err := journal.OpenStore(r.dir)
 	if err != nil {
 		return err
 	}

@@ -237,7 +237,7 @@ func (r *Response) parse(p *codec.Parser) {
 
 func (m *RepMsg) size() int {
 	return 2 + codec.UvarintSize(m.Term) + codec.IntSize(m.From) + codec.VarintSize(m.Offset) +
-		codec.BytesSize(m.Data) + codec.BytesSize(m.Snapshot)
+		codec.BytesSize(m.Data) + codec.BytesSize(m.Snapshot) + 1
 }
 
 func (m *RepMsg) appendTo(b []byte) []byte {
@@ -246,7 +246,8 @@ func (m *RepMsg) appendTo(b []byte) []byte {
 	b = codec.AppendInt(b, m.From)
 	b = binary.AppendVarint(b, m.Offset)
 	b = codec.AppendBytes(b, m.Data)
-	return codec.AppendBytes(b, m.Snapshot)
+	b = codec.AppendBytes(b, m.Snapshot)
+	return codec.AppendBool(b, m.Reset)
 }
 
 // parse fills m, decoding Data into the buffer m.Data holds on entry.
@@ -257,6 +258,7 @@ func (m *RepMsg) parse(p *codec.Parser) {
 	m.Offset = p.Int64()
 	m.Data = p.Bytes(m.Data)
 	m.Snapshot = p.Bytes(nil)
+	m.Reset = p.Bool()
 }
 
 func (a *RepAck) size() int {

@@ -1,21 +1,27 @@
 package wire
 
-// Replica-to-replica frames (protocol v5). A coordinator group replicates
-// the leader's journal store as one raw byte stream. The leader dials
-// each follower and drives a strictly serial request/ack conversation —
-// sync, appends, rotations, heartbeats — while candidates dial peers for
-// votes and catch-up fetches during an election. Every frame carries the
-// sender's term; a receiver holding a higher term refuses, which is the
-// fencing rule that makes a deposed leader step down instead of splitting
-// the group.
+// Replica-to-replica frames (protocol v5; three kinds since v16). A
+// coordinator group replicates the leader's journal store as one raw byte
+// stream. The leader dials each follower and drives a strictly serial
+// request/ack conversation of appends, while candidates dial peers for votes
+// and catch-up fetches during an election. Every frame carries the sender's
+// term; a receiver holding a higher term refuses, which is the fencing rule
+// that makes a deposed leader step down instead of splitting the group.
+//
+// One append does the work of Raft's AppendEntries: with data it extends
+// the follower's stream, empty at the tail it is the heartbeat, empty as a
+// connection's first message it probes the follower's position, and with
+// Reset set it first rotates the follower's store behind a snapshot. A
+// RepFetch reply has the same shape (Reset, Offset, Snapshot, Data), so
+// either side applies a received segment the same way.
 //
 // The framing is the client protocol's frame codec (protocol v11): each
 // side of a replica link keeps one StreamEncoder and one StreamDecoder for
 // the connection's life, for their reused buffers; every frame is
 // self-contained and goes out in one Write. Frames stay length-prefixed, but
-// with a larger size cap (NewRepStreamDecoder): a rotation frame carries a
-// full service snapshot, which can legitimately exceed the 1 MiB
-// client-frame bound.
+// with a larger size cap (NewRepStreamDecoder): a reset carries a full
+// service snapshot, which can legitimately exceed the 1 MiB client-frame
+// bound.
 
 import (
 	"fmt"
@@ -26,21 +32,13 @@ import (
 type RepType uint8
 
 const (
-	// RepSync opens a leader→follower conversation: the follower answers
-	// with its stream position so the leader can plan catch-up.
-	RepSync RepType = iota + 1
-	// RepAppend carries journal bytes starting at Offset;
-	// the follower appends them to its store iff Offset matches its
-	// position, and acks its new position.
-	RepAppend
-	// RepRotate resets the stream to a new segment: the follower rotates
-	// its store behind the carried snapshot (possibly nil) and adopts
-	// Offset as its position. Sent at leader-side journal rotation and as
-	// the full-resync path for a follower too far behind the retained tail.
-	RepRotate
-	// RepHeartbeat asserts leadership while no appends are flowing; the
-	// follower resets its election timer.
-	RepHeartbeat
+	// RepAppend carries the leader's stream from Offset. A follower whose
+	// position is Offset appends Data (none for a heartbeat or a position
+	// probe) and acks its new position; any other position is refused with
+	// the follower's own. With Reset set the follower first rotates its
+	// store behind Snapshot (possibly nil) and adopts Offset as its
+	// position, so a reset is accepted wherever the follower stands.
+	RepAppend RepType = iota + 1
 	// RepVoteReq asks for a vote in Term: granted iff the term is newer and
 	// the candidate's stream position is at least the voter's.
 	RepVoteReq
@@ -52,14 +50,8 @@ const (
 // String returns the message kind name.
 func (t RepType) String() string {
 	switch t {
-	case RepSync:
-		return "sync"
 	case RepAppend:
 		return "append"
-	case RepRotate:
-		return "rotate"
-	case RepHeartbeat:
-		return "heartbeat"
 	case RepVoteReq:
 		return "vote-req"
 	case RepFetch:
@@ -69,13 +61,13 @@ func (t RepType) String() string {
 	}
 }
 
-// MaxRepFrame bounds one replication frame's declared size. Rotation frames
+// MaxRepFrame bounds one replication frame's declared size. Reset frames
 // carry whole service snapshots, so the cap is far above the client-facing
 // MaxFrame; anything larger is still treated as corruption.
 const MaxRepFrame = 1 << 26
 
-// RepMsg is one replica-to-replica message (leader→follower appends and
-// heartbeats, candidate→peer votes and fetches).
+// RepMsg is one replica-to-replica message (leader→follower appends,
+// candidate→peer votes and fetches).
 type RepMsg struct {
 	Type RepType
 	// Term is the sender's current term; receivers holding a newer term
@@ -84,15 +76,19 @@ type RepMsg struct {
 	// From is the sending replica's id.
 	From int
 
-	// Offset is the stream position the payload starts at (RepAppend), the
-	// new segment's base position (RepRotate), the position to read from
-	// (RepFetch), or the candidate's stream position (RepVoteReq).
+	// Offset is the stream position the payload starts at (RepAppend; on a
+	// reset, the new segment's base), the position to read from (RepFetch),
+	// or the candidate's stream position (RepVoteReq).
 	Offset int64
-	// Data is the journal byte payload (RepAppend).
+	// Data is the journal byte payload (RepAppend; empty for a heartbeat or
+	// a position probe).
 	Data []byte
-	// Snapshot is the new segment's snapshot bytes (RepRotate; nil for a
-	// snapshot-less segment).
+	// Snapshot is the new segment's snapshot bytes (a reset RepAppend; nil
+	// for a snapshot-less segment).
 	Snapshot []byte
+	// Reset marks an append that starts a new segment at Offset behind
+	// Snapshot before it appends Data.
+	Reset bool
 }
 
 // RepAck is the reply to any RepMsg.
@@ -102,15 +98,16 @@ type RepAck struct {
 	OK bool
 	// Term is the responder's current term after processing the message.
 	Term uint64
-	// Offset is the responder's stream position after an append or rotate,
-	// and in its replies to a sync or a vote; on a fetch reply, the base
-	// position of the returned Data.
+	// Offset is the responder's stream position after an append (on a
+	// refusal, where it stands) and in its reply to a vote; on a fetch
+	// reply, the base position of the returned Data.
 	Offset int64
 	// Data is the requested journal bytes (RepFetch replies).
 	Data []byte
-	// Snapshot, on a RepFetch reply, is non-nil when the requested offset
-	// predates the responder's retained segment: the responder returns its
-	// whole segment (snapshot + Data from Offset) and Reset is true.
+	// Snapshot and Reset, on a RepFetch reply, mean what they mean on a
+	// RepAppend: when the requested offset predates the responder's
+	// retained segment, it returns its segment (Snapshot, and Data from the
+	// segment base in Offset) with Reset set.
 	Snapshot []byte
 	Reset    bool
 	// Err describes a structural failure (a store error).

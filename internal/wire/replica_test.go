@@ -11,14 +11,16 @@ import (
 	"repro/internal/codec"
 )
 
-// repMsgs and repAcks cover every replication message kind and the ack
-// shapes the group sends back.
+// repMsgs and repAcks cover every replication message kind, each shape of
+// an append (a chunk, a reset with and without a snapshot and first bytes,
+// an empty heartbeat or position probe), and the ack shapes the group
+// sends back.
 var (
 	repMsgs = []RepMsg{
-		{Type: RepSync, Term: 3, From: 1},
 		{Type: RepAppend, Term: 3, From: 0, Offset: 4096, Data: []byte("journal bytes")},
-		{Type: RepRotate, Term: 4, From: 0, Offset: 9000, Snapshot: []byte("snap")},
-		{Type: RepHeartbeat, Term: 4, From: 0},
+		{Type: RepAppend, Term: 4, From: 0, Offset: 9000, Data: []byte("first chunk"), Snapshot: []byte("snap"), Reset: true},
+		{Type: RepAppend, Term: 4, From: 0, Offset: 9011},
+		{Type: RepAppend, Term: 4, From: 0, Reset: true},
 		{Type: RepVoteReq, Term: 5, From: 2, Offset: 250},
 		{Type: RepFetch, Term: 5, From: 2, Offset: 128},
 	}
@@ -54,7 +56,7 @@ func TestRepMsgReusesData(t *testing.T) {
 	msgs := []RepMsg{
 		{Type: RepAppend, Term: 1, Data: []byte("first payload")},
 		{Type: RepAppend, Term: 1, Offset: 13, Data: []byte("second")},
-		{Type: RepHeartbeat, Term: 1},
+		{Type: RepAppend, Term: 1, Offset: 19},
 	}
 	dec := NewRepStreamDecoder(bytes.NewReader(encodeStream(t, msgs)))
 	var msg RepMsg
@@ -68,8 +70,8 @@ func TestRepMsgReusesData(t *testing.T) {
 	if &msg.Data[0] != buf {
 		t.Fatal("the second payload did not reuse the first one's buffer")
 	}
-	if err := dec.DecodeRep(&msg); err != nil || msg.Type != RepHeartbeat || len(msg.Data) != 0 {
-		t.Fatalf("heartbeat after appends: %+v, %v", msg, err)
+	if err := dec.DecodeRep(&msg); err != nil || msg.Offset != 19 || len(msg.Data) != 0 {
+		t.Fatalf("empty append after appends: %+v, %v", msg, err)
 	}
 }
 
@@ -152,35 +154,37 @@ func (z *zeros) Read(p []byte) (int, error) {
 	return k, nil
 }
 
-// maxRepFrameStream is a replica link stream of three frames: a heartbeat
-// with term 1, a rotation with term 7 whose snapshot of zeros makes its
-// payload exactly size bytes, and a heartbeat with term 2. The snapshot is
-// streamed lazily, so the test holds no copy of it; its length is returned.
+// maxRepFrameStream is a replica link stream of three frames: an empty
+// append with term 1, a reset with term 7 whose snapshot of zeros makes its
+// payload exactly size bytes, and an empty append with term 2. The
+// snapshot is streamed lazily, so the test holds no copy of it; its length
+// is returned.
 func maxRepFrameStream(t *testing.T, size int) (io.Reader, int) {
 	t.Helper()
-	head := encodeStream(t, []RepMsg{{Type: RepHeartbeat, Term: 1}})
-	tail := encodeStream(t, []RepMsg{{Type: RepHeartbeat, Term: 2}})
-	rot := RepMsg{Type: RepRotate, Term: 7}
-	// rot's payload ends with the snapshot's length (0); base is the rest.
-	body := rot.appendTo(nil)
-	base := len(body) - 1
-	snap := size - base - 1
-	for base+codec.UvarintSize(uint64(snap))+snap > size {
+	head := encodeStream(t, []RepMsg{{Type: RepAppend, Term: 1}})
+	tail := encodeStream(t, []RepMsg{{Type: RepAppend, Term: 2}})
+	reset := RepMsg{Type: RepAppend, Term: 7, Reset: true}
+	// reset's payload ends with the snapshot's length (0) and the Reset
+	// byte; base is what comes before them.
+	body := reset.appendTo(nil)
+	base := len(body) - 2
+	snap := size - base - 2
+	for base+codec.UvarintSize(uint64(snap))+snap+1 > size {
 		snap--
 	}
-	if got := base + codec.UvarintSize(uint64(snap)) + snap; got != size {
-		t.Fatalf("rotation payload is %d bytes, want %d", got, size)
+	if got := base + codec.UvarintSize(uint64(snap)) + snap + 1; got != size {
+		t.Fatalf("reset payload is %d bytes, want %d", got, size)
 	}
 	prefix := binary.AppendUvarint(nil, uint64(size))
 	prefix = append(prefix, body[:base]...)
 	prefix = binary.AppendUvarint(prefix, uint64(snap))
 	return io.MultiReader(bytes.NewReader(head), bytes.NewReader(prefix), &zeros{n: snap},
-		bytes.NewReader(tail)), snap
+		bytes.NewReader(body[base+1:]), bytes.NewReader(tail)), snap
 }
 
 // TestRepFrameCaps pins the replica link's size bounds: a frame of exactly
 // MaxRepFrame bytes decodes (frames may exceed the client MaxFrame:
-// snapshots ride in rotations), one byte more is corruption, and a torn
+// snapshots ride in resets), one byte more is corruption, and a torn
 // frame is an error. The decoder does not keep a frame above MaxFrame once
 // it is read.
 func TestRepFrameCaps(t *testing.T) {
@@ -191,8 +195,8 @@ func TestRepFrameCaps(t *testing.T) {
 		if err := dec.DecodeRep(&got); err != nil || got.Term != want {
 			t.Fatalf("frame with term %d: got term %d, %v", want, got.Term, err)
 		}
-		if want == 7 && len(got.Snapshot) != snap {
-			t.Fatalf("rotation snapshot: %d bytes, want %d", len(got.Snapshot), snap)
+		if want == 7 && (len(got.Snapshot) != snap || !got.Reset) {
+			t.Fatalf("reset snapshot: %d bytes (reset %v), want %d", len(got.Snapshot), got.Reset, snap)
 		}
 		if cap(dec.frame) > MaxFrame {
 			t.Fatalf("decoder kept a %d-byte frame buffer", cap(dec.frame))
@@ -200,7 +204,7 @@ func TestRepFrameCaps(t *testing.T) {
 	}
 
 	// A snapshot above the client cap round-trips on a replica link.
-	big := RepMsg{Type: RepRotate, Term: 1, Snapshot: bytes.Repeat([]byte{5}, MaxFrame+1024)}
+	big := RepMsg{Type: RepAppend, Term: 1, Snapshot: bytes.Repeat([]byte{5}, MaxFrame+1024), Reset: true}
 	dec = NewRepStreamDecoder(bytes.NewReader(encodeStream(t, []RepMsg{big})))
 	if err := dec.DecodeRep(&got); err != nil || !bytes.Equal(got.Snapshot, big.Snapshot) {
 		t.Fatalf("decode snapshot frame: %v (snapshot %d bytes)", err, len(got.Snapshot))

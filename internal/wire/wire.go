@@ -226,7 +226,16 @@ func (t ReqType) String() string {
 // a list of (object, count) pairs, objects strictly ascending, where it
 // was a map. Its bytes are those of the sorted map, so a response frame is
 // unchanged; the request frame lost a field, hence the bump.
-const Version = 15
+//
+// Version 16 has three replica message kinds: RepAppend, RepVoteReq and
+// RepFetch. RepSync, RepHeartbeat and RepRotate are gone, folded into the
+// append, which gained a Reset flag: a reset append rotates the follower's
+// store behind its Snapshot at Offset and then carries the segment's first
+// bytes, the shape a fetch reply already had; an empty append is the
+// heartbeat, and a connection's first one probes the follower's position.
+// Client frames are unchanged; a v15 replica cannot parse a v16
+// replication frame, hence the bump.
+const Version = 16
 
 // MaxFrame bounds one framed message's declared size; anything larger is
 // treated as corruption, never allocated.
